@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .solver import RANK_REL_TOL, TensionBounds
+from .solver import TensionBounds, svd_rank_pinv
 
 # Anchors closer together than this are rejected as duplicates (meters).
 COINCIDENT_ANCHOR_TOL = 1e-9
@@ -141,7 +141,4 @@ def actuation_rank(A: StructureMatrix) -> int:
     """Numerical rank of the structure matrix (cutoff 1e-9 relative to the
     largest singular value). Rank 3 with m >= 4 positively spanning columns
     means the system is redundantly actuated."""
-    sv = np.linalg.svd(A.columns, compute_uv=False)
-    if sv[0] <= 0.0:
-        return 0
-    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
+    return svd_rank_pinv(A.columns)[0]

@@ -80,10 +80,7 @@ class IdealPlant:
     def measure_hold(
         self, A: StructureMatrix, tensions: np.ndarray, ticks: int, sample_index: int
     ) -> np.ndarray:
-        force = A.columns @ tensions
-        # Averaging is a no-op here but keeps the code path identical to the
-        # noisy plant.
-        return np.broadcast_to(force, (ticks, 3)).mean(axis=0)
+        return A.columns @ tensions
 
 
 @dataclass(frozen=True)

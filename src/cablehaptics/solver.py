@@ -1,4 +1,4 @@
-"""Bounded tension distribution via Dykstra's alternating projections.
+"""Bounded tension distribution: a Dykstra warm start plus a certified exact finish.
 
 The core problem: find cable tensions t in the box [t_min, t_max]^m whose
 net pull A @ t equals a desired force f, where the columns of A are unit
@@ -8,6 +8,16 @@ equilibrium set {t : A t = f}, with a correction term on the box side, and
 converges to the Euclidean projection of the start point onto their
 intersection. When the intersection is empty it converges to the box point
 nearest the equilibrium set, which renders the nearest reachable force.
+
+Dykstra contracts slowly when a bound face is nearly parallel to the
+equilibrium set, so it serves only as a warm start. At fixed sweep
+checkpoints the solve reads candidate active sets (which cables sit at a
+bound) off the iterate, solves each one exactly, and returns the first
+result whose optimality conditions check out: the active-set finish of
+bounded tension distribution (Gouttefarde et al., T-RO 2015; Goldfarb &
+Idnani 1983). When the force is unreachable, the finish is a
+bounded-variable least-squares active-set method (Stark & Parker 1995)
+started from the iterate.
 """
 
 from __future__ import annotations
@@ -26,6 +36,18 @@ RANK_REL_TOL = 1e-9
 
 # Residual (newtons) below which a desired force counts as wrench-feasible.
 WRENCH_FEASIBLE_RESIDUAL = 1e-7
+
+# The exact finish is first tried after this many Dykstra sweeps, then after
+# twice as many each time it fails to certify, up to the iteration cap.
+FINISH_FIRST_SWEEP = 10
+
+# Cables within this distance of a bound (newtons) form the candidate active
+# set of the exact finish.
+FINISH_BOUND_MARGIN = 1e-2
+
+# Times the feasible finish re-reads each candidate's active set from its
+# own solution before giving up on the feasible case.
+FINISH_REREADS = 1
 
 
 class SolveStatus(Enum):
@@ -61,17 +83,19 @@ BoundsLike = Union[TensionBounds, Sequence[TensionBounds]]
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limits and start point for the Dykstra solve.
+    """Iteration limits, tolerance and start point for the solve.
 
     ``start=None`` selects the minimum-tension start (t_min on every cable),
     so the feasible solution returned is the one closest to the lowest
     allowed tensions, minimizing energy use. Pass an explicit vector to
     project a custom start instead.
 
-    The iteration cap leaves ample headroom: most solves converge within a
-    few hundred sweeps, but near-degenerate active sets (a bound face almost
-    parallel to the equilibrium set) contract slowly and can need tens of
-    thousands. Sweeps are O(m) flops, so the cap stays cheap.
+    ``max_iterations`` caps the Dykstra sweeps. The exact finish normally
+    certifies the solution at sweep 10 or 20; the cap only binds when no
+    active set read off the iterate certifies, in which case Dykstra runs on
+    as a plain projection method. ``tolerance`` bounds the force residual of
+    an exact solution, in newtons, and the sweep-to-sweep displacement at
+    which Dykstra stops by itself.
     """
 
     max_iterations: int = 50000
@@ -141,14 +165,20 @@ def project_box(t, bounds: BoundsLike) -> np.ndarray:
     return np.clip(arr, lo, hi)
 
 
-def _equilibrium_operator(M: np.ndarray) -> np.ndarray:
-    """Precompute A^T (A A^T)^+ for repeated projections with A fixed.
+def svd_rank_pinv(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Numerical rank, pseudoinverse and null-space basis of M from one SVD.
 
-    The SVD-based pseudoinverse (cutoff 1e-9 relative to the largest
-    singular value) keeps the projection defined at rank-deficient
-    geometries, where the target becomes {t : A t = P_range(A) f}.
+    Singular values at or below RANK_REL_TOL times the largest count as
+    zero, so the three always agree. For a structure matrix A the
+    pseudoinverse A^+ = A^T (A A^T)^+ gives the equilibrium projection
+    t - A^+ (A t - f), which at rank-deficient geometries targets the
+    nearest consistent right-hand side, P_range(A) f. The null-space basis
+    has one row per basis vector.
     """
-    return M.T @ np.linalg.pinv(M @ M.T, rcond=RANK_REL_TOL)
+    u, sv, vt = np.linalg.svd(M)
+    rank = int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
+    pinv = (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
+    return rank, pinv, vt[rank:]
 
 
 def project_equilibrium(t, A: StructureMatrix | np.ndarray, f) -> np.ndarray:
@@ -160,8 +190,8 @@ def project_equilibrium(t, A: StructureMatrix | np.ndarray, f) -> np.ndarray:
     """
     M = _matrix(A)
     arr = np.asarray(t, dtype=float)
-    op = _equilibrium_operator(M)
-    return arr - op @ (M @ arr - _force(f))
+    _, pinv, _ = svd_rank_pinv(M)
+    return arr - pinv @ (M @ arr - _force(f))
 
 
 def null_space_basis(A: StructureMatrix | np.ndarray) -> np.ndarray:
@@ -170,10 +200,7 @@ def null_space_basis(A: StructureMatrix | np.ndarray) -> np.ndarray:
     These are the internal tension redistributions that leave the rendered
     force unchanged; the returned array has shape (m - rank, m).
     """
-    M = _matrix(A)
-    _, sv, vt = np.linalg.svd(M)
-    rank = int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
-    return vt[rank:]
+    return svd_rank_pinv(_matrix(A))[2]
 
 
 def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
@@ -189,11 +216,9 @@ def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
     condition, so the solve correctly keeps iterating instead of stopping
     at a non-optimal point.
 
-    Callers pass tol an order below the solve tolerance: then a feasible
-    problem always reaches force_residual <= tolerance (and the exact
-    status) before this certificate can fire, since residual <= m * |d|_inf
-    for unit columns, while a truly infeasible problem still certifies with
-    margin equal to the box-to-subspace gap.
+    Callers pass tol an order below the solve tolerance. A point can pass
+    while still rendering f within a few times the solve tolerance, so the
+    residual decides between an exact and a nearest-feasible result.
     """
     at_lo = x <= lo
     at_hi = x >= hi
@@ -205,6 +230,112 @@ def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
     return not np.any(np.abs(d[free]) > tol)
 
 
+def _candidate_active_sets(x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Active sets to try, read off the Dykstra iterate x.
+
+    Returns (held, bound): row c of ``held`` marks the cables candidate c
+    holds at a bound, and ``bound`` is the bound nearest each cable. The
+    first candidate holds every cable within FINISH_BOUND_MARGIN of a bound;
+    the others release one, then two, of those k cables, so there are
+    1 + k + k(k-1)/2 candidates rather than 2^k.
+    """
+    below, above = x - lo, hi - x
+    bound = np.where(below <= above, lo, hi)
+    near = np.flatnonzero(np.minimum(below, above) <= FINISH_BOUND_MARGIN)
+    single = np.eye(len(near), dtype=bool)
+    first, second = np.triu_indices(len(near), 1)
+    released = np.vstack(
+        [np.zeros(len(near), dtype=bool), single, single[first] | single[second]]
+    )
+    held = np.zeros((len(released), len(x)), dtype=bool)
+    held[:, near] = ~released
+    return held, bound
+
+
+def _exact_finish(M, pinv, f, lo, hi, start, x, tol):
+    """Certified exact solution for an active set near the iterate x.
+
+    Returns (tensions, status), or None when nothing certifies.
+
+    Feasible case, min ||t - s||^2 s.t. A t = f and the box, with s the
+    start: holding cables N at their bounds b_N and leaving F free, the
+    KKT conditions give t_F = s_F + A_F^T lam, where the 3x3 system
+    A_F A_F^T lam = f - A_N b_N - A_F s_F fixes the equilibrium multipliers
+    lam. The candidate is t = clip(s + A^T lam): the clip keeps it inside
+    the box and gives every bound multiplier t_i - s_i - a_i^T lam the sign
+    its bound requires, so t satisfies every KKT condition except, possibly,
+    A t = f. It is accepted as FEASIBLE_EXACT when ||A t - f|| <= tol, which
+    a wrong active set does not reach. The active sets tried are those of
+    _candidate_active_sets, then the ones read back off each candidate's
+    s + A^T lam (the cables it pushes out of the box are held): one Newton
+    step on lam, which catches a cable that Dykstra holds far from the bound
+    it ends at.
+
+    Infeasible case: _nearest_box_point.
+    """
+    held, bound = _candidate_active_sets(x, lo, hi)
+    for _ in range(FINISH_REREADS + 1):
+        gram = (M * ~held[:, None, :]) @ M.T
+        # An exactly singular A_F A_F^T (too few or coplanar free cables)
+        # fixes no multipliers; near-singular ones fail the residual check.
+        solvable = np.flatnonzero(np.linalg.det(gram) != 0.0)
+        if not solvable.size:
+            break
+        rhs = f - np.where(held, bound, start)[solvable] @ M.T
+        lam = np.linalg.solve(gram[solvable], rhs[..., None])[..., 0]
+        z = start + lam @ M
+        t = np.clip(z, lo, hi)
+        certified = np.flatnonzero(np.linalg.norm(t @ M.T - f, axis=1) <= tol)
+        if certified.size:
+            return t[certified[0]].copy(), SolveStatus.FEASIBLE_EXACT
+        held, bound = (z <= lo) | (z >= hi), t
+    return _nearest_box_point(M, pinv, f, lo, hi, x, tol)
+
+
+def _nearest_box_point(M, pinv, f, lo, hi, x, tol):
+    """Box least squares in the (A A^T)^+ metric, warm-started from x.
+
+    Minimizes ||A^+ (A t - f)||, the distance from t to the equilibrium
+    set, over the box by bounded-variable least squares (Stark & Parker
+    1995), a primal active-set method. Cables at a bound are held; each step
+    minimizes over the free cables and stops at the first bound it reaches,
+    which holds that cable; once the free cables are stationary, the held
+    cable whose descent direction points most into the box is released.
+
+    Returns (t, NEAREST_FEASIBLE) once _is_nearest_box_point certifies t and
+    its residual is above tol (a box point that renders f within tol is an
+    exact solution, never a nearest-feasible one). Returns None when the
+    residual falls to tol or the step budget runs out.
+    """
+    stationary = tol * 0.1
+    metric = pinv @ M
+    t = x.copy()
+    held = (t <= lo) | (t >= hi)
+    for _ in range(3 * len(t)):
+        d = pinv @ (f - M @ t)  # P_eq(t) - t, the steepest descent direction
+        if np.linalg.norm(M @ t - f) <= tol:
+            return None
+        if _is_nearest_box_point(t, d, lo, hi, stationary):
+            return t, SolveStatus.NEAREST_FEASIBLE
+        if np.all(np.abs(d[~held]) <= stationary):
+            into_box = np.where(held, np.where(t <= lo, d, -d), 0.0)
+            held[np.argmax(into_box)] = False
+        free = np.flatnonzero(~held)
+        step = np.zeros_like(t)
+        free_block = metric[np.ix_(free, free)]
+        step[free] = np.linalg.pinv(free_block, rcond=RANK_REL_TOL) @ d[free]
+        # the fraction of the step each cable can take before it meets a bound
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step > 0, (hi - t) / step, (lo - t) / step)
+        room[step == 0] = np.inf
+        alpha = min(1.0, float(np.min(room)))
+        t = np.clip(t + alpha * step, lo, hi)
+        blocked = room <= alpha
+        t[blocked] = np.where(step > 0, hi, lo)[blocked]
+        held |= blocked
+    return None
+
+
 def solve(
     A: StructureMatrix | np.ndarray,
     f,
@@ -214,19 +345,25 @@ def solve(
     """Compute box-feasible cable tensions rendering the desired force f.
 
     Runs Dykstra's alternating projections between the equilibrium set
-    {t : A t = f} and the tension box, keeping the correction term for the
-    box only (projections onto an affine set need none). Starting from the
-    configured start point (default: t_min on every cable):
+    {t : A t = f} and the tension box from the configured start point
+    (default: t_min on every cable), keeping the correction term for the
+    box only (projections onto an affine set need none). After sweeps 10,
+    20, 40, ... it tries the certified exact finish (_exact_finish). The
+    result is:
 
     * intersection nonempty -> the Euclidean projection of the start point
-      onto the intersection, status FEASIBLE_EXACT once the force residual
-      drops to the tolerance;
+      onto the intersection, status FEASIBLE_EXACT, with a force residual
+      within the tolerance;
     * intersection empty -> the box point nearest the equilibrium set,
       status NEAREST_FEASIBLE, so the nearest reachable force is rendered;
-    * otherwise ITERATION_CAP after max_iterations.
+    * otherwise ITERATION_CAP after max_iterations sweeps.
 
-    The returned tensions are taken after a box projection and are therefore
-    always within bounds, whatever the status.
+    ``iterations`` counts the Dykstra sweeps run before the solve stopped,
+    whether Dykstra converged by itself or the finish certified its result.
+    In the worst case no active set certifies and the solve is plain
+    Dykstra, as slow as the geometry makes it.
+
+    The returned tensions are always within bounds, whatever the status.
     """
     cfg = config if config is not None else SolverConfig()
     M = _matrix(A)
@@ -235,21 +372,23 @@ def solve(
     lo, hi = _bound_arrays(bounds, m)
     tol = cfg.tolerance
 
-    op = _equilibrium_operator(M)
+    _, pinv, _ = svd_rank_pinv(M)
 
     def project_eq(t):
-        return t - op @ (M @ t - fvec)
+        return t - pinv @ (M @ t - fvec)
 
     if cfg.start is None:
-        x = lo.copy()
+        start = lo
+    elif cfg.start.shape != (m,):
+        raise ValueError(f"start has {cfg.start.shape[0]} entries for {m} cables")
     else:
-        if cfg.start.shape != (m,):
-            raise ValueError(f"start has {cfg.start.shape[0]} entries for {m} cables")
-        x = cfg.start.copy()
+        start = cfg.start
+    x = start.copy()
 
     correction = np.zeros(m)
     status = SolveStatus.ITERATION_CAP
     iterations = cfg.max_iterations
+    checkpoint = FINISH_FIRST_SWEEP
     for k in range(1, cfg.max_iterations + 1):
         y = project_eq(x)
         shifted = y + correction
@@ -267,6 +406,13 @@ def solve(
                 status = SolveStatus.NEAREST_FEASIBLE
                 iterations = k
                 break
+        if k == checkpoint:
+            finished = _exact_finish(M, pinv, fvec, lo, hi, start, x, tol)
+            if finished is not None:
+                x, status = finished
+                iterations = k
+                break
+            checkpoint *= 2
 
     rendered = M @ x
     x.setflags(write=False)

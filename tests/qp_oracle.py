@@ -6,9 +6,10 @@ equality-constrained subproblem for the free variables is solved through
 its KKT system, and the best box-feasible candidate wins. The true
 minimizer's own activity pattern is always among the patterns, and the
 subproblem is strictly convex, so the enumeration is exact. Patterns are
-grouped by free-variable mask so each KKT matrix is factored once and
-solved for all lower/upper assignments at once, keeping 3^m enumeration
-fast through m = 8.
+grouped by free-variable mask: each KKT matrix is factored once, solved for
+all lower/upper assignments of the fixed variables at once, and the
+candidates' box, constraint and objective checks run on the whole batch,
+keeping 3^m enumeration fast through m = 8.
 
 None of this shares code with the production solver: subproblems go
 through numpy's KKT solves/lstsq, not the pseudoinverse projection
@@ -45,48 +46,38 @@ def min_shift_qp(A, f, lo, hi, start):
         F = indices[free]
         N = indices[~free]
         n_free = len(F)
-        if len(N) == 0:
-            fixed_choices = [np.zeros(0)]
-        else:
-            fixed_choices = [
-                np.where(np.array(bits), hi_arr[N], lo_arr[N])
-                for bits in itertools.product((False, True), repeat=len(N))
-            ]
+        # one row per lower/upper assignment of the fixed variables
+        at_upper = np.array(
+            list(itertools.product((False, True), repeat=len(N))), dtype=bool
+        ).reshape(2 ** len(N), len(N))
+        candidates = np.empty((len(at_upper), m))
+        candidates[:, N] = np.where(at_upper, hi_arr[N], lo_arr[N])
 
-        if n_free == 0:
-            for t_fixed in fixed_choices:
-                t = t_fixed.copy()
-                if np.linalg.norm(A @ t - f) > CONSTRAINT_TOL:
-                    continue
-                objective = float(np.sum((t - start) ** 2))
-                if objective < best_objective:
-                    best_objective, best = objective, t
+        if n_free:
+            A_free = A[:, F]
+            kkt = np.zeros((n_free + 3, n_free + 3))
+            kkt[:n_free, :n_free] = 2.0 * np.eye(n_free)
+            kkt[:n_free, n_free:] = A_free.T
+            kkt[n_free:, :n_free] = A_free
+            rhs = np.zeros((n_free + 3, len(candidates)))
+            rhs[:n_free, :] = 2.0 * start[F][:, None]
+            rhs[n_free:, :] = (f - candidates[:, N] @ A[:, N].T).T
+            try:
+                solution = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            candidates[:, F] = solution[:n_free].T
+
+        t_free = candidates[:, F]
+        ok = np.all((t_free >= lo_arr[F] - BOX_TOL) & (t_free <= hi_arr[F] + BOX_TOL), axis=1)
+        ok &= np.linalg.norm(candidates @ A.T - f, axis=1) <= CONSTRAINT_TOL
+        if not np.any(ok):
             continue
-
-        A_free = A[:, F]
-        kkt = np.zeros((n_free + 3, n_free + 3))
-        kkt[:n_free, :n_free] = 2.0 * np.eye(n_free)
-        kkt[:n_free, n_free:] = A_free.T
-        kkt[n_free:, :n_free] = A_free
-        rhs = np.zeros((n_free + 3, len(fixed_choices)))
-        rhs[:n_free, :] = 2.0 * start[F][:, None]
-        for j, t_fixed in enumerate(fixed_choices):
-            rhs[n_free:, j] = f - (A[:, N] @ t_fixed if len(N) else 0.0)
-        try:
-            solution = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        for j, t_fixed in enumerate(fixed_choices):
-            t = np.empty(m)
-            t[F] = solution[:n_free, j]
-            t[N] = t_fixed
-            if np.any(t[F] < lo_arr[F] - BOX_TOL) or np.any(t[F] > hi_arr[F] + BOX_TOL):
-                continue
-            if np.linalg.norm(A @ t - f) > CONSTRAINT_TOL:
-                continue
-            objective = float(np.sum((t - start) ** 2))
-            if objective < best_objective:
-                best_objective, best = objective, np.clip(t, lo_arr, hi_arr)
+        objectives = np.where(ok, np.sum((candidates - start) ** 2, axis=1), np.inf)
+        j = int(np.argmin(objectives))
+        if objectives[j] < best_objective:
+            best_objective = float(objectives[j])
+            best = np.clip(candidates[j], lo_arr, hi_arr)
     return best
 
 

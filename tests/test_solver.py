@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from cablehaptics import (
     SolveStatus,
@@ -13,6 +14,7 @@ from cablehaptics import (
     solve,
     structure_matrix,
 )
+from cablehaptics.cli import WORKSPACE_DIRECTIONS, WORKSPACE_PROBE_FORCE
 from cablehaptics.geometry import ModuleAnchor, ModuleLayout
 from cablehaptics.simulation import default_validation_layout, sphere_samples
 
@@ -230,6 +232,107 @@ class TestSolve:
     def test_start_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve(IDENTITY, [1.0, 1.0, 1.0], BOUNDS, SolverConfig(start=np.ones(4)))
+
+
+class TestExactFinish:
+    def test_workspace_probe_rendered_within_tolerance_is_exact(self):
+        # A probe of the README workspace box (5x5x4 grid) on the bench
+        # layout: plain Dykstra stopped here after about 2,500 sweeps as
+        # nearest_feasible while rendering the force within 1.7e-8 N.
+        layout, _ = default_validation_layout()
+        A = structure_matrix(layout, [0.0, -0.5, 0.1])
+        f = WORKSPACE_DIRECTIONS[0] * WORKSPACE_PROBE_FORCE
+        result = solve(A, f, layout.bounds)
+        assert result.status is SolveStatus.FEASIBLE_EXACT
+        expected = min_shift_qp(
+            A.columns, f, BOUNDS.t_min, BOUNDS.t_max, np.full(4, BOUNDS.t_min)
+        )
+        assert expected is not None
+        np.testing.assert_allclose(result.tensions, expected, atol=1e-5)
+
+    def test_default_sphere_finishes_within_twenty_sweeps(self):
+        A = default_matrix()
+        samples = sphere_samples(182, 1.5)
+        results = [solve(A, f, BOUNDS) for f in samples]
+        assert all(r.status is SolveStatus.FEASIBLE_EXACT for r in results)
+        assert max(r.iterations for r in results) <= 20
+        # sample 134 ends with cable 4 just above its floor, where plain
+        # Dykstra needed 20,899 sweeps
+        expected = min_shift_qp(
+            A.columns, samples[134], BOUNDS.t_min, BOUNDS.t_max, np.full(4, BOUNDS.t_min)
+        )
+        np.testing.assert_allclose(results[134].tensions, expected, atol=1e-9)
+
+    @staticmethod
+    def cube_matrix(corner_order, ee):
+        # 8 modules on the corners of the cube [-1, 1] x [-1, 1] x [0, 2]
+        corners = {
+            "c1": (-1, -1, 0), "c2": (1, -1, 0), "c3": (-1, 1, 0), "c4": (1, 1, 0),
+            "c5": (-1, -1, 2), "c6": (1, -1, 2), "c7": (-1, 1, 2), "c8": (1, 1, 2),
+        }
+        layout = ModuleLayout(
+            tuple(ModuleAnchor(c, np.array(corners[c], dtype=float)) for c in corner_order)
+        )
+        return structure_matrix(layout, ee).columns
+
+    def test_plateau_with_a_cable_far_from_its_final_bound(self):
+        # A press into a haptic wall: Dykstra holds cable 1 near 4.4 N for tens
+        # of thousands of sweeps before it climbs to its 6 N ceiling, so no
+        # near-bound active set is right; re-reading the active set off the
+        # candidates' solutions is.
+        A = self.cube_matrix(
+            ("c5", "c8", "c4", "c6", "c7", "c1", "c3", "c2"),
+            [0.020500971251990352, -0.023176632973985707, 0.998936766192378],
+        )
+        f = np.array([-0.061502913755971056, 10.988936985190046, -1.9723385567245064])
+        result = solve(A, f, BOUNDS)
+        assert result.status is SolveStatus.FEASIBLE_EXACT
+        assert result.iterations <= 20
+        expected = min_shift_qp(A, f, BOUNDS.t_min, BOUNDS.t_max, np.full(8, BOUNDS.t_min))
+        np.testing.assert_allclose(result.tensions, expected, atol=1e-9)
+
+    def test_infeasible_plateau_finishes_early(self):
+        # Unreachable by about 3 mN: plain Dykstra stalled on this one until
+        # the 50,000-sweep cap.
+        A = self.cube_matrix(
+            ("c4", "c5", "c6", "c1", "c2", "c7", "c8", "c3"),
+            [-0.24568177622959309, -0.019027537529106284, 0.9844073414487795],
+        )
+        f = np.array([0.7370453286887791, 10.812872457705865, -1.928750282493916])
+        result = solve(A, f, BOUNDS)
+        assert result.status is SolveStatus.NEAREST_FEASIBLE
+        assert result.iterations <= 20
+        root = np.linalg.cholesky(np.linalg.inv(A @ A.T)).T
+        reference = lsq_linear(
+            root @ A, root @ f, bounds=(BOUNDS.t_min, BOUNDS.t_max), tol=1e-14
+        )
+        min_residual = float(np.linalg.norm(root @ (A @ reference.x - f)))
+        residual = float(np.linalg.norm(root @ (result.rendered_force - f)))
+        assert residual <= min_residual + 1e-9
+
+    def test_infeasible_residual_is_the_box_least_squares_minimum(self):
+        # The nearest box point minimizes the distance to the equilibrium
+        # set, i.e. the force error in the (A A^T)^-1 metric; lsq_linear
+        # gives that minimum independently.
+        rng = np.random.default_rng(4242)
+        checked = 0
+        for _ in range(60):
+            m = int(rng.integers(3, 9))
+            A = random_rank3_directions(rng, m).T
+            f = rng.normal(scale=rng.uniform(2.0, 12.0), size=3)
+            root = np.linalg.cholesky(np.linalg.inv(A @ A.T)).T
+            reference = lsq_linear(
+                root @ A, root @ f, bounds=(BOUNDS.t_min, BOUNDS.t_max), tol=1e-14
+            )
+            min_residual = float(np.linalg.norm(root @ (A @ reference.x - f)))
+            if min_residual <= 1e-6:
+                continue
+            result = solve(A, f, BOUNDS)
+            assert result.status is SolveStatus.NEAREST_FEASIBLE
+            residual = float(np.linalg.norm(root @ (result.rendered_force - f)))
+            assert residual <= min_residual + 1e-9
+            checked += 1
+        assert checked >= 20
 
 
 class TestSolverConfigValidation:
