@@ -3,7 +3,7 @@
 Modules:
 
 - geometry: anchor layouts, cable directions, structure matrix
-- solver: Dykstra tension distribution within box bounds
+- solver: active-set tension distribution within box bounds
 - haptics: virtual-material force models
 - actuation: hybrid motor-brake command policy
 - simulation: force-sphere validation harness and error metrics

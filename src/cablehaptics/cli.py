@@ -110,7 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="end-effector position 'x,y,z' (default: 0,0,0.3 with the built-in layout)",
         )
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--max-iterations", type=int, default=50000)
+        p.add_argument(
+            "--max-iterations",
+            type=int,
+            default=50000,
+            help="cap on the solver's active-set iterations per solve (default: 50000)",
+        )
         p.add_argument("--tolerance", type=float, default=1e-8)
 
     p_solve = sub.add_parser("solve", help="tensions for one desired force")
@@ -122,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--plant", choices=("ideal", "noisy"), default="ideal")
     p_validate.add_argument("--samples", type=int, default=182, help="force vectors on the sphere")
     p_validate.add_argument("--radius", type=float, default=1.5, help="sphere radius in newtons")
-    p_validate.add_argument("--hold", type=float, default=1.0, help="hold duration per vector (s)")
     p_validate.add_argument("--ticks", type=int, default=1000, help="measurements averaged per hold")
     p_validate.add_argument("--seed", type=int, default=42, help="noisy-plant RNG seed")
     p_validate.add_argument("--noise-std", type=float, default=0.0, help="force noise std (N)")
@@ -165,7 +169,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     protocol = ValidationProtocol(
         sphere_radius=getattr(args, "radius", 1.5),
         sample_count=getattr(args, "samples", 182),
-        hold_duration=getattr(args, "hold", 1.0),
         samples_per_hold=getattr(args, "ticks", 1000),
     )
     return RunConfig(

@@ -24,6 +24,7 @@ missing velocities are finite-differenced from the positions.
 from __future__ import annotations
 
 import csv
+import dataclasses
 
 import numpy as np
 import yaml
@@ -42,11 +43,14 @@ from .haptics import (
 from .solver import TensionBounds
 
 _MATERIAL_TYPES = {
-    "magnetic": (Magnetic, ("target", "gain", "max_force")),
-    "spring": (Spring, ("surface_point", "normal", "stiffness")),
-    "damper": (Damper, ("coefficient",)),
-    "friction": (Friction, ("coefficient", "max_force", "tangent_plane_normal")),
-    "vibration": (Vibration, ("amplitude", "frequency", "direction")),
+    name: (cls, tuple(field.name for field in dataclasses.fields(cls)))
+    for name, cls in (
+        ("magnetic", Magnetic),
+        ("spring", Spring),
+        ("damper", Damper),
+        ("friction", Friction),
+        ("vibration", Vibration),
+    )
 }
 
 

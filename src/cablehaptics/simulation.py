@@ -17,6 +17,7 @@ from typing import Union
 
 import numpy as np
 
+from .config import layout_to_dict
 from .errors import DegenerateInput, ZeroVector
 from .geometry import ModuleAnchor, ModuleLayout, StructureMatrix, as_vec3, structure_matrix
 from .solver import (
@@ -53,15 +54,15 @@ VALIDATION_CSV_HEADER = (
 
 @dataclass(frozen=True)
 class ValidationProtocol:
-    """Sphere radius (N), sample count, hold time (s), and ticks per hold.
+    """Sphere radius (N), sample count, and sensor ticks averaged per hold.
 
     Defaults replicate the bench protocol: 182 force vectors on a 1.5 N
-    sphere, each held 1 s and averaged over a 1000 Hz sensor.
+    sphere, each held 1 s and averaged over a 1000 Hz sensor, i.e. 1000
+    ticks.
     """
 
     sphere_radius: float = 1.5
     sample_count: int = 182
-    hold_duration: float = 1.0
     samples_per_hold: int = 1000
 
     def __post_init__(self):
@@ -69,8 +70,6 @@ class ValidationProtocol:
             raise ValueError("sphere_radius must be positive")
         if self.sample_count < 1 or self.samples_per_hold < 1:
             raise ValueError("counts must be >= 1")
-        if not (np.isfinite(self.hold_duration) and self.hold_duration > 0):
-            raise ValueError("hold_duration must be positive")
 
 
 @dataclass(frozen=True)
@@ -323,10 +322,6 @@ def report_summary(
             "tension_bias": plant.tension_bias,
             "seed": plant.seed,
         }
-    if isinstance(layout.bounds, TensionBounds):
-        bounds_echo: object = {"t_min": layout.bounds.t_min, "t_max": layout.bounds.t_max}
-    else:
-        bounds_echo = [{"t_min": b.t_min, "t_max": b.t_max} for b in layout.bounds]
     return {
         "aggregates": {
             "mean_angle_error_deg": report.mean_angle_error,
@@ -341,17 +336,10 @@ def report_summary(
         "protocol": {
             "sphere_radius_n": protocol.sphere_radius,
             "sample_count": protocol.sample_count,
-            "hold_duration_s": protocol.hold_duration,
             "samples_per_hold": protocol.samples_per_hold,
         },
         "plant": plant_echo,
-        "layout": {
-            "anchors": [
-                {"id": a.id, "position": list(a.position)} for a in layout.anchors
-            ],
-            "bounds": bounds_echo,
-            "end_effector": list(as_vec3(ee)),
-        },
+        "layout": {**layout_to_dict(layout), "end_effector": list(as_vec3(ee))},
     }
 
 

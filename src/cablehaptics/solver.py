@@ -1,23 +1,22 @@
-"""Bounded tension distribution: a Dykstra warm start plus a certified exact finish.
+"""Bounded tension distribution by a finite two-phase active-set method.
 
 The core problem: find cable tensions t in the box [t_min, t_max]^m whose
 net pull A @ t equals a desired force f, where the columns of A are unit
 cable directions. Cables only pull, so t is never allowed outside the box.
-Dykstra's algorithm projects alternately onto the box and onto the affine
-equilibrium set {t : A t = f}, with a correction term on the box side, and
-converges to the Euclidean projection of the start point onto their
-intersection. When the intersection is empty it converges to the box point
-nearest the equilibrium set, which renders the nearest reachable force.
+The answer is the Euclidean projection of a start point onto the
+intersection of the box and the affine equilibrium set {t : A t = f}, a
+quadratic program with three equality rows and box bounds. When the
+intersection is empty, the answer is the box point nearest the
+equilibrium set, which renders the nearest reachable force.
 
-Dykstra contracts slowly when a bound face is nearly parallel to the
-equilibrium set, so it serves only as a warm start. At fixed sweep
-checkpoints the solve reads candidate active sets (which cables sit at a
-bound) off the iterate, solves each one exactly, and returns the first
-result whose optimality conditions check out: the active-set finish of
-bounded tension distribution (Gouttefarde et al., T-RO 2015; Goldfarb &
-Idnani 1983). When the force is unreachable, the finish is a
-bounded-variable least-squares active-set method (Stark & Parker 1995)
-started from the iterate.
+Phase 1 is bounded-variable least squares (Stark & Parker 1995): it finds
+the box point nearest the equilibrium set, which either certifies the
+force unreachable or is a feasible point. Phase 2 is the primal active-set
+method (Nocedal & Wright, Numerical Optimization, Alg. 16.3), warm-started
+from phase 1's bound set, for the feasible point nearest the start. Each
+iteration of either phase holds or releases at most one cable and solves
+one small least-squares problem, and each phase ends only when its
+optimality conditions check out.
 """
 
 from __future__ import annotations
@@ -36,18 +35,6 @@ RANK_REL_TOL = 1e-9
 
 # Residual (newtons) below which a desired force counts as wrench-feasible.
 WRENCH_FEASIBLE_RESIDUAL = 1e-7
-
-# The exact finish is first tried after this many Dykstra sweeps, then after
-# twice as many each time it fails to certify, up to the iteration cap.
-FINISH_FIRST_SWEEP = 10
-
-# Cables within this distance of a bound (newtons) form the candidate active
-# set of the exact finish.
-FINISH_BOUND_MARGIN = 1e-2
-
-# Times the feasible finish re-reads each candidate's active set from its
-# own solution before giving up on the feasible case.
-FINISH_REREADS = 1
 
 
 class SolveStatus(Enum):
@@ -90,12 +77,11 @@ class SolverConfig:
     allowed tensions, minimizing energy use. Pass an explicit vector to
     project a custom start instead.
 
-    ``max_iterations`` caps the Dykstra sweeps. The exact finish normally
-    certifies the solution at sweep 10 or 20; the cap only binds when no
-    active set read off the iterate certifies, in which case Dykstra runs on
-    as a plain projection method. ``tolerance`` bounds the force residual of
-    an exact solution, in newtons, and the sweep-to-sweep displacement at
-    which Dykstra stops by itself.
+    ``max_iterations`` caps the active-set iterations of both solve phases
+    together; each iteration holds or releases at most one cable, and most
+    solves certify their result in fewer than ten. ``tolerance`` bounds
+    the force residual of an exact solution, in newtons; a tenth of it is
+    the stationarity threshold of the nearest-box-point certificate.
     """
 
     max_iterations: int = 50000
@@ -175,10 +161,15 @@ def svd_rank_pinv(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     nearest consistent right-hand side, P_range(A) f. The null-space basis
     has one row per basis vector.
     """
-    u, sv, vt = np.linalg.svd(M)
-    rank = int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
+    u, sv, vt, rank = _svd_rank(M)
     pinv = (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
     return rank, pinv, vt[rank:]
+
+
+def _svd_rank(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Full SVD of M, u, sv, vt, plus its numerical rank."""
+    u, sv, vt = np.linalg.svd(M)
+    return u, sv, vt, int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
 
 
 def project_equilibrium(t, A: StructureMatrix | np.ndarray, f) -> np.ndarray:
@@ -210,130 +201,133 @@ def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
     The condition is exact for this convex problem: at a lower bound the
     descent direction must not point back into the box (d <= tol), at an
     upper bound it must not point below (d >= -tol), and free components
-    must be stationary (|d| <= tol). During Dykstra correction-drain
-    plateaus, where the iterate sits still for many sweeps while the box
-    correction unwinds, the component about to be released violates the
-    condition, so the solve correctly keeps iterating instead of stopping
-    at a non-optimal point.
+    must be stationary (|d| <= tol). A point on the way to the minimum, where
+    a held cable still has room to move toward the equilibrium set, fails
+    it, so the solve keeps iterating instead of stopping there.
 
     Callers pass tol an order below the solve tolerance. A point can pass
     while still rendering f within a few times the solve tolerance, so the
     residual decides between an exact and a nearest-feasible result.
     """
-    at_lo = x <= lo
-    at_hi = x >= hi
-    free = ~(at_lo | at_hi)
-    if np.any(d[at_lo] > tol):
-        return False
-    if np.any(d[at_hi] < -tol):
-        return False
-    return not np.any(np.abs(d[free]) > tol)
+    violation = np.where(x <= lo, d, np.where(x >= hi, -d, np.abs(d)))
+    return not (violation > tol).any()
 
 
-def _candidate_active_sets(x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Active sets to try, read off the Dykstra iterate x.
+def _free_solve(rows, free, c):
+    """Multipliers lam for which rows[:, free]^T lam is the minimum-norm
+    least-squares solution of rows[:, free] x = c.
 
-    Returns (held, bound): row c of ``held`` marks the cables candidate c
-    holds at a bound, and ``bound`` is the bound nearest each cable. The
-    first candidate holds every cable within FINISH_BOUND_MARGIN of a bound;
-    the others release one, then two, of those k cables, so there are
-    1 + k + k(k-1)/2 candidates rather than 2^k.
+    Also returns the rank of rows[:, free] (singular values at or below
+    RANK_REL_TOL count as zero; rows has orthonormal rows, so this is the
+    scaled cutoff of svd_rank_pinv) and its left singular vectors, whose
+    trailing columns span the directions the free cables cannot reach.
     """
-    below, above = x - lo, hi - x
-    bound = np.where(below <= above, lo, hi)
-    near = np.flatnonzero(np.minimum(below, above) <= FINISH_BOUND_MARGIN)
-    single = np.eye(len(near), dtype=bool)
-    first, second = np.triu_indices(len(near), 1)
-    released = np.vstack(
-        [np.zeros(len(near), dtype=bool), single, single[first] | single[second]]
-    )
-    held = np.zeros((len(released), len(x)), dtype=bool)
-    held[:, near] = ~released
-    return held, bound
+    u, sv, _ = np.linalg.svd(rows[:, free])
+    rank = int((sv > RANK_REL_TOL).sum())
+    lam = u[:, :rank] @ ((u[:, :rank].T @ c) / sv[:rank] ** 2)
+    return lam, rank, u
 
 
-def _exact_finish(M, pinv, f, lo, hi, start, x, tol):
-    """Certified exact solution for an active set near the iterate x.
+def _ratio_step(t, step, lo, hi, rounding):
+    """Move t along step, stopping where the first cable meets a bound.
 
-    Returns (tensions, status), or None when nothing certifies.
-
-    Feasible case, min ||t - s||^2 s.t. A t = f and the box, with s the
-    start: holding cables N at their bounds b_N and leaving F free, the
-    KKT conditions give t_F = s_F + A_F^T lam, where the 3x3 system
-    A_F A_F^T lam = f - A_N b_N - A_F s_F fixes the equilibrium multipliers
-    lam. The candidate is t = clip(s + A^T lam): the clip keeps it inside
-    the box and gives every bound multiplier t_i - s_i - a_i^T lam the sign
-    its bound requires, so t satisfies every KKT condition except, possibly,
-    A t = f. It is accepted as FEASIBLE_EXACT when ||A t - f|| <= tol, which
-    a wrong active set does not reach. The active sets tried are those of
-    _candidate_active_sets, then the ones read back off each candidate's
-    s + A^T lam (the cables it pushes out of the box are held): one Newton
-    step on lam, which catches a cable that Dykstra holds far from the bound
-    it ends at.
-
-    Infeasible case: _nearest_box_point.
+    Step components at or below ``rounding`` are ignored: a bound that was
+    just released must not block the step at length zero. Returns the new
+    box point and the blocking cable, or -1 when the whole step was taken.
     """
-    held, bound = _candidate_active_sets(x, lo, hi)
-    for _ in range(FINISH_REREADS + 1):
-        gram = (M * ~held[:, None, :]) @ M.T
-        # An exactly singular A_F A_F^T (too few or coplanar free cables)
-        # fixes no multipliers; near-singular ones fail the residual check.
-        solvable = np.flatnonzero(np.linalg.det(gram) != 0.0)
-        if not solvable.size:
-            break
-        rhs = f - np.where(held, bound, start)[solvable] @ M.T
-        lam = np.linalg.solve(gram[solvable], rhs[..., None])[..., 0]
-        z = start + lam @ M
-        t = np.clip(z, lo, hi)
-        certified = np.flatnonzero(np.linalg.norm(t @ M.T - f, axis=1) <= tol)
-        if certified.size:
-            return t[certified[0]].copy(), SolveStatus.FEASIBLE_EXACT
-        held, bound = (z <= lo) | (z >= hi), t
-    return _nearest_box_point(M, pinv, f, lo, hi, x, tol)
+    size = np.abs(step)
+    moving = size > rounding
+    gap = np.where(moving, np.where(step > 0, hi - t, t - lo), np.inf)
+    room = gap / np.where(moving, size, 1.0)
+    blocking = int(room.argmin())
+    if room[blocking] >= 1.0:
+        return np.minimum(np.maximum(t + step, lo), hi), -1
+    t = np.minimum(np.maximum(t + room[blocking] * step, lo), hi)
+    t[blocking] = hi[blocking] if step[blocking] > 0 else lo[blocking]
+    return t, blocking
 
 
-def _nearest_box_point(M, pinv, f, lo, hi, x, tol):
-    """Box least squares in the (A A^T)^+ metric, warm-started from x.
+def _nearest_box_point(rows, goal, M, f, lo, hi, t, tol, rounding, budget):
+    """Phase 1: box least squares min ||rows t - goal|| from the box point t.
 
-    Minimizes ||A^+ (A t - f)||, the distance from t to the equilibrium
-    set, over the box by bounded-variable least squares (Stark & Parker
-    1995), a primal active-set method. Cables at a bound are held; each step
-    minimizes over the free cables and stops at the first bound it reaches,
-    which holds that cable; once the free cables are stationary, the held
-    cable whose descent direction points most into the box is released.
+    rows has orthonormal rows spanning the row space of A, so
+    ||rows t - goal|| = ||A^+ (A t - f)|| is the distance from t to the
+    equilibrium set, and rows^T (goal - rows t) = P_eq(t) - t its negative
+    gradient. Bounded-variable least squares (Stark & Parker 1995), a
+    primal active-set method: cables at a bound are held; each iteration
+    takes the minimum-norm least-squares step over the free cables and
+    stops at the first bound it reaches, which holds that cable; once the
+    free cables are stationary, the held cable whose descent direction
+    points most into the box is released.
 
-    Returns (t, NEAREST_FEASIBLE) once _is_nearest_box_point certifies t and
-    its residual is above tol (a box point that renders f within tol is an
-    exact solution, never a nearest-feasible one). Returns None when the
-    residual falls to tol or the step budget runs out.
+    Returns (t, status, iterations): status NEAREST_FEASIBLE once
+    _is_nearest_box_point certifies t with a residual above tol, None once
+    t renders f within tol (a feasible point for phase 2), ITERATION_CAP
+    when the budget runs out.
     """
     stationary = tol * 0.1
-    metric = pinv @ M
-    t = x.copy()
     held = (t <= lo) | (t >= hi)
-    for _ in range(3 * len(t)):
-        d = pinv @ (f - M @ t)  # P_eq(t) - t, the steepest descent direction
-        if np.linalg.norm(M @ t - f) <= tol:
-            return None
+    for k in range(1, budget + 1):
+        residual = M @ t - f
+        if residual @ residual <= tol * tol:
+            return t, None, k
+        gap = goal - rows @ t
+        d = rows.T @ gap
         if _is_nearest_box_point(t, d, lo, hi, stationary):
-            return t, SolveStatus.NEAREST_FEASIBLE
-        if np.all(np.abs(d[~held]) <= stationary):
-            into_box = np.where(held, np.where(t <= lo, d, -d), 0.0)
-            held[np.argmax(into_box)] = False
-        free = np.flatnonzero(~held)
-        step = np.zeros_like(t)
-        free_block = metric[np.ix_(free, free)]
-        step[free] = np.linalg.pinv(free_block, rcond=RANK_REL_TOL) @ d[free]
-        # the fraction of the step each cable can take before it meets a bound
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step > 0, (hi - t) / step, (lo - t) / step)
-        room[step == 0] = np.inf
-        alpha = min(1.0, float(np.min(room)))
-        t = np.clip(t + alpha * step, lo, hi)
-        blocked = room <= alpha
-        t[blocked] = np.where(step > 0, hi, lo)[blocked]
-        held |= blocked
-    return None
+            return t, SolveStatus.NEAREST_FEASIBLE, k
+        if not (np.abs(np.where(held, 0.0, d)) > stationary).any():
+            into_box = np.where(held, np.where(t <= lo, d, -d), -np.inf)
+            held[into_box.argmax()] = False
+        free = ~held
+        lam, _, _ = _free_solve(rows, free, gap)
+        t, blocking = _ratio_step(t, np.where(free, rows.T @ lam, 0.0), lo, hi, rounding)
+        if blocking >= 0:
+            held[blocking] = True
+    return t, SolveStatus.ITERATION_CAP, budget
+
+
+def _min_shift(rows, lo, hi, start, t, rounding, budget):
+    """Phase 2: min ||t - start||^2 s.t. rows t = rows t0 and the box,
+    by the primal active-set method (Nocedal & Wright, Alg. 16.3) from the
+    feasible box point t0 = t, holding the cables it has at a bound.
+    Phase 1 hands over t0 once it renders f within the tolerance; keeping
+    the force t0 renders, rather than f itself, keeps t0 feasible even when
+    f lies just outside the renderable set.
+
+    Holding cables W at their bounds and leaving F free, the working-set
+    optimum is t_F = start_F + rows_F^T lam, where lam solves
+    rows_F rows_F^T lam = rows t0 - rows_W t_W - rows_F start_F. Each
+    iteration steps toward it and holds the first cable that meets a bound
+    on the way; once it is reached, the multiplier of each held cable,
+    mu = t - start - rows^T lam, must be >= 0 at a floor and <= 0 at a
+    ceiling (the KKT conditions). If one is not, the most wrong is
+    released. The working set always keeps rank(rows_F) = rank(rows): a
+    held cable is released first whenever the free ones lose rank.
+
+    Returns (t, certified, iterations).
+    """
+    goal = rows @ t
+    held = (t <= lo) | (t >= hi)
+    for k in range(1, budget + 1):
+        free = ~held
+        lam, rank, u = _free_solve(rows, free, goal - rows @ np.where(free, start, t))
+        if rank < len(rows):
+            # release the held cable reaching furthest into the missing span
+            reach = np.linalg.norm(u[:, rank:].T @ rows, axis=0)
+            held[np.where(held, reach, -1.0).argmax()] = False
+            continue
+        shift = rows.T @ lam
+        t, blocking = _ratio_step(t, np.where(free, start + shift - t, 0.0), lo, hi, rounding)
+        if blocking >= 0:
+            held[blocking] = True
+            continue
+        mu = t - start - shift
+        wrong = np.where(held, np.where(t <= lo, -mu, mu), -np.inf)
+        worst = int(wrong.argmax())
+        if wrong[worst] <= rounding:
+            return t, True, k
+        held[worst] = False
+    return t, False, budget
 
 
 def solve(
@@ -344,24 +338,27 @@ def solve(
 ) -> SolveResult:
     """Compute box-feasible cable tensions rendering the desired force f.
 
-    Runs Dykstra's alternating projections between the equilibrium set
-    {t : A t = f} and the tension box from the configured start point
-    (default: t_min on every cable), keeping the correction term for the
-    box only (projections onto an affine set need none). After sweeps 10,
-    20, 40, ... it tries the certified exact finish (_exact_finish). The
-    result is:
+    One active-set method in two phases, each holding or releasing at most
+    one cable per iteration. Phase 1 (_nearest_box_point) starts from the box-clipped
+    equilibrium projection of the configured start point (default: t_min
+    on every cable) and minimizes the distance to the equilibrium set
+    {t : A t = f} over the box. Phase 2 (_min_shift) starts from the
+    feasible point phase 1 reaches and finds the box point rendering that
+    force that is nearest the start point. The result is:
 
     * intersection nonempty -> the Euclidean projection of the start point
       onto the intersection, status FEASIBLE_EXACT, with a force residual
       within the tolerance;
     * intersection empty -> the box point nearest the equilibrium set,
       status NEAREST_FEASIBLE, so the nearest reachable force is rendered;
-    * otherwise ITERATION_CAP after max_iterations sweeps.
+    * otherwise ITERATION_CAP: max_iterations ran out, or the tolerance is
+      below what the rounding of the steps lets the residual reach.
 
-    ``iterations`` counts the Dykstra sweeps run before the solve stopped,
-    whether Dykstra converged by itself or the finish certified its result.
-    In the worst case no active set certifies and the solve is plain
-    Dykstra, as slow as the geometry makes it.
+    Both phases work on the rank-r system rows t = goal, with rows = V_r^T
+    and goal = S_r^-1 U_r^T f from one SVD A = U S V^T; it holds exactly
+    when A t = P_range(A) f, so rank-deficient layouts need no special case.
+    ``iterations`` counts the active-set iterations of both phases,
+    including the one that certifies the result, so it is at least 1.
 
     The returned tensions are always within bounds, whatever the status.
     """
@@ -372,55 +369,41 @@ def solve(
     lo, hi = _bound_arrays(bounds, m)
     tol = cfg.tolerance
 
-    _, pinv, _ = svd_rank_pinv(M)
-
-    def project_eq(t):
-        return t - pinv @ (M @ t - fvec)
-
     if cfg.start is None:
         start = lo
     elif cfg.start.shape != (m,):
         raise ValueError(f"start has {cfg.start.shape[0]} entries for {m} cables")
     else:
         start = cfg.start
-    x = start.copy()
 
-    correction = np.zeros(m)
-    status = SolveStatus.ITERATION_CAP
-    iterations = cfg.max_iterations
-    checkpoint = FINISH_FIRST_SWEEP
-    for k in range(1, cfg.max_iterations + 1):
-        y = project_eq(x)
-        shifted = y + correction
-        x_new = np.clip(shifted, lo, hi)
-        correction = shifted - x_new
-        displacement = np.max(np.abs(x_new - x))
-        x = x_new
-        if displacement <= tol:
-            residual = float(np.linalg.norm(M @ x - fvec))
-            if residual <= tol:
-                status = SolveStatus.FEASIBLE_EXACT
-                iterations = k
-                break
-            if _is_nearest_box_point(x, project_eq(x) - x, lo, hi, tol * 0.1):
-                status = SolveStatus.NEAREST_FEASIBLE
-                iterations = k
-                break
-        if k == checkpoint:
-            finished = _exact_finish(M, pinv, fvec, lo, hi, start, x, tol)
-            if finished is not None:
-                x, status = finished
-                iterations = k
-                break
-            checkpoint *= 2
+    u, sv, vt, rank = _svd_rank(M)
+    rows = vt[:rank]
+    goal = (u[:, :rank].T @ fvec) / sv[:rank]
+    # rounding level of the tensions and of the steps between them
+    rounding = 1e-12 * max(hi.max(), np.abs(start).max())
+    x = np.minimum(np.maximum(start + rows.T @ (goal - rows @ start), lo), hi)
+    x, status, iterations = _nearest_box_point(
+        rows, goal, M, fvec, lo, hi, x, tol, rounding, cfg.max_iterations
+    )
+    if status is None:
+        x, certified, more = _min_shift(
+            rows, lo, hi, start, x, rounding, cfg.max_iterations - iterations + 1
+        )
+        iterations += more - 1
 
     rendered = M @ x
+    residual = float(np.linalg.norm(rendered - fvec))
+    if status is None:
+        # the rounding of phase 2's steps can leave a certified point just
+        # above a tolerance set near the rounding level of the force
+        exact = certified and residual <= tol
+        status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
     x.setflags(write=False)
     rendered.setflags(write=False)
     return SolveResult(
         tensions=x,
         rendered_force=rendered,
-        force_residual=float(np.linalg.norm(rendered - fvec)),
+        force_residual=residual,
         status=status,
         iterations=iterations,
     )

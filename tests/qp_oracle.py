@@ -1,4 +1,4 @@
-"""Independent reference solvers used to check the Dykstra implementation.
+"""Independent reference solvers used to check the active-set solver.
 
 The main oracle solves  min ||t - start||^2  s.t.  A t = f,  lo <= t <= hi
 by exact active-set enumeration: every bound-activity pattern is tried, the
@@ -12,8 +12,8 @@ candidates' box, constraint and objective checks run on the whole batch,
 keeping 3^m enumeration fast through m = 8.
 
 None of this shares code with the production solver: subproblems go
-through numpy's KKT solves/lstsq, not the pseudoinverse projection
-operator.
+through numpy's KKT solves/lstsq, not the solver's SVD-based active-set
+steps.
 """
 
 from __future__ import annotations

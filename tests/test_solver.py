@@ -237,8 +237,8 @@ class TestSolve:
 class TestExactFinish:
     def test_workspace_probe_rendered_within_tolerance_is_exact(self):
         # A probe of the README workspace box (5x5x4 grid) on the bench
-        # layout: plain Dykstra stopped here after about 2,500 sweeps as
-        # nearest_feasible while rendering the force within 1.7e-8 N.
+        # layout that a plain projection method reports as nearest_feasible
+        # while rendering the force within 1.7e-8 N.
         layout, _ = default_validation_layout()
         A = structure_matrix(layout, [0.0, -0.5, 0.1])
         f = WORKSPACE_DIRECTIONS[0] * WORKSPACE_PROBE_FORCE
@@ -256,8 +256,8 @@ class TestExactFinish:
         results = [solve(A, f, BOUNDS) for f in samples]
         assert all(r.status is SolveStatus.FEASIBLE_EXACT for r in results)
         assert max(r.iterations for r in results) <= 20
-        # sample 134 ends with cable 4 just above its floor, where plain
-        # Dykstra needed 20,899 sweeps
+        # sample 134 ends with cable 4 just above its floor, the slowest
+        # case for an alternating projection method
         expected = min_shift_qp(
             A.columns, samples[134], BOUNDS.t_min, BOUNDS.t_max, np.full(4, BOUNDS.t_min)
         )
@@ -276,10 +276,9 @@ class TestExactFinish:
         return structure_matrix(layout, ee).columns
 
     def test_plateau_with_a_cable_far_from_its_final_bound(self):
-        # A press into a haptic wall: Dykstra holds cable 1 near 4.4 N for tens
-        # of thousands of sweeps before it climbs to its 6 N ceiling, so no
-        # near-bound active set is right; re-reading the active set off the
-        # candidates' solutions is.
+        # A press into a haptic wall whose solution holds cable 1 at its 6 N
+        # ceiling, far from the 4.4 N where an alternating projection method
+        # lingers on its way there.
         A = self.cube_matrix(
             ("c5", "c8", "c4", "c6", "c7", "c1", "c3", "c2"),
             [0.020500971251990352, -0.023176632973985707, 0.998936766192378],
@@ -292,8 +291,8 @@ class TestExactFinish:
         np.testing.assert_allclose(result.tensions, expected, atol=1e-9)
 
     def test_infeasible_plateau_finishes_early(self):
-        # Unreachable by about 3 mN: plain Dykstra stalled on this one until
-        # the 50,000-sweep cap.
+        # Unreachable by about 3 mN, where an alternating projection method
+        # stalls until its iteration cap.
         A = self.cube_matrix(
             ("c4", "c5", "c6", "c1", "c2", "c7", "c8", "c3"),
             [-0.24568177622959309, -0.019027537529106284, 0.9844073414487795],
@@ -309,6 +308,48 @@ class TestExactFinish:
         min_residual = float(np.linalg.norm(root @ (A @ reference.x - f)))
         residual = float(np.linalg.norm(root @ (result.rendered_force - f)))
         assert residual <= min_residual + 1e-9
+
+    def test_facet_forces_are_exact_within_twenty_iterations(self):
+        # f = A t* with two cables of t* at a bound: the free cables cannot
+        # span the force space, and on a facet of the renderable set the
+        # solution is a single point, so the active-set steps are degenerate.
+        A = default_matrix().columns
+        start = np.full(4, BOUNDS.t_min)
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            t_star = rng.uniform(BOUNDS.t_min, BOUNDS.t_max, size=4)
+            pair = rng.choice(4, size=2, replace=False)
+            t_star[pair] = np.where(rng.random(2) < 0.5, BOUNDS.t_min, BOUNDS.t_max)
+            f = A @ t_star
+            result = solve(A, f, BOUNDS)
+            assert result.status is SolveStatus.FEASIBLE_EXACT
+            assert result.iterations <= 20
+            expected = min_shift_qp(A, f, BOUNDS.t_min, BOUNDS.t_max, start)
+            np.testing.assert_allclose(result.tensions, expected, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "columns,force",
+        [
+            # antagonistic pair along x: rank 1
+            (np.array([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]), [1.0, 0.0, 0.0]),
+            # four cables in the xy plane: rank 2
+            (
+                np.vstack(
+                    [np.cos([0.3, 1.9, 3.4, 4.8]), np.sin([0.3, 1.9, 3.4, 4.8]), np.zeros(4)]
+                ),
+                [0.7, -0.4, 0.0],
+            ),
+        ],
+    )
+    def test_reachable_force_at_rank_below_three_is_exact(self, columns, force):
+        result = solve(columns, force, BOUNDS)
+        assert result.status is SolveStatus.FEASIBLE_EXACT
+        m = columns.shape[1]
+        expected = min_shift_qp(
+            columns, np.array(force), BOUNDS.t_min, BOUNDS.t_max, np.full(m, BOUNDS.t_min)
+        )
+        assert expected is not None
+        np.testing.assert_allclose(result.tensions, expected, atol=1e-6)
 
     def test_infeasible_residual_is_the_box_least_squares_minimum(self):
         # The nearest box point minimizes the distance to the equilibrium
