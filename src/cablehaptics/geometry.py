@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .solver import TensionBounds, svd_rank_pinv
+from .solver import TensionBounds, null_space_basis
 
 # Anchors closer together than this are rejected as duplicates (meters).
 COINCIDENT_ANCHOR_TOL = 1e-9
@@ -141,4 +141,4 @@ def actuation_rank(A: StructureMatrix) -> int:
     """Numerical rank of the structure matrix (cutoff 1e-9 relative to the
     largest singular value). Rank 3 with m >= 4 positively spanning columns
     means the system is redundantly actuated."""
-    return svd_rank_pinv(A.columns)[0]
+    return A.m - len(null_space_basis(A))

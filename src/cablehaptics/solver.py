@@ -17,10 +17,15 @@ from phase 1's bound set, for the feasible point nearest the start. Each
 iteration of either phase holds or releases at most one cable and solves
 one small least-squares problem, and each phase ends only when its
 optimality conditions check out.
+
+Every SVD, of A and of the free-column blocks the iterations solve on,
+comes from one cached factorization of A, which consecutive solves on the
+same matrix share instead of factoring again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence, Union
@@ -118,10 +123,12 @@ class SolveResult:
 
 
 def _matrix(A) -> np.ndarray:
-    """Accept a StructureMatrix or a plain (3, m) array of unit columns."""
+    """Accept a StructureMatrix or a plain finite (3, m) array of unit columns."""
     M = np.asarray(getattr(A, "columns", A), dtype=float)
     if M.ndim != 2 or M.shape[0] != 3 or M.shape[1] < 1:
         raise ValueError(f"expected a 3 x m structure matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("structure matrix has non-finite entries")
     return M
 
 
@@ -151,25 +158,50 @@ def project_box(t, bounds: BoundsLike) -> np.ndarray:
     return np.clip(arr, lo, hi)
 
 
-def svd_rank_pinv(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Numerical rank, pseudoinverse and null-space basis of M from one SVD.
+class _Factorization:
+    """One SVD A = U S V^T of a structure matrix, plus the SVDs of the
+    free-column blocks rows[:, free] of rows = V_r^T asked for so far.
 
-    Singular values at or below RANK_REL_TOL times the largest count as
-    zero, so the three always agree. For a structure matrix A the
-    pseudoinverse A^+ = A^T (A A^T)^+ gives the equilibrium projection
-    t - A^+ (A t - f), which at rank-deficient geometries targets the
-    nearest consistent right-hand side, P_range(A) f. The null-space basis
-    has one row per basis vector.
+    The rank counts singular values above RANK_REL_TOL times the largest.
+    Every array held here is read-only, since later solves share it.
     """
-    u, sv, vt, rank = _svd_rank(M)
-    pinv = (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
-    return rank, pinv, vt[rank:]
+
+    def __init__(self, M: np.ndarray):
+        u, sv, vt = np.linalg.svd(M)
+        for arr in (u, sv, vt):
+            arr.setflags(write=False)
+        self.u, self.sv, self.vt = u, sv, vt
+        self.rank = int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
+        self.rows = vt[: self.rank]
+        self._blocks: dict[bytes, tuple[np.ndarray, np.ndarray, int]] = {}
+
+    def block(self, free: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Left singular vectors, singular values and rank of rows[:, free].
+
+        rows has orthonormal rows, so its largest singular value is 1 and
+        RANK_REL_TOL is the same relative cutoff as for A. Two threads may
+        both compute a missing block; they store identical values.
+        """
+        key = free.tobytes()
+        found = self._blocks.get(key)
+        if found is None:
+            u, sv, _ = np.linalg.svd(self.rows[:, free])
+            u.setflags(write=False)
+            sv.setflags(write=False)
+            found = self._blocks[key] = (u, sv, int((sv > RANK_REL_TOL).sum()))
+        return found
 
 
-def _svd_rank(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Full SVD of M, u, sv, vt, plus its numerical rank."""
-    u, sv, vt = np.linalg.svd(M)
-    return u, sv, vt, int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
+@functools.lru_cache(maxsize=1)
+def _factorize(key: bytes, m: int) -> _Factorization:
+    """The factorization of the 3 x m matrix whose C-order bytes are key.
+
+    Call it as _factorize(M.tobytes(), M.shape[1]) on a matrix _matrix has
+    checked. Only the most recent matrix is kept, so consecutive solves on
+    one matrix share its factorization, whatever object carries it, and
+    the process holds one factorization however many matrices exist.
+    """
+    return _Factorization(np.frombuffer(key).reshape(3, m))
 
 
 def project_equilibrium(t, A: StructureMatrix | np.ndarray, f) -> np.ndarray:
@@ -181,7 +213,9 @@ def project_equilibrium(t, A: StructureMatrix | np.ndarray, f) -> np.ndarray:
     """
     M = _matrix(A)
     arr = np.asarray(t, dtype=float)
-    _, pinv, _ = svd_rank_pinv(M)
+    fac = _factorize(M.tobytes(), M.shape[1])
+    # A^+ = A^T (A A^T)^+, zeroing singular values at or below the rank cutoff
+    pinv = (fac.rows.T / fac.sv[: fac.rank]) @ fac.u[:, : fac.rank].T
     return arr - pinv @ (M @ arr - _force(f))
 
 
@@ -191,7 +225,9 @@ def null_space_basis(A: StructureMatrix | np.ndarray) -> np.ndarray:
     These are the internal tension redistributions that leave the rendered
     force unchanged; the returned array has shape (m - rank, m).
     """
-    return svd_rank_pinv(_matrix(A))[2]
+    M = _matrix(A)
+    fac = _factorize(M.tobytes(), M.shape[1])
+    return fac.vt[fac.rank :].copy()
 
 
 def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
@@ -213,17 +249,15 @@ def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
     return not (violation > tol).any()
 
 
-def _free_solve(rows, free, c):
+def _free_solve(fac, free, c):
     """Multipliers lam for which rows[:, free]^T lam is the minimum-norm
-    least-squares solution of rows[:, free] x = c.
+    least-squares solution of rows[:, free] x = c, with rows = fac.rows.
 
-    Also returns the rank of rows[:, free] (singular values at or below
-    RANK_REL_TOL count as zero; rows has orthonormal rows, so this is the
-    scaled cutoff of svd_rank_pinv) and its left singular vectors, whose
-    trailing columns span the directions the free cables cannot reach.
+    Also returns the rank of rows[:, free] and its left singular vectors,
+    whose trailing columns span the directions the free cables cannot
+    reach. The block's SVD comes from fac, computed once per free set.
     """
-    u, sv, _ = np.linalg.svd(rows[:, free])
-    rank = int((sv > RANK_REL_TOL).sum())
+    u, sv, rank = fac.block(free)
     lam = u[:, :rank] @ ((u[:, :rank].T @ c) / sv[:rank] ** 2)
     return lam, rank, u
 
@@ -247,10 +281,10 @@ def _ratio_step(t, step, lo, hi, rounding):
     return t, blocking
 
 
-def _nearest_box_point(rows, goal, M, f, lo, hi, t, tol, rounding, budget):
+def _nearest_box_point(fac, goal, M, f, lo, hi, t, tol, rounding, budget):
     """Phase 1: box least squares min ||rows t - goal|| from the box point t.
 
-    rows has orthonormal rows spanning the row space of A, so
+    rows = fac.rows has orthonormal rows spanning the row space of A, so
     ||rows t - goal|| = ||A^+ (A t - f)|| is the distance from t to the
     equilibrium set, and rows^T (goal - rows t) = P_eq(t) - t its negative
     gradient. Bounded-variable least squares (Stark & Parker 1995), a
@@ -265,6 +299,7 @@ def _nearest_box_point(rows, goal, M, f, lo, hi, t, tol, rounding, budget):
     t renders f within tol (a feasible point for phase 2), ITERATION_CAP
     when the budget runs out.
     """
+    rows = fac.rows
     stationary = tol * 0.1
     held = (t <= lo) | (t >= hi)
     for k in range(1, budget + 1):
@@ -279,14 +314,14 @@ def _nearest_box_point(rows, goal, M, f, lo, hi, t, tol, rounding, budget):
             into_box = np.where(held, np.where(t <= lo, d, -d), -np.inf)
             held[into_box.argmax()] = False
         free = ~held
-        lam, _, _ = _free_solve(rows, free, gap)
+        lam, _, _ = _free_solve(fac, free, gap)
         t, blocking = _ratio_step(t, np.where(free, rows.T @ lam, 0.0), lo, hi, rounding)
         if blocking >= 0:
             held[blocking] = True
     return t, SolveStatus.ITERATION_CAP, budget
 
 
-def _min_shift(rows, lo, hi, start, t, rounding, budget):
+def _min_shift(fac, lo, hi, start, t, rounding, budget):
     """Phase 2: min ||t - start||^2 s.t. rows t = rows t0 and the box,
     by the primal active-set method (Nocedal & Wright, Alg. 16.3) from the
     feasible box point t0 = t, holding the cables it has at a bound.
@@ -306,11 +341,12 @@ def _min_shift(rows, lo, hi, start, t, rounding, budget):
 
     Returns (t, certified, iterations).
     """
+    rows = fac.rows
     goal = rows @ t
     held = (t <= lo) | (t >= hi)
     for k in range(1, budget + 1):
         free = ~held
-        lam, rank, u = _free_solve(rows, free, goal - rows @ np.where(free, start, t))
+        lam, rank, u = _free_solve(fac, free, goal - rows @ np.where(free, start, t))
         if rank < len(rows):
             # release the held cable reaching furthest into the missing span
             reach = np.linalg.norm(u[:, rank:].T @ rows, axis=0)
@@ -357,6 +393,9 @@ def solve(
     Both phases work on the rank-r system rows t = goal, with rows = V_r^T
     and goal = S_r^-1 U_r^T f from one SVD A = U S V^T; it holds exactly
     when A t = P_range(A) f, so rank-deficient layouts need no special case.
+    That SVD, and the SVD of each free-column block an iteration solves on,
+    is computed once and reused by the next solves on the same matrix, so
+    build A once and pass it to every solve at that position.
     ``iterations`` counts the active-set iterations of both phases,
     including the one that certifies the result, so it is at least 1.
 
@@ -376,18 +415,18 @@ def solve(
     else:
         start = cfg.start
 
-    u, sv, vt, rank = _svd_rank(M)
-    rows = vt[:rank]
+    fac = _factorize(M.tobytes(), m)
+    u, sv, rank, rows = fac.u, fac.sv, fac.rank, fac.rows
     goal = (u[:, :rank].T @ fvec) / sv[:rank]
     # rounding level of the tensions and of the steps between them
     rounding = 1e-12 * max(hi.max(), np.abs(start).max())
     x = np.minimum(np.maximum(start + rows.T @ (goal - rows @ start), lo), hi)
     x, status, iterations = _nearest_box_point(
-        rows, goal, M, fvec, lo, hi, x, tol, rounding, cfg.max_iterations
+        fac, goal, M, fvec, lo, hi, x, tol, rounding, cfg.max_iterations
     )
     if status is None:
         x, certified, more = _min_shift(
-            rows, lo, hi, start, x, rounding, cfg.max_iterations - iterations + 1
+            fac, lo, hi, start, x, rounding, cfg.max_iterations - iterations + 1
         )
         iterations += more - 1
 

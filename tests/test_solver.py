@@ -14,6 +14,7 @@ from cablehaptics import (
     solve,
     structure_matrix,
 )
+from cablehaptics import solver
 from cablehaptics.cli import WORKSPACE_DIRECTIONS, WORKSPACE_PROBE_FORCE
 from cablehaptics.geometry import ModuleAnchor, ModuleLayout
 from cablehaptics.simulation import default_validation_layout, sphere_samples
@@ -374,6 +375,123 @@ class TestExactFinish:
             assert residual <= min_residual + 1e-9
             checked += 1
         assert checked >= 20
+
+
+class TestNonFiniteMatrix:
+    def test_infinite_entry_rejected_before_the_factorization(self):
+        A = np.eye(3)
+        A[2, 0] = np.inf
+        solver._factorize.cache_clear()
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(A, [1.0, 1.0, 1.0], BOUNDS)
+        assert solver._factorize.cache_info().currsize == 0
+
+    def test_nan_entry_rejected_by_every_entry_point(self):
+        A = np.eye(3)
+        A[1, 1] = np.nan
+        solver._factorize.cache_clear()
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(A, [1.0, 1.0, 1.0], BOUNDS)
+        with pytest.raises(ValueError, match="non-finite"):
+            null_space_basis(A)
+        with pytest.raises(ValueError, match="non-finite"):
+            project_equilibrium(np.ones(3), A, [1.0, 1.0, 1.0])
+        assert solver._factorize.cache_info().currsize == 0
+
+
+def _outcome(result):
+    return (
+        result.tensions.tobytes(),
+        result.status,
+        result.iterations,
+        result.force_residual,
+    )
+
+
+def _sphere_cases():
+    A = default_matrix()
+    return [(A, f, BOUNDS) for f in sphere_samples(182, 1.5)]
+
+
+def _workspace_cases():
+    layout, _ = default_validation_layout()
+    cases = []
+    for point in [(0.0, -0.5, 0.1), (0.5, 0.5, 1.5), (-1.0, 0.0, 1.5)]:
+        A = structure_matrix(layout, point)
+        cases += [(A, d * WORKSPACE_PROBE_FORCE, layout.bounds) for d in WORKSPACE_DIRECTIONS]
+    return cases
+
+
+def _coplanar_cases():
+    angles = [0.3, 1.9, 3.4, 4.8]
+    A = np.vstack([np.cos(angles), np.sin(angles), np.zeros(4)])
+    rng = np.random.default_rng(8)
+    return [(A, f, BOUNDS) for f in rng.normal(scale=2.0, size=(40, 3))]
+
+
+def _per_cable_cases():
+    rng = np.random.default_rng(13)
+    A = random_rank3_directions(rng, 6).T
+    per_cable = tuple(
+        TensionBounds(lo, lo + width)
+        for lo, width in zip(rng.uniform(0.0, 1.0, 6), rng.uniform(1.0, 6.0, 6))
+    )
+    return [(A, f, per_cable) for f in rng.normal(scale=4.0, size=(60, 3))]
+
+
+class TestFactorizationCache:
+    @staticmethod
+    def run(cases, cold):
+        outcomes = []
+        for A, f, bounds in cases:
+            if cold:
+                solver._factorize.cache_clear()
+            outcomes.append(_outcome(solve(A, f, bounds)))
+        return outcomes
+
+    @pytest.mark.parametrize(
+        "cases", [_sphere_cases, _workspace_cases, _coplanar_cases, _per_cable_cases]
+    )
+    def test_warm_solves_equal_cold_solves(self, cases):
+        cases = cases()
+        warm = self.run(cases, cold=False)
+        cold = self.run(cases, cold=True)
+        assert warm == cold
+
+    def test_workspace_probes_cover_both_outcomes(self):
+        statuses = {outcome[1] for outcome in self.run(_workspace_cases(), cold=False)}
+        assert statuses == {SolveStatus.FEASIBLE_EXACT, SolveStatus.NEAREST_FEASIBLE}
+
+    def test_interleaved_matrices_equal_cold_solves(self):
+        A1 = default_matrix()
+        layout, _ = default_validation_layout()
+        A2 = structure_matrix(layout, (0.5, 0.5, 1.5))
+        forces = sphere_samples(20, 1.5)
+        cases = [(A, f, BOUNDS) for f in forces for A in (A1, A2, A1)]
+        assert self.run(cases, cold=False) == self.run(cases, cold=True)
+
+    def test_cached_arrays_are_read_only(self):
+        M = default_matrix().columns
+        solve(M, [0.0, 0.0, 1.5], BOUNDS)
+        fac = solver._factorize(M.tobytes(), M.shape[1])
+        u, sv, _ = fac.block(np.array([True, False, True, True]))
+        for arr in (fac.u, fac.sv, fac.vt, fac.rows, u, sv):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_public_arrays_stay_writable(self):
+        A = default_matrix()
+        basis = null_space_basis(A)
+        projected = project_equilibrium(np.ones(4), A, [0.0, 0.0, 1.5])
+        basis[0, 0] = 0.0
+        projected[0] = 0.0
+        assert null_space_basis(A)[0, 0] != 0.0
+
+    def test_one_factorization_held_after_many_matrices(self):
+        rng = np.random.default_rng(99)
+        for _ in range(1000):
+            solve(random_rank3_directions(rng, 4).T, [0.0, 0.0, 1.0], BOUNDS)
+        assert solver._factorize.cache_info().currsize == 1
 
 
 class TestSolverConfigValidation:
