@@ -19,16 +19,18 @@ one small least-squares problem, and each phase ends only when its
 optimality conditions check out.
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
-comes from one cached factorization of A, which consecutive solves on the
-same matrix share instead of factoring again.
+comes from one cached factorization of A, together with every operator
+that depends on A alone; consecutive solves on the same matrix share it,
+so a solve computes only what depends on the force.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -100,7 +102,7 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if self.start is not None:
             arr = np.asarray(self.start, dtype=float)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+            if arr.ndim != 1 or not np.isfinite(arr).all():
                 raise ValueError("start must be a finite 1-d tension vector")
             arr = arr.copy()
             arr.setflags(write=False)
@@ -122,19 +124,22 @@ class SolveResult:
     iterations: int
 
 
+_DEFAULT_CONFIG = SolverConfig()
+
+
 def _matrix(A) -> np.ndarray:
     """Accept a StructureMatrix or a plain finite (3, m) array of unit columns."""
     M = np.asarray(getattr(A, "columns", A), dtype=float)
     if M.ndim != 2 or M.shape[0] != 3 or M.shape[1] < 1:
         raise ValueError(f"expected a 3 x m structure matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("structure matrix has non-finite entries")
     return M
 
 
 def _force(f) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
-    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+    if arr.shape != (3,) or not np.isfinite(arr).all():
         raise ValueError(f"desired force must be a finite 3-vector, got {f!r}")
     return arr
 
@@ -158,25 +163,50 @@ def project_box(t, bounds: BoundsLike) -> np.ndarray:
     return np.clip(arr, lo, hi)
 
 
-class _Factorization:
-    """One SVD A = U S V^T of a structure matrix, plus the SVDs of the
-    free-column blocks rows[:, free] of rows = V_r^T asked for so far.
+class _Block(NamedTuple):
+    """What the iterations need of one free-column block rows[:, free]:
+    its left singular vectors, singular values and rank, the pseudoinverse
+    of its Gram matrix, u_r diag(1/s^2) u_r^T, and phase 1's step
+    operator, rows^T times that pseudoinverse with the held cables' rows
+    zeroed."""
 
-    The rank counts singular values above RANK_REL_TOL times the largest.
-    Every array held here is read-only, since later solves share it.
+    u: np.ndarray
+    sv: np.ndarray
+    rank: int
+    gram_pinv: np.ndarray
+    step: np.ndarray
+
+
+class _Factorization:
+    """One SVD A = U S V^T of a structure matrix, the operators built from
+    it alone, and a _Block for each free-column block of rows = V_r^T asked
+    for so far.
+
+    The operators are goal = S_r^-1 U_r^T, which maps a force to the
+    right-hand side of rows t = goal f; the pseudoinverse
+    pinv = A^+ = V_r S_r^-1 U_r^T; and rows_t, a C-contiguous copy of
+    rows^T. The rank counts singular values above RANK_REL_TOL times the
+    largest. Every array held here is read-only, since later solves share
+    it.
     """
 
     def __init__(self, M: np.ndarray):
         u, sv, vt = np.linalg.svd(M)
-        for arr in (u, sv, vt):
+        # a view taken of vt after this is read-only too
+        vt.setflags(write=False)
+        rank = int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
+        rows = vt[:rank]
+        goal = u[:, :rank].T / sv[:rank, None]
+        rows_t = np.ascontiguousarray(rows.T)
+        pinv = rows_t @ goal
+        for arr in (u, sv, goal, rows_t, pinv):
             arr.setflags(write=False)
-        self.u, self.sv, self.vt = u, sv, vt
-        self.rank = int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
-        self.rows = vt[: self.rank]
-        self._blocks: dict[bytes, tuple[np.ndarray, np.ndarray, int]] = {}
+        self.u, self.sv, self.vt, self.rank, self.rows = u, sv, vt, rank, rows
+        self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
+        self._blocks: dict[bytes, _Block] = {}
 
-    def block(self, free: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Left singular vectors, singular values and rank of rows[:, free].
+    def block(self, free: np.ndarray) -> _Block:
+        """The _Block of rows[:, free].
 
         rows has orthonormal rows, so its largest singular value is 1 and
         RANK_REL_TOL is the same relative cutoff as for A. Two threads may
@@ -186,9 +216,12 @@ class _Factorization:
         found = self._blocks.get(key)
         if found is None:
             u, sv, _ = np.linalg.svd(self.rows[:, free])
-            u.setflags(write=False)
-            sv.setflags(write=False)
-            found = self._blocks[key] = (u, sv, int((sv > RANK_REL_TOL).sum()))
+            rank = int((sv > RANK_REL_TOL).sum())
+            gram_pinv = (u[:, :rank] / sv[:rank] ** 2) @ u[:, :rank].T
+            step = np.where(free[:, None], self.rows_t @ gram_pinv, 0.0)
+            for arr in (u, sv, gram_pinv, step):
+                arr.setflags(write=False)
+            found = self._blocks[key] = _Block(u, sv, rank, gram_pinv, step)
         return found
 
 
@@ -214,9 +247,7 @@ def project_equilibrium(t, A: StructureMatrix | np.ndarray, f) -> np.ndarray:
     M = _matrix(A)
     arr = np.asarray(t, dtype=float)
     fac = _factorize(M.tobytes(), M.shape[1])
-    # A^+ = A^T (A A^T)^+, zeroing singular values at or below the rank cutoff
-    pinv = (fac.rows.T / fac.sv[: fac.rank]) @ fac.u[:, : fac.rank].T
-    return arr - pinv @ (M @ arr - _force(f))
+    return arr - fac.pinv @ (M @ arr - _force(f))
 
 
 def null_space_basis(A: StructureMatrix | np.ndarray) -> np.ndarray:
@@ -245,8 +276,8 @@ def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
     while still rendering f within a few times the solve tolerance, so the
     residual decides between an exact and a nearest-feasible result.
     """
-    violation = np.where(x <= lo, d, np.where(x >= hi, -d, np.abs(d)))
-    return not (violation > tol).any()
+    # lo < hi, so x < hi holds at a lower bound and x > lo at an upper one
+    return not (((d > tol) & (x < hi)) | ((d < -tol) & (x > lo))).any()
 
 
 def _free_solve(fac, free, c):
@@ -255,11 +286,11 @@ def _free_solve(fac, free, c):
 
     Also returns the rank of rows[:, free] and its left singular vectors,
     whose trailing columns span the directions the free cables cannot
-    reach. The block's SVD comes from fac, computed once per free set.
+    reach. lam is one product with the block's cached Gram pseudoinverse,
+    which fac computes once per free set.
     """
-    u, sv, rank = fac.block(free)
-    lam = u[:, :rank] @ ((u[:, :rank].T @ c) / sv[:rank] ** 2)
-    return lam, rank, u
+    blk = fac.block(free)
+    return blk.gram_pinv @ c, blk.rank, blk.u
 
 
 def _ratio_step(t, step, lo, hi, rounding):
@@ -269,10 +300,11 @@ def _ratio_step(t, step, lo, hi, rounding):
     just released must not block the step at length zero. Returns the new
     box point and the blocking cable, or -1 when the whole step was taken.
     """
-    size = np.abs(step)
-    moving = size > rounding
-    gap = np.where(moving, np.where(step > 0, hi - t, t - lo), np.inf)
-    room = gap / np.where(moving, size, 1.0)
+    moving = np.abs(step) > rounding
+    # room is the fraction of the step each moving cable can take
+    room = np.divide(
+        np.where(step > 0, hi, lo) - t, step, out=np.full(len(t), np.inf), where=moving
+    )
     blocking = int(room.argmin())
     if room[blocking] >= 1.0:
         return np.minimum(np.maximum(t + step, lo), hi), -1
@@ -281,41 +313,41 @@ def _ratio_step(t, step, lo, hi, rounding):
     return t, blocking
 
 
-def _nearest_box_point(fac, goal, M, f, lo, hi, t, tol, rounding, budget):
-    """Phase 1: box least squares min ||rows t - goal|| from the box point t.
+def _nearest_box_point(fac, M, f, lo, hi, t, tol, rounding, budget):
+    """Phase 1: box least squares min ||rows t - goal f|| from the box point t.
 
-    rows = fac.rows has orthonormal rows spanning the row space of A, so
-    ||rows t - goal|| = ||A^+ (A t - f)|| is the distance from t to the
-    equilibrium set, and rows^T (goal - rows t) = P_eq(t) - t its negative
+    rows = fac.rows has orthonormal rows spanning the row space of A and
+    goal = fac.goal = S_r^-1 U_r^T, so the residual r = f - A t gives
+    ||goal r|| = ||rows t - goal f||, the distance from t to the
+    equilibrium set, and rows^T goal r = P_eq(t) - t, its negative
     gradient. Bounded-variable least squares (Stark & Parker 1995), a
     primal active-set method: cables at a bound are held; each iteration
-    takes the minimum-norm least-squares step over the free cables and
-    stops at the first bound it reaches, which holds that cable; once the
-    free cables are stationary, the held cable whose descent direction
-    points most into the box is released.
+    takes the minimum-norm least-squares step over the free cables, the
+    free set's cached step operator times goal r, and stops at the first
+    bound it reaches, which holds that cable; once the free cables are
+    stationary, the held cable whose descent direction points most into
+    the box is released.
 
     Returns (t, status, iterations): status NEAREST_FEASIBLE once
     _is_nearest_box_point certifies t with a residual above tol, None once
     t renders f within tol (a feasible point for phase 2), ITERATION_CAP
     when the budget runs out.
     """
-    rows = fac.rows
+    goal, rows_t = fac.goal, fac.rows_t
     stationary = tol * 0.1
     held = (t <= lo) | (t >= hi)
     for k in range(1, budget + 1):
-        residual = M @ t - f
+        residual = f - M @ t
         if residual @ residual <= tol * tol:
             return t, None, k
-        gap = goal - rows @ t
-        d = rows.T @ gap
+        gap = goal @ residual
+        d = rows_t @ gap
         if _is_nearest_box_point(t, d, lo, hi, stationary):
             return t, SolveStatus.NEAREST_FEASIBLE, k
         if not (np.abs(np.where(held, 0.0, d)) > stationary).any():
             into_box = np.where(held, np.where(t <= lo, d, -d), -np.inf)
             held[into_box.argmax()] = False
-        free = ~held
-        lam, _, _ = _free_solve(fac, free, gap)
-        t, blocking = _ratio_step(t, np.where(free, rows.T @ lam, 0.0), lo, hi, rounding)
+        t, blocking = _ratio_step(t, fac.block(~held).step @ gap, lo, hi, rounding)
         if blocking >= 0:
             held[blocking] = True
     return t, SolveStatus.ITERATION_CAP, budget
@@ -342,17 +374,17 @@ def _min_shift(fac, lo, hi, start, t, rounding, budget):
     Returns (t, certified, iterations).
     """
     rows = fac.rows
-    goal = rows @ t
+    target = rows @ t
     held = (t <= lo) | (t >= hi)
     for k in range(1, budget + 1):
         free = ~held
-        lam, rank, u = _free_solve(fac, free, goal - rows @ np.where(free, start, t))
+        lam, rank, u = _free_solve(fac, free, target - rows @ np.where(free, start, t))
         if rank < len(rows):
             # release the held cable reaching furthest into the missing span
             reach = np.linalg.norm(u[:, rank:].T @ rows, axis=0)
             held[np.where(held, reach, -1.0).argmax()] = False
             continue
-        shift = rows.T @ lam
+        shift = fac.rows_t @ lam
         t, blocking = _ratio_step(t, np.where(free, start + shift - t, 0.0), lo, hi, rounding)
         if blocking >= 0:
             held[blocking] = True
@@ -390,18 +422,22 @@ def solve(
     * otherwise ITERATION_CAP: max_iterations ran out, or the tolerance is
       below what the rounding of the steps lets the residual reach.
 
-    Both phases work on the rank-r system rows t = goal, with rows = V_r^T
-    and goal = S_r^-1 U_r^T f from one SVD A = U S V^T; it holds exactly
-    when A t = P_range(A) f, so rank-deficient layouts need no special case.
-    That SVD, and the SVD of each free-column block an iteration solves on,
-    is computed once and reused by the next solves on the same matrix, so
-    build A once and pass it to every solve at that position.
+    Both phases work on the rank-r system rows t = goal f, with
+    rows = V_r^T and goal = S_r^-1 U_r^T from one SVD A = U S V^T; it holds
+    exactly when A t = P_range(A) f, so rank-deficient layouts need no
+    special case. That SVD and every operator built from A alone (goal,
+    the pseudoinverse A^+ that projects the start, rows^T) are computed
+    once per matrix, and so is, per free set an iteration meets, the SVD
+    of the free-column block with its Gram pseudoinverse and phase 1's
+    step operator. The next solves on the same matrix reuse them all and
+    compute only what depends on the force, so build A once and pass it
+    to every solve at that position.
     ``iterations`` counts the active-set iterations of both phases,
     including the one that certifies the result, so it is at least 1.
 
     The returned tensions are always within bounds, whatever the status.
     """
-    cfg = config if config is not None else SolverConfig()
+    cfg = config if config is not None else _DEFAULT_CONFIG
     M = _matrix(A)
     m = M.shape[1]
     fvec = _force(f)
@@ -416,13 +452,11 @@ def solve(
         start = cfg.start
 
     fac = _factorize(M.tobytes(), m)
-    u, sv, rank, rows = fac.u, fac.sv, fac.rank, fac.rows
-    goal = (u[:, :rank].T @ fvec) / sv[:rank]
     # rounding level of the tensions and of the steps between them
-    rounding = 1e-12 * max(hi.max(), np.abs(start).max())
-    x = np.minimum(np.maximum(start + rows.T @ (goal - rows @ start), lo), hi)
+    rounding = 1e-12 * np.maximum(hi, np.abs(start)).max()
+    x = np.minimum(np.maximum(start + fac.pinv @ (fvec - M @ start), lo), hi)
     x, status, iterations = _nearest_box_point(
-        fac, goal, M, fvec, lo, hi, x, tol, rounding, cfg.max_iterations
+        fac, M, fvec, lo, hi, x, tol, rounding, cfg.max_iterations
     )
     if status is None:
         x, certified, more = _min_shift(
@@ -431,7 +465,8 @@ def solve(
         iterations += more - 1
 
     rendered = M @ x
-    residual = float(np.linalg.norm(rendered - fvec))
+    miss = rendered - fvec
+    residual = math.sqrt(miss @ miss)
     if status is None:
         # the rounding of phase 2's steps can leave a certified point just
         # above a tolerance set near the rounding level of the force

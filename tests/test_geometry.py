@@ -114,6 +114,12 @@ class TestStructureMatrix:
         with pytest.raises(ValueError):
             StructureMatrix(np.array([[2.0], [0.0], [0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        cols = np.array([[bad, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            StructureMatrix(cols)
+
 
 class TestActuationRank:
     def test_identity_columns_rank_3(self):

@@ -474,8 +474,10 @@ class TestFactorizationCache:
         M = default_matrix().columns
         solve(M, [0.0, 0.0, 1.5], BOUNDS)
         fac = solver._factorize(M.tobytes(), M.shape[1])
-        u, sv, _ = fac.block(np.array([True, False, True, True]))
-        for arr in (fac.u, fac.sv, fac.vt, fac.rows, u, sv):
+        u, sv, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
+        cached = (fac.u, fac.sv, fac.vt, fac.rows, u, sv)
+        operators = (fac.goal, fac.pinv, fac.rows_t, gram_pinv, step)
+        for arr in cached + operators:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -492,6 +494,69 @@ class TestFactorizationCache:
         for _ in range(1000):
             solve(random_rank3_directions(rng, 4).T, [0.0, 0.0, 1.0], BOUNDS)
         assert solver._factorize.cache_info().currsize == 1
+
+
+LO, HI, TOL = 0.5, 6.0, 1e-3
+
+
+class TestNearestBoxPointCertificate:
+    @pytest.mark.parametrize(
+        "x, d, certified",
+        [
+            (LO, 0.01, False),  # floor, descent points back into the box
+            (LO, -0.01, True),  # floor, descent points out of the box
+            (LO, TOL, True),  # floor, exactly tol into the box
+            (HI, -0.01, False),  # ceiling, descent points back into the box
+            (HI, 0.01, True),  # ceiling, descent points out of the box
+            (HI, -TOL, True),  # ceiling, exactly tol into the box
+            (3.0, 0.01, False),  # free, not stationary upward
+            (3.0, -0.01, False),  # free, not stationary downward
+            (3.0, TOL, True),  # free, exactly tol
+            (3.0, -TOL, True),
+            (3.0, 0.0, True),
+        ],
+    )
+    def test_one_cable(self, x, d, certified):
+        args = (np.array([x]), np.array([d]), np.array([LO]), np.array([HI]), TOL)
+        assert solver._is_nearest_box_point(*args) is certified
+
+    @pytest.mark.parametrize("d_free, certified", [(0.0, True), (0.01, False)])
+    def test_every_cable_counts(self, d_free, certified):
+        x = np.array([LO, HI, 3.0])
+        d = np.array([-1.0, 1.0, d_free])
+        lo, hi = np.full(3, LO), np.full(3, HI)
+        assert solver._is_nearest_box_point(x, d, lo, hi, TOL) is certified
+
+
+class TestRatioStep:
+    @pytest.mark.parametrize(
+        "t, step, expected, blocking",
+        [
+            # full step inside the box
+            ([1.0, 2.0, 3.0], [0.5, -0.5, 0.25], [1.5, 1.5, 3.25], -1),
+            # full step that ends exactly on the ceiling
+            ([5.0, 2.0], [1.0, 1.0], [6.0, 3.0], -1),
+            # blocked at the ceiling halfway
+            ([5.0, 2.0], [2.0, 1.0], [6.0, 2.5], 0),
+            # blocked at the floor halfway
+            ([2.0, 1.0], [0.25, -1.0], [2.125, 0.5], 1),
+            # components at or below the rounding level never block
+            ([LO, LO, 3.0], [-1e-13, -1e-12, 1.0], [LO, LO, 4.0], -1),
+            # a component just above it does, at length zero
+            ([LO, 3.0], [-2e-12, 1.0], [LO, 3.0], 0),
+        ],
+    )
+    def test_step(self, t, step, expected, blocking):
+        t = np.array(t)
+        before = t.copy()
+        lo, hi = np.full(len(t), LO), np.full(len(t), HI)
+        moved, blocked = solver._ratio_step(t, np.array(step), lo, hi, 1e-12)
+        assert blocked == blocking
+        np.testing.assert_array_equal(moved, expected)
+        np.testing.assert_array_equal(t, before)
+        if blocking >= 0:
+            bound = HI if step[blocking] > 0 else LO
+            assert moved[blocking] == bound
 
 
 class TestSolverConfigValidation:
