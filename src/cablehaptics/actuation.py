@@ -54,6 +54,9 @@ class ActuatorParams:
             raise ValueError("force_per_amp must be positive")
 
 
+_DEFAULT_PARAMS = ActuatorParams()
+
+
 @dataclass(frozen=True)
 class ActuatorCommand:
     """What one module should do: drive the motor at a current, or brake."""
@@ -75,7 +78,7 @@ def command_for_tension(
     pays out; against reel-in the one-way brake cannot act, so the motor
     saturates at its maximum instead.
     """
-    p = params if params is not None else ActuatorParams()
+    p = params if params is not None else _DEFAULT_PARAMS
     if not np.isfinite(desired_tension) or desired_tension < 0:
         raise InvalidTension(f"desired tension must be finite and >= 0, got {desired_tension}")
     if desired_tension <= p.motor_max_force:

@@ -20,8 +20,16 @@ optimality conditions check out.
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
-that depends on A alone; consecutive solves on the same matrix share it,
-so a solve computes only what depends on the force.
+that depends on A alone and, per bounds and start point, the box arrays
+and A times the start; consecutive solves on the same matrix share it, so
+a solve computes only what depends on the force.
+
+The products on the per-iteration path are 3 x m by m or m x m by m, so
+numpy's fixed cost per call outweighs their arithmetic: they are written
+ndarray.dot, which dispatches faster than the @ operator, and a test
+whether any or all entries of a mask are set counts them with
+np.count_nonzero, which is faster than ndarray.any and ndarray.all on
+arrays this small. Both give the same values.
 """
 
 from __future__ import annotations
@@ -128,18 +136,20 @@ _DEFAULT_CONFIG = SolverConfig()
 
 
 def _matrix(A) -> np.ndarray:
-    """Accept a StructureMatrix or a plain finite (3, m) array of unit columns."""
+    """Accept a StructureMatrix or a plain (3, m) array of unit columns.
+
+    Only the shape is checked here. _factorize rejects non-finite entries
+    the first time it meets a matrix, and every caller goes through it.
+    """
     M = np.asarray(getattr(A, "columns", A), dtype=float)
     if M.ndim != 2 or M.shape[0] != 3 or M.shape[1] < 1:
         raise ValueError(f"expected a 3 x m structure matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("structure matrix has non-finite entries")
     return M
 
 
 def _force(f) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
-    if arr.shape != (3,) or not np.isfinite(arr).all():
+    if arr.shape != (3,) or np.count_nonzero(np.isfinite(arr)) != 3:
         raise ValueError(f"desired force must be a finite 3-vector, got {f!r}")
     return arr
 
@@ -165,22 +175,38 @@ def project_box(t, bounds: BoundsLike) -> np.ndarray:
 
 class _Block(NamedTuple):
     """What the iterations need of one free-column block rows[:, free]:
-    its left singular vectors, singular values and rank, the pseudoinverse
-    of its Gram matrix, u_r diag(1/s^2) u_r^T, and phase 1's step
-    operator, rows^T times that pseudoinverse with the held cables' rows
-    zeroed."""
+    its left singular vectors and rank, the pseudoinverse of its Gram
+    matrix, u_r diag(1/s^2) u_r^T, and phase 1's step operator, rows^T
+    times that pseudoinverse with the held cables' rows zeroed."""
 
     u: np.ndarray
-    sv: np.ndarray
     rank: int
     gram_pinv: np.ndarray
     step: np.ndarray
 
 
+class _Box(NamedTuple):
+    """What a solve needs of its bounds and start point on one matrix: the
+    lower and upper bound arrays, the start vector, A times the start, and
+    the rounding level of the tensions and of the steps between them."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    start: np.ndarray
+    a_start: np.ndarray
+    rounding: float
+
+
+# Distinct (bounds, start) pairs kept per matrix; a caller that passes a
+# new start on every solve must not grow the cache without limit.
+_BOXES_PER_MATRIX = 8
+
+
 class _Factorization:
-    """One SVD A = U S V^T of a structure matrix, the operators built from
-    it alone, and a _Block for each free-column block of rows = V_r^T asked
-    for so far.
+    """One SVD A = U S V^T of a finite structure matrix, the operators
+    built from it alone, a _Block for each free-column block of
+    rows = V_r^T asked for so far, and a _Box for each recent bounds and
+    start point.
 
     The operators are goal = S_r^-1 U_r^T, which maps a force to the
     right-hand side of rows t = goal f; the pseudoinverse
@@ -188,9 +214,14 @@ class _Factorization:
     rows^T. The rank counts singular values above RANK_REL_TOL times the
     largest. Every array held here is read-only, since later solves share
     it.
+
+    The constructor is where a structure matrix is checked for NaN and
+    inf, before the SVD, which does not return on them.
     """
 
     def __init__(self, M: np.ndarray):
+        if not np.isfinite(M).all():
+            raise ValueError("structure matrix has non-finite entries")
         u, sv, vt = np.linalg.svd(M)
         # a view taken of vt after this is read-only too
         vt.setflags(write=False)
@@ -199,11 +230,12 @@ class _Factorization:
         goal = u[:, :rank].T / sv[:rank, None]
         rows_t = np.ascontiguousarray(rows.T)
         pinv = rows_t @ goal
-        for arr in (u, sv, goal, rows_t, pinv):
+        for arr in (goal, rows_t, pinv):
             arr.setflags(write=False)
-        self.u, self.sv, self.vt, self.rank, self.rows = u, sv, vt, rank, rows
+        self.vt, self.rank, self.rows = vt, rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
         self._blocks: dict[bytes, _Block] = {}
+        self._boxes: dict[tuple, _Box] = {}
 
     def block(self, free: np.ndarray) -> _Block:
         """The _Block of rows[:, free].
@@ -219,9 +251,39 @@ class _Factorization:
             rank = int((sv > RANK_REL_TOL).sum())
             gram_pinv = (u[:, :rank] / sv[:rank] ** 2) @ u[:, :rank].T
             step = np.where(free[:, None], self.rows_t @ gram_pinv, 0.0)
-            for arr in (u, sv, gram_pinv, step):
+            for arr in (u, gram_pinv, step):
                 arr.setflags(write=False)
-            found = self._blocks[key] = _Block(u, sv, rank, gram_pinv, step)
+            found = self._blocks[key] = _Block(u, rank, gram_pinv, step)
+        return found
+
+    def box(self, M: np.ndarray, bounds: BoundsLike, start: np.ndarray | None) -> _Box:
+        """The _Box of bounds and a validated SolverConfig.start on M, this
+        factorization's matrix.
+
+        Shared bounds key the cache as the frozen TensionBounds itself and
+        per-cable bounds as a tuple of them, so equal bounds share an entry
+        whatever object carries them; a custom start keys it by its bytes.
+        Bounds of the wrong count and a start of the wrong length raise
+        before anything is stored.
+        """
+        if not isinstance(bounds, TensionBounds):
+            bounds = tuple(bounds)
+        key = (bounds, None if start is None else start.tobytes())
+        found = self._boxes.get(key)
+        if found is None:
+            m = M.shape[1]
+            lo, hi = _bound_arrays(bounds, m)
+            if start is None:
+                start = lo
+            elif start.shape != (m,):
+                raise ValueError(f"start has {start.shape[0]} entries for {m} cables")
+            a_start = M @ start
+            rounding = 1e-12 * np.maximum(hi, np.abs(start)).max()
+            for arr in (lo, hi, a_start):
+                arr.setflags(write=False)
+            if len(self._boxes) >= _BOXES_PER_MATRIX:
+                self._boxes.clear()
+            found = self._boxes[key] = _Box(lo, hi, start, a_start, rounding)
         return found
 
 
@@ -232,7 +294,9 @@ def _factorize(key: bytes, m: int) -> _Factorization:
     Call it as _factorize(M.tobytes(), M.shape[1]) on a matrix _matrix has
     checked. Only the most recent matrix is kept, so consecutive solves on
     one matrix share its factorization, whatever object carries it, and
-    the process holds one factorization however many matrices exist.
+    the process holds one factorization however many matrices exist. A
+    non-finite matrix raises ValueError, and lru_cache stores no call that
+    raised, so a cache hit means these exact bytes passed the check.
     """
     return _Factorization(np.frombuffer(key).reshape(3, m))
 
@@ -277,7 +341,7 @@ def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
     residual decides between an exact and a nearest-feasible result.
     """
     # lo < hi, so x < hi holds at a lower bound and x > lo at an upper one
-    return not (((d > tol) & (x < hi)) | ((d < -tol) & (x > lo))).any()
+    return not np.count_nonzero(((d > tol) & (x < hi)) | ((d < -tol) & (x > lo)))
 
 
 def _free_solve(fac, free, c):
@@ -290,7 +354,7 @@ def _free_solve(fac, free, c):
     which fac computes once per free set.
     """
     blk = fac.block(free)
-    return blk.gram_pinv @ c, blk.rank, blk.u
+    return blk.gram_pinv.dot(c), blk.rank, blk.u
 
 
 def _ratio_step(t, step, lo, hi, rounding):
@@ -335,19 +399,22 @@ def _nearest_box_point(fac, M, f, lo, hi, t, tol, rounding, budget):
     """
     goal, rows_t = fac.goal, fac.rows_t
     stationary = tol * 0.1
-    held = (t <= lo) | (t >= hi)
+    # most solves return at the first iteration, before the bound set is read
+    held = None
     for k in range(1, budget + 1):
-        residual = f - M @ t
-        if residual @ residual <= tol * tol:
+        residual = f - M.dot(t)
+        if residual.dot(residual) <= tol * tol:
             return t, None, k
-        gap = goal @ residual
-        d = rows_t @ gap
+        gap = goal.dot(residual)
+        d = rows_t.dot(gap)
         if _is_nearest_box_point(t, d, lo, hi, stationary):
             return t, SolveStatus.NEAREST_FEASIBLE, k
-        if not (np.abs(np.where(held, 0.0, d)) > stationary).any():
+        if held is None:
+            held = (t <= lo) | (t >= hi)
+        if not np.count_nonzero(np.abs(np.where(held, 0.0, d)) > stationary):
             into_box = np.where(held, np.where(t <= lo, d, -d), -np.inf)
             held[into_box.argmax()] = False
-        t, blocking = _ratio_step(t, fac.block(~held).step @ gap, lo, hi, rounding)
+        t, blocking = _ratio_step(t, fac.block(~held).step.dot(gap), lo, hi, rounding)
         if blocking >= 0:
             held[blocking] = True
     return t, SolveStatus.ITERATION_CAP, budget
@@ -374,17 +441,17 @@ def _min_shift(fac, lo, hi, start, t, rounding, budget):
     Returns (t, certified, iterations).
     """
     rows = fac.rows
-    target = rows @ t
+    target = rows.dot(t)
     held = (t <= lo) | (t >= hi)
     for k in range(1, budget + 1):
         free = ~held
-        lam, rank, u = _free_solve(fac, free, target - rows @ np.where(free, start, t))
+        lam, rank, u = _free_solve(fac, free, target - rows.dot(np.where(free, start, t)))
         if rank < len(rows):
             # release the held cable reaching furthest into the missing span
             reach = np.linalg.norm(u[:, rank:].T @ rows, axis=0)
             held[np.where(held, reach, -1.0).argmax()] = False
             continue
-        shift = fac.rows_t @ lam
+        shift = fac.rows_t.dot(lam)
         t, blocking = _ratio_step(t, np.where(free, start + shift - t, 0.0), lo, hi, rounding)
         if blocking >= 0:
             held[blocking] = True
@@ -429,9 +496,12 @@ def solve(
     the pseudoinverse A^+ that projects the start, rows^T) are computed
     once per matrix, and so is, per free set an iteration meets, the SVD
     of the free-column block with its Gram pseudoinverse and phase 1's
-    step operator. The next solves on the same matrix reuse them all and
-    compute only what depends on the force, so build A once and pass it
-    to every solve at that position.
+    step operator, and, per bounds and start point, the bound arrays and
+    A times the start. The next solves on the same matrix reuse them all
+    and compute only what depends on the force, so build A once and pass
+    it to every solve at that position. The matrix is checked for NaN and
+    inf once, when it is first factored; a ValueError is raised for
+    non-finite entries and for a start or bounds of the wrong length.
     ``iterations`` counts the active-set iterations of both phases,
     including the one that certifies the result, so it is at least 1.
 
@@ -439,22 +509,12 @@ def solve(
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     M = _matrix(A)
-    m = M.shape[1]
     fvec = _force(f)
-    lo, hi = _bound_arrays(bounds, m)
     tol = cfg.tolerance
+    fac = _factorize(M.tobytes(), M.shape[1])
+    lo, hi, start, a_start, rounding = fac.box(M, bounds, cfg.start)
 
-    if cfg.start is None:
-        start = lo
-    elif cfg.start.shape != (m,):
-        raise ValueError(f"start has {cfg.start.shape[0]} entries for {m} cables")
-    else:
-        start = cfg.start
-
-    fac = _factorize(M.tobytes(), m)
-    # rounding level of the tensions and of the steps between them
-    rounding = 1e-12 * np.maximum(hi, np.abs(start)).max()
-    x = np.minimum(np.maximum(start + fac.pinv @ (fvec - M @ start), lo), hi)
+    x = np.minimum(np.maximum(start + fac.pinv.dot(fvec - a_start), lo), hi)
     x, status, iterations = _nearest_box_point(
         fac, M, fvec, lo, hi, x, tol, rounding, cfg.max_iterations
     )
@@ -464,9 +524,9 @@ def solve(
         )
         iterations += more - 1
 
-    rendered = M @ x
+    rendered = M.dot(x)
     miss = rendered - fvec
-    residual = math.sqrt(miss @ miss)
+    residual = math.sqrt(miss.dot(miss))
     if status is None:
         # the rounding of phase 2's steps can leave a certified point just
         # above a tolerance set near the rounding level of the force

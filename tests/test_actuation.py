@@ -53,6 +53,25 @@ class TestCommandForTension:
             command_for_tension(np.nan, False)
 
 
+class TestDefaultParams:
+    @pytest.mark.parametrize(
+        "tension, paying_out",
+        [
+            (0.0, False),  # floor
+            (0.3, True),  # floor
+            (1.5, False),  # motor
+            (6.0, True),  # motor at its limit
+            (6.5, False),  # saturation against reel-in
+            (50.0, False),  # saturation against reel-in
+            (6.5, True),  # brake
+            (300.0, True),  # brake beyond its rating
+        ],
+    )
+    def test_default_equals_explicit_default(self, tension, paying_out):
+        explicit = command_for_tension(tension, paying_out, ActuatorParams())
+        assert command_for_tension(tension, paying_out) == explicit
+
+
 class TestPolicyProperties:
     TENSIONS = np.linspace(0.0, 200.0, 2001)
 

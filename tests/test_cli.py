@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -274,6 +275,26 @@ class TestWorkspaceCommand:
         )
         assert rc == 0
         assert len(read_csv_rows(out / "workspace.csv")) == 1 + 2 * 2 * 3
+
+    def test_readme_grid_is_byte_stable(self, tmp_path):
+        # Every fraction is k/26 and the smallest feasibility margin on this
+        # grid is about 1e-3 N, so the digest does not depend on BLAS rounding.
+        out = tmp_path / "ws"
+        rc = main(
+            [
+                "workspace",
+                "--grid-min=-1,-1,0.1",
+                "--grid-max",
+                "1,1,1.5",
+                "--grid-res",
+                "11,11,8",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 0
+        digest = hashlib.sha256((out / "workspace.csv").read_bytes()).hexdigest()
+        assert digest == "c90bb1493cc1729aaafa9d5d83a43e1b904e743a94bb41778116cda35f2d8b14"
 
     def test_invalid_grid_exits_1(self, tmp_path, capsys):
         rc = main(

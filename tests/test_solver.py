@@ -429,6 +429,11 @@ def _coplanar_cases():
     return [(A, f, BOUNDS) for f in rng.normal(scale=2.0, size=(40, 3))]
 
 
+PER_CABLE = tuple(
+    TensionBounds(lo, hi) for lo, hi in [(0.2, 3.0), (0.5, 6.0), (1.0, 2.5), (0.0, 8.0)]
+)
+
+
 def _per_cable_cases():
     rng = np.random.default_rng(13)
     A = random_rank3_directions(rng, 6).T
@@ -472,12 +477,15 @@ class TestFactorizationCache:
 
     def test_cached_arrays_are_read_only(self):
         M = default_matrix().columns
+        start = np.array([1.0, 2.0, 3.0, 4.0])
         solve(M, [0.0, 0.0, 1.5], BOUNDS)
+        solve(M, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=start))
         fac = solver._factorize(M.tobytes(), M.shape[1])
-        u, sv, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
-        cached = (fac.u, fac.sv, fac.vt, fac.rows, u, sv)
+        u, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
+        cached = (fac.vt, fac.rows, u)
         operators = (fac.goal, fac.pinv, fac.rows_t, gram_pinv, step)
-        for arr in cached + operators:
+        boxes = fac.box(M, BOUNDS, None)[:4] + fac.box(M, BOUNDS, start)[:4]
+        for arr in cached + operators + boxes:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -493,6 +501,68 @@ class TestFactorizationCache:
         rng = np.random.default_rng(99)
         for _ in range(1000):
             solve(random_rank3_directions(rng, 4).T, [0.0, 0.0, 1.0], BOUNDS)
+        assert solver._factorize.cache_info().currsize == 1
+
+    @pytest.mark.parametrize(
+        "bounds, config",
+        [
+            (BOUNDS, None),
+            (PER_CABLE, None),
+            (list(PER_CABLE), None),
+            (TensionBounds(0.5, 6.0), None),
+            (BOUNDS, SolverConfig(start=np.array([1.0, 2.5, 0.7, 4.0]))),
+        ],
+        ids=["shared", "per-cable-tuple", "per-cable-list", "equal-bounds", "custom-start"],
+    )
+    def test_bounds_and_start_cache_equals_cold_solves(self, bounds, config):
+        A = default_matrix()
+        forces = list(sphere_samples(30, 1.5)) + [np.array([0.0, 0.0, 40.0])]
+        solver._factorize.cache_clear()
+        # fill the box cache with other bounds and starts on the same matrix,
+        # and with BOUNDS itself, which an equal TensionBounds must share
+        solve(A, forces[0], TensionBounds(0.2, 3.0))
+        solve(A, forces[0], BOUNDS)
+        solve(A, forces[0], BOUNDS, SolverConfig(start=np.full(4, 2.0)))
+        warm = [_outcome(solve(A, f, bounds, config)) for f in forces]
+        cold = []
+        for f in forces:
+            solver._factorize.cache_clear()
+            cold.append(_outcome(solve(A, f, bounds, config)))
+        assert warm == cold
+        assert {outcome[1] for outcome in warm} == {
+            SolveStatus.FEASIBLE_EXACT,
+            SolveStatus.NEAREST_FEASIBLE,
+        }
+
+    def test_bounds_and_start_cache_stays_small(self):
+        A = default_matrix()
+        solver._factorize.cache_clear()
+        for k in range(100):
+            solve(A, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=np.full(4, 1.0 + k / 100)))
+        fac = solver._factorize(A.columns.tobytes(), 4)
+        assert len(fac._boxes) <= solver._BOXES_PER_MATRIX
+
+    def test_wrong_length_start_leaves_the_cache_usable(self):
+        A = default_matrix()
+        solver._factorize.cache_clear()
+        before = _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="start has 3 entries"):
+                solve(A, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=np.ones(3)))
+        assert solver._factorize.cache_info().currsize == 1
+        assert _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS)) == before
+
+    def test_non_finite_matrix_after_a_cached_one(self):
+        A = default_matrix().columns
+        bad = A.copy()
+        bad[0, 1] = np.nan
+        solver._factorize.cache_clear()
+        before = _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(bad, [0.0, 0.0, 1.5], BOUNDS)
+        hits = solver._factorize.cache_info().hits
+        assert _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS)) == before
+        assert solver._factorize.cache_info().hits == hits + 1
         assert solver._factorize.cache_info().currsize == 1
 
 
