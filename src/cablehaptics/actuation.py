@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidTension
+from .solver import TensionBounds
 
 
 class ActuatorMode(Enum):
@@ -26,14 +27,15 @@ class ActuatorMode(Enum):
 class ActuatorParams:
     """Per-module force limits and the motor's force-per-current ratio.
 
-    Defaults match one module's hardware: 6 N motor steady-state pull,
-    186 N brake holding force before slip, a 0.5 N floor that keeps the
-    cable taut, and 3 N of tension per ampere of motor current.
+    Defaults match one module's hardware: the motor's steady-state pull and
+    the floor that keeps the cable taut are the default TensionBounds
+    (6 N and 0.5 N), the brake holds 186 N before it slips, and the motor
+    gives 3 N of tension per ampere of current.
     """
 
-    motor_max_force: float = 6.0
+    motor_max_force: float = TensionBounds.t_max
     brake_max_force: float = 186.0
-    min_taut_force: float = 0.5
+    min_taut_force: float = TensionBounds.t_min
     force_per_amp: float = 3.0
 
     def __post_init__(self):

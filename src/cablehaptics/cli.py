@@ -11,7 +11,6 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,36 +55,22 @@ WORKSPACE_DIRECTIONS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs, resolved from flags and config files."""
-
-    layout: ModuleLayout
-    ee: np.ndarray
-    solver: SolverConfig
-    protocol: ValidationProtocol
-    plant: PlantModel
-    out_dir: Path
+def _split3(text: str, convert, form: str, what: str) -> list:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected '{form}', got {text!r}")
+    try:
+        return [convert(p) for p in parts]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {exc}") from exc
 
 
 def _parse_vec3(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'x,y,z', got {text!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from exc
+    return np.array(_split3(text, float, "x,y,z", "vector"))
 
 
 def _parse_grid_res(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'nx,ny,nz', got {text!r}")
-    try:
-        res = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad resolution {text!r}: {exc}") from exc
+    res = tuple(_split3(text, int, "nx,ny,nz", "resolution"))
     if any(r < 1 for r in res):
         raise argparse.ArgumentTypeError("resolution must be >= 1 per axis")
     return res  # type: ignore[return-value]
@@ -98,92 +83,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--layout",
-            help="layout YAML; defaults to the built-in four-module bench layout",
-        )
+    def add_command(name: str, run, help: str):
+        """Register subcommand name with handler run; return its add_argument."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--layout", help="layout YAML; defaults to the built-in four-module bench layout")
         p.add_argument(
             "--ee",
             type=_parse_vec3,
-            default=None,
             help="end-effector position 'x,y,z' (default: 0,0,0.3 with the built-in layout)",
         )
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument(
             "--max-iterations",
             type=int,
-            default=50000,
-            help="cap on the solver's active-set iterations per solve (default: 50000)",
+            default=SolverConfig.max_iterations,
+            help="cap on the solver's active-set iterations per solve (default: %(default)s)",
         )
-        p.add_argument("--tolerance", type=float, default=1e-8)
+        p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
+        return p.add_argument
 
-    p_solve = sub.add_parser("solve", help="tensions for one desired force")
-    add_common(p_solve)
-    p_solve.add_argument("--force", type=_parse_vec3, required=True, help="'fx,fy,fz' in newtons")
+    add = add_command("solve", cmd_solve, "tensions for one desired force")
+    add("--force", type=_parse_vec3, required=True, help="'fx,fy,fz' in newtons")
 
-    p_validate = sub.add_parser("validate", help="run the force-sphere protocol")
-    add_common(p_validate)
-    p_validate.add_argument("--plant", choices=("ideal", "noisy"), default="ideal")
-    p_validate.add_argument("--samples", type=int, default=182, help="force vectors on the sphere")
-    p_validate.add_argument("--radius", type=float, default=1.5, help="sphere radius in newtons")
-    p_validate.add_argument("--ticks", type=int, default=1000, help="measurements averaged per hold")
-    p_validate.add_argument("--seed", type=int, default=42, help="noisy-plant RNG seed")
-    p_validate.add_argument("--noise-std", type=float, default=0.0, help="force noise std (N)")
-    p_validate.add_argument(
-        "--frame-rot-z", type=float, default=0.0, help="sensor frame Z rotation (rad)"
+    add = add_command("validate", cmd_validate, "run the force-sphere protocol")
+    add("--plant", choices=("ideal", "noisy"), default="ideal")
+    add("--samples", type=int, default=ValidationProtocol.sample_count, help="force vectors on the sphere")
+    add("--radius", type=float, default=ValidationProtocol.sphere_radius, help="sphere radius in newtons")
+    add(
+        "--ticks",
+        type=int,
+        default=ValidationProtocol.samples_per_hold,
+        help="measurements averaged per hold",
     )
-    p_validate.add_argument("--tension-bias", type=float, default=0.0, help="per-cable bias (N)")
+    add("--seed", type=int, default=NoisyPlant.seed, help="noisy-plant RNG seed")
+    add("--noise-std", type=float, default=NoisyPlant.force_noise_std, help="force noise std (N)")
+    add(
+        "--frame-rot-z",
+        type=float,
+        default=NoisyPlant.frame_rotation_z,
+        help="sensor frame Z rotation (rad)",
+    )
+    add("--tension-bias", type=float, default=NoisyPlant.tension_bias, help="per-cable bias (N)")
 
-    p_workspace = sub.add_parser("workspace", help="map wrench-feasible fractions over a grid")
-    add_common(p_workspace)
-    p_workspace.add_argument("--grid-min", type=_parse_vec3, required=True)
-    p_workspace.add_argument("--grid-max", type=_parse_vec3, required=True)
-    p_workspace.add_argument("--grid-res", type=_parse_grid_res, required=True)
+    add = add_command("workspace", cmd_workspace, "map wrench-feasible fractions over a grid")
+    add("--grid-min", type=_parse_vec3, required=True)
+    add("--grid-max", type=_parse_vec3, required=True)
+    add("--grid-res", type=_parse_grid_res, required=True)
 
-    p_material = sub.add_parser("material", help="render a material along a trajectory")
-    add_common(p_material)
-    p_material.add_argument("--material", required=True, help="material YAML")
-    p_material.add_argument("--trajectory", required=True, help="trajectory CSV (t,x,y,z[,vx,vy,vz])")
+    add = add_command("material", cmd_material, "render a material along a trajectory")
+    add("--material", required=True, help="material YAML")
+    add("--trajectory", required=True, help="trajectory CSV (t,x,y,z[,vx,vy,vz])")
 
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    if args.layout is not None:
-        layout = load_layout(args.layout)
-        default_ee = np.zeros(3)
+def _layout_and_ee(args: argparse.Namespace) -> tuple[ModuleLayout, np.ndarray]:
+    """The --layout file or the built-in bench layout, and --ee or else the
+    bench's end effector for the built-in layout and the origin for a file."""
+    if args.layout is None:
+        layout, ee = default_validation_layout()
     else:
-        layout, default_ee = default_validation_layout()
-    ee = args.ee if args.ee is not None else default_ee
-    solver = SolverConfig(max_iterations=args.max_iterations, tolerance=args.tolerance)
-    if getattr(args, "plant", "ideal") == "noisy":
-        plant: PlantModel = NoisyPlant(
-            force_noise_std=args.noise_std,
-            frame_rotation_z=args.frame_rot_z,
-            tension_bias=args.tension_bias,
-            seed=args.seed,
-        )
-    else:
-        plant = IdealPlant()
-    protocol = ValidationProtocol(
-        sphere_radius=getattr(args, "radius", 1.5),
-        sample_count=getattr(args, "samples", 182),
-        samples_per_hold=getattr(args, "ticks", 1000),
-    )
-    return RunConfig(
-        layout=layout,
-        ee=ee,
-        solver=solver,
-        protocol=protocol,
-        plant=plant,
-        out_dir=Path(args.out),
-    )
+        layout, ee = load_layout(args.layout), np.zeros(3)
+    return layout, ee if args.ee is None else args.ee
 
 
-def cmd_solve(config: RunConfig, force: np.ndarray) -> int:
-    A = structure_matrix(config.layout, config.ee)
-    result = solve(A, force, config.layout.bounds, config.solver)
+def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    return SolverConfig(max_iterations=args.max_iterations, tolerance=args.tolerance)
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    layout, ee = _layout_and_ee(args)
+    A = structure_matrix(layout, ee)
+    result = solve(A, args.force, layout.bounds, _solver_config(args))
     payload = {
         "status": result.status.value,
         "tensions": [float(t) for t in result.tensions],
@@ -195,15 +167,28 @@ def cmd_solve(config: RunConfig, force: np.ndarray) -> int:
     return STATUS_EXIT_CODES[result.status]
 
 
-def cmd_validate(config: RunConfig) -> int:
-    report = run_validation(
-        config.layout, config.ee, config.protocol, config.plant, config.solver
+def cmd_validate(args: argparse.Namespace) -> int:
+    layout, ee = _layout_and_ee(args)
+    solver_config = _solver_config(args)
+    if args.plant == "noisy":
+        plant: PlantModel = NoisyPlant(
+            force_noise_std=args.noise_std,
+            frame_rotation_z=args.frame_rot_z,
+            tension_bias=args.tension_bias,
+            seed=args.seed,
+        )
+    else:
+        plant = IdealPlant()
+    protocol = ValidationProtocol(
+        sphere_radius=args.radius, sample_count=args.samples, samples_per_hold=args.ticks
     )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = config.out_dir / "validation.csv"
-    json_path = config.out_dir / "validation_summary.json"
+    report = run_validation(layout, ee, protocol, plant, solver_config)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "validation.csv"
+    json_path = out_dir / "validation_summary.json"
     write_report_csv(report, csv_path)
-    summary = report_summary(report, config.protocol, config.plant, config.layout, config.ee)
+    summary = report_summary(report, protocol, plant, layout, ee)
     write_report_json(summary, json_path)
     print(f"wrote {csv_path} and {json_path}")
     print(
@@ -214,12 +199,15 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_workspace(config: RunConfig, grid_min, grid_max, grid_res) -> int:
-    if np.any(grid_max < grid_min):
+def cmd_workspace(args: argparse.Namespace) -> int:
+    layout, _ = _layout_and_ee(args)
+    solver_config = _solver_config(args)
+    if np.any(args.grid_max < args.grid_min):
         raise CableHapticsError("grid max must be >= grid min on every axis")
-    axes = [np.linspace(grid_min[k], grid_max[k], grid_res[k]) for k in range(3)]
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / "workspace.csv"
+    axes = [np.linspace(*axis) for axis in zip(args.grid_min, args.grid_max, args.grid_res)]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "workspace.csv"
     probes = WORKSPACE_DIRECTIONS * WORKSPACE_PROBE_FORCE
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -227,40 +215,37 @@ def cmd_workspace(config: RunConfig, grid_min, grid_max, grid_res) -> int:
         for x, y, z in itertools.product(*axes):
             point = np.array([x, y, z])
             try:
-                A = structure_matrix(config.layout, point)
+                A = structure_matrix(layout, point)
             except CableHapticsError:
                 # On/inside an anchor: no direction is renderable there.
                 fraction = 0.0
             else:
-                feasible = sum(
-                    is_wrench_feasible(A, f, config.layout.bounds, config.solver)
-                    for f in probes
-                )
+                feasible = sum(is_wrench_feasible(A, f, layout.bounds, solver_config) for f in probes)
                 fraction = feasible / len(probes)
-            writer.writerow(
-                [repr(float(x)), repr(float(y)), repr(float(z)), repr(fraction)]
-            )
+            writer.writerow([repr(float(x)), repr(float(y)), repr(float(z)), repr(fraction)])
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_material(config: RunConfig, material_path, trajectory_path) -> int:
-    material = load_material(material_path)
-    times, positions, velocities = load_trajectory(trajectory_path)
-    m = len(config.layout)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / "material.csv"
+def cmd_material(args: argparse.Namespace) -> int:
+    layout, _ = _layout_and_ee(args)
+    solver_config = _solver_config(args)
+    material = load_material(args.material)
+    times, positions, velocities = load_trajectory(args.trajectory)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "material.csv"
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["t", "px", "py", "pz", "fx", "fy", "fz"]
-            + [f"tension_{k}" for k in range(m)]
+            + [f"tension_{k}" for k in range(len(layout))]
         )
         for t, pos, vel in zip(times, positions, velocities):
             state = EndEffectorState(position=pos, velocity=vel, time=float(t))
             force = evaluate(material, state)
-            A = structure_matrix(config.layout, pos)
-            result = solve(A, force, config.layout.bounds, config.solver)
+            A = structure_matrix(layout, pos)
+            result = solve(A, force, layout.bounds, solver_config)
             writer.writerow(
                 [repr(float(t))]
                 + [repr(float(v)) for v in pos]
@@ -272,23 +257,12 @@ def cmd_material(config: RunConfig, material_path, trajectory_path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        if args.command == "solve":
-            return cmd_solve(config, args.force)
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "workspace":
-            return cmd_workspace(config, args.grid_min, args.grid_max, args.grid_res)
-        if args.command == "material":
-            return cmd_material(config, args.material, args.trajectory)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (CableHapticsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -24,6 +24,7 @@ from .solver import (
     WRENCH_FEASIBLE_RESIDUAL,
     SolverConfig,
     TensionBounds,
+    _require_int,
     solve,
 )
 
@@ -68,8 +69,8 @@ class ValidationProtocol:
     def __post_init__(self):
         if not (np.isfinite(self.sphere_radius) and self.sphere_radius > 0):
             raise ValueError("sphere_radius must be positive")
-        if self.sample_count < 1 or self.samples_per_hold < 1:
-            raise ValueError("counts must be >= 1")
+        _require_int(self, "sample_count", 1)
+        _require_int(self, "samples_per_hold", 1)
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,7 @@ class NoisyPlant:
             raise ValueError("noise parameters must be finite")
         if self.force_noise_std < 0:
             raise ValueError("force_noise_std must be >= 0")
+        _require_int(self, "seed", 0)
 
     def measure_hold(
         self, A: StructureMatrix, tensions: np.ndarray, ticks: int, sample_index: int
@@ -312,16 +314,7 @@ def report_summary(
 ) -> dict:
     """JSON-ready summary: aggregates, protocol, plant, and layout echo,
     plus the hardware reference statistics for comparison."""
-    if isinstance(plant, IdealPlant):
-        plant_echo: dict = {"type": "ideal"}
-    else:
-        plant_echo = {
-            "type": "noisy",
-            "force_noise_std": plant.force_noise_std,
-            "frame_rotation_z": plant.frame_rotation_z,
-            "tension_bias": plant.tension_bias,
-            "seed": plant.seed,
-        }
+    plant_type = "ideal" if isinstance(plant, IdealPlant) else "noisy"
     return {
         "aggregates": {
             "mean_angle_error_deg": report.mean_angle_error,
@@ -338,7 +331,7 @@ def report_summary(
             "sample_count": protocol.sample_count,
             "samples_per_hold": protocol.samples_per_hold,
         },
-        "plant": plant_echo,
+        "plant": {"type": plant_type, **asdict(plant)},
         "layout": {**layout_to_dict(layout), "end_effector": list(as_vec3(ee))},
     }
 

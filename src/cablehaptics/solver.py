@@ -20,9 +20,9 @@ optimality conditions check out.
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
-that depends on A alone and, per bounds and start point, the box arrays
-and A times the start; consecutive solves on the same matrix share it, so
-a solve computes only what depends on the force.
+that depends on A alone and, for the last bounds and start point, the box
+arrays and A times the start; consecutive solves on the same matrix share
+it, so a solve computes only what depends on the force.
 
 The products on the per-iteration path are 3 x m by m or m x m by m, so
 numpy's fixed cost per call outweighs their arithmetic: they are written
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
@@ -83,6 +84,18 @@ class TensionBounds:
 BoundsLike = Union[TensionBounds, Sequence[TensionBounds]]
 
 
+def _require_int(owner, name: str, minimum: int) -> None:
+    """Raise a ValueError naming the field unless owner.name is an integer
+    of at least minimum; operator.index decides what counts as one."""
+    value = getattr(owner, name)
+    try:
+        ok = operator.index(value) >= minimum
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not ok:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration limits, tolerance and start point for the solve.
@@ -104,8 +117,7 @@ class SolverConfig:
     start: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _require_int(self, "max_iterations", 1)
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive")
         if self.start is not None:
@@ -197,15 +209,10 @@ class _Box(NamedTuple):
     rounding: float
 
 
-# Distinct (bounds, start) pairs kept per matrix; a caller that passes a
-# new start on every solve must not grow the cache without limit.
-_BOXES_PER_MATRIX = 8
-
-
 class _Factorization:
     """One SVD A = U S V^T of a finite structure matrix, the operators
     built from it alone, a _Block for each free-column block of
-    rows = V_r^T asked for so far, and a _Box for each recent bounds and
+    rows = V_r^T asked for so far, and the _Box of the last bounds and
     start point.
 
     The operators are goal = S_r^-1 U_r^T, which maps a force to the
@@ -235,7 +242,8 @@ class _Factorization:
         self.vt, self.rank, self.rows = vt, rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
         self._blocks: dict[bytes, _Block] = {}
-        self._boxes: dict[tuple, _Box] = {}
+        # (key, _Box) of the last box asked for
+        self._box: tuple[tuple, _Box] | None = None
 
     def block(self, free: np.ndarray) -> _Block:
         """The _Block of rows[:, free].
@@ -260,30 +268,31 @@ class _Factorization:
         """The _Box of bounds and a validated SolverConfig.start on M, this
         factorization's matrix.
 
-        Shared bounds key the cache as the frozen TensionBounds itself and
-        per-cable bounds as a tuple of them, so equal bounds share an entry
-        whatever object carries them; a custom start keys it by its bytes.
-        Bounds of the wrong count and a start of the wrong length raise
-        before anything is stored.
+        Only the last box is kept: every caller in the package passes one
+        bounds object per run and no start. Shared bounds key it as the
+        frozen TensionBounds itself and per-cable bounds as a tuple of them,
+        so equal bounds match whatever object carries them; a custom start
+        keys it by its bytes. Bounds of the wrong count and a start of the
+        wrong length raise before anything is stored.
         """
         if not isinstance(bounds, TensionBounds):
             bounds = tuple(bounds)
         key = (bounds, None if start is None else start.tobytes())
-        found = self._boxes.get(key)
-        if found is None:
-            m = M.shape[1]
-            lo, hi = _bound_arrays(bounds, m)
-            if start is None:
-                start = lo
-            elif start.shape != (m,):
-                raise ValueError(f"start has {start.shape[0]} entries for {m} cables")
-            a_start = M @ start
-            rounding = 1e-12 * np.maximum(hi, np.abs(start)).max()
-            for arr in (lo, hi, a_start):
-                arr.setflags(write=False)
-            if len(self._boxes) >= _BOXES_PER_MATRIX:
-                self._boxes.clear()
-            found = self._boxes[key] = _Box(lo, hi, start, a_start, rounding)
+        last = self._box
+        if last is not None and last[0] == key:
+            return last[1]
+        m = M.shape[1]
+        lo, hi = _bound_arrays(bounds, m)
+        if start is None:
+            start = lo
+        elif start.shape != (m,):
+            raise ValueError(f"start has {start.shape[0]} entries for {m} cables")
+        a_start = M @ start
+        rounding = 1e-12 * np.maximum(hi, np.abs(start)).max()
+        for arr in (lo, hi, a_start):
+            arr.setflags(write=False)
+        found = _Box(lo, hi, start, a_start, rounding)
+        self._box = (key, found)
         return found
 
 
@@ -342,19 +351,6 @@ def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
     """
     # lo < hi, so x < hi holds at a lower bound and x > lo at an upper one
     return not np.count_nonzero(((d > tol) & (x < hi)) | ((d < -tol) & (x > lo)))
-
-
-def _free_solve(fac, free, c):
-    """Multipliers lam for which rows[:, free]^T lam is the minimum-norm
-    least-squares solution of rows[:, free] x = c, with rows = fac.rows.
-
-    Also returns the rank of rows[:, free] and its left singular vectors,
-    whose trailing columns span the directions the free cables cannot
-    reach. lam is one product with the block's cached Gram pseudoinverse,
-    which fac computes once per free set.
-    """
-    blk = fac.block(free)
-    return blk.gram_pinv.dot(c), blk.rank, blk.u
 
 
 def _ratio_step(t, step, lo, hi, rounding):
@@ -436,7 +432,10 @@ def _min_shift(fac, lo, hi, start, t, rounding, budget):
     mu = t - start - rows^T lam, must be >= 0 at a floor and <= 0 at a
     ceiling (the KKT conditions). If one is not, the most wrong is
     released. The working set always keeps rank(rows_F) = rank(rows): a
-    held cable is released first whenever the free ones lose rank.
+    held cable is released first whenever the free ones lose rank. The
+    free block's cached Gram pseudoinverse gives lam in one product, and the
+    trailing columns of its left singular vectors span the directions the
+    free cables cannot reach.
 
     Returns (t, certified, iterations).
     """
@@ -445,12 +444,13 @@ def _min_shift(fac, lo, hi, start, t, rounding, budget):
     held = (t <= lo) | (t >= hi)
     for k in range(1, budget + 1):
         free = ~held
-        lam, rank, u = _free_solve(fac, free, target - rows.dot(np.where(free, start, t)))
-        if rank < len(rows):
+        blk = fac.block(free)
+        if blk.rank < len(rows):
             # release the held cable reaching furthest into the missing span
-            reach = np.linalg.norm(u[:, rank:].T @ rows, axis=0)
+            reach = np.linalg.norm(blk.u[:, blk.rank :].T @ rows, axis=0)
             held[np.where(held, reach, -1.0).argmax()] = False
             continue
+        lam = blk.gram_pinv.dot(target - rows.dot(np.where(free, start, t)))
         shift = fac.rows_t.dot(lam)
         t, blocking = _ratio_step(t, np.where(free, start + shift - t, 0.0), lo, hi, rounding)
         if blocking >= 0:
@@ -496,11 +496,11 @@ def solve(
     the pseudoinverse A^+ that projects the start, rows^T) are computed
     once per matrix, and so is, per free set an iteration meets, the SVD
     of the free-column block with its Gram pseudoinverse and phase 1's
-    step operator, and, per bounds and start point, the bound arrays and
-    A times the start. The next solves on the same matrix reuse them all
-    and compute only what depends on the force, so build A once and pass
-    it to every solve at that position. The matrix is checked for NaN and
-    inf once, when it is first factored; a ValueError is raised for
+    step operator, and, for the last bounds and start point, the bound
+    arrays and A times the start. The next solves on the same matrix reuse
+    them all and compute only what depends on the force, so build A once
+    and pass it to every solve at that position. The matrix is checked for
+    NaN and inf once, when it is first factored; a ValueError is raised for
     non-finite entries and for a start or bounds of the wrong length.
     ``iterations`` counts the active-set iterations of both phases,
     including the one that certifies the result, so it is at least 1.

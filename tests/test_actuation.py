@@ -5,6 +5,7 @@ from cablehaptics import (
     ActuatorMode,
     ActuatorParams,
     InvalidTension,
+    TensionBounds,
     command_for_tension,
 )
 
@@ -108,6 +109,10 @@ class TestActuatorParams:
         assert params.brake_max_force == 186.0
         assert params.min_taut_force == 0.5
         assert params.force_per_amp == 3.0
+
+    def test_default_motor_range_is_the_default_solver_box(self):
+        params, bounds = ActuatorParams(), TensionBounds()
+        assert (params.min_taut_force, params.motor_max_force) == (bounds.t_min, bounds.t_max)
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):

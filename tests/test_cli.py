@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from cablehaptics import ModuleAnchor, ModuleLayout, TensionBounds
+from cablehaptics import (
+    ModuleAnchor,
+    ModuleLayout,
+    NoisyPlant,
+    SolverConfig,
+    TensionBounds,
+    ValidationProtocol,
+)
 from cablehaptics.cli import build_parser, main
 from cablehaptics.config import save_layout
 
@@ -50,6 +57,40 @@ class TestParser:
         assert args.samples == 182
         assert args.radius == 1.5
         assert args.seed == 42
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--force", "0,0,1"],
+            ["validate"],
+            ["workspace", "--grid-min", "0,0,0", "--grid-max", "1,1,1", "--grid-res", "1,1,1"],
+            ["material", "--material", "m.yaml", "--trajectory", "t.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_solver_defaults_are_the_config_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        built = SolverConfig(max_iterations=args.max_iterations, tolerance=args.tolerance)
+        assert built == SolverConfig()
+
+    def test_validate_defaults_are_the_dataclass_defaults(self):
+        args = build_parser().parse_args(["validate"])
+        protocol = ValidationProtocol(
+            sphere_radius=args.radius, sample_count=args.samples, samples_per_hold=args.ticks
+        )
+        plant = NoisyPlant(
+            force_noise_std=args.noise_std,
+            frame_rotation_z=args.frame_rot_z,
+            tension_bias=args.tension_bias,
+            seed=args.seed,
+        )
+        assert protocol == ValidationProtocol()
+        assert plant == NoisyPlant()
+
+    def test_max_iterations_help_shows_the_default(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["solve", "--help"])
+        assert f"(default: {SolverConfig.max_iterations})" in capsys.readouterr().out
 
     def test_bad_vector_rejected(self):
         with pytest.raises(SystemExit):
@@ -172,6 +213,13 @@ class TestValidateCommand:
         assert (out_a / "validation_summary.json").read_bytes() == (
             out_b / "validation_summary.json"
         ).read_bytes()
+
+    def test_negative_seed_exits_1_naming_the_field(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        rc = main(["validate", "--plant", "noisy", "--seed", "-3", "--out", str(out)])
+        assert rc == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tensions_stay_in_bounds_under_noise(self, tmp_path):
         # the noisy plant corrupts measurements, never the commanded tensions;
@@ -442,3 +490,48 @@ class TestMaterialCommand:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestSolverFlags:
+    """Every solving command forwards --max-iterations and --tolerance: each
+    changes the output, and passing the defaults explicitly changes nothing."""
+
+    @pytest.fixture()
+    def runs(self, tmp_path):
+        material = tmp_path / "magnet.yaml"
+        material.write_text("type: magnetic\ntarget: [0.0, 0.0, 0.5]\ngain: 3.0\nmax_force: 6.0\n")
+        trajectory = tmp_path / "path.csv"
+        rows = ["t,x,y,z"] + [f"{0.1 * k},{x!r},0.1,0.4" for k, x in enumerate((-0.3, 0.0, 0.3))]
+        trajectory.write_text("\n".join(rows) + "\n")
+        return {
+            "validate": (["validate", "--samples", "12", "--ticks", "2"], "validation.csv"),
+            # a point where every probe is feasible with the default settings
+            "workspace": (
+                ["workspace", "--grid-min", "0,0,1.2", "--grid-max", "0,0,1.2", "--grid-res", "1,1,1"],
+                "workspace.csv",
+            ),
+            "material": (
+                ["material", "--material", str(material), "--trajectory", str(trajectory)],
+                "material.csv",
+            ),
+        }
+
+    @pytest.mark.parametrize("command", ["validate", "workspace", "material"])
+    def test_flags_reach_the_solver(self, command, runs, tmp_path):
+        argv, name = runs[command]
+
+        def output(*flags):
+            out = tmp_path / ("run" + "".join(flags))
+            assert main(argv + ["--out", str(out), *flags]) == 0
+            return (out / name).read_bytes()
+
+        default = output()
+        assert output("--max-iterations", "1") != default
+        assert output("--tolerance", "0.5") != default
+        explicit = output(
+            "--max-iterations",
+            str(SolverConfig.max_iterations),
+            "--tolerance",
+            repr(SolverConfig.tolerance),
+        )
+        assert explicit == default

@@ -7,6 +7,7 @@ from cablehaptics import (
     ModuleAnchor,
     ModuleLayout,
     NoisyPlant,
+    SolverConfig,
     ValidationProtocol,
     ZeroVector,
     actuation_rank,
@@ -255,3 +256,36 @@ class TestProtocolValidation:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             NoisyPlant(force_noise_std=-0.1)
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (SolverConfig, "max_iterations", 2.5),
+            (SolverConfig, "max_iterations", "10"),
+            (SolverConfig, "max_iterations", 0),
+            (ValidationProtocol, "sample_count", 2.5),
+            (ValidationProtocol, "sample_count", 0),
+            (ValidationProtocol, "samples_per_hold", 1.0),
+            (ValidationProtocol, "samples_per_hold", 0),
+            (NoisyPlant, "seed", -3),
+            (NoisyPlant, "seed", 4.2),
+            (NoisyPlant, "seed", None),
+        ],
+    )
+    def test_rejected_at_construction_naming_the_field(self, cls, field, value):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (SolverConfig, "max_iterations", np.int64(3)),
+            (ValidationProtocol, "sample_count", np.int32(2)),
+            (ValidationProtocol, "samples_per_hold", 1),
+            (NoisyPlant, "seed", 0),
+        ],
+    )
+    def test_integer_types_accepted(self, cls, field, value):
+        assert getattr(cls(**{field: value}), field) == value

@@ -484,7 +484,8 @@ class TestFactorizationCache:
         u, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
         cached = (fac.vt, fac.rows, u)
         operators = (fac.goal, fac.pinv, fac.rows_t, gram_pinv, step)
-        boxes = fac.box(M, BOUNDS, None)[:4] + fac.box(M, BOUNDS, start)[:4]
+        custom = SolverConfig(start=start).start
+        boxes = fac.box(M, BOUNDS, None)[:4] + fac.box(M, BOUNDS, custom)[:4]
         for arr in cached + operators + boxes:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -540,7 +541,11 @@ class TestFactorizationCache:
         for k in range(100):
             solve(A, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=np.full(4, 1.0 + k / 100)))
         fac = solver._factorize(A.columns.tobytes(), 4)
-        assert len(fac._boxes) <= solver._BOXES_PER_MATRIX
+        # one box is held, keyed by the last bounds and start
+        last = np.full(4, 1.0 + 99 / 100)
+        key, box = fac._box
+        assert key == (BOUNDS, last.tobytes())
+        np.testing.assert_array_equal(box.start, last)
 
     def test_wrong_length_start_leaves_the_cache_usable(self):
         A = default_matrix()
