@@ -1,0 +1,71 @@
+"""Field checks for the package's frozen dataclasses. Each validates one
+value, raises a ValueError that names it, and returns it in its one stored
+form: a Python float or int, whatever numeric type was passed, or a
+read-only float 3-vector. It imports nothing from the package, so every
+module can use it."""
+
+from __future__ import annotations
+
+import math
+import numbers
+import operator
+
+import numpy as np
+
+# A vector checked with unit=True may miss norm 1 by at most this much.
+UNIT_NORM_TOL = 1e-9
+
+
+def as_vec3(v) -> np.ndarray:
+    """Validate v as a finite 3-vector and return it as a float array."""
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != (3,) or np.count_nonzero(np.isfinite(arr)) != 3:
+        raise ValueError(f"expected a finite 3-vector, got {v!r}")
+    return arr
+
+
+def real(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:
+    """value as a float, if it is a finite real number of at least minimum
+    (above it when strict). Strings are not numbers here."""
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    value = float(value)
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
+    return value
+
+
+def integer(value, name: str, minimum: int) -> int:
+    """value as an int, if it is an integer of at least minimum;
+    operator.index decides what counts as one, so 2.0 and "2" do not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def vec3(value, name: str, *, unit: bool = False) -> np.ndarray:
+    """A read-only float copy of value, if it is a finite 3-vector, and with
+    unit=True one of norm 1 within UNIT_NORM_TOL."""
+    try:
+        arr = as_vec3(value).copy()
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a finite 3-vector, got {value!r}") from None
+    if unit and abs(np.linalg.norm(arr) - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"{name} must be a unit vector, got norm {np.linalg.norm(arr)}")
+    arr.setflags(write=False)
+    return arr
+
+
+def set_checked(owner, check, *names: str, **limits) -> None:
+    """Run check(value, name, **limits) on each named field of the frozen
+    dataclass owner and store what it returns in the field."""
+    for name in names:
+        object.__setattr__(owner, name, check(getattr(owner, name), name, **limits))

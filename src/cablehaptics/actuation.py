@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._fields import real, set_checked
 from .errors import InvalidTension
 from .solver import TensionBounds
 
@@ -39,21 +40,13 @@ class ActuatorParams:
     force_per_amp: float = 3.0
 
     def __post_init__(self):
-        values = (
-            self.motor_max_force,
-            self.brake_max_force,
-            self.min_taut_force,
-            self.force_per_amp,
-        )
-        if not all(np.isfinite(v) for v in values):
-            raise ValueError("actuator parameters must be finite")
+        set_checked(self, real, "motor_max_force", "brake_max_force", "min_taut_force")
+        set_checked(self, real, "force_per_amp", minimum=0.0, strict=True)
         if not 0.0 < self.min_taut_force < self.motor_max_force < self.brake_max_force:
             raise ValueError(
                 "need 0 < min_taut_force < motor_max_force < brake_max_force, got "
                 f"{self.min_taut_force}, {self.motor_max_force}, {self.brake_max_force}"
             )
-        if self.force_per_amp <= 0:
-            raise ValueError("force_per_amp must be positive")
 
 
 _DEFAULT_PARAMS = ActuatorParams()

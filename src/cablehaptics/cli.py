@@ -83,17 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, run, help: str):
-        """Register subcommand name with handler run; return its add_argument."""
+    def add_command(name: str, run, help: str, *, ee: bool = False, out: bool = True):
+        """Register subcommand name with handler run, with --ee and --out
+        only where the handler reads them; return its add_argument."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--layout", help="layout YAML; defaults to the built-in four-module bench layout")
-        p.add_argument(
-            "--ee",
-            type=_parse_vec3,
-            help="end-effector position 'x,y,z' (default: 0,0,0.3 with the built-in layout)",
-        )
-        p.add_argument("--out", default="out", help="output directory (default: out)")
+        if ee:
+            p.add_argument(
+                "--ee",
+                type=_parse_vec3,
+                help="end-effector position 'x,y,z' (default: 0,0,0.3 with the built-in layout)",
+            )
+        if out:
+            p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument(
             "--max-iterations",
             type=int,
@@ -103,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
         return p.add_argument
 
-    add = add_command("solve", cmd_solve, "tensions for one desired force")
+    add = add_command("solve", cmd_solve, "tensions for one desired force", ee=True, out=False)
     add("--force", type=_parse_vec3, required=True, help="'fx,fy,fz' in newtons")
 
-    add = add_command("validate", cmd_validate, "run the force-sphere protocol")
+    add = add_command("validate", cmd_validate, "run the force-sphere protocol", ee=True)
     add("--plant", choices=("ideal", "noisy"), default="ideal")
     add("--samples", type=int, default=ValidationProtocol.sample_count, help="force vectors on the sphere")
     add("--radius", type=float, default=ValidationProtocol.sphere_radius, help="sphere radius in newtons")
@@ -138,13 +141,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _layout_and_ee(args: argparse.Namespace) -> tuple[ModuleLayout, np.ndarray]:
-    """The --layout file or the built-in bench layout, and --ee or else the
-    bench's end effector for the built-in layout and the origin for a file."""
+def _layout(args: argparse.Namespace) -> tuple[ModuleLayout, np.ndarray]:
+    """The --layout file and the origin, or else the built-in bench layout
+    and the bench's end effector."""
     if args.layout is None:
-        layout, ee = default_validation_layout()
-    else:
-        layout, ee = load_layout(args.layout), np.zeros(3)
+        return default_validation_layout()
+    return load_layout(args.layout), np.zeros(3)
+
+
+def _layout_and_ee(args: argparse.Namespace) -> tuple[ModuleLayout, np.ndarray]:
+    """_layout(args), with --ee in place of its end effector when given."""
+    layout, ee = _layout(args)
     return layout, ee if args.ee is None else args.ee
 
 
@@ -200,7 +207,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_workspace(args: argparse.Namespace) -> int:
-    layout, _ = _layout_and_ee(args)
+    layout, _ = _layout(args)
     solver_config = _solver_config(args)
     if np.any(args.grid_max < args.grid_min):
         raise CableHapticsError("grid max must be >= grid min on every axis")
@@ -228,7 +235,7 @@ def cmd_workspace(args: argparse.Namespace) -> int:
 
 
 def cmd_material(args: argparse.Namespace) -> int:
-    layout, _ = _layout_and_ee(args)
+    layout, _ = _layout(args)
     solver_config = _solver_config(args)
     material = load_material(args.material)
     times, positions, velocities = load_trajectory(args.trajectory)
@@ -242,7 +249,7 @@ def cmd_material(args: argparse.Namespace) -> int:
             + [f"tension_{k}" for k in range(len(layout))]
         )
         for t, pos, vel in zip(times, positions, velocities):
-            state = EndEffectorState(position=pos, velocity=vel, time=float(t))
+            state = EndEffectorState(position=pos, velocity=vel, time=t)
             force = evaluate(material, state)
             A = structure_matrix(layout, pos)
             result = solve(A, force, layout.bounds, solver_config)

@@ -71,10 +71,10 @@ def _bounds_from_dict(raw, context: str) -> TensionBounds:
     if not isinstance(raw, dict):
         raise ConfigError(f"{context}: bounds entry must be a mapping")
     try:
-        return TensionBounds(float(raw["t_min"]), float(raw["t_max"]))
+        return TensionBounds(raw["t_min"], raw["t_max"])
     except KeyError as exc:
         raise ConfigError(f"{context}: bounds need t_min and t_max") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{context}: bad bounds: {exc}") from exc
 
 

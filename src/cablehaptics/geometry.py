@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import as_vec3, set_checked, vec3
 from .errors import DegenerateGeometry
 from .solver import TensionBounds, null_space_basis
 
@@ -23,16 +24,6 @@ COINCIDENT_ANCHOR_TOL = 1e-9
 DEGENERATE_EE_TOL = 1e-6
 
 
-def as_vec3(v) -> np.ndarray:
-    """Validate v as a finite 3-vector and return it as a float array."""
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"vector has non-finite components: {arr}")
-    return arr
-
-
 @dataclass(frozen=True)
 class ModuleAnchor:
     """One cable module's anchor point in the world frame (meters)."""
@@ -41,9 +32,7 @@ class ModuleAnchor:
     position: np.ndarray
 
     def __post_init__(self):
-        pos = as_vec3(self.position).copy()
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
+        set_checked(self, vec3, "position")
 
 
 @dataclass(frozen=True)

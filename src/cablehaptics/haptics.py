@@ -15,24 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import as_vec3
-
-UNIT_NORM_TOL = 1e-9
-
-
-def _unit(v, name: str) -> np.ndarray:
-    arr = as_vec3(v).copy()
-    if abs(np.linalg.norm(arr) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"{name} must be a unit vector, got norm {np.linalg.norm(arr)}")
-    arr.setflags(write=False)
-    return arr
-
-
-def _nonnegative(x: float, name: str) -> float:
-    val = float(x)
-    if not np.isfinite(val) or val < 0:
-        raise ValueError(f"{name} must be finite and nonnegative, got {x}")
-    return val
+from ._fields import real, set_checked, vec3
 
 
 @dataclass(frozen=True)
@@ -48,14 +31,8 @@ class EndEffectorState:
     time: float = 0.0
 
     def __post_init__(self):
-        pos = as_vec3(self.position).copy()
-        vel = as_vec3(self.velocity).copy()
-        pos.setflags(write=False)
-        vel.setflags(write=False)
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "velocity", vel)
-        if not np.isfinite(self.time):
-            raise ValueError("time must be finite")
+        set_checked(self, vec3, "position", "velocity")
+        set_checked(self, real, "time")
 
 
 @dataclass(frozen=True)
@@ -68,11 +45,8 @@ class Magnetic:
     max_force: float
 
     def __post_init__(self):
-        target = as_vec3(self.target).copy()
-        target.setflags(write=False)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "gain", _nonnegative(self.gain, "gain"))
-        object.__setattr__(self, "max_force", _nonnegative(self.max_force, "max_force"))
+        set_checked(self, vec3, "target")
+        set_checked(self, real, "gain", "max_force", minimum=0.0)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         offset = self.target - state.position
@@ -92,11 +66,9 @@ class Spring:
     stiffness: float
 
     def __post_init__(self):
-        sp = as_vec3(self.surface_point).copy()
-        sp.setflags(write=False)
-        object.__setattr__(self, "surface_point", sp)
-        object.__setattr__(self, "normal", _unit(self.normal, "normal"))
-        object.__setattr__(self, "stiffness", _nonnegative(self.stiffness, "stiffness"))
+        set_checked(self, vec3, "surface_point")
+        set_checked(self, vec3, "normal", unit=True)
+        set_checked(self, real, "stiffness", minimum=0.0)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         depth = -float(np.dot(state.position - self.surface_point, self.normal))
@@ -112,9 +84,7 @@ class Damper:
     coefficient: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coefficient", _nonnegative(self.coefficient, "coefficient")
-        )
+        set_checked(self, real, "coefficient", minimum=0.0)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         return -self.coefficient * state.velocity
@@ -130,15 +100,8 @@ class Friction:
     tangent_plane_normal: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coefficient", _nonnegative(self.coefficient, "coefficient")
-        )
-        object.__setattr__(self, "max_force", _nonnegative(self.max_force, "max_force"))
-        object.__setattr__(
-            self,
-            "tangent_plane_normal",
-            _unit(self.tangent_plane_normal, "tangent_plane_normal"),
-        )
+        set_checked(self, real, "coefficient", "max_force", minimum=0.0)
+        set_checked(self, vec3, "tangent_plane_normal", unit=True)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         n = self.tangent_plane_normal
@@ -160,9 +123,8 @@ class Vibration:
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", _nonnegative(self.amplitude, "amplitude"))
-        object.__setattr__(self, "frequency", _nonnegative(self.frequency, "frequency"))
-        object.__setattr__(self, "direction", _unit(self.direction, "direction"))
+        set_checked(self, real, "amplitude", "frequency", minimum=0.0)
+        set_checked(self, vec3, "direction", unit=True)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         return (

@@ -17,16 +17,11 @@ from typing import Union
 
 import numpy as np
 
+from ._fields import integer, real, set_checked
 from .config import layout_to_dict
 from .errors import DegenerateInput, ZeroVector
 from .geometry import ModuleAnchor, ModuleLayout, StructureMatrix, as_vec3, structure_matrix
-from .solver import (
-    WRENCH_FEASIBLE_RESIDUAL,
-    SolverConfig,
-    TensionBounds,
-    _require_int,
-    solve,
-)
+from .solver import WRENCH_FEASIBLE_RESIDUAL, SolverConfig, TensionBounds, solve
 
 # Error statistics measured on a physical four-module rig with a calibrated
 # force sensor, reported alongside simulated metrics for side-by-side
@@ -67,10 +62,8 @@ class ValidationProtocol:
     samples_per_hold: int = 1000
 
     def __post_init__(self):
-        if not (np.isfinite(self.sphere_radius) and self.sphere_radius > 0):
-            raise ValueError("sphere_radius must be positive")
-        _require_int(self, "sample_count", 1)
-        _require_int(self, "samples_per_hold", 1)
+        set_checked(self, real, "sphere_radius", minimum=0.0, strict=True)
+        set_checked(self, integer, "sample_count", "samples_per_hold", minimum=1)
 
 
 @dataclass(frozen=True)
@@ -98,12 +91,9 @@ class NoisyPlant:
     seed: int = 42
 
     def __post_init__(self):
-        values = (self.force_noise_std, self.frame_rotation_z, self.tension_bias)
-        if not all(np.isfinite(v) for v in values):
-            raise ValueError("noise parameters must be finite")
-        if self.force_noise_std < 0:
-            raise ValueError("force_noise_std must be >= 0")
-        _require_int(self, "seed", 0)
+        set_checked(self, real, "force_noise_std", minimum=0.0)
+        set_checked(self, real, "frame_rotation_z", "tension_bias")
+        set_checked(self, integer, "seed", minimum=0)
 
     def measure_hold(
         self, A: StructureMatrix, tensions: np.ndarray, ticks: int, sample_index: int
@@ -148,10 +138,8 @@ def sphere_samples(n: int, radius: float) -> np.ndarray:
     Uses the deterministic Fibonacci lattice (golden-angle spiral), so the
     output is identical for identical (n, radius).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError("radius must be positive")
+    n = integer(n, "n", 1)
+    radius = real(radius, "radius", 0.0, strict=True)
     i = np.arange(n, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / n
     phi = i * np.pi * (3.0 - np.sqrt(5.0))
@@ -337,6 +325,8 @@ def report_summary(
 
 
 def write_report_json(summary: dict, path) -> None:
+    """Write summary as indented JSON with sorted keys. It is serialized
+    first, so a summary JSON cannot hold raises before path is touched."""
+    text = json.dumps(summary, indent=2, sort_keys=True)
     with open(path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")

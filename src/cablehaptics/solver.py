@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 import numpy as np
+
+from ._fields import as_vec3, integer, real, set_checked
 
 if TYPE_CHECKING:
     from .geometry import StructureMatrix
@@ -73,27 +74,15 @@ class TensionBounds:
     t_max: float = 6.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_min) and np.isfinite(self.t_max)):
-            raise ValueError("tension bounds must be finite")
-        if not 0.0 <= self.t_min < self.t_max:
+        set_checked(self, real, "t_min", minimum=0.0)
+        set_checked(self, real, "t_max")
+        if not self.t_min < self.t_max:
             raise ValueError(
                 f"need 0 <= t_min < t_max, got [{self.t_min}, {self.t_max}]"
             )
 
 
 BoundsLike = Union[TensionBounds, Sequence[TensionBounds]]
-
-
-def _require_int(owner, name: str, minimum: int) -> None:
-    """Raise a ValueError naming the field unless owner.name is an integer
-    of at least minimum; operator.index decides what counts as one."""
-    value = getattr(owner, name)
-    try:
-        ok = operator.index(value) >= minimum
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if not ok:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +106,8 @@ class SolverConfig:
     start: np.ndarray | None = None
 
     def __post_init__(self):
-        _require_int(self, "max_iterations", 1)
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+        set_checked(self, integer, "max_iterations", minimum=1)
+        set_checked(self, real, "tolerance", minimum=0.0, strict=True)
         if self.start is not None:
             arr = np.asarray(self.start, dtype=float)
             if arr.ndim != 1 or not np.isfinite(arr).all():
@@ -157,13 +145,6 @@ def _matrix(A) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != 3 or M.shape[1] < 1:
         raise ValueError(f"expected a 3 x m structure matrix, got shape {M.shape}")
     return M
-
-
-def _force(f) -> np.ndarray:
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (3,) or np.count_nonzero(np.isfinite(arr)) != 3:
-        raise ValueError(f"desired force must be a finite 3-vector, got {f!r}")
-    return arr
 
 
 def _bound_arrays(bounds: BoundsLike, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +301,7 @@ def project_equilibrium(t, A: StructureMatrix | np.ndarray, f) -> np.ndarray:
     M = _matrix(A)
     arr = np.asarray(t, dtype=float)
     fac = _factorize(M.tobytes(), M.shape[1])
-    return arr - fac.pinv @ (M @ arr - _force(f))
+    return arr - fac.pinv @ (M @ arr - as_vec3(f))
 
 
 def null_space_basis(A: StructureMatrix | np.ndarray) -> np.ndarray:
@@ -509,7 +490,7 @@ def solve(
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     M = _matrix(A)
-    fvec = _force(f)
+    fvec = as_vec3(f)
     tol = cfg.tolerance
     fac = _factorize(M.tobytes(), M.shape[1])
     lo, hi, start, a_start, rounding = fac.box(M, bounds, cfg.start)

@@ -49,7 +49,7 @@ class TestParser:
         assert args.command == "solve"
         np.testing.assert_array_equal(args.force, [0.0, 0.0, 1.0])
         assert args.layout is None
-        assert args.out == "out"
+        assert not hasattr(args, "out")
 
     def test_validate_defaults(self):
         args = build_parser().parse_args(["validate"])
@@ -91,6 +91,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--help"])
         assert f"(default: {SolverConfig.max_iterations})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["workspace", "--grid-min", "0,0,0", "--grid-max", "1,1,1", "--grid-res", "1,1,1", "--ee", "0,0,1"],
+            ["material", "--material", "m.yaml", "--trajectory", "t.csv", "--ee", "0,0,1"],
+            ["solve", "--force", "0,0,1", "--out", "somewhere"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_options_a_command_does_not_read_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_bad_vector_rejected(self):
         with pytest.raises(SystemExit):

@@ -91,6 +91,13 @@ class TestLayoutErrors:
                 }
             )
 
+    @pytest.mark.parametrize("field", ["t_min", "t_max"])
+    @pytest.mark.parametrize("bad", ["0.5", [0.5], None])
+    def test_non_numeric_bounds_rejected_naming_the_field(self, field, bad):
+        bounds = {"t_min": 0.5, "t_max": 6.0, field: bad}
+        with pytest.raises(ConfigError, match=f"{field} must be a finite real number"):
+            layout_from_dict({"anchors": [{"id": "a", "position": [1, 0, 0]}], "bounds": bounds})
+
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("anchors: [unclosed")
@@ -115,6 +122,10 @@ class TestMaterialParsing:
         )
         assert isinstance(material, Magnetic)
         np.testing.assert_array_equal(material.target, [1.0, 0.0, 0.0])
+
+    def test_quoted_material_numbers_rejected_naming_the_field(self):
+        with pytest.raises(ConfigError, match="gain must be a finite real number"):
+            material_from_dict({"type": "magnetic", "target": [1, 0, 0], "gain": "3.0", "max_force": 6.0})
 
     def test_composite_recurses(self):
         material = material_from_dict(

@@ -1,0 +1,151 @@
+"""Every numeric and vector field of the frozen input dataclasses is checked
+and stored in one form: a Python float, a Python int, or a read-only float
+3-vector. Stored numbers therefore serialize to JSON whatever numeric type
+the caller passed."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from cablehaptics import (
+    ActuatorParams,
+    Damper,
+    EndEffectorState,
+    Friction,
+    Magnetic,
+    NoisyPlant,
+    SolverConfig,
+    Spring,
+    TensionBounds,
+    ValidationProtocol,
+    Vibration,
+    default_validation_layout,
+    run_validation,
+)
+from cablehaptics.simulation import report_summary, write_report_json
+
+# Each class with the keyword arguments that build it; fields not given
+# keep their defaults.
+BUILDS = [
+    (TensionBounds, {}),
+    (SolverConfig, {}),
+    (ActuatorParams, {}),
+    (ValidationProtocol, {}),
+    (NoisyPlant, {}),
+    (EndEffectorState, {"position": [0.1, -0.2, 0.3], "velocity": [0.5, 0.0, -0.5], "time": 0.25}),
+    (Magnetic, {"target": [0.0, 0.0, 0.5], "gain": 3.0, "max_force": 6.0}),
+    (Spring, {"surface_point": [0.0, 0.0, 0.2], "normal": [0.0, 0.0, 1.0], "stiffness": 400.0}),
+    (Damper, {"coefficient": 2.0}),
+    (Friction, {"coefficient": 1.5, "max_force": 2.0, "tangent_plane_normal": [0.0, 1.0, 0.0]}),
+    (Vibration, {"amplitude": 0.3, "frequency": 50.0, "direction": [1.0, 0.0, 0.0]}),
+]
+
+# The kind of each field, read from its annotation, so a field added later
+# is covered without editing this table. SolverConfig.start
+# ("np.ndarray | None") has its own checks.
+KINDS = {"float": "real", "int": "int", "np.ndarray": "vec3"}
+
+FIELDS = [
+    (cls, kwargs, field.name, KINDS[field.type])
+    for cls, kwargs in BUILDS
+    for field in dataclasses.fields(cls)
+    if field.type in KINDS
+]
+
+BAD_VALUES = {
+    "real": ["1.5", None, [1.0], np.nan, np.inf, -np.inf, 10**400],
+    "int": ["3", None, 2.5, np.float64(3.0), np.nan],
+    "vec3": ["abc", None, 1.0, [1.0, 2.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]],
+}
+
+
+def field_id(case):
+    cls, _, name, _ = case
+    return f"{cls.__name__}.{name}"
+
+
+def build(cls, kwargs, name, value):
+    return cls(**{**kwargs, name: value})
+
+
+def valid_value(cls, kwargs, name):
+    return kwargs.get(name, next(f.default for f in dataclasses.fields(cls) if f.name == name))
+
+
+def test_the_table_covers_every_field_but_the_start_vector():
+    every = {(cls, f.name) for cls, _ in BUILDS for f in dataclasses.fields(cls)}
+    assert every - {(cls, name) for cls, _, name, _ in FIELDS} == {(SolverConfig, "start")}
+
+
+@pytest.mark.parametrize("cls, kwargs, name, kind", FIELDS, ids=map(field_id, FIELDS))
+def test_numpy_inputs_are_stored_in_the_normal_form(cls, kwargs, name, kind):
+    value = valid_value(cls, kwargs, name)
+    if kind == "int":
+        stored = getattr(build(cls, kwargs, name, np.int64(value)), name)
+        assert type(stored) is int and stored == value
+    elif kind == "real":
+        cast = np.float32(value)
+        stored = getattr(build(cls, kwargs, name, cast), name)
+        assert type(stored) is float and stored == float(cast)
+    else:
+        cast = np.asarray(value, dtype=np.float32)
+        stored = getattr(build(cls, kwargs, name, cast), name)
+        assert type(stored) is np.ndarray and stored.dtype == np.float64
+        assert not stored.flags.writeable
+        np.testing.assert_array_equal(stored, cast)
+        cast[0] += 1.0  # the field holds a copy
+        np.testing.assert_array_equal(stored, np.asarray(value, dtype=np.float32))
+
+
+@pytest.mark.parametrize("cls, kwargs, name, kind", FIELDS, ids=map(field_id, FIELDS))
+def test_non_numeric_and_non_finite_values_are_rejected_naming_the_field(cls, kwargs, name, kind):
+    for bad in BAD_VALUES[kind]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build(cls, kwargs, name, bad)
+
+
+def test_tension_bounds_of_the_wrong_type_name_the_field():
+    with pytest.raises(ValueError, match="^t_min must be a finite real number"):
+        TensionBounds("a", 6)
+
+
+def summary_json(tmp_path, protocol, plant):
+    layout, ee = default_validation_layout()
+    report = run_validation(layout, ee, protocol, plant)
+    path = tmp_path / f"{id(protocol)}.json"
+    write_report_json(report_summary(report, protocol, plant, layout, ee), path)
+    return path.read_bytes()
+
+
+def test_summary_json_with_numpy_typed_protocol_and_plant(tmp_path):
+    numpy_typed = summary_json(
+        tmp_path,
+        ValidationProtocol(
+            sphere_radius=np.float32(1.5), sample_count=np.int64(3), samples_per_hold=np.int32(4)
+        ),
+        NoisyPlant(
+            force_noise_std=np.float32(0.25),
+            frame_rotation_z=np.float64(0.125),
+            tension_bias=np.float32(0.0625),
+            seed=np.int64(7),
+        ),
+    )
+    plain = summary_json(
+        tmp_path,
+        ValidationProtocol(sphere_radius=1.5, sample_count=3, samples_per_hold=4),
+        NoisyPlant(force_noise_std=0.25, frame_rotation_z=0.125, tension_bias=0.0625, seed=7),
+    )
+    assert numpy_typed == plain
+    summary = json.loads(plain)
+    assert summary["protocol"] == {"sample_count": 3, "samples_per_hold": 4, "sphere_radius_n": 1.5}
+    assert summary["plant"]["seed"] == 7
+
+
+def test_unserializable_summary_leaves_the_earlier_file(tmp_path):
+    path = tmp_path / "validation_summary.json"
+    path.write_bytes(b'{"earlier": true}\n')
+    with pytest.raises(TypeError):
+        write_report_json({"aggregates": {"count": object()}}, path)
+    assert path.read_bytes() == b'{"earlier": true}\n'

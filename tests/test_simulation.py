@@ -49,6 +49,8 @@ class TestSphereSamples:
             sphere_samples(0, 1.0)
         with pytest.raises(ValueError):
             sphere_samples(5, 0.0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sphere_samples(2.5, 1.5)
 
 
 class TestAngleError:
