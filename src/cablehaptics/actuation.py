@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from ._fields import real, set_checked
 from .errors import InvalidTension
 from .solver import TensionBounds
@@ -74,10 +72,12 @@ def command_for_tension(
     saturates at its maximum instead.
     """
     p = params if params is not None else _DEFAULT_PARAMS
-    if not np.isfinite(desired_tension) or desired_tension < 0:
-        raise InvalidTension(f"desired tension must be finite and >= 0, got {desired_tension}")
-    if desired_tension <= p.motor_max_force:
-        current = max(desired_tension, p.min_taut_force) / p.force_per_amp
+    try:
+        tension = real(desired_tension, "desired_tension", minimum=0.0)
+    except ValueError as exc:
+        raise InvalidTension(str(exc)) from None
+    if tension <= p.motor_max_force:
+        current = max(tension, p.min_taut_force) / p.force_per_amp
         return ActuatorCommand(ActuatorMode.MOTOR, current, False)
     if cable_paying_out:
         return ActuatorCommand(ActuatorMode.BRAKE, 0.0, True)

@@ -32,6 +32,8 @@ class ModuleAnchor:
     position: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"id must be a string, got {self.id!r}")
         set_checked(self, vec3, "position")
 
 
@@ -63,6 +65,11 @@ class ModuleLayout:
                         f"anchors {ids[i]!r} and {ids[j]!r} coincide ({gap:.1e} m apart)"
                     )
         object.__setattr__(self, "anchors", anchors)
+        positions = np.array([a.position for a in anchors])
+        positions.setflags(write=False)
+        # not a field: built once here from the anchors, so equality,
+        # repr and hashing still read the anchors alone
+        object.__setattr__(self, "_positions", positions)
         if not isinstance(self.bounds, TensionBounds):
             per_cable = tuple(self.bounds)
             if len(per_cable) != len(anchors):
@@ -76,8 +83,9 @@ class ModuleLayout:
 
     @property
     def anchor_positions(self) -> np.ndarray:
-        """Anchor positions stacked as an (m, 3) array."""
-        return np.array([a.position for a in self.anchors])
+        """Anchor positions stacked as a read-only (m, 3) array, built once
+        per layout."""
+        return self._positions
 
 
 @dataclass(frozen=True)

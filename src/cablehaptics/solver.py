@@ -24,12 +24,17 @@ that depends on A alone and, for the last bounds and start point, the box
 arrays and A times the start; consecutive solves on the same matrix share
 it, so a solve computes only what depends on the force.
 
-The products on the per-iteration path are 3 x m by m or m x m by m, so
-numpy's fixed cost per call outweighs their arithmetic: they are written
-ndarray.dot, which dispatches faster than the @ operator, and a test
-whether any or all entries of a mask are set counts them with
-np.count_nonzero, which is faster than ndarray.any and ndarray.all on
-arrays this small. Both give the same values.
+Each iteration does two kinds of work. Products with a cached 3 x m or
+m x r operator, and the clip of a step into the box, are one ndarray.dot
+or np.minimum(np.maximum(...)) call each: numpy's fixed cost per call is
+about a microsecond, and at these sizes one call still beats a Python sum.
+Every per-cable decision (the nearest-box-point certificate, the ratio
+test and its blocking cable, phase 1's choice of cable to release, phase
+2's multiplier sign test) is one Python pass over tolist() floats, where
+numpy would spend a call per comparison or mask on four to eight values.
+Each pass does the same float operations in the same order as the array
+expressions it replaces and breaks ties toward the lowest index, as
+argmin and argmax do, so the results are bit for bit the same.
 """
 
 from __future__ import annotations
@@ -168,10 +173,12 @@ def project_box(t, bounds: BoundsLike) -> np.ndarray:
 
 class _Block(NamedTuple):
     """What the iterations need of one free-column block rows[:, free]:
-    its left singular vectors and rank, the pseudoinverse of its Gram
-    matrix, u_r diag(1/s^2) u_r^T, and phase 1's step operator, rows^T
-    times that pseudoinverse with the held cables' rows zeroed."""
+    the free mask as an array, its left singular vectors and rank, the
+    pseudoinverse of its Gram matrix, u_r diag(1/s^2) u_r^T, and phase 1's
+    step operator, rows^T times that pseudoinverse with the held cables'
+    rows zeroed."""
 
+    free: np.ndarray
     u: np.ndarray
     rank: int
     gram_pinv: np.ndarray
@@ -180,14 +187,24 @@ class _Block(NamedTuple):
 
 class _Box(NamedTuple):
     """What a solve needs of its bounds and start point on one matrix: the
-    lower and upper bound arrays, the start vector, A times the start, and
-    the rounding level of the tensions and of the steps between them."""
+    lower and upper bound arrays, the start vector, A times the start, the
+    rounding level of the tensions and of the steps between them, and the
+    bounds and start again as tuples of floats for the per-cable passes."""
 
     lo: np.ndarray
     hi: np.ndarray
     start: np.ndarray
     a_start: np.ndarray
     rounding: float
+    lo_floats: tuple[float, ...]
+    hi_floats: tuple[float, ...]
+    start_floats: tuple[float, ...]
+
+    @classmethod
+    def of(cls, lo, hi, start, a_start, rounding) -> _Box:
+        """The _Box of these arrays, its float tuples copied from them."""
+        floats = (tuple(arr.tolist()) for arr in (lo, hi, start))
+        return cls(lo, hi, start, a_start, rounding, *floats)
 
 
 class _Factorization:
@@ -226,23 +243,25 @@ class _Factorization:
         # (key, _Box) of the last box asked for
         self._box: tuple[tuple, _Box] | None = None
 
-    def block(self, free: np.ndarray) -> _Block:
-        """The _Block of rows[:, free].
+    def block(self, free) -> _Block:
+        """The _Block of rows[:, free], free a list or array of m bools.
 
         rows has orthonormal rows, so its largest singular value is 1 and
         RANK_REL_TOL is the same relative cutoff as for A. Two threads may
         both compute a missing block; they store identical values.
         """
-        key = free.tobytes()
+        # a list of bools and a bool array of the same mask give equal bytes
+        key = bytes(free)
         found = self._blocks.get(key)
         if found is None:
+            free = np.array(free, dtype=bool)
             u, sv, _ = np.linalg.svd(self.rows[:, free])
             rank = int((sv > RANK_REL_TOL).sum())
             gram_pinv = (u[:, :rank] / sv[:rank] ** 2) @ u[:, :rank].T
             step = np.where(free[:, None], self.rows_t @ gram_pinv, 0.0)
-            for arr in (u, gram_pinv, step):
+            for arr in (free, u, gram_pinv, step):
                 arr.setflags(write=False)
-            found = self._blocks[key] = _Block(u, rank, gram_pinv, step)
+            found = self._blocks[key] = _Block(free, u, rank, gram_pinv, step)
         return found
 
     def box(self, M: np.ndarray, bounds: BoundsLike, start: np.ndarray | None) -> _Box:
@@ -269,10 +288,10 @@ class _Factorization:
         elif start.shape != (m,):
             raise ValueError(f"start has {start.shape[0]} entries for {m} cables")
         a_start = M @ start
-        rounding = 1e-12 * np.maximum(hi, np.abs(start)).max()
+        rounding = float(1e-12 * np.maximum(hi, np.abs(start)).max())
         for arr in (lo, hi, a_start):
             arr.setflags(write=False)
-        found = _Box(lo, hi, start, a_start, rounding)
+        found = _Box.of(lo, hi, start, a_start, rounding)
         self._box = (key, found)
         return found
 
@@ -328,33 +347,82 @@ def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
 
     Callers pass tol an order below the solve tolerance. A point can pass
     while still rendering f within a few times the solve tolerance, so the
-    residual decides between an exact and a nearest-feasible result.
+    residual decides between an exact and a nearest-feasible result. x, d,
+    lo and hi are sequences of floats, one entry per cable.
     """
     # lo < hi, so x < hi holds at a lower bound and x > lo at an upper one
-    return not np.count_nonzero(((d > tol) & (x < hi)) | ((d < -tol) & (x > lo)))
+    for xi, di, lo_i, hi_i in zip(x, d, lo, hi):
+        if (di > tol and xi < hi_i) or (di < -tol and xi > lo_i):
+            return False
+    return True
 
 
-def _ratio_step(t, step, lo, hi, rounding):
+def _release(free, x, d, lo, tol) -> int:
+    """Phase 1's choice of cable to release, from the sequences of floats x
+    and d and the free mask, one entry per cable.
+
+    Returns -1 while some free cable still moves (|d| > tol). Otherwise the
+    held cable whose descent direction points most into the box: d at a
+    floor, -d at a ceiling, the lowest index on a tie; -1 if none is held.
+    """
+    pick, most = -1, -math.inf
+    for i, (is_free, xi, di, lo_i) in enumerate(zip(free, x, d, lo)):
+        if is_free:
+            if abs(di) > tol:
+                return -1
+        else:
+            into_box = di if xi <= lo_i else -di
+            if into_box > most:
+                pick, most = i, into_box
+    return pick
+
+
+def _worst_multiplier(free, t, start, shift, lo) -> tuple[int, float]:
+    """Phase 2's KKT sign test over the held cables, from sequences of
+    floats, one entry per cable.
+
+    The multiplier of a held cable is mu = (t - start) - shift; it must be
+    >= 0 at a floor and <= 0 at a ceiling. Returns the held cable whose
+    multiplier is the most wrong (-mu at a floor, mu at a ceiling; the lowest
+    index on a tie) with that amount, or (-1, -inf) if none is held.
+    """
+    worst, most = -1, -math.inf
+    for i, (is_free, ti, si, shift_i, lo_i) in enumerate(zip(free, t, start, shift, lo)):
+        if not is_free:
+            mu = ti - si - shift_i
+            wrong = -mu if ti <= lo_i else mu
+            if wrong > most:
+                worst, most = i, wrong
+    return worst, most
+
+
+def _ratio_step(t, step, box: _Box):
     """Move t along step, stopping where the first cable meets a bound.
 
-    Step components at or below ``rounding`` are ignored: a bound that was
+    Step components at or below box.rounding are ignored: a bound that was
     just released must not block the step at length zero. Returns the new
-    box point and the blocking cable, or -1 when the whole step was taken.
+    box point and the blocking cable (the lowest index on a tie), or -1
+    when the whole step was taken.
     """
-    moving = np.abs(step) > rounding
-    # room is the fraction of the step each moving cable can take
-    room = np.divide(
-        np.where(step > 0, hi, lo) - t, step, out=np.full(len(t), np.inf), where=moving
-    )
-    blocking = int(room.argmin())
-    if room[blocking] >= 1.0:
-        return np.minimum(np.maximum(t + step, lo), hi), -1
-    t = np.minimum(np.maximum(t + room[blocking] * step, lo), hi)
-    t[blocking] = hi[blocking] if step[blocking] > 0 else lo[blocking]
+    rounding = box.rounding
+    fraction, blocking, bound = 1.0, -1, 0.0
+    for i, (ti, si, lo_i, hi_i) in enumerate(
+        zip(t.tolist(), step.tolist(), box.lo_floats, box.hi_floats)
+    ):
+        if abs(si) > rounding:
+            edge = hi_i if si > 0 else lo_i
+            # the fraction of the step this cable can take
+            room = (edge - ti) / si
+            if room < fraction:
+                fraction, blocking, bound = room, i, edge
+    if blocking < 0:
+        return np.minimum(np.maximum(t + step, box.lo), box.hi), -1
+    t = np.minimum(np.maximum(t + fraction * step, box.lo), box.hi)
+    t[blocking] = bound
     return t, blocking
 
 
-def _nearest_box_point(fac, M, f, lo, hi, t, tol, rounding, budget):
+def _nearest_box_point(fac, M, f, box, t, tol, budget):
     """Phase 1: box least squares min ||rows t - goal f|| from the box point t.
 
     rows = fac.rows has orthonormal rows spanning the row space of A and
@@ -369,35 +437,37 @@ def _nearest_box_point(fac, M, f, lo, hi, t, tol, rounding, budget):
     stationary, the held cable whose descent direction points most into
     the box is released.
 
-    Returns (t, status, iterations): status NEAREST_FEASIBLE once
+    Returns (t, A t, status, iterations): status NEAREST_FEASIBLE once
     _is_nearest_box_point certifies t with a residual above tol, None once
     t renders f within tol (a feasible point for phase 2), ITERATION_CAP
     when the budget runs out.
     """
     goal, rows_t = fac.goal, fac.rows_t
+    lo, hi = box.lo_floats, box.hi_floats
     stationary = tol * 0.1
     # most solves return at the first iteration, before the bound set is read
-    held = None
+    free = None
     for k in range(1, budget + 1):
-        residual = f - M.dot(t)
+        rendered = M.dot(t)
+        residual = f - rendered
         if residual.dot(residual) <= tol * tol:
-            return t, None, k
+            return t, rendered, None, k
         gap = goal.dot(residual)
-        d = rows_t.dot(gap)
-        if _is_nearest_box_point(t, d, lo, hi, stationary):
-            return t, SolveStatus.NEAREST_FEASIBLE, k
-        if held is None:
-            held = (t <= lo) | (t >= hi)
-        if not np.count_nonzero(np.abs(np.where(held, 0.0, d)) > stationary):
-            into_box = np.where(held, np.where(t <= lo, d, -d), -np.inf)
-            held[into_box.argmax()] = False
-        t, blocking = _ratio_step(t, fac.block(~held).step.dot(gap), lo, hi, rounding)
+        x, d = t.tolist(), rows_t.dot(gap).tolist()
+        if _is_nearest_box_point(x, d, lo, hi, stationary):
+            return t, rendered, SolveStatus.NEAREST_FEASIBLE, k
+        if free is None:
+            free = [lo_i < xi < hi_i for xi, lo_i, hi_i in zip(x, lo, hi)]
+        released = _release(free, x, d, lo, stationary)
+        if released >= 0:
+            free[released] = True
+        t, blocking = _ratio_step(t, fac.block(free).step.dot(gap), box)
         if blocking >= 0:
-            held[blocking] = True
-    return t, SolveStatus.ITERATION_CAP, budget
+            free[blocking] = False
+    return t, M.dot(t), SolveStatus.ITERATION_CAP, budget
 
 
-def _min_shift(fac, lo, hi, start, t, rounding, budget):
+def _min_shift(fac, box, t, budget):
     """Phase 2: min ||t - start||^2 s.t. rows t = rows t0 and the box,
     by the primal active-set method (Nocedal & Wright, Alg. 16.3) from the
     feasible box point t0 = t, holding the cables it has at a bound.
@@ -420,29 +490,28 @@ def _min_shift(fac, lo, hi, start, t, rounding, budget):
 
     Returns (t, certified, iterations).
     """
-    rows = fac.rows
+    rows, start = fac.rows, box.start
     target = rows.dot(t)
-    held = (t <= lo) | (t >= hi)
+    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t.tolist(), box.lo_floats, box.hi_floats)]
     for k in range(1, budget + 1):
-        free = ~held
         blk = fac.block(free)
         if blk.rank < len(rows):
             # release the held cable reaching furthest into the missing span
             reach = np.linalg.norm(blk.u[:, blk.rank :].T @ rows, axis=0)
-            held[np.where(held, reach, -1.0).argmax()] = False
+            free[int(np.where(blk.free, -1.0, reach).argmax())] = True
             continue
-        lam = blk.gram_pinv.dot(target - rows.dot(np.where(free, start, t)))
+        lam = blk.gram_pinv.dot(target - rows.dot(np.where(blk.free, start, t)))
         shift = fac.rows_t.dot(lam)
-        t, blocking = _ratio_step(t, np.where(free, start + shift - t, 0.0), lo, hi, rounding)
+        t, blocking = _ratio_step(t, np.where(blk.free, start + shift - t, 0.0), box)
         if blocking >= 0:
-            held[blocking] = True
+            free[blocking] = False
             continue
-        mu = t - start - shift
-        wrong = np.where(held, np.where(t <= lo, -mu, mu), -np.inf)
-        worst = int(wrong.argmax())
-        if wrong[worst] <= rounding:
+        worst, wrong = _worst_multiplier(
+            free, t.tolist(), box.start_floats, shift.tolist(), box.lo_floats
+        )
+        if wrong <= box.rounding:
             return t, True, k
-        held[worst] = False
+        free[worst] = True
     return t, False, budget
 
 
@@ -493,19 +562,17 @@ def solve(
     fvec = as_vec3(f)
     tol = cfg.tolerance
     fac = _factorize(M.tobytes(), M.shape[1])
-    lo, hi, start, a_start, rounding = fac.box(M, bounds, cfg.start)
+    box = fac.box(M, bounds, cfg.start)
 
-    x = np.minimum(np.maximum(start + fac.pinv.dot(fvec - a_start), lo), hi)
-    x, status, iterations = _nearest_box_point(
-        fac, M, fvec, lo, hi, x, tol, rounding, cfg.max_iterations
+    x = np.minimum(np.maximum(box.start + fac.pinv.dot(fvec - box.a_start), box.lo), box.hi)
+    x, rendered, status, iterations = _nearest_box_point(
+        fac, M, fvec, box, x, tol, cfg.max_iterations
     )
     if status is None:
-        x, certified, more = _min_shift(
-            fac, lo, hi, start, x, rounding, cfg.max_iterations - iterations + 1
-        )
+        x, certified, more = _min_shift(fac, box, x, cfg.max_iterations - iterations + 1)
         iterations += more - 1
+        rendered = M.dot(x)
 
-    rendered = M.dot(x)
     miss = rendered - fvec
     residual = math.sqrt(miss.dot(miss))
     if status is None:

@@ -53,6 +53,17 @@ class TestCommandForTension:
         with pytest.raises(InvalidTension):
             command_for_tension(np.nan, False)
 
+    @pytest.mark.parametrize("bad", ["a", "2.0", None, [2.0], np.inf])
+    def test_non_number_tension_rejected_naming_the_argument(self, bad):
+        with pytest.raises(InvalidTension, match="desired_tension"):
+            command_for_tension(bad, True)
+
+    @pytest.mark.parametrize("tension", [np.float32(2.0), np.float64(2.0), np.int64(2), 2])
+    def test_numpy_tension_computed_in_double_precision(self, tension):
+        command = command_for_tension(tension, False)
+        assert type(command.motor_current) is float
+        assert command.motor_current == 2.0 / 3.0
+
 
 class TestDefaultParams:
     @pytest.mark.parametrize(

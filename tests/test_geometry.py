@@ -171,3 +171,35 @@ class TestLayoutValidation:
         anchor = ModuleAnchor("a", np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             anchor.position[0] = 9.0
+
+    @pytest.mark.parametrize("bad_id", [3, 3.0, None, b"m1", ("m1",)])
+    def test_rejects_non_string_id(self, bad_id):
+        # a non-string id would be saved but read back through str(), where
+        # 3 and "3" collide
+        with pytest.raises(ValueError, match="id must be a string"):
+            ModuleAnchor(bad_id, np.array([0.0, 0.0, 0.0]))
+
+
+class TestAnchorPositions:
+    def test_stacked_once_read_only(self):
+        layout, _ = default_validation_layout()
+        positions = layout.anchor_positions
+        assert positions is layout.anchor_positions
+        assert positions.shape == (4, 3)
+        np.testing.assert_array_equal(positions, [a.position for a in layout.anchors])
+        with pytest.raises(ValueError):
+            positions[0, 0] = 9.0
+
+    def test_layouts_compare_by_anchors_alone(self):
+        layout, _ = default_validation_layout()
+        assert layout == ModuleLayout(layout.anchors, layout.bounds)
+        assert "_positions" not in repr(layout)
+
+    def test_structure_matrix_bytes_equal_the_per_call_stack(self):
+        rng = np.random.default_rng(12)
+        layout = make_layout(*rng.uniform(-2.0, 2.0, size=(7, 3)))
+        for ee in rng.uniform(-1.0, 1.0, size=(50, 3)):
+            offsets = np.array([a.position for a in layout.anchors]) - ee
+            norms = np.linalg.norm(offsets, axis=1)
+            expected = (offsets / norms[:, None]).T
+            assert structure_matrix(layout, ee).columns.tobytes() == expected.tobytes()

@@ -1,0 +1,168 @@
+"""The solver's per-cable passes against the numpy expressions they replace.
+
+Each reference below is the array form of one decision the active-set
+iterations make: the nearest-box-point certificate, the ratio test, phase
+1's release of a held cable and phase 2's multiplier sign test. The passes
+must agree with them exactly: the same booleans, the same blocking and
+released cables, and bit-identical arrays. The cases are seeded and built
+to hit ties, steps inside the +-rounding band, no moving cable, no held
+cable and every m from 1 to 8 (case k has 1 + k % 8 cables), and each
+test checks that its cases reach every outcome, ties included.
+"""
+
+import numpy as np
+
+from cablehaptics import solver
+
+ROUNDING = 1e-12
+TOL = 1e-9
+CASES = 2000
+
+
+def reference_certificate(x, d, lo, hi, tol):
+    return not np.count_nonzero(((d > tol) & (x < hi)) | ((d < -tol) & (x > lo)))
+
+
+def reference_ratio_step(t, step, lo, hi, rounding):
+    moving = np.abs(step) > rounding
+    room = np.divide(
+        np.where(step > 0, hi, lo) - t, step, out=np.full(len(t), np.inf), where=moving
+    )
+    blocking = int(room.argmin())
+    if room[blocking] >= 1.0:
+        return np.minimum(np.maximum(t + step, lo), hi), -1
+    t = np.minimum(np.maximum(t + room[blocking] * step, lo), hi)
+    t[blocking] = hi[blocking] if step[blocking] > 0 else lo[blocking]
+    return t, blocking
+
+
+def reference_release(held, t, d, lo, tol):
+    """The held mask after phase 1's release test."""
+    held = held.copy()
+    if not np.count_nonzero(np.abs(np.where(held, 0.0, d)) > tol):
+        into_box = np.where(held, np.where(t <= lo, d, -d), -np.inf)
+        held[into_box.argmax()] = False
+    return held
+
+
+def reference_worst_multiplier(held, t, start, shift, lo, rounding):
+    """(certified, worst cable, its wrong amount) of phase 2's KKT test."""
+    mu = t - start - shift
+    wrong = np.where(held, np.where(t <= lo, -mu, mu), -np.inf)
+    worst = int(wrong.argmax())
+    return bool(wrong[worst] <= rounding), worst, wrong[worst]
+
+
+def random_case(rng, m):
+    """Per-cable bounds on a dyadic grid, a box point with cables at a floor,
+    at a ceiling and free, and a second vector whose entries include zeros,
+    values inside and on the edge of the +-TOL and +-ROUNDING bands, and
+    repeats of other entries (so ties are common)."""
+    lo = rng.integers(0, 4, m) / 4.0
+    hi = lo + rng.integers(1, 24, m) / 4.0
+    where = rng.integers(0, 3, m)
+    interior = lo + (hi - lo) * rng.integers(1, 8, m) / 8.0
+    t = np.where(where == 0, lo, np.where(where == 1, hi, interior))
+    if rng.random() < 0.2:
+        t = interior  # no cable at a bound
+    v = rng.normal(size=m) * 10.0 ** rng.integers(-13, 1, m)
+    kind = rng.integers(0, 8, m)
+    band = rng.choice([TOL, ROUNDING])
+    v = np.where(kind == 0, 0.0, v)
+    v = np.where(kind == 1, band * rng.uniform(-1.0, 1.0, m), v)
+    v = np.where(kind == 2, band * rng.choice([-1.0, 1.0], m), v)
+    v = np.where(kind == 3, rng.integers(-8, 9, m) / 4.0, v)
+    if rng.random() < 0.1:
+        v = ROUNDING * rng.uniform(-1.0, 1.0, m)  # nothing moves
+    if m > 1 and rng.random() < 0.5:
+        # copy one cable onto another, an exact tie in every decision
+        i, j = rng.choice(m, 2, replace=False)
+        lo[j], hi[j], t[j], v[j] = lo[i], hi[i], t[i], v[i]
+    return lo, hi, t, v
+
+
+def cases(seed):
+    rng = np.random.default_rng(seed)
+    for k in range(CASES):
+        yield random_case(rng, 1 + k % 8), rng
+
+
+def is_tie(values, index):
+    """More than one entry of values equals values[index]."""
+    return np.count_nonzero(values == values[index]) > 1
+
+
+def test_certificate_matches_reference():
+    outcomes = set()
+    for (lo, hi, x, d), _ in cases(1):
+        expected = reference_certificate(x, d, lo, hi, TOL)
+        got = solver._is_nearest_box_point(x.tolist(), d.tolist(), lo.tolist(), hi.tolist(), TOL)
+        assert got is expected
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_ratio_step_matches_reference():
+    outcomes, ties = set(), 0
+    for (lo, hi, t, step), rng in cases(2):
+        if rng.random() < 0.5:
+            # a short step, so the full step is taken
+            step = step * 1e-3
+        expected, blocking = reference_ratio_step(t, step, lo, hi, ROUNDING)
+        box = solver._Box.of(lo, hi, lo, np.zeros(3), ROUNDING)
+        got, got_blocking = solver._ratio_step(t, step, box)
+        assert got_blocking == blocking
+        assert got.tobytes() == expected.tobytes()
+        moving = np.abs(step) > ROUNDING
+        outcomes.add((blocking >= 0, bool(moving.any())))
+        if blocking >= 0:
+            room = np.divide(
+                np.where(step > 0, hi, lo) - t, step, out=np.full(len(t), np.inf), where=moving
+            )
+            ties += is_tie(room, blocking)
+    # blocked, the whole step taken, and no cable moving at all
+    assert outcomes == {(True, True), (False, True), (False, False)}
+    assert ties > 20
+
+
+def test_release_matches_reference():
+    released, ties = set(), 0
+    for (lo, hi, t, d), rng in cases(3):
+        held = (t <= lo) | (t >= hi)
+        if rng.random() < 0.3:
+            held = held & rng.integers(0, 2, len(t)).astype(bool)
+        expected = reference_release(held, t, d, lo, TOL)
+        free = (~held).tolist()
+        pick = solver._release(free, t.tolist(), d.tolist(), lo.tolist(), TOL)
+        if pick >= 0:
+            assert not free[pick]
+            free[pick] = True
+            ties += is_tie(np.where(held, np.where(t <= lo, d, -d), -np.inf), pick)
+        np.testing.assert_array_equal(~np.array(free), expected)
+        released.add((pick >= 0, bool(held.any())))
+    assert released == {(True, True), (False, True), (False, False)}
+    assert ties > 20
+
+
+def test_worst_multiplier_matches_reference():
+    outcomes, ties = set(), 0
+    for (lo, hi, t, shift), rng in cases(4):
+        held = (t <= lo) | (t >= hi)
+        start = lo + (hi - lo) * rng.integers(0, 5, len(t)) / 4.0
+        certified, worst, amount = reference_worst_multiplier(
+            held, t, start, shift, lo, ROUNDING
+        )
+        got_worst, got_amount = solver._worst_multiplier(
+            (~held).tolist(), t.tolist(), start.tolist(), shift.tolist(), lo.tolist()
+        )
+        assert (got_amount <= ROUNDING) is certified
+        if held.any():
+            assert got_worst == worst
+            assert np.float64(got_amount).tobytes() == amount.tobytes()
+            mu = t - start - shift
+            ties += is_tie(np.where(held, np.where(t <= lo, -mu, mu), -np.inf), worst)
+        else:
+            assert (got_worst, got_amount) == (-1, -np.inf)
+        outcomes.add((certified, bool(held.any())))
+    assert outcomes == {(True, True), (False, True), (True, False)}
+    assert ties > 20

@@ -481,8 +481,8 @@ class TestFactorizationCache:
         solve(M, [0.0, 0.0, 1.5], BOUNDS)
         solve(M, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=start))
         fac = solver._factorize(M.tobytes(), M.shape[1])
-        u, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
-        cached = (fac.vt, fac.rows, u)
+        free, u, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
+        cached = (fac.vt, fac.rows, free, u)
         operators = (fac.goal, fac.pinv, fac.rows_t, gram_pinv, step)
         custom = SolverConfig(start=start).start
         boxes = fac.box(M, BOUNDS, None)[:4] + fac.box(M, BOUNDS, custom)[:4]
@@ -619,13 +619,16 @@ class TestRatioStep:
             ([LO, LO, 3.0], [-1e-13, -1e-12, 1.0], [LO, LO, 4.0], -1),
             # a component just above it does, at length zero
             ([LO, 3.0], [-2e-12, 1.0], [LO, 3.0], 0),
+            # cables 1 and 2 both block at half the step: the lower index wins
+            ([3.0, 1.0, 5.0], [1.0, -1.0, 2.0], [3.5, LO, HI], 1),
         ],
     )
     def test_step(self, t, step, expected, blocking):
         t = np.array(t)
         before = t.copy()
         lo, hi = np.full(len(t), LO), np.full(len(t), HI)
-        moved, blocked = solver._ratio_step(t, np.array(step), lo, hi, 1e-12)
+        box = solver._Box.of(lo, hi, lo, np.zeros(3), 1e-12)
+        moved, blocked = solver._ratio_step(t, np.array(step), box)
         assert blocked == blocking
         np.testing.assert_array_equal(moved, expected)
         np.testing.assert_array_equal(t, before)
