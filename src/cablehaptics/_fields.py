@@ -26,9 +26,13 @@ def as_vec3(v) -> np.ndarray:
 
 def real(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:
     """value as a float, if it is a finite real number of at least minimum
-    (above it when strict). Strings are not numbers here."""
+    (above it when strict). Strings and bools are not numbers here."""
     try:
-        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        finite = (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
@@ -41,14 +45,17 @@ def real(value, name: str, minimum: float | None = None, *, strict: bool = False
 
 def integer(value, name: str, minimum: int) -> int:
     """value as an int, if it is an integer of at least minimum;
-    operator.index decides what counts as one, so 2.0 and "2" do not."""
+    operator.index decides what counts as one, so 2.0 and "2" do not, and
+    neither does a bool."""
     try:
-        value = operator.index(value)
+        checked = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return value
+        checked = None
+    if checked is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if checked < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {checked!r}")
+    return checked
 
 
 def vec3(value, name: str, *, unit: bool = False) -> np.ndarray:

@@ -53,11 +53,15 @@ _MATERIAL_TYPES = {
     )
 }
 
+# libyaml's parser where PyYAML was built with it; both build the same
+# objects through SafeLoader's constructor and resolver.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _load_yaml(path) -> dict:
     try:
         with open(path) as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

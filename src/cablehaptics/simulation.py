@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Union
 
@@ -34,6 +35,9 @@ HARDWARE_REFERENCE = {
     "mean_magnitude_error_n": 0.58,
     "angle_threshold_deg": 45.0,
 }
+
+# A force with a smaller norm (N) has no direction to score.
+_ZERO_NORM = 1e-12
 
 VALIDATION_CSV_HEADER = (
     "cx",
@@ -83,6 +87,7 @@ class NoisyPlant:
 
     Each hold draws from its own generator seeded with ``seed + sample
     index``, so runs are reproducible and independent of evaluation order.
+    Its measurement is the mean of the hold's ticks.
     """
 
     force_noise_std: float = 0.0
@@ -94,16 +99,23 @@ class NoisyPlant:
         set_checked(self, real, "force_noise_std", minimum=0.0)
         set_checked(self, real, "frame_rotation_z", "tension_bias")
         set_checked(self, integer, "seed", minimum=0)
+        rotation = rotation_z(self.frame_rotation_z)
+        rotation.setflags(write=False)
+        # not a field: built once here from frame_rotation_z, so equality,
+        # repr and asdict still read the four fields alone
+        object.__setattr__(self, "_rotation", rotation)
 
     def measure_hold(
         self, A: StructureMatrix, tensions: np.ndarray, ticks: int, sample_index: int
     ) -> np.ndarray:
-        true_force = rotation_z(self.frame_rotation_z) @ (
-            A.columns @ (tensions + self.tension_bias)
-        )
+        true_force = self._rotation @ (A.columns @ (tensions + self.tension_bias))
         rng = np.random.default_rng(self.seed + sample_index)
-        draws = true_force + rng.normal(0.0, self.force_noise_std, size=(ticks, 3))
-        return draws.mean(axis=0)
+        draws = rng.normal(0.0, self.force_noise_std, size=(ticks, 3))
+        draws += true_force
+        # draws.mean(axis=0) adds the ticks in order, one 3-long inner loop
+        # per tick; accumulate makes the same additions down three strided
+        # loops, in about half the time on a 1000-tick hold
+        return np.add.accumulate(draws, out=draws)[-1] / ticks
 
 
 PlantModel = Union[IdealPlant, NoisyPlant]
@@ -149,21 +161,32 @@ def sphere_samples(n: int, radius: float) -> np.ndarray:
     return points * radius
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float 3-vector, as np.linalg.norm computes it."""
+    return math.sqrt(v.dot(v))
+
+
+def _angle(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """Angle in degrees between float 3-vectors a and b of norms na and nb,
+    both above _ZERO_NORM."""
+    cosine = min(max(a.dot(b) / (na * nb), -1.0), 1.0)
+    return float(np.degrees(np.arccos(cosine)))
+
+
 def angle_error(a, b) -> float:
     """Angle in degrees between two force vectors, in [0, 180]."""
     av = as_vec3(a)
     bv = as_vec3(b)
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na <= 1e-12 or nb <= 1e-12:
+    na = _norm(av)
+    nb = _norm(bv)
+    if na <= _ZERO_NORM or nb <= _ZERO_NORM:
         raise ZeroVector("angle undefined for a (near-)zero vector")
-    cosine = np.clip(np.dot(av, bv) / (na * nb), -1.0, 1.0)
-    return float(np.degrees(np.arccos(cosine)))
+    return _angle(av, bv, na, nb)
 
 
 def magnitude_error(a, b) -> float:
     """Absolute difference of the two vectors' norms, in newtons."""
-    return float(abs(np.linalg.norm(as_vec3(a)) - np.linalg.norm(as_vec3(b))))
+    return abs(_norm(as_vec3(a)) - _norm(as_vec3(b)))
 
 
 def rotation_z(theta: float) -> np.ndarray:
@@ -247,21 +270,27 @@ def run_validation(
     A = structure_matrix(layout, ee)
     commanded = sphere_samples(protocol.sample_count, protocol.sphere_radius)
     records = []
+    norms = []
     for index, force in enumerate(commanded):
         result = solve(A, force, layout.bounds, config)
-        measured = plant.measure_hold(
-            A, result.tensions, protocol.samples_per_hold, index
+        measured = as_vec3(
+            plant.measure_hold(A, result.tensions, protocol.samples_per_hold, index)
         )
-        if np.linalg.norm(measured) <= 1e-12:
+        commanded_norm = _norm(force)
+        measured_norm = _norm(measured)
+        if measured_norm <= _ZERO_NORM:
             angle = 180.0
+        elif commanded_norm <= _ZERO_NORM:
+            raise ZeroVector("angle undefined for a (near-)zero vector")
         else:
-            angle = angle_error(force, measured)
+            angle = _angle(force, measured, commanded_norm, measured_norm)
+        norms.append(measured_norm)
         records.append(
             SampleRecord(
                 commanded=force,
                 measured=measured,
                 angle_error=angle,
-                magnitude_error=magnitude_error(force, measured),
+                magnitude_error=abs(commanded_norm - measured_norm),
                 feasible=result.force_residual <= WRENCH_FEASIBLE_RESIDUAL,
             )
         )
@@ -271,9 +300,7 @@ def run_validation(
         records=tuple(records),
         mean_angle_error=float(np.mean(angles)),
         max_angle_error=float(np.max(angles)),
-        mean_measured_magnitude=float(
-            np.mean([np.linalg.norm(r.measured) for r in records])
-        ),
+        mean_measured_magnitude=float(np.mean(norms)),
         mean_magnitude_error=float(np.mean([r.magnitude_error for r in records])),
         fraction_within_45deg=float(np.mean(angles <= 45.0)),
     )
@@ -284,13 +311,13 @@ def write_report_csv(report: ValidationReport, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(VALIDATION_CSV_HEADER)
-        for r in report.records:
-            writer.writerow(
-                [repr(float(v)) for v in r.commanded]
-                + [repr(float(v)) for v in r.measured]
-                + [repr(r.angle_error), repr(r.magnitude_error)]
-                + ["true" if r.feasible else "false"]
-            )
+        # csv writes a float as its repr
+        writer.writerows(
+            r.commanded.tolist()
+            + r.measured.tolist()
+            + [r.angle_error, r.magnitude_error, "true" if r.feasible else "false"]
+            for r in report.records
+        )
 
 
 def report_summary(

@@ -1,5 +1,9 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from cablehaptics import (
     Composite,
@@ -11,6 +15,7 @@ from cablehaptics import (
     Spring,
     TensionBounds,
 )
+from cablehaptics import config
 from cablehaptics.config import (
     layout_from_dict,
     layout_to_dict,
@@ -98,6 +103,16 @@ class TestLayoutErrors:
         with pytest.raises(ConfigError, match=f"{field} must be a finite real number"):
             layout_from_dict({"anchors": [{"id": "a", "position": [1, 0, 0]}], "bounds": bounds})
 
+    @pytest.mark.parametrize("word", ["yes", "no", "true", "on"])
+    def test_yaml_bool_bounds_rejected_naming_the_field(self, tmp_path, word):
+        # YAML 1.1 reads these as bools, which are not tensions
+        path = tmp_path / "layout.yaml"
+        path.write_text(
+            f"anchors:\n- id: a\n  position: [1.0, 0.0, 0.0]\nbounds: {{t_min: {word}, t_max: 6.0}}\n"
+        )
+        with pytest.raises(ConfigError, match="t_min must be a finite real number"):
+            load_layout(path)
+
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("anchors: [unclosed")
@@ -109,6 +124,64 @@ class TestLayoutErrors:
         path.write_text("- 1\n- 2\n")
         with pytest.raises(ConfigError):
             load_layout(path)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# The loaders _load_yaml may use: libyaml's where PyYAML has it, and the
+# pure-Python one, which must read every file the same way.
+LOADERS = [
+    pytest.param(getattr(yaml, name), id=name)
+    for name in ("CSafeLoader", "SafeLoader")
+    if hasattr(yaml, name)
+]
+
+
+def readme_yaml_examples() -> list[str]:
+    """The README's YAML blocks: the layout example, then the material one."""
+    return re.findall(r"```yaml\n(.*?)```", README.read_text(), flags=re.S)
+
+
+class TestYamlLoaders:
+    def test_the_loader_is_libyaml_where_pyyaml_has_it(self):
+        assert config._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    def test_readme_examples_load_to_the_same_data(self, tmp_path, monkeypatch):
+        examples = readme_yaml_examples()
+        assert len(examples) == 2
+        for k, text in enumerate(examples):
+            path = tmp_path / f"example{k}.yaml"
+            path.write_text(text)
+            loaded = []
+            for param in LOADERS:
+                monkeypatch.setattr(config, "_YAML_LOADER", param.values[0])
+                loaded.append(config._load_yaml(path))
+            # repr also tells 2 from 2.0
+            assert all(repr(data) == repr(loaded[0]) for data in loaded)
+        layout = load_layout(tmp_path / "example0.yaml")
+        assert [a.id for a in layout.anchors] == ["m1", "m2", "m3", "m4"]
+        assert layout.bounds == TensionBounds(0.5, 6.0)
+        material = load_material(tmp_path / "example1.yaml")
+        assert isinstance(material, Composite) and len(material.children) == 5
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("anchors: [unclosed", "invalid YAML"),
+            ("anchors:\n  - id: a\n bad: indent\n", "invalid YAML"),
+            ("key: [1, 2]\nkey2: {a: 1\n", "invalid YAML"),
+            ("\tanchors: []\n", "invalid YAML"),
+            ("- 1\n- 2\n", "expected a mapping"),
+            ("just a string\n", "expected a mapping"),
+            ("", "expected a mapping"),
+        ],
+    )
+    def test_bad_files_raise_config_error(self, tmp_path, monkeypatch, loader, text, message):
+        monkeypatch.setattr(config, "_YAML_LOADER", loader)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            config._load_yaml(path)
 
 
 class TestMaterialParsing:
