@@ -3,7 +3,7 @@
 Modules:
 
 - geometry: anchor layouts, cable directions, structure matrix
-- solver: active-set tension distribution within box bounds
+- solver: active-set tension distribution within box bounds, actuation rank
 - haptics: virtual-material force models
 - actuation: hybrid motor-brake command policy
 - simulation: force-sphere validation harness and error metrics
@@ -24,7 +24,6 @@ from .geometry import (
     ModuleAnchor,
     ModuleLayout,
     StructureMatrix,
-    actuation_rank,
     as_vec3,
     cable_directions,
     structure_matrix,
@@ -61,10 +60,8 @@ from .solver import (
     SolveStatus,
     SolverConfig,
     TensionBounds,
+    actuation_rank,
     is_wrench_feasible,
-    null_space_basis,
-    project_box,
-    project_equilibrium,
     solve,
 )
 
@@ -112,9 +109,6 @@ __all__ = [
     "evaluate",
     "is_wrench_feasible",
     "magnitude_error",
-    "null_space_basis",
-    "project_box",
-    "project_equilibrium",
     "rotation_z",
     "run_validation",
     "solve",

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._fields import as_vec3, set_checked, vec3
 from .errors import DegenerateGeometry
-from .solver import TensionBounds, null_space_basis
+from .solver import TensionBounds
 
 # Anchors closer together than this are rejected as duplicates (meters).
 COINCIDENT_ANCHOR_TOL = 1e-9
@@ -135,9 +135,3 @@ def structure_matrix(layout: ModuleLayout, ee) -> StructureMatrix:
     """Build the structure matrix for a layout at an end-effector position."""
     return StructureMatrix(cable_directions(layout, ee).T)
 
-
-def actuation_rank(A: StructureMatrix) -> int:
-    """Numerical rank of the structure matrix (cutoff 1e-9 relative to the
-    largest singular value). Rank 3 with m >= 4 positively spanning columns
-    means the system is redundantly actuated."""
-    return A.m - len(null_space_basis(A))

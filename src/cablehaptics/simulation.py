@@ -22,7 +22,7 @@ from ._fields import integer, real, set_checked
 from .config import layout_to_dict
 from .errors import DegenerateInput, ZeroVector
 from .geometry import ModuleAnchor, ModuleLayout, StructureMatrix, as_vec3, structure_matrix
-from .solver import WRENCH_FEASIBLE_RESIDUAL, SolverConfig, TensionBounds, solve
+from .solver import WRENCH_FEASIBLE_RESIDUAL, SolverConfig, solve
 
 # Error statistics measured on a physical four-module rig with a calibrated
 # force sensor, reported alongside simulated metrics for side-by-side
@@ -200,13 +200,16 @@ def align_z_rotation(desired_basis, measured_basis) -> float:
 
     Closed form over the XY components: with C = sum(dx*mx + dy*my) and
     S = sum(dy*mx - dx*my), the minimizer is atan2(S, C). Raises
-    DegenerateInput when every vector's XY projection is (near) zero, since
-    a Z rotation is then unobservable.
+    ValueError for mismatched shapes or a NaN or inf entry, ZeroVector for
+    a (near) zero basis vector, and DegenerateInput when every vector's XY
+    projection is (near) zero, since a Z rotation is then unobservable.
     """
     d = np.atleast_2d(np.asarray(desired_basis, dtype=float))
     m = np.atleast_2d(np.asarray(measured_basis, dtype=float))
     if d.shape != m.shape or d.shape[1] != 3 or d.shape[0] < 1:
         raise ValueError(f"basis shapes must match as (k, 3), got {d.shape} and {m.shape}")
+    if not (np.isfinite(d).all() and np.isfinite(m).all()):
+        raise ValueError("basis vectors must be finite")
     if np.any(np.linalg.norm(d, axis=1) <= 1e-12) or np.any(
         np.linalg.norm(m, axis=1) <= 1e-12
     ):
@@ -223,7 +226,6 @@ def align_z_rotation(desired_basis, measured_basis) -> float:
 
 def default_validation_layout(
     triangle_circumradius: float = 1.0,
-    bounds: TensionBounds | None = None,
 ) -> tuple[ModuleLayout, np.ndarray]:
     """The bench arrangement: three modules in an equilateral triangle on
     the floor, the end effector 0.3 m above the triangle's center, and a
@@ -247,10 +249,7 @@ def default_validation_layout(
         for k in range(3)
     ]
     anchors.append(ModuleAnchor("m4", np.array([0.0, 0.0, 2.3])))
-    layout = ModuleLayout(
-        tuple(anchors), bounds if bounds is not None else TensionBounds()
-    )
-    return layout, np.array([0.0, 0.0, 0.3])
+    return ModuleLayout(tuple(anchors)), np.array([0.0, 0.0, 0.3])
 
 
 def run_validation(

@@ -22,7 +22,9 @@ Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
 that depends on A alone and, for the last bounds and start point, the box
 arrays and A times the start; consecutive solves on the same matrix share
-it, so a solve computes only what depends on the force.
+it, so a solve computes only what depends on the force. actuation_rank
+reads its rank from the same factorization, so the rank rule lives here
+alone.
 
 Each iteration does two kinds of work. Products with a cached 3 x m or
 m x r operator, and the clip of a step into the box, are one ndarray.dot
@@ -164,13 +166,6 @@ def _bound_arrays(bounds: BoundsLike, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def project_box(t, bounds: BoundsLike) -> np.ndarray:
-    """Clamp each tension into its allowable range. Idempotent."""
-    arr = np.asarray(t, dtype=float)
-    lo, hi = _bound_arrays(bounds, arr.shape[-1])
-    return np.clip(arr, lo, hi)
-
-
 class _Block(NamedTuple):
     """What the iterations need of one free-column block rows[:, free]:
     the free mask as an array, its left singular vectors and rank, the
@@ -208,17 +203,18 @@ class _Box(NamedTuple):
 
 
 class _Factorization:
-    """One SVD A = U S V^T of a finite structure matrix, the operators
-    built from it alone, a _Block for each free-column block of
+    """One SVD A = U S V^T of a finite structure matrix, its rank, the
+    operators built from it alone, a _Block for each free-column block of
     rows = V_r^T asked for so far, and the _Box of the last bounds and
     start point.
 
-    The operators are goal = S_r^-1 U_r^T, which maps a force to the
+    The rank counts singular values above RANK_REL_TOL times the largest;
+    this is the package's one rank rule, and actuation_rank reads it. The
+    operators are goal = S_r^-1 U_r^T, which maps a force to the
     right-hand side of rows t = goal f; the pseudoinverse
     pinv = A^+ = V_r S_r^-1 U_r^T; and rows_t, a C-contiguous copy of
-    rows^T. The rank counts singular values above RANK_REL_TOL times the
-    largest. Every array held here is read-only, since later solves share
-    it.
+    rows^T. Of V^T only its first rank rows are kept, as rows. Every array
+    held here is read-only, since later solves share it.
 
     The constructor is where a structure matrix is checked for NaN and
     inf, before the SVD, which does not return on them.
@@ -237,7 +233,7 @@ class _Factorization:
         pinv = rows_t @ goal
         for arr in (goal, rows_t, pinv):
             arr.setflags(write=False)
-        self.vt, self.rank, self.rows = vt, rank, rows
+        self.rank, self.rows = rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
         self._blocks: dict[bytes, _Block] = {}
         # (key, _Box) of the last box asked for
@@ -310,28 +306,12 @@ def _factorize(key: bytes, m: int) -> _Factorization:
     return _Factorization(np.frombuffer(key).reshape(3, m))
 
 
-def project_equilibrium(t, A: StructureMatrix | np.ndarray, f) -> np.ndarray:
-    """Euclidean projection of t onto the equilibrium set {t : A t = f}.
-
-    If f is outside the column space of A (possible only when A is
-    rank-deficient), the projection targets the nearest consistent
-    right-hand side, i.e. f projected onto range(A).
-    """
+def actuation_rank(A: StructureMatrix | np.ndarray) -> int:
+    """Numerical rank of the structure matrix (cutoff 1e-9 relative to the
+    largest singular value). Rank 3 with m >= 4 positively spanning columns
+    means the system is redundantly actuated."""
     M = _matrix(A)
-    arr = np.asarray(t, dtype=float)
-    fac = _factorize(M.tobytes(), M.shape[1])
-    return arr - fac.pinv @ (M @ arr - as_vec3(f))
-
-
-def null_space_basis(A: StructureMatrix | np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {v : A v = 0}, one row per basis vector.
-
-    These are the internal tension redistributions that leave the rendered
-    force unchanged; the returned array has shape (m - rank, m).
-    """
-    M = _matrix(A)
-    fac = _factorize(M.tobytes(), M.shape[1])
-    return fac.vt[fac.rank :].copy()
+    return _factorize(M.tobytes(), M.shape[1]).rank
 
 
 def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:

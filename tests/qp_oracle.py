@@ -81,16 +81,6 @@ def min_shift_qp(A, f, lo, hi, start):
     return best
 
 
-def affine_projection_lstsq(t, A, f):
-    """Nearest point to t with A t' = f, via numpy's minimum-norm lstsq.
-
-    Independent of the production pseudoinverse-operator path.
-    """
-    t = np.asarray(t, dtype=float)
-    delta, *_ = np.linalg.lstsq(np.asarray(A, dtype=float), f - A @ t, rcond=None)
-    return t + delta
-
-
 def random_rank3_directions(rng, m):
     """m unit cable directions (rows) with a numerically rank-3 span."""
     while True:

@@ -141,6 +141,18 @@ def readme_yaml_examples() -> list[str]:
     return re.findall(r"```yaml\n(.*?)```", README.read_text(), flags=re.S)
 
 
+def readme_python_example() -> str:
+    """The README's one Python block, the library quick start."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    return block
+
+
+def test_readme_python_quick_start_runs(capsys):
+    exec(compile(readme_python_example(), str(README), "exec"), {})
+    status = capsys.readouterr().out.split()[0]
+    assert status == "feasible_exact"
+
+
 class TestYamlLoaders:
     def test_the_loader_is_libyaml_where_pyyaml_has_it(self):
         assert config._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)

@@ -121,17 +121,30 @@ class TestStructureMatrix:
             StructureMatrix(cols)
 
 
+def planar_columns(*angles):
+    """Unit columns in the XY plane at the given angles (radians)."""
+    return np.vstack([np.cos(angles), np.sin(angles), np.zeros(len(angles))])
+
+
 class TestActuationRank:
-    def test_identity_columns_rank_3(self):
-        assert actuation_rank(StructureMatrix(np.eye(3))) == 3
-
-    def test_collinear_columns_rank_1(self):
-        cols = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        assert actuation_rank(StructureMatrix(cols)) == 1
-
-    def test_default_four_module_layout_rank_3(self):
-        layout, ee = default_validation_layout()
-        assert actuation_rank(structure_matrix(layout, ee)) == 3
+    # two columns 1e-12 rad apart sit under the 1e-9 relative cutoff;
+    # 1e-6 rad apart they are independent
+    @pytest.mark.parametrize(
+        "columns, rank",
+        [
+            pytest.param(np.eye(3), 3, id="identity"),
+            pytest.param(planar_columns(0.0, 0.0), 1, id="collinear"),
+            pytest.param(planar_columns(0.0, np.pi), 1, id="antagonistic-pair"),
+            pytest.param(planar_columns(0.0, 1e-12), 1, id="1e-12-rad-apart"),
+            pytest.param(planar_columns(0.0, 1e-6), 2, id="1e-6-rad-apart"),
+            pytest.param(planar_columns(0.3, 1.9, 3.4, 4.8), 2, id="coplanar-four"),
+            pytest.param(
+                structure_matrix(*default_validation_layout()).columns, 3, id="default-four-module"
+            ),
+        ],
+    )
+    def test_rank(self, columns, rank):
+        assert actuation_rank(StructureMatrix(columns)) == rank
 
 
 class TestLayoutValidation:

@@ -124,6 +124,14 @@ class TestAlignZRotation:
         with pytest.raises(DegenerateInput):
             align_z_rotation(axis, axis)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["desired", "measured"])
+    def test_non_finite_basis_rejected(self, side, bad):
+        broken, intact = np.array([[bad, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])
+        pair = (broken, intact) if side == "desired" else (intact, broken)
+        with pytest.raises(ValueError, match="finite"):
+            align_z_rotation(*pair)
+
     def test_zero_basis_vector_rejected(self):
         with pytest.raises(ZeroVector):
             align_z_rotation(np.zeros((1, 3)), np.ones((1, 3)))

@@ -7,10 +7,8 @@ from cablehaptics import (
     SolverConfig,
     StructureMatrix,
     TensionBounds,
+    actuation_rank,
     is_wrench_feasible,
-    null_space_basis,
-    project_box,
-    project_equilibrium,
     solve,
     structure_matrix,
 )
@@ -19,7 +17,7 @@ from cablehaptics.cli import WORKSPACE_DIRECTIONS, WORKSPACE_PROBE_FORCE
 from cablehaptics.geometry import ModuleAnchor, ModuleLayout
 from cablehaptics.simulation import default_validation_layout, sphere_samples
 
-from qp_oracle import affine_projection_lstsq, min_shift_qp, random_rank3_directions
+from qp_oracle import min_shift_qp, random_rank3_directions
 
 BOUNDS = TensionBounds()
 IDENTITY = StructureMatrix(np.eye(3))
@@ -41,92 +39,39 @@ class TestTensionBounds:
             TensionBounds(t_min, t_max)
 
 
-class TestProjectBox:
-    def test_clamps_to_hardware_range(self):
-        np.testing.assert_allclose(
-            project_box([-0.2, 3.0, 7.5], BOUNDS), [0.5, 3.0, 6.0]
-        )
-
-    def test_interior_point_fixed(self):
-        np.testing.assert_allclose(project_box([1.0, 1.0], BOUNDS), [1.0, 1.0])
-
-    def test_boundary_fixed(self):
-        np.testing.assert_allclose(project_box([6.0, 0.5], BOUNDS), [6.0, 0.5])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        t = rng.uniform(-5.0, 15.0, size=8)
-        once = project_box(t, BOUNDS)
-        np.testing.assert_array_equal(project_box(once, BOUNDS), once)
-
-    def test_per_cable_bounds(self):
-        per_cable = (TensionBounds(0.5, 6.0), TensionBounds(1.0, 2.0))
-        np.testing.assert_allclose(project_box([0.0, 9.0], per_cable), [0.5, 2.0])
+def _interior_projection_case(seed, m):
+    """A random rank-3 matrix, a start in [2, 4]^m and a force whose
+    equilibrium set lies within distance 1 of the start, so the projection
+    stays inside the default bounds [0.5, 6]."""
+    rng = np.random.default_rng(seed)
+    A = random_rank3_directions(rng, m).T
+    start = rng.uniform(2.0, 4.0, size=m)
+    delta = rng.normal(size=m)
+    delta /= max(1.0, np.linalg.norm(delta))
+    return A, A @ (start + delta), start
 
 
-class TestProjectEquilibrium:
-    def test_identity_affine_set_is_single_point(self):
-        f = np.array([1.0, 1.0, 1.0])
-        np.testing.assert_allclose(
-            project_equilibrium([4.0, -2.0, 0.3], IDENTITY, f), f, atol=1e-12
-        )
+class TestSolveAsProjection:
+    """Where the bounds do not bind, solve returns the Euclidean projection
+    of its start onto the equilibrium set {t : A t = f}: the start shifted by
+    the minimum-norm least-squares solution of A d = f - A t."""
 
-    def test_single_cable_exact(self):
-        A = StructureMatrix(np.array([[1.0], [0.0], [0.0]]))
-        np.testing.assert_allclose(
-            project_equilibrium([5.0], A, [2.0, 0.0, 0.0]), [2.0], atol=1e-12
-        )
-
-    def test_matches_least_squares_oracle_on_default_layout(self):
-        A = default_matrix()
-        f = np.array([0.0, 1.5, 0.0])
-        t = np.full(4, 0.5)
-        projected = project_equilibrium(t, A, f)
-        np.testing.assert_allclose(A.columns @ projected, f, atol=1e-10)
-        np.testing.assert_allclose(
-            projected, affine_projection_lstsq(t, A.columns, f), atol=1e-10
-        )
-        # the shift happens entirely outside the null space
-        basis = null_space_basis(A)
-        np.testing.assert_allclose(basis @ (projected - t), 0.0, atol=1e-10)
-
-    def test_random_starts_agree_with_oracle(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            m = int(rng.integers(3, 8))
-            A = random_rank3_directions(rng, m).T
-            f = rng.normal(scale=2.0, size=3)
-            t = rng.normal(scale=3.0, size=m)
-            np.testing.assert_allclose(
-                project_equilibrium(t, A, f),
-                affine_projection_lstsq(t, A, f),
-                atol=1e-9,
-            )
-
-
-class TestNullSpaceBasis:
-    def test_full_column_rank_has_empty_basis(self):
-        assert null_space_basis(IDENTITY).shape == (0, 3)
-
-    def test_antagonistic_pair_co_tension(self):
-        A = StructureMatrix(np.array([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]))
-        basis = null_space_basis(A)
-        assert basis.shape == (1, 2)
-        np.testing.assert_allclose(np.abs(basis[0]), [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
-
-    def test_default_layout_dimension_one(self):
-        A = default_matrix()
-        basis = null_space_basis(A)
-        assert basis.shape == (1, 4)
-        np.testing.assert_array_less(np.abs(A.columns @ basis[0]), 1e-10)
-
-    def test_orthonormal_rows(self):
-        rng = np.random.default_rng(5)
-        A = random_rank3_directions(rng, 7).T
-        basis = null_space_basis(A)
-        assert basis.shape == (4, 7)
-        np.testing.assert_allclose(basis @ basis.T, np.eye(4), atol=1e-12)
-        np.testing.assert_array_less(np.abs(A @ basis.T), 1e-10)
+    @pytest.mark.parametrize(
+        "A, f, start",
+        [
+            pytest.param(np.eye(3), [1.0, 1.0, 1.0], [4.0, -2.0, 0.3], id="identity"),
+            pytest.param(np.array([[1.0], [0.0], [0.0]]), [2.0, 0.0, 0.0], [5.0], id="single-cable"),
+            pytest.param(default_matrix().columns, [0.0, 1.5, 0.0], [2.0] * 4, id="default-layout"),
+            pytest.param(*_interior_projection_case(21, 6), id="random-six"),
+        ],
+    )
+    def test_unbinding_bounds_give_the_equilibrium_projection(self, A, f, start):
+        A, f, start = np.asarray(A), np.asarray(f), np.asarray(start)
+        result = solve(A, f, BOUNDS, SolverConfig(start=start))
+        shift, *_ = np.linalg.lstsq(A, f - A @ start, rcond=None)
+        assert result.status is SolveStatus.FEASIBLE_EXACT
+        np.testing.assert_allclose(result.tensions, start + shift, atol=1e-9)
+        np.testing.assert_allclose(A @ result.tensions, f, atol=1e-9)
 
 
 class TestSolve:
@@ -194,7 +139,7 @@ class TestSolve:
         assert result.status is SolveStatus.FEASIBLE_EXACT
         t_min_vec = np.full(4, BOUNDS.t_min)
         base_distance = np.linalg.norm(result.tensions - t_min_vec)
-        basis = null_space_basis(A)
+        basis = np.linalg.svd(A.columns)[2][3:]
         rng = np.random.default_rng(31)
         checked = 0
         while checked < 100:
@@ -393,9 +338,9 @@ class TestNonFiniteMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             solve(A, [1.0, 1.0, 1.0], BOUNDS)
         with pytest.raises(ValueError, match="non-finite"):
-            null_space_basis(A)
+            is_wrench_feasible(A, [1.0, 1.0, 1.0], BOUNDS)
         with pytest.raises(ValueError, match="non-finite"):
-            project_equilibrium(np.ones(3), A, [1.0, 1.0, 1.0])
+            actuation_rank(A)
         assert solver._factorize.cache_info().currsize == 0
 
 
@@ -482,7 +427,7 @@ class TestFactorizationCache:
         solve(M, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=start))
         fac = solver._factorize(M.tobytes(), M.shape[1])
         free, u, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
-        cached = (fac.vt, fac.rows, free, u)
+        cached = (fac.rows, free, u)
         operators = (fac.goal, fac.pinv, fac.rows_t, gram_pinv, step)
         custom = SolverConfig(start=start).start
         boxes = fac.box(M, BOUNDS, None)[:4] + fac.box(M, BOUNDS, custom)[:4]
@@ -490,13 +435,20 @@ class TestFactorizationCache:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_public_arrays_stay_writable(self):
-        A = default_matrix()
-        basis = null_space_basis(A)
-        projected = project_equilibrium(np.ones(4), A, [0.0, 0.0, 1.5])
-        basis[0, 0] = 0.0
-        projected[0] = 0.0
-        assert null_space_basis(A)[0, 0] != 0.0
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            pytest.param(default_matrix().columns, id="default-layout"),
+            pytest.param(random_rank3_directions(np.random.default_rng(5), 7).T, id="random-seven"),
+            pytest.param(np.array([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]), id="antagonistic-pair"),
+        ],
+    )
+    def test_rows_are_an_orthonormal_basis_of_the_row_space(self, columns):
+        fac = solver._factorize(columns.tobytes(), columns.shape[1])
+        assert fac.rows.shape == (actuation_rank(columns), columns.shape[1])
+        np.testing.assert_allclose(fac.rows @ fac.rows.T, np.eye(fac.rank), atol=1e-12)
+        # projecting A's rows onto the span of rows leaves them unchanged
+        np.testing.assert_allclose(columns @ fac.rows.T @ fac.rows, columns, atol=1e-12)
 
     def test_one_factorization_held_after_many_matrices(self):
         rng = np.random.default_rng(99)
