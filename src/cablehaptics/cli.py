@@ -209,6 +209,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_workspace(args: argparse.Namespace) -> int:
     layout, _ = _layout(args)
     solver_config = _solver_config(args)
+    for flag, corner in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+        if not np.isfinite(corner).all():
+            raise CableHapticsError(f"{flag} must be finite, got {corner.tolist()}")
     if np.any(args.grid_max < args.grid_min):
         raise CableHapticsError("grid max must be >= grid min on every axis")
     axes = [np.linspace(*axis) for axis in zip(args.grid_min, args.grid_max, args.grid_res)]

@@ -99,10 +99,12 @@ class StructureMatrix:
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != 3 or cols.shape[1] < 1:
             raise ValueError(f"expected shape (3, m), got {cols.shape}")
-        if not np.isfinite(cols).all():
-            raise ValueError("structure matrix has non-finite entries")
         norms = np.linalg.norm(cols, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        # a NaN or inf entry makes its column's norm NaN or inf, which fails
+        # the unit test too, so finiteness is read only to pick the message
+        if not (np.abs(norms - 1.0) <= 1e-12).all():
+            if not np.isfinite(cols).all():
+                raise ValueError("structure matrix has non-finite entries")
             raise ValueError(f"columns must be unit vectors, norms {norms}")
         cols = cols.copy()
         cols.setflags(write=False)

@@ -20,11 +20,14 @@ optimality conditions check out.
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
-that depends on A alone and, for the last bounds and start point, the box
-arrays and A times the start; consecutive solves on the same matrix share
-it, so a solve computes only what depends on the force. actuation_rank
-reads its rank from the same factorization, so the rank rule lives here
-alone.
+that depends on A alone and, for the last bounds and start point, A times
+the start; consecutive solves on the same matrix share it, so a solve
+computes only what depends on the force. What depends on the bounds and
+the start alone (the bound arrays, the start, the rounding level and
+their float tuples) is one more cached box that every matrix shares, so a
+new matrix builds its factorization and computes A times the start, and
+nothing else, before it can solve. actuation_rank reads its rank from the
+same factorization, so the rank rule lives here alone.
 
 Each iteration does two kinds of work. Products with a cached 3 x m or
 m x r operator, and the clip of a step into the box, are one ndarray.dot
@@ -32,8 +35,9 @@ or np.minimum(np.maximum(...)) call each: numpy's fixed cost per call is
 about a microsecond, and at these sizes one call still beats a Python sum.
 Every per-cable decision (the nearest-box-point certificate, the ratio
 test and its blocking cable, phase 1's choice of cable to release, phase
-2's multiplier sign test) is one Python pass over tolist() floats, where
-numpy would spend a call per comparison or mask on four to eight values.
+2's multiplier sign test) and both rank counts are one Python pass over
+tolist() floats, where numpy would spend a call per comparison or mask on
+four to eight values.
 Each pass does the same float operations in the same order as the array
 expressions it replaces and breaks ties toward the lowest index, as
 argmin and argmax do, so the results are bit for bit the same.
@@ -181,32 +185,73 @@ class _Block(NamedTuple):
 
 
 class _Box(NamedTuple):
-    """What a solve needs of its bounds and start point on one matrix: the
-    lower and upper bound arrays, the start vector, A times the start, the
-    rounding level of the tensions and of the steps between them, and the
-    bounds and start again as tuples of floats for the per-cable passes."""
+    """What a solve needs of its bounds and start point on m cables: the
+    lower and upper bound arrays, the start vector, the rounding level of
+    the tensions and of the steps between them, and the bounds and start
+    again as tuples of floats for the per-cable passes. It does not depend
+    on the matrix, so every matrix shares it."""
 
     lo: np.ndarray
     hi: np.ndarray
     start: np.ndarray
-    a_start: np.ndarray
     rounding: float
     lo_floats: tuple[float, ...]
     hi_floats: tuple[float, ...]
     start_floats: tuple[float, ...]
 
     @classmethod
-    def of(cls, lo, hi, start, a_start, rounding) -> _Box:
+    def of(cls, lo, hi, start, rounding) -> _Box:
         """The _Box of these arrays, its float tuples copied from them."""
         floats = (tuple(arr.tolist()) for arr in (lo, hi, start))
-        return cls(lo, hi, start, a_start, rounding, *floats)
+        return cls(lo, hi, start, rounding, *floats)
+
+
+@functools.lru_cache(maxsize=1)
+def _box(bounds, start: bytes | None, m: int) -> _Box:
+    """The _Box of bounds, a TensionBounds or a tuple of them, and the
+    bytes of a validated SolverConfig.start, None for the minimum-tension
+    start, on m cables.
+
+    Only the last box is kept, and every factorization reads it: every
+    caller in the package passes one bounds object per run and no start,
+    so a new matrix finds its box here. Equal bounds match whatever object
+    carries them. Bounds of the wrong count and a start of the wrong length
+    raise ValueError, and lru_cache stores no call that raised.
+    """
+    lo, hi = _bound_arrays(bounds, m)
+    if start is None:
+        start = lo
+    else:
+        # an array over the bytes of the key is read-only
+        start = np.frombuffer(start)
+        if len(start) != m:
+            raise ValueError(f"start has {len(start)} entries for {m} cables")
+    rounding = float(1e-12 * np.maximum(hi, np.abs(start)).max())
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return _Box.of(lo, hi, start, rounding)
+
+
+def _rank(values, largest: float) -> int:
+    """How many of the singular values in values, a list of floats, exceed
+    RANK_REL_TOL times largest; 0 when largest is 0. This is the Python
+    pass for int(np.sum(sv > RANK_REL_TOL * largest)), with the same
+    comparisons."""
+    if not largest > 0:
+        return 0
+    cutoff = RANK_REL_TOL * largest
+    rank = 0
+    for value in values:
+        if value > cutoff:
+            rank += 1
+    return rank
 
 
 class _Factorization:
     """One SVD A = U S V^T of a finite structure matrix, its rank, the
     operators built from it alone, a _Block for each free-column block of
-    rows = V_r^T asked for so far, and the _Box of the last bounds and
-    start point.
+    rows = V_r^T asked for so far, and A times the start of the last _Box
+    asked for.
 
     The rank counts singular values above RANK_REL_TOL times the largest;
     this is the package's one rank rule, and actuation_rank reads it. The
@@ -221,12 +266,13 @@ class _Factorization:
     """
 
     def __init__(self, M: np.ndarray):
-        if not np.isfinite(M).all():
+        if not all(map(math.isfinite, M.ravel().tolist())):
             raise ValueError("structure matrix has non-finite entries")
         u, sv, vt = np.linalg.svd(M)
         # a view taken of vt after this is read-only too
         vt.setflags(write=False)
-        rank = int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
+        values = sv.tolist()
+        rank = _rank(values, values[0])
         rows = vt[:rank]
         goal = u[:, :rank].T / sv[:rank, None]
         rows_t = np.ascontiguousarray(rows.T)
@@ -236,8 +282,8 @@ class _Factorization:
         self.rank, self.rows = rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
         self._blocks: dict[bytes, _Block] = {}
-        # (key, _Box) of the last box asked for
-        self._box: tuple[tuple, _Box] | None = None
+        # (key, (_Box, A times its start)) of the last box asked for
+        self._box: tuple[tuple, tuple[_Box, np.ndarray]] | None = None
 
     def block(self, free) -> _Block:
         """The _Block of rows[:, free], free a list or array of m bools.
@@ -250,26 +296,30 @@ class _Factorization:
         key = bytes(free)
         found = self._blocks.get(key)
         if found is None:
-            free = np.array(free, dtype=bool)
-            u, sv, _ = np.linalg.svd(self.rows[:, free])
-            rank = int((sv > RANK_REL_TOL).sum())
-            gram_pinv = (u[:, :rank] / sv[:rank] ** 2) @ u[:, :rank].T
-            step = np.where(free[:, None], self.rows_t @ gram_pinv, 0.0)
-            for arr in (free, u, gram_pinv, step):
+            # an array over the bytes of key is read-only
+            free = np.frombuffer(key, dtype=bool)
+            u, sv, _ = np.linalg.svd(self.rows.compress(free, axis=1))
+            rank = _rank(sv.tolist(), 1.0)
+            u_r = u[:, :rank]
+            gram_pinv = (u_r / sv[:rank] ** 2) @ u_r.T
+            step = self.rows_t @ gram_pinv
+            step[~free] = 0.0
+            for arr in (u, gram_pinv, step):
                 arr.setflags(write=False)
             found = self._blocks[key] = _Block(free, u, rank, gram_pinv, step)
         return found
 
-    def box(self, M: np.ndarray, bounds: BoundsLike, start: np.ndarray | None) -> _Box:
+    def box(
+        self, M: np.ndarray, bounds: BoundsLike, start: np.ndarray | None
+    ) -> tuple[_Box, np.ndarray]:
         """The _Box of bounds and a validated SolverConfig.start on M, this
-        factorization's matrix.
+        factorization's matrix, and M times the box's start.
 
-        Only the last box is kept: every caller in the package passes one
-        bounds object per run and no start. Shared bounds key it as the
-        frozen TensionBounds itself and per-cable bounds as a tuple of them,
-        so equal bounds match whatever object carries them; a custom start
-        keys it by its bytes. Bounds of the wrong count and a start of the
-        wrong length raise before anything is stored.
+        The box itself comes from _box, which every matrix shares, so a new
+        matrix computes only the product, read-only. Like _box, this keeps
+        only the last bounds and start: shared bounds key it as the frozen
+        TensionBounds itself and per-cable bounds as a tuple of them, and a
+        custom start keys it by its bytes.
         """
         if not isinstance(bounds, TensionBounds):
             bounds = tuple(bounds)
@@ -277,17 +327,10 @@ class _Factorization:
         last = self._box
         if last is not None and last[0] == key:
             return last[1]
-        m = M.shape[1]
-        lo, hi = _bound_arrays(bounds, m)
-        if start is None:
-            start = lo
-        elif start.shape != (m,):
-            raise ValueError(f"start has {start.shape[0]} entries for {m} cables")
-        a_start = M @ start
-        rounding = float(1e-12 * np.maximum(hi, np.abs(start)).max())
-        for arr in (lo, hi, a_start):
-            arr.setflags(write=False)
-        found = _Box.of(lo, hi, start, a_start, rounding)
+        box = _box(*key, M.shape[1])
+        a_start = M @ box.start
+        a_start.setflags(write=False)
+        found = box, a_start
         self._box = (key, found)
         return found
 
@@ -526,10 +569,11 @@ def solve(
     the pseudoinverse A^+ that projects the start, rows^T) are computed
     once per matrix, and so is, per free set an iteration meets, the SVD
     of the free-column block with its Gram pseudoinverse and phase 1's
-    step operator, and, for the last bounds and start point, the bound
-    arrays and A times the start. The next solves on the same matrix reuse
-    them all and compute only what depends on the force, so build A once
-    and pass it to every solve at that position. The matrix is checked for
+    step operator, and, for the last bounds and start point, A times the
+    start. The bound arrays of the last bounds and start point are built
+    once and shared by every matrix. The next solves on the same matrix
+    reuse all of it and compute only what depends on the force, so build A
+    once and pass it to every solve at that position. The matrix is checked for
     NaN and inf once, when it is first factored; a ValueError is raised for
     non-finite entries and for a start or bounds of the wrong length.
     ``iterations`` counts the active-set iterations of both phases,
@@ -542,9 +586,9 @@ def solve(
     fvec = as_vec3(f)
     tol = cfg.tolerance
     fac = _factorize(M.tobytes(), M.shape[1])
-    box = fac.box(M, bounds, cfg.start)
+    box, a_start = fac.box(M, bounds, cfg.start)
 
-    x = np.minimum(np.maximum(box.start + fac.pinv.dot(fvec - box.a_start), box.lo), box.hi)
+    x = np.minimum(np.maximum(box.start + fac.pinv.dot(fvec - a_start), box.lo), box.hi)
     x, rendered, status, iterations = _nearest_box_point(
         fac, M, fvec, box, x, tol, cfg.max_iterations
     )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +375,29 @@ class TestWorkspaceCommand:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "corner, given",
+        [
+            (
+                ["--grid-min=nan,0,0.1", "--grid-max", "1,1,1.5"],
+                "--grid-min must be finite, got [nan, 0.0, 0.1]",
+            ),
+            (
+                ["--grid-min=-1,-1,0.1", "--grid-max", "1,1,inf"],
+                "--grid-max must be finite, got [1.0, 1.0, inf]",
+            ),
+        ],
+        ids=["nan-min", "inf-max"],
+    )
+    def test_non_finite_grid_exits_1_before_writing(self, tmp_path, capsys, corner, given):
+        out = tmp_path / "ws"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["workspace", *corner, "--grid-res", "2,2,2", "--out", str(out)])
+        assert rc == 1
+        assert given in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_resolution_rejected_by_parser(self):
         with pytest.raises(SystemExit):

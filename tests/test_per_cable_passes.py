@@ -8,6 +8,11 @@ released cables, and bit-identical arrays. The cases are seeded and built
 to hit ties, steps inside the +-rounding band, no moving cable, no held
 cable and every m from 1 to 8 (case k has 1 + k % 8 cables), and each
 test checks that its cases reach every outcome, ties included.
+
+The two rank counts, of a structure matrix and of a free-column block,
+are passes too, checked against the numpy expressions they replace on
+seeded matrices of every rank, with singular values on both sides of the
+cutoff, and on singular values exactly at it and one float either side.
 """
 
 import numpy as np
@@ -109,7 +114,7 @@ def test_ratio_step_matches_reference():
             # a short step, so the full step is taken
             step = step * 1e-3
         expected, blocking = reference_ratio_step(t, step, lo, hi, ROUNDING)
-        box = solver._Box.of(lo, hi, lo, np.zeros(3), ROUNDING)
+        box = solver._Box.of(lo, hi, lo, ROUNDING)
         got, got_blocking = solver._ratio_step(t, step, box)
         assert got_blocking == blocking
         assert got.tobytes() == expected.tobytes()
@@ -166,3 +171,130 @@ def test_worst_multiplier_matches_reference():
         outcomes.add((certified, bool(held.any())))
     assert outcomes == {(True, True), (False, True), (True, False)}
     assert ties > 20
+
+
+def reference_factorization(M):
+    """(rank, goal, rows_t, pinv) of M by the array expressions."""
+    u, sv, vt = np.linalg.svd(M)
+    rank = int(np.sum(sv > solver.RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0
+    rows_t = np.ascontiguousarray(vt[:rank].T)
+    goal = u[:, :rank].T / sv[:rank, None]
+    return rank, goal, rows_t, rows_t @ goal
+
+
+def reference_block(rows, rows_t, free):
+    """(u, rank, gram_pinv, step) of rows[:, free] by the array expressions."""
+    u, sv, _ = np.linalg.svd(rows[:, free])
+    rank = int((sv > solver.RANK_REL_TOL).sum())
+    gram_pinv = (u[:, :rank] / sv[:rank] ** 2) @ u[:, :rank].T
+    step = np.where(free[:, None], rows_t @ gram_pinv, 0.0)
+    return u, rank, gram_pinv, step
+
+
+def rank_case(rng, m):
+    """A 3 x m matrix: unit columns in general position, a product of seeded
+    singular vectors and values where some value sits within a factor of
+    two of the relative cutoff, or unit columns in a plane, tilted out of it
+    by up to a few cutoffs, with one column normal to it, so that a block
+    that holds that column has a singular value near the cutoff."""
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        M = rng.normal(size=(3, m))
+    elif kind == 1:
+        k = min(3, m)
+        u = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :k]
+        v = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :k]
+        s = np.full(k, rng.uniform(0.5, 2.0))
+        for i in range(1, k):
+            near = solver.RANK_REL_TOL * 2.0 ** rng.uniform(-1, 1)
+            s[i] *= rng.choice([rng.uniform(0.1, 1.0), 0.0, near])
+        return u @ np.diag(np.sort(s)[::-1]) @ v.T
+    else:
+        angles = rng.uniform(0.0, 2 * np.pi, m)
+        tilt = solver.RANK_REL_TOL * 2.0 ** rng.uniform(-2, 2, m) * rng.choice([0.0, 1.0], m)
+        M = np.vstack([np.cos(angles), np.sin(angles), tilt])
+        M[:, 0] = [0.0, 0.0, 1.0]
+    return M / np.linalg.norm(M, axis=0)
+
+
+def near_cutoff(sv, cutoff):
+    """Whether some singular value lies within a factor of four below
+    cutoff, and whether one lies within a factor of four above it."""
+    below = bool(np.any((sv > cutoff / 4) & (sv <= cutoff)))
+    above = bool(np.any((sv > cutoff) & (sv < cutoff * 4)))
+    return np.array([below, above])
+
+
+def test_factorization_rank_matches_reference():
+    rng = np.random.default_rng(5)
+    ranks, near = set(), np.zeros(2, dtype=int)
+    for k in range(1200):
+        M = rank_case(rng, 1 + k % 8)
+        fac = solver._Factorization(M)
+        rank, goal, rows_t, pinv = reference_factorization(M)
+        assert fac.rank == rank
+        assert fac.goal.tobytes() == goal.tobytes()
+        assert fac.rows_t.tobytes() == rows_t.tobytes()
+        assert fac.pinv.tobytes() == pinv.tobytes()
+        sv = np.linalg.svd(M)[1]
+        ranks.add(rank)
+        near += near_cutoff(sv, solver.RANK_REL_TOL * sv[0])
+    assert ranks == {1, 2, 3}
+    assert (near > 20).all(), near
+
+
+def test_block_rank_matches_reference():
+    rng = np.random.default_rng(6)
+    ranks, near = set(), np.zeros(2, dtype=int)
+    for k in range(300):
+        m = 1 + k % 8
+        fac = solver._Factorization(rank_case(rng, m))
+        masks = rng.integers(0, 2, (12, m)).astype(bool)
+        masks[0] = False  # every cable held
+        masks[1] = True  # every cable free
+        masks[2] = True
+        masks[2, 0] = False  # only the first cable held
+        for free in masks:
+            u, rank, gram_pinv, step = reference_block(fac.rows, fac.rows_t, free)
+            blk = fac.block(free.tolist())
+            assert blk.rank == rank
+            assert blk.free.tobytes() == free.tobytes()
+            assert blk.u.tobytes() == u.tobytes()
+            assert blk.gram_pinv.tobytes() == gram_pinv.tobytes()
+            assert blk.step.tobytes() == step.tobytes()
+            ranks.add(rank)
+            near += near_cutoff(np.linalg.svd(fac.rows[:, free])[1], solver.RANK_REL_TOL)
+    assert ranks == {0, 1, 2, 3}
+    assert (near > 20).all(), near
+
+
+def test_all_zero_matrix_has_rank_zero():
+    for m in range(1, 9):
+        M = np.zeros((3, m))
+        fac = solver._Factorization(M)
+        assert fac.rank == reference_factorization(M)[0] == 0
+        assert fac.block([True] * m).rank == 0
+
+
+def test_rank_at_the_cutoff():
+    largest = 1.7
+    for cutoff, top in [(solver.RANK_REL_TOL * largest, largest), (solver.RANK_REL_TOL, 1.0)]:
+        at = cutoff
+        above = np.nextafter(cutoff, np.inf)
+        below = np.nextafter(cutoff, 0.0)
+        for tail, rank in [
+            ([at], 1),
+            ([above], 2),
+            ([below], 1),
+            ([above, at, below], 2),
+            ([above, above, 0.0], 3),
+            ([0.0], 1),
+        ]:
+            sv = np.array([top] + tail)
+            if top == 1.0:
+                expected = int((sv > solver.RANK_REL_TOL).sum())
+            else:
+                expected = int(np.sum(sv > solver.RANK_REL_TOL * sv[0]))
+            assert expected == rank
+            assert solver._rank(sv.tolist(), top) == rank
+    assert solver._rank([0.0, 0.0, 0.0], 0.0) == 0

@@ -353,6 +353,28 @@ def _outcome(result):
     )
 
 
+def _clear_caches():
+    """Forget the cached factorization and the shared box, for a cold solve."""
+    solver._factorize.cache_clear()
+    solver._box.cache_clear()
+
+
+def _holds_box(bounds, start, m):
+    """Whether the shared box slot holds the box of these arguments."""
+    hits = solver._box.cache_info().hits
+    solver._box(bounds, start, m)
+    return solver._box.cache_info().hits == hits + 1
+
+
+def _two_matrices():
+    layout, _ = default_validation_layout()
+    return default_matrix(), structure_matrix(layout, (0.5, 0.5, 1.5))
+
+
+def _four_and_six_cables():
+    return default_matrix(), random_rank3_directions(np.random.default_rng(21), 6).T
+
+
 def _sphere_cases():
     A = default_matrix()
     return [(A, f, BOUNDS) for f in sphere_samples(182, 1.5)]
@@ -395,7 +417,7 @@ class TestFactorizationCache:
         outcomes = []
         for A, f, bounds in cases:
             if cold:
-                solver._factorize.cache_clear()
+                _clear_caches()
             outcomes.append(_outcome(solve(A, f, bounds)))
         return outcomes
 
@@ -430,8 +452,11 @@ class TestFactorizationCache:
         cached = (fac.rows, free, u)
         operators = (fac.goal, fac.pinv, fac.rows_t, gram_pinv, step)
         custom = SolverConfig(start=start).start
-        boxes = fac.box(M, BOUNDS, None)[:4] + fac.box(M, BOUNDS, custom)[:4]
-        for arr in cached + operators + boxes:
+        boxes = []
+        for box_start in (None, custom):
+            box, a_start = fac.box(M, BOUNDS, box_start)
+            boxes += [box.lo, box.hi, box.start, a_start]
+        for arr in cached + operators + tuple(boxes):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -470,7 +495,7 @@ class TestFactorizationCache:
     def test_bounds_and_start_cache_equals_cold_solves(self, bounds, config):
         A = default_matrix()
         forces = list(sphere_samples(30, 1.5)) + [np.array([0.0, 0.0, 40.0])]
-        solver._factorize.cache_clear()
+        _clear_caches()
         # fill the box cache with other bounds and starts on the same matrix,
         # and with BOUNDS itself, which an equal TensionBounds must share
         solve(A, forces[0], TensionBounds(0.2, 3.0))
@@ -479,7 +504,7 @@ class TestFactorizationCache:
         warm = [_outcome(solve(A, f, bounds, config)) for f in forces]
         cold = []
         for f in forces:
-            solver._factorize.cache_clear()
+            _clear_caches()
             cold.append(_outcome(solve(A, f, bounds, config)))
         assert warm == cold
         assert {outcome[1] for outcome in warm} == {
@@ -489,19 +514,22 @@ class TestFactorizationCache:
 
     def test_bounds_and_start_cache_stays_small(self):
         A = default_matrix()
-        solver._factorize.cache_clear()
+        _clear_caches()
         for k in range(100):
             solve(A, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=np.full(4, 1.0 + k / 100)))
         fac = solver._factorize(A.columns.tobytes(), 4)
-        # one box is held, keyed by the last bounds and start
+        # one box is held, keyed by the last bounds and start, and it is the
+        # box every matrix shares, keyed by the cable count too
         last = np.full(4, 1.0 + 99 / 100)
-        key, box = fac._box
+        key, (box, _) = fac._box
         assert key == (BOUNDS, last.tobytes())
         np.testing.assert_array_equal(box.start, last)
+        assert solver._box.cache_info().currsize == 1
+        assert solver._box(BOUNDS, last.tobytes(), 4) is box
 
     def test_wrong_length_start_leaves_the_cache_usable(self):
         A = default_matrix()
-        solver._factorize.cache_clear()
+        _clear_caches()
         before = _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS))
         for _ in range(2):
             with pytest.raises(ValueError, match="start has 3 entries"):
@@ -509,11 +537,86 @@ class TestFactorizationCache:
         assert solver._factorize.cache_info().currsize == 1
         assert _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS)) == before
 
+    @pytest.mark.parametrize(
+        "matrices, bounds, config",
+        [
+            (_two_matrices, PER_CABLE, None),
+            (_two_matrices, list(PER_CABLE), None),
+            (_two_matrices, BOUNDS, SolverConfig(start=np.array([1.0, 2.5, 0.7, 4.0]))),
+            (_two_matrices, PER_CABLE, SolverConfig(start=np.array([0.3, 5.0, 2.0, 7.5]))),
+            (_four_and_six_cables, BOUNDS, None),
+        ],
+        ids=[
+            "per-cable-tuple",
+            "per-cable-list",
+            "custom-start",
+            "per-cable-custom-start",
+            "four-and-six-cables",
+        ],
+    )
+    def test_alternating_matrices_equal_cold_solves(self, matrices, bounds, config):
+        A1, A2 = matrices()
+        forces = list(sphere_samples(20, 1.5)) + [np.array([0.0, 0.0, 40.0])]
+        _clear_caches()
+        warm = [_outcome(solve(A, f, bounds, config)) for f in forces for A in (A1, A2)]
+        cold = []
+        for f in forces:
+            for A in (A1, A2):
+                _clear_caches()
+                cold.append(_outcome(solve(A, f, bounds, config)))
+        assert warm == cold
+        assert {outcome[1] for outcome in warm} == {
+            SolveStatus.FEASIBLE_EXACT,
+            SolveStatus.NEAREST_FEASIBLE,
+        }
+
+    @pytest.mark.parametrize(
+        "bounds, config, message",
+        [
+            (BOUNDS, SolverConfig(start=np.ones(3)), "start has 3 entries"),
+            (PER_CABLE[:3], None, "got 3 per-cable bounds"),
+        ],
+        ids=["wrong-length-start", "wrong-count-of-bounds"],
+    )
+    def test_bad_box_after_a_matrix_switch_leaves_the_cache_usable(
+        self, bounds, config, message
+    ):
+        A1, A2 = _two_matrices()
+        f = [0.0, 0.0, 1.5]
+        _clear_caches()
+        before = [_outcome(solve(A, f, BOUNDS)) for A in (A1, A2)]
+        for A in (A1, A2, A1):
+            with pytest.raises(ValueError, match=message):
+                solve(A, f, bounds, config)
+            # the call that raised stored nothing: the last good box is held
+            assert _holds_box(BOUNDS, None, 4)
+        assert solver._factorize.cache_info().currsize == 1
+        assert [_outcome(solve(A, f, BOUNDS)) for A in (A1, A2)] == before
+
+    def test_shared_box_and_each_a_start_are_read_only(self):
+        A1, A2 = _two_matrices()
+        custom = SolverConfig(start=np.array([1.0, 2.5, 0.7, 4.0])).start
+        for start in (None, custom):
+            _clear_caches()
+            boxes = []
+            for A in (A1, A2):
+                M = A.columns
+                fac = solver._factorize(M.tobytes(), M.shape[1])
+                box, a_start = fac.box(M, BOUNDS, start)
+                boxes.append(box)
+                assert a_start.tobytes() == (M @ box.start).tobytes()
+                for arr in (box.lo, box.hi, box.start, a_start):
+                    with pytest.raises(ValueError):
+                        arr[0] = 0.0
+            # the second matrix found the first one's box
+            assert boxes[0] is boxes[1]
+            assert solver._box.cache_info().currsize == 1
+
     def test_non_finite_matrix_after_a_cached_one(self):
         A = default_matrix().columns
         bad = A.copy()
         bad[0, 1] = np.nan
-        solver._factorize.cache_clear()
+        _clear_caches()
         before = _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS))
         with pytest.raises(ValueError, match="non-finite"):
             solve(bad, [0.0, 0.0, 1.5], BOUNDS)
@@ -579,7 +682,7 @@ class TestRatioStep:
         t = np.array(t)
         before = t.copy()
         lo, hi = np.full(len(t), LO), np.full(len(t), HI)
-        box = solver._Box.of(lo, hi, lo, np.zeros(3), 1e-12)
+        box = solver._Box.of(lo, hi, lo, 1e-12)
         moved, blocked = solver._ratio_step(t, np.array(step), box)
         assert blocked == blocking
         np.testing.assert_array_equal(moved, expected)
