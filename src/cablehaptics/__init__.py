@@ -24,6 +24,7 @@ from .geometry import (
     ModuleAnchor,
     ModuleLayout,
     StructureMatrix,
+    TensionBounds,
     as_vec3,
     cable_directions,
     structure_matrix,
@@ -59,7 +60,6 @@ from .solver import (
     SolveResult,
     SolveStatus,
     SolverConfig,
-    TensionBounds,
     actuation_rank,
     is_wrench_feasible,
     solve,

@@ -14,7 +14,7 @@ from enum import Enum
 
 from ._fields import real, set_checked
 from .errors import InvalidTension
-from .solver import TensionBounds
+from .geometry import TensionBounds
 
 
 class ActuatorMode(Enum):

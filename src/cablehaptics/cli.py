@@ -242,6 +242,20 @@ def cmd_material(args: argparse.Namespace) -> int:
     solver_config = _solver_config(args)
     material = load_material(args.material)
     times, positions, velocities = load_trajectory(args.trajectory)
+    # every row is solved before anything is written, so a row that fails
+    # (an end effector on an anchor) leaves no partial material.csv
+    rows = []
+    for t, pos, vel in zip(times, positions, velocities):
+        state = EndEffectorState(position=pos, velocity=vel, time=t)
+        force = evaluate(material, state)
+        A = structure_matrix(layout, pos)
+        result = solve(A, force, layout.bounds, solver_config)
+        rows.append(
+            [repr(float(t))]
+            + [repr(float(v)) for v in pos]
+            + [repr(float(v)) for v in force]
+            + [repr(float(v)) for v in result.tensions]
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "material.csv"
@@ -251,17 +265,7 @@ def cmd_material(args: argparse.Namespace) -> int:
             ["t", "px", "py", "pz", "fx", "fy", "fz"]
             + [f"tension_{k}" for k in range(len(layout))]
         )
-        for t, pos, vel in zip(times, positions, velocities):
-            state = EndEffectorState(position=pos, velocity=vel, time=t)
-            force = evaluate(material, state)
-            A = structure_matrix(layout, pos)
-            result = solve(A, force, layout.bounds, solver_config)
-            writer.writerow(
-                [repr(float(t))]
-                + [repr(float(v)) for v in pos]
-                + [repr(float(v)) for v in force]
-                + [repr(float(v)) for v in result.tensions]
-            )
+        writer.writerows(rows)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .geometry import ModuleAnchor, ModuleLayout
+from .geometry import ModuleAnchor, ModuleLayout, TensionBounds
 from .haptics import (
     Composite,
     Damper,
@@ -40,7 +40,6 @@ from .haptics import (
     Spring,
     Vibration,
 )
-from .solver import TensionBounds
 
 _MATERIAL_TYPES = {
     name: (cls, tuple(field.name for field in dataclasses.fields(cls)))

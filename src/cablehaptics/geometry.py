@@ -1,4 +1,5 @@
-"""Module anchor layouts, cable directions, and the structure matrix.
+"""Module anchor layouts, tension bounds, cable directions, and the
+structure matrix: the input types the solver takes.
 
 The cable model is ideal: a massless, inextensible, frictionless straight
 line from the end effector to each anchor, pulling the end effector toward
@@ -12,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import as_vec3, set_checked, vec3
+from ._fields import as_vec3, real, set_checked, vec3
 from .errors import DegenerateGeometry
-from .solver import TensionBounds
 
 # Anchors closer together than this are rejected as duplicates (meters).
 COINCIDENT_ANCHOR_TOL = 1e-9
@@ -22,6 +22,26 @@ COINCIDENT_ANCHOR_TOL = 1e-9
 # The end effector must keep this distance from every anchor (meters);
 # below it the cable direction is numerically meaningless.
 DEGENERATE_EE_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class TensionBounds:
+    """Allowable tension range for a cable, in newtons.
+
+    Defaults are the hardware limits of one module: 0.5 N keeps the cable
+    taut, 6.0 N is the motor's maximum steady-state pull.
+    """
+
+    t_min: float = 0.5
+    t_max: float = 6.0
+
+    def __post_init__(self):
+        set_checked(self, real, "t_min", minimum=0.0)
+        set_checked(self, real, "t_max")
+        if not self.t_min < self.t_max:
+            raise ValueError(
+                f"need 0 <= t_min < t_max, got [{self.t_min}, {self.t_max}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -91,7 +111,9 @@ class ModuleLayout:
 @dataclass(frozen=True)
 class StructureMatrix:
     """3 x m matrix whose columns are unit vectors from the end effector
-    toward each anchor; A @ t is the net force the tensions t exert."""
+    toward each anchor; A @ t is the net force the tensions t exert. The
+    one place a matrix is checked (shape, NaN and inf, unit columns); the
+    columns are kept as a read-only C-ordered copy."""
 
     columns: np.ndarray
 
@@ -109,11 +131,6 @@ class StructureMatrix:
         cols = cols.copy()
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
-
-    @property
-    def m(self) -> int:
-        """Number of cables."""
-        return self.columns.shape[1]
 
 
 def cable_directions(layout: ModuleLayout, ee) -> np.ndarray:

@@ -16,7 +16,9 @@ method (Nocedal & Wright, Numerical Optimization, Alg. 16.3), warm-started
 from phase 1's bound set, for the feasible point nearest the start. Each
 iteration of either phase holds or releases at most one cable and solves
 one small least-squares problem, and each phase ends only when its
-optimality conditions check out.
+optimality conditions check out. The inputs are geometry's types: a
+matrix is checked once, when its StructureMatrix is built, and every entry
+point takes one as it is and builds one from anything else.
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
@@ -49,14 +51,12 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from ._fields import as_vec3, integer, real, set_checked
-
-if TYPE_CHECKING:
-    from .geometry import StructureMatrix
+from .geometry import StructureMatrix, TensionBounds
 
 # Relative singular-value cutoff shared by the pseudoinverse and rank checks.
 RANK_REL_TOL = 1e-9
@@ -71,26 +71,6 @@ class SolveStatus(Enum):
     FEASIBLE_EXACT = "feasible_exact"
     NEAREST_FEASIBLE = "nearest_feasible"
     ITERATION_CAP = "iteration_cap"
-
-
-@dataclass(frozen=True)
-class TensionBounds:
-    """Allowable tension range for a cable, in newtons.
-
-    Defaults are the hardware limits of one module: 0.5 N keeps the cable
-    taut, 6.0 N is the motor's maximum steady-state pull.
-    """
-
-    t_min: float = 0.5
-    t_max: float = 6.0
-
-    def __post_init__(self):
-        set_checked(self, real, "t_min", minimum=0.0)
-        set_checked(self, real, "t_max")
-        if not self.t_min < self.t_max:
-            raise ValueError(
-                f"need 0 <= t_min < t_max, got [{self.t_min}, {self.t_max}]"
-            )
 
 
 BoundsLike = Union[TensionBounds, Sequence[TensionBounds]]
@@ -147,15 +127,11 @@ _DEFAULT_CONFIG = SolverConfig()
 
 
 def _matrix(A) -> np.ndarray:
-    """Accept a StructureMatrix or a plain (3, m) array of unit columns.
-
-    Only the shape is checked here. _factorize rejects non-finite entries
-    the first time it meets a matrix, and every caller goes through it.
-    """
-    M = np.asarray(getattr(A, "columns", A), dtype=float)
-    if M.ndim != 2 or M.shape[0] != 3 or M.shape[1] < 1:
-        raise ValueError(f"expected a 3 x m structure matrix, got shape {M.shape}")
-    return M
+    """The columns of A, a StructureMatrix taken as it is, or of the
+    StructureMatrix built from A, which checks it."""
+    if not isinstance(A, StructureMatrix):
+        A = StructureMatrix(A)
+    return A.columns
 
 
 def _bound_arrays(bounds: BoundsLike, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +224,7 @@ def _rank(values, largest: float) -> int:
 
 
 class _Factorization:
-    """One SVD A = U S V^T of a finite structure matrix, its rank, the
+    """One SVD A = U S V^T of a checked structure matrix, its rank, the
     operators built from it alone, a _Block for each free-column block of
     rows = V_r^T asked for so far, and A times the start of the last _Box
     asked for.
@@ -260,14 +236,9 @@ class _Factorization:
     pinv = A^+ = V_r S_r^-1 U_r^T; and rows_t, a C-contiguous copy of
     rows^T. Of V^T only its first rank rows are kept, as rows. Every array
     held here is read-only, since later solves share it.
-
-    The constructor is where a structure matrix is checked for NaN and
-    inf, before the SVD, which does not return on them.
     """
 
     def __init__(self, M: np.ndarray):
-        if not all(map(math.isfinite, M.ravel().tolist())):
-            raise ValueError("structure matrix has non-finite entries")
         u, sv, vt = np.linalg.svd(M)
         # a view taken of vt after this is read-only too
         vt.setflags(write=False)
@@ -339,12 +310,11 @@ class _Factorization:
 def _factorize(key: bytes, m: int) -> _Factorization:
     """The factorization of the 3 x m matrix whose C-order bytes are key.
 
-    Call it as _factorize(M.tobytes(), M.shape[1]) on a matrix _matrix has
-    checked. Only the most recent matrix is kept, so consecutive solves on
-    one matrix share its factorization, whatever object carries it, and
-    the process holds one factorization however many matrices exist. A
-    non-finite matrix raises ValueError, and lru_cache stores no call that
-    raised, so a cache hit means these exact bytes passed the check.
+    Call it as _factorize(M.tobytes(), M.shape[1]) on M = _matrix(A), the
+    columns of a StructureMatrix, which checked them when it was built.
+    Only the most recent matrix is kept, so consecutive solves on one
+    matrix share its factorization, whatever object carries it, and the
+    process holds one factorization however many matrices exist.
     """
     return _Factorization(np.frombuffer(key).reshape(3, m))
 
@@ -573,9 +543,10 @@ def solve(
     start. The bound arrays of the last bounds and start point are built
     once and shared by every matrix. The next solves on the same matrix
     reuse all of it and compute only what depends on the force, so build A
-    once and pass it to every solve at that position. The matrix is checked for
-    NaN and inf once, when it is first factored; a ValueError is raised for
-    non-finite entries and for a start or bounds of the wrong length.
+    once and pass it to every solve at that position. A StructureMatrix is
+    taken as it is, checked once when it was built; anything else is built
+    into one first, so a plain array gets its checks and its bits. A bad
+    matrix, start or bounds raises ValueError.
     ``iterations`` counts the active-set iterations of both phases,
     including the one that certifies the result, so it is at least 1.
 

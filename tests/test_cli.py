@@ -360,6 +360,28 @@ class TestWorkspaceCommand:
         digest = hashlib.sha256((out / "workspace.csv").read_bytes()).hexdigest()
         assert digest == "c90bb1493cc1729aaafa9d5d83a43e1b904e743a94bb41778116cda35f2d8b14"
 
+    def test_point_on_an_anchor_reads_zero(self, tmp_path):
+        # (1, 0, 0) is the built-in layout's anchor m1: no direction is
+        # renderable there, and the point is written, not an error
+        out = tmp_path / "ws"
+        rc = main(
+            [
+                "workspace",
+                "--grid-min=1,0,0",
+                "--grid-max",
+                "1,0,0",
+                "--grid-res",
+                "1,1,1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 0
+        assert (out / "workspace.csv").read_text().splitlines() == [
+            "x,y,z,feasible_fraction",
+            "1.0,0.0,0.0,0.0",
+        ]
+
     def test_invalid_grid_exits_1(self, tmp_path, capsys):
         rc = main(
             [
@@ -529,6 +551,35 @@ class TestMaterialCommand:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_row_on_an_anchor_writes_nothing(self, tmp_path, capsys):
+        # the third row sits on the built-in layout's top anchor m4
+        material = tmp_path / "magnet.yaml"
+        material.write_text(
+            "type: magnetic\ntarget: [0.0, 0.0, 0.5]\ngain: 3.0\nmax_force: 6.0\n"
+        )
+        good = tmp_path / "good.csv"
+        good.write_text("t,x,y,z\n0.0,0.0,0.0,0.3\n0.001,0.0,0.0,0.31\n0.002,0.0,0.0,0.32\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x,y,z\n0.0,0.0,0.0,0.3\n0.001,0.0,0.0,0.31\n0.002,0.0,0.0,2.3\n")
+
+        def run(trajectory, out):
+            return main(
+                ["material", "--material", str(material), "--trajectory", str(trajectory), "--out", str(out)]
+            )
+
+        fresh = tmp_path / "fresh"
+        assert run(bad, fresh) == 1
+        assert "'m4'" in capsys.readouterr().err
+        assert not (fresh / "material.csv").exists()
+
+        used = tmp_path / "used"
+        assert run(good, used) == 0
+        before = (used / "material.csv").read_bytes()
+        assert len(before.splitlines()) == 4
+        assert run(bad, used) == 1
+        assert (used / "material.csv").read_bytes() == before
 
 
 class TestSolverFlags:

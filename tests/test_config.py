@@ -295,3 +295,50 @@ class TestTrajectoryLoading:
         path.write_text("t,x,y,z\n0,0,0,0\n0,1,0,0\n")
         with pytest.raises(ConfigError):
             load_trajectory(path)
+
+
+ANCHORS = "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [0.0, 1.0, 0.0]}\n"
+
+
+@pytest.mark.parametrize(
+    "load, text, names",
+    [
+        (load_layout, ANCHORS + "bounds: [5.0, {t_min: 0.5, t_max: 6.0}]\n", "bounds[0]: bounds entry must be a mapping"),
+        (load_layout, ANCHORS + "bounds: {t_min: 0.5}\n", "bounds need t_min and t_max"),
+        (load_layout, "anchors:\n- {id: a, position: [1.0, 0.0]}\n", "anchor 0: position"),
+        (
+            load_layout,
+            "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [1.0, 0.0, 0.0]}\n",
+            "anchors 'a' and 'b' coincide",
+        ),
+        (load_material, "gain: 3.0\n", "material entry needs a 'type'"),
+        (load_material, "type: composite\nchildren: {type: damper}\n", "composite needs a 'children' list"),
+        (load_trajectory, None, "cannot read"),
+        (load_trajectory, "\n\n", "empty trajectory"),
+        (load_trajectory, "t,x,y,z\n0.0,1.0,2.0\n", "line 2: expected 4 columns, got 3"),
+        (load_trajectory, "t,x,y,z\n", "no data rows"),
+        (load_trajectory, "t,x,y,z\n0.0,nan,0.0,0.3\n", "non-finite"),
+    ],
+    ids=[
+        "bounds-entry-not-a-mapping",
+        "bounds-without-t_max",
+        "anchor-bad-position",
+        "coincident-anchors",
+        "material-without-type",
+        "composite-without-children-list",
+        "unreadable-trajectory",
+        "empty-trajectory",
+        "wrong-column-count",
+        "header-without-rows",
+        "nan-cell",
+    ],
+)
+def test_loader_errors_name_the_file_and_field(tmp_path, load, text, names):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError) as caught:
+        load(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: ") or message.startswith(f"cannot read {path}: ")
+    assert names in message

@@ -168,6 +168,17 @@ class TestSolve:
         assert result.status is SolveStatus.ITERATION_CAP
         assert result.iterations == 1
 
+    def test_phase_2_budget_runs_out(self):
+        # phase 1 reaches a feasible point in two iterations, which leaves
+        # phase 2 one iteration: too few to certify the projection
+        layout, ee = default_validation_layout()
+        A = structure_matrix(layout, ee)
+        result = solve(A, sphere_samples(182, 1.5)[0], layout.bounds, SolverConfig(max_iterations=3))
+        assert result.status is SolveStatus.ITERATION_CAP
+        assert result.iterations == 3
+        assert np.all(result.tensions >= BOUNDS.t_min) and np.all(result.tensions <= BOUNDS.t_max)
+        assert result.rendered_force.tobytes() == A.columns.dot(result.tensions).tobytes()
+
     def test_rank_deficient_matrix_is_total(self):
         A = StructureMatrix(np.array([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]))
         result = solve(A, [0.0, 0.0, 1.0], BOUNDS)
@@ -322,26 +333,66 @@ class TestExactFinish:
         assert checked >= 20
 
 
-class TestNonFiniteMatrix:
-    def test_infinite_entry_rejected_before_the_factorization(self):
-        A = np.eye(3)
-        A[2, 0] = np.inf
-        solver._factorize.cache_clear()
-        with pytest.raises(ValueError, match="non-finite"):
-            solve(A, [1.0, 1.0, 1.0], BOUNDS)
-        assert solver._factorize.cache_info().currsize == 0
+def _eye_with(row, col, value):
+    A = np.eye(3)
+    A[row, col] = value
+    return A
 
-    def test_nan_entry_rejected_by_every_entry_point(self):
-        A = np.eye(3)
-        A[1, 1] = np.nan
+
+class TestNonFiniteMatrix:
+    """A plain array is built into a StructureMatrix, which checks it, so a
+    bad one never reaches the factorization."""
+
+    @pytest.mark.parametrize(
+        "A, message",
+        [
+            pytest.param(_eye_with(1, 1, np.nan), "non-finite", id="nan"),
+            pytest.param(_eye_with(2, 0, np.inf), "non-finite", id="inf"),
+            pytest.param(np.eye(3)[:2], "expected shape", id="wrong-shape"),
+            pytest.param(2.0 * np.eye(3), "unit vectors", id="non-unit-columns"),
+        ],
+    )
+    def test_bad_plain_array_rejected_by_every_entry_point(self, A, message):
         solver._factorize.cache_clear()
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=message):
             solve(A, [1.0, 1.0, 1.0], BOUNDS)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=message):
             is_wrench_feasible(A, [1.0, 1.0, 1.0], BOUNDS)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=message):
             actuation_rank(A)
         assert solver._factorize.cache_info().currsize == 0
+
+
+def _plain_array_cases():
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(8):
+        directions = random_rank3_directions(rng, int(rng.integers(3, 9)))
+        cases += [(directions, f) for f in rng.normal(scale=4.0, size=(3, 3))]
+    return cases
+
+
+class TestPlainArrayInput:
+    """A plain array gets exactly the bits of its StructureMatrix, whatever
+    its memory layout."""
+
+    @pytest.mark.parametrize(
+        "as_plain",
+        [
+            pytest.param(lambda directions: directions.T, id="transposed-view"),
+            pytest.param(lambda directions: np.ascontiguousarray(directions.T), id="c-order"),
+            pytest.param(lambda directions: directions.T.tolist(), id="nested-list"),
+        ],
+    )
+    def test_same_bits_as_its_structure_matrix(self, as_plain):
+        for directions, f in _plain_array_cases():
+            plain = as_plain(directions)
+            built = StructureMatrix(plain)
+            got, expected = solve(plain, f, BOUNDS), solve(built, f, BOUNDS)
+            assert _outcome(got) == _outcome(expected)
+            assert got.rendered_force.tobytes() == expected.rendered_force.tobytes()
+            assert is_wrench_feasible(plain, f, BOUNDS) == is_wrench_feasible(built, f, BOUNDS)
+            assert actuation_rank(plain) == actuation_rank(built)
 
 
 def _outcome(result):
