@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_layout, load_material, load_trajectory
-from .errors import CableHapticsError
+from .errors import CableHapticsError, DegenerateGeometry
 from .geometry import ModuleLayout, structure_matrix
 from .haptics import EndEffectorState, evaluate
 from .simulation import (
@@ -214,7 +214,7 @@ def cmd_workspace(args: argparse.Namespace) -> int:
             raise CableHapticsError(f"{flag} must be finite, got {corner.tolist()}")
     if np.any(args.grid_max < args.grid_min):
         raise CableHapticsError("grid max must be >= grid min on every axis")
-    axes = [np.linspace(*axis) for axis in zip(args.grid_min, args.grid_max, args.grid_res)]
+    axes = [np.linspace(*axis).tolist() for axis in zip(args.grid_min, args.grid_max, args.grid_res)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "workspace.csv"
@@ -232,7 +232,7 @@ def cmd_workspace(args: argparse.Namespace) -> int:
             else:
                 feasible = sum(is_wrench_feasible(A, f, layout.bounds, solver_config) for f in probes)
                 fraction = feasible / len(probes)
-            writer.writerow([repr(float(x)), repr(float(y)), repr(float(z)), repr(fraction)])
+            writer.writerow([x, y, z, fraction])
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -245,17 +245,15 @@ def cmd_material(args: argparse.Namespace) -> int:
     # every row is solved before anything is written, so a row that fails
     # (an end effector on an anchor) leaves no partial material.csv
     rows = []
-    for t, pos, vel in zip(times, positions, velocities):
+    for k, (t, pos, vel) in enumerate(zip(times, positions, velocities), start=1):
         state = EndEffectorState(position=pos, velocity=vel, time=t)
         force = evaluate(material, state)
-        A = structure_matrix(layout, pos)
+        try:
+            A = structure_matrix(layout, pos)
+        except DegenerateGeometry as exc:
+            raise DegenerateGeometry(f"{args.trajectory}: row {k} (t={float(t)}): {exc}") from exc
         result = solve(A, force, layout.bounds, solver_config)
-        rows.append(
-            [repr(float(t))]
-            + [repr(float(v)) for v in pos]
-            + [repr(float(v)) for v in force]
-            + [repr(float(v)) for v in result.tensions]
-        )
+        rows.append([float(t)] + pos.tolist() + force.tolist() + result.tensions.tolist())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "material.csv"

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import yaml
@@ -76,7 +77,7 @@ def _bounds_from_dict(raw, context: str) -> TensionBounds:
     try:
         return TensionBounds(raw["t_min"], raw["t_max"])
     except KeyError as exc:
-        raise ConfigError(f"{context}: bounds need t_min and t_max") from exc
+        raise ConfigError(f"{context}: bounds need t_min and t_max; missing {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{context}: bad bounds: {exc}") from exc
 
@@ -175,30 +176,32 @@ def load_trajectory(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     try:
         with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            # each non-blank row with the file line it ends on
+            rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise ConfigError(f"{path}: empty trajectory")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     if header[:4] != ["t", "x", "y", "z"]:
-        raise ConfigError(f"{path}: header must start with t,x,y,z, got {rows[0]}")
+        raise ConfigError(f"{path}: header must start with t,x,y,z, got {rows[0][1]}")
     has_velocity = header[4:7] == ["vx", "vy", "vz"]
     expected = 7 if has_velocity else 4
     data = []
-    for k, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if len(row) != expected:
-            raise ConfigError(f"{path}: line {k}: expected {expected} columns, got {len(row)}")
+            raise ConfigError(f"{path}: line {line}: expected {expected} columns, got {len(row)}")
         try:
-            data.append([float(cell) for cell in row])
+            values = [float(cell) for cell in row]
         except ValueError as exc:
-            raise ConfigError(f"{path}: line {k}: {exc}") from exc
+            raise ConfigError(f"{path}: line {line}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{path}: line {line}: non-finite value in {row}")
+        data.append(values)
     if not data:
         raise ConfigError(f"{path}: no data rows")
     table = np.array(data)
-    if not np.all(np.isfinite(table)):
-        raise ConfigError(f"{path}: trajectory contains non-finite values")
     times = table[:, 0]
     positions = table[:, 1:4]
     if has_velocity:

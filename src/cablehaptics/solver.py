@@ -24,7 +24,10 @@ Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
 that depends on A alone and, for the last bounds and start point, A times
 the start; consecutive solves on the same matrix share it, so a solve
-computes only what depends on the force. What depends on the bounds and
+computes only what depends on the force. The factorization is a solve's
+one handle on its matrix: _factorization(A) finds it by the bytes of A's
+columns, and it holds A itself as a read-only view over those bytes, so
+no function takes the matrix beside it. What depends on the bounds and
 the start alone (the bound arrays, the start, the rounding level and
 their float tuples) is one more cached box that every matrix shares, so a
 new matrix builds its factorization and computes A times the start, and
@@ -126,26 +129,6 @@ class SolveResult:
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def _matrix(A) -> np.ndarray:
-    """The columns of A, a StructureMatrix taken as it is, or of the
-    StructureMatrix built from A, which checks it."""
-    if not isinstance(A, StructureMatrix):
-        A = StructureMatrix(A)
-    return A.columns
-
-
-def _bound_arrays(bounds: BoundsLike, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expand shared or per-cable bounds into (lo, hi) arrays of length m."""
-    if isinstance(bounds, TensionBounds):
-        return np.full(m, bounds.t_min), np.full(m, bounds.t_max)
-    per_cable = tuple(bounds)
-    if len(per_cable) != m:
-        raise ValueError(f"got {len(per_cable)} per-cable bounds for {m} cables")
-    lo = np.array([b.t_min for b in per_cable])
-    hi = np.array([b.t_max for b in per_cable])
-    return lo, hi
-
-
 class _Block(NamedTuple):
     """What the iterations need of one free-column block rows[:, free]:
     the free mask as an array, its left singular vectors and rank, the
@@ -194,7 +177,13 @@ def _box(bounds, start: bytes | None, m: int) -> _Box:
     carries them. Bounds of the wrong count and a start of the wrong length
     raise ValueError, and lru_cache stores no call that raised.
     """
-    lo, hi = _bound_arrays(bounds, m)
+    if isinstance(bounds, TensionBounds):
+        lo, hi = np.full(m, bounds.t_min), np.full(m, bounds.t_max)
+    elif len(bounds) != m:
+        raise ValueError(f"got {len(bounds)} per-cable bounds for {m} cables")
+    else:
+        lo = np.array([b.t_min for b in bounds])
+        hi = np.array([b.t_max for b in bounds])
     if start is None:
         start = lo
     else:
@@ -224,10 +213,10 @@ def _rank(values, largest: float) -> int:
 
 
 class _Factorization:
-    """One SVD A = U S V^T of a checked structure matrix, its rank, the
-    operators built from it alone, a _Block for each free-column block of
-    rows = V_r^T asked for so far, and A times the start of the last _Box
-    asked for.
+    """A checked structure matrix, as matrix, with one SVD A = U S V^T of
+    it, its rank, the operators built from it alone, a _Block for each
+    free-column block of rows = V_r^T asked for so far, and A times the
+    start of the last _Box asked for.
 
     The rank counts singular values above RANK_REL_TOL times the largest;
     this is the package's one rank rule, and actuation_rank reads it. The
@@ -250,7 +239,7 @@ class _Factorization:
         pinv = rows_t @ goal
         for arr in (goal, rows_t, pinv):
             arr.setflags(write=False)
-        self.rank, self.rows = rank, rows
+        self.matrix, self.rank, self.rows = M, rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
         self._blocks: dict[bytes, _Block] = {}
         # (key, (_Box, A times its start)) of the last box asked for
@@ -280,17 +269,17 @@ class _Factorization:
             found = self._blocks[key] = _Block(free, u, rank, gram_pinv, step)
         return found
 
-    def box(
-        self, M: np.ndarray, bounds: BoundsLike, start: np.ndarray | None
-    ) -> tuple[_Box, np.ndarray]:
-        """The _Box of bounds and a validated SolverConfig.start on M, this
-        factorization's matrix, and M times the box's start.
+    def box(self, bounds: BoundsLike, start: np.ndarray | None) -> tuple[_Box, np.ndarray]:
+        """The _Box of bounds and a validated SolverConfig.start on this
+        factorization's m cables, and the matrix times the box's start.
 
         The box itself comes from _box, which every matrix shares, so a new
         matrix computes only the product, read-only. Like _box, this keeps
         only the last bounds and start: shared bounds key it as the frozen
         TensionBounds itself and per-cable bounds as a tuple of them, and a
-        custom start keys it by its bytes.
+        custom start keys it by its bytes. Comparing that key is cheaper
+        than the hash a _box lookup takes of the bounds, so a solve on a
+        known matrix reads this memo and only a new matrix goes to _box.
         """
         if not isinstance(bounds, TensionBounds):
             bounds = tuple(bounds)
@@ -298,8 +287,8 @@ class _Factorization:
         last = self._box
         if last is not None and last[0] == key:
             return last[1]
-        box = _box(*key, M.shape[1])
-        a_start = M @ box.start
+        box = _box(*key, self.matrix.shape[1])
+        a_start = self.matrix @ box.start
         a_start.setflags(write=False)
         found = box, a_start
         self._box = (key, found)
@@ -307,24 +296,31 @@ class _Factorization:
 
 
 @functools.lru_cache(maxsize=1)
-def _factorize(key: bytes, m: int) -> _Factorization:
-    """The factorization of the 3 x m matrix whose C-order bytes are key.
+def _factorize(key: bytes) -> _Factorization:
+    """The factorization of the 3 x m matrix whose C-order bytes are key,
+    m being their length over 24.
 
-    Call it as _factorize(M.tobytes(), M.shape[1]) on M = _matrix(A), the
-    columns of a StructureMatrix, which checked them when it was built.
     Only the most recent matrix is kept, so consecutive solves on one
     matrix share its factorization, whatever object carries it, and the
-    process holds one factorization however many matrices exist.
+    process holds one factorization however many matrices exist. Its
+    matrix is an array over the bytes of key: read-only, and no copy.
     """
-    return _Factorization(np.frombuffer(key).reshape(3, m))
+    return _Factorization(np.frombuffer(key).reshape(3, len(key) // 24))
+
+
+def _factorization(A) -> _Factorization:
+    """The factorization of A, a StructureMatrix taken as it is, or of the
+    StructureMatrix built from A, which checks it."""
+    if not isinstance(A, StructureMatrix):
+        A = StructureMatrix(A)
+    return _factorize(A.columns.tobytes())
 
 
 def actuation_rank(A: StructureMatrix | np.ndarray) -> int:
     """Numerical rank of the structure matrix (cutoff 1e-9 relative to the
     largest singular value). Rank 3 with m >= 4 positively spanning columns
     means the system is redundantly actuated."""
-    M = _matrix(A)
-    return _factorize(M.tobytes(), M.shape[1]).rank
+    return _factorization(A).rank
 
 
 def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
@@ -415,7 +411,7 @@ def _ratio_step(t, step, box: _Box):
     return t, blocking
 
 
-def _nearest_box_point(fac, M, f, box, t, tol, budget):
+def _nearest_box_point(fac, f, box, t, tol, budget):
     """Phase 1: box least squares min ||rows t - goal f|| from the box point t.
 
     rows = fac.rows has orthonormal rows spanning the row space of A and
@@ -435,7 +431,7 @@ def _nearest_box_point(fac, M, f, box, t, tol, budget):
     t renders f within tol (a feasible point for phase 2), ITERATION_CAP
     when the budget runs out.
     """
-    goal, rows_t = fac.goal, fac.rows_t
+    M, goal, rows_t = fac.matrix, fac.goal, fac.rows_t
     lo, hi = box.lo_floats, box.hi_floats
     stationary = tol * 0.1
     # most solves return at the first iteration, before the bound set is read
@@ -540,33 +536,31 @@ def solve(
     once per matrix, and so is, per free set an iteration meets, the SVD
     of the free-column block with its Gram pseudoinverse and phase 1's
     step operator, and, for the last bounds and start point, A times the
-    start. The bound arrays of the last bounds and start point are built
-    once and shared by every matrix. The next solves on the same matrix
-    reuse all of it and compute only what depends on the force, so build A
-    once and pass it to every solve at that position. A StructureMatrix is
-    taken as it is, checked once when it was built; anything else is built
-    into one first, so a plain array gets its checks and its bits. A bad
-    matrix, start or bounds raises ValueError.
+    start. All of it is held, with A, in the one factorization that
+    _factorization(A) finds; the bound arrays of the last bounds and start
+    point are built once and shared by every matrix. The next solves on
+    the same matrix reuse all of it and compute only what depends on the
+    force, so build A once and pass it to every solve at that position. A
+    StructureMatrix is taken as it is, checked once when it was built;
+    anything else is built into one first, so a plain array gets its
+    checks and its bits. A bad matrix, start or bounds raises ValueError.
     ``iterations`` counts the active-set iterations of both phases,
     including the one that certifies the result, so it is at least 1.
 
     The returned tensions are always within bounds, whatever the status.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
-    M = _matrix(A)
+    fac = _factorization(A)
     fvec = as_vec3(f)
     tol = cfg.tolerance
-    fac = _factorize(M.tobytes(), M.shape[1])
-    box, a_start = fac.box(M, bounds, cfg.start)
+    box, a_start = fac.box(bounds, cfg.start)
 
     x = np.minimum(np.maximum(box.start + fac.pinv.dot(fvec - a_start), box.lo), box.hi)
-    x, rendered, status, iterations = _nearest_box_point(
-        fac, M, fvec, box, x, tol, cfg.max_iterations
-    )
+    x, rendered, status, iterations = _nearest_box_point(fac, fvec, box, x, tol, cfg.max_iterations)
     if status is None:
         x, certified, more = _min_shift(fac, box, x, cfg.max_iterations - iterations + 1)
         iterations += more - 1
-        rendered = M.dot(x)
+        rendered = fac.matrix.dot(x)
 
     miss = rendered - fvec
     residual = math.sqrt(miss.dot(miss))

@@ -108,9 +108,16 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
-    def test_bad_vector_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "--force", "1,2"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1,2", "expected 'x,y,z', got '1,2'"), ("1,a,0", "bad vector '1,a,0'")],
+        ids=["two-components", "bad-number"],
+    )
+    def test_bad_vector_rejected(self, text, message, capsys):
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(["solve", "--force", text])
+        assert caught.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_plant_rejected(self):
         with pytest.raises(SystemExit):
@@ -571,7 +578,9 @@ class TestMaterialCommand:
 
         fresh = tmp_path / "fresh"
         assert run(bad, fresh) == 1
-        assert "'m4'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'m4'" in err
+        assert f"{bad}: row 3 (t=0.002): " in err
         assert not (fresh / "material.csv").exists()
 
         used = tmp_path / "used"

@@ -304,7 +304,7 @@ ANCHORS = "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [
     "load, text, names",
     [
         (load_layout, ANCHORS + "bounds: [5.0, {t_min: 0.5, t_max: 6.0}]\n", "bounds[0]: bounds entry must be a mapping"),
-        (load_layout, ANCHORS + "bounds: {t_min: 0.5}\n", "bounds need t_min and t_max"),
+        (load_layout, ANCHORS + "bounds: {t_min: 0.5}\n", "bounds need t_min and t_max; missing 't_max'"),
         (load_layout, "anchors:\n- {id: a, position: [1.0, 0.0]}\n", "anchor 0: position"),
         (
             load_layout,
@@ -317,7 +317,8 @@ ANCHORS = "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [
         (load_trajectory, "\n\n", "empty trajectory"),
         (load_trajectory, "t,x,y,z\n0.0,1.0,2.0\n", "line 2: expected 4 columns, got 3"),
         (load_trajectory, "t,x,y,z\n", "no data rows"),
-        (load_trajectory, "t,x,y,z\n0.0,nan,0.0,0.3\n", "non-finite"),
+        (load_trajectory, "t,x,y,z\n0.0,nan,0.0,0.3\n", "line 2: non-finite"),
+        (load_trajectory, "t,x,y,z\n\n0.0,0,0,0.3\n0.001,0,a,0.31\n", "line 4: "),
     ],
     ids=[
         "bounds-entry-not-a-mapping",
@@ -331,6 +332,7 @@ ANCHORS = "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [
         "wrong-column-count",
         "header-without-rows",
         "nan-cell",
+        "blank-line-before-a-bad-cell",
     ],
 )
 def test_loader_errors_name_the_file_and_field(tmp_path, load, text, names):

@@ -94,6 +94,15 @@ class TestAlignZRotation:
     def test_identical_bases_give_zero(self):
         assert align_z_rotation(self.BASIS, self.BASIS) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "desired, measured",
+        [(np.eye(3)[:2], np.eye(3)), ([[1.0, 0.0]], [[1.0, 0.0]])],
+        ids=["fewer-vectors", "two-components"],
+    )
+    def test_mismatched_shapes_rejected(self, desired, measured):
+        with pytest.raises(ValueError, match="basis shapes must match"):
+            align_z_rotation(desired, measured)
+
     def test_recovers_synthetic_rotation(self):
         theta = np.radians(30.0)
         measured = (rotation_z(-theta) @ self.BASIS.T).T

@@ -498,14 +498,14 @@ class TestFactorizationCache:
         start = np.array([1.0, 2.0, 3.0, 4.0])
         solve(M, [0.0, 0.0, 1.5], BOUNDS)
         solve(M, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=start))
-        fac = solver._factorize(M.tobytes(), M.shape[1])
+        fac = solver._factorization(M)
         free, u, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
-        cached = (fac.rows, free, u)
+        cached = (fac.matrix, fac.rows, free, u)
         operators = (fac.goal, fac.pinv, fac.rows_t, gram_pinv, step)
         custom = SolverConfig(start=start).start
         boxes = []
         for box_start in (None, custom):
-            box, a_start = fac.box(M, BOUNDS, box_start)
+            box, a_start = fac.box(BOUNDS, box_start)
             boxes += [box.lo, box.hi, box.start, a_start]
         for arr in cached + operators + tuple(boxes):
             with pytest.raises(ValueError):
@@ -520,7 +520,7 @@ class TestFactorizationCache:
         ],
     )
     def test_rows_are_an_orthonormal_basis_of_the_row_space(self, columns):
-        fac = solver._factorize(columns.tobytes(), columns.shape[1])
+        fac = solver._factorization(columns)
         assert fac.rows.shape == (actuation_rank(columns), columns.shape[1])
         np.testing.assert_allclose(fac.rows @ fac.rows.T, np.eye(fac.rank), atol=1e-12)
         # projecting A's rows onto the span of rows leaves them unchanged
@@ -568,7 +568,7 @@ class TestFactorizationCache:
         _clear_caches()
         for k in range(100):
             solve(A, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=np.full(4, 1.0 + k / 100)))
-        fac = solver._factorize(A.columns.tobytes(), 4)
+        fac = solver._factorization(A)
         # one box is held, keyed by the last bounds and start, and it is the
         # box every matrix shares, keyed by the cable count too
         last = np.full(4, 1.0 + 99 / 100)
@@ -652,8 +652,8 @@ class TestFactorizationCache:
             boxes = []
             for A in (A1, A2):
                 M = A.columns
-                fac = solver._factorize(M.tobytes(), M.shape[1])
-                box, a_start = fac.box(M, BOUNDS, start)
+                fac = solver._factorization(A)
+                box, a_start = fac.box(BOUNDS, start)
                 boxes.append(box)
                 assert a_start.tobytes() == (M @ box.start).tobytes()
                 for arr in (box.lo, box.hi, box.start, a_start):
