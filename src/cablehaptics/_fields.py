@@ -19,9 +19,11 @@ UNIT_NORM_TOL = 1e-9
 def as_vec3(v) -> np.ndarray:
     """Validate v as a finite 3-vector and return it as a float array."""
     arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,) or np.count_nonzero(np.isfinite(arr)) != 3:
-        raise ValueError(f"expected a finite 3-vector, got {v!r}")
-    return arr
+    if arr.shape == (3,):
+        x, y, z = arr.tolist()
+        if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+            return arr
+    raise ValueError(f"expected a finite 3-vector, got {v!r}")
 
 
 def real(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:

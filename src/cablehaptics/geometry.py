@@ -24,6 +24,14 @@ COINCIDENT_ANCHOR_TOL = 1e-9
 DEGENERATE_EE_TOL = 1e-6
 
 
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """np.linalg.norm(x, axis=axis) of a float array x, by the two ufuncs
+    it runs for one, without its Python wrapper: a structure matrix is new
+    at almost every position, so this runs cold, where the wrapper cost
+    about as much as the arithmetic."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
+
 @dataclass(frozen=True)
 class TensionBounds:
     """Allowable tension range for a cable, in newtons.
@@ -121,13 +129,14 @@ class StructureMatrix:
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != 3 or cols.shape[1] < 1:
             raise ValueError(f"expected shape (3, m), got {cols.shape}")
-        norms = np.linalg.norm(cols, axis=0)
+        norms = _norms(cols, 0)
         # a NaN or inf entry makes its column's norm NaN or inf, which fails
         # the unit test too, so finiteness is read only to pick the message
-        if not (np.abs(norms - 1.0) <= 1e-12).all():
-            if not np.isfinite(cols).all():
-                raise ValueError("structure matrix has non-finite entries")
-            raise ValueError(f"columns must be unit vectors, norms {norms}")
+        for norm in norms.tolist():
+            if not abs(norm - 1.0) <= 1e-12:
+                if not np.isfinite(cols).all():
+                    raise ValueError("structure matrix has non-finite entries")
+                raise ValueError(f"columns must be unit vectors, norms {norms}")
         cols = cols.copy()
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
@@ -141,12 +150,13 @@ def cable_directions(layout: ModuleLayout, ee) -> np.ndarray:
     """
     p = as_vec3(ee)
     offsets = layout.anchor_positions - p
-    norms = np.linalg.norm(offsets, axis=1)
-    if np.any(norms <= DEGENERATE_EE_TOL):
-        bad = layout.anchors[int(np.argmin(norms))].id
-        raise DegenerateGeometry(
-            f"end effector within {DEGENERATE_EE_TOL} m of anchor {bad!r}"
-        )
+    norms = _norms(offsets, 1)
+    for norm in norms.tolist():
+        if norm <= DEGENERATE_EE_TOL:
+            bad = layout.anchors[int(np.argmin(norms))].id
+            raise DegenerateGeometry(
+                f"end effector within {DEGENERATE_EE_TOL} m of anchor {bad!r}"
+            )
     return offsets / norms[:, None]
 
 

@@ -10,6 +10,7 @@ friction (Friction), vibration (Vibration), and their sums (Composite).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -50,7 +51,7 @@ class Magnetic:
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         offset = self.target - state.position
-        dist = float(np.linalg.norm(offset))
+        dist = math.sqrt(offset.dot(offset))
         if dist <= 1e-12:
             return np.zeros(3)
         return min(self.gain * dist, self.max_force) * (offset / dist)
@@ -107,7 +108,7 @@ class Friction:
         n = self.tangent_plane_normal
         v_tangent = state.velocity - np.dot(state.velocity, n) * n
         f = -self.coefficient * v_tangent
-        mag = float(np.linalg.norm(f))
+        mag = math.sqrt(f.dot(f))
         if mag > self.max_force:
             f = f * (self.max_force / mag)
         return f

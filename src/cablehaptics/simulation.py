@@ -111,11 +111,11 @@ class NoisyPlant:
         true_force = self._rotation @ (A.columns @ (tensions + self.tension_bias))
         rng = np.random.default_rng(self.seed + sample_index)
         draws = rng.normal(0.0, self.force_noise_std, size=(ticks, 3))
-        draws += true_force
-        # draws.mean(axis=0) adds the ticks in order, one 3-long inner loop
-        # per tick; accumulate makes the same additions down three strided
-        # loops, in about half the time on a 1000-tick hold
-        return np.add.accumulate(draws, out=draws)[-1] / ticks
+        # on (ticks, 3), numpy would add the true force and accumulate the
+        # ticks in one 3-long inner loop per tick; a (3, ticks) copy makes
+        # the same additions, in the same order, in three contiguous loops
+        cols = np.add(draws.T, true_force[:, None], order="C")
+        return np.add.accumulate(cols, axis=1, out=cols)[:, -1] / ticks
 
 
 PlantModel = Union[IdealPlant, NoisyPlant]

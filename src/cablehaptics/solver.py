@@ -34,6 +34,17 @@ new matrix builds its factorization and computes A times the start, and
 nothing else, before it can solve. actuation_rank reads its rank from the
 same factorization, so the rank rule lives here alone.
 
+Both SVDs call LAPACK through numpy's gufunc svd_f, with the signature
+np.linalg.svd passes it for a float matrix: the same loop, so the same
+bits, without the wrapper. A new matrix's SVDs run cold, after the solves
+on the last matrix have pushed that wrapper out of the caches, and there
+it cost as much as LAPACK: on the README grid's 3 x 4 matrices, each
+taken right after the 26 solves on the point before, np.linalg.svd took
+a median 33 us and the gufunc 16 us (2-vCPU Xeon, numpy 2.4). svd_f is
+numpy's private API, under this name since numpy 2.0, the package's
+floor. In place of the wrapper's errstate, _svd raises LinAlgError on a
+NaN singular value, which is what LAPACK's failure to converge leaves.
+
 Each iteration does two kinds of work. Products with a cached 3 x m or
 m x r operator, and the clip of a step into the box, are one ndarray.dot
 or np.minimum(np.maximum(...)) call each: numpy's fixed cost per call is
@@ -57,9 +68,10 @@ from enum import Enum
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd_f
 
 from ._fields import as_vec3, integer, real, set_checked
-from .geometry import StructureMatrix, TensionBounds
+from .geometry import StructureMatrix, TensionBounds, _norms
 
 # Relative singular-value cutoff shared by the pseudoinverse and rank checks.
 RANK_REL_TOL = 1e-9
@@ -212,6 +224,18 @@ def _rank(values, largest: float) -> int:
     return rank
 
 
+def _svd(M: np.ndarray):
+    """np.linalg.svd(M) of a float matrix M, by the gufunc it runs, and
+    the singular values again as a list of floats: (u, sv, vt, values).
+    LAPACK's failure to converge fills every output with NaN, and a NaN
+    singular value raises LinAlgError, as np.linalg.svd does."""
+    u, sv, vt = svd_f(M, signature="d->ddd")
+    values = sv.tolist()
+    if any(map(math.isnan, values)):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return u, sv, vt, values
+
+
 class _Factorization:
     """A checked structure matrix, as matrix, with one SVD A = U S V^T of
     it, its rank, the operators built from it alone, a _Block for each
@@ -228,10 +252,9 @@ class _Factorization:
     """
 
     def __init__(self, M: np.ndarray):
-        u, sv, vt = np.linalg.svd(M)
+        u, sv, vt, values = _svd(M)
         # a view taken of vt after this is read-only too
         vt.setflags(write=False)
-        values = sv.tolist()
         rank = _rank(values, values[0])
         rows = vt[:rank]
         goal = u[:, :rank].T / sv[:rank, None]
@@ -258,8 +281,8 @@ class _Factorization:
         if found is None:
             # an array over the bytes of key is read-only
             free = np.frombuffer(key, dtype=bool)
-            u, sv, _ = np.linalg.svd(self.rows.compress(free, axis=1))
-            rank = _rank(sv.tolist(), 1.0)
+            u, sv, _, values = _svd(self.rows.compress(free, axis=1))
+            rank = _rank(values, 1.0)
             u_r = u[:, :rank]
             gram_pinv = (u_r / sv[:rank] ** 2) @ u_r.T
             step = self.rows_t @ gram_pinv
@@ -486,7 +509,7 @@ def _min_shift(fac, box, t, budget):
         blk = fac.block(free)
         if blk.rank < len(rows):
             # release the held cable reaching furthest into the missing span
-            reach = np.linalg.norm(blk.u[:, blk.rank :].T @ rows, axis=0)
+            reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
             free[int(np.where(blk.free, -1.0, reach).argmax())] = True
             continue
         lam = blk.gram_pinv.dot(target - rows.dot(np.where(blk.free, start, t)))

@@ -5,6 +5,7 @@ the caller passed."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cablehaptics import (
     default_validation_layout,
     run_validation,
 )
+from cablehaptics._fields import as_vec3
 from cablehaptics.simulation import report_summary, write_report_json
 
 # Each class with the keyword arguments that build it; fields not given
@@ -151,3 +153,44 @@ def test_unserializable_summary_leaves_the_earlier_file(tmp_path):
     with pytest.raises(TypeError):
         write_report_json({"aggregates": {"count": object()}}, path)
     assert path.read_bytes() == b'{"earlier": true}\n'
+
+
+def with_entry(index, value):
+    vector = [0.5, -1.0, 2.0]
+    vector[index] = value
+    return vector
+
+
+# (id, input, accepted): a non-finite entry at each index, shapes that are
+# not (3,), and inputs that pass, as as_vec3 took them before its
+# finiteness check became a Python pass.
+AS_VEC3 = [
+    *(
+        (f"{name}-at-{index}", with_entry(index, bad), False)
+        for index in range(3)
+        for name, bad in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))
+    ),
+    ("scalar", 1.0, False),
+    ("empty", [], False),
+    ("two", [1.0, 2.0], False),
+    ("four", [1.0, 2.0, 3.0, 4.0], False),
+    ("row", np.zeros((1, 3)), False),
+    ("column", np.zeros((3, 1)), False),
+    ("nan-in-row", [[np.nan, 0.0, 0.0]], False),
+    ("list", [0.5, -1.0, 2.0], True),
+    ("int-tuple", (1, 2, 3), True),
+    ("float32", np.array([0.1, 0.2, 0.3], dtype=np.float32), True),
+    ("largest-float", [np.finfo(float).max, -np.finfo(float).max, 0.0], True),
+]
+
+
+@pytest.mark.parametrize("value, accepted", [c[1:] for c in AS_VEC3], ids=[c[0] for c in AS_VEC3])
+def test_as_vec3_accepts_finite_3_vectors_alone(value, accepted):
+    if accepted:
+        got = as_vec3(value)
+        assert got.dtype == np.float64 and got.shape == (3,)
+        assert got.tobytes() == np.asarray(value, dtype=float).tobytes()
+    else:
+        message = f"expected a finite 3-vector, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_vec3(value)

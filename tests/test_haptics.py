@@ -115,6 +115,40 @@ class TestFriction:
             assert np.dot(force, v) <= 1e-12
 
 
+def reference_magnetic(magnet, position):
+    """Magnetic.force with the norm taken by np.linalg.norm."""
+    offset = magnet.target - position
+    dist = float(np.linalg.norm(offset))
+    if dist <= 1e-12:
+        return np.zeros(3)
+    return min(magnet.gain * dist, magnet.max_force) * (offset / dist)
+
+
+def reference_friction(rub, velocity):
+    """Friction.force with the norm taken by np.linalg.norm."""
+    n = rub.tangent_plane_normal
+    f = -rub.coefficient * (velocity - np.dot(velocity, n) * n)
+    mag = float(np.linalg.norm(f))
+    if mag > rub.max_force:
+        f = f * (rub.max_force / mag)
+    return f
+
+
+def test_magnet_and_friction_norms_are_bit_identical_to_np_linalg_norm():
+    rng = np.random.default_rng(15)
+    magnet = Magnetic(np.array([0.2, -0.1, 0.4]), 5.0, 2.5)
+    rub = Friction(2.0, 1.5, np.array([0.6, 0.0, 0.8]))
+    capped = set()
+    for _ in range(500):
+        s = state(rng.normal(scale=0.6, size=3), rng.normal(scale=0.6, size=3))
+        got = evaluate(magnet, s)
+        assert got.tobytes() == reference_magnetic(magnet, s.position).tobytes()
+        got = evaluate(rub, s)
+        assert got.tobytes() == reference_friction(rub, s.velocity).tobytes()
+        capped.add(np.dot(got, got) > 1.5**2 * (1 - 1e-12))
+    assert capped == {True, False}
+
+
 class TestComposite:
     CHILDREN = (
         Damper(2.0),

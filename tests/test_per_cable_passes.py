@@ -13,11 +13,20 @@ The two rank counts, of a structure matrix and of a free-column block,
 are passes too, checked against the numpy expressions they replace on
 seeded matrices of every rank, with singular values on both sides of the
 cutoff, and on singular values exactly at it and one float either side.
+
+Both SVDs call LAPACK's gufunc without np.linalg.svd's wrapper, and the
+norms of a new matrix take numpy's ufuncs without np.linalg.norm's. The
+SVD must give np.linalg.svd's bytes on matrices and blocks of every rank
+and width, raise its LinAlgError on NaN, and a new matrix must solve with
+both wrappers disabled, to the bits it gives with them.
 """
 
 import numpy as np
+import pytest
 
 from cablehaptics import solver
+from cablehaptics.geometry import ModuleAnchor, ModuleLayout, structure_matrix
+from cablehaptics.simulation import default_validation_layout
 
 ROUNDING = 1e-12
 TOL = 1e-9
@@ -298,3 +307,110 @@ def test_rank_at_the_cutoff():
             assert expected == rank
             assert solver._rank(sv.tolist(), top) == rank
     assert solver._rank([0.0, 0.0, 0.0], 0.0) == 0
+
+
+def of_rank(rng, m, rank):
+    """A seeded 3 x m matrix with rank nonzero singular values."""
+    k = min(3, m)
+    u = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :k]
+    v = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :k]
+    s = np.zeros(k)
+    s[:rank] = np.sort(rng.uniform(0.2, 2.0, rank))[::-1]
+    return u @ np.diag(s) @ v.T
+
+
+def assert_svd_bytes(M):
+    u, sv, vt, values = solver._svd(M)
+    ref_u, ref_sv, ref_vt = np.linalg.svd(M)
+    assert u.tobytes() == ref_u.tobytes() and u.shape == ref_u.shape
+    assert sv.tobytes() == ref_sv.tobytes() and sv.shape == ref_sv.shape
+    assert vt.tobytes() == ref_vt.tobytes() and vt.shape == ref_vt.shape
+    assert values == ref_sv.tolist()
+
+
+def test_svd_matches_np_linalg_svd():
+    rng = np.random.default_rng(15)
+    ranks, widths = set(), set()
+    for m in range(1, 9):
+        for rank in range(min(3, m) + 1):
+            for _ in range(25):
+                M = of_rank(rng, m, rank)
+                assert_svd_bytes(M)
+                fac = solver._Factorization(M)
+                assert fac.rank == rank
+                ranks.add(rank)
+                for free in rng.integers(0, 2, (4, m)).astype(bool):
+                    assert_svd_bytes(fac.rows.compress(free, axis=1))
+                    widths.add(int(free.sum()))
+    assert ranks == {0, 1, 2, 3}
+    assert widths == set(range(9))
+
+
+def test_nan_matrix_raises_linalg_error():
+    M = np.eye(3)
+    M[1, 1] = np.nan
+    # LAPACK's failure also sets the invalid flag, which would warn
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            np.linalg.svd(M)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            solver._Factorization(M)
+
+
+CUBE = ModuleLayout(
+    tuple(
+        ModuleAnchor(f"c{k + 1}", np.array(corner))
+        for k, corner in enumerate(
+            [(x, y, z) for z in (0.0, 2.0) for y in (-1.0, 1.0) for x in (-1.0, 1.0)]
+        )
+    )
+)
+VALIDATION_LAYOUT, VALIDATION_EE = default_validation_layout()
+
+# (layout, end effector, force); the last solve's phase 2 meets a free
+# block of rank 2 and releases a held cable for rank, the one branch that
+# takes a norm inside the solver
+FRESH_SOLVES = [
+    (VALIDATION_LAYOUT, VALIDATION_EE, [0.3, -0.4, 1.2]),
+    (VALIDATION_LAYOUT, [0.5, 0.5, 1.5], [0.0, 0.1, 0.0]),
+    (VALIDATION_LAYOUT, [-0.8, 0.2, 0.3], [5.0, 5.0, -5.0]),
+    (CUBE, [0.1, -0.3, 0.9], [0.0, 12.0, 1.0]),
+    (CUBE, [-0.42, 0.42, 1.37], [0.0, 0.0, -0.7]),
+]
+
+
+def fresh_solve(layout, ee, force):
+    solver._factorize.cache_clear()
+    A = structure_matrix(layout, ee)
+    result = solver.solve(A, force, layout.bounds)
+    return (
+        A.columns.tobytes(),
+        result.status,
+        result.iterations,
+        result.tensions.tobytes(),
+        result.rendered_force.tobytes(),
+    )
+
+
+def test_new_matrices_call_neither_numpy_linalg_wrapper(monkeypatch):
+    recorded = [fresh_solve(*case) for case in FRESH_SOLVES]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a new matrix called a numpy.linalg wrapper")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    assert [fresh_solve(*case) for case in FRESH_SOLVES] == recorded
+
+
+def test_the_last_fresh_solve_releases_a_cable_for_rank(monkeypatch):
+    norms = solver._norms
+    calls = []
+
+    def spy(x, axis):
+        calls.append(axis)
+        return norms(x, axis)
+
+    monkeypatch.setattr(solver, "_norms", spy)
+    fresh_solve(*FRESH_SOLVES[-1])
+    assert calls
