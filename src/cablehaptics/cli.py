@@ -1,7 +1,8 @@
 """Command-line interface: solve, validate, workspace, material.
 
-Exit codes: 0 success (for ``solve``: an exact solution), 1 configuration
-or geometry errors, 2 nearest-feasible solve, 3 iteration cap hit.
+Exit codes: 0 success (for ``solve``: an exact solution), 1 usage,
+configuration or geometry errors, 2 nearest-feasible solve, 3 iteration
+cap hit.
 """
 
 from __future__ import annotations
@@ -269,7 +270,12 @@ def cmd_material(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, solve's nearest-feasible code,
+        # and 0 after --help
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.run(args)
     except (CableHapticsError, ValueError, OSError) as exc:

@@ -46,17 +46,22 @@ floor. In place of the wrapper's errstate, _svd raises LinAlgError on a
 NaN singular value, which is what LAPACK's failure to converge leaves.
 
 Each iteration does two kinds of work. Products with a cached 3 x m or
-m x r operator, and the clip of a step into the box, are one ndarray.dot
-or np.minimum(np.maximum(...)) call each: numpy's fixed cost per call is
-about a microsecond, and at these sizes one call still beats a Python sum.
-Every per-cable decision (the nearest-box-point certificate, the ratio
-test and its blocking cable, phase 1's choice of cable to release, phase
-2's multiplier sign test) and both rank counts are one Python pass over
-tolist() floats, where numpy would spend a call per comparison or mask on
-four to eight values.
+m x r operator are one ndarray.dot call each: numpy's fixed cost per call
+is about a microsecond, and at these sizes one call still beats a Python
+sum. Everything else is per cable, and numpy would spend a call on each
+comparison, mask or expression over four to eight values, so it is
+Python passes over floats: the iterate is a list of floats, and each
+iteration builds its array once, for the products. The per-cable
+decisions (the nearest-box-point certificate, the ratio test and its
+blocking cable, phase 1's choice of cable to release, phase 2's
+multiplier sign test), both rank counts, and the per-cable arithmetic
+(the clip of the start projection and of each step into the box, and
+phase 2's held vector and step) are one pass each over tolist() floats.
 Each pass does the same float operations in the same order as the array
-expressions it replaces and breaks ties toward the lowest index, as
-argmin and argmax do, so the results are bit for bit the same.
+expressions it replaces. Its clip keeps the bound on a tie, as
+np.maximum and np.minimum return their second operand, and its choices
+break ties toward the lowest index, as argmin and argmax do, so the
+results are bit for bit the same.
 """
 
 from __future__ import annotations
@@ -157,13 +162,11 @@ class _Block(NamedTuple):
 
 class _Box(NamedTuple):
     """What a solve needs of its bounds and start point on m cables: the
-    lower and upper bound arrays, the start vector, the rounding level of
-    the tensions and of the steps between them, and the bounds and start
-    again as tuples of floats for the per-cable passes. It does not depend
-    on the matrix, so every matrix shares it."""
+    start vector, for A times it, the rounding level of the tensions and
+    of the steps between them, and the lower bounds, upper bounds and start
+    as tuples of floats for the per-cable passes. It does not depend on
+    the matrix, so every matrix shares it."""
 
-    lo: np.ndarray
-    hi: np.ndarray
     start: np.ndarray
     rounding: float
     lo_floats: tuple[float, ...]
@@ -172,9 +175,10 @@ class _Box(NamedTuple):
 
     @classmethod
     def of(cls, lo, hi, start, rounding) -> _Box:
-        """The _Box of these arrays, its float tuples copied from them."""
+        """The _Box of the arrays lo, hi and start, its float tuples copied
+        from them."""
         floats = (tuple(arr.tolist()) for arr in (lo, hi, start))
-        return cls(lo, hi, start, rounding, *floats)
+        return cls(start, rounding, *floats)
 
 
 @functools.lru_cache(maxsize=1)
@@ -203,9 +207,9 @@ def _box(bounds, start: bytes | None, m: int) -> _Box:
         start = np.frombuffer(start)
         if len(start) != m:
             raise ValueError(f"start has {len(start)} entries for {m} cables")
-    rounding = float(1e-12 * np.maximum(hi, np.abs(start)).max())
-    lo.setflags(write=False)
-    hi.setflags(write=False)
+    # the largest of hi and |start|, without np.maximum, which no solve calls
+    rounding = float(1e-12 * max(hi.max(), np.abs(start).max()))
+    start.setflags(write=False)
     return _Box.of(lo, hi, start, rounding)
 
 
@@ -408,29 +412,63 @@ def _worst_multiplier(free, t, start, shift, lo) -> tuple[int, float]:
     return worst, most
 
 
+def _move(t, fraction: float, step, lo, hi) -> list[float]:
+    """t + fraction * step clipped into the box [lo, hi], from sequences of
+    floats, one entry per cable: np.minimum(np.maximum(t + fraction * step,
+    lo), hi) as one pass, with the same float operations in the same order.
+    On a tie each comparison keeps the bound, the second operand, as
+    np.maximum and np.minimum do, so a signed zero comes out as theirs
+    does. A fraction of 1.0 leaves each step component as it is, so it
+    also stands for t + step."""
+    moved = []
+    for ti, si, lo_i, hi_i in zip(t, step, lo, hi):
+        v = ti + fraction * si
+        v = v if v > lo_i else lo_i
+        moved.append(v if v < hi_i else hi_i)
+    return moved
+
+
+def _held(free, start, t) -> list[float]:
+    """Phase 2's vector with the free cables at the start and the held ones
+    at t, from sequences of floats, one entry per cable: np.where(free,
+    start, t) as one pass."""
+    return [si if is_free else ti for is_free, si, ti in zip(free, start, t)]
+
+
+def _free_step(free, start, shift, t) -> list[float]:
+    """Phase 2's step toward the working-set optimum start + shift, from
+    sequences of floats, one entry per cable: start + shift - t on the free
+    cables and 0.0 on the held ones, np.where(free, start + shift - t, 0.0)
+    as one pass with the same float operations."""
+    return [
+        si + shift_i - ti if is_free else 0.0
+        for is_free, si, shift_i, ti in zip(free, start, shift, t)
+    ]
+
+
 def _ratio_step(t, step, box: _Box):
     """Move t along step, stopping where the first cable meets a bound.
 
-    Step components at or below box.rounding are ignored: a bound that was
-    just released must not block the step at length zero. Returns the new
-    box point and the blocking cable (the lowest index on a tie), or -1
-    when the whole step was taken.
+    t and step are lists of floats, one entry per cable. Step components
+    at or below box.rounding are ignored: a bound that was just released
+    must not block the step at length zero. Returns the new box point, a
+    list, and the blocking cable (the lowest index on a tie), or -1 when
+    the whole step was taken. A first pass finds the fraction of the step
+    to take, a second (_move) takes it and clips the point into the box,
+    and the blocking cable is then set exactly on its bound.
     """
-    rounding = box.rounding
+    lo, hi, rounding = box.lo_floats, box.hi_floats, box.rounding
     fraction, blocking, bound = 1.0, -1, 0.0
-    for i, (ti, si, lo_i, hi_i) in enumerate(
-        zip(t.tolist(), step.tolist(), box.lo_floats, box.hi_floats)
-    ):
+    for i, (ti, si, lo_i, hi_i) in enumerate(zip(t, step, lo, hi)):
         if abs(si) > rounding:
             edge = hi_i if si > 0 else lo_i
             # the fraction of the step this cable can take
             room = (edge - ti) / si
             if room < fraction:
                 fraction, blocking, bound = room, i, edge
-    if blocking < 0:
-        return np.minimum(np.maximum(t + step, box.lo), box.hi), -1
-    t = np.minimum(np.maximum(t + fraction * step, box.lo), box.hi)
-    t[blocking] = bound
+    t = _move(t, fraction, step, lo, hi)
+    if blocking >= 0:
+        t[blocking] = bound
     return t, blocking
 
 
@@ -449,7 +487,10 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     stationary, the held cable whose descent direction points most into
     the box is released.
 
-    Returns (t, A t, status, iterations): status NEAREST_FEASIBLE once
+    The iterate t is a list of floats, and each iteration builds its array
+    once, for the products; the certificate, the release and the ratio
+    step are passes over the list. Returns (t, A t, ||f - A t||^2, status,
+    iterations), t an array: status NEAREST_FEASIBLE once
     _is_nearest_box_point certifies t with a residual above tol, None once
     t renders f within tol (a feasible point for phase 2), ITERATION_CAP
     when the budget runs out.
@@ -460,23 +501,28 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     # most solves return at the first iteration, before the bound set is read
     free = None
     for k in range(1, budget + 1):
-        rendered = M.dot(t)
+        x = np.array(t)
+        rendered = M.dot(x)
         residual = f - rendered
-        if residual.dot(residual) <= tol * tol:
-            return t, rendered, None, k
+        miss = residual.dot(residual)
+        if miss <= tol * tol:
+            return x, rendered, miss, None, k
         gap = goal.dot(residual)
-        x, d = t.tolist(), rows_t.dot(gap).tolist()
-        if _is_nearest_box_point(x, d, lo, hi, stationary):
-            return t, rendered, SolveStatus.NEAREST_FEASIBLE, k
+        d = rows_t.dot(gap).tolist()
+        if _is_nearest_box_point(t, d, lo, hi, stationary):
+            return x, rendered, miss, SolveStatus.NEAREST_FEASIBLE, k
         if free is None:
-            free = [lo_i < xi < hi_i for xi, lo_i, hi_i in zip(x, lo, hi)]
-        released = _release(free, x, d, lo, stationary)
+            free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
+        released = _release(free, t, d, lo, stationary)
         if released >= 0:
             free[released] = True
-        t, blocking = _ratio_step(t, fac.block(free).step.dot(gap), box)
+        t, blocking = _ratio_step(t, fac.block(free).step.dot(gap).tolist(), box)
         if blocking >= 0:
             free[blocking] = False
-    return t, M.dot(t), SolveStatus.ITERATION_CAP, budget
+    x = np.array(t)
+    rendered = M.dot(x)
+    residual = f - rendered
+    return x, rendered, residual.dot(residual), SolveStatus.ITERATION_CAP, budget
 
 
 def _min_shift(fac, box, t, budget):
@@ -500,11 +546,16 @@ def _min_shift(fac, box, t, budget):
     trailing columns of its left singular vectors span the directions the
     free cables cannot reach.
 
-    Returns (t, certified, iterations).
+    t0 comes in as an array, and the iterate t is a list of floats. The
+    vector of the start on free cables and t on held ones (_held), the step
+    (_free_step) and the ratio step are passes over it, and each iteration
+    builds one array, of _held's vector, for the products. Returns (t,
+    certified, iterations), t a list.
     """
-    rows, start = fac.rows, box.start
+    rows, start = fac.rows, box.start_floats
     target = rows.dot(t)
-    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t.tolist(), box.lo_floats, box.hi_floats)]
+    t = t.tolist()
+    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, box.lo_floats, box.hi_floats)]
     for k in range(1, budget + 1):
         blk = fac.block(free)
         if blk.rank < len(rows):
@@ -512,15 +563,13 @@ def _min_shift(fac, box, t, budget):
             reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
             free[int(np.where(blk.free, -1.0, reach).argmax())] = True
             continue
-        lam = blk.gram_pinv.dot(target - rows.dot(np.where(blk.free, start, t)))
-        shift = fac.rows_t.dot(lam)
-        t, blocking = _ratio_step(t, np.where(blk.free, start + shift - t, 0.0), box)
+        lam = blk.gram_pinv.dot(target - rows.dot(np.array(_held(free, start, t))))
+        shift = fac.rows_t.dot(lam).tolist()
+        t, blocking = _ratio_step(t, _free_step(free, start, shift, t), box)
         if blocking >= 0:
             free[blocking] = False
             continue
-        worst, wrong = _worst_multiplier(
-            free, t.tolist(), box.start_floats, shift.tolist(), box.lo_floats
-        )
+        worst, wrong = _worst_multiplier(free, t, start, shift, box.lo_floats)
         if wrong <= box.rounding:
             return t, True, k
         free[worst] = True
@@ -578,15 +627,23 @@ def solve(
     tol = cfg.tolerance
     box, a_start = fac.box(bounds, cfg.start)
 
-    x = np.minimum(np.maximum(box.start + fac.pinv.dot(fvec - a_start), box.lo), box.hi)
-    x, rendered, status, iterations = _nearest_box_point(fac, fvec, box, x, tol, cfg.max_iterations)
+    # the box-clipped projection start + A^+ (f - A start)
+    towards = fac.pinv.dot(fvec - a_start).tolist()
+    t = _move(box.start_floats, 1.0, towards, box.lo_floats, box.hi_floats)
+    # phase 1 squares f - A t, which negates A t - f exactly, so a solve it
+    # ends needs no second residual
+    x, rendered, squared, status, iterations = _nearest_box_point(
+        fac, fvec, box, t, tol, cfg.max_iterations
+    )
     if status is None:
-        x, certified, more = _min_shift(fac, box, x, cfg.max_iterations - iterations + 1)
+        t, certified, more = _min_shift(fac, box, x, cfg.max_iterations - iterations + 1)
         iterations += more - 1
+        x = np.array(t)
         rendered = fac.matrix.dot(x)
+        miss = rendered - fvec
+        squared = miss.dot(miss)
 
-    miss = rendered - fvec
-    residual = math.sqrt(miss.dot(miss))
+    residual = math.sqrt(squared)
     if status is None:
         # the rounding of phase 2's steps can leave a certified point just
         # above a tolerance set near the rounding level of the force
@@ -594,13 +651,7 @@ def solve(
         status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
     x.setflags(write=False)
     rendered.setflags(write=False)
-    return SolveResult(
-        tensions=x,
-        rendered_force=rendered,
-        force_residual=residual,
-        status=status,
-        iterations=iterations,
-    )
+    return SolveResult(x, rendered, residual, status, iterations)
 
 
 def is_wrench_feasible(

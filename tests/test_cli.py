@@ -156,6 +156,24 @@ class TestSolveCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--force", "0,0"], "expected 'x,y,z', got '0,0'"),
+            (["solve"], "the following arguments are required: --force"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-vector", "no-force", "no-command"],
+    )
+    def test_usage_error_exits_1_not_the_nearest_feasible_2(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage: cablehaptics" in capsys.readouterr().out
+
     def test_iteration_cap_exits_3(self, capsys):
         rc = main(["solve", "--force", "0,0,1.0", "--max-iterations", "1"])
         assert rc == 3

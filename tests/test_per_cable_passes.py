@@ -9,6 +9,12 @@ to hit ties, steps inside the +-rounding band, no moving cable, no held
 cable and every m from 1 to 8 (case k has 1 + k % 8 cables), and each
 test checks that its cases reach every outcome, ties included.
 
+The per-cable arithmetic is passes too: the move of a point along a step
+clipped into the box (the start projection, fraction 1.0, and the ratio
+step's move), and phase 2's held vector and step. Each must give the
+bytes of the numpy expression it replaces, on values exactly at a bound
+and on signed zeros, and no solve may call np.minimum or np.maximum.
+
 The two rank counts, of a structure matrix and of a free-column block,
 are passes too, checked against the numpy expressions they replace on
 seeded matrices of every rank, with singular values on both sides of the
@@ -124,9 +130,9 @@ def test_ratio_step_matches_reference():
             step = step * 1e-3
         expected, blocking = reference_ratio_step(t, step, lo, hi, ROUNDING)
         box = solver._Box.of(lo, hi, lo, ROUNDING)
-        got, got_blocking = solver._ratio_step(t, step, box)
+        got, got_blocking = solver._ratio_step(t.tolist(), step.tolist(), box)
         assert got_blocking == blocking
-        assert got.tobytes() == expected.tobytes()
+        assert np.array(got).tobytes() == expected.tobytes()
         moving = np.abs(step) > ROUNDING
         outcomes.add((blocking >= 0, bool(moving.any())))
         if blocking >= 0:
@@ -180,6 +186,112 @@ def test_worst_multiplier_matches_reference():
         outcomes.add((certified, bool(held.any())))
     assert outcomes == {(True, True), (False, True), (True, False)}
     assert ties > 20
+
+
+def reference_move(t, fraction, step, lo, hi):
+    return np.minimum(np.maximum(t + fraction * step, lo), hi)
+
+
+def arithmetic_case(rng, m):
+    """Per-cable bounds whose floors include 0.0 and -0.0, or, in a tenth of
+    the cases, whose ceilings are 0.0 or -0.0, a box point, a step and a
+    fraction. On the dyadic grid the moved values land exactly on a bound,
+    inside the box and beyond either bound; some entries of the point and
+    the step are signed zeros, so a moved value can be a zero of the other
+    sign than a zero bound. In a fifth of the cases the step and the
+    fraction are arbitrary floats instead."""
+    lo = rng.choice([0.0, -0.0, 0.25, 0.5], m)
+    hi = lo + rng.integers(1, 24, m) / 4.0
+    t = lo + (hi - lo) * rng.integers(0, 9, m) / 8.0
+    if rng.random() < 0.1:
+        lo, t, hi = lo - hi, t - hi, rng.choice([0.0, -0.0], m)
+    zero = ((lo == 0.0) | (hi == 0.0)) & (rng.random(m) < 0.5)
+    t = np.where(zero, rng.choice([0.0, -0.0], m), t)
+    step = (hi - lo) * rng.integers(-12, 13, m) / 8.0
+    step = np.where(rng.random(m) < 0.2, rng.choice([0.0, -0.0], m), step)
+    fraction = float(rng.choice([1.0, 0.5, 0.25, 0.0]))
+    if rng.random() < 0.2:
+        step = rng.normal(size=m) * 10.0 ** rng.integers(-3, 2)
+        fraction = float(rng.uniform(0.0, 1.0))
+    return lo, hi, t, step, fraction
+
+
+def move_outcomes(moved, lo, hi):
+    """Which of: below the floor, exactly on it, inside, exactly on the
+    ceiling, above it, and a zero of the other sign than a zero floor or
+    ceiling."""
+    found = set()
+    for v, lo_i, hi_i in zip(moved.tolist(), lo.tolist(), hi.tolist()):
+        if v < lo_i:
+            found.add("below")
+        elif v == lo_i:
+            found.add("floor")
+        elif v < hi_i:
+            found.add("inside")
+        else:
+            found.add("ceiling" if v == hi_i else "above")
+        for bound, name in ((lo_i, "signed zero floor"), (hi_i, "signed zero ceiling")):
+            if v == bound == 0.0 and np.signbit(v) != np.signbit(bound):
+                found.add(name)
+    return found
+
+
+MOVE_OUTCOMES = {
+    "below", "floor", "inside", "ceiling", "above", "signed zero floor", "signed zero ceiling"
+}
+
+
+def test_projection_clip_matches_reference():
+    """The start projection: _move(start, 1.0, A^+ (f - A start))."""
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for k in range(CASES):
+        lo, hi, start, towards, _ = arithmetic_case(rng, 1 + k % 8)
+        expected = np.minimum(np.maximum(start + towards, lo), hi)
+        got = solver._move(start.tolist(), 1.0, towards.tolist(), lo.tolist(), hi.tolist())
+        assert np.array(got).tobytes() == expected.tobytes()
+        outcomes |= move_outcomes(start + towards, lo, hi)
+    assert outcomes == MOVE_OUTCOMES
+
+
+def test_ratio_step_move_matches_reference():
+    """The ratio step's move, before its blocking cable is set on its bound."""
+    rng = np.random.default_rng(8)
+    outcomes, fractions = set(), set()
+    for k in range(CASES):
+        lo, hi, t, step, fraction = arithmetic_case(rng, 1 + k % 8)
+        expected = reference_move(t, fraction, step, lo, hi)
+        got = solver._move(t.tolist(), fraction, step.tolist(), lo.tolist(), hi.tolist())
+        assert np.array(got).tobytes() == expected.tobytes()
+        outcomes |= move_outcomes(t + fraction * step, lo, hi)
+        fractions.add(fraction if fraction in (0.0, 1.0) else "between")
+    assert outcomes == MOVE_OUTCOMES
+    assert fractions == {0.0, 1.0, "between"}
+
+
+def test_phase_2_held_vector_and_step_match_reference():
+    rng = np.random.default_rng(9)
+    zeros = 0
+    for k in range(CASES):
+        m = 1 + k % 8
+        lo, hi, t, shift, _ = arithmetic_case(rng, m)
+        start = lo + (hi - lo) * rng.integers(0, 5, m) / 4.0
+        start = np.where(rng.random(m) < 0.2, rng.choice([0.0, -0.0], m), start)
+        shift = np.where(rng.random(m) < 0.2, rng.choice([0.0, -0.0], m), shift)
+        if k % 4 == 1:
+            # signed zeros only: (-0.0 + -0.0) - 0.0 is the one way to -0.0
+            start, shift, t = (rng.choice([0.0, -0.0], m) for _ in range(3))
+        free = rng.random(m) < 0.6
+        if k % 10 == 0:
+            free[:] = k % 20 == 0  # every cable free, or every cable held
+        held = solver._held(free.tolist(), start.tolist(), t.tolist())
+        assert np.array(held).tobytes() == np.where(free, start, t).tobytes()
+        step = solver._free_step(free.tolist(), start.tolist(), shift.tolist(), t.tolist())
+        expected = np.where(free, start + shift - t, 0.0)
+        assert np.array(step).tobytes() == expected.tobytes()
+        zeros += np.count_nonzero(free & (expected == 0.0) & np.signbit(expected))
+    # free cables whose step is -0.0
+    assert zeros > 20
 
 
 def reference_factorization(M):
@@ -414,3 +526,55 @@ def test_the_last_fresh_solve_releases_a_cable_for_rank(monkeypatch):
     monkeypatch.setattr(solver, "_norms", spy)
     fresh_solve(*FRESH_SOLVES[-1])
     assert calls
+
+
+def seeded_solves(seed, count):
+    """(status, iterations, tension, rendered-force and residual bytes) of
+    count seeded solves: m = 3..8, columns in general position or in a plane,
+    shared or per-cable bounds, now and then a custom start or a cap of 1
+    to 4 iterations."""
+    rng = np.random.default_rng(seed)
+    solved = []
+    for k in range(count):
+        m = 3 + k % 6
+        if rng.random() < 0.25:
+            angles = rng.uniform(0.0, 2 * np.pi, m)
+            M = np.vstack([np.cos(angles), np.sin(angles), np.zeros(m)])
+        else:
+            M = rng.normal(size=(3, m))
+        M = M / np.linalg.norm(M, axis=0)
+        if rng.random() < 0.5:
+            bounds = solver.TensionBounds(float(rng.uniform(0.0, 1.0)), float(rng.uniform(2.0, 8.0)))
+        else:
+            bounds = [
+                solver.TensionBounds(float(lo), float(lo + rng.uniform(0.5, 8.0)))
+                for lo in rng.uniform(0.0, 1.0, m)
+            ]
+        config = solver.SolverConfig(
+            max_iterations=int(rng.integers(1, 5)) if rng.random() < 0.2 else 50000,
+            start=rng.uniform(0.0, 3.0, m) if rng.random() < 0.2 else None,
+        )
+        force = rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 1.0)
+        result = solver.solve(M, force, bounds, config)
+        solved.append(
+            (
+                result.status,
+                result.iterations,
+                result.tensions.tobytes(),
+                result.rendered_force.tobytes(),
+                np.float64(result.force_residual).tobytes(),
+            )
+        )
+    return solved
+
+
+def test_solves_call_neither_np_minimum_nor_np_maximum(monkeypatch):
+    recorded = [fresh_solve(*case) for case in FRESH_SOLVES], seeded_solves(16, 600)
+    assert {status for status, *_ in recorded[1]} == set(solver.SolveStatus)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve called np.minimum or np.maximum")
+
+    monkeypatch.setattr(np, "minimum", refuse)
+    monkeypatch.setattr(np, "maximum", refuse)
+    assert ([fresh_solve(*case) for case in FRESH_SOLVES], seeded_solves(16, 600)) == recorded
