@@ -171,7 +171,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "force_residual": result.force_residual,
         "iterations": result.iterations,
     }
-    print(json.dumps(payload, indent=2))
+    # a miss longer than the largest float has an infinite residual, which
+    # JSON cannot hold: dumps raises ValueError, and main exits 1
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return STATUS_EXIT_CODES[result.status]
 
 

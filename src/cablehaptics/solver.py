@@ -48,15 +48,27 @@ NaN singular value, which is what LAPACK's failure to converge leaves.
 Each iteration does two kinds of work. Products with a cached 3 x m or
 m x r operator are one ndarray.dot call each: numpy's fixed cost per call
 is about a microsecond, and at these sizes one call still beats a Python
-sum. Everything else is per cable, and numpy would spend a call on each
+sum. A new matrix builds its cached operators (the pseudoinverse, each
+block's Gram pseudoinverse and step operator, and A times the start)
+with ndarray.dot as well, which gives the bits of the @ it replaced at
+about half its fixed cost.
+
+Everything else is per cable, and numpy would spend a call on each
 comparison, mask or expression over four to eight values, so it is
 Python passes over floats: the iterate is a list of floats, and each
-iteration builds its array once, for the products. The per-cable
-decisions (the nearest-box-point certificate, the ratio test and its
-blocking cable, phase 1's choice of cable to release, phase 2's
-multiplier sign test), both rank counts, and the per-cable arithmetic
-(the clip of the start projection and of each step into the box, and
-phase 2's held vector and step) are one pass each over tolist() floats.
+iteration builds its array once, for the products. A solve clips its
+start projection into the box in one pass (_move). A phase-1 iteration
+that steps makes three: the nearest-box-point certificate, the release
+(_release) and the ratio step; the first such iteration makes a fourth,
+which reads the free set from the iterate. A phase-2 iteration makes
+four: the vector of the start on free cables and t on held ones, the
+step, the ratio step and the multiplier sign test. Both rank counts are
+a pass each. The ratio step clips the full step t + step into the box in
+the pass that looks for the blocking cable: that is _move at fraction
+1.0 bit for bit, since 1.0 * s is s for every float s, signed zeros
+included. So a full step is one pass, and only a blocked step makes a
+second, _move at its fraction.
+
 Each pass does the same float operations in the same order as the array
 expressions it replaces. Its clip keeps the bound on a tie, as
 np.maximum and np.minimum return their second operand, and its choices
@@ -133,7 +145,8 @@ class SolveResult:
     """Tensions plus the force they actually render and solve diagnostics.
 
     ``tensions`` is always box-feasible, whatever the status. ``force_residual``
-    is ||A t - f_desired|| in newtons.
+    is ||A t - f_desired|| in newtons: inf only when that length exceeds
+    the largest float.
     """
 
     tensions: np.ndarray
@@ -232,7 +245,15 @@ def _svd(M: np.ndarray):
     """np.linalg.svd(M) of a float matrix M, by the gufunc it runs, and
     the singular values again as a list of floats: (u, sv, vt, values).
     LAPACK's failure to converge fills every output with NaN, and a NaN
-    singular value raises LinAlgError, as np.linalg.svd does."""
+    singular value raises LinAlgError, as np.linalg.svd does.
+
+    That failure also sets the floating-point invalid flag, which numpy
+    reports as a RuntimeWarning from svd_f before this raises; under
+    -W error::RuntimeWarning the caller gets that warning as the exception
+    in place of LinAlgError. np.linalg.svd raises LinAlgError either way,
+    since its errstate(invalid="call") turns the flag into that error.
+    Public inputs never reach it: StructureMatrix rejects NaN and inf
+    first."""
     u, sv, vt = svd_f(M, signature="d->ddd")
     values = sv.tolist()
     if any(map(math.isnan, values)):
@@ -263,7 +284,7 @@ class _Factorization:
         rows = vt[:rank]
         goal = u[:, :rank].T / sv[:rank, None]
         rows_t = np.ascontiguousarray(rows.T)
-        pinv = rows_t @ goal
+        pinv = rows_t.dot(goal)
         for arr in (goal, rows_t, pinv):
             arr.setflags(write=False)
         self.matrix, self.rank, self.rows = M, rank, rows
@@ -288,8 +309,8 @@ class _Factorization:
             u, sv, _, values = _svd(self.rows.compress(free, axis=1))
             rank = _rank(values, 1.0)
             u_r = u[:, :rank]
-            gram_pinv = (u_r / sv[:rank] ** 2) @ u_r.T
-            step = self.rows_t @ gram_pinv
+            gram_pinv = (u_r / sv[:rank] ** 2).dot(u_r.T)
+            step = self.rows_t.dot(gram_pinv)
             step[~free] = 0.0
             for arr in (u, gram_pinv, step):
                 arr.setflags(write=False)
@@ -315,7 +336,7 @@ class _Factorization:
         if last is not None and last[0] == key:
             return last[1]
         box = _box(*key, self.matrix.shape[1])
-        a_start = self.matrix @ box.start
+        a_start = self.matrix.dot(box.start)
         a_start.setflags(write=False)
         found = box, a_start
         self._box = (key, found)
@@ -428,24 +449,6 @@ def _move(t, fraction: float, step, lo, hi) -> list[float]:
     return moved
 
 
-def _held(free, start, t) -> list[float]:
-    """Phase 2's vector with the free cables at the start and the held ones
-    at t, from sequences of floats, one entry per cable: np.where(free,
-    start, t) as one pass."""
-    return [si if is_free else ti for is_free, si, ti in zip(free, start, t)]
-
-
-def _free_step(free, start, shift, t) -> list[float]:
-    """Phase 2's step toward the working-set optimum start + shift, from
-    sequences of floats, one entry per cable: start + shift - t on the free
-    cables and 0.0 on the held ones, np.where(free, start + shift - t, 0.0)
-    as one pass with the same float operations."""
-    return [
-        si + shift_i - ti if is_free else 0.0
-        for is_free, si, shift_i, ti in zip(free, start, shift, t)
-    ]
-
-
 def _ratio_step(t, step, box: _Box):
     """Move t along step, stopping where the first cable meets a bound.
 
@@ -453,23 +456,30 @@ def _ratio_step(t, step, box: _Box):
     at or below box.rounding are ignored: a bound that was just released
     must not block the step at length zero. Returns the new box point, a
     list, and the blocking cable (the lowest index on a tie), or -1 when
-    the whole step was taken. A first pass finds the fraction of the step
-    to take, a second (_move) takes it and clips the point into the box,
-    and the blocking cable is then set exactly on its bound.
+    the whole step was taken. One pass finds the fraction of the step to
+    take and, on the way, the full step t + step clipped into the box,
+    which is _move at fraction 1.0 bit for bit, since 1.0 * s is s. Only a
+    blocked step makes a second pass (_move at its fraction), and its
+    blocking cable is then set exactly on its bound.
     """
     lo, hi, rounding = box.lo_floats, box.hi_floats, box.rounding
     fraction, blocking, bound = 1.0, -1, 0.0
+    moved = []
     for i, (ti, si, lo_i, hi_i) in enumerate(zip(t, step, lo, hi)):
+        v = ti + si
+        v = v if v > lo_i else lo_i
+        moved.append(v if v < hi_i else hi_i)
         if abs(si) > rounding:
             edge = hi_i if si > 0 else lo_i
             # the fraction of the step this cable can take
             room = (edge - ti) / si
             if room < fraction:
                 fraction, blocking, bound = room, i, edge
-    t = _move(t, fraction, step, lo, hi)
-    if blocking >= 0:
-        t[blocking] = bound
-    return t, blocking
+    if blocking < 0:
+        return moved, -1
+    moved = _move(t, fraction, step, lo, hi)
+    moved[blocking] = bound
+    return moved, blocking
 
 
 def _nearest_box_point(fac, f, box, t, tol, budget):
@@ -488,12 +498,12 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     the box is released.
 
     The iterate t is a list of floats, and each iteration builds its array
-    once, for the products; the certificate, the release and the ratio
-    step are passes over the list. Returns (t, A t, ||f - A t||^2, status,
-    iterations), t an array: status NEAREST_FEASIBLE once
-    _is_nearest_box_point certifies t with a residual above tol, None once
-    t renders f within tol (a feasible point for phase 2), ITERATION_CAP
-    when the budget runs out.
+    x once, for the products; the certificate, the release and the ratio
+    step are passes over the list. Returns (t, x, A x, ||f - A x||^2, status,
+    iterations): status NEAREST_FEASIBLE once _is_nearest_box_point
+    certifies t with a residual above tol, None once t renders f within
+    tol (a feasible point for phase 2), ITERATION_CAP when the budget runs
+    out.
     """
     M, goal, rows_t = fac.matrix, fac.goal, fac.rows_t
     lo, hi = box.lo_floats, box.hi_floats
@@ -506,11 +516,11 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
         residual = f - rendered
         miss = residual.dot(residual)
         if miss <= tol * tol:
-            return x, rendered, miss, None, k
+            return t, x, rendered, miss, None, k
         gap = goal.dot(residual)
         d = rows_t.dot(gap).tolist()
         if _is_nearest_box_point(t, d, lo, hi, stationary):
-            return x, rendered, miss, SolveStatus.NEAREST_FEASIBLE, k
+            return t, x, rendered, miss, SolveStatus.NEAREST_FEASIBLE, k
         if free is None:
             free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
         released = _release(free, t, d, lo, stationary)
@@ -522,10 +532,10 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     x = np.array(t)
     rendered = M.dot(x)
     residual = f - rendered
-    return x, rendered, residual.dot(residual), SolveStatus.ITERATION_CAP, budget
+    return t, x, rendered, residual.dot(residual), SolveStatus.ITERATION_CAP, budget
 
 
-def _min_shift(fac, box, t, budget):
+def _min_shift(fac, box, t, x, budget):
     """Phase 2: min ||t - start||^2 s.t. rows t = rows t0 and the box,
     by the primal active-set method (Nocedal & Wright, Alg. 16.3) from the
     feasible box point t0 = t, holding the cables it has at a bound.
@@ -546,26 +556,33 @@ def _min_shift(fac, box, t, budget):
     trailing columns of its left singular vectors span the directions the
     free cables cannot reach.
 
-    t0 comes in as an array, and the iterate t is a list of floats. The
-    vector of the start on free cables and t on held ones (_held), the step
-    (_free_step) and the ratio step are passes over it, and each iteration
-    builds one array, of _held's vector, for the products. Returns (t,
-    certified, iterations), t a list.
+    t0 comes in as phase 1's list of floats t and its array x, and the
+    iterate t is a list of floats. The vector of the start on free cables
+    and t on held ones (np.where(free, start, t)), the step
+    (np.where(free, start + shift - t, 0.0)) and the ratio step are passes
+    over it, with the same float operations, and each iteration builds one
+    array, of the first, for the products. Returns (t, certified,
+    iterations), t a list.
     """
-    rows, start = fac.rows, box.start_floats
-    target = rows.dot(t)
-    t = t.tolist()
+    rows, rows_t, rank = fac.rows, fac.rows_t, fac.rank
+    start = box.start_floats
+    target = rows.dot(x)
     free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, box.lo_floats, box.hi_floats)]
     for k in range(1, budget + 1):
         blk = fac.block(free)
-        if blk.rank < len(rows):
+        if blk.rank < rank:
             # release the held cable reaching furthest into the missing span
             reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
             free[int(np.where(blk.free, -1.0, reach).argmax())] = True
             continue
-        lam = blk.gram_pinv.dot(target - rows.dot(np.array(_held(free, start, t))))
-        shift = fac.rows_t.dot(lam).tolist()
-        t, blocking = _ratio_step(t, _free_step(free, start, shift, t), box)
+        held = [si if is_free else ti for is_free, si, ti in zip(free, start, t)]
+        lam = blk.gram_pinv.dot(target - rows.dot(np.array(held)))
+        shift = rows_t.dot(lam).tolist()
+        step = [
+            si + shift_i - ti if is_free else 0.0
+            for is_free, si, shift_i, ti in zip(free, start, shift, t)
+        ]
+        t, blocking = _ratio_step(t, step, box)
         if blocking >= 0:
             free[blocking] = False
             continue
@@ -632,11 +649,11 @@ def solve(
     t = _move(box.start_floats, 1.0, towards, box.lo_floats, box.hi_floats)
     # phase 1 squares f - A t, which negates A t - f exactly, so a solve it
     # ends needs no second residual
-    x, rendered, squared, status, iterations = _nearest_box_point(
+    t, x, rendered, squared, status, iterations = _nearest_box_point(
         fac, fvec, box, t, tol, cfg.max_iterations
     )
     if status is None:
-        t, certified, more = _min_shift(fac, box, x, cfg.max_iterations - iterations + 1)
+        t, certified, more = _min_shift(fac, box, t, x, cfg.max_iterations - iterations + 1)
         iterations += more - 1
         x = np.array(t)
         rendered = fac.matrix.dot(x)
@@ -644,6 +661,10 @@ def solve(
         squared = miss.dot(miss)
 
     residual = math.sqrt(squared)
+    if residual == math.inf:
+        # above about 1.3e154 N the square of the miss overflows, and hypot
+        # is inf only for a miss longer than the largest float
+        residual = math.hypot(*(rendered - fvec).tolist())
     if status is None:
         # the rounding of phase 2's steps can leave a certified point just
         # above a tolerance set near the rounding level of the force

@@ -151,6 +151,27 @@ class TestSolveCommand:
         assert payload["status"] == "nearest_feasible"
         np.testing.assert_allclose(payload["tensions"], [0.5, 0.5, 0.5], atol=1e-9)
 
+    def test_huge_force_prints_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        # the square of the miss overflows, and numpy warns of it
+        with np.errstate(over="ignore"):
+            rc = main(["solve", "--force=0,0,1e200"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["status"] == "nearest_feasible"
+        assert payload["force_residual"] == pytest.approx(1e200, rel=1e-12)
+
+    def test_force_missed_by_more_than_the_largest_float_exits_1(self, capsys):
+        # each component is finite, but the miss's length is not
+        with np.errstate(over="ignore"):
+            rc = main(["solve", "--force=1.5e308,1.5e308,0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "inf" in captured.err
+
     def test_missing_layout_file_exits_1(self, tmp_path, capsys):
         rc = main(["solve", "--layout", str(tmp_path / "missing.yaml"), "--force", "0,0,1"])
         assert rc == 1

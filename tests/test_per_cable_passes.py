@@ -10,10 +10,13 @@ cable and every m from 1 to 8 (case k has 1 + k % 8 cables), and each
 test checks that its cases reach every outcome, ties included.
 
 The per-cable arithmetic is passes too: the move of a point along a step
-clipped into the box (the start projection, fraction 1.0, and the ratio
-step's move), and phase 2's held vector and step. Each must give the
-bytes of the numpy expression it replaces, on values exactly at a bound
-and on signed zeros, and no solve may call np.minimum or np.maximum.
+clipped into the box (the start projection, fraction 1.0, and a blocked
+ratio step's move), the full ratio step, clipped in the pass that looks
+for the blocking cable, and phase 2's held vector and step, which phase 2
+builds inline and the tests read off the products it takes. Each must
+give the bytes of the numpy expression it replaces, on values exactly at
+a bound and on signed zeros, and no solve may call np.minimum or
+np.maximum.
 
 The two rank counts, of a structure matrix and of a free-column block,
 are passes too, checked against the numpy expressions they replace on
@@ -26,6 +29,8 @@ SVD must give np.linalg.svd's bytes on matrices and blocks of every rank
 and width, raise its LinAlgError on NaN, and a new matrix must solve with
 both wrappers disabled, to the bits it gives with them.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,27 +127,48 @@ def test_certificate_matches_reference():
     assert outcomes == {True, False}
 
 
+def check_ratio_step(lo, hi, t, step):
+    """_ratio_step against the reference: (blocking, any cable moving, the
+    tie count of the blocking cable, the clip outcomes of a full step)."""
+    expected, blocking = reference_ratio_step(t, step, lo, hi, ROUNDING)
+    box = solver._Box.of(lo, hi, lo, ROUNDING)
+    got, got_blocking = solver._ratio_step(t.tolist(), step.tolist(), box)
+    assert got_blocking == blocking
+    assert np.array(got).tobytes() == expected.tobytes()
+    moving = np.abs(step) > ROUNDING
+    if blocking < 0:
+        # a full step is clipped in the pass that looks for the blocking cable
+        return blocking, bool(moving.any()), 0, move_outcomes(t + step, lo, hi)
+    room = np.divide(
+        np.where(step > 0, hi, lo) - t, step, out=np.full(len(t), np.inf), where=moving
+    )
+    return blocking, bool(moving.any()), is_tie(room, blocking), set()
+
+
 def test_ratio_step_matches_reference():
-    outcomes, ties = set(), 0
+    outcomes, ties, full_clips = set(), 0, set()
     for (lo, hi, t, step), rng in cases(2):
         if rng.random() < 0.5:
             # a short step, so the full step is taken
             step = step * 1e-3
-        expected, blocking = reference_ratio_step(t, step, lo, hi, ROUNDING)
-        box = solver._Box.of(lo, hi, lo, ROUNDING)
-        got, got_blocking = solver._ratio_step(t.tolist(), step.tolist(), box)
-        assert got_blocking == blocking
-        assert np.array(got).tobytes() == expected.tobytes()
-        moving = np.abs(step) > ROUNDING
-        outcomes.add((blocking >= 0, bool(moving.any())))
-        if blocking >= 0:
-            room = np.divide(
-                np.where(step > 0, hi, lo) - t, step, out=np.full(len(t), np.inf), where=moving
-            )
-            ties += is_tie(room, blocking)
+        blocking, moving, tie, clips = check_ratio_step(lo, hi, t, step)
+        outcomes.add((blocking >= 0, moving))
+        ties += tie
+        full_clips |= clips
+    # dyadic steps that land exactly on a bound, and signed zeros
+    rng = np.random.default_rng(12)
+    for k in range(CASES):
+        lo, hi, t, step, _ = arithmetic_case(rng, 1 + k % 8)
+        blocking, moving, tie, clips = check_ratio_step(lo, hi, t, step)
+        outcomes.add((blocking >= 0, moving))
+        ties += tie
+        full_clips |= clips
     # blocked, the whole step taken, and no cable moving at all
     assert outcomes == {(True, True), (False, True), (False, False)}
     assert ties > 20
+    # full steps clipped from beyond a bound, landing exactly on one, and
+    # landing on a zero of the other sign than a zero bound
+    assert full_clips == MOVE_OUTCOMES
 
 
 def test_release_matches_reference():
@@ -269,7 +295,39 @@ def test_ratio_step_move_matches_reference():
     assert fractions == {0.0, 1.0, "between"}
 
 
-def test_phase_2_held_vector_and_step_match_reference():
+class Product:
+    """A cached operator in phase 2: records each vector it multiplies and
+    returns a fixed result."""
+
+    def __init__(self, result):
+        self.result, self.operands = np.asarray(result), []
+
+    def dot(self, v):
+        self.operands.append(np.array(v))
+        return self.result
+
+
+def phase_2_iteration(monkeypatch, t, lo, hi, start, shift):
+    """(held vector, step) of one phase-2 iteration from the box point t,
+    its free set read from t, with rows^T lam stubbed to give shift: the
+    vector phase 2 multiplies by rows and the step it hands the ratio step."""
+    rows, steps = Product(np.zeros(1)), []
+    blk = SimpleNamespace(rank=1, gram_pinv=Product(np.zeros(1)))
+    fac = SimpleNamespace(rows=rows, rows_t=Product(shift), rank=1, block=lambda free: blk)
+
+    def ratio_step(t, step, box):
+        steps.append(np.array(step))
+        return t, 0  # blocked, so the one iteration ends there
+
+    monkeypatch.setattr(solver, "_ratio_step", ratio_step)
+    box = solver._Box.of(lo, hi, start, ROUNDING)
+    assert solver._min_shift(fac, box, t.tolist(), t, 1) == (t.tolist(), False, 1)
+    # rows multiplies t0 for the target, then the held vector
+    assert len(rows.operands) == 2 and rows.operands[0].tobytes() == t.tobytes()
+    return rows.operands[1], steps[0]
+
+
+def test_phase_2_held_vector_and_step_match_reference(monkeypatch):
     rng = np.random.default_rng(9)
     zeros = 0
     for k in range(CASES):
@@ -279,16 +337,23 @@ def test_phase_2_held_vector_and_step_match_reference():
         start = np.where(rng.random(m) < 0.2, rng.choice([0.0, -0.0], m), start)
         shift = np.where(rng.random(m) < 0.2, rng.choice([0.0, -0.0], m), shift)
         if k % 4 == 1:
-            # signed zeros only: (-0.0 + -0.0) - 0.0 is the one way to -0.0
+            # signed zeros only: (-0.0 + -0.0) - 0.0 is the one way to -0.0;
+            # a zero strictly inside [-1, 1] is free, one on a zero bound held
             start, shift, t = (rng.choice([0.0, -0.0], m) for _ in range(3))
-        free = rng.random(m) < 0.6
+            inside = rng.random(m) < 0.6
+            lo = np.where(inside, -1.0, rng.choice([0.0, -0.0], m))
+            hi = np.where(inside, 1.0, lo + 1.0)
+        # phase 2 reads its free set from t
+        free = (lo < t) & (t < hi)
         if k % 10 == 0:
-            free[:] = k % 20 == 0  # every cable free, or every cable held
-        held = solver._held(free.tolist(), start.tolist(), t.tolist())
-        assert np.array(held).tobytes() == np.where(free, start, t).tobytes()
-        step = solver._free_step(free.tolist(), start.tolist(), shift.tolist(), t.tolist())
+            # every cable free, or every cable on a bound
+            t = (lo + hi) / 2.0 if k % 20 == 0 else np.where(rng.random(m) < 0.5, lo, hi)
+            free = (lo < t) & (t < hi)
+            assert free.all() if k % 20 == 0 else not free.any()
+        held, step = phase_2_iteration(monkeypatch, t, lo, hi, start, shift)
+        assert held.tobytes() == np.where(free, start, t).tobytes()
         expected = np.where(free, start + shift - t, 0.0)
-        assert np.array(step).tobytes() == expected.tobytes()
+        assert step.tobytes() == expected.tobytes()
         zeros += np.count_nonzero(free & (expected == 0.0) & np.signbit(expected))
     # free cables whose step is -0.0
     assert zeros > 20

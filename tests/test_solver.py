@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
@@ -189,6 +191,21 @@ class TestSolve:
     def test_start_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve(IDENTITY, [1.0, 1.0, 1.0], BOUNDS, SolverConfig(start=np.ones(4)))
+
+    @pytest.mark.parametrize(
+        "force", [(0.0, 0.0, 1e200), (-1e200, 3e199, 1e200), (1e154, -1e154, 0.0)]
+    )
+    def test_huge_force_reports_its_finite_residual(self, force):
+        A = default_matrix()
+        # the square of the miss overflows, and numpy warns of it
+        with np.errstate(over="ignore"):
+            result = solve(A, force, BOUNDS)
+        assert result.status is SolveStatus.NEAREST_FEASIBLE
+        assert np.all(result.tensions >= BOUNDS.t_min) and np.all(result.tensions <= BOUNDS.t_max)
+        assert result.rendered_force.tobytes() == A.columns.dot(result.tensions).tobytes()
+        miss = (result.rendered_force - np.array(force)).tolist()
+        assert result.force_residual == math.hypot(*miss)
+        assert result.force_residual == pytest.approx(math.hypot(*force), rel=1e-12)
 
 
 class TestExactFinish:
