@@ -16,14 +16,23 @@ import numpy as np
 UNIT_NORM_TOL = 1e-9
 
 
-def as_vec3(v) -> np.ndarray:
-    """Validate v as a finite 3-vector and return it as a float array."""
+def vec3_below(v, limit: float) -> tuple[np.ndarray, bool]:
+    """Validate v as a finite 3-vector and return it as a float array, and
+    whether every component lies strictly within -limit and limit; only a
+    vector outside that is tested for finiteness."""
     arr = np.asarray(v, dtype=float)
     if arr.shape == (3,):
         x, y, z = arr.tolist()
+        if -limit < x < limit and -limit < y < limit and -limit < z < limit:
+            return arr, True
         if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
-            return arr
+            return arr, False
     raise ValueError(f"expected a finite 3-vector, got {v!r}")
+
+
+def as_vec3(v) -> np.ndarray:
+    """Validate v as a finite 3-vector and return it as a float array."""
+    return vec3_below(v, math.inf)[0]
 
 
 def real(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:

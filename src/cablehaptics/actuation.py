@@ -56,7 +56,11 @@ class ActuatorCommand:
 
     mode: ActuatorMode
     motor_current: float
-    brake_engaged: bool
+
+    @property
+    def brake_engaged(self) -> bool:
+        """Whether the brake holds the cable: the mode is BRAKE."""
+        return self.mode is ActuatorMode.BRAKE
 
 
 def command_for_tension(
@@ -78,7 +82,7 @@ def command_for_tension(
         raise InvalidTension(str(exc)) from None
     if tension <= p.motor_max_force:
         current = max(tension, p.min_taut_force) / p.force_per_amp
-        return ActuatorCommand(ActuatorMode.MOTOR, current, False)
+        return ActuatorCommand(ActuatorMode.MOTOR, current)
     if cable_paying_out:
-        return ActuatorCommand(ActuatorMode.BRAKE, 0.0, True)
-    return ActuatorCommand(ActuatorMode.MOTOR, p.motor_max_force / p.force_per_amp, False)
+        return ActuatorCommand(ActuatorMode.BRAKE, 0.0)
+    return ActuatorCommand(ActuatorMode.MOTOR, p.motor_max_force / p.force_per_amp)

@@ -104,7 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
             default=SolverConfig.max_iterations,
             help="cap on the solver's active-set iterations per solve (default: %(default)s)",
         )
-        p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
+        p.add_argument(
+            "--tolerance",
+            type=float,
+            default=SolverConfig.tolerance,
+            help="force residual in newtons within which a solve counts as exact "
+            "(default: %(default)s)",
+        )
         return p.add_argument
 
     add = add_command("solve", cmd_solve, "tensions for one desired force", ee=True, out=False)

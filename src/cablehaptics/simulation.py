@@ -22,7 +22,7 @@ from ._fields import integer, real, set_checked
 from .config import layout_to_dict
 from .errors import DegenerateInput, ZeroVector
 from .geometry import ModuleAnchor, ModuleLayout, StructureMatrix, as_vec3, structure_matrix
-from .solver import WRENCH_FEASIBLE_RESIDUAL, SolverConfig, solve
+from .solver import OVERFLOW_FORCE, WRENCH_FEASIBLE_RESIDUAL, SolverConfig, solve
 
 # Error statistics measured on a physical four-module rig with a calibrated
 # force sensor, reported alongside simulated metrics for side-by-side
@@ -162,8 +162,12 @@ def sphere_samples(n: int, radius: float) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a float 3-vector, as np.linalg.norm computes it."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a float 3-vector, as np.linalg.norm computes it,
+    or by math.hypot where its square overflows, above about 1e154."""
+    norm = math.sqrt(v.dot(v))
+    if norm == math.inf:
+        return math.hypot(*v.tolist())
+    return norm
 
 
 def _angle(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
@@ -263,36 +267,41 @@ def run_validation(
     plant, and score each sample.
 
     A sample is marked feasible when the solve's force residual is within
-    the wrench-feasibility threshold. If a plant ever returns a (near-)zero
-    measured force, its angle error is recorded as 180 degrees.
+    the wrench-feasibility threshold. A (near-)zero commanded force raises
+    ZeroVector, since no angle is defined for it. If a plant ever returns a
+    (near-)zero measured force, its angle error is recorded as 180
+    degrees. A radius of OVERFLOW_FORCE or more is run with numpy's
+    overflow warning off, and the norms fall back to math.hypot.
     """
     A = structure_matrix(layout, ee)
     commanded = sphere_samples(protocol.sample_count, protocol.sphere_radius)
     records = []
     norms = []
-    for index, force in enumerate(commanded):
-        result = solve(A, force, layout.bounds, config)
-        measured = as_vec3(
-            plant.measure_hold(A, result.tensions, protocol.samples_per_hold, index)
-        )
-        commanded_norm = _norm(force)
-        measured_norm = _norm(measured)
-        if measured_norm <= _ZERO_NORM:
-            angle = 180.0
-        elif commanded_norm <= _ZERO_NORM:
-            raise ZeroVector("angle undefined for a (near-)zero vector")
-        else:
-            angle = _angle(force, measured, commanded_norm, measured_norm)
-        norms.append(measured_norm)
-        records.append(
-            SampleRecord(
-                commanded=force,
-                measured=measured,
-                angle_error=angle,
-                magnitude_error=abs(commanded_norm - measured_norm),
-                feasible=result.force_residual <= WRENCH_FEASIBLE_RESIDUAL,
+    # over=None leaves numpy's setting as it is
+    with np.errstate(over="ignore" if protocol.sphere_radius >= OVERFLOW_FORCE else None):
+        for index, force in enumerate(commanded):
+            result = solve(A, force, layout.bounds, config)
+            measured = as_vec3(
+                plant.measure_hold(A, result.tensions, protocol.samples_per_hold, index)
             )
-        )
+            commanded_norm = _norm(force)
+            measured_norm = _norm(measured)
+            if commanded_norm <= _ZERO_NORM:
+                raise ZeroVector("angle undefined for a (near-)zero vector")
+            if measured_norm <= _ZERO_NORM:
+                angle = 180.0
+            else:
+                angle = _angle(force, measured, commanded_norm, measured_norm)
+            norms.append(measured_norm)
+            records.append(
+                SampleRecord(
+                    commanded=force,
+                    measured=measured,
+                    angle_error=angle,
+                    magnitude_error=abs(commanded_norm - measured_norm),
+                    feasible=result.force_residual <= WRENCH_FEASIBLE_RESIDUAL,
+                )
+            )
 
     angles = np.array([r.angle_error for r in records])
     return ValidationReport(

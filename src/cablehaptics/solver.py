@@ -3,17 +3,18 @@
 The core problem: find cable tensions t in the box [t_min, t_max]^m whose
 net pull A @ t equals a desired force f, where the columns of A are unit
 cable directions. Cables only pull, so t is never allowed outside the box.
-The answer is the Euclidean projection of a start point onto the
-intersection of the box and the affine equilibrium set {t : A t = f}, a
-quadratic program with three equality rows and box bounds. When the
-intersection is empty, the answer is the box point nearest the
-equilibrium set, which renders the nearest reachable force.
+The answer is the Euclidean projection of the minimum-tension start,
+t_min on every cable, onto the intersection of the box and the affine
+equilibrium set {t : A t = f}, a quadratic program with three equality
+rows and box bounds. When the intersection is empty, the answer is the
+box point nearest the equilibrium set, which renders the nearest
+reachable force.
 
 Phase 1 is bounded-variable least squares (Stark & Parker 1995): it finds
 the box point nearest the equilibrium set, which either certifies the
 force unreachable or is a feasible point. Phase 2 is the primal active-set
 method (Nocedal & Wright, Numerical Optimization, Alg. 16.3), warm-started
-from phase 1's bound set, for the feasible point nearest the start. Each
+from phase 1's bound set, for the feasible point nearest t_min. Each
 iteration of either phase holds or releases at most one cable and solves
 one small least-squares problem, and each phase ends only when its
 optimality conditions check out. The inputs are geometry's types: a
@@ -22,52 +23,46 @@ point takes one as it is and builds one from anything else.
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
-that depends on A alone and, for the last bounds and start point, A times
-the start; consecutive solves on the same matrix share it, so a solve
-computes only what depends on the force. The factorization is a solve's
-one handle on its matrix: _factorization(A) finds it by the bytes of A's
-columns, and it holds A itself as a read-only view over those bytes, so
-no function takes the matrix beside it. What depends on the bounds and
-the start alone (the bound arrays, the start, the rounding level and
-their float tuples) is one more cached box that every matrix shares, so a
-new matrix builds its factorization and computes A times the start, and
-nothing else, before it can solve. actuation_rank reads its rank from the
-same factorization, so the rank rule lives here alone.
+that depends on A alone and, for the last bounds, A times t_min;
+consecutive solves on the same matrix share it, so a solve computes only
+what depends on the force. The factorization is a solve's one handle on
+its matrix: _factorization(A) finds it by the bytes of A's columns, and it
+holds A itself as a read-only view over those bytes, so no function takes
+the matrix beside it. What depends on the bounds alone (t_min, the
+rounding level and the float tuples of both bounds) is one more cached
+box that every matrix shares, so a new matrix builds its factorization
+and computes A times t_min, and nothing else, before it can solve.
+actuation_rank reads its rank from the same factorization, so the rank
+rule lives here alone.
 
 Both SVDs call LAPACK through numpy's gufunc svd_f, with the signature
-np.linalg.svd passes it for a float matrix: the same loop, so the same
-bits, without the wrapper. A new matrix's SVDs run cold, after the solves
-on the last matrix have pushed that wrapper out of the caches, and there
-it cost as much as LAPACK: on the README grid's 3 x 4 matrices, each
-taken right after the 26 solves on the point before, np.linalg.svd took
-a median 33 us and the gufunc 16 us (2-vCPU Xeon, numpy 2.4). svd_f is
-numpy's private API, under this name since numpy 2.0, the package's
-floor. In place of the wrapper's errstate, _svd raises LinAlgError on a
-NaN singular value, which is what LAPACK's failure to converge leaves.
+np.linalg.svd passes it for a float matrix: the same bits without the
+wrapper, which cost as much as LAPACK on a new matrix (a median 33 against
+16 us on the README grid's 3 x 4 matrices, 2-vCPU Xeon, numpy 2.4). svd_f
+is numpy's private API, under this name since numpy 2.0, the package's
+floor. _svd raises LinAlgError on a NaN singular value, which is what
+LAPACK's failure to converge leaves.
 
 Each iteration does two kinds of work. Products with a cached 3 x m or
 m x r operator are one ndarray.dot call each: numpy's fixed cost per call
 is about a microsecond, and at these sizes one call still beats a Python
 sum. A new matrix builds its cached operators (the pseudoinverse, each
-block's Gram pseudoinverse and step operator, and A times the start)
-with ndarray.dot as well, which gives the bits of the @ it replaced at
-about half its fixed cost.
+block's Gram pseudoinverse and step operator, and A times t_min) with
+ndarray.dot as well, which gives the bits of @ at about half its cost.
 
 Everything else is per cable, and numpy would spend a call on each
 comparison, mask or expression over four to eight values, so it is
 Python passes over floats: the iterate is a list of floats, and each
-iteration builds its array once, for the products. A solve clips its
-start projection into the box in one pass (_move). A phase-1 iteration
+iteration builds its array once, for the products. A solve clips the
+projection of t_min into the box in one pass (_move). A phase-1 iteration
 that steps makes three: the nearest-box-point certificate, the release
 (_release) and the ratio step; the first such iteration makes a fourth,
 which reads the free set from the iterate. A phase-2 iteration makes
-four: the vector of the start on free cables and t on held ones, the
-step, the ratio step and the multiplier sign test. Both rank counts are
-a pass each. The ratio step clips the full step t + step into the box in
-the pass that looks for the blocking cable: that is _move at fraction
-1.0 bit for bit, since 1.0 * s is s for every float s, signed zeros
-included. So a full step is one pass, and only a blocked step makes a
-second, _move at its fraction.
+four: the vector of t_min on free cables and t on held ones, the step,
+the ratio step and the multiplier sign test. Both rank counts are a pass
+each. The ratio step clips the full step t + step into the box in the
+pass that looks for the blocking cable, which is _move at fraction 1.0
+bit for bit, so only a blocked step makes a second pass.
 
 Each pass does the same float operations in the same order as the array
 expressions it replaces. Its clip keeps the bound on a tie, as
@@ -87,7 +82,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 from numpy.linalg._umath_linalg import svd_f
 
-from ._fields import as_vec3, integer, real, set_checked
+from ._fields import integer, real, set_checked, vec3_below
 from .geometry import StructureMatrix, TensionBounds, _norms
 
 # Relative singular-value cutoff shared by the pseudoinverse and rank checks.
@@ -95,6 +90,10 @@ RANK_REL_TOL = 1e-9
 
 # Residual (newtons) below which a desired force counts as wrench-feasible.
 WRENCH_FEASIBLE_RESIDUAL = 1e-7
+
+# Force component (newtons) from which the square of a force's length may
+# overflow: below it, three squares sum to at most 3e300.
+OVERFLOW_FORCE = 1e150
 
 
 class SolveStatus(Enum):
@@ -110,34 +109,28 @@ BoundsLike = Union[TensionBounds, Sequence[TensionBounds]]
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limits, tolerance and start point for the solve.
+    """Iteration limit and tolerance for the solve.
 
-    ``start=None`` selects the minimum-tension start (t_min on every cable),
-    so the feasible solution returned is the one closest to the lowest
-    allowed tensions, minimizing energy use. Pass an explicit vector to
-    project a custom start instead.
-
-    ``max_iterations`` caps the active-set iterations of both solve phases
-    together; each iteration holds or releases at most one cable, and most
-    solves certify their result in fewer than ten. ``tolerance`` bounds
-    the force residual of an exact solution, in newtons; a tenth of it is
-    the stationarity threshold of the nearest-box-point certificate.
+    Every solve starts from t_min on every cable, so the feasible solution
+    returned is the one closest to the lowest allowed tensions, minimizing
+    energy use. ``max_iterations`` caps the active-set iterations of both
+    solve phases together; each iteration holds or releases at most one
+    cable, and most solves certify their result in fewer than ten.
+    ``tolerance`` bounds the force residual of an exact solution, in
+    newtons; a tenth of it is the stationarity threshold of the
+    nearest-box-point certificate.
     """
 
     max_iterations: int = 50000
     tolerance: float = 1e-8
-    start: np.ndarray | None = None
+
+    # Not a field, and always None: benchmarks/bench.py reads it to choose
+    # the start of its QP oracle check, until it takes t_min there itself.
+    start = None
 
     def __post_init__(self):
         set_checked(self, integer, "max_iterations", minimum=1)
         set_checked(self, real, "tolerance", minimum=0.0, strict=True)
-        if self.start is not None:
-            arr = np.asarray(self.start, dtype=float)
-            if arr.ndim != 1 or not np.isfinite(arr).all():
-                raise ValueError("start must be a finite 1-d tension vector")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, "start", arr)
 
 
 @dataclass(frozen=True)
@@ -174,37 +167,26 @@ class _Block(NamedTuple):
 
 
 class _Box(NamedTuple):
-    """What a solve needs of its bounds and start point on m cables: the
-    start vector, for A times it, the rounding level of the tensions and
-    of the steps between them, and the lower bounds, upper bounds and start
-    as tuples of floats for the per-cable passes. It does not depend on
-    the matrix, so every matrix shares it."""
+    """What a solve needs of its bounds on m cables: the lower bounds
+    t_min, the start of every solve, for A times it, the rounding level of
+    the tensions and of the steps between them, and the lower and upper
+    bounds as tuples of floats for the per-cable passes. It does not depend
+    on the matrix, so every matrix shares it."""
 
-    start: np.ndarray
+    lo: np.ndarray
     rounding: float
     lo_floats: tuple[float, ...]
     hi_floats: tuple[float, ...]
-    start_floats: tuple[float, ...]
-
-    @classmethod
-    def of(cls, lo, hi, start, rounding) -> _Box:
-        """The _Box of the arrays lo, hi and start, its float tuples copied
-        from them."""
-        floats = (tuple(arr.tolist()) for arr in (lo, hi, start))
-        return cls(start, rounding, *floats)
 
 
 @functools.lru_cache(maxsize=1)
-def _box(bounds, start: bytes | None, m: int) -> _Box:
-    """The _Box of bounds, a TensionBounds or a tuple of them, and the
-    bytes of a validated SolverConfig.start, None for the minimum-tension
-    start, on m cables.
+def _box(bounds, m: int) -> _Box:
+    """The _Box of bounds, a TensionBounds or a tuple of them, on m cables.
 
-    Only the last box is kept, and every factorization reads it: every
-    caller in the package passes one bounds object per run and no start,
-    so a new matrix finds its box here. Equal bounds match whatever object
-    carries them. Bounds of the wrong count and a start of the wrong length
-    raise ValueError, and lru_cache stores no call that raised.
+    Only the last box is kept, and a new matrix finds it here, since every
+    caller in the package passes one bounds object per run; equal bounds
+    match whatever object carries them. Bounds of the wrong count raise
+    ValueError, and lru_cache stores no call that raised.
     """
     if isinstance(bounds, TensionBounds):
         lo, hi = np.full(m, bounds.t_min), np.full(m, bounds.t_max)
@@ -213,17 +195,10 @@ def _box(bounds, start: bytes | None, m: int) -> _Box:
     else:
         lo = np.array([b.t_min for b in bounds])
         hi = np.array([b.t_max for b in bounds])
-    if start is None:
-        start = lo
-    else:
-        # an array over the bytes of the key is read-only
-        start = np.frombuffer(start)
-        if len(start) != m:
-            raise ValueError(f"start has {len(start)} entries for {m} cables")
-    # the largest of hi and |start|, without np.maximum, which no solve calls
-    rounding = float(1e-12 * max(hi.max(), np.abs(start).max()))
-    start.setflags(write=False)
-    return _Box.of(lo, hi, start, rounding)
+    lo.setflags(write=False)
+    # 0 <= t_min < t_max on every cable, so hi.max() is also the largest |t|
+    rounding = float(1e-12 * hi.max())
+    return _Box(lo, rounding, tuple(lo.tolist()), tuple(hi.tolist()))
 
 
 def _rank(values, largest: float) -> int:
@@ -245,15 +220,10 @@ def _svd(M: np.ndarray):
     """np.linalg.svd(M) of a float matrix M, by the gufunc it runs, and
     the singular values again as a list of floats: (u, sv, vt, values).
     LAPACK's failure to converge fills every output with NaN, and a NaN
-    singular value raises LinAlgError, as np.linalg.svd does.
-
-    That failure also sets the floating-point invalid flag, which numpy
-    reports as a RuntimeWarning from svd_f before this raises; under
-    -W error::RuntimeWarning the caller gets that warning as the exception
-    in place of LinAlgError. np.linalg.svd raises LinAlgError either way,
-    since its errstate(invalid="call") turns the flag into that error.
-    Public inputs never reach it: StructureMatrix rejects NaN and inf
-    first."""
+    singular value raises LinAlgError, as np.linalg.svd does. That failure
+    also sets the invalid flag, so numpy warns first, and under
+    -W error::RuntimeWarning the warning is what the caller gets. Public
+    inputs never reach it: StructureMatrix rejects NaN and inf first."""
     u, sv, vt = svd_f(M, signature="d->ddd")
     values = sv.tolist()
     if any(map(math.isnan, values)):
@@ -264,8 +234,8 @@ def _svd(M: np.ndarray):
 class _Factorization:
     """A checked structure matrix, as matrix, with one SVD A = U S V^T of
     it, its rank, the operators built from it alone, a _Block for each
-    free-column block of rows = V_r^T asked for so far, and A times the
-    start of the last _Box asked for.
+    free-column block of rows = V_r^T asked for so far, and A times t_min
+    for the last bounds asked for.
 
     The rank counts singular values above RANK_REL_TOL times the largest;
     this is the package's one rank rule, and actuation_rank reads it. The
@@ -290,8 +260,8 @@ class _Factorization:
         self.matrix, self.rank, self.rows = M, rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
         self._blocks: dict[bytes, _Block] = {}
-        # (key, (_Box, A times its start)) of the last box asked for
-        self._box: tuple[tuple, tuple[_Box, np.ndarray]] | None = None
+        # (bounds, (_Box, A times its t_min)) of the last bounds asked for
+        self._box: tuple[object, tuple[_Box, np.ndarray]] | None = None
 
     def block(self, free) -> _Block:
         """The _Block of rows[:, free], free a list or array of m bools.
@@ -317,29 +287,26 @@ class _Factorization:
             found = self._blocks[key] = _Block(free, u, rank, gram_pinv, step)
         return found
 
-    def box(self, bounds: BoundsLike, start: np.ndarray | None) -> tuple[_Box, np.ndarray]:
-        """The _Box of bounds and a validated SolverConfig.start on this
-        factorization's m cables, and the matrix times the box's start.
+    def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray]:
+        """The _Box of bounds on this factorization's m cables, from the
+        _box every matrix shares, and the matrix times its t_min, read-only.
 
-        The box itself comes from _box, which every matrix shares, so a new
-        matrix computes only the product, read-only. Like _box, this keeps
-        only the last bounds and start: shared bounds key it as the frozen
-        TensionBounds itself and per-cable bounds as a tuple of them, and a
-        custom start keys it by its bytes. Comparing that key is cheaper
-        than the hash a _box lookup takes of the bounds, so a solve on a
-        known matrix reads this memo and only a new matrix goes to _box.
+        This keeps only the last bounds, keyed as the TensionBounds itself
+        or a tuple of them: comparing that key is cheaper than the hash a
+        _box lookup takes, so only a new matrix goes to _box.
         """
         if not isinstance(bounds, TensionBounds):
             bounds = tuple(bounds)
-        key = (bounds, None if start is None else start.tobytes())
         last = self._box
-        if last is not None and last[0] == key:
+        # == on a TensionBounds is its dataclass's Python __eq__, so the
+        # usual case, the same object again, is told by identity first
+        if last is not None and (last[0] is bounds or last[0] == bounds):
             return last[1]
-        box = _box(*key, self.matrix.shape[1])
-        a_start = self.matrix.dot(box.start)
-        a_start.setflags(write=False)
-        found = box, a_start
-        self._box = (key, found)
+        box = _box(bounds, self.matrix.shape[1])
+        a_lo = self.matrix.dot(box.lo)
+        a_lo.setflags(write=False)
+        found = box, a_lo
+        self._box = (bounds, found)
         return found
 
 
@@ -414,19 +381,19 @@ def _release(free, x, d, lo, tol) -> int:
     return pick
 
 
-def _worst_multiplier(free, t, start, shift, lo) -> tuple[int, float]:
+def _worst_multiplier(free, t, shift, lo) -> tuple[int, float]:
     """Phase 2's KKT sign test over the held cables, from sequences of
     floats, one entry per cable.
 
-    The multiplier of a held cable is mu = (t - start) - shift; it must be
+    The multiplier of a held cable is mu = (t - t_min) - shift; it must be
     >= 0 at a floor and <= 0 at a ceiling. Returns the held cable whose
     multiplier is the most wrong (-mu at a floor, mu at a ceiling; the lowest
     index on a tie) with that amount, or (-1, -inf) if none is held.
     """
     worst, most = -1, -math.inf
-    for i, (is_free, ti, si, shift_i, lo_i) in enumerate(zip(free, t, start, shift, lo)):
+    for i, (is_free, ti, shift_i, lo_i) in enumerate(zip(free, t, shift, lo)):
         if not is_free:
-            mu = ti - si - shift_i
+            mu = ti - lo_i - shift_i
             wrong = -mu if ti <= lo_i else mu
             if wrong > most:
                 worst, most = i, wrong
@@ -497,13 +464,11 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     stationary, the held cable whose descent direction points most into
     the box is released.
 
-    The iterate t is a list of floats, and each iteration builds its array
-    x once, for the products; the certificate, the release and the ratio
-    step are passes over the list. Returns (t, x, A x, ||f - A x||^2, status,
-    iterations): status NEAREST_FEASIBLE once _is_nearest_box_point
-    certifies t with a residual above tol, None once t renders f within
-    tol (a feasible point for phase 2), ITERATION_CAP when the budget runs
-    out.
+    The iterate t is a list of floats. Returns (t, x, A x, ||f - A x||^2,
+    status, iterations), x the array of t: status NEAREST_FEASIBLE once
+    _is_nearest_box_point certifies t with a residual above tol, None once
+    t renders f within tol (a feasible point for phase 2), ITERATION_CAP
+    when the budget runs out.
     """
     M, goal, rows_t = fac.matrix, fac.goal, fac.rows_t
     lo, hi = box.lo_floats, box.hi_floats
@@ -536,7 +501,7 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
 
 
 def _min_shift(fac, box, t, x, budget):
-    """Phase 2: min ||t - start||^2 s.t. rows t = rows t0 and the box,
+    """Phase 2: min ||t - t_min||^2 s.t. rows t = rows t0 and the box,
     by the primal active-set method (Nocedal & Wright, Alg. 16.3) from the
     feasible box point t0 = t, holding the cables it has at a bound.
     Phase 1 hands over t0 once it renders f within the tolerance; keeping
@@ -544,11 +509,11 @@ def _min_shift(fac, box, t, x, budget):
     f lies just outside the renderable set.
 
     Holding cables W at their bounds and leaving F free, the working-set
-    optimum is t_F = start_F + rows_F^T lam, where lam solves
-    rows_F rows_F^T lam = rows t0 - rows_W t_W - rows_F start_F. Each
+    optimum is t_F = t_min_F + rows_F^T lam, where lam solves
+    rows_F rows_F^T lam = rows t0 - rows_W t_W - rows_F t_min_F. Each
     iteration steps toward it and holds the first cable that meets a bound
     on the way; once it is reached, the multiplier of each held cable,
-    mu = t - start - rows^T lam, must be >= 0 at a floor and <= 0 at a
+    mu = t - t_min - rows^T lam, must be >= 0 at a floor and <= 0 at a
     ceiling (the KKT conditions). If one is not, the most wrong is
     released. The working set always keeps rank(rows_F) = rank(rows): a
     held cable is released first whenever the free ones lose rank. The
@@ -556,18 +521,15 @@ def _min_shift(fac, box, t, x, budget):
     trailing columns of its left singular vectors span the directions the
     free cables cannot reach.
 
-    t0 comes in as phase 1's list of floats t and its array x, and the
-    iterate t is a list of floats. The vector of the start on free cables
-    and t on held ones (np.where(free, start, t)), the step
-    (np.where(free, start + shift - t, 0.0)) and the ratio step are passes
-    over it, with the same float operations, and each iteration builds one
-    array, of the first, for the products. Returns (t, certified,
-    iterations), t a list.
+    t0 comes in as phase 1's list t and array x, and the iterate is a list
+    of floats: np.where(free, t_min, t), np.where(free, t_min + shift - t,
+    0.0) and the ratio step are passes with the same float operations.
+    Returns (t, certified, iterations), t a list.
     """
     rows, rows_t, rank = fac.rows, fac.rows_t, fac.rank
-    start = box.start_floats
+    lo = box.lo_floats
     target = rows.dot(x)
-    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, box.lo_floats, box.hi_floats)]
+    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, box.hi_floats)]
     for k in range(1, budget + 1):
         blk = fac.block(free)
         if blk.rank < rank:
@@ -575,18 +537,18 @@ def _min_shift(fac, box, t, x, budget):
             reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
             free[int(np.where(blk.free, -1.0, reach).argmax())] = True
             continue
-        held = [si if is_free else ti for is_free, si, ti in zip(free, start, t)]
+        held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
         lam = blk.gram_pinv.dot(target - rows.dot(np.array(held)))
         shift = rows_t.dot(lam).tolist()
         step = [
-            si + shift_i - ti if is_free else 0.0
-            for is_free, si, shift_i, ti in zip(free, start, shift, t)
+            lo_i + shift_i - ti if is_free else 0.0
+            for is_free, lo_i, shift_i, ti in zip(free, lo, shift, t)
         ]
         t, blocking = _ratio_step(t, step, box)
         if blocking >= 0:
             free[blocking] = False
             continue
-        worst, wrong = _worst_multiplier(free, t, start, shift, box.lo_floats)
+        worst, wrong = _worst_multiplier(free, t, shift, lo)
         if wrong <= box.rounding:
             return t, True, k
         free[worst] = True
@@ -602,15 +564,15 @@ def solve(
     """Compute box-feasible cable tensions rendering the desired force f.
 
     One active-set method in two phases, each holding or releasing at most
-    one cable per iteration. Phase 1 (_nearest_box_point) starts from the box-clipped
-    equilibrium projection of the configured start point (default: t_min
-    on every cable) and minimizes the distance to the equilibrium set
-    {t : A t = f} over the box. Phase 2 (_min_shift) starts from the
-    feasible point phase 1 reaches and finds the box point rendering that
-    force that is nearest the start point. The result is:
+    one cable per iteration. Phase 1 (_nearest_box_point) starts from the
+    box-clipped equilibrium projection of t_min on every cable and
+    minimizes the distance to the equilibrium set {t : A t = f} over the
+    box. Phase 2 (_min_shift) starts from the feasible point phase 1
+    reaches and finds the box point rendering that force that is nearest
+    t_min. The result is:
 
-    * intersection nonempty -> the Euclidean projection of the start point
-      onto the intersection, status FEASIBLE_EXACT, with a force residual
+    * intersection nonempty -> the Euclidean projection of t_min onto the
+      intersection, status FEASIBLE_EXACT, with a force residual
       within the tolerance;
     * intersection empty -> the box point nearest the equilibrium set,
       status NEAREST_FEASIBLE, so the nearest reachable force is rendered;
@@ -620,33 +582,38 @@ def solve(
     Both phases work on the rank-r system rows t = goal f, with
     rows = V_r^T and goal = S_r^-1 U_r^T from one SVD A = U S V^T; it holds
     exactly when A t = P_range(A) f, so rank-deficient layouts need no
-    special case. That SVD and every operator built from A alone (goal,
-    the pseudoinverse A^+ that projects the start, rows^T) are computed
-    once per matrix, and so is, per free set an iteration meets, the SVD
-    of the free-column block with its Gram pseudoinverse and phase 1's
-    step operator, and, for the last bounds and start point, A times the
-    start. All of it is held, with A, in the one factorization that
-    _factorization(A) finds; the bound arrays of the last bounds and start
-    point are built once and shared by every matrix. The next solves on
-    the same matrix reuse all of it and compute only what depends on the
-    force, so build A once and pass it to every solve at that position. A
-    StructureMatrix is taken as it is, checked once when it was built;
-    anything else is built into one first, so a plain array gets its
-    checks and its bits. A bad matrix, start or bounds raises ValueError.
-    ``iterations`` counts the active-set iterations of both phases,
-    including the one that certifies the result, so it is at least 1.
+    special case. Everything that depends on A alone, or on A and the
+    last bounds, is cached in A's one factorization (see the module
+    docstring), so the next solves on the same matrix compute only what
+    depends on the force: build A once and pass it to every solve at that
+    position. A StructureMatrix is taken as it is, checked once when it
+    was built; anything else is built into one first, so a plain array
+    gets its checks and its bits. A bad matrix, force or bounds raises
+    ValueError. ``iterations`` counts the active-set iterations of both
+    phases, including the one that certifies the result, so it is at
+    least 1.
 
     The returned tensions are always within bounds, whatever the status.
+    A force with a component of OVERFLOW_FORCE or more is solved with
+    numpy's overflow warning off: the square of its miss can overflow, and
+    the residual then comes from math.hypot.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     fac = _factorization(A)
-    fvec = as_vec3(f)
-    tol = cfg.tolerance
-    box, a_start = fac.box(bounds, cfg.start)
+    fvec, ordinary = vec3_below(f, OVERFLOW_FORCE)
+    box, a_lo = fac.box(bounds)
+    if ordinary:
+        return _solve(fac, fvec, box, a_lo, cfg)
+    with np.errstate(over="ignore"):
+        return _solve(fac, fvec, box, a_lo, cfg)
 
-    # the box-clipped projection start + A^+ (f - A start)
-    towards = fac.pinv.dot(fvec - a_start).tolist()
-    t = _move(box.start_floats, 1.0, towards, box.lo_floats, box.hi_floats)
+
+def _solve(fac, fvec, box, a_lo, cfg) -> SolveResult:
+    """solve's two phases on a checked force, a_lo being A times t_min."""
+    tol = cfg.tolerance
+    # the box-clipped projection t_min + A^+ (f - A t_min)
+    towards = fac.pinv.dot(fvec - a_lo).tolist()
+    t = _move(box.lo_floats, 1.0, towards, box.lo_floats, box.hi_floats)
     # phase 1 squares f - A t, which negates A t - f exactly, so a solve it
     # ends needs no second residual
     t, x, rendered, squared, status, iterations = _nearest_box_point(
@@ -662,8 +629,9 @@ def solve(
 
     residual = math.sqrt(squared)
     if residual == math.inf:
-        # above about 1.3e154 N the square of the miss overflows, and hypot
-        # is inf only for a miss longer than the largest float
+        # above about 1.3e154 N the square of the miss overflows (solve
+        # turned that warning off), and hypot is inf only for a miss longer
+        # than the largest float
         residual = math.hypot(*(rendered - fvec).tolist())
     if status is None:
         # the rounding of phase 2's steps can leave a certified point just

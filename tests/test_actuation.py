@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cablehaptics import (
+    ActuatorCommand,
     ActuatorMode,
     ActuatorParams,
     InvalidTension,
@@ -63,6 +66,32 @@ class TestCommandForTension:
         command = command_for_tension(tension, False)
         assert type(command.motor_current) is float
         assert command.motor_current == 2.0 / 3.0
+
+
+class TestBrakeEngaged:
+    """brake_engaged is read off the mode, so the two cannot disagree."""
+
+    @pytest.mark.parametrize(
+        "tension, paying_out, mode",
+        [
+            (0.0, True, ActuatorMode.MOTOR),  # floor
+            (1.5, False, ActuatorMode.MOTOR),  # motor
+            (6.0, True, ActuatorMode.MOTOR),  # motor at its limit
+            (50.0, True, ActuatorMode.BRAKE),  # brake
+            (50.0, False, ActuatorMode.MOTOR),  # saturation against reel-in
+        ],
+    )
+    def test_every_policy_branch(self, tension, paying_out, mode):
+        command = command_for_tension(tension, paying_out)
+        assert command.mode is mode
+        assert command.brake_engaged is (mode is ActuatorMode.BRAKE)
+
+    def test_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(ActuatorCommand)] == ["mode", "motor_current"]
+        with pytest.raises(TypeError):
+            ActuatorCommand(ActuatorMode.MOTOR, 0.5, True)
+        with pytest.raises(AttributeError):
+            command_for_tension(1.5, False).brake_engaged = True
 
 
 class TestDefaultParams:

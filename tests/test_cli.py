@@ -155,8 +155,9 @@ class TestSolveCommand:
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        # the square of the miss overflows, and numpy warns of it
-        with np.errstate(over="ignore"):
+        # the square of the miss overflows, which must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["solve", "--force=0,0,1e200"])
         assert rc == 2
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
@@ -165,7 +166,8 @@ class TestSolveCommand:
 
     def test_force_missed_by_more_than_the_largest_float_exits_1(self, capsys):
         # each component is finite, but the miss's length is not
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["solve", "--force=1.5e308,1.5e308,0"])
         assert rc == 1
         captured = capsys.readouterr()
@@ -275,6 +277,36 @@ class TestValidateCommand:
         assert (out_a / "validation_summary.json").read_bytes() == (
             out_b / "validation_summary.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "plant", [[], ["--plant", "noisy", "--noise-std", "0.3"]], ids=["ideal", "noisy"]
+    )
+    def test_near_zero_radius_exits_1_for_both_plants(self, tmp_path, capsys, plant):
+        # the ideal plant measures about 0 N too, which must not hide the
+        # zero commanded force behind a 180 degree score
+        out = tmp_path / "tiny"
+        argv = ["validate", "--radius", "1e-13", "--samples", "8", "--ticks", "5"]
+        rc = main([*argv, *plant, "--out", str(out)])
+        assert rc == 1
+        assert "angle undefined for a (near-)zero vector" in capsys.readouterr().err
+        assert not (out / "validation.csv").exists()
+
+    def test_huge_radius_writes_finite_reports_without_warning(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["validate", "--radius", "1e200", "--samples", "8", "--ticks", "5"]
+            rc = main([*argv, "--out", str(out)])
+        assert rc == 0
+        summary = json.loads((out / "validation_summary.json").read_text(), parse_constant=reject)
+        aggregates = summary["aggregates"]
+        assert aggregates["mean_magnitude_error_n"] == pytest.approx(1e200, rel=1e-12)
+        assert 0.0 <= aggregates["max_angle_error_deg"] < 90.0
+        rows = read_csv_rows(out / "validation.csv")[1:]
+        assert [float(row[7]) for row in rows] == pytest.approx([1e200] * 8, rel=1e-12)
 
     def test_negative_seed_exits_1_naming_the_field(self, tmp_path, capsys):
         out = tmp_path / "neg"

@@ -10,7 +10,7 @@ cable and every m from 1 to 8 (case k has 1 + k % 8 cables), and each
 test checks that its cases reach every outcome, ties included.
 
 The per-cable arithmetic is passes too: the move of a point along a step
-clipped into the box (the start projection, fraction 1.0, and a blocked
+clipped into the box (the projection of t_min, fraction 1.0, and a blocked
 ratio step's move), the full ratio step, clipped in the pass that looks
 for the blocking cable, and phase 2's held vector and step, which phase 2
 builds inline and the tests read off the products it takes. Each must
@@ -70,9 +70,9 @@ def reference_release(held, t, d, lo, tol):
     return held
 
 
-def reference_worst_multiplier(held, t, start, shift, lo, rounding):
+def reference_worst_multiplier(held, t, shift, lo, rounding):
     """(certified, worst cable, its wrong amount) of phase 2's KKT test."""
-    mu = t - start - shift
+    mu = t - lo - shift
     wrong = np.where(held, np.where(t <= lo, -mu, mu), -np.inf)
     worst = int(wrong.argmax())
     return bool(wrong[worst] <= rounding), worst, wrong[worst]
@@ -131,8 +131,7 @@ def check_ratio_step(lo, hi, t, step):
     """_ratio_step against the reference: (blocking, any cable moving, the
     tie count of the blocking cable, the clip outcomes of a full step)."""
     expected, blocking = reference_ratio_step(t, step, lo, hi, ROUNDING)
-    box = solver._Box.of(lo, hi, lo, ROUNDING)
-    got, got_blocking = solver._ratio_step(t.tolist(), step.tolist(), box)
+    got, got_blocking = solver._ratio_step(t.tolist(), step.tolist(), box_of(lo, hi))
     assert got_blocking == blocking
     assert np.array(got).tobytes() == expected.tobytes()
     moving = np.abs(step) > ROUNDING
@@ -194,18 +193,15 @@ def test_worst_multiplier_matches_reference():
     outcomes, ties = set(), 0
     for (lo, hi, t, shift), rng in cases(4):
         held = (t <= lo) | (t >= hi)
-        start = lo + (hi - lo) * rng.integers(0, 5, len(t)) / 4.0
-        certified, worst, amount = reference_worst_multiplier(
-            held, t, start, shift, lo, ROUNDING
-        )
+        certified, worst, amount = reference_worst_multiplier(held, t, shift, lo, ROUNDING)
         got_worst, got_amount = solver._worst_multiplier(
-            (~held).tolist(), t.tolist(), start.tolist(), shift.tolist(), lo.tolist()
+            (~held).tolist(), t.tolist(), shift.tolist(), lo.tolist()
         )
         assert (got_amount <= ROUNDING) is certified
         if held.any():
             assert got_worst == worst
             assert np.float64(got_amount).tobytes() == amount.tobytes()
-            mu = t - start - shift
+            mu = t - lo - shift
             ties += is_tie(np.where(held, np.where(t <= lo, -mu, mu), -np.inf), worst)
         else:
             assert (got_worst, got_amount) == (-1, -np.inf)
@@ -268,15 +264,15 @@ MOVE_OUTCOMES = {
 
 
 def test_projection_clip_matches_reference():
-    """The start projection: _move(start, 1.0, A^+ (f - A start))."""
+    """The projection of t_min: _move(lo, 1.0, A^+ (f - A lo))."""
     rng = np.random.default_rng(7)
     outcomes = set()
     for k in range(CASES):
-        lo, hi, start, towards, _ = arithmetic_case(rng, 1 + k % 8)
-        expected = np.minimum(np.maximum(start + towards, lo), hi)
-        got = solver._move(start.tolist(), 1.0, towards.tolist(), lo.tolist(), hi.tolist())
+        lo, hi, _, towards, _ = arithmetic_case(rng, 1 + k % 8)
+        expected = np.minimum(np.maximum(lo + towards, lo), hi)
+        got = solver._move(lo.tolist(), 1.0, towards.tolist(), lo.tolist(), hi.tolist())
         assert np.array(got).tobytes() == expected.tobytes()
-        outcomes |= move_outcomes(start + towards, lo, hi)
+        outcomes |= move_outcomes(lo + towards, lo, hi)
     assert outcomes == MOVE_OUTCOMES
 
 
@@ -307,7 +303,12 @@ class Product:
         return self.result
 
 
-def phase_2_iteration(monkeypatch, t, lo, hi, start, shift):
+def box_of(lo, hi):
+    """The _Box of the bound arrays lo and hi."""
+    return solver._Box(lo, ROUNDING, tuple(lo.tolist()), tuple(hi.tolist()))
+
+
+def phase_2_iteration(monkeypatch, t, lo, hi, shift):
     """(held vector, step) of one phase-2 iteration from the box point t,
     its free set read from t, with rows^T lam stubbed to give shift: the
     vector phase 2 multiplies by rows and the step it hands the ratio step."""
@@ -320,7 +321,7 @@ def phase_2_iteration(monkeypatch, t, lo, hi, start, shift):
         return t, 0  # blocked, so the one iteration ends there
 
     monkeypatch.setattr(solver, "_ratio_step", ratio_step)
-    box = solver._Box.of(lo, hi, start, ROUNDING)
+    box = box_of(lo, hi)
     assert solver._min_shift(fac, box, t.tolist(), t, 1) == (t.tolist(), False, 1)
     # rows multiplies t0 for the target, then the held vector
     assert len(rows.operands) == 2 and rows.operands[0].tobytes() == t.tobytes()
@@ -329,20 +330,19 @@ def phase_2_iteration(monkeypatch, t, lo, hi, start, shift):
 
 def test_phase_2_held_vector_and_step_match_reference(monkeypatch):
     rng = np.random.default_rng(9)
-    zeros = 0
+    signed_floors, zero_steps = 0, 0
     for k in range(CASES):
         m = 1 + k % 8
         lo, hi, t, shift, _ = arithmetic_case(rng, m)
-        start = lo + (hi - lo) * rng.integers(0, 5, m) / 4.0
-        start = np.where(rng.random(m) < 0.2, rng.choice([0.0, -0.0], m), start)
         shift = np.where(rng.random(m) < 0.2, rng.choice([0.0, -0.0], m), shift)
         if k % 4 == 1:
-            # signed zeros only: (-0.0 + -0.0) - 0.0 is the one way to -0.0;
-            # a zero strictly inside [-1, 1] is free, one on a zero bound held
-            start, shift, t = (rng.choice([0.0, -0.0], m) for _ in range(3))
-            inside = rng.random(m) < 0.6
-            lo = np.where(inside, -1.0, rng.choice([0.0, -0.0], m))
-            hi = np.where(inside, 1.0, lo + 1.0)
+            # signed-zero floors, which TensionBounds accepts: a free cable
+            # puts its -0.0 floor into the held vector, a cable at a zero
+            # floor is held with t's sign, and a shift that reaches t
+            # exactly gives a free cable a zero step
+            lo, hi = rng.choice([0.0, -0.0], m), np.ones(m)
+            t = np.where(rng.random(m) < 0.6, 0.5, rng.choice([0.0, -0.0, 1.0], m))
+            shift = rng.choice([0.0, -0.0, 0.5, 0.25], m)
         # phase 2 reads its free set from t
         free = (lo < t) & (t < hi)
         if k % 10 == 0:
@@ -350,13 +350,14 @@ def test_phase_2_held_vector_and_step_match_reference(monkeypatch):
             t = (lo + hi) / 2.0 if k % 20 == 0 else np.where(rng.random(m) < 0.5, lo, hi)
             free = (lo < t) & (t < hi)
             assert free.all() if k % 20 == 0 else not free.any()
-        held, step = phase_2_iteration(monkeypatch, t, lo, hi, start, shift)
-        assert held.tobytes() == np.where(free, start, t).tobytes()
-        expected = np.where(free, start + shift - t, 0.0)
+        held, step = phase_2_iteration(monkeypatch, t, lo, hi, shift)
+        assert held.tobytes() == np.where(free, lo, t).tobytes()
+        expected = np.where(free, lo + shift - t, 0.0)
         assert step.tobytes() == expected.tobytes()
-        zeros += np.count_nonzero(free & (expected == 0.0) & np.signbit(expected))
-    # free cables whose step is -0.0
-    assert zeros > 20
+        signed_floors += np.count_nonzero(free & (lo == 0.0) & np.signbit(lo))
+        zero_steps += np.count_nonzero(free & (expected == 0.0))
+    # free cables on a -0.0 floor, and free cables whose step is zero
+    assert signed_floors > 20 and zero_steps > 20
 
 
 def reference_factorization(M):
@@ -596,8 +597,7 @@ def test_the_last_fresh_solve_releases_a_cable_for_rank(monkeypatch):
 def seeded_solves(seed, count):
     """(status, iterations, tension, rendered-force and residual bytes) of
     count seeded solves: m = 3..8, columns in general position or in a plane,
-    shared or per-cable bounds, now and then a custom start or a cap of 1
-    to 4 iterations."""
+    shared or per-cable bounds, now and then a cap of 1 to 4 iterations."""
     rng = np.random.default_rng(seed)
     solved = []
     for k in range(count):
@@ -616,8 +616,7 @@ def seeded_solves(seed, count):
                 for lo in rng.uniform(0.0, 1.0, m)
             ]
         config = solver.SolverConfig(
-            max_iterations=int(rng.integers(1, 5)) if rng.random() < 0.2 else 50000,
-            start=rng.uniform(0.0, 3.0, m) if rng.random() < 0.2 else None,
+            max_iterations=int(rng.integers(1, 5)) if rng.random() < 0.2 else 50000
         )
         force = rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 1.0)
         result = solver.solve(M, force, bounds, config)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,38 +43,59 @@ class TestTensionBounds:
             TensionBounds(t_min, t_max)
 
 
+def _floors(lows, t_max=6.0):
+    """Per-cable bounds with these floors: the start t_min a solve projects."""
+    return tuple(TensionBounds(lo, t_max) for lo in lows)
+
+
 def _interior_projection_case(seed, m):
-    """A random rank-3 matrix, a start in [2, 4]^m and a force whose
-    equilibrium set lies within distance 1 of the start, so the projection
-    stays inside the default bounds [0.5, 6]."""
+    """A random rank-3 matrix whose cables all lie within a half-space, floors
+    in [0.5, 2] and a force whose projection of t_min shifts every cable up
+    by at most 1, so no floor binds and the projection stays below t_max 6.
+    The shift A^T y lies in the row space of A, so it is the minimum-norm
+    one."""
     rng = np.random.default_rng(seed)
-    A = random_rank3_directions(rng, m).T
-    start = rng.uniform(2.0, 4.0, size=m)
-    delta = rng.normal(size=m)
-    delta /= max(1.0, np.linalg.norm(delta))
-    return A, A @ (start + delta), start
+    y = rng.normal(size=3)
+    dirs = random_rank3_directions(rng, m)
+    dirs *= np.sign(dirs @ y)[:, None]
+    A = dirs.T
+    floors = rng.uniform(0.5, 2.0, size=m)
+    shift = A.T @ y
+    shift /= max(1.0, shift.max())
+    return A, A @ (floors + shift), _floors(floors)
 
 
 class TestSolveAsProjection:
     """Where the bounds do not bind, solve returns the Euclidean projection
-    of its start onto the equilibrium set {t : A t = f}: the start shifted by
-    the minimum-norm least-squares solution of A d = f - A t."""
+    of t_min onto the equilibrium set {t : A t = f}: t_min shifted by the
+    minimum-norm least-squares solution of A d = f - A t_min. On a layout
+    whose cables span space positively (the default one), some cable of
+    every nonzero such shift falls below its floor, so there the bounds do
+    not bind only for a force that t_min already renders."""
 
     @pytest.mark.parametrize(
-        "A, f, start",
+        "A, f, bounds",
         [
-            pytest.param(np.eye(3), [1.0, 1.0, 1.0], [4.0, -2.0, 0.3], id="identity"),
-            pytest.param(np.array([[1.0], [0.0], [0.0]]), [2.0, 0.0, 0.0], [5.0], id="single-cable"),
-            pytest.param(default_matrix().columns, [0.0, 1.5, 0.0], [2.0] * 4, id="default-layout"),
+            pytest.param(np.eye(3), [1.0, 3.0, 0.5], _floors([0.5, 2.0, 0.3]), id="identity"),
+            pytest.param(np.array([[1.0], [0.0], [0.0]]), [2.0, 0.0, 0.0], _floors([0.5]), id="single-cable"),
+            pytest.param(
+                default_matrix().columns,
+                default_matrix().columns @ [1.0, 2.5, 0.7, 4.0],
+                _floors([1.0, 2.5, 0.7, 4.0]),
+                id="default-layout",
+            ),
             pytest.param(*_interior_projection_case(21, 6), id="random-six"),
         ],
     )
-    def test_unbinding_bounds_give_the_equilibrium_projection(self, A, f, start):
-        A, f, start = np.asarray(A), np.asarray(f), np.asarray(start)
-        result = solve(A, f, BOUNDS, SolverConfig(start=start))
-        shift, *_ = np.linalg.lstsq(A, f - A @ start, rcond=None)
+    def test_unbinding_bounds_give_the_equilibrium_projection(self, A, f, bounds):
+        A, f = np.asarray(A), np.asarray(f)
+        lo = np.array([b.t_min for b in bounds])
+        result = solve(A, f, bounds)
+        shift, *_ = np.linalg.lstsq(A, f - A @ lo, rcond=None)
+        # no floor binds
+        assert np.all(shift > -1e-12)
         assert result.status is SolveStatus.FEASIBLE_EXACT
-        np.testing.assert_allclose(result.tensions, start + shift, atol=1e-9)
+        np.testing.assert_allclose(result.tensions, lo + shift, atol=1e-9)
         np.testing.assert_allclose(A @ result.tensions, f, atol=1e-9)
 
 
@@ -104,13 +127,14 @@ class TestSolve:
         np.testing.assert_allclose(result.tensions, expected, atol=1e-6)
 
     def test_custom_start_projects_that_start(self):
+        # per-cable floors set a start other than a shared t_min
         rng = np.random.default_rng(17)
         A = random_rank3_directions(rng, 5).T
         t_star = rng.uniform(1.0, 5.0, size=5)
         f = A @ t_star
-        start = rng.uniform(0.5, 6.0, size=5)
-        result = solve(A, f, BOUNDS, SolverConfig(start=start))
-        expected = min_shift_qp(A, f, BOUNDS.t_min, BOUNDS.t_max, start)
+        floors = rng.uniform(0.5, 3.0, size=5)
+        result = solve(A, f, _floors(floors))
+        expected = min_shift_qp(A, f, floors, 6.0, floors)
         np.testing.assert_allclose(result.tensions, expected, atol=1e-6)
 
     def test_per_cable_bounds_respected(self):
@@ -188,17 +212,20 @@ class TestSolve:
         assert result.status is SolveStatus.NEAREST_FEASIBLE
         assert np.all(result.tensions >= 0.5) and np.all(result.tensions <= 6.0)
 
-    def test_start_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            solve(IDENTITY, [1.0, 1.0, 1.0], BOUNDS, SolverConfig(start=np.ones(4)))
-
     @pytest.mark.parametrize(
-        "force", [(0.0, 0.0, 1e200), (-1e200, 3e199, 1e200), (1e154, -1e154, 0.0)]
+        "force",
+        [
+            (0.0, 0.0, 1e200),
+            (-1e200, 3e199, 1e200),
+            (1e154, -1e154, 0.0),
+            (-9.9e149, 9.9e149, 9.9e149),
+        ],
     )
     def test_huge_force_reports_its_finite_residual(self, force):
         A = default_matrix()
-        # the square of the miss overflows, and numpy warns of it
-        with np.errstate(over="ignore"):
+        # the square of the miss can overflow, which must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = solve(A, force, BOUNDS)
         assert result.status is SolveStatus.NEAREST_FEASIBLE
         assert np.all(result.tensions >= BOUNDS.t_min) and np.all(result.tensions <= BOUNDS.t_max)
@@ -427,10 +454,10 @@ def _clear_caches():
     solver._box.cache_clear()
 
 
-def _holds_box(bounds, start, m):
+def _holds_box(bounds, m):
     """Whether the shared box slot holds the box of these arguments."""
     hits = solver._box.cache_info().hits
-    solver._box(bounds, start, m)
+    solver._box(bounds, m)
     return solver._box.cache_info().hits == hits + 1
 
 
@@ -466,6 +493,13 @@ def _coplanar_cases():
 
 PER_CABLE = tuple(
     TensionBounds(lo, hi) for lo, hi in [(0.2, 3.0), (0.5, 6.0), (1.0, 2.5), (0.0, 8.0)]
+)
+
+
+# Per-cable floors are how a caller sets a start other than a shared t_min.
+CUSTOM_START = _floors([1.0, 2.5, 0.7, 4.0])
+PER_CABLE_CUSTOM_START = tuple(
+    TensionBounds(lo, b.t_max) for lo, b in zip([0.3, 2.0, 1.2, 0.4], PER_CABLE)
 )
 
 
@@ -512,18 +546,16 @@ class TestFactorizationCache:
 
     def test_cached_arrays_are_read_only(self):
         M = default_matrix().columns
-        start = np.array([1.0, 2.0, 3.0, 4.0])
         solve(M, [0.0, 0.0, 1.5], BOUNDS)
-        solve(M, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=start))
+        solve(M, [0.0, 0.0, 1.5], PER_CABLE)
         fac = solver._factorization(M)
         free, u, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
         cached = (fac.matrix, fac.rows, free, u)
         operators = (fac.goal, fac.pinv, fac.rows_t, gram_pinv, step)
-        custom = SolverConfig(start=start).start
         boxes = []
-        for box_start in (None, custom):
-            box, a_start = fac.box(BOUNDS, box_start)
-            boxes += [box.start, a_start]
+        for bounds in (BOUNDS, PER_CABLE):
+            box, a_lo = fac.box(bounds)
+            boxes += [box.lo, a_lo]
         for arr in cached + operators + tuple(boxes):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -550,30 +582,25 @@ class TestFactorizationCache:
         assert solver._factorize.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
-        "bounds, config",
-        [
-            (BOUNDS, None),
-            (PER_CABLE, None),
-            (list(PER_CABLE), None),
-            (TensionBounds(0.5, 6.0), None),
-            (BOUNDS, SolverConfig(start=np.array([1.0, 2.5, 0.7, 4.0]))),
-        ],
+        "bounds",
+        [BOUNDS, PER_CABLE, list(PER_CABLE), TensionBounds(0.5, 6.0), CUSTOM_START],
         ids=["shared", "per-cable-tuple", "per-cable-list", "equal-bounds", "custom-start"],
     )
-    def test_bounds_and_start_cache_equals_cold_solves(self, bounds, config):
+    def test_bounds_and_start_cache_equals_cold_solves(self, bounds):
         A = default_matrix()
         forces = list(sphere_samples(30, 1.5)) + [np.array([0.0, 0.0, 40.0])]
         _clear_caches()
-        # fill the box cache with other bounds and starts on the same matrix,
-        # and with BOUNDS itself, which an equal TensionBounds must share
+        # fill the box cache with other shared and per-cable bounds on the
+        # same matrix, and with BOUNDS itself, which an equal TensionBounds
+        # must share
         solve(A, forces[0], TensionBounds(0.2, 3.0))
         solve(A, forces[0], BOUNDS)
-        solve(A, forces[0], BOUNDS, SolverConfig(start=np.full(4, 2.0)))
-        warm = [_outcome(solve(A, f, bounds, config)) for f in forces]
+        solve(A, forces[0], PER_CABLE[::-1])
+        warm = [_outcome(solve(A, f, bounds)) for f in forces]
         cold = []
         for f in forces:
             _clear_caches()
-            cold.append(_outcome(solve(A, f, bounds, config)))
+            cold.append(_outcome(solve(A, f, bounds)))
         assert warm == cold
         assert {outcome[1] for outcome in warm} == {
             SolveStatus.FEASIBLE_EXACT,
@@ -584,35 +611,25 @@ class TestFactorizationCache:
         A = default_matrix()
         _clear_caches()
         for k in range(100):
-            solve(A, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=np.full(4, 1.0 + k / 100)))
+            per_cable = tuple(TensionBounds(b.t_min + k / 100, b.t_max) for b in PER_CABLE)
+            solve(A, [0.0, 0.0, 1.5], per_cable)
         fac = solver._factorization(A)
-        # one box is held, keyed by the last bounds and start, and it is the
-        # box every matrix shares, keyed by the cable count too
-        last = np.full(4, 1.0 + 99 / 100)
+        # one box is held, keyed by the last bounds, and it is the box every
+        # matrix shares, keyed by the cable count too
         key, (box, _) = fac._box
-        assert key == (BOUNDS, last.tobytes())
-        np.testing.assert_array_equal(box.start, last)
+        assert key == per_cable
+        np.testing.assert_array_equal(box.lo, [b.t_min for b in per_cable])
         assert solver._box.cache_info().currsize == 1
-        assert solver._box(BOUNDS, last.tobytes(), 4) is box
-
-    def test_wrong_length_start_leaves_the_cache_usable(self):
-        A = default_matrix()
-        _clear_caches()
-        before = _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="start has 3 entries"):
-                solve(A, [0.0, 0.0, 1.5], BOUNDS, SolverConfig(start=np.ones(3)))
-        assert solver._factorize.cache_info().currsize == 1
-        assert _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS)) == before
+        assert solver._box(per_cable, 4) is box
 
     @pytest.mark.parametrize(
-        "matrices, bounds, config",
+        "matrices, bounds",
         [
-            (_two_matrices, PER_CABLE, None),
-            (_two_matrices, list(PER_CABLE), None),
-            (_two_matrices, BOUNDS, SolverConfig(start=np.array([1.0, 2.5, 0.7, 4.0]))),
-            (_two_matrices, PER_CABLE, SolverConfig(start=np.array([0.3, 5.0, 2.0, 7.5]))),
-            (_four_and_six_cables, BOUNDS, None),
+            (_two_matrices, PER_CABLE),
+            (_two_matrices, list(PER_CABLE)),
+            (_two_matrices, CUSTOM_START),
+            (_two_matrices, PER_CABLE_CUSTOM_START),
+            (_four_and_six_cables, BOUNDS),
         ],
         ids=[
             "per-cable-tuple",
@@ -622,16 +639,16 @@ class TestFactorizationCache:
             "four-and-six-cables",
         ],
     )
-    def test_alternating_matrices_equal_cold_solves(self, matrices, bounds, config):
+    def test_alternating_matrices_equal_cold_solves(self, matrices, bounds):
         A1, A2 = matrices()
         forces = list(sphere_samples(20, 1.5)) + [np.array([0.0, 0.0, 40.0])]
         _clear_caches()
-        warm = [_outcome(solve(A, f, bounds, config)) for f in forces for A in (A1, A2)]
+        warm = [_outcome(solve(A, f, bounds)) for f in forces for A in (A1, A2)]
         cold = []
         for f in forces:
             for A in (A1, A2):
                 _clear_caches()
-                cold.append(_outcome(solve(A, f, bounds, config)))
+                cold.append(_outcome(solve(A, f, bounds)))
         assert warm == cold
         assert {outcome[1] for outcome in warm} == {
             SolveStatus.FEASIBLE_EXACT,
@@ -639,41 +656,35 @@ class TestFactorizationCache:
         }
 
     @pytest.mark.parametrize(
-        "bounds, config, message",
-        [
-            (BOUNDS, SolverConfig(start=np.ones(3)), "start has 3 entries"),
-            (PER_CABLE[:3], None, "got 3 per-cable bounds"),
-        ],
-        ids=["wrong-length-start", "wrong-count-of-bounds"],
+        "bounds, message",
+        [(PER_CABLE[:3], "got 3 per-cable bounds")],
+        ids=["wrong-count-of-bounds"],
     )
-    def test_bad_box_after_a_matrix_switch_leaves_the_cache_usable(
-        self, bounds, config, message
-    ):
+    def test_bad_box_after_a_matrix_switch_leaves_the_cache_usable(self, bounds, message):
         A1, A2 = _two_matrices()
         f = [0.0, 0.0, 1.5]
         _clear_caches()
         before = [_outcome(solve(A, f, BOUNDS)) for A in (A1, A2)]
         for A in (A1, A2, A1):
             with pytest.raises(ValueError, match=message):
-                solve(A, f, bounds, config)
+                solve(A, f, bounds)
             # the call that raised stored nothing: the last good box is held
-            assert _holds_box(BOUNDS, None, 4)
+            assert _holds_box(BOUNDS, 4)
         assert solver._factorize.cache_info().currsize == 1
         assert [_outcome(solve(A, f, BOUNDS)) for A in (A1, A2)] == before
 
     def test_shared_box_and_each_a_start_are_read_only(self):
         A1, A2 = _two_matrices()
-        custom = SolverConfig(start=np.array([1.0, 2.5, 0.7, 4.0])).start
-        for start in (None, custom):
+        for bounds in (BOUNDS, PER_CABLE, CUSTOM_START):
             _clear_caches()
             boxes = []
             for A in (A1, A2):
                 M = A.columns
                 fac = solver._factorization(A)
-                box, a_start = fac.box(BOUNDS, start)
+                box, a_lo = fac.box(bounds)
                 boxes.append(box)
-                assert a_start.tobytes() == (M @ box.start).tobytes()
-                for arr in (box.start, a_start):
+                assert a_lo.tobytes() == (M @ box.lo).tobytes()
+                for arr in (box.lo, a_lo):
                     with pytest.raises(ValueError):
                         arr[0] = 0.0
             # the second matrix found the first one's box
@@ -749,7 +760,7 @@ class TestRatioStep:
     def test_step(self, t, step, expected, blocking):
         before = list(t)
         lo, hi = np.full(len(t), LO), np.full(len(t), HI)
-        box = solver._Box.of(lo, hi, lo, 1e-12)
+        box = solver._Box(lo, 1e-12, tuple(lo.tolist()), tuple(hi.tolist()))
         moved, blocked = solver._ratio_step(t, step, box)
         assert blocked == blocking
         np.testing.assert_array_equal(moved, expected)
@@ -768,9 +779,12 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(tolerance=0.0)
 
-    def test_rejects_non_finite_start(self):
-        with pytest.raises(ValueError):
-            SolverConfig(start=np.array([1.0, np.inf]))
+    def test_two_fields_and_no_start_to_set(self):
+        fields = [field.name for field in dataclasses.fields(SolverConfig)]
+        assert fields == ["max_iterations", "tolerance"]
+        assert SolverConfig().start is None
+        with pytest.raises(TypeError):
+            SolverConfig(start=np.ones(4))
 
 
 class TestWrenchFeasible:
