@@ -37,7 +37,9 @@ class TensionBounds:
     """Allowable tension range for a cable, in newtons.
 
     Defaults are the hardware limits of one module: 0.5 N keeps the cable
-    taut, 6.0 N is the motor's maximum steady-state pull.
+    taut, 6.0 N is the motor's maximum steady-state pull. A floor of -0.0
+    is stored as 0.0: the two compare and hash equal, so bounds that hold
+    either must give the same tensions, zero signs included.
     """
 
     t_min: float = 0.5
@@ -46,6 +48,8 @@ class TensionBounds:
     def __post_init__(self):
         set_checked(self, real, "t_min", minimum=0.0)
         set_checked(self, real, "t_max")
+        if self.t_min == 0.0:
+            object.__setattr__(self, "t_min", 0.0)
         if not self.t_min < self.t_max:
             raise ValueError(
                 f"need 0 <= t_min < t_max, got [{self.t_min}, {self.t_max}]"

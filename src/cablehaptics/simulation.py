@@ -162,18 +162,26 @@ def sphere_samples(n: int, radius: float) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a float 3-vector, as np.linalg.norm computes it,
-    or by math.hypot where its square overflows, above about 1e154."""
-    norm = math.sqrt(v.dot(v))
-    if norm == math.inf:
-        return math.hypot(*v.tolist())
-    return norm
+    """Euclidean norm of a float 3-vector: as np.linalg.norm computes it
+    while every component lies below OVERFLOW_FORCE, and by math.hypot from
+    there, where the square may overflow."""
+    x, y, z = v.tolist()
+    if abs(x) < OVERFLOW_FORCE and abs(y) < OVERFLOW_FORCE and abs(z) < OVERFLOW_FORCE:
+        return math.sqrt(v.dot(v))
+    return math.hypot(x, y, z)
 
 
 def _angle(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
     """Angle in degrees between float 3-vectors a and b of norms na and nb,
-    both above _ZERO_NORM."""
-    cosine = min(max(a.dot(b) / (na * nb), -1.0), 1.0)
+    both above _ZERO_NORM. The cosine is a.dot(b) / (na * nb) while
+    na * nb is at most 1e308, which bounds |a.dot(b)| too, and the dot
+    product of the unit vectors above, where either may overflow."""
+    scale = na * nb
+    if scale <= 1e308:
+        cosine = a.dot(b) / scale
+    else:
+        cosine = (a / na).dot(b / nb)
+    cosine = min(max(cosine, -1.0), 1.0)
     return float(np.degrees(np.arccos(cosine)))
 
 
@@ -271,7 +279,9 @@ def run_validation(
     ZeroVector, since no angle is defined for it. If a plant ever returns a
     (near-)zero measured force, its angle error is recorded as 180
     degrees. A radius of OVERFLOW_FORCE or more is run with numpy's
-    overflow warning off, and the norms fall back to math.hypot.
+    overflow warning off: the norms fall back to math.hypot, the angles to
+    the unit vectors and the means to sums of each value over the count
+    wherever the plain arithmetic overflows, so the report stays finite.
     """
     A = structure_matrix(layout, ee)
     commanded = sphere_samples(protocol.sample_count, protocol.sphere_radius)
@@ -303,15 +313,25 @@ def run_validation(
                 )
             )
 
-    angles = np.array([r.angle_error for r in records])
-    return ValidationReport(
-        records=tuple(records),
-        mean_angle_error=float(np.mean(angles)),
-        max_angle_error=float(np.max(angles)),
-        mean_measured_magnitude=float(np.mean(norms)),
-        mean_magnitude_error=float(np.mean([r.magnitude_error for r in records])),
-        fraction_within_45deg=float(np.mean(angles <= 45.0)),
-    )
+        angles = np.array([r.angle_error for r in records])
+        return ValidationReport(
+            records=tuple(records),
+            mean_angle_error=float(np.mean(angles)),
+            max_angle_error=float(np.max(angles)),
+            mean_measured_magnitude=_mean(norms),
+            mean_magnitude_error=_mean([r.magnitude_error for r in records]),
+            fraction_within_45deg=float(np.mean(angles <= 45.0)),
+        )
+
+
+def _mean(values) -> float:
+    """np.mean of a list of finite floats, or, where their sum overflows,
+    the exact sum of each value over their count, which cannot."""
+    mean = float(np.mean(values))
+    if math.isinf(mean):
+        count = len(values)
+        mean = math.fsum(value / count for value in values)
+    return mean
 
 
 def write_report_csv(report: ValidationReport, path) -> None:
@@ -361,7 +381,8 @@ def report_summary(
 
 def write_report_json(summary: dict, path) -> None:
     """Write summary as indented JSON with sorted keys. It is serialized
-    first, so a summary JSON cannot hold raises before path is touched."""
-    text = json.dumps(summary, indent=2, sort_keys=True)
+    first, so a summary JSON cannot hold, NaN and infinities included,
+    raises ValueError before path is touched."""
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as handle:
         handle.write(text + "\n")

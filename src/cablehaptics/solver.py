@@ -21,9 +21,35 @@ optimality conditions check out. The inputs are geometry's types: a
 matrix is checked once, when its StructureMatrix is built, and every entry
 point takes one as it is and builds one from anything else.
 
+An exact solve answers with the optimum of a working set (the free
+cables, and a bound for each held one) for rows t = goal f, f itself, when
+that optimum certifies strictly (_optimum): every free cable inside the
+box and every held cable's multiplier of its bound's sign, each by more
+than the rounding level of the tensions plus what a force error of the
+tolerance could move it, and a residual within the tolerance. One helper,
+_shift, gives every working set's optimum, phase 2's steps included. A
+cold solve tries phase 1's working set first, and phase 2 runs only when
+that set does not certify; phase 2 ends on the working set of the force
+phase 1 reached, within the tolerance of f, and that set's optimum for f
+is the answer when it certifies. Otherwise phase 2's point stands.
+
+A strictly certified set is the only one that certifies for its force,
+so each cached factorization keeps the sets its solves certified (at
+most _MAX_SETS, dropped when the bounds change), and a solve on it tests
+them first: one stacked product gives every kept set's optimum, and the
+first to certify, by _optimum itself, is the answer, at 1 iteration and
+without either phase. The answer is the one a cold solve gives, bit for
+bit, so it depends on (A, f, bounds, config) alone and the kept sets
+change only how fast it comes. ``iterations`` then counts 1; in a solve
+that finds none, it counts both phases as before. The one exception is
+the cap: a solve that max_iterations stops before it certifies reports
+ITERATION_CAP when cold, but FEASIBLE_EXACT with the uncapped answer when
+a kept set certifies for its force.
+
 Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
-that depends on A alone and, for the last bounds, A times t_min;
+that depends on A alone and, for the last bounds, A times t_min and the
+kept working sets;
 consecutive solves on the same matrix share it, so a solve computes only
 what depends on the force. The factorization is a solve's one handle on
 its matrix: _factorization(A) finds it by the bytes of A's columns, and it
@@ -47,8 +73,8 @@ Each iteration does two kinds of work. Products with a cached 3 x m or
 m x r operator are one ndarray.dot call each: numpy's fixed cost per call
 is about a microsecond, and at these sizes one call still beats a Python
 sum. A new matrix builds its cached operators (the pseudoinverse, each
-block's Gram pseudoinverse and step operator, and A times t_min) with
-ndarray.dot as well, which gives the bits of @ at about half its cost.
+block's shift and step operators, and A times t_min) with ndarray.dot as
+well, which gives the bits of @ at about half its cost.
 
 Everything else is per cable, and numpy would spend a call on each
 comparison, mask or expression over four to eight values, so it is
@@ -59,10 +85,11 @@ that steps makes three: the nearest-box-point certificate, the release
 (_release) and the ratio step; the first such iteration makes a fourth,
 which reads the free set from the iterate. A phase-2 iteration makes
 four: the vector of t_min on free cables and t on held ones, the step,
-the ratio step and the multiplier sign test. Both rank counts are a pass
-each. The ratio step clips the full step t + step into the box in the
-pass that looks for the blocking cable, which is _move at fraction 1.0
-bit for bit, so only a blocked step makes a second pass.
+the ratio step and the multiplier sign test. The strict test of a
+working set's optimum (_strict_point) is one pass, and both rank counts
+are a pass each. The ratio step clips the full step t + step into the
+box in the pass that looks for the blocking cable, which is _move at
+fraction 1.0 bit for bit, so only a blocked step makes a second pass.
 
 Each pass does the same float operations in the same order as the array
 expressions it replaces. Its clip keeps the bound on a tie, as
@@ -94,6 +121,14 @@ WRENCH_FEASIBLE_RESIDUAL = 1e-7
 # Force component (newtons) from which the square of a force's length may
 # overflow: below it, three squares sum to at most 3e300.
 OVERFLOW_FORCE = 1e150
+
+# The most certified working sets a factorization keeps for its bounds. A
+# lookup that misses screens every kept set, at about a microsecond each,
+# and a 500-force sphere on an 8-cable layout certifies 14 to 42 sets. With
+# 8 kept, the oldest making way for a new one, a miss there costs about
+# 9 us against a 52 us median cold solve, and 75 to 97% of the sphere's
+# forces still find their set on a second pass (2-vCPU Xeon, numpy 2.4).
+_MAX_SETS = 8
 
 
 class SolveStatus(Enum):
@@ -155,15 +190,31 @@ _DEFAULT_CONFIG = SolverConfig()
 class _Block(NamedTuple):
     """What the iterations need of one free-column block rows[:, free]:
     the free mask as an array, its left singular vectors and rank, the
-    pseudoinverse of its Gram matrix, u_r diag(1/s^2) u_r^T, and phase 1's
-    step operator, rows^T times that pseudoinverse with the held cables'
-    rows zeroed."""
+    shift operator rows^T times the pseudoinverse of its Gram matrix,
+    u_r diag(1/s^2) u_r^T, phase 1's step operator, the shift operator with
+    the held cables' rows zeroed, and drift, the most a newton of force
+    residual can move the optimum of a working set on this block, on any
+    cable or multiplier: ||goal|| times the norm of that pseudoinverse, the
+    largest singular value of goal over the block's smallest one squared."""
 
     free: np.ndarray
     u: np.ndarray
     rank: int
-    gram_pinv: np.ndarray
+    shift_op: np.ndarray
     step: np.ndarray
+    drift: float
+
+
+class _WorkingSet(NamedTuple):
+    """A working set of phase 2: the free mask and the held vector (t_min
+    on each free cable, its bound on each held one), sequences one entry
+    per cable, the _Block of its free cables, and c, rows times the held
+    vector."""
+
+    free: Sequence[bool]
+    held: Sequence[float]
+    block: _Block
+    c: np.ndarray
 
 
 class _Box(NamedTuple):
@@ -235,15 +286,17 @@ class _Factorization:
     """A checked structure matrix, as matrix, with one SVD A = U S V^T of
     it, its rank, the operators built from it alone, a _Block for each
     free-column block of rows = V_r^T asked for so far, and A times t_min
-    for the last bounds asked for.
+    and the working sets its solves certified (sets, by free mask and held
+    vector) for the last bounds asked for.
 
     The rank counts singular values above RANK_REL_TOL times the largest;
     this is the package's one rank rule, and actuation_rank reads it. The
     operators are goal = S_r^-1 U_r^T, which maps a force to the
-    right-hand side of rows t = goal f; the pseudoinverse
-    pinv = A^+ = V_r S_r^-1 U_r^T; and rows_t, a C-contiguous copy of
-    rows^T. Of V^T only its first rank rows are kept, as rows. Every array
-    held here is read-only, since later solves share it.
+    right-hand side of rows t = goal f, and its norm goal_norm; the
+    pseudoinverse pinv = A^+ = V_r S_r^-1 U_r^T; and rows_t, a
+    C-contiguous copy of rows^T. Of V^T only its first rank rows are kept,
+    as rows. Every array held here is read-only, since later solves share
+    it.
     """
 
     def __init__(self, M: np.ndarray):
@@ -259,9 +312,17 @@ class _Factorization:
             arr.setflags(write=False)
         self.matrix, self.rank, self.rows = M, rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
+        # ||goal||, the inverse of the smallest singular value kept
+        self.goal_norm = 1.0 / values[rank - 1] if rank else 0.0
         self._blocks: dict[bytes, _Block] = {}
         # (bounds, (_Box, A times its t_min)) of the last bounds asked for
         self._box: tuple[object, tuple[_Box, np.ndarray]] | None = None
+        # the working sets certified under those bounds, by (free, held),
+        # each one's shift_op times its c once stacked, by the same key,
+        # and their stack, built when first asked for
+        self.sets: dict[tuple, _WorkingSet] = {}
+        self._offsets: dict[tuple, np.ndarray] = {}
+        self._stack: tuple | None = None
 
     def block(self, free) -> _Block:
         """The _Block of rows[:, free], free a list or array of m bools.
@@ -279,12 +340,13 @@ class _Factorization:
             u, sv, _, values = _svd(self.rows.compress(free, axis=1))
             rank = _rank(values, 1.0)
             u_r = u[:, :rank]
-            gram_pinv = (u_r / sv[:rank] ** 2).dot(u_r.T)
-            step = self.rows_t.dot(gram_pinv)
+            shift_op = self.rows_t.dot((u_r / sv[:rank] ** 2).dot(u_r.T))
+            step = shift_op.copy()
             step[~free] = 0.0
-            for arr in (u, gram_pinv, step):
+            for arr in (u, shift_op, step):
                 arr.setflags(write=False)
-            found = self._blocks[key] = _Block(free, u, rank, gram_pinv, step)
+            drift = self.goal_norm / values[rank - 1] ** 2 if rank else 0.0
+            found = self._blocks[key] = _Block(free, u, rank, shift_op, step, drift)
         return found
 
     def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray]:
@@ -307,7 +369,43 @@ class _Factorization:
         a_lo.setflags(write=False)
         found = box, a_lo
         self._box = (bounds, found)
+        # a held vector holds the old bounds' values
+        self.sets, self._offsets, self._stack = {}, {}, None
         return found
+
+    def keep(self, ws: _WorkingSet) -> None:
+        """Remember ws, a working set certified under the last bounds, for
+        the next solves on this matrix, unless it is known; with _MAX_SETS
+        kept, the oldest goes."""
+        key = bytes(ws.free), tuple(ws.held)
+        if key not in self.sets:
+            if len(self.sets) == _MAX_SETS:
+                oldest = next(iter(self.sets))
+                del self.sets[oldest]
+                self._offsets.pop(oldest, None)
+            ws.c.setflags(write=False)
+            self.sets[key] = ws
+            self._stack = None
+
+    def stack(self) -> tuple[tuple[_WorkingSet, ...], np.ndarray, np.ndarray]:
+        """The working sets kept, in the order they were certified, with
+        the m rows of each one's shift operator stacked into K and each
+        one's shift operator times its c into b, so that K g - b holds
+        every set's shift for the goal g in one product. It is built at the
+        first lookup after a set is kept, so a solve that keeps one pays
+        nothing for it, and each set's product with c is taken once."""
+        if self._stack is None:
+            offsets = self._offsets
+            for key, ws in self.sets.items():
+                if key not in offsets:
+                    offsets[key] = ws.block.shift_op.dot(ws.c)
+            sets = tuple(self.sets.values())
+            ops = np.concatenate([ws.block.shift_op for ws in sets])
+            stacked = np.concatenate([offsets[key] for key in self.sets])
+            ops.setflags(write=False)
+            stacked.setflags(write=False)
+            self._stack = sets, ops, stacked
+        return self._stack
 
 
 @functools.lru_cache(maxsize=1)
@@ -500,7 +598,96 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     return t, x, rendered, residual.dot(residual), SolveStatus.ITERATION_CAP, budget
 
 
-def _min_shift(fac, box, t, x, budget):
+def _shift(blk: _Block, target, c) -> list[float]:
+    """blk.shift_op (target - c) as a list of floats, rows^T lam with
+    lam = gram_pinv (target - c), for the working set whose free cables
+    form blk and whose held vector gives c = rows times it. Its optimum for
+    rows t = target is t_min + shift on each free cable, and each held
+    cable's multiplier is t - t_min - shift. This is the one definition of
+    a working set's optimum: phase 2 steps toward it, and a solve answers
+    with it (_optimum)."""
+    return blk.shift_op.dot(target - c).tolist()
+
+
+def _strict_point(free, held, shift, box: _Box, margin: float):
+    """The optimum of a working set (free mask and held vector, sequences
+    one entry per cable) from its shift, as a list of floats, when it
+    certifies strictly: every free cable, t_min + shift, lies inside the
+    box by more than margin, and every held cable's multiplier
+    held - t_min - shift has its bound's sign by more than margin (>= 0 at
+    a floor, <= 0 at a ceiling). Otherwise None, and a cable exactly at a
+    bound with a zero multiplier is neither."""
+    t = []
+    for is_free, h, s, lo_i, hi_i in zip(free, held, shift, box.lo_floats, box.hi_floats):
+        if is_free:
+            # h is lo_i on a free cable
+            v = h + s
+            if not lo_i + margin < v < hi_i - margin:
+                return None
+            t.append(v)
+        else:
+            mu = h - lo_i - s
+            if (mu if h <= lo_i else -mu) <= margin:
+                return None
+            t.append(h)
+    return t
+
+
+def _optimum(fac, ws: _WorkingSet, g, fvec, box: _Box, tol: float):
+    """The answer of working set ws for f = fvec, g = goal f: its optimum
+    for rows t = g, as (x, A x, ||A x - f||), when that optimum certifies
+    strictly (_strict_point) and renders f within tol; None otherwise.
+
+    The margin is box.rounding, the rounding level of the tensions, plus
+    tol times the block's drift: phase 1 hands phase 2 a box point whose
+    force misses f by up to tol, so phase 2 ends on the working set of a
+    force that close to f. A set that certifies with this margin is
+    optimal for every such force, so a cold solve's phase 2 ends on it as
+    well, and the answer is this one whether or not the set was kept.
+    """
+    margin = box.rounding + tol * ws.block.drift
+    t = _strict_point(ws.free, ws.held, _shift(ws.block, g, ws.c), box, margin)
+    if t is None:
+        return None
+    x = np.array(t)
+    rendered = fac.matrix.dot(x)
+    miss = rendered - fvec
+    residual = math.sqrt(miss.dot(miss))
+    if not residual <= tol:
+        return None
+    return x, rendered, residual
+
+
+def _reuse(fac, g, fvec, box: _Box, tol: float):
+    """_optimum of the first working set fac keeps that gives one, or None.
+
+    One product, K g - b (_Factorization.stack), gives every kept set's
+    shift; a set whose shift passes _strict_point there is then evaluated
+    by _optimum itself, so the answer has the bits of a cold solve's, and
+    the stacked product only chooses which sets to evaluate.
+    """
+    sets, ops, offsets = fac.stack()
+    shifts = (ops.dot(g) - offsets).tolist()
+    m = len(box.lo_floats)
+    for j, ws in enumerate(sets):
+        margin = box.rounding + tol * ws.block.drift
+        screened = shifts[j * m : j * m + m]
+        if _strict_point(ws.free, ws.held, screened, box, margin) is not None:
+            found = _optimum(fac, ws, g, fvec, box, tol)
+            if found is not None:
+                return found
+    return None
+
+
+def _working_set(fac, blk: _Block, free, t, lo) -> _WorkingSet:
+    """The working set of the box point t, a list of floats, that leaves
+    the cables of the list free free, blk being their block, and holds
+    every other cable where t has it, on a bound."""
+    held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
+    return _WorkingSet(free, held, blk, fac.rows.dot(np.array(held)))
+
+
+def _min_shift(fac, box, t, x, budget, ws=None):
     """Phase 2: min ||t - t_min||^2 s.t. rows t = rows t0 and the box,
     by the primal active-set method (Nocedal & Wright, Alg. 16.3) from the
     feasible box point t0 = t, holding the cables it has at a bound.
@@ -517,29 +704,37 @@ def _min_shift(fac, box, t, x, budget):
     ceiling (the KKT conditions). If one is not, the most wrong is
     released. The working set always keeps rank(rows_F) = rank(rows): a
     held cable is released first whenever the free ones lose rank. The
-    free block's cached Gram pseudoinverse gives lam in one product, and the
-    trailing columns of its left singular vectors span the directions the
-    free cables cannot reach.
+    free block's cached shift operator gives rows^T lam in one product
+    (_shift), and the trailing columns of its left singular vectors span
+    the directions the free cables cannot reach.
 
     t0 comes in as phase 1's list t and array x, and the iterate is a list
     of floats: np.where(free, t_min, t), np.where(free, t_min + shift - t,
     0.0) and the ratio step are passes with the same float operations.
-    Returns (t, certified, iterations), t a list.
+    ws, when given, is the working set of t0 (_working_set), which the
+    first iteration then takes as it is. Returns (t, working set,
+    iterations), t a list and the working set the _WorkingSet certified,
+    None when the budget ran out first. Every held cable of t sits exactly
+    on its bound, so the held vector of the last iteration is that working
+    set's.
     """
-    rows, rows_t, rank = fac.rows, fac.rows_t, fac.rank
+    rows, rank = fac.rows, fac.rank
     lo = box.lo_floats
     target = rows.dot(x)
-    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, box.hi_floats)]
+    if ws is None:
+        free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, box.hi_floats)]
+    else:
+        free = ws.free
     for k in range(1, budget + 1):
-        blk = fac.block(free)
-        if blk.rank < rank:
-            # release the held cable reaching furthest into the missing span
-            reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
-            free[int(np.where(blk.free, -1.0, reach).argmax())] = True
-            continue
-        held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
-        lam = blk.gram_pinv.dot(target - rows.dot(np.array(held)))
-        shift = rows_t.dot(lam).tolist()
+        if ws is None:
+            blk = fac.block(free)
+            if blk.rank < rank:
+                # release the held cable reaching furthest into the missing span
+                reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
+                free[int(np.where(blk.free, -1.0, reach).argmax())] = True
+                continue
+            ws = _working_set(fac, blk, free, t, lo)
+        shift = _shift(ws.block, target, ws.c)
         step = [
             lo_i + shift_i - ti if is_free else 0.0
             for is_free, lo_i, shift_i, ti in zip(free, lo, shift, t)
@@ -547,12 +742,14 @@ def _min_shift(fac, box, t, x, budget):
         t, blocking = _ratio_step(t, step, box)
         if blocking >= 0:
             free[blocking] = False
+            ws = None
             continue
         worst, wrong = _worst_multiplier(free, t, shift, lo)
         if wrong <= box.rounding:
-            return t, True, k
+            return t, ws, k
         free[worst] = True
-    return t, False, budget
+        ws = None
+    return t, None, budget
 
 
 def solve(
@@ -585,13 +782,17 @@ def solve(
     special case. Everything that depends on A alone, or on A and the
     last bounds, is cached in A's one factorization (see the module
     docstring), so the next solves on the same matrix compute only what
-    depends on the force: build A once and pass it to every solve at that
-    position. A StructureMatrix is taken as it is, checked once when it
-    was built; anything else is built into one first, so a plain array
-    gets its checks and its bits. A bad matrix, force or bounds raises
-    ValueError. ``iterations`` counts the active-set iterations of both
-    phases, including the one that certifies the result, so it is at
-    least 1.
+    depends on the force, and the working sets its solves certified
+    answer the next forces that share them at 1 iteration: build A once
+    and pass it to every solve at that position. A StructureMatrix is
+    taken as it is, checked once when it was built; anything else is
+    built into one first, so a plain array gets its checks and its bits.
+    A bad matrix, force or bounds raises ValueError. ``iterations``
+    counts the active-set iterations of both phases, including the one
+    that certifies the result, so it is at least 1, and it is 1 for an
+    answer from a kept working set. That answer is the cold solve's, bit
+    for bit, except that it lifts an ITERATION_CAP: a kept set that
+    certifies for f answers FEASIBLE_EXACT whatever max_iterations is.
 
     The returned tensions are always within bounds, whatever the status.
     A force with a component of OVERFLOW_FORCE or more is solved with
@@ -603,14 +804,23 @@ def solve(
     fvec, ordinary = vec3_below(f, OVERFLOW_FORCE)
     box, a_lo = fac.box(bounds)
     if ordinary:
-        return _solve(fac, fvec, box, a_lo, cfg)
+        return _solve(fac, fvec, box, a_lo, cfg, True)
     with np.errstate(over="ignore"):
-        return _solve(fac, fvec, box, a_lo, cfg)
+        return _solve(fac, fvec, box, a_lo, cfg, False)
 
 
-def _solve(fac, fvec, box, a_lo, cfg) -> SolveResult:
-    """solve's two phases on a checked force, a_lo being A times t_min."""
+def _solve(fac, fvec, box, a_lo, cfg, reuse: bool) -> SolveResult:
+    """solve's two phases on a checked force, a_lo being A times t_min.
+    With reuse, the working sets fac keeps are tried first, and a certified
+    phase 2 answers with its working set's _optimum when that exists; only
+    an ordinary force reuses, since a huge one can overflow the goal."""
     tol = cfg.tolerance
+    g = None
+    if reuse and fac.sets:
+        g = fac.goal.dot(fvec)
+        found = _reuse(fac, g, fvec, box, tol)
+        if found is not None:
+            return _result(*found, SolveStatus.FEASIBLE_EXACT, 1)
     # the box-clipped projection t_min + A^+ (f - A t_min)
     towards = fac.pinv.dot(fvec - a_lo).tolist()
     t = _move(box.lo_floats, 1.0, towards, box.lo_floats, box.hi_floats)
@@ -620,8 +830,28 @@ def _solve(fac, fvec, box, a_lo, cfg) -> SolveResult:
         fac, fvec, box, t, tol, cfg.max_iterations
     )
     if status is None:
-        t, certified, more = _min_shift(fac, box, t, x, cfg.max_iterations - iterations + 1)
-        iterations += more - 1
+        found = ws = None
+        if reuse:
+            # phase 1's working set, tried first: phase 2 would certify it
+            # at its first iteration whenever its _optimum exists
+            if g is None:
+                g = fac.goal.dot(fvec)
+            lo, hi = box.lo_floats, box.hi_floats
+            free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
+            blk = fac.block(free)
+            if blk.rank == fac.rank:
+                ws = _working_set(fac, blk, free, t, lo)
+                found = _optimum(fac, ws, g, fvec, box, tol)
+        if found is None:
+            tried, budget = ws, cfg.max_iterations - iterations + 1
+            t, ws, more = _min_shift(fac, box, t, x, budget, ws)
+            iterations += more - 1
+            # phase 2 may certify the set just tried, which has no _optimum
+            if ws is not None and ws is not tried and reuse:
+                found = _optimum(fac, ws, g, fvec, box, tol)
+        if found is not None:
+            fac.keep(ws)
+            return _result(*found, SolveStatus.FEASIBLE_EXACT, iterations)
         x = np.array(t)
         rendered = fac.matrix.dot(x)
         miss = rendered - fvec
@@ -636,8 +866,14 @@ def _solve(fac, fvec, box, a_lo, cfg) -> SolveResult:
     if status is None:
         # the rounding of phase 2's steps can leave a certified point just
         # above a tolerance set near the rounding level of the force
-        exact = certified and residual <= tol
+        exact = ws is not None and residual <= tol
         status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
+    return _result(x, rendered, residual, status, iterations)
+
+
+def _result(x, rendered, residual, status, iterations) -> SolveResult:
+    """The SolveResult of tensions x rendering the force rendered, both
+    made read-only."""
     x.setflags(write=False)
     rendered.setflags(write=False)
     return SolveResult(x, rendered, residual, status, iterations)

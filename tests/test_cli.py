@@ -291,22 +291,27 @@ class TestValidateCommand:
         assert "angle undefined for a (near-)zero vector" in capsys.readouterr().err
         assert not (out / "validation.csv").exists()
 
-    def test_huge_radius_writes_finite_reports_without_warning(self, tmp_path):
+    # near the largest float the dot products and the sum of the magnitude
+    # errors overflow too
+    @pytest.mark.parametrize("radius", [1e200, 1.7e308])
+    @pytest.mark.parametrize("plant", ["ideal", "noisy"])
+    def test_huge_radius_writes_finite_reports_without_warning(self, tmp_path, radius, plant):
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
         out = tmp_path / "huge"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            argv = ["validate", "--radius", "1e200", "--samples", "8", "--ticks", "5"]
-            rc = main([*argv, "--out", str(out)])
+            argv = ["validate", "--plant", plant, "--radius", repr(radius)]
+            rc = main([*argv, "--samples", "8", "--ticks", "5", "--out", str(out)])
         assert rc == 0
         summary = json.loads((out / "validation_summary.json").read_text(), parse_constant=reject)
         aggregates = summary["aggregates"]
-        assert aggregates["mean_magnitude_error_n"] == pytest.approx(1e200, rel=1e-12)
+        assert aggregates["mean_magnitude_error_n"] == pytest.approx(radius, rel=1e-12)
         assert 0.0 <= aggregates["max_angle_error_deg"] < 90.0
         rows = read_csv_rows(out / "validation.csv")[1:]
-        assert [float(row[7]) for row in rows] == pytest.approx([1e200] * 8, rel=1e-12)
+        assert [float(row[7]) for row in rows] == pytest.approx([radius] * 8, rel=1e-12)
+        assert all(0.0 <= float(row[6]) < 90.0 for row in rows)
 
     def test_negative_seed_exits_1_naming_the_field(self, tmp_path, capsys):
         out = tmp_path / "neg"

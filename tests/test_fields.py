@@ -5,6 +5,7 @@ the caller passed."""
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -148,11 +149,18 @@ def test_summary_json_with_numpy_typed_protocol_and_plant(tmp_path):
     assert summary["plant"]["seed"] == 7
 
 
-def test_unserializable_summary_leaves_the_earlier_file(tmp_path):
+@pytest.mark.parametrize(
+    "value, error",
+    [(object(), TypeError), (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError)],
+    ids=["object", "nan", "inf", "-inf"],
+)
+def test_unserializable_summary_leaves_the_earlier_file(tmp_path, value, error):
+    # strict JSON has no NaN or Infinity, so a summary holding one is not
+    # written either
     path = tmp_path / "validation_summary.json"
     path.write_bytes(b'{"earlier": true}\n')
-    with pytest.raises(TypeError):
-        write_report_json({"aggregates": {"count": object()}}, path)
+    with pytest.raises(error):
+        write_report_json({"aggregates": {"count": value}}, path)
     assert path.read_bytes() == b'{"earlier": true}\n'
 
 

@@ -313,8 +313,8 @@ def phase_2_iteration(monkeypatch, t, lo, hi, shift):
     its free set read from t, with rows^T lam stubbed to give shift: the
     vector phase 2 multiplies by rows and the step it hands the ratio step."""
     rows, steps = Product(np.zeros(1)), []
-    blk = SimpleNamespace(rank=1, gram_pinv=Product(np.zeros(1)))
-    fac = SimpleNamespace(rows=rows, rows_t=Product(shift), rank=1, block=lambda free: blk)
+    blk = SimpleNamespace(rank=1, shift_op=Product(shift))
+    fac = SimpleNamespace(rows=rows, rank=1, block=lambda free: blk)
 
     def ratio_step(t, step, box):
         steps.append(np.array(step))
@@ -322,7 +322,7 @@ def phase_2_iteration(monkeypatch, t, lo, hi, shift):
 
     monkeypatch.setattr(solver, "_ratio_step", ratio_step)
     box = box_of(lo, hi)
-    assert solver._min_shift(fac, box, t.tolist(), t, 1) == (t.tolist(), False, 1)
+    assert solver._min_shift(fac, box, t.tolist(), t, 1) == (t.tolist(), None, 1)
     # rows multiplies t0 for the target, then the held vector
     assert len(rows.operands) == 2 and rows.operands[0].tobytes() == t.tobytes()
     return rows.operands[1], steps[0]
@@ -336,7 +336,8 @@ def test_phase_2_held_vector_and_step_match_reference(monkeypatch):
         lo, hi, t, shift, _ = arithmetic_case(rng, m)
         shift = np.where(rng.random(m) < 0.2, rng.choice([0.0, -0.0], m), shift)
         if k % 4 == 1:
-            # signed-zero floors, which TensionBounds accepts: a free cable
+            # signed-zero floors, which the pass keeps as it finds them
+            # (TensionBounds stores a -0.0 floor as 0.0): a free cable
             # puts its -0.0 floor into the held vector, a cable at a zero
             # floor is held with t's sign, and a shift that reaches t
             # exactly gives a free cable a zero step
@@ -370,12 +371,12 @@ def reference_factorization(M):
 
 
 def reference_block(rows, rows_t, free):
-    """(u, rank, gram_pinv, step) of rows[:, free] by the array expressions."""
+    """(u, rank, shift_op, step) of rows[:, free] by the array expressions."""
     u, sv, _ = np.linalg.svd(rows[:, free])
     rank = int((sv > solver.RANK_REL_TOL).sum())
-    gram_pinv = (u[:, :rank] / sv[:rank] ** 2) @ u[:, :rank].T
-    step = np.where(free[:, None], rows_t @ gram_pinv, 0.0)
-    return u, rank, gram_pinv, step
+    shift_op = rows_t @ ((u[:, :rank] / sv[:rank] ** 2) @ u[:, :rank].T)
+    step = np.where(free[:, None], shift_op, 0.0)
+    return u, rank, shift_op, step
 
 
 def rank_case(rng, m):
@@ -442,12 +443,12 @@ def test_block_rank_matches_reference():
         masks[2] = True
         masks[2, 0] = False  # only the first cable held
         for free in masks:
-            u, rank, gram_pinv, step = reference_block(fac.rows, fac.rows_t, free)
+            u, rank, shift_op, step = reference_block(fac.rows, fac.rows_t, free)
             blk = fac.block(free.tolist())
             assert blk.rank == rank
             assert blk.free.tobytes() == free.tobytes()
             assert blk.u.tobytes() == u.tobytes()
-            assert blk.gram_pinv.tobytes() == gram_pinv.tobytes()
+            assert blk.shift_op.tobytes() == shift_op.tobytes()
             assert blk.step.tobytes() == step.tobytes()
             ranks.add(rank)
             near += near_cutoff(np.linalg.svd(fac.rows[:, free])[1], solver.RANK_REL_TOL)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,20 @@ class TestAngleError:
             v = rng.normal(size=3)
             assert 0.0 <= angle_error(v, 1.000000001 * v) <= 180.0
 
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0], 0.0),
+            ([1e200, 0.0, 0.0], [0.0, 1e200, 0.0], 90.0),
+            ([1e200, 1e200, 0.0], [1e200, 0.0, 0.0], 45.0),
+            ([-1.7e308, 0.0, 0.0], [1.7e308, 1e-300, 0.0], 180.0),
+        ],
+    )
+    def test_huge_vectors_neither_overflow_nor_warn(self, a, b, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert angle_error(a, b) == pytest.approx(expected)
+
 
 class TestMagnitudeError:
     def test_bench_average_magnitudes(self):
@@ -86,6 +102,12 @@ class TestMagnitudeError:
 
     def test_equal_norms_different_directions(self):
         assert magnitude_error([3.0, 4.0, 0.0], [0.0, 0.0, 5.0]) == pytest.approx(0.0)
+
+    def test_huge_vectors_neither_overflow_nor_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert magnitude_error([1e200, 0.0, 0.0], [0.0, 0.0, 2e200]) == pytest.approx(1e200)
+            assert magnitude_error([3e307, 4e307, 0.0], [0.0, 0.0, 5e307]) == pytest.approx(0.0)
 
 
 class TestAlignZRotation:

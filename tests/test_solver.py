@@ -42,6 +42,29 @@ class TestTensionBounds:
         with pytest.raises(ValueError):
             TensionBounds(t_min, t_max)
 
+    @pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0), 0.0, 0])
+    def test_a_zero_floor_is_stored_as_positive_zero(self, zero):
+        bounds = TensionBounds(zero, 6.0)
+        assert type(bounds.t_min) is float and math.copysign(1.0, bounds.t_min) == 1.0
+        assert bounds == TensionBounds(0.0, 6.0)
+
+    def test_negative_zero_floor_after_a_zero_floor_solves_as_cold(self):
+        # equal bounds share a box and the working sets kept under it, so
+        # a -0.0 floor must solve as a 0.0 floor does, with or without them
+        A = default_matrix()
+        forces = sphere_samples(51, 1.5)
+        _clear_caches()
+        for f in forces:
+            solve(A, f, TensionBounds(0.0, 6.0))
+        warm = [solve(A, f, TensionBounds(-0.0, 6.0)) for f in forces]
+        cold = []
+        for f in forces:
+            _clear_caches()
+            cold.append(solve(A, f, TensionBounds(-0.0, 6.0)))
+        _assert_same_answers(warm, cold)
+        # some cable sits on the zero floor, where its sign would show
+        assert any((result.tensions == 0.0).any() for result in cold)
+
 
 def _floors(lows, t_max=6.0):
     """Per-cable bounds with these floors: the start t_min a solve projects."""
@@ -432,20 +455,28 @@ class TestPlainArrayInput:
         for directions, f in _plain_array_cases():
             plain = as_plain(directions)
             built = StructureMatrix(plain)
-            got, expected = solve(plain, f, BOUNDS), solve(built, f, BOUNDS)
-            assert _outcome(got) == _outcome(expected)
-            assert got.rendered_force.tobytes() == expected.rendered_force.tobytes()
+            got = solve(plain, f, BOUNDS)
+            # the second solve on these bytes may answer from a kept set
+            _assert_same_answers([solve(built, f, BOUNDS)], [got])
             assert is_wrench_feasible(plain, f, BOUNDS) == is_wrench_feasible(built, f, BOUNDS)
             assert actuation_rank(plain) == actuation_rank(built)
 
 
 def _outcome(result):
+    """A solve's answer: everything it returns but its iteration count."""
     return (
         result.tensions.tobytes(),
+        result.rendered_force.tobytes(),
         result.status,
-        result.iterations,
         result.force_residual,
     )
+
+
+def _assert_same_answers(results, cold):
+    """Each result gives its cold counterpart's answer bit for bit, in at
+    most as many iterations: a working set the matrix kept answers in one."""
+    assert [_outcome(r) for r in results] == [_outcome(r) for r in cold]
+    assert all(r.iterations <= c.iterations for r, c in zip(results, cold))
 
 
 def _clear_caches():
@@ -516,24 +547,22 @@ def _per_cable_cases():
 class TestFactorizationCache:
     @staticmethod
     def run(cases, cold):
-        outcomes = []
+        results = []
         for A, f, bounds in cases:
             if cold:
                 _clear_caches()
-            outcomes.append(_outcome(solve(A, f, bounds)))
-        return outcomes
+            results.append(solve(A, f, bounds))
+        return results
 
     @pytest.mark.parametrize(
         "cases", [_sphere_cases, _workspace_cases, _coplanar_cases, _per_cable_cases]
     )
     def test_warm_solves_equal_cold_solves(self, cases):
         cases = cases()
-        warm = self.run(cases, cold=False)
-        cold = self.run(cases, cold=True)
-        assert warm == cold
+        _assert_same_answers(self.run(cases, cold=False), self.run(cases, cold=True))
 
     def test_workspace_probes_cover_both_outcomes(self):
-        statuses = {outcome[1] for outcome in self.run(_workspace_cases(), cold=False)}
+        statuses = {result.status for result in self.run(_workspace_cases(), cold=False)}
         assert statuses == {SolveStatus.FEASIBLE_EXACT, SolveStatus.NEAREST_FEASIBLE}
 
     def test_interleaved_matrices_equal_cold_solves(self):
@@ -542,21 +571,27 @@ class TestFactorizationCache:
         A2 = structure_matrix(layout, (0.5, 0.5, 1.5))
         forces = sphere_samples(20, 1.5)
         cases = [(A, f, BOUNDS) for f in forces for A in (A1, A2, A1)]
-        assert self.run(cases, cold=False) == self.run(cases, cold=True)
+        _assert_same_answers(self.run(cases, cold=False), self.run(cases, cold=True))
 
     def test_cached_arrays_are_read_only(self):
         M = default_matrix().columns
         solve(M, [0.0, 0.0, 1.5], BOUNDS)
         solve(M, [0.0, 0.0, 1.5], PER_CABLE)
         fac = solver._factorization(M)
-        free, u, _, gram_pinv, step = fac.block(np.array([True, False, True, True]))
+        free, u, _, shift_op, step, _ = fac.block(np.array([True, False, True, True]))
         cached = (fac.matrix, fac.rows, free, u)
-        operators = (fac.goal, fac.pinv, fac.rows_t, gram_pinv, step)
+        operators = (fac.goal, fac.pinv, fac.rows_t, shift_op, step)
         boxes = []
         for bounds in (BOUNDS, PER_CABLE):
             box, a_lo = fac.box(bounds)
             boxes += [box.lo, a_lo]
-        for arr in cached + operators + tuple(boxes):
+        # the working sets kept for the last bounds, and their stack
+        for f in ([0.0, 0.0, 1.5], [0.0, -1.0, 0.5]):
+            solve(M, f, PER_CABLE)
+        sets, ops, offsets = fac.stack()
+        assert len(sets) == 2
+        kept = tuple(ws.c for ws in sets) + (ops, offsets)
+        for arr in cached + operators + tuple(boxes) + kept:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -596,13 +631,13 @@ class TestFactorizationCache:
         solve(A, forces[0], TensionBounds(0.2, 3.0))
         solve(A, forces[0], BOUNDS)
         solve(A, forces[0], PER_CABLE[::-1])
-        warm = [_outcome(solve(A, f, bounds)) for f in forces]
+        warm = [solve(A, f, bounds) for f in forces]
         cold = []
         for f in forces:
             _clear_caches()
-            cold.append(_outcome(solve(A, f, bounds)))
-        assert warm == cold
-        assert {outcome[1] for outcome in warm} == {
+            cold.append(solve(A, f, bounds))
+        _assert_same_answers(warm, cold)
+        assert {result.status for result in warm} == {
             SolveStatus.FEASIBLE_EXACT,
             SolveStatus.NEAREST_FEASIBLE,
         }
@@ -643,14 +678,14 @@ class TestFactorizationCache:
         A1, A2 = matrices()
         forces = list(sphere_samples(20, 1.5)) + [np.array([0.0, 0.0, 40.0])]
         _clear_caches()
-        warm = [_outcome(solve(A, f, bounds)) for f in forces for A in (A1, A2)]
+        warm = [solve(A, f, bounds) for f in forces for A in (A1, A2)]
         cold = []
         for f in forces:
             for A in (A1, A2):
                 _clear_caches()
-                cold.append(_outcome(solve(A, f, bounds)))
-        assert warm == cold
-        assert {outcome[1] for outcome in warm} == {
+                cold.append(solve(A, f, bounds))
+        _assert_same_answers(warm, cold)
+        assert {result.status for result in warm} == {
             SolveStatus.FEASIBLE_EXACT,
             SolveStatus.NEAREST_FEASIBLE,
         }
@@ -664,14 +699,14 @@ class TestFactorizationCache:
         A1, A2 = _two_matrices()
         f = [0.0, 0.0, 1.5]
         _clear_caches()
-        before = [_outcome(solve(A, f, BOUNDS)) for A in (A1, A2)]
+        before = [solve(A, f, BOUNDS) for A in (A1, A2)]
         for A in (A1, A2, A1):
             with pytest.raises(ValueError, match=message):
                 solve(A, f, bounds)
             # the call that raised stored nothing: the last good box is held
             assert _holds_box(BOUNDS, 4)
         assert solver._factorize.cache_info().currsize == 1
-        assert [_outcome(solve(A, f, BOUNDS)) for A in (A1, A2)] == before
+        _assert_same_answers([solve(A, f, BOUNDS) for A in (A1, A2)], before)
 
     def test_shared_box_and_each_a_start_are_read_only(self):
         A1, A2 = _two_matrices()
@@ -696,11 +731,11 @@ class TestFactorizationCache:
         bad = A.copy()
         bad[0, 1] = np.nan
         _clear_caches()
-        before = _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS))
+        before = solve(A, [0.0, 0.0, 1.5], BOUNDS)
         with pytest.raises(ValueError, match="non-finite"):
             solve(bad, [0.0, 0.0, 1.5], BOUNDS)
         hits = solver._factorize.cache_info().hits
-        assert _outcome(solve(A, [0.0, 0.0, 1.5], BOUNDS)) == before
+        _assert_same_answers([solve(A, [0.0, 0.0, 1.5], BOUNDS)], [before])
         assert solver._factorize.cache_info().hits == hits + 1
         assert solver._factorize.cache_info().currsize == 1
 
