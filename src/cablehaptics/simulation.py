@@ -87,7 +87,9 @@ class NoisyPlant:
 
     Each hold draws from its own generator seeded with ``seed + sample
     index``, so runs are reproducible and independent of evaluation order.
-    Its measurement is the mean of the hold's ticks.
+    Its measurement is the mean of the hold's ticks. ``force_noise_std``
+    must lie below OVERFLOW_FORCE: near the largest float the draws
+    themselves overflow to inf.
     """
 
     force_noise_std: float = 0.0
@@ -97,6 +99,10 @@ class NoisyPlant:
 
     def __post_init__(self):
         set_checked(self, real, "force_noise_std", minimum=0.0)
+        if not self.force_noise_std < OVERFLOW_FORCE:
+            raise ValueError(
+                f"force_noise_std must be < {OVERFLOW_FORCE}, got {self.force_noise_std!r}"
+            )
         set_checked(self, real, "frame_rotation_z", "tension_bias")
         set_checked(self, integer, "seed", minimum=0)
         rotation = rotation_z(self.frame_rotation_z)

@@ -35,16 +35,17 @@ is the answer when it certifies. Otherwise phase 2's point stands.
 
 A strictly certified set is the only one that certifies for its force,
 so each cached factorization keeps the sets its solves certified (at
-most _MAX_SETS, dropped when the bounds change), and a solve on it tests
-them first: one stacked product gives every kept set's optimum, and the
-first to certify, by _optimum itself, is the answer, at 1 iteration and
-without either phase. The answer is the one a cold solve gives, bit for
-bit, so it depends on (A, f, bounds, config) alone and the kept sets
-change only how fast it comes. ``iterations`` then counts 1; in a solve
-that finds none, it counts both phases as before. The one exception is
-the cap: a solve that max_iterations stops before it certifies reports
+most _MAX_SETS, dropped when the bounds change), and a solve on it tries
+them first, one at a time in the order they were certified (_reuse): the
+first whose _optimum exists is the answer, at 1 iteration and without
+either phase. The answer is the one a cold solve gives, bit for bit, so
+it depends on (A, f, bounds, config) alone and the kept sets change only
+how fast it comes. ``iterations`` then counts 1; in a solve that finds
+none, it counts both phases as before. The one exception is the cap: a
+solve that max_iterations stops before it certifies reports
 ITERATION_CAP when cold, but FEASIBLE_EXACT with the uncapped answer when
-a kept set certifies for its force.
+a kept set certifies for its force. Every force takes this one path; a
+huge one only runs it with numpy's overflow warning off (solve).
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
@@ -123,11 +124,12 @@ WRENCH_FEASIBLE_RESIDUAL = 1e-7
 OVERFLOW_FORCE = 1e150
 
 # The most certified working sets a factorization keeps for its bounds. A
-# lookup that misses screens every kept set, at about a microsecond each,
-# and a 500-force sphere on an 8-cable layout certifies 14 to 42 sets. With
-# 8 kept, the oldest making way for a new one, a miss there costs about
-# 9 us against a 52 us median cold solve, and 75 to 97% of the sphere's
-# forces still find their set on a second pass (2-vCPU Xeon, numpy 2.4).
+# lookup that misses evaluates every kept set's _optimum, at about 2 us
+# each, and a 500-force sphere on an 8-cable layout certifies 14 to 42
+# sets. With 8 kept, the oldest making way for a new one, a miss there
+# costs a median 15 us against 30 to 50 us for a solve on that matrix
+# without kept sets, and 75 to 97% of the sphere's forces still find their
+# set on a second pass (in-process, 2-vCPU Xeon, numpy 2.4).
 _MAX_SETS = 8
 
 
@@ -317,12 +319,8 @@ class _Factorization:
         self._blocks: dict[bytes, _Block] = {}
         # (bounds, (_Box, A times its t_min)) of the last bounds asked for
         self._box: tuple[object, tuple[_Box, np.ndarray]] | None = None
-        # the working sets certified under those bounds, by (free, held),
-        # each one's shift_op times its c once stacked, by the same key,
-        # and their stack, built when first asked for
+        # the working sets certified under those bounds, by (free, held)
         self.sets: dict[tuple, _WorkingSet] = {}
-        self._offsets: dict[tuple, np.ndarray] = {}
-        self._stack: tuple | None = None
 
     def block(self, free) -> _Block:
         """The _Block of rows[:, free], free a list or array of m bools.
@@ -370,7 +368,7 @@ class _Factorization:
         found = box, a_lo
         self._box = (bounds, found)
         # a held vector holds the old bounds' values
-        self.sets, self._offsets, self._stack = {}, {}, None
+        self.sets = {}
         return found
 
     def keep(self, ws: _WorkingSet) -> None:
@@ -380,32 +378,9 @@ class _Factorization:
         key = bytes(ws.free), tuple(ws.held)
         if key not in self.sets:
             if len(self.sets) == _MAX_SETS:
-                oldest = next(iter(self.sets))
-                del self.sets[oldest]
-                self._offsets.pop(oldest, None)
+                del self.sets[next(iter(self.sets))]
             ws.c.setflags(write=False)
             self.sets[key] = ws
-            self._stack = None
-
-    def stack(self) -> tuple[tuple[_WorkingSet, ...], np.ndarray, np.ndarray]:
-        """The working sets kept, in the order they were certified, with
-        the m rows of each one's shift operator stacked into K and each
-        one's shift operator times its c into b, so that K g - b holds
-        every set's shift for the goal g in one product. It is built at the
-        first lookup after a set is kept, so a solve that keeps one pays
-        nothing for it, and each set's product with c is taken once."""
-        if self._stack is None:
-            offsets = self._offsets
-            for key, ws in self.sets.items():
-                if key not in offsets:
-                    offsets[key] = ws.block.shift_op.dot(ws.c)
-            sets = tuple(self.sets.values())
-            ops = np.concatenate([ws.block.shift_op for ws in sets])
-            stacked = np.concatenate([offsets[key] for key in self.sets])
-            ops.setflags(write=False)
-            stacked.setflags(write=False)
-            self._stack = sets, ops, stacked
-        return self._stack
 
 
 @functools.lru_cache(maxsize=1)
@@ -659,23 +634,12 @@ def _optimum(fac, ws: _WorkingSet, g, fvec, box: _Box, tol: float):
 
 
 def _reuse(fac, g, fvec, box: _Box, tol: float):
-    """_optimum of the first working set fac keeps that gives one, or None.
-
-    One product, K g - b (_Factorization.stack), gives every kept set's
-    shift; a set whose shift passes _strict_point there is then evaluated
-    by _optimum itself, so the answer has the bits of a cold solve's, and
-    the stacked product only chooses which sets to evaluate.
-    """
-    sets, ops, offsets = fac.stack()
-    shifts = (ops.dot(g) - offsets).tolist()
-    m = len(box.lo_floats)
-    for j, ws in enumerate(sets):
-        margin = box.rounding + tol * ws.block.drift
-        screened = shifts[j * m : j * m + m]
-        if _strict_point(ws.free, ws.held, screened, box, margin) is not None:
-            found = _optimum(fac, ws, g, fvec, box, tol)
-            if found is not None:
-                return found
+    """_optimum of the first working set fac keeps that gives one, trying
+    them in the order they were certified, or None."""
+    for ws in fac.sets.values():
+        found = _optimum(fac, ws, g, fvec, box, tol)
+        if found is not None:
+            return found
     return None
 
 
@@ -795,28 +759,27 @@ def solve(
     certifies for f answers FEASIBLE_EXACT whatever max_iterations is.
 
     The returned tensions are always within bounds, whatever the status.
-    A force with a component of OVERFLOW_FORCE or more is solved with
-    numpy's overflow warning off: the square of its miss can overflow, and
-    the residual then comes from math.hypot.
+    A force with a component of OVERFLOW_FORCE or more takes the same path
+    with numpy's overflow warning off: the square of its miss can overflow,
+    and the residual then comes from math.hypot.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     fac = _factorization(A)
     fvec, ordinary = vec3_below(f, OVERFLOW_FORCE)
     box, a_lo = fac.box(bounds)
     if ordinary:
-        return _solve(fac, fvec, box, a_lo, cfg, True)
+        return _solve(fac, fvec, box, a_lo, cfg)
     with np.errstate(over="ignore"):
-        return _solve(fac, fvec, box, a_lo, cfg, False)
+        return _solve(fac, fvec, box, a_lo, cfg)
 
 
-def _solve(fac, fvec, box, a_lo, cfg, reuse: bool) -> SolveResult:
-    """solve's two phases on a checked force, a_lo being A times t_min.
-    With reuse, the working sets fac keeps are tried first, and a certified
-    phase 2 answers with its working set's _optimum when that exists; only
-    an ordinary force reuses, since a huge one can overflow the goal."""
+def _solve(fac, fvec, box, a_lo, cfg) -> SolveResult:
+    """solve's two phases on a checked force, a_lo being A times t_min,
+    after the working sets fac keeps (_reuse); a certified phase 2 answers
+    with its working set's _optimum when that exists."""
     tol = cfg.tolerance
     g = None
-    if reuse and fac.sets:
+    if fac.sets:
         g = fac.goal.dot(fvec)
         found = _reuse(fac, g, fvec, box, tol)
         if found is not None:
@@ -830,24 +793,23 @@ def _solve(fac, fvec, box, a_lo, cfg, reuse: bool) -> SolveResult:
         fac, fvec, box, t, tol, cfg.max_iterations
     )
     if status is None:
+        if g is None:
+            g = fac.goal.dot(fvec)
+        # phase 1's working set, tried first: phase 2 would certify it at
+        # its first iteration whenever its _optimum exists
+        lo, hi = box.lo_floats, box.hi_floats
+        free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
+        blk = fac.block(free)
         found = ws = None
-        if reuse:
-            # phase 1's working set, tried first: phase 2 would certify it
-            # at its first iteration whenever its _optimum exists
-            if g is None:
-                g = fac.goal.dot(fvec)
-            lo, hi = box.lo_floats, box.hi_floats
-            free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
-            blk = fac.block(free)
-            if blk.rank == fac.rank:
-                ws = _working_set(fac, blk, free, t, lo)
-                found = _optimum(fac, ws, g, fvec, box, tol)
+        if blk.rank == fac.rank:
+            ws = _working_set(fac, blk, free, t, lo)
+            found = _optimum(fac, ws, g, fvec, box, tol)
         if found is None:
             tried, budget = ws, cfg.max_iterations - iterations + 1
             t, ws, more = _min_shift(fac, box, t, x, budget, ws)
             iterations += more - 1
             # phase 2 may certify the set just tried, which has no _optimum
-            if ws is not None and ws is not tried and reuse:
+            if ws is not None and ws is not tried:
                 found = _optimum(fac, ws, g, fvec, box, tol)
         if found is not None:
             fac.keep(ws)

@@ -320,6 +320,17 @@ class TestValidateCommand:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    # at this std the normal draws themselves overflow to inf, which no
+    # hold mean can undo, so the plant refuses it and names the option
+    @pytest.mark.parametrize("std", ["1e150", "1e308"])
+    def test_noise_std_that_overflows_exits_1_naming_the_field(self, tmp_path, capsys, std):
+        out = tmp_path / "loud"
+        argv = ["validate", "--plant", "noisy", "--noise-std", std]
+        rc = main([*argv, "--samples", "2", "--ticks", "5", "--out", str(out)])
+        assert rc == 1
+        assert "force_noise_std must be < 1e+150" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tensions_stay_in_bounds_under_noise(self, tmp_path):
         # the noisy plant corrupts measurements, never the commanded tensions;
         # every measured force must still be finite and every record present

@@ -585,12 +585,11 @@ class TestFactorizationCache:
         for bounds in (BOUNDS, PER_CABLE):
             box, a_lo = fac.box(bounds)
             boxes += [box.lo, a_lo]
-        # the working sets kept for the last bounds, and their stack
+        # the working sets kept for the last bounds
         for f in ([0.0, 0.0, 1.5], [0.0, -1.0, 0.5]):
             solve(M, f, PER_CABLE)
-        sets, ops, offsets = fac.stack()
-        assert len(sets) == 2
-        kept = tuple(ws.c for ws in sets) + (ops, offsets)
+        assert len(fac.sets) == 2
+        kept = tuple(ws.c for ws in fac.sets.values())
         for arr in cached + operators + tuple(boxes) + kept:
             with pytest.raises(ValueError):
                 arr[0] = 0.0

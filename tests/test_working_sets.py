@@ -12,6 +12,8 @@ cleared before each solve, and the three must agree bit for bit.
 """
 
 import itertools
+import operator
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,6 +45,21 @@ CUBE = ModuleLayout(
 )
 
 
+# forces whose squared miss can overflow, solved on the validation pose
+# among ordinary forces, so that they meet the sets those kept; no set
+# certifies on the 1e300 N box, whose rounding level is about 1e288 N
+HUGE_FORCES = [(0.0, 0.0, 1e200), (-1e200, 3e199, 1e200)]
+HUGE_BOUNDS = [TensionBounds(0.5, 6.0), TensionBounds(0.5, 1e300)]
+# the status, iterations and residual of each, by force and t_max, however
+# it is reached; phase 1 spins to the cap on the second force at 1e300 N
+HUGE_RESULTS = {
+    (HUGE_FORCES[0], 6.0): (SolveStatus.NEAREST_FEASIBLE, 1, 1e200),
+    (HUGE_FORCES[1], 6.0): (SolveStatus.NEAREST_FEASIBLE, 1, 1.445683229480096e200),
+    (HUGE_FORCES[0], 1e300): (SolveStatus.ITERATION_CAP, 4, 1.1897491039095583e185),
+    (HUGE_FORCES[1], 1e300): (SolveStatus.ITERATION_CAP, 50000, 7.160254037844389e199),
+}
+
+
 def clear_caches():
     solver._factorize.cache_clear()
     solver._box.cache_clear()
@@ -61,10 +78,10 @@ def answer(result):
 def corpus(seed=19, seeded_matrices=220):
     """(A, f, bounds) solves, several per matrix: the validation sphere, the
     workspace probes of points inside and at the edge of the default
-    layout's reach, and seeded matrices with m = 3..8, a quarter of them of
+    layout's reach, seeded matrices with m = 3..8, a quarter of them of
     rank 2 with forces in their plane and one just off it, half of them
     with per-cable bounds, -0.0 floors, and for two thirds of them forces
-    close to one another."""
+    close to one another, and last HUGE_FORCES on the validation pose."""
     cases = []
     A = structure_matrix(VALIDATION_LAYOUT, VALIDATION_EE)
     cases += [(A, f, VALIDATION_LAYOUT.bounds) for f in sphere_samples(182, 1.5)]
@@ -99,7 +116,16 @@ def corpus(seed=19, seeded_matrices=220):
             forces[:, 2] = 0.0
             forces[-1, 2] = 1e-6
         cases += [(M, f, bounds) for f in forces]
-    return cases
+    return cases + huge_cases()
+
+
+def huge_cases():
+    """HUGE_FORCES on each of HUGE_BOUNDS at the validation pose, between
+    ordinary forces."""
+    A = structure_matrix(VALIDATION_LAYOUT, VALIDATION_EE)
+    around = sphere_samples(12, 1.5)
+    forces = [*around[:6], *map(np.array, HUGE_FORCES), *around[6:]]
+    return [(A, f, bounds) for bounds in HUGE_BOUNDS for f in forces]
 
 
 CORPUS = corpus()
@@ -145,11 +171,56 @@ def test_answers_do_not_depend_on_the_order_of_solves(reuse_log):
         assert [answer(r) for r in results] == cold_answers, order
         assert all(r.iterations <= c.iterations for r, c in zip(results, cold))
     # kept sets answered a good share of both passes, and the corpus has
-    # both statuses, and cables on a zero floor
+    # every status, and cables on a zero floor
     hits = sum(found is not None for found in reuse_log)
     assert hits > len(CORPUS) // 2
-    assert {r.status for r in cold} == {SolveStatus.FEASIBLE_EXACT, SolveStatus.NEAREST_FEASIBLE}
+    assert {r.status for r in cold} == set(SolveStatus)
     assert any((r.tensions == 0.0).any() for r in cold)
+
+
+@pytest.mark.parametrize("order", ["cleared", "forward", "reversed"])
+def test_huge_forces_meet_the_kept_sets_and_keep_their_results(monkeypatch, order):
+    tried = set()
+    optimum = solver._optimum
+
+    def spy(fac, ws, g, fvec, box, tol):
+        if np.abs(fvec).max() >= solver.OVERFLOW_FORCE:
+            tried.add(box.hi_floats[0])
+        return optimum(fac, ws, g, fvec, box, tol)
+
+    monkeypatch.setattr(solver, "_optimum", spy)
+    cases = huge_cases()
+    results = solve_all(cases, order)
+    got = {
+        (tuple(f.tolist()), bounds.t_max): (r.status, r.iterations, r.force_residual)
+        for (_, f, bounds), r in zip(cases, results)
+        if tuple(f.tolist()) in HUGE_FORCES
+    }
+    assert got == HUGE_RESULTS
+    # a huge force goes through _optimum like any other: from phase 1's
+    # working set on the 1e300 N box, and from the kept sets on the 6 N box
+    # wherever earlier solves kept some
+    assert tried == ({1e300} if order == "cleared" else {6.0, 1e300})
+
+
+def test_phase_1_working_set_spares_cold_solves_phase_2(monkeypatch):
+    # a cold exact solve tries phase 1's working set before phase 2, and on
+    # the validation sphere that set certifies for all but one force
+    runs = []
+    min_shift = solver._min_shift
+
+    def spy(*args):
+        runs.append(args)
+        return min_shift(*args)
+
+    monkeypatch.setattr(solver, "_min_shift", spy)
+    A = structure_matrix(VALIDATION_LAYOUT, VALIDATION_EE)
+    iterations = Counter()
+    for f in sphere_samples(182, 1.5):
+        clear_caches()
+        iterations[solve(A, f, VALIDATION_LAYOUT.bounds).iterations] += 1
+    assert len(runs) <= 1
+    assert iterations == {2: 32, 3: 120, 4: 30}
 
 
 def test_a_force_just_off_a_rank_2_plane_is_not_rendered_by_a_kept_set():
@@ -259,7 +330,6 @@ def test_a_kept_set_lifts_only_an_iteration_cap(cap):
 def test_many_sets_keep_the_lookup_bounded(monkeypatch):
     # an 8-cable layout off centre certifies far more sets than are kept
     A = structure_matrix(CUBE, np.array([0.3, -0.2, 0.7]))
-    m = A.columns.shape[1]
     forces = sphere_samples(500, 1.5)
     cold, certified = [], set()
     for f in forces:
@@ -268,36 +338,37 @@ def test_many_sets_keep_the_lookup_bounded(monkeypatch):
         certified |= set(solver._factorization(A).sets)
     assert len(certified) > 3 * solver._MAX_SETS
 
-    screened = []
-    strict_point = solver._strict_point
+    evaluated = []
+    optimum = solver._optimum
 
-    def screen(*args):
-        screened.append(args)
-        return strict_point(*args)
+    def evaluate(fac, ws, *args):
+        evaluated.append(ws)
+        return optimum(fac, ws, *args)
 
     lookups = []
     reuse = solver._reuse
 
     def lookup(fac, *args):
-        del screened[:]
+        del evaluated[:]
+        kept = list(fac.sets.values())
         found = reuse(fac, *args)
-        sets, ops, _ = fac.stack()
-        lookups.append((found is not None, len(screened), len(sets), ops.shape[0]))
+        # the sets evaluated are the first of those kept, in their order
+        in_order = len(evaluated) <= len(kept) and all(map(operator.is_, evaluated, kept))
+        lookups.append((found is not None, in_order, len(evaluated), len(kept)))
         return found
 
-    monkeypatch.setattr(solver, "_strict_point", screen)
+    monkeypatch.setattr(solver, "_optimum", evaluate)
     monkeypatch.setattr(solver, "_reuse", lookup)
     clear_caches()
     first = [answer(solve(A, f, CUBE.bounds)) for f in forces]
     second_pass = len(lookups)
     second = [answer(solve(A, f, CUBE.bounds)) for f in forces]
     assert first == second == cold
-    # a lookup screens each kept set at most once, and evaluates the optimum
-    # of one only where it passed, at most _MAX_SETS of them, with one
-    # stacked product of their m rows each
-    assert all(sets <= solver._MAX_SETS and rows == sets * m for *_, sets, rows in lookups)
-    misses = [(n, sets) for hit, n, sets, _ in lookups if not hit]
-    assert misses and all(n <= sets for n, sets in misses)
+    # a lookup evaluates each kept set at most once, in the order they were
+    # kept, and never more than _MAX_SETS of them; a miss evaluates them all
+    assert all(in_order and sets <= solver._MAX_SETS for _, in_order, _, sets in lookups)
+    misses = [(n, sets) for hit, _, n, sets in lookups if not hit]
+    assert misses and all(n == sets for n, sets in misses)
     # the sets kept, the oldest making way for new ones, still answer most
     # forces of a second pass
     assert sum(hit for hit, *_ in lookups[second_pass:]) > 0.6 * len(forces)
