@@ -286,7 +286,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.run(args)
-    except (CableHapticsError, ValueError, OSError) as exc:
+    # OverflowError: a number beyond the float range, such as a --ticks
+    # count above 1.8e308 for the noisy plant
+    except (CableHapticsError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

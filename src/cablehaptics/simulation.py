@@ -3,9 +3,10 @@
 Replays the bench protocol against a plant model: command force vectors
 spread over a sphere, hold each one, average the measured force over the
 hold, and score angle and magnitude errors per sample. The Ideal plant
-renders exactly what the solved tensions produce; the Noisy plant adds
-per-tick Gaussian force noise, a fixed Z rotation between the sensor frame
-and the module frame, and a constant tension bias.
+renders exactly what the solved tensions produce; the Noisy plant models a
+sensor with per-tick Gaussian force noise, a fixed Z rotation between the
+sensor frame and the module frame, and a constant tension bias, and draws
+each hold's mean from its sampling distribution.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ class ValidationProtocol:
 
     Defaults replicate the bench protocol: 182 force vectors on a 1.5 N
     sphere, each held 1 s and averaged over a 1000 Hz sensor, i.e. 1000
-    ticks.
+    ticks. A plant takes samples_per_hold as the number of ticks its
+    measurement averages; NoisyPlant draws that average in one step, so a
+    hold costs the same time and memory at any count.
     """
 
     sphere_radius: float = 1.5
@@ -82,14 +85,18 @@ class IdealPlant:
 
 @dataclass(frozen=True)
 class NoisyPlant:
-    """Adds per-tick Gaussian force noise, a sensor-frame Z rotation, and a
-    constant per-cable tension bias.
+    """A sensor with per-tick Gaussian force noise, a sensor-frame Z
+    rotation, and a constant per-cable tension bias.
 
-    Each hold draws from its own generator seeded with ``seed + sample
-    index``, so runs are reproducible and independent of evaluation order.
-    Its measurement is the mean of the hold's ticks. ``force_noise_std``
-    must lie below OVERFLOW_FORCE: near the largest float the draws
-    themselves overflow to inf.
+    Each tick reads the rotated, biased force plus independent
+    N(0, force_noise_std^2) noise on each axis, and a hold measures the
+    mean of its ticks. That mean is the true force plus N(0,
+    force_noise_std^2 / ticks) noise on each axis, exactly, so a hold draws
+    it directly: three normal draws whatever the tick count, in constant
+    time and memory. Each hold draws from its own generator seeded with
+    ``seed + sample index``, so runs are reproducible and independent of
+    evaluation order. ``force_noise_std`` must lie below OVERFLOW_FORCE:
+    near the largest float the draws themselves overflow to inf.
     """
 
     force_noise_std: float = 0.0
@@ -116,12 +123,8 @@ class NoisyPlant:
     ) -> np.ndarray:
         true_force = self._rotation @ (A.columns @ (tensions + self.tension_bias))
         rng = np.random.default_rng(self.seed + sample_index)
-        draws = rng.normal(0.0, self.force_noise_std, size=(ticks, 3))
-        # on (ticks, 3), numpy would add the true force and accumulate the
-        # ticks in one 3-long inner loop per tick; a (3, ticks) copy makes
-        # the same additions, in the same order, in three contiguous loops
-        cols = np.add(draws.T, true_force[:, None], order="C")
-        return np.add.accumulate(cols, axis=1, out=cols)[:, -1] / ticks
+        # the mean of ticks i.i.d. N(0, std^2) draws is N(0, std^2 / ticks)
+        return true_force + rng.normal(0.0, self.force_noise_std / math.sqrt(ticks), size=3)
 
 
 PlantModel = Union[IdealPlant, NoisyPlant]

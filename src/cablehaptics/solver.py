@@ -132,6 +132,18 @@ OVERFLOW_FORCE = 1e150
 # set on a second pass (in-process, 2-vCPU Xeon, numpy 2.4).
 _MAX_SETS = 8
 
+# Phase 1's thresholds in units of the rounding level of its iterate,
+# eps ||goal|| (max |f_i| + sum t_i): the |A||t| bound on the rounding of
+# f - A t for unit columns and t >= 0 (Higham 2002), as goal carries it into
+# the descent direction d. At 20,000 nearest points of seeded problems
+# (m = 3..8, force and bounds scaled by 1e-2 to 1e12) the |d| of a free
+# cable, 0 but for rounding, reached 8 levels; stationarity is tested at 16
+# levels at least, and a stationary point within 64 levels of f renders it.
+_STATIONARY_LEVELS = 16.0
+_FEASIBLE_LEVELS = 64.0
+# The spacing of floats just above 1.0, twice the unit roundoff.
+_EPS = float(np.finfo(float).eps)
+
 
 class SolveStatus(Enum):
     """Outcome of a tension solve, in decreasing order of success."""
@@ -155,7 +167,8 @@ class SolverConfig:
     cable, and most solves certify their result in fewer than ten.
     ``tolerance`` bounds the force residual of an exact solution, in
     newtons; a tenth of it is the stationarity threshold of the
-    nearest-box-point certificate.
+    nearest-box-point certificate, unless the rounding of the forces and
+    tensions in play lies above that (see _nearest_box_point).
     """
 
     max_iterations: int = 50000
@@ -223,13 +236,15 @@ class _Box(NamedTuple):
     """What a solve needs of its bounds on m cables: the lower bounds
     t_min, the start of every solve, for A times it, the rounding level of
     the tensions and of the steps between them, and the lower and upper
-    bounds as tuples of floats for the per-cable passes. It does not depend
-    on the matrix, so every matrix shares it."""
+    bounds as tuples of floats for the per-cable passes, and the sum of the
+    upper bounds, which no sum of tensions passes. It does not depend on
+    the matrix, so every matrix shares it."""
 
     lo: np.ndarray
     rounding: float
     lo_floats: tuple[float, ...]
     hi_floats: tuple[float, ...]
+    hi_sum: float
 
 
 @functools.lru_cache(maxsize=1)
@@ -251,7 +266,8 @@ def _box(bounds, m: int) -> _Box:
     lo.setflags(write=False)
     # 0 <= t_min < t_max on every cable, so hi.max() is also the largest |t|
     rounding = float(1e-12 * hi.max())
-    return _Box(lo, rounding, tuple(lo.tolist()), tuple(hi.tolist()))
+    hi_floats = tuple(hi.tolist())
+    return _Box(lo, rounding, tuple(lo.tolist()), hi_floats, sum(hi_floats))
 
 
 def _rank(values, largest: float) -> int:
@@ -422,10 +438,11 @@ def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
     a held cable still has room to move toward the equilibrium set, fails
     it, so the solve keeps iterating instead of stopping there.
 
-    Callers pass tol an order below the solve tolerance. A point can pass
-    while still rendering f within a few times the solve tolerance, so the
-    residual decides between an exact and a nearest-feasible result. x, d,
-    lo and hi are sequences of floats, one entry per cable.
+    Phase 1 passes tol an order below the solve tolerance, or the rounding
+    level of d where that is larger. A point can pass while still
+    rendering f within a few times the solve tolerance, so the residual
+    decides between an exact and a nearest-feasible result. x, d, lo and
+    hi are sequences of floats, one entry per cable.
     """
     # lo < hi, so x < hi holds at a lower bound and x > lo at an upper one
     for xi, di, lo_i, hi_i in zip(x, d, lo, hi):
@@ -538,14 +555,35 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     the box is released.
 
     The iterate t is a list of floats. Returns (t, x, A x, ||f - A x||^2,
-    status, iterations), x the array of t: status NEAREST_FEASIBLE once
-    _is_nearest_box_point certifies t with a residual above tol, None once
-    t renders f within tol (a feasible point for phase 2), ITERATION_CAP
-    when the budget runs out.
+    status, iterations), x the array of t: None once t renders f within
+    tol (a feasible point for phase 2), NEAREST_FEASIBLE once
+    _is_nearest_box_point certifies t with a residual above that,
+    ITERATION_CAP when the budget runs out.
+
+    Both thresholds follow the magnitudes the iterate holds, so that no
+    solve spins where the tolerance lies below the rounding: the
+    certificate's threshold is tol / 10 or _STATIONARY_LEVELS rounding
+    levels of the iterate, whichever is larger, and a certified point
+    within _FEASIBLE_LEVELS levels of f renders f to rounding, so it is
+    handed to phase 2 too, never called NEAREST_FEASIBLE. The level is
+    eps ||goal|| (max |f_i| + sum t_i). With forces and tensions of a few
+    newtons, 16 levels come to about 1e-13 N, four orders below a tenth of
+    the default tolerance, so only a tolerance near the rounding already
+    (1e-13 N or below) sees them, and a solve whose 16 levels cannot reach
+    tol / 10 on any iterate takes none: its first residual r bounds the
+    force by ||r|| + sum t and the tensions by t_max. Where the rounding
+    keeps a reachable force above tol, as at the default tolerance once
+    tensions reach about 1e6 N, the solve ends ITERATION_CAP after phase
+    2 (see solve), and scaling the force, the bounds and the tolerance
+    together scales the answer.
     """
     M, goal, rows_t = fac.matrix, fac.goal, fac.rows_t
     lo, hi = box.lo_floats, box.hi_floats
     stationary = tol * 0.1
+    # the rounding level of an iterate t is unit (max |f_i| + sum t); unit
+    # is set at the first iteration that misses f, to 0 when no iterate's
+    # 16 levels can reach tol / 10, the usual case
+    unit = None
     # most solves return at the first iteration, before the bound set is read
     free = None
     for k in range(1, budget + 1):
@@ -555,9 +593,25 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
         miss = residual.dot(residual)
         if miss <= tol * tol:
             return t, x, rendered, miss, None, k
+        if unit is None:
+            unit = _EPS * fac.goal_norm
+            # max |f_i| <= ||f - A t|| + sum t, and no cable passes t_max
+            if _STATIONARY_LEVELS * unit * (math.sqrt(miss) + 2.0 * box.hi_sum) <= stationary:
+                unit = 0.0
+            else:
+                f_size = max(map(abs, f.tolist()))
+        if unit:
+            level = unit * (f_size + sum(t))
+            stationary = max(tol * 0.1, _STATIONARY_LEVELS * level)
         gap = goal.dot(residual)
         d = rows_t.dot(gap).tolist()
         if _is_nearest_box_point(t, d, lo, hi, stationary):
+            # the square overflows only above about 1.3e154 N
+            if unit and _FEASIBLE_LEVELS * level >= (
+                math.sqrt(miss) if miss < math.inf else math.hypot(*residual.tolist())
+            ):
+                # f is reached to rounding: a feasible point for phase 2
+                return t, x, rendered, miss, None, k
             return t, x, rendered, miss, SolveStatus.NEAREST_FEASIBLE, k
         if free is None:
             free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]

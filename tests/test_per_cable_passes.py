@@ -305,7 +305,8 @@ class Product:
 
 def box_of(lo, hi):
     """The _Box of the bound arrays lo and hi."""
-    return solver._Box(lo, ROUNDING, tuple(lo.tolist()), tuple(hi.tolist()))
+    hi_floats = tuple(hi.tolist())
+    return solver._Box(lo, ROUNDING, tuple(lo.tolist()), hi_floats, sum(hi_floats))
 
 
 def phase_2_iteration(monkeypatch, t, lo, hi, shift):

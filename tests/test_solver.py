@@ -794,7 +794,7 @@ class TestRatioStep:
     def test_step(self, t, step, expected, blocking):
         before = list(t)
         lo, hi = np.full(len(t), LO), np.full(len(t), HI)
-        box = solver._Box(lo, 1e-12, tuple(lo.tolist()), tuple(hi.tolist()))
+        box = solver._Box(lo, 1e-12, tuple(lo.tolist()), tuple(hi.tolist()), float(hi.sum()))
         moved, blocked = solver._ratio_step(t, step, box)
         assert blocked == blocking
         np.testing.assert_array_equal(moved, expected)

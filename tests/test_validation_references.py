@@ -1,20 +1,25 @@
 """The validation harness against the numpy expressions it replaced.
 
 ``NoisyPlant.measure_hold`` keeps its Z rotation from construction and
-sums each hold's ticks as running sums; ``run_validation`` scores each
-sample from the arrays it holds instead of checking them again. The
-references below are the earlier forms: the rotation built per hold, the
-hold mean as ``(true_force + noise).mean(axis=0)``, and the angle and
-magnitude errors from ``np.linalg.norm`` and ``np.clip``. The new forms
-must agree with them bit for bit. The cases are
+draws each hold's mean from its sampling distribution; ``run_validation``
+scores each sample from the arrays it holds instead of checking them
+again. The references below are the earlier forms: the rotation built per
+hold, and the angle and magnitude errors from ``np.linalg.norm`` and
+``np.clip``. The new forms must agree with them bit for bit. The hold mean
+has two references: the closed form, one N(0, std^2 / ticks) draw per axis
+added to the true force, which it must match bit for bit, and the mean of
+the hold's noisy ticks, ``(true_force + noise).mean(axis=0)``, the
+measurement it models, which it must match in distribution. The cases are
 seeded and cover every hold length from 1 to 2000 ticks, zero noise, zero
 and negative angles and biases, and angles at 0 and 180 degrees.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cablehaptics import (
     IdealPlant,
@@ -34,12 +39,25 @@ def same_bits(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def true_force(plant, A, tensions):
+    return rotation_z(plant.frame_rotation_z) @ (A.columns @ (tensions + plant.tension_bias))
+
+
 def reference_hold(plant, A, tensions, ticks, sample_index):
-    true_force = rotation_z(plant.frame_rotation_z) @ (
-        A.columns @ (tensions + plant.tension_bias)
-    )
+    """The hold mean drawn from its distribution, N(0, std^2 / ticks) per
+    axis around the true force."""
     rng = np.random.default_rng(plant.seed + sample_index)
-    draws = true_force + rng.normal(0.0, plant.force_noise_std, size=(ticks, 3))
+    noise = rng.normal(0.0, plant.force_noise_std / math.sqrt(ticks), size=3)
+    return true_force(plant, A, tensions) + noise
+
+
+def per_tick_hold(plant, A, tensions, ticks, sample_index):
+    """The measurement the plant models: the mean of ticks sensor readings,
+    each the true force plus N(0, std^2) noise per axis."""
+    rng = np.random.default_rng(plant.seed + sample_index)
+    draws = true_force(plant, A, tensions) + rng.normal(
+        0.0, plant.force_noise_std, size=(ticks, 3)
+    )
     return draws.mean(axis=0)
 
 
@@ -74,6 +92,33 @@ def test_hold_mean_matches_the_mean_of_the_noisy_ticks():
         measured = plant.measure_hold(A, tensions, ticks, index)
         expected = reference_hold(plant, A, tensions, ticks, index)
         assert same_bits(measured, expected), (ticks, plant)
+        if plant.force_noise_std == 0.0:
+            assert np.array_equal(measured, true_force(plant, A, tensions)), (ticks, plant)
+
+
+def test_hold_mean_has_the_distribution_of_the_mean_of_the_ticks():
+    layout, ee = default_validation_layout()
+    A = structure_matrix(layout, ee)
+    tensions = np.linspace(0.5, 6.0, len(layout))
+    std, ticks, holds = 0.3, 1000, 3000
+    plant = NoisyPlant(force_noise_std=std, frame_rotation_z=0.087, tension_bias=0.1, seed=5)
+    # the per-tick sample comes from seeds the closed-form one never uses
+    ticked = NoisyPlant(force_noise_std=std, frame_rotation_z=0.087, tension_bias=0.1, seed=10**6)
+    drawn = np.array([plant.measure_hold(A, tensions, ticks, i) for i in range(holds)])
+    averaged = np.array([per_tick_hold(ticked, A, tensions, ticks, i) for i in range(holds)])
+    for axis in range(3):
+        assert stats.ks_2samp(drawn[:, axis], averaged[:, axis]).pvalue > 1e-3, axis
+        spread = drawn[:, axis].std(ddof=1)
+        assert abs(spread / (std / math.sqrt(ticks)) - 1.0) < 0.05, (axis, spread)
+
+
+def test_a_hold_of_any_length_takes_constant_memory():
+    layout, ee = default_validation_layout()
+    A = structure_matrix(layout, ee)
+    plant = NoisyPlant(force_noise_std=0.3, seed=3)
+    # the mean of 10**12 ticks drawn one by one would need 24 TB of draws
+    measured = plant.measure_hold(A, np.full(len(layout), 2.0), 10**12, 0)
+    assert measured.shape == (3,) and np.isfinite(measured).all()
 
 
 def test_cached_rotation_is_read_only_and_not_a_field():
