@@ -15,12 +15,21 @@ import numpy as np
 # A vector checked with unit=True may miss norm 1 by at most this much.
 UNIT_NORM_TOL = 1e-9
 
+_FLOAT = np.dtype(float)
+
 
 def vec3_below(v, limit: float) -> tuple[np.ndarray, bool]:
     """Validate v as a finite 3-vector and return it as a float array, and
     whether every component lies strictly within -limit and limit; only a
-    vector outside that is tested for finiteness."""
-    arr = np.asarray(v, dtype=float)
+    vector outside that is tested for finiteness. A vector of floats,
+    integers or bools converts; a complex or non-numeric one raises
+    ValueError, so no imaginary part is dropped."""
+    arr = np.asarray(v)
+    # a float64 array, the usual case, is told by identity alone
+    if arr.dtype is not _FLOAT:
+        if arr.dtype.kind not in "fiub":
+            raise ValueError(f"expected a finite 3-vector, got {v!r}")
+        arr = arr.astype(float)
     if arr.shape == (3,):
         x, y, z = arr.tolist()
         if -limit < x < limit and -limit < y < limit and -limit < z < limit:

@@ -80,17 +80,26 @@ well, which gives the bits of @ at about half its cost.
 Everything else is per cable, and numpy would spend a call on each
 comparison, mask or expression over four to eight values, so it is
 Python passes over floats: the iterate is a list of floats, and each
-iteration builds its array once, for the products. A solve clips the
-projection of t_min into the box in one pass (_move). A phase-1 iteration
-that steps makes three: the nearest-box-point certificate, the release
-(_release) and the ratio step; the first such iteration makes a fourth,
-which reads the free set from the iterate. A phase-2 iteration makes
-four: the vector of t_min on free cables and t on held ones, the step,
-the ratio step and the multiplier sign test. The strict test of a
-working set's optimum (_strict_point) is one pass, and both rank counts
-are a pass each. The ratio step clips the full step t + step into the
-box in the pass that looks for the blocking cable, which is _move at
-fraction 1.0 bit for bit, so only a blocked step makes a second pass.
+iteration builds its array once, for the products. Phase 1 clips the
+projection of t_min into the box, its start, in one pass (_move), and
+one tuple comparison in C tells whether the start left every cable on
+its floor. Such a start is t_min itself, so its first iteration neither
+builds the iterate's array nor computes A t and f - A t: it takes
+t_min, A t_min and f - A t_min from the box, the factorization and the
+start, which computed them already, and a solve that ends there answers
+with the box's t_min and the factorization's A t_min, which every such
+answer shares. Where A t_min outweighs the force, as for the workspace
+command's 0.1 N probes, most solves end there: 80% of the README grid's
+probes. A phase-1 iteration that steps makes three passes: the
+nearest-box-point certificate, the release (_release) and the ratio
+step; the first such iteration makes a fourth, which reads the free set
+from the iterate. A phase-2 iteration makes four: the vector of t_min on
+free cables and t on held ones, the step, the ratio step and the
+multiplier sign test. The strict test of a working set's optimum
+(_strict_point) is one pass, and both rank counts are a pass each. The
+ratio step clips the full step t + step into the box in the pass that
+looks for the blocking cable, which is _move at fraction 1.0 bit for
+bit, so only a blocked step makes a second pass.
 
 Each pass does the same float operations in the same order as the array
 expressions it replaces. Its clip keeps the bound on a tie, as
@@ -234,7 +243,8 @@ class _WorkingSet(NamedTuple):
 
 class _Box(NamedTuple):
     """What a solve needs of its bounds on m cables: the lower bounds
-    t_min, the start of every solve, for A times it, the rounding level of
+    t_min, the start of every solve, for A times it and as the answer of a
+    solve that ends there (an array over bytes), the rounding level of
     the tensions and of the steps between them, and the lower and upper
     bounds as tuples of floats for the per-cable passes, and the sum of the
     upper bounds, which no sum of tensions passes. It does not depend on
@@ -263,11 +273,17 @@ def _box(bounds, m: int) -> _Box:
     else:
         lo = np.array([b.t_min for b in bounds])
         hi = np.array([b.t_max for b in bounds])
-    lo.setflags(write=False)
     # 0 <= t_min < t_max on every cable, so hi.max() is also the largest |t|
     rounding = float(1e-12 * hi.max())
     hi_floats = tuple(hi.tolist())
-    return _Box(lo, rounding, tuple(lo.tolist()), hi_floats, sum(hi_floats))
+    return _Box(_frozen(lo), rounding, tuple(lo.tolist()), hi_floats, sum(hi_floats))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of the float vector arr, over bytes: a solve may
+    answer with it, and unlike an array it owns, no caller can make it
+    writeable again."""
+    return np.frombuffer(arr.tobytes())
 
 
 def _rank(values, largest: float) -> int:
@@ -314,7 +330,8 @@ class _Factorization:
     pseudoinverse pinv = A^+ = V_r S_r^-1 U_r^T; and rows_t, a
     C-contiguous copy of rows^T. Of V^T only its first rank rows are kept,
     as rows. Every array held here is read-only, since later solves share
-    it.
+    it, and A times t_min, which a solve may answer with, is an array over
+    bytes, which no caller can make writeable.
     """
 
     def __init__(self, M: np.ndarray):
@@ -379,9 +396,7 @@ class _Factorization:
         if last is not None and (last[0] is bounds or last[0] == bounds):
             return last[1]
         box = _box(bounds, self.matrix.shape[1])
-        a_lo = self.matrix.dot(box.lo)
-        a_lo.setflags(write=False)
-        found = box, a_lo
+        found = box, _frozen(self.matrix.dot(box.lo))
         self._box = (bounds, found)
         # a held vector holds the old bounds' values
         self.sets = {}
@@ -539,8 +554,10 @@ def _ratio_step(t, step, box: _Box):
     return moved, blocking
 
 
-def _nearest_box_point(fac, f, box, t, tol, budget):
-    """Phase 1: box least squares min ||rows t - goal f|| from the box point t.
+def _nearest_box_point(fac, f, box, a_lo, tol, budget):
+    """Phase 1: box least squares min ||rows t - goal f|| from the
+    box-clipped projection of t_min, t_min + A^+ (f - A t_min), a_lo
+    being A t_min.
 
     rows = fac.rows has orthonormal rows spanning the row space of A and
     goal = fac.goal = S_r^-1 U_r^T, so the residual r = f - A t gives
@@ -558,7 +575,12 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     status, iterations), x the array of t: None once t renders f within
     tol (a feasible point for phase 2), NEAREST_FEASIBLE once
     _is_nearest_box_point certifies t with a residual above that,
-    ITERATION_CAP when the budget runs out.
+    ITERATION_CAP when the budget runs out. A start that leaves every
+    cable on its floor, as most of the workspace command's small probes
+    do, is t_min itself, so the first iterate takes x, A x and f - A x
+    from the start: box.lo, a_lo and the start's own f - a_lo, the same
+    operands and bits, with no product of its own. x and A x are then
+    those shared arrays, and a solve that ends here answers with them.
 
     Both thresholds follow the magnitudes the iterate holds, so that no
     solve spins where the tolerance lies below the rounding: the
@@ -579,6 +601,15 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     """
     M, goal, rows_t = fac.matrix, fac.goal, fac.rows_t
     lo, hi = box.lo_floats, box.hi_floats
+    residual = f - a_lo
+    t = _move(lo, 1.0, fac.pinv.dot(residual).tolist(), lo, hi)
+    # the clip keeps a floor's own float, so this is t_min to the bit
+    if tuple(t) == lo:
+        x, rendered = box.lo, a_lo
+    else:
+        x = np.array(t)
+        rendered = M.dot(x)
+        residual = f - rendered
     stationary = tol * 0.1
     # the rounding level of an iterate t is unit (max |f_i| + sum t); unit
     # is set at the first iteration that misses f, to 0 when no iterate's
@@ -587,9 +618,6 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     # most solves return at the first iteration, before the bound set is read
     free = None
     for k in range(1, budget + 1):
-        x = np.array(t)
-        rendered = M.dot(x)
-        residual = f - rendered
         miss = residual.dot(residual)
         if miss <= tol * tol:
             return t, x, rendered, miss, None, k
@@ -621,9 +649,9 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
         t, blocking = _ratio_step(t, fac.block(free).step.dot(gap).tolist(), box)
         if blocking >= 0:
             free[blocking] = False
-    x = np.array(t)
-    rendered = M.dot(x)
-    residual = f - rendered
+        x = np.array(t)
+        rendered = M.dot(x)
+        residual = f - rendered
     return t, x, rendered, residual.dot(residual), SolveStatus.ITERATION_CAP, budget
 
 
@@ -838,13 +866,10 @@ def _solve(fac, fvec, box, a_lo, cfg) -> SolveResult:
         found = _reuse(fac, g, fvec, box, tol)
         if found is not None:
             return _result(*found, SolveStatus.FEASIBLE_EXACT, 1)
-    # the box-clipped projection t_min + A^+ (f - A t_min)
-    towards = fac.pinv.dot(fvec - a_lo).tolist()
-    t = _move(box.lo_floats, 1.0, towards, box.lo_floats, box.hi_floats)
     # phase 1 squares f - A t, which negates A t - f exactly, so a solve it
     # ends needs no second residual
     t, x, rendered, squared, status, iterations = _nearest_box_point(
-        fac, fvec, box, t, tol, cfg.max_iterations
+        fac, fvec, box, a_lo, tol, cfg.max_iterations
     )
     if status is None:
         if g is None:
@@ -889,7 +914,9 @@ def _solve(fac, fvec, box, a_lo, cfg) -> SolveResult:
 
 def _result(x, rendered, residual, status, iterations) -> SolveResult:
     """The SolveResult of tensions x rendering the force rendered, both
-    made read-only."""
+    made read-only. A phase-1 answer at t_min passes box.lo and A t_min,
+    which every such answer shares: arrays over bytes, frozen once per
+    box and per factorization, which no caller can make writeable."""
     x.setflags(write=False)
     rendered.setflags(write=False)
     return SolveResult(x, rendered, residual, status, iterations)

@@ -190,6 +190,16 @@ AS_VEC3 = [
     ("int-tuple", (1, 2, 3), True),
     ("float32", np.array([0.1, 0.2, 0.3], dtype=np.float32), True),
     ("largest-float", [np.finfo(float).max, -np.finfo(float).max, 0.0], True),
+    ("uint8", np.array([1, 2, 3], dtype=np.uint8), True),
+    ("bools", [True, False, True], True),
+    ("big-endian", np.array([0.5, -1.0, 2.0], dtype=">f8"), True),
+    # a complex or non-numeric vector is refused, not converted: numpy
+    # would drop the imaginary part, and read a string as its number
+    ("complex-array", np.array([0.5 + 0.3j, 0.0, 0.0]), False),
+    ("complex-in-list", [0.5 + 0.3j, 0.0, 0.0], False),
+    ("real-complex", np.array([0.5, 0.0, 0.0], dtype=complex), False),
+    ("strings", ["0.5", "0", "0"], False),
+    ("objects", np.array([0.5, 0.0, 0.0], dtype=object), False),
 ]
 
 
@@ -203,3 +213,25 @@ def test_as_vec3_accepts_finite_3_vectors_alone(value, accepted):
         message = f"expected a finite 3-vector, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             as_vec3(value)
+
+
+COMPLEX_FORCES = [
+    pytest.param(np.array([0.5 + 0.3j, 0.0, 0.0]), id="array"),
+    pytest.param([0.5 + 0.3j, 0.0, 0.0], id="list"),
+]
+
+
+@pytest.mark.parametrize("value", COMPLEX_FORCES)
+def test_complex_vectors_raise_the_documented_value_error(value):
+    from cablehaptics import angle_error, solve, structure_matrix
+
+    layout, ee = default_validation_layout()
+    A = structure_matrix(layout, ee)
+    with pytest.raises(ValueError, match="expected a finite 3-vector"):
+        solve(A, value, layout.bounds)
+    with pytest.raises(ValueError, match="position must be a finite 3-vector"):
+        EndEffectorState(position=value, velocity=[0.0, 0.0, 0.0], time=0.0)
+    with pytest.raises(ValueError, match="expected a finite 3-vector"):
+        angle_error(value, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="expected a finite 3-vector"):
+        angle_error([1.0, 0.0, 0.0], value)

@@ -721,6 +721,9 @@ class TestFactorizationCache:
                 for arr in (box.lo, a_lo):
                     with pytest.raises(ValueError):
                         arr[0] = 0.0
+                    # arrays over bytes: a solve may answer with them
+                    with pytest.raises(ValueError):
+                        arr.setflags(write=True)
             # the second matrix found the first one's box
             assert boxes[0] is boxes[1]
             assert solver._box.cache_info().currsize == 1
@@ -737,6 +740,94 @@ class TestFactorizationCache:
         _assert_same_answers([solve(A, [0.0, 0.0, 1.5], BOUNDS)], [before])
         assert solver._factorize.cache_info().hits == hits + 1
         assert solver._factorize.cache_info().currsize == 1
+
+
+def _seeded_floors(rng, m):
+    """A shared floor, per-cable floors and -0.0 floors for m cables."""
+    return [
+        TensionBounds(0.5, 6.0),
+        _floors(rng.uniform(0.0, 2.0, size=m)),
+        _floors([-0.0] * m, 4.0),
+        _floors([-0.0 if j % 2 else 0.25 for j in range(m)], 4.0),
+    ]
+
+
+def _t_min_answers():
+    """The README-box probes on the bench layout that phase 1 answers at
+    t_min, with their matrix and bounds: the unreachable ones whose start
+    leaves every cable on its floor."""
+    layout, _ = default_validation_layout()
+    lo = np.full(len(layout), layout.bounds.t_min)
+    found = []
+    for point in [(0.0, -0.5, 0.1), (0.5, 0.5, 1.5), (-1.0, 0.0, 1.5), (0.3, 0.2, 0.8)]:
+        A = structure_matrix(layout, point)
+        for d in WORKSPACE_DIRECTIONS:
+            f = d * WORKSPACE_PROBE_FORCE
+            result = solve(A, f, layout.bounds)
+            if result.tensions.tobytes() == lo.tobytes() and result.iterations == 1:
+                found.append((A, f, layout.bounds, result))
+    return found
+
+
+class TestAnswersAtTMin:
+    """A probe whose start leaves every cable on its floor is answered from
+    the start's own t_min, A t_min and f - A t_min; the answer shares the
+    box's t_min and the factorization's A t_min."""
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_a_times_t_min_is_the_product_of_the_floats(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(5):
+            A = StructureMatrix(random_rank3_directions(rng, m).T)
+            for bounds in _seeded_floors(rng, m):
+                fac = solver._factorization(A)
+                box, a_lo = fac.box(bounds)
+                assert a_lo.tobytes() == fac.matrix.dot(np.array(box.lo_floats)).tobytes()
+                assert box.lo.tobytes() == np.array(box.lo_floats).tobytes()
+
+    def test_a_probe_at_t_min_renders_t_min(self):
+        answers = _t_min_answers()
+        assert len(answers) >= 40
+        for A, f, bounds, result in answers:
+            t = np.full(A.columns.shape[1], bounds.t_min)
+            assert result.status is SolveStatus.NEAREST_FEASIBLE
+            assert result.iterations == 1
+            assert result.tensions.tobytes() == t.tobytes()
+            assert result.rendered_force.tobytes() == A.columns.dot(t).tobytes()
+            miss = f - result.rendered_force
+            assert result.force_residual == math.sqrt(miss.dot(miss))
+            # t_min is the box point nearest t_min rendering its own force
+            expected = min_shift_qp(A.columns, result.rendered_force, bounds.t_min, bounds.t_max, t)
+            np.testing.assert_allclose(result.tensions, expected, atol=1e-5)
+        # the answers on one matrix share one t_min and one A t_min
+        first, second = [r for a, _, _, r in answers if a is answers[0][0]][:2]
+        assert np.shares_memory(first.tensions, second.tensions)
+        assert np.shares_memory(first.rendered_force, second.rendered_force)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_the_force_of_t_min_is_exact_at_t_min(self, m):
+        rng = np.random.default_rng(200 + m)
+        A = StructureMatrix(random_rank3_directions(rng, m).T)
+        for bounds in _seeded_floors(rng, m):
+            box, a_lo = solver._factorization(A).box(bounds)
+            for cold in (True, False):
+                if cold:
+                    _clear_caches()
+                result = solve(A, a_lo.copy(), bounds)
+                assert result.status is SolveStatus.FEASIBLE_EXACT
+                assert result.tensions.tobytes() == box.lo.tobytes()
+                assert result.force_residual <= SolverConfig().tolerance
+
+    def test_a_shared_answer_cannot_be_made_writeable(self):
+        A, f, bounds, result = _t_min_answers()[0]
+        before = _outcome(result)
+        for arr in (result.tensions, result.rendered_force):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+            with pytest.raises(ValueError):
+                arr[0] = 100.0
+        assert _outcome(solve(A, f, bounds)) == before
 
 
 LO, HI, TOL = 0.5, 6.0, 1e-3

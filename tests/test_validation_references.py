@@ -1,7 +1,9 @@
 """The validation harness against the numpy expressions it replaced.
 
 ``NoisyPlant.measure_hold`` keeps its Z rotation from construction and
-draws each hold's mean from its sampling distribution; ``run_validation``
+draws each hold's mean from its sampling distribution, reading hold i's
+standard normals as row i % 256 of a table seeded with [seed, i // 256];
+``run_validation``
 scores each sample from the arrays it holds instead of checking them
 again. The references below are the earlier forms: the rotation built per
 hold, and the angle and magnitude errors from ``np.linalg.norm`` and
@@ -45,10 +47,12 @@ def true_force(plant, A, tensions):
 
 def reference_hold(plant, A, tensions, ticks, sample_index):
     """The hold mean drawn from its distribution, N(0, std^2 / ticks) per
-    axis around the true force."""
-    rng = np.random.default_rng(plant.seed + sample_index)
-    noise = rng.normal(0.0, plant.force_noise_std / math.sqrt(ticks), size=3)
-    return true_force(plant, A, tensions) + noise
+    axis around the true force: hold i's three standard normals are row
+    i % 256 of the 256 x 3 that the generator seeded with [seed, i // 256]
+    draws, scaled by std / sqrt(ticks)."""
+    chunk, row = divmod(sample_index, 256)
+    normals = np.random.default_rng([plant.seed, chunk]).standard_normal((256, 3))[row]
+    return true_force(plant, A, tensions) + normals * (plant.force_noise_std / math.sqrt(ticks))
 
 
 def per_tick_hold(plant, A, tensions, ticks, sample_index):
@@ -119,6 +123,46 @@ def test_a_hold_of_any_length_takes_constant_memory():
     # the mean of 10**12 ticks drawn one by one would need 24 TB of draws
     measured = plant.measure_hold(A, np.full(len(layout), 2.0), 10**12, 0)
     assert measured.shape == (3,) and np.isfinite(measured).all()
+
+
+def noisy_holds(seed, indices):
+    """The hold of each index, as bytes, for one plant and one tension
+    vector, measured in the order given."""
+    layout, ee = default_validation_layout()
+    A = structure_matrix(layout, ee)
+    plant = NoisyPlant(force_noise_std=0.3, frame_rotation_z=0.087, tension_bias=0.1, seed=seed)
+    tensions = np.linspace(0.5, 6.0, len(layout))
+    return {i: plant.measure_hold(A, tensions, 1000, i).tobytes() for i in indices}
+
+
+@pytest.mark.parametrize("seed", [0, 42, 255, 256])
+def test_adjacent_seeds_share_no_hold(seed):
+    # a generator seeded with seed + index would give seed's hold i + 1 to
+    # seed + 1's hold i
+    first = set(noisy_holds(seed, range(600)).values())
+    second = set(noisy_holds(seed + 1, range(600)).values())
+    assert len(first) == len(second) == 600
+    assert not first & second
+
+
+def test_a_hold_does_not_depend_on_the_order_of_the_holds():
+    forward = noisy_holds(42, range(600))
+    shuffled = list(range(600))
+    np.random.default_rng(3).shuffle(shuffled)
+    assert noisy_holds(42, reversed(range(600))) == forward
+    assert noisy_holds(42, shuffled) == forward
+    # a hold alone, after another seed's table was built
+    noisy_holds(7, [300])
+    assert noisy_holds(42, [599]) == {599: forward[599]}
+
+
+def test_a_far_hold_index_draws_a_finite_mean():
+    layout, ee = default_validation_layout()
+    A = structure_matrix(layout, ee)
+    plant = NoisyPlant(force_noise_std=0.3, seed=3)
+    measured = plant.measure_hold(A, np.full(len(layout), 2.0), 1000, 10**15)
+    assert measured.shape == (3,) and np.isfinite(measured).all()
+    assert not np.array_equal(measured, plant.measure_hold(A, np.full(len(layout), 2.0), 1000, 0))
 
 
 def test_cached_rotation_is_read_only_and_not_a_field():
