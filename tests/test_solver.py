@@ -743,7 +743,8 @@ class TestFactorizationCache:
 
 
 def _seeded_floors(rng, m):
-    """A shared floor, per-cable floors and -0.0 floors for m cables."""
+    """A shared floor, per-cable floors and -0.0 floors (which
+    TensionBounds stores as 0.0) for m cables."""
     return [
         TensionBounds(0.5, 6.0),
         _floors(rng.uniform(0.0, 2.0, size=m)),
