@@ -15,10 +15,15 @@ import numpy as np
 # A vector checked with unit=True may miss norm 1 by at most this much.
 UNIT_NORM_TOL = 1e-9
 
+# The size (N) no force, tension or sphere radius may reach (force3,
+# magnitude). Below it no sum of squares the package forms overflows: a
+# residual component on m cables is at most (m + 1) times it.
+MAX_MAGNITUDE = 1e100
+
 _FLOAT = np.dtype(float)
 
 
-def vec3_below(v, limit: float) -> tuple[np.ndarray, bool]:
+def _vec3(v, limit: float) -> tuple[np.ndarray, bool]:
     """Validate v as a finite 3-vector and return it as a float array, and
     whether every component lies strictly within -limit and limit; only a
     vector outside that is tested for finiteness. A vector of floats,
@@ -41,7 +46,29 @@ def vec3_below(v, limit: float) -> tuple[np.ndarray, bool]:
 
 def as_vec3(v) -> np.ndarray:
     """Validate v as a finite 3-vector and return it as a float array."""
-    return vec3_below(v, math.inf)[0]
+    return _vec3(v, math.inf)[0]
+
+
+def force3(v, name: str) -> np.ndarray:
+    """as_vec3(v), if every component lies below MAX_MAGNITUDE in size."""
+    arr, within = _vec3(v, MAX_MAGNITUDE)
+    if not within:
+        raise _too_large(name, v)
+    return arr
+
+
+def magnitude(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:
+    """real(value, name, minimum, strict=strict), if it lies below
+    MAX_MAGNITUDE in size."""
+    value = real(value, name, minimum, strict=strict)
+    if not -MAX_MAGNITUDE < value < MAX_MAGNITUDE:
+        raise _too_large(name, value)
+    return value
+
+
+def _too_large(name: str, value) -> ValueError:
+    """The error refusing name's value, of MAX_MAGNITUDE or more in size."""
+    return ValueError(f"{name} must be below {MAX_MAGNITUDE:g} N in size, got {value!r}")
 
 
 def real(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:

@@ -177,8 +177,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "force_residual": result.force_residual,
         "iterations": result.iterations,
     }
-    # a miss longer than the largest float has an infinite residual, which
-    # JSON cannot hold: dumps raises ValueError, and main exits 1
+    # a force or bound of 1e100 N or more was refused above, so the residual
+    # is finite; allow_nan=False keeps the output strict JSON regardless
     print(json.dumps(payload, indent=2, allow_nan=False))
     return STATUS_EXIT_CODES[result.status]
 
@@ -252,16 +252,17 @@ def cmd_material(args: argparse.Namespace) -> int:
     material = load_material(args.material)
     times, positions, velocities = load_trajectory(args.trajectory)
     # every row is solved before anything is written, so a row that fails
-    # (an end effector on an anchor) leaves no partial material.csv
+    # (an end effector on an anchor, or a material force of 1e100 N or more)
+    # leaves no partial material.csv
     rows = []
     for k, (t, pos, vel) in enumerate(zip(times, positions, velocities), start=1):
         state = EndEffectorState(position=pos, velocity=vel, time=t)
         force = evaluate(material, state)
         try:
             A = structure_matrix(layout, pos)
-        except DegenerateGeometry as exc:
-            raise DegenerateGeometry(f"{args.trajectory}: row {k} (t={float(t)}): {exc}") from exc
-        result = solve(A, force, layout.bounds, solver_config)
+            result = solve(A, force, layout.bounds, solver_config)
+        except (DegenerateGeometry, ValueError) as exc:
+            raise type(exc)(f"{args.trajectory}: row {k} (t={float(t)}): {exc}") from exc
         rows.append([float(t)] + pos.tolist() + force.tolist() + result.tensions.tolist())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,8 @@ Material schema (``type`` selects the model; fields as in haptics)::
     - {type: damper, coefficient: 2.0}
     - {type: magnetic, target: [0.0, 0.0, 0.5], gain: 3.0, max_force: 6.0}
 
-Trajectory CSV: header ``t,x,y,z`` with optional ``vx,vy,vz`` columns;
-missing velocities are finite-differenced from the positions.
+Trajectory CSV: header ``t,x,y,z`` or ``t,x,y,z,vx,vy,vz``; missing
+velocities are finite-differenced from the positions.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ _MATERIAL_TYPES = {
         ("vibration", Vibration),
     )
 }
+
+# The two headers a trajectory CSV may have: without and with velocities.
+_TRAJECTORY_HEADERS = (["t", "x", "y", "z"], ["t", "x", "y", "z", "vx", "vy", "vz"])
 
 # libyaml's parser where PyYAML was built with it; both build the same
 # objects through SafeLoader's constructor and resolver.
@@ -170,9 +173,10 @@ def load_material(path) -> MaterialModel:
 def load_trajectory(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read (times, positions, velocities) from a trajectory CSV.
 
-    Rows are ``t,x,y,z`` or ``t,x,y,z,vx,vy,vz``; when velocity columns are
-    absent they are computed by finite differences over t (central in the
-    interior, one-sided at the ends).
+    The header is ``t,x,y,z`` or ``t,x,y,z,vx,vy,vz`` (any case, spaces
+    around a name ignored) and every row has its columns; when velocity
+    columns are absent they are computed by finite differences over t
+    (central in the interior, one-sided at the ends).
     """
     try:
         with open(path, newline="") as handle:
@@ -184,10 +188,10 @@ def load_trajectory(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not rows:
         raise ConfigError(f"{path}: empty trajectory")
     header = [cell.strip().lower() for cell in rows[0][1]]
-    if header[:4] != ["t", "x", "y", "z"]:
-        raise ConfigError(f"{path}: header must start with t,x,y,z, got {rows[0][1]}")
-    has_velocity = header[4:7] == ["vx", "vy", "vz"]
-    expected = 7 if has_velocity else 4
+    if header not in _TRAJECTORY_HEADERS:
+        raise ConfigError(f"{path}: header must be t,x,y,z or t,x,y,z,vx,vy,vz, got {rows[0][1]}")
+    expected = len(header)
+    has_velocity = expected == 7
     data = []
     for line, row in rows[1:]:
         if len(row) != expected:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import as_vec3, real, set_checked, vec3
+from ._fields import as_vec3, magnitude, real, set_checked, vec3
 from .errors import DegenerateGeometry
 
 # Anchors closer together than this are rejected as duplicates (meters).
@@ -39,7 +39,8 @@ class TensionBounds:
     Defaults are the hardware limits of one module: 0.5 N keeps the cable
     taut, 6.0 N is the motor's maximum steady-state pull. A floor of -0.0
     is stored as 0.0: the two compare and hash equal, so bounds that hold
-    either must give the same tensions, zero signs included.
+    either must give the same tensions, zero signs included. t_max, and
+    with it t_min, must lie below _fields.MAX_MAGNITUDE (1e100 N).
     """
 
     t_min: float = 0.5
@@ -47,7 +48,7 @@ class TensionBounds:
 
     def __post_init__(self):
         set_checked(self, real, "t_min", minimum=0.0)
-        set_checked(self, real, "t_max")
+        set_checked(self, magnitude, "t_max")
         if self.t_min == 0.0:
             object.__setattr__(self, "t_min", 0.0)
         if not self.t_min < self.t_max:

@@ -9,6 +9,8 @@ sensor frame and the module frame, and a constant tension bias, and draws
 each hold's mean from its sampling distribution: three standard normals
 per hold, read from a table that one generator, seeded with the plant's
 seed and the hold's block of 256, fills for 256 holds at a time.
+Forces, tensions and radii of _fields.MAX_MAGNITUDE (1e100 N) or more are
+refused where they enter, so no norm, dot product or mean overflows.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from typing import Union
 
 import numpy as np
 
-from ._fields import integer, real, set_checked
+from ._fields import force3, integer, magnitude, real, set_checked
 from .config import layout_to_dict
 from .errors import DegenerateInput, ZeroVector
 from .geometry import ModuleAnchor, ModuleLayout, StructureMatrix, as_vec3, structure_matrix
-from .solver import OVERFLOW_FORCE, WRENCH_FEASIBLE_RESIDUAL, SolverConfig, solve
+from .solver import WRENCH_FEASIBLE_RESIDUAL, SolverConfig, solve
 
 # Error statistics measured on a physical four-module rig with a calibrated
 # force sensor, reported alongside simulated metrics for side-by-side
@@ -78,7 +80,7 @@ class ValidationProtocol:
     samples_per_hold: int = 1000
 
     def __post_init__(self):
-        set_checked(self, real, "sphere_radius", minimum=0.0, strict=True)
+        set_checked(self, magnitude, "sphere_radius", minimum=0.0, strict=True)
         set_checked(self, integer, "sample_count", "samples_per_hold", minimum=1)
 
 
@@ -108,8 +110,8 @@ class NoisyPlant:
     hold's noise depends on (seed, i) alone: runs are reproducible and
     independent of evaluation order, and no two seeds share a stream. The
     last table is kept, so consecutive holds build one per 256.
-    ``force_noise_std`` must lie below OVERFLOW_FORCE: near the largest
-    float the draws themselves overflow to inf.
+    ``force_noise_std`` and ``tension_bias`` must lie below
+    _fields.MAX_MAGNITUDE (1e100 N) in size.
     """
 
     force_noise_std: float = 0.0
@@ -118,12 +120,9 @@ class NoisyPlant:
     seed: int = 42
 
     def __post_init__(self):
-        set_checked(self, real, "force_noise_std", minimum=0.0)
-        if not self.force_noise_std < OVERFLOW_FORCE:
-            raise ValueError(
-                f"force_noise_std must be < {OVERFLOW_FORCE}, got {self.force_noise_std!r}"
-            )
-        set_checked(self, real, "frame_rotation_z", "tension_bias")
+        set_checked(self, magnitude, "force_noise_std", minimum=0.0)
+        set_checked(self, real, "frame_rotation_z")
+        set_checked(self, magnitude, "tension_bias")
         set_checked(self, integer, "seed", minimum=0)
         rotation = rotation_z(self.frame_rotation_z)
         rotation.setflags(write=False)
@@ -195,33 +194,22 @@ def sphere_samples(n: int, radius: float) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a float 3-vector: as np.linalg.norm computes it
-    while every component lies below OVERFLOW_FORCE, and by math.hypot from
-    there, where the square may overflow."""
-    x, y, z = v.tolist()
-    if abs(x) < OVERFLOW_FORCE and abs(y) < OVERFLOW_FORCE and abs(z) < OVERFLOW_FORCE:
-        return math.sqrt(v.dot(v))
-    return math.hypot(x, y, z)
+    """Euclidean norm of a float 3-vector, as np.linalg.norm computes it."""
+    return math.sqrt(v.dot(v))
 
 
 def _angle(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
     """Angle in degrees between float 3-vectors a and b of norms na and nb,
-    both above _ZERO_NORM. The cosine is a.dot(b) / (na * nb) while
-    na * nb is at most 1e308, which bounds |a.dot(b)| too, and the dot
-    product of the unit vectors above, where either may overflow."""
-    scale = na * nb
-    if scale <= 1e308:
-        cosine = a.dot(b) / scale
-    else:
-        cosine = (a / na).dot(b / nb)
-    cosine = min(max(cosine, -1.0), 1.0)
+    both above _ZERO_NORM."""
+    cosine = min(max(a.dot(b) / (na * nb), -1.0), 1.0)
     return float(np.degrees(np.arccos(cosine)))
 
 
 def angle_error(a, b) -> float:
-    """Angle in degrees between two force vectors, in [0, 180]."""
-    av = as_vec3(a)
-    bv = as_vec3(b)
+    """Angle in degrees between two force vectors, in [0, 180]. Each must
+    lie below _fields.MAX_MAGNITUDE (1e100 N) on every axis."""
+    av = force3(a, "a")
+    bv = force3(b, "b")
     na = _norm(av)
     nb = _norm(bv)
     if na <= _ZERO_NORM or nb <= _ZERO_NORM:
@@ -230,8 +218,9 @@ def angle_error(a, b) -> float:
 
 
 def magnitude_error(a, b) -> float:
-    """Absolute difference of the two vectors' norms, in newtons."""
-    return abs(_norm(as_vec3(a)) - _norm(as_vec3(b)))
+    """Absolute difference of the two vectors' norms, in newtons. Each must
+    lie below _fields.MAX_MAGNITUDE (1e100 N) on every axis."""
+    return abs(_norm(force3(a, "a")) - _norm(force3(b, "b")))
 
 
 def rotation_z(theta: float) -> np.ndarray:
@@ -311,60 +300,46 @@ def run_validation(
     the wrench-feasibility threshold. A (near-)zero commanded force raises
     ZeroVector, since no angle is defined for it. If a plant ever returns a
     (near-)zero measured force, its angle error is recorded as 180
-    degrees. A radius of OVERFLOW_FORCE or more is run with numpy's
-    overflow warning off: the norms fall back to math.hypot, the angles to
-    the unit vectors and the means to sums of each value over the count
-    wherever the plain arithmetic overflows, so the report stays finite.
+    degrees. The radius, the bounds and the plant's noise and bias all lie
+    below _fields.MAX_MAGNITUDE, so every norm, angle and mean is finite.
     """
     A = structure_matrix(layout, ee)
     commanded = sphere_samples(protocol.sample_count, protocol.sphere_radius)
     records = []
     norms = []
-    # over=None leaves numpy's setting as it is
-    with np.errstate(over="ignore" if protocol.sphere_radius >= OVERFLOW_FORCE else None):
-        for index, force in enumerate(commanded):
-            result = solve(A, force, layout.bounds, config)
-            measured = as_vec3(
-                plant.measure_hold(A, result.tensions, protocol.samples_per_hold, index)
+    for index, force in enumerate(commanded):
+        result = solve(A, force, layout.bounds, config)
+        measured = as_vec3(
+            plant.measure_hold(A, result.tensions, protocol.samples_per_hold, index)
+        )
+        commanded_norm = _norm(force)
+        measured_norm = _norm(measured)
+        if commanded_norm <= _ZERO_NORM:
+            raise ZeroVector("angle undefined for a (near-)zero vector")
+        if measured_norm <= _ZERO_NORM:
+            angle = 180.0
+        else:
+            angle = _angle(force, measured, commanded_norm, measured_norm)
+        norms.append(measured_norm)
+        records.append(
+            SampleRecord(
+                commanded=force,
+                measured=measured,
+                angle_error=angle,
+                magnitude_error=abs(commanded_norm - measured_norm),
+                feasible=result.force_residual <= WRENCH_FEASIBLE_RESIDUAL,
             )
-            commanded_norm = _norm(force)
-            measured_norm = _norm(measured)
-            if commanded_norm <= _ZERO_NORM:
-                raise ZeroVector("angle undefined for a (near-)zero vector")
-            if measured_norm <= _ZERO_NORM:
-                angle = 180.0
-            else:
-                angle = _angle(force, measured, commanded_norm, measured_norm)
-            norms.append(measured_norm)
-            records.append(
-                SampleRecord(
-                    commanded=force,
-                    measured=measured,
-                    angle_error=angle,
-                    magnitude_error=abs(commanded_norm - measured_norm),
-                    feasible=result.force_residual <= WRENCH_FEASIBLE_RESIDUAL,
-                )
-            )
-
-        angles = np.array([r.angle_error for r in records])
-        return ValidationReport(
-            records=tuple(records),
-            mean_angle_error=float(np.mean(angles)),
-            max_angle_error=float(np.max(angles)),
-            mean_measured_magnitude=_mean(norms),
-            mean_magnitude_error=_mean([r.magnitude_error for r in records]),
-            fraction_within_45deg=float(np.mean(angles <= 45.0)),
         )
 
-
-def _mean(values) -> float:
-    """np.mean of a list of finite floats, or, where their sum overflows,
-    the exact sum of each value over their count, which cannot."""
-    mean = float(np.mean(values))
-    if math.isinf(mean):
-        count = len(values)
-        mean = math.fsum(value / count for value in values)
-    return mean
+    angles = np.array([r.angle_error for r in records])
+    return ValidationReport(
+        records=tuple(records),
+        mean_angle_error=float(np.mean(angles)),
+        max_angle_error=float(np.max(angles)),
+        mean_measured_magnitude=float(np.mean(norms)),
+        mean_magnitude_error=float(np.mean([r.magnitude_error for r in records])),
+        fraction_within_45deg=float(np.mean(angles <= 45.0)),
+    )
 
 
 def write_report_csv(report: ValidationReport, path) -> None:

@@ -44,8 +44,9 @@ how fast it comes. ``iterations`` then counts 1; in a solve that finds
 none, it counts both phases as before. The one exception is the cap: a
 solve that max_iterations stops before it certifies reports
 ITERATION_CAP when cold, but FEASIBLE_EXACT with the uncapped answer when
-a kept set certifies for its force. Every force takes this one path; a
-huge one only runs it with numpy's overflow warning off (solve).
+a kept set certifies for its force. Every force takes this one path: a
+force, like a tension bound, must lie below _fields.MAX_MAGNITUDE, so no
+square the solve forms overflows.
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with every operator
@@ -119,7 +120,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 from numpy.linalg._umath_linalg import svd_f
 
-from ._fields import integer, real, set_checked, vec3_below
+from ._fields import force3, integer, real, set_checked
 from .geometry import StructureMatrix, TensionBounds, _norms
 
 # Relative singular-value cutoff shared by the pseudoinverse and rank checks.
@@ -127,10 +128,6 @@ RANK_REL_TOL = 1e-9
 
 # Residual (newtons) below which a desired force counts as wrench-feasible.
 WRENCH_FEASIBLE_RESIDUAL = 1e-7
-
-# Force component (newtons) from which the square of a force's length may
-# overflow: below it, three squares sum to at most 3e300.
-OVERFLOW_FORCE = 1e150
 
 # The most certified working sets a factorization keeps for its bounds. A
 # lookup that misses evaluates every kept set's _optimum, at about 2 us
@@ -197,8 +194,7 @@ class SolveResult:
     """Tensions plus the force they actually render and solve diagnostics.
 
     ``tensions`` is always box-feasible, whatever the status. ``force_residual``
-    is ||A t - f_desired|| in newtons: inf only when that length exceeds
-    the largest float.
+    is ||A t - f_desired|| in newtons, always finite.
     """
 
     tensions: np.ndarray
@@ -634,10 +630,7 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
         gap = goal.dot(residual)
         d = rows_t.dot(gap).tolist()
         if _is_nearest_box_point(t, d, lo, hi, stationary):
-            # the square overflows only above about 1.3e154 N
-            if unit and _FEASIBLE_LEVELS * level >= (
-                math.sqrt(miss) if miss < math.inf else math.hypot(*residual.tolist())
-            ):
+            if unit and _FEASIBLE_LEVELS * level >= math.sqrt(miss):
                 # f is reached to rounding: a feasible point for phase 2
                 return t, x, rendered, miss, None, k
             return t, x, rendered, miss, SolveStatus.NEAREST_FEASIBLE, k
@@ -841,24 +834,16 @@ def solve(
     certifies for f answers FEASIBLE_EXACT whatever max_iterations is.
 
     The returned tensions are always within bounds, whatever the status.
-    A force with a component of OVERFLOW_FORCE or more takes the same path
-    with numpy's overflow warning off: the square of its miss can overflow,
-    and the residual then comes from math.hypot.
+    A force with a component of _fields.MAX_MAGNITUDE (1e100 N) or more
+    raises ValueError naming it, as TensionBounds does for such a t_max.
+    The working sets A's factorization keeps answer first (_reuse), and a
+    certified phase 2 answers with its working set's _optimum when that
+    exists.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     fac = _factorization(A)
-    fvec, ordinary = vec3_below(f, OVERFLOW_FORCE)
+    fvec = force3(f, "force")
     box, a_lo = fac.box(bounds)
-    if ordinary:
-        return _solve(fac, fvec, box, a_lo, cfg)
-    with np.errstate(over="ignore"):
-        return _solve(fac, fvec, box, a_lo, cfg)
-
-
-def _solve(fac, fvec, box, a_lo, cfg) -> SolveResult:
-    """solve's two phases on a checked force, a_lo being A times t_min,
-    after the working sets fac keeps (_reuse); a certified phase 2 answers
-    with its working set's _optimum when that exists."""
     tol = cfg.tolerance
     g = None
     if fac.sets:
@@ -899,11 +884,6 @@ def _solve(fac, fvec, box, a_lo, cfg) -> SolveResult:
         squared = miss.dot(miss)
 
     residual = math.sqrt(squared)
-    if residual == math.inf:
-        # above about 1.3e154 N the square of the miss overflows (solve
-        # turned that warning off), and hypot is inf only for a miss longer
-        # than the largest float
-        residual = math.hypot(*(rendered - fvec).tolist())
     if status is None:
         # the rounding of phase 2's steps can leave a certified point just
         # above a tolerance set near the rounding level of the force

@@ -155,24 +155,24 @@ class TestSolveCommand:
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        # the square of the miss overflows, which must not warn
+        # just below the 1e100 N limit, which must not warn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["solve", "--force=0,0,1e200"])
+            rc = main(["solve", "--force=0,0,9.99e99"])
         assert rc == 2
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert payload["status"] == "nearest_feasible"
-        assert payload["force_residual"] == pytest.approx(1e200, rel=1e-12)
+        assert payload["force_residual"] == pytest.approx(9.99e99, rel=1e-12)
 
-    def test_force_missed_by_more_than_the_largest_float_exits_1(self, capsys):
-        # each component is finite, but the miss's length is not
+    def test_force_near_the_largest_float_exits_1_naming_the_limit(self, capsys):
+        # each component is finite, but far beyond the 1e100 N limit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["solve", "--force=1.5e308,1.5e308,0"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "inf" in captured.err
+        assert captured.err.startswith("error: force must be below 1e+100 N")
 
     def test_missing_layout_file_exits_1(self, tmp_path, capsys):
         rc = main(["solve", "--layout", str(tmp_path / "missing.yaml"), "--force", "0,0,1"])
@@ -291,9 +291,9 @@ class TestValidateCommand:
         assert "angle undefined for a (near-)zero vector" in capsys.readouterr().err
         assert not (out / "validation.csv").exists()
 
-    # near the largest float the dot products and the sum of the magnitude
-    # errors overflow too
-    @pytest.mark.parametrize("radius", [1e200, 1.7e308])
+    # just below the 1e100 N limit every norm, dot product and mean stays
+    # finite
+    @pytest.mark.parametrize("radius", [1e90, 9.99e99])
     @pytest.mark.parametrize("plant", ["ideal", "noisy"])
     def test_huge_radius_writes_finite_reports_without_warning(self, tmp_path, radius, plant):
         def reject(constant):
@@ -320,15 +320,15 @@ class TestValidateCommand:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    # at this std the normal draws themselves overflow to inf, which no
-    # hold mean can undo, so the plant refuses it and names the option
-    @pytest.mark.parametrize("std", ["1e150", "1e308"])
+    # a std of the 1e100 N limit or more is refused, and near the largest
+    # float the normal draws themselves would overflow to inf
+    @pytest.mark.parametrize("std", ["1e100", "1e150", "1e308"])
     def test_noise_std_that_overflows_exits_1_naming_the_field(self, tmp_path, capsys, std):
         out = tmp_path / "loud"
         argv = ["validate", "--plant", "noisy", "--noise-std", std]
         rc = main([*argv, "--samples", "2", "--ticks", "5", "--out", str(out)])
         assert rc == 1
-        assert "force_noise_std must be < 1e+150" in capsys.readouterr().err
+        assert "force_noise_std must be below 1e+100 N" in capsys.readouterr().err
         assert not out.exists()
 
     # the noisy plant draws a hold's mean in constant time and memory, so a
@@ -687,6 +687,24 @@ class TestMaterialCommand:
         assert len(before.splitlines()) == 4
         assert run(bad, used) == 1
         assert (used / "material.csv").read_bytes() == before
+
+    def test_row_whose_force_reaches_the_limit_writes_nothing(self, tmp_path, capsys):
+        # 1e102 N/m against a wall at z = 0.3: 1e99 N at 1 mm deep, within
+        # the 1e100 N limit, and 1e100 N at 1 cm deep on the third row
+        material = tmp_path / "wall.yaml"
+        material.write_text(
+            "type: spring\nsurface_point: [0.0, 0.0, 0.3]\nnormal: [0.0, 0.0, 1.0]\n"
+            "stiffness: 1.0e+102\n"
+        )
+        trajectory = tmp_path / "press.csv"
+        trajectory.write_text("t,x,y,z\n0.0,0.0,0.0,0.31\n0.001,0.0,0.0,0.299\n0.002,0.0,0.0,0.29\n")
+        out = tmp_path / "out"
+        argv = ["material", "--material", str(material), "--trajectory", str(trajectory)]
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{trajectory}: row 3 (t=0.002): force must be below 1e+100 N" in captured.err
+        assert not (out / "material.csv").exists()
 
 
 class TestSolverFlags:

@@ -319,6 +319,9 @@ ANCHORS = "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [
         (load_trajectory, "t,x,y,z\n", "no data rows"),
         (load_trajectory, "t,x,y,z\n0.0,nan,0.0,0.3\n", "line 2: non-finite"),
         (load_trajectory, "t,x,y,z\n\n0.0,0,0,0.3\n0.001,0,a,0.31\n", "line 4: "),
+        (load_trajectory, "t,x,y,z,vx\n0.0,0,0,0.3\n0.001,0,0,0.31\n", "header must be t,x,y,z or t,x,y,z,vx,vy,vz, got ['t', 'x', 'y', 'z', 'vx']"),
+        (load_trajectory, "t,x,y,z,vx,vy,vz,extra\n0.0,0,0,0.3,0,0,0\n", "header must be t,x,y,z or t,x,y,z,vx,vy,vz, got ['t', 'x', 'y', 'z', 'vx', 'vy', 'vz', 'extra']"),
+        (load_trajectory, "t,x,y,z,foo,bar,baz\n0.0,0,0,0.3,0,0,0\n", "header must be t,x,y,z or t,x,y,z,vx,vy,vz, got ['t', 'x', 'y', 'z', 'foo', 'bar', 'baz']"),
     ],
     ids=[
         "bounds-entry-not-a-mapping",
@@ -333,6 +336,9 @@ ANCHORS = "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [
         "header-without-rows",
         "nan-cell",
         "blank-line-before-a-bad-cell",
+        "partial-velocity-header",
+        "extra-header-column",
+        "unknown-velocity-names",
     ],
 )
 def test_loader_errors_name_the_file_and_field(tmp_path, load, text, names):

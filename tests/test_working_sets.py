@@ -45,19 +45,20 @@ CUBE = ModuleLayout(
 )
 
 
-# forces whose squared miss can overflow, solved on the validation pose
-# among ordinary forces, so that they meet the sets those kept; no set
-# certifies on the 1e300 N box, whose rounding level is about 1e288 N
-HUGE_FORCES = [(0.0, 0.0, 1e200), (-1e200, 3e199, 1e200)]
-HUGE_BOUNDS = [TensionBounds(0.5, 6.0), TensionBounds(0.5, 1e300)]
+# forces far beyond any box but the widest, below the package's limit of
+# 1e100 N, solved on the validation pose among ordinary forces, so that they
+# meet the sets those kept; no set certifies on the 1e99 N box, whose
+# rounding level is about 1e87 N
+HUGE_FORCES = [(0.0, 0.0, 1e90), (-1e90, 3e89, 1e90)]
+HUGE_BOUNDS = [TensionBounds(0.5, 6.0), TensionBounds(0.5, 1e99)]
 # the status, iterations and residual of each, by force and t_max, however
-# it is reached; at 1e300 N both forces are reachable, but only to the
-# rounding of 1e200 N, far above the tolerance, so both end ITERATION_CAP
+# it is reached; at 1e99 N both forces are reachable, but only to the
+# rounding of 1e90 N, far above the tolerance, so both end ITERATION_CAP
 HUGE_RESULTS = {
-    (HUGE_FORCES[0], 6.0): (SolveStatus.NEAREST_FEASIBLE, 1, 1e200),
-    (HUGE_FORCES[1], 6.0): (SolveStatus.NEAREST_FEASIBLE, 1, 1.445683229480096e200),
-    (HUGE_FORCES[0], 1e300): (SolveStatus.ITERATION_CAP, 4, 1.1897491039095583e185),
-    (HUGE_FORCES[1], 1e300): (SolveStatus.ITERATION_CAP, 3, 3.152365512861463e185),
+    (HUGE_FORCES[0], 6.0): (SolveStatus.NEAREST_FEASIBLE, 1, 1e90),
+    (HUGE_FORCES[1], 6.0): (SolveStatus.NEAREST_FEASIBLE, 1, 1.445683229480096e90),
+    (HUGE_FORCES[0], 1e99): (SolveStatus.ITERATION_CAP, 4, 1.130782121458166e75),
+    (HUGE_FORCES[1], 1e99): (SolveStatus.ITERATION_CAP, 3, 3.326210554704422e75),
 }
 
 
@@ -185,7 +186,7 @@ def test_huge_forces_meet_the_kept_sets_and_keep_their_results(monkeypatch, orde
     optimum = solver._optimum
 
     def spy(fac, ws, g, fvec, box, tol):
-        if np.abs(fvec).max() >= solver.OVERFLOW_FORCE:
+        if np.abs(fvec).max() >= 1e90:
             tried.add(box.hi_floats[0])
         return optimum(fac, ws, g, fvec, box, tol)
 
@@ -199,9 +200,9 @@ def test_huge_forces_meet_the_kept_sets_and_keep_their_results(monkeypatch, orde
     }
     assert got == HUGE_RESULTS
     # a huge force goes through _optimum like any other: from phase 1's
-    # working set on the 1e300 N box, and from the kept sets on the 6 N box
+    # working set on the 1e99 N box, and from the kept sets on the 6 N box
     # wherever earlier solves kept some
-    assert tried == ({1e300} if order == "cleared" else {6.0, 1e300})
+    assert tried == ({1e99} if order == "cleared" else {6.0, 1e99})
 
 
 def test_phase_1_working_set_spares_cold_solves_phase_2(monkeypatch):
