@@ -15,9 +15,11 @@ import numpy as np
 # A vector checked with unit=True may miss norm 1 by at most this much.
 UNIT_NORM_TOL = 1e-9
 
-# The size (N) no force, tension or sphere radius may reach (force3,
-# magnitude). Below it no sum of squares the package forms overflows: a
-# residual component on m cables is at most (m + 1) times it.
+# The size no force (N), tension, sphere radius, material parameter,
+# position (m), velocity or time may reach (force3, magnitude, vec3). Below
+# it no sum of squares the package forms overflows: a residual component
+# on m cables is at most (m + 1) times it, and a material force, a
+# parameter times a position, velocity or time, stays finite.
 MAX_MAGNITUDE = 1e100
 
 _FLOAT = np.dtype(float)
@@ -68,7 +70,7 @@ def magnitude(value, name: str, minimum: float | None = None, *, strict: bool = 
 
 def _too_large(name: str, value) -> ValueError:
     """The error refusing name's value, of MAX_MAGNITUDE or more in size."""
-    return ValueError(f"{name} must be below {MAX_MAGNITUDE:g} N in size, got {value!r}")
+    return ValueError(f"{name} must be below {MAX_MAGNITUDE:g} in size, got {value!r}")
 
 
 def real(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:
@@ -106,12 +108,16 @@ def integer(value, name: str, minimum: int) -> int:
 
 
 def vec3(value, name: str, *, unit: bool = False) -> np.ndarray:
-    """A read-only float copy of value, if it is a finite 3-vector, and with
-    unit=True one of norm 1 within UNIT_NORM_TOL."""
+    """A read-only float copy of value, if it is a finite 3-vector below
+    MAX_MAGNITUDE on every axis, and with unit=True one of norm 1 within
+    UNIT_NORM_TOL."""
     try:
-        arr = as_vec3(value).copy()
+        arr, within = _vec3(value, MAX_MAGNITUDE)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a finite 3-vector, got {value!r}") from None
+    if not within:
+        raise _too_large(name, value)
+    arr = arr.copy()
     if unit and abs(np.linalg.norm(arr) - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"{name} must be a unit vector, got norm {np.linalg.norm(arr)}")
     arr.setflags(write=False)

@@ -252,13 +252,13 @@ def cmd_material(args: argparse.Namespace) -> int:
     material = load_material(args.material)
     times, positions, velocities = load_trajectory(args.trajectory)
     # every row is solved before anything is written, so a row that fails
-    # (an end effector on an anchor, or a material force of 1e100 N or more)
-    # leaves no partial material.csv
+    # (a position, velocity, time or material force of 1e100 or more, or an
+    # end effector on an anchor) leaves no partial material.csv
     rows = []
     for k, (t, pos, vel) in enumerate(zip(times, positions, velocities), start=1):
-        state = EndEffectorState(position=pos, velocity=vel, time=t)
-        force = evaluate(material, state)
         try:
+            state = EndEffectorState(position=pos, velocity=vel, time=t)
+            force = evaluate(material, state)
             A = structure_matrix(layout, pos)
             result = solve(A, force, layout.bounds, solver_config)
         except (DegenerateGeometry, ValueError) as exc:

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from ._fields import real, set_checked, vec3
+from ._fields import force3, magnitude, set_checked, vec3
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,9 @@ class EndEffectorState:
     """Snapshot of the end effector: position (m), velocity (m/s), time (s).
 
     Time is expected to be non-decreasing across a session; each snapshot
-    only validates its own fields.
+    only validates its own fields. Each component, and the time, must lie
+    below _fields.MAX_MAGNITUDE (1e100) in size, as must every material's
+    parameters and points, so no material force overflows.
     """
 
     position: np.ndarray
@@ -33,7 +35,7 @@ class EndEffectorState:
 
     def __post_init__(self):
         set_checked(self, vec3, "position", "velocity")
-        set_checked(self, real, "time")
+        set_checked(self, magnitude, "time")
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class Magnetic:
 
     def __post_init__(self):
         set_checked(self, vec3, "target")
-        set_checked(self, real, "gain", "max_force", minimum=0.0)
+        set_checked(self, magnitude, "gain", "max_force", minimum=0.0)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         offset = self.target - state.position
@@ -69,7 +71,7 @@ class Spring:
     def __post_init__(self):
         set_checked(self, vec3, "surface_point")
         set_checked(self, vec3, "normal", unit=True)
-        set_checked(self, real, "stiffness", minimum=0.0)
+        set_checked(self, magnitude, "stiffness", minimum=0.0)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         depth = -float(np.dot(state.position - self.surface_point, self.normal))
@@ -85,7 +87,7 @@ class Damper:
     coefficient: float
 
     def __post_init__(self):
-        set_checked(self, real, "coefficient", minimum=0.0)
+        set_checked(self, magnitude, "coefficient", minimum=0.0)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         return -self.coefficient * state.velocity
@@ -94,20 +96,22 @@ class Damper:
 @dataclass(frozen=True)
 class Friction:
     """Velocity-proportional resistance within a tangent plane, capped at
-    max_force. Velocity along the plane normal is ignored."""
+    max_force. Velocity along the plane normal is ignored. An uncapped
+    force of _fields.MAX_MAGNITUDE or more raises ValueError before it is
+    squared, where it could overflow."""
 
     coefficient: float
     max_force: float
     tangent_plane_normal: np.ndarray
 
     def __post_init__(self):
-        set_checked(self, real, "coefficient", "max_force", minimum=0.0)
+        set_checked(self, magnitude, "coefficient", "max_force", minimum=0.0)
         set_checked(self, vec3, "tangent_plane_normal", unit=True)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         n = self.tangent_plane_normal
         v_tangent = state.velocity - np.dot(state.velocity, n) * n
-        f = -self.coefficient * v_tangent
+        f = force3(-self.coefficient * v_tangent, "friction force")
         mag = math.sqrt(f.dot(f))
         if mag > self.max_force:
             f = f * (self.max_force / mag)
@@ -124,7 +128,7 @@ class Vibration:
     direction: np.ndarray
 
     def __post_init__(self):
-        set_checked(self, real, "amplitude", "frequency", minimum=0.0)
+        set_checked(self, magnitude, "amplitude", "frequency", minimum=0.0)
         set_checked(self, vec3, "direction", unit=True)
 
     def force(self, state: EndEffectorState) -> np.ndarray:

@@ -91,7 +91,12 @@ start, which computed them already, and a solve that ends there answers
 with the box's t_min and the factorization's A t_min, which every such
 answer shares. Where A t_min outweighs the force, as for the workspace
 command's 0.1 N probes, most solves end there: 80% of the README grid's
-probes. A phase-1 iteration that steps makes three passes: the
+probes. Such a solve certifies t_min from the start's own step A^+ (f -
+A t_min), a bound on the certificate's rounding (see _nearest_box_point)
+standing in for its products and its pass, unless the tolerance comes
+near that rounding: a tolerance of about 1e-13 N or below at a few
+newtons, a near-degenerate A with a large residual, or a very wide box.
+A phase-1 iteration that steps makes three passes: the
 nearest-box-point certificate, the release (_release) and the ratio
 step; the first such iteration makes a fourth, which reads the free set
 from the iterate. A phase-2 iteration makes four: the vector of t_min on
@@ -576,7 +581,8 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     do, is t_min itself, so the first iterate takes x, A x and f - A x
     from the start: box.lo, a_lo and the start's own f - a_lo, the same
     operands and bits, with no product of its own. x and A x are then
-    those shared arrays, and a solve that ends here answers with them.
+    those shared arrays, and a solve that ends here answers with them,
+    mostly without the certificate's products either (see below).
 
     Both thresholds follow the magnitudes the iterate holds, so that no
     solve spins where the tolerance lies below the rounding: the
@@ -594,6 +600,34 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     tensions reach about 1e6 N, the solve ends ITERATION_CAP after phase
     2 (see solve), and scaling the force, the bounds and the tolerance
     together scales the answer.
+
+    Such a start is certified from its step s = A^+ r, r = f - A t_min,
+    without d = rows^T (goal r), the certificate's direction. The clip
+    left every cable on its floor, so fl(t_min,i + s_i) <= t_min,i: s_i is
+    at most half the spacing of the floats above t_min,i, so at most
+    eps/2 t_min,i, and at most 0 on a zero or subnormal floor, where that
+    spacing is 2^-1074, the smallest positive float, and any positive s_i
+    moves the sum up. The products differ from rows^T goal r by the usual
+    dot-product bounds (Higham 2002), with gamma_3 = 3 u / (1 - 3 u),
+    u = eps/2, rows of goal of norm at most ||goal||, columns of rows of
+    norm at most 1, and sqrt(3) for the rank: goal r is within
+    sqrt(3) gamma_3 ||goal|| ||r|| in norm, and rows^T times it adds
+    gamma_3 ||goal|| ||r||, so d is within (1 + sqrt 3) gamma_3 ||goal||
+    ||r||; each entry of A^+ = rows^T goal is within gamma_3 sum_j
+    |rows_ji| |goal_jl|, and A^+ r adds gamma_3 sum_l |A^+_il| |r_l|, both
+    sums at most sqrt(3) ||goal|| ||r||, so s is within 2 sqrt(3) gamma_3
+    ||goal|| ||r||. Together |d_i - s_i| <= (1 + 3 sqrt 3) gamma_3 ||goal||
+    ||r|| < 10 eps ||goal|| ||r||, to first order in eps: LAPACK's factors
+    are orthonormal to rounding, and the rule's margins cover that. So
+    once no iterate's 16 levels can reach tol / 10 (unit is 0) and
+    eps (64 ||goal|| ||r|| + sum t_max) <= tol / 10, every
+    d_i <= eps/2 t_min,i + 10 eps ||goal|| ||r|| lies below half of
+    tol / 10, every cable, on its floor, passes _is_nearest_box_point,
+    and the iteration answers NEAREST_FEASIBLE without computing d: the
+    answer d gives, at the same k. Every other case computes d: a
+    tolerance near the rounding, a near-degenerate A whose ||goal||
+    multiplies a large residual, or a box whose sum t_max approaches
+    tol / (10 eps).
     """
     M, goal, rows_t = fac.matrix, fac.goal, fac.rows_t
     lo, hi = box.lo_floats, box.hi_floats
@@ -619,9 +653,13 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
             return t, x, rendered, miss, None, k
         if unit is None:
             unit = _EPS * fac.goal_norm
+            root = math.sqrt(miss)
             # max |f_i| <= ||f - A t|| + sum t, and no cable passes t_max
-            if _STATIONARY_LEVELS * unit * (math.sqrt(miss) + 2.0 * box.hi_sum) <= stationary:
+            if _STATIONARY_LEVELS * unit * (root + 2.0 * box.hi_sum) <= stationary:
                 unit = 0.0
+                # a start at t_min certifies from its step (see the docstring)
+                if x is box.lo and _EPS * (64.0 * fac.goal_norm * root + box.hi_sum) <= stationary:
+                    return t, x, rendered, miss, SolveStatus.NEAREST_FEASIBLE, k
             else:
                 f_size = max(map(abs, f.tolist()))
         if unit:

@@ -172,7 +172,7 @@ class TestSolveCommand:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: force must be below 1e+100 N")
+        assert captured.err.startswith("error: force must be below 1e+100 in size")
 
     def test_missing_layout_file_exits_1(self, tmp_path, capsys):
         rc = main(["solve", "--layout", str(tmp_path / "missing.yaml"), "--force", "0,0,1"])
@@ -328,7 +328,7 @@ class TestValidateCommand:
         argv = ["validate", "--plant", "noisy", "--noise-std", std]
         rc = main([*argv, "--samples", "2", "--ticks", "5", "--out", str(out)])
         assert rc == 1
-        assert "force_noise_std must be below 1e+100 N" in capsys.readouterr().err
+        assert "force_noise_std must be below 1e+100 in size" in capsys.readouterr().err
         assert not out.exists()
 
     # the noisy plant draws a hold's mean in constant time and memory, so a
@@ -689,22 +689,53 @@ class TestMaterialCommand:
         assert (used / "material.csv").read_bytes() == before
 
     def test_row_whose_force_reaches_the_limit_writes_nothing(self, tmp_path, capsys):
-        # 1e102 N/m against a wall at z = 0.3: 1e99 N at 1 mm deep, within
-        # the 1e100 N limit, and 1e100 N at 1 cm deep on the third row
+        # 1e99 N/m against a wall at z = 0.3: 1e96 N at 1 mm deep, within
+        # the 1e100 N limit, and 1.01e100 N at 10.1 m deep on the third row
         material = tmp_path / "wall.yaml"
         material.write_text(
             "type: spring\nsurface_point: [0.0, 0.0, 0.3]\nnormal: [0.0, 0.0, 1.0]\n"
-            "stiffness: 1.0e+102\n"
+            "stiffness: 1.0e+99\n"
         )
         trajectory = tmp_path / "press.csv"
-        trajectory.write_text("t,x,y,z\n0.0,0.0,0.0,0.31\n0.001,0.0,0.0,0.299\n0.002,0.0,0.0,0.29\n")
+        trajectory.write_text("t,x,y,z\n0.0,0.0,0.0,0.31\n0.001,0.0,0.0,0.299\n0.002,0.0,0.0,-9.8\n")
         out = tmp_path / "out"
         argv = ["material", "--material", str(material), "--trajectory", str(trajectory)]
         assert main([*argv, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{trajectory}: row 3 (t=0.002): force must be below 1e+100 N" in captured.err
+        assert f"{trajectory}: row 3 (t=0.002): force must be below 1e+100 in size" in captured.err
         assert not (out / "material.csv").exists()
+
+    @pytest.mark.parametrize(
+        "material, velocity, named",
+        [
+            # refused where it enters, before any row is evaluated
+            ("type: damper\ncoefficient: 1.0e+300\n", "1e10", "bad damper: coefficient must be below"),
+            # 1e160 m/s would square to inf, leaving the force uncapped at -0.0
+            (
+                "type: friction\ncoefficient: 1.5\nmax_force: 2.0\ntangent_plane_normal: [0, 1, 0]\n",
+                "1e160",
+                "row 1 (t=0.0): velocity must be below",
+            ),
+        ],
+        ids=["damper", "friction"],
+    )
+    def test_material_values_above_the_limit_are_refused(
+        self, tmp_path, capsys, material, velocity, named
+    ):
+        path = tmp_path / "material.yaml"
+        path.write_text(material)
+        trajectory = tmp_path / "fast.csv"
+        trajectory.write_text(f"t,x,y,z,vx,vy,vz\n0.0,0.0,0.0,0.3,{velocity},0,0\n")
+        out = tmp_path / "out"
+        argv = ["material", "--material", str(path), "--trajectory", str(trajectory)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err and "1e+100 in size" in captured.err
+        assert not out.exists()
 
 
 class TestSolverFlags:

@@ -1,19 +1,26 @@
-"""One limit bounds every force, tension and radius: _fields.MAX_MAGNITUDE,
-1e100 N. Each enters through a check that refuses a size at or above it
-with a ValueError naming the field, and below it no norm, square, dot
-product or mean the package forms overflows, so solves and validation runs
-need no overflow handling of their own."""
+"""One limit bounds every force, tension, radius, position, velocity, time
+and material parameter: _fields.MAX_MAGNITUDE, 1e100. Each enters through
+a check that refuses a size at or above it with a ValueError naming the
+field, and below it no norm, square, dot product or mean the package forms
+overflows, so solves, material forces and validation runs need no
+overflow handling of their own."""
 
 import numpy as np
 import pytest
 
 from cablehaptics import (
+    Damper,
+    EndEffectorState,
+    Friction,
     IdealPlant,
+    Magnetic,
     NoisyPlant,
     SolveStatus,
     SolverConfig,
+    Spring,
     TensionBounds,
     ValidationProtocol,
+    Vibration,
     angle_error,
     default_validation_layout,
     is_wrench_feasible,
@@ -23,9 +30,10 @@ from cablehaptics import (
     structure_matrix,
 )
 from cablehaptics.cli import main
-from cablehaptics.geometry import ModuleLayout
+from cablehaptics.geometry import ModuleAnchor, ModuleLayout
 
 BELOW = 0.999e100
+ZERO, UP = [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]
 LARGEST = float(np.finfo(float).max)
 LAYOUT, EE = default_validation_layout()
 A = structure_matrix(LAYOUT, EE)
@@ -99,7 +107,8 @@ def test_validation_just_below_the_limit_raises_no_floating_point_error(plant):
 
 
 # (id, call with the value, field named): each entry point that takes a
-# force, tension or radius, fed a value of the given size
+# force, tension, radius, position, velocity, time or material parameter,
+# fed a value of the given size
 ENTRY_POINTS = [
     ("solve", lambda v: solve(A, [0.0, 0.0, v], LAYOUT.bounds), "force"),
     ("solve-negative", lambda v: solve(A, [-v, 0.0, 0.0], LAYOUT.bounds), "force"),
@@ -113,6 +122,20 @@ ENTRY_POINTS = [
     ("angle_error-b", lambda v: angle_error([1.0, 0.0, 0.0], [0.0, -v, 0.0]), "b"),
     ("magnitude_error-a", lambda v: magnitude_error([0.0, 0.0, v], [1.0, 0.0, 0.0]), "a"),
     ("magnitude_error-b", lambda v: magnitude_error([1.0, 0.0, 0.0], [v, 0.0, 0.0]), "b"),
+    ("anchor", lambda v: ModuleAnchor("m0", [0.0, v, 0.0]), "position"),
+    ("position", lambda v: EndEffectorState([0.0, 0.0, -v], ZERO), "position"),
+    ("velocity", lambda v: EndEffectorState(ZERO, [v, 0.0, 0.0]), "velocity"),
+    ("time", lambda v: EndEffectorState(ZERO, ZERO, v), "time"),
+    ("target", lambda v: Magnetic([v, 0.0, 0.0], 3.0, 6.0), "target"),
+    ("gain", lambda v: Magnetic(ZERO, v, 6.0), "gain"),
+    ("magnetic-max_force", lambda v: Magnetic(ZERO, 3.0, v), "max_force"),
+    ("surface_point", lambda v: Spring([0.0, 0.0, v], UP, 400.0), "surface_point"),
+    ("stiffness", lambda v: Spring(ZERO, UP, v), "stiffness"),
+    ("damper-coefficient", lambda v: Damper(v), "coefficient"),
+    ("friction-coefficient", lambda v: Friction(v, 2.0, UP), "coefficient"),
+    ("friction-max_force", lambda v: Friction(1.5, v, UP), "max_force"),
+    ("amplitude", lambda v: Vibration(v, 50.0, UP), "amplitude"),
+    ("frequency", lambda v: Vibration(0.3, v, UP), "frequency"),
 ]
 
 
@@ -121,7 +144,7 @@ ENTRY_POINTS = [
     "call, name", [e[1:] for e in ENTRY_POINTS], ids=[e[0] for e in ENTRY_POINTS]
 )
 def test_sizes_at_or_above_the_limit_are_refused_naming_the_field(call, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be below 1e\\+100 N in size, got "):
+    with pytest.raises(ValueError, match=f"^{name} must be below 1e\\+100 in size, got "):
         call(value)
 
 
@@ -130,6 +153,23 @@ def test_sizes_at_or_above_the_limit_are_refused_naming_the_field(call, name, va
 )
 def test_sizes_just_below_the_limit_are_taken(call):
     call(BELOW)
+
+
+@pytest.mark.parametrize(
+    "coefficient, speed",
+    [(2.0, 0.5e100), (BELOW, BELOW)],
+    ids=["limit", "largest"],
+)
+def test_a_friction_force_at_or_above_the_limit_is_refused_before_squaring(coefficient, speed):
+    # an uncapped force of 1e100 exactly, and the largest the fields allow,
+    # about 1e200, whose square would overflow
+    state = EndEffectorState(ZERO, [speed, 0.0, 0.0])
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="^friction force must be below 1e\\+100 in size"):
+            Friction(coefficient, 2.0, UP).force(state)
+        # just below the limit the force is capped at max_force
+        capped = Friction(2.0, 2.0, UP).force(EndEffectorState(ZERO, [BELOW / 2.0, 0.0, 0.0]))
+    assert capped.tolist() == [-2.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -149,6 +189,6 @@ def test_cli_refuses_sizes_above_the_limit_and_writes_nothing(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert "must be below 1e+100 N in size" in captured.err
+    assert "must be below 1e+100 in size" in captured.err
     assert not out.exists()
 

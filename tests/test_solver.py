@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -771,6 +772,50 @@ def _t_min_answers():
     return found
 
 
+_EPS = float(np.finfo(float).eps)
+_START_TOLERANCES = (0.5, 1e-3, 1e-8, 1e-12, 1e-13, 1e-14)
+
+
+def _starts_at_t_min(seed=24, matrices=600):
+    """(A, f, bounds) of seeded problems whose phase-1 start is t_min: m =
+    3..8, a fifth of rank 2 with forces in their plane, shared, per-cable
+    and -0.0 floors, and forces from 0.01 to 10 N."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for k in range(matrices):
+        m = 3 + k % 6
+        if k % 5 == 0:
+            angles = rng.uniform(0.0, 2.0 * np.pi, m)
+            M = np.vstack([np.cos(angles), np.sin(angles), np.zeros(m)])
+        else:
+            M = rng.normal(size=(3, m))
+        A = StructureMatrix(M / np.linalg.norm(M, axis=0))
+        bounds = _seeded_floors(rng, m)[k % 4]
+        fac = solver._factorization(A)
+        box, a_lo = fac.box(bounds)
+        lo, hi = box.lo_floats, box.hi_floats
+        for f in rng.normal(scale=10.0 ** rng.uniform(-2.0, 1.0), size=(6, 3)):
+            if k % 5 == 0:
+                f[2] = 0.0
+            step = fac.pinv.dot(f - a_lo).tolist()
+            if tuple(solver._move(lo, 1.0, step, lo, hi)) == lo:
+                found.append((A, f, bounds))
+    return found
+
+
+def _certificate_spy(monkeypatch):
+    """A list that counts the calls of _is_nearest_box_point from now on."""
+    calls = []
+    real = solver._is_nearest_box_point
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_is_nearest_box_point", spy)
+    return calls
+
+
 class TestAnswersAtTMin:
     """A probe whose start leaves every cable on its floor is answered from
     the start's own t_min, A t_min and f - A t_min; the answer shares the
@@ -830,6 +875,89 @@ class TestAnswersAtTMin:
             with pytest.raises(ValueError):
                 arr[0] = 100.0
         assert _outcome(solve(A, f, bounds)) == before
+
+    def test_the_start_step_certifies_within_its_bound(self, monkeypatch):
+        # the certificate direction d = rows^T (goal r) of a start at t_min
+        # lies within 10 eps ||goal|| ||r|| of its step s = A+ r, and s_i is
+        # at most eps/2 t_min,i, so where the rule fires d passes tol / 10
+        calls = _certificate_spy(monkeypatch)
+        cases = _starts_at_t_min()
+        fired = kept = 0
+        for A, f, bounds in cases:
+            fac = solver._factorization(A)
+            box, a_lo = fac.box(bounds)
+            lo, hi = box.lo_floats, box.hi_floats
+            residual = f - a_lo
+            step = fac.pinv.dot(residual).tolist()
+            d = fac.rows_t.dot(fac.goal.dot(residual)).tolist()
+            miss = residual.dot(residual)
+            root = math.sqrt(miss)
+            assert all(s_i <= 0.5 * _EPS * lo_i for s_i, lo_i in zip(step, lo))
+            bound = 10.0 * _EPS * fac.goal_norm * root
+            assert max(abs(d_i - s_i) for d_i, s_i in zip(d, step)) <= bound
+            for tol in _START_TOLERANCES:
+                if miss <= tol * tol:
+                    continue
+                stationary = tol * 0.1
+                unit = 16.0 * _EPS * fac.goal_norm * (root + 2.0 * box.hi_sum) <= stationary
+                rule = _EPS * (64.0 * fac.goal_norm * root + box.hi_sum) <= stationary
+                if not (unit and rule):
+                    kept += 1
+                    continue
+                fired += 1
+                assert solver._is_nearest_box_point(lo, d, lo, hi, stationary)
+                del calls[:]
+                result = solve(A, f, bounds, SolverConfig(tolerance=tol))
+                assert not calls
+                assert result.status is SolveStatus.NEAREST_FEASIBLE
+                assert result.iterations == 1
+                assert result.tensions.tobytes() == box.lo.tobytes()
+        # the tolerances leave cases on both sides of the rule
+        assert len(cases) >= 500 and fired >= 1000 and kept >= 1000
+
+    def test_readme_probes_at_t_min_make_no_certificate_pass(self, monkeypatch):
+        layout, _ = default_validation_layout()
+        lo = np.full(len(layout), layout.bounds.t_min).tobytes()
+        calls = _certificate_spy(monkeypatch)
+        at_t_min = 0
+        for point in itertools.product(*map(np.linspace, (-1, -1, 0.1), (1, 1, 1.5), (5, 5, 4))):
+            A = structure_matrix(layout, point)
+            for d in WORKSPACE_DIRECTIONS:
+                del calls[:]
+                result = solve(A, d * WORKSPACE_PROBE_FORCE, layout.bounds)
+                if result.tensions.tobytes() == lo and result.iterations == 1:
+                    assert result.status is SolveStatus.NEAREST_FEASIBLE
+                    assert not calls
+                    at_t_min += 1
+        # 2,193 of the 2,600 probes of the bench's workspace pass
+        assert at_t_min >= 2000
+
+    def test_a_tiny_tolerance_still_makes_the_certificate_pass(self, monkeypatch):
+        answers = _t_min_answers()
+        calls = _certificate_spy(monkeypatch)
+        for A, f, bounds, default in answers:
+            _clear_caches()
+            del calls[:]
+            result = solve(A, f, bounds, SolverConfig(tolerance=1e-14))
+            assert len(calls) == 1
+            assert result.status is SolveStatus.NEAREST_FEASIBLE and result.iterations == 1
+            assert _outcome(result)[:2] == _outcome(default)[:2]
+
+    def test_a_near_degenerate_matrix_still_makes_the_certificate_pass(self, monkeypatch):
+        # three cables 1.7e-4 off a plane: ||goal|| is 5,858, so the start's
+        # 14.5 N residual keeps the rule from firing at the default
+        # tolerance, though 16 rounding levels stay below tol / 10
+        angles = np.radians([0.0, 45.0, 90.0])
+        M = np.vstack([np.cos(angles), np.sin(angles), 1e-4 * np.array([1.0, -1.0, 1.0])])
+        A = StructureMatrix(M / np.linalg.norm(M, axis=0))
+        f = -A.columns.dot(np.full(3, 6.0))
+        calls = _certificate_spy(monkeypatch)
+        result = solve(A, f, TensionBounds(0.0, 0.2))
+        assert len(calls) == 1
+        assert result.status is SolveStatus.NEAREST_FEASIBLE and result.iterations == 1
+        assert result.tensions.tolist() == [0.0, 0.0, 0.0]
+        assert result.rendered_force.tolist() == [0.0, 0.0, 0.0]
+        assert result.force_residual == math.sqrt(f.dot(f))
 
 
 LO, HI, TOL = 0.5, 6.0, 1e-3
