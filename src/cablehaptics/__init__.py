@@ -11,6 +11,7 @@ Modules:
 - cli: ``cablehaptics`` command-line entry point
 """
 
+from ._fields import as_vec3
 from .actuation import ActuatorCommand, ActuatorMode, ActuatorParams, command_for_tension
 from .errors import (
     CableHapticsError,
@@ -25,7 +26,6 @@ from .geometry import (
     ModuleLayout,
     StructureMatrix,
     TensionBounds,
-    as_vec3,
     cable_directions,
     structure_matrix,
 )

@@ -1,8 +1,8 @@
-"""Field checks for the package's frozen dataclasses. Each validates one
-value, raises a ValueError that names it, and returns it in its one stored
-form: a Python float or int, whatever numeric type was passed, or a
-read-only float 3-vector. It imports nothing from the package, so every
-module can use it."""
+"""The checks every value a caller hands the package takes where it
+enters. Each validates one value, raises a ValueError that names it, and
+returns it in its one stored form: a Python float or int, whatever numeric
+type was passed, or a float 3-vector, below MAX_MAGNITUDE in size (all but
+as_vec3). It imports nothing from the package, so every module can use it."""
 
 from __future__ import annotations
 
@@ -15,11 +15,11 @@ import numpy as np
 # A vector checked with unit=True may miss norm 1 by at most this much.
 UNIT_NORM_TOL = 1e-9
 
-# The size no force (N), tension, sphere radius, material parameter,
-# position (m), velocity or time may reach (force3, magnitude, vec3). Below
-# it no sum of squares the package forms overflows: a residual component
-# on m cables is at most (m + 1) times it, and a material force, a
-# parameter times a position, velocity or time, stays finite.
+# The size no force (N), tension, radius, tolerance, angle, material
+# parameter, position (m), velocity or time may reach (real, force3, vec3).
+# Below it no sum of squares the package forms overflows: a residual
+# component on m cables is at most (m + 1) times it, and a material force,
+# a parameter times a position, velocity or time, stays finite.
 MAX_MAGNITUDE = 1e100
 
 _FLOAT = np.dtype(float)
@@ -47,7 +47,10 @@ def _vec3(v, limit: float) -> tuple[np.ndarray, bool]:
 
 
 def as_vec3(v) -> np.ndarray:
-    """Validate v as a finite 3-vector and return it as a float array."""
+    """Validate v as a finite 3-vector and return it as a float array. It
+    has no size limit, so it checks only vectors the package derives, such
+    as a plant's measurement: from inputs just below MAX_MAGNITUDE a noisy
+    plant measures about 1.4e100, finite but beyond the limit."""
     return _vec3(v, math.inf)[0]
 
 
@@ -59,23 +62,14 @@ def force3(v, name: str) -> np.ndarray:
     return arr
 
 
-def magnitude(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:
-    """real(value, name, minimum, strict=strict), if it lies below
-    MAX_MAGNITUDE in size."""
-    value = real(value, name, minimum, strict=strict)
-    if not -MAX_MAGNITUDE < value < MAX_MAGNITUDE:
-        raise _too_large(name, value)
-    return value
-
-
 def _too_large(name: str, value) -> ValueError:
     """The error refusing name's value, of MAX_MAGNITUDE or more in size."""
     return ValueError(f"{name} must be below {MAX_MAGNITUDE:g} in size, got {value!r}")
 
 
 def real(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:
-    """value as a float, if it is a finite real number of at least minimum
-    (above it when strict). Strings and bools are not numbers here."""
+    """value as a float, if it is a real number below MAX_MAGNITUDE in size
+    and of at least minimum (above it when strict); not a string or bool."""
     try:
         finite = (
             isinstance(value, numbers.Real)
@@ -89,6 +83,8 @@ def real(value, name: str, minimum: float | None = None, *, strict: bool = False
     value = float(value)
     if minimum is not None and (value <= minimum if strict else value < minimum):
         raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
+    if not -MAX_MAGNITUDE < value < MAX_MAGNITUDE:
+        raise _too_large(name, value)
     return value
 
 

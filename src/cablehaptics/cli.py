@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import vec3
 from .config import load_layout, load_material, load_trajectory
 from .errors import CableHapticsError, DegenerateGeometry
 from .geometry import ModuleLayout, structure_matrix
@@ -66,8 +67,8 @@ def _split3(text: str, convert, form: str, what: str) -> list:
         raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def _parse_vec3(text: str) -> np.ndarray:
-    return np.array(_split3(text, float, "x,y,z", "vector"))
+def _parse_vec3(text: str) -> list[float]:
+    return _split3(text, float, "x,y,z", "vector")
 
 
 def _parse_grid_res(text: str) -> tuple[int, int, int]:
@@ -156,7 +157,7 @@ def _layout(args: argparse.Namespace) -> tuple[ModuleLayout, np.ndarray]:
     return load_layout(args.layout), np.zeros(3)
 
 
-def _layout_and_ee(args: argparse.Namespace) -> tuple[ModuleLayout, np.ndarray]:
+def _layout_and_ee(args: argparse.Namespace) -> tuple[ModuleLayout, np.ndarray | list[float]]:
     """_layout(args), with --ee in place of its end effector when given."""
     layout, ee = _layout(args)
     return layout, ee if args.ee is None else args.ee
@@ -218,12 +219,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_workspace(args: argparse.Namespace) -> int:
     layout, _ = _layout(args)
     solver_config = _solver_config(args)
-    for flag, corner in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
-        if not np.isfinite(corner).all():
-            raise CableHapticsError(f"{flag} must be finite, got {corner.tolist()}")
-    if np.any(args.grid_max < args.grid_min):
+    grid_min, grid_max = vec3(args.grid_min, "--grid-min"), vec3(args.grid_max, "--grid-max")
+    if np.any(grid_max < grid_min):
         raise CableHapticsError("grid max must be >= grid min on every axis")
-    axes = [np.linspace(*axis).tolist() for axis in zip(args.grid_min, args.grid_max, args.grid_res)]
+    axes = [np.linspace(*axis).tolist() for axis in zip(grid_min, grid_max, args.grid_res)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "workspace.csv"

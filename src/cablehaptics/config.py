@@ -30,6 +30,7 @@ import math
 import numpy as np
 import yaml
 
+from ._fields import MAX_MAGNITUDE
 from .errors import ConfigError
 from .geometry import ModuleAnchor, ModuleLayout, TensionBounds
 from .haptics import (
@@ -176,7 +177,8 @@ def load_trajectory(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The header is ``t,x,y,z`` or ``t,x,y,z,vx,vy,vz`` (any case, spaces
     around a name ignored) and every row has its columns; when velocity
     columns are absent they are computed by finite differences over t
-    (central in the interior, one-sided at the ends).
+    (central in the interior, one-sided at the ends), which needs times and
+    positions below _fields.MAX_MAGNITUDE and steps of 1e-100 s or more.
     """
     try:
         with open(path, newline="") as handle:
@@ -213,7 +215,10 @@ def load_trajectory(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     elif len(times) == 1:
         velocities = np.zeros((1, 3))
     else:
-        if np.any(np.diff(times) <= 0):
-            raise ConfigError(f"{path}: times must be strictly increasing to difference velocities")
+        if np.abs(table).max() >= MAX_MAGNITUDE or np.diff(times).min() < 1.0 / MAX_MAGNITUDE:
+            raise ConfigError(
+                f"{path}: to difference velocities, times and positions must be below "
+                f"{MAX_MAGNITUDE:g} in size and times must step by at least {1.0 / MAX_MAGNITUDE:g} s"
+            )
         velocities = np.gradient(positions, times, axis=0)
     return times, positions, velocities

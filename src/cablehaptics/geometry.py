@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import as_vec3, magnitude, real, set_checked, vec3
+from ._fields import force3, real, set_checked, vec3
 from .errors import DegenerateGeometry
 
 # Anchors closer together than this are rejected as duplicates (meters).
@@ -48,7 +48,7 @@ class TensionBounds:
 
     def __post_init__(self):
         set_checked(self, real, "t_min", minimum=0.0)
-        set_checked(self, magnitude, "t_max")
+        set_checked(self, real, "t_max")
         if self.t_min == 0.0:
             object.__setattr__(self, "t_min", 0.0)
         if not self.t_min < self.t_max:
@@ -153,7 +153,7 @@ def cable_directions(layout: ModuleLayout, ee) -> np.ndarray:
     Raises DegenerateGeometry when the end effector sits within 1e-6 m of
     an anchor.
     """
-    p = as_vec3(ee)
+    p = force3(ee, "end effector")
     offsets = layout.anchor_positions - p
     norms = _norms(offsets, 1)
     for norm in norms.tolist():

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from ._fields import force3, magnitude, set_checked, vec3
+from ._fields import force3, real, set_checked, vec3
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class EndEffectorState:
 
     def __post_init__(self):
         set_checked(self, vec3, "position", "velocity")
-        set_checked(self, magnitude, "time")
+        set_checked(self, real, "time")
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Magnetic:
 
     def __post_init__(self):
         set_checked(self, vec3, "target")
-        set_checked(self, magnitude, "gain", "max_force", minimum=0.0)
+        set_checked(self, real, "gain", "max_force", minimum=0.0)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         offset = self.target - state.position
@@ -71,7 +71,7 @@ class Spring:
     def __post_init__(self):
         set_checked(self, vec3, "surface_point")
         set_checked(self, vec3, "normal", unit=True)
-        set_checked(self, magnitude, "stiffness", minimum=0.0)
+        set_checked(self, real, "stiffness", minimum=0.0)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         depth = -float(np.dot(state.position - self.surface_point, self.normal))
@@ -87,7 +87,7 @@ class Damper:
     coefficient: float
 
     def __post_init__(self):
-        set_checked(self, magnitude, "coefficient", minimum=0.0)
+        set_checked(self, real, "coefficient", minimum=0.0)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
         return -self.coefficient * state.velocity
@@ -105,7 +105,7 @@ class Friction:
     tangent_plane_normal: np.ndarray
 
     def __post_init__(self):
-        set_checked(self, magnitude, "coefficient", "max_force", minimum=0.0)
+        set_checked(self, real, "coefficient", "max_force", minimum=0.0)
         set_checked(self, vec3, "tangent_plane_normal", unit=True)
 
     def force(self, state: EndEffectorState) -> np.ndarray:
@@ -128,7 +128,7 @@ class Vibration:
     direction: np.ndarray
 
     def __post_init__(self):
-        set_checked(self, magnitude, "amplitude", "frequency", minimum=0.0)
+        set_checked(self, real, "amplitude", "frequency", minimum=0.0)
         set_checked(self, vec3, "direction", unit=True)
 
     def force(self, state: EndEffectorState) -> np.ndarray:

@@ -24,10 +24,10 @@ from typing import Union
 
 import numpy as np
 
-from ._fields import force3, integer, magnitude, real, set_checked
+from ._fields import as_vec3, force3, integer, real, set_checked, vec3
 from .config import layout_to_dict
 from .errors import DegenerateInput, ZeroVector
-from .geometry import ModuleAnchor, ModuleLayout, StructureMatrix, as_vec3, structure_matrix
+from .geometry import ModuleAnchor, ModuleLayout, StructureMatrix, structure_matrix
 from .solver import WRENCH_FEASIBLE_RESIDUAL, SolverConfig, solve
 
 # Error statistics measured on a physical four-module rig with a calibrated
@@ -80,7 +80,7 @@ class ValidationProtocol:
     samples_per_hold: int = 1000
 
     def __post_init__(self):
-        set_checked(self, magnitude, "sphere_radius", minimum=0.0, strict=True)
+        set_checked(self, real, "sphere_radius", minimum=0.0, strict=True)
         set_checked(self, integer, "sample_count", "samples_per_hold", minimum=1)
 
 
@@ -109,9 +109,8 @@ class NoisyPlant:
     normals from the generator seeded with ``[seed, i // 256]``, so a
     hold's noise depends on (seed, i) alone: runs are reproducible and
     independent of evaluation order, and no two seeds share a stream. The
-    last table is kept, so consecutive holds build one per 256.
-    ``force_noise_std`` and ``tension_bias`` must lie below
-    _fields.MAX_MAGNITUDE (1e100 N) in size.
+    last table is kept, so consecutive holds build one per 256. Each float
+    field must lie below _fields.MAX_MAGNITUDE (1e100) in size.
     """
 
     force_noise_std: float = 0.0
@@ -120,9 +119,9 @@ class NoisyPlant:
     seed: int = 42
 
     def __post_init__(self):
-        set_checked(self, magnitude, "force_noise_std", minimum=0.0)
+        set_checked(self, real, "force_noise_std", minimum=0.0)
         set_checked(self, real, "frame_rotation_z")
-        set_checked(self, magnitude, "tension_bias")
+        set_checked(self, real, "tension_bias")
         set_checked(self, integer, "seed", minimum=0)
         rotation = rotation_z(self.frame_rotation_z)
         rotation.setflags(write=False)
@@ -234,16 +233,17 @@ def align_z_rotation(desired_basis, measured_basis) -> float:
 
     Closed form over the XY components: with C = sum(dx*mx + dy*my) and
     S = sum(dy*mx - dx*my), the minimizer is atan2(S, C). Raises
-    ValueError for mismatched shapes or a NaN or inf entry, ZeroVector for
-    a (near) zero basis vector, and DegenerateInput when every vector's XY
-    projection is (near) zero, since a Z rotation is then unobservable.
+    ValueError for mismatched shapes or an entry that is NaN, inf or of
+    _fields.MAX_MAGNITUDE or more in size, ZeroVector for a (near) zero
+    basis vector, and DegenerateInput when every vector's XY projection is
+    (near) zero, since a Z rotation is then unobservable.
     """
     d = np.atleast_2d(np.asarray(desired_basis, dtype=float))
     m = np.atleast_2d(np.asarray(measured_basis, dtype=float))
     if d.shape != m.shape or d.shape[1] != 3 or d.shape[0] < 1:
         raise ValueError(f"basis shapes must match as (k, 3), got {d.shape} and {m.shape}")
-    if not (np.isfinite(d).all() and np.isfinite(m).all()):
-        raise ValueError("basis vectors must be finite")
+    for v in (*d, *m):
+        vec3(v, "basis vector")
     if np.any(np.linalg.norm(d, axis=1) <= 1e-12) or np.any(
         np.linalg.norm(m, axis=1) <= 1e-12
     ):
@@ -383,7 +383,7 @@ def report_summary(
             "samples_per_hold": protocol.samples_per_hold,
         },
         "plant": {"type": plant_type, **asdict(plant)},
-        "layout": {**layout_to_dict(layout), "end_effector": list(as_vec3(ee))},
+        "layout": {**layout_to_dict(layout), "end_effector": list(force3(ee, "end effector"))},
     }
 
 

@@ -508,11 +508,11 @@ class TestWorkspaceCommand:
         [
             (
                 ["--grid-min=nan,0,0.1", "--grid-max", "1,1,1.5"],
-                "--grid-min must be finite, got [nan, 0.0, 0.1]",
+                "--grid-min must be a finite 3-vector, got [nan, 0.0, 0.1]",
             ),
             (
                 ["--grid-min=-1,-1,0.1", "--grid-max", "1,1,inf"],
-                "--grid-max must be finite, got [1.0, 1.0, inf]",
+                "--grid-max must be a finite 3-vector, got [1.0, 1.0, inf]",
             ),
         ],
         ids=["nan-min", "inf-max"],
@@ -705,6 +705,23 @@ class TestMaterialCommand:
         assert captured.out == ""
         assert f"{trajectory}: row 3 (t=0.002): force must be below 1e+100 in size" in captured.err
         assert not (out / "material.csv").exists()
+
+    def test_trajectory_whose_velocities_would_overflow_writes_nothing(self, tmp_path, capsys):
+        # a 1e10 m jump in 1e-300 s: np.gradient overflowed to an inf velocity
+        material = tmp_path / "magnet.yaml"
+        material.write_text("type: magnetic\ntarget: [0.0, 0.0, 0.5]\ngain: 3.0\nmax_force: 6.0\n")
+        trajectory = tmp_path / "jump.csv"
+        trajectory.write_text("t,x,y,z\n0.0,0.0,0.0,0.3\n1e-300,1e10,0.0,0.3\n")
+        out = tmp_path / "out"
+        argv = ["material", "--material", str(material), "--trajectory", str(trajectory)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {trajectory}: to difference velocities")
+        assert "at least 1e-100 s" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "material, velocity, named",

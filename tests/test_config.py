@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -296,7 +297,47 @@ class TestTrajectoryLoading:
         with pytest.raises(ConfigError):
             load_trajectory(path)
 
+    def test_differencing_within_the_limits_raises_no_floating_point_error(self, tmp_path):
+        # seeded trajectories with steps from the 1e-100 s floor up and times
+        # and positions up to just below 1e100; a case whose steps round
+        # below the floor in floats must be refused instead
+        rng = np.random.default_rng(31)
+        path = tmp_path / "traj.csv"
+        loaded = refused = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 7))
+            steps = np.where(rng.random(n - 1) < 0.25, 1e-100, 10.0 ** rng.uniform(-100, 98, n - 1))
+            if rng.random() < 0.5:
+                # from 0, in ascending steps: no step is lost in the time it follows
+                start = 0.0
+                steps.sort()
+            else:
+                start = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 99) / 2.0
+            times = start + np.concatenate([[0.0], np.cumsum(steps)])
+            size = 10.0 ** rng.uniform(-300, 100, (n, 3))
+            size[rng.random((n, 3)) < 0.25] = 0.999e100
+            positions = np.minimum(size, 0.999e100) * rng.choice([-1.0, 0.0, 1.0], (n, 3))
+            rows = ["t,x,y,z"] + [
+                ",".join(map(repr, [t, *p])) for t, p in zip(times.tolist(), positions.tolist())
+            ]
+            path.write_text("\n".join(rows) + "\n")
+            with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                if np.diff(times).min() < 1e-100:
+                    with pytest.raises(ConfigError, match="to difference velocities"):
+                        load_trajectory(path)
+                    refused += 1
+                    continue
+                _, _, velocities = load_trajectory(path)
+            assert np.isfinite(velocities).all()
+            loaded += 1
+        assert loaded > 1000 and refused > 0
 
+
+DIFFERENCE = (
+    "to difference velocities, times and positions must be below 1e+100 in size "
+    "and times must step by at least 1e-100 s"
+)
 ANCHORS = "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [0.0, 1.0, 0.0]}\n"
 
 
@@ -318,6 +359,12 @@ ANCHORS = "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [
         (load_trajectory, "t,x,y,z\n0.0,1.0,2.0\n", "line 2: expected 4 columns, got 3"),
         (load_trajectory, "t,x,y,z\n", "no data rows"),
         (load_trajectory, "t,x,y,z\n0.0,nan,0.0,0.3\n", "line 2: non-finite"),
+        # the first three overflowed or divided by zero in np.gradient or np.diff
+        (load_trajectory, "t,x,y,z\n0.0,0.0,0.0,0.3\n1e-300,1e10,0.0,0.3\n", DIFFERENCE),
+        (load_trajectory, "t,x,y,z\n0.0,0,0,0.3\n1e-200,0,0,0.3\n3e-200,0,0,0.3\n", DIFFERENCE),
+        (load_trajectory, "t,x,y,z\n-1.7e308,0,0,0.3\n1.7e308,0,0,0.3\n", DIFFERENCE),
+        (load_trajectory, "t,x,y,z\n0.0,0,0,0.3\n1.0,0,-1e100,0.3\n", DIFFERENCE),
+        (load_trajectory, "t,x,y,z\n0.0,0,0,0.3\n1e100,0,0,0.3\n", DIFFERENCE),
         (load_trajectory, "t,x,y,z\n\n0.0,0,0,0.3\n0.001,0,a,0.31\n", "line 4: "),
         (load_trajectory, "t,x,y,z,vx\n0.0,0,0,0.3\n0.001,0,0,0.31\n", "header must be t,x,y,z or t,x,y,z,vx,vy,vz, got ['t', 'x', 'y', 'z', 'vx']"),
         (load_trajectory, "t,x,y,z,vx,vy,vz,extra\n0.0,0,0,0.3,0,0,0\n", "header must be t,x,y,z or t,x,y,z,vx,vy,vz, got ['t', 'x', 'y', 'z', 'vx', 'vy', 'vz', 'extra']"),
@@ -335,6 +382,11 @@ ANCHORS = "anchors:\n- {id: a, position: [1.0, 0.0, 0.0]}\n- {id: b, position: [
         "wrong-column-count",
         "header-without-rows",
         "nan-cell",
+        "overflowing-velocity-quotient",
+        "zero-product-of-steps",
+        "overflowing-step",
+        "position-at-the-limit",
+        "time-at-the-limit",
         "blank-line-before-a-bad-cell",
         "partial-velocity-header",
         "extra-header-column",

@@ -1,18 +1,22 @@
-"""One limit bounds every force, tension, radius, position, velocity, time
-and material parameter: _fields.MAX_MAGNITUDE, 1e100. Each enters through
-a check that refuses a size at or above it with a ValueError naming the
-field, and below it no norm, square, dot product or mean the package forms
-overflows, so solves, material forces and validation runs need no
-overflow handling of their own."""
+"""One limit bounds every number and vector a caller hands the package:
+_fields.MAX_MAGNITUDE, 1e100. Each enters through a check that refuses a
+size at or above it with a ValueError naming the field, and below it no
+norm, square, dot product or mean the package forms overflows, so solves,
+material forces and validation runs need no overflow handling of their
+own."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from cablehaptics import (
+    ActuatorParams,
     Damper,
     EndEffectorState,
     Friction,
     IdealPlant,
+    InvalidTension,
     Magnetic,
     NoisyPlant,
     SolveStatus,
@@ -22,17 +26,22 @@ from cablehaptics import (
     ValidationProtocol,
     Vibration,
     angle_error,
+    command_for_tension,
     default_validation_layout,
     is_wrench_feasible,
     magnitude_error,
     run_validation,
     solve,
+    sphere_samples,
     structure_matrix,
 )
 from cablehaptics.cli import main
 from cablehaptics.geometry import ModuleAnchor, ModuleLayout
+from cablehaptics.simulation import report_summary
 
 BELOW = 0.999e100
+# between BELOW and the limit, for bounds that must lie above a field at BELOW
+HIGHER, HIGHEST = 0.9995e100, 0.9999e100
 ZERO, UP = [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]
 LARGEST = float(np.finfo(float).max)
 LAYOUT, EE = default_validation_layout()
@@ -106,18 +115,43 @@ def test_validation_just_below_the_limit_raises_no_floating_point_error(plant):
         assert np.isfinite([r.angle_error, r.magnitude_error]).all()
 
 
+def summary_echoing(ee):
+    """The summary of a two-sample ideal run that echoes ee as its end effector."""
+    protocol = ValidationProtocol(sample_count=2, samples_per_hold=1)
+    report = run_validation(LAYOUT, EE, protocol, IdealPlant())
+    return report_summary(report, protocol, IdealPlant(), LAYOUT, ee)
+
+
 # (id, call with the value, field named): each entry point that takes a
-# force, tension, radius, position, velocity, time or material parameter,
-# fed a value of the given size
+# number or vector from a caller, fed a value of the given size
 ENTRY_POINTS = [
     ("solve", lambda v: solve(A, [0.0, 0.0, v], LAYOUT.bounds), "force"),
     ("solve-negative", lambda v: solve(A, [-v, 0.0, 0.0], LAYOUT.bounds), "force"),
     ("is_wrench_feasible", lambda v: is_wrench_feasible(A, [0.0, v, 0.0], LAYOUT.bounds), "force"),
     ("t_max", lambda v: TensionBounds(0.5, v), "t_max"),
+    ("t_min", lambda v: TensionBounds(v, HIGHER), "t_min"),
+    ("tolerance", lambda v: SolverConfig(tolerance=v), "tolerance"),
+    ("end-effector", lambda v: structure_matrix(LAYOUT, [v, 0.0, 0.0]), "end effector"),
+    ("summary-end-effector", lambda v: summary_echoing([0.0, v, 0.0]), "end effector"),
     ("sphere_radius", lambda v: ValidationProtocol(sphere_radius=v), "sphere_radius"),
+    ("sphere_samples-radius", lambda v: sphere_samples(4, v), "radius"),
     ("force_noise_std", lambda v: NoisyPlant(force_noise_std=v), "force_noise_std"),
+    ("frame_rotation_z", lambda v: NoisyPlant(frame_rotation_z=-v), "frame_rotation_z"),
     ("tension_bias", lambda v: NoisyPlant(tension_bias=v), "tension_bias"),
     ("negative-tension_bias", lambda v: NoisyPlant(tension_bias=-v), "tension_bias"),
+    (
+        "motor_max_force",
+        lambda v: ActuatorParams(motor_max_force=v, brake_max_force=HIGHER),
+        "motor_max_force",
+    ),
+    ("brake_max_force", lambda v: ActuatorParams(brake_max_force=v), "brake_max_force"),
+    (
+        "min_taut_force",
+        lambda v: ActuatorParams(min_taut_force=v, motor_max_force=HIGHER, brake_max_force=HIGHEST),
+        "min_taut_force",
+    ),
+    ("force_per_amp", lambda v: ActuatorParams(force_per_amp=v), "force_per_amp"),
+    ("desired_tension", lambda v: command_for_tension(v, True), "desired_tension"),
     ("angle_error-a", lambda v: angle_error([v, 0.0, 0.0], [1.0, 0.0, 0.0]), "a"),
     ("angle_error-b", lambda v: angle_error([1.0, 0.0, 0.0], [0.0, -v, 0.0]), "b"),
     ("magnitude_error-a", lambda v: magnitude_error([0.0, 0.0, v], [1.0, 0.0, 0.0]), "a"),
@@ -144,7 +178,9 @@ ENTRY_POINTS = [
     "call, name", [e[1:] for e in ENTRY_POINTS], ids=[e[0] for e in ENTRY_POINTS]
 )
 def test_sizes_at_or_above_the_limit_are_refused_naming_the_field(call, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be below 1e\\+100 in size, got "):
+    # command_for_tension raises the check's message as its own InvalidTension
+    error = InvalidTension if name == "desired_tension" else ValueError
+    with pytest.raises(error, match=f"^{name} must be below 1e\\+100 in size, got "):
         call(value)
 
 
@@ -172,23 +208,30 @@ def test_a_friction_force_at_or_above_the_limit_is_refused_before_squaring(coeff
     assert capped.tolist() == [-2.0, 0.0, 0.0]
 
 
+GRID = ["--grid-res", "1,1,1", "--out"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["solve", "--force=0,0,1e200"],
-        ["validate", "--radius", "1e200", "--samples", "4", "--ticks", "2", "--out"],
+        (["solve", "--force=0,0,1e200"], "force"),
+        (["validate", "--radius", "1e200", "--samples", "4", "--ticks", "2", "--out"], "sphere_radius"),
+        (["solve", "--ee=1e200,0,0", "--force", "0,0,1"], "end effector"),
+        (["validate", "--ee=1e200,0,0", "--samples", "4", "--ticks", "2", "--out"], "end effector"),
+        (["workspace", "--grid-min=1e200,0,0", "--grid-max", "1e200,0,0", *GRID], "--grid-min"),
+        (["workspace", "--grid-min=0,0,0", "--grid-max", "0,0,1e200", *GRID], "--grid-max"),
     ],
-    ids=["solve", "validate"],
+    ids=["solve", "validate", "solve-ee", "validate-ee", "workspace-min", "workspace-max"],
 )
-def test_cli_refuses_sizes_above_the_limit_and_writes_nothing(tmp_path, capsys, argv):
-    # solve writes no file; validate would write into --out
+def test_cli_refuses_sizes_above_the_limit_and_writes_nothing(tmp_path, capsys, argv, named):
+    # solve writes no file; validate and workspace would write into --out
     out = tmp_path / "out"
     if argv[-1] == "--out":
         argv = [*argv, str(out)]
-    assert main(argv) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "must be below 1e+100 in size" in captured.err
+    assert captured.err.startswith(f"error: {named} must be below 1e+100 in size")
     assert not out.exists()
-

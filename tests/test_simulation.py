@@ -167,6 +167,19 @@ class TestAlignZRotation:
         with pytest.raises(ZeroVector):
             align_z_rotation(np.zeros((1, 3)), np.ones((1, 3)))
 
+    @pytest.mark.parametrize("side", ["desired", "measured"])
+    def test_entries_at_or_above_the_limit_rejected_without_warning(self, side):
+        # scaled by 1e200 the sums overflow and the angle would read 45 deg
+        desired, measured = [[1e200, 2e200, 0.0]], [[1e200, 0.0, 0.0]]
+        if side == "measured":
+            desired, measured = measured, desired
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^basis vector must be below 1e\\+100 in size"):
+                align_z_rotation(desired, measured)
+            angle = np.degrees(align_z_rotation([[1.0, 2.0, 0.0]], [[1.0, 0.0, 0.0]]))
+        assert angle == pytest.approx(63.43494882292201, abs=1e-12)
+
 
 class TestDefaultValidationLayout:
     def test_four_modules_rank_three(self):
