@@ -11,7 +11,6 @@ Modules:
 - cli: ``cablehaptics`` command-line entry point
 """
 
-from ._fields import as_vec3
 from .actuation import ActuatorCommand, ActuatorMode, ActuatorParams, command_for_tension
 from .errors import (
     CableHapticsError,
@@ -102,7 +101,6 @@ __all__ = [
     "actuation_rank",
     "align_z_rotation",
     "angle_error",
-    "as_vec3",
     "cable_directions",
     "command_for_tension",
     "default_validation_layout",

@@ -16,10 +16,12 @@ import numpy as np
 UNIT_NORM_TOL = 1e-9
 
 # The size no force (N), tension, radius, tolerance, angle, material
-# parameter, position (m), velocity or time may reach (real, force3, vec3).
+# parameter, position (m), velocity, time, count or seed may reach (real,
+# integer, force3, vec3).
 # Below it no sum of squares the package forms overflows: a residual
 # component on m cables is at most (m + 1) times it, and a material force,
-# a parameter times a position, velocity or time, stays finite.
+# a parameter times a position, velocity or time, stays finite. A count
+# below it converts to a float, as a noisy hold's sqrt(ticks) does.
 MAX_MAGNITUDE = 1e100
 
 _FLOAT = np.dtype(float)
@@ -89,9 +91,9 @@ def real(value, name: str, minimum: float | None = None, *, strict: bool = False
 
 
 def integer(value, name: str, minimum: int) -> int:
-    """value as an int, if it is an integer of at least minimum;
-    operator.index decides what counts as one, so 2.0 and "2" do not, and
-    neither does a bool."""
+    """value as an int, if it is an integer of at least minimum and below
+    MAX_MAGNITUDE in size; operator.index decides what counts as one, so
+    2.0 and "2" do not, and neither does a bool."""
     try:
         checked = operator.index(value)
     except TypeError:
@@ -100,6 +102,8 @@ def integer(value, name: str, minimum: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if checked < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {checked!r}")
+    if not -MAX_MAGNITUDE < checked < MAX_MAGNITUDE:
+        raise _too_large(name, checked)
     return checked
 
 

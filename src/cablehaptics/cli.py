@@ -286,8 +286,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.run(args)
-    # OverflowError: a number beyond the float range, such as a --ticks
-    # count above 1.8e308 for the noisy plant
+    # OverflowError: a number beyond the float range that no check refused
     except (CableHapticsError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -233,17 +233,20 @@ def align_z_rotation(desired_basis, measured_basis) -> float:
 
     Closed form over the XY components: with C = sum(dx*mx + dy*my) and
     S = sum(dy*mx - dx*my), the minimizer is atan2(S, C). Raises
-    ValueError for mismatched shapes or an entry that is NaN, inf or of
-    _fields.MAX_MAGNITUDE or more in size, ZeroVector for a (near) zero
-    basis vector, and DegenerateInput when every vector's XY projection is
-    (near) zero, since a Z rotation is then unobservable.
+    ValueError for mismatched shapes or an entry that is not a real
+    number, is NaN or inf, or is of _fields.MAX_MAGNITUDE or more in size,
+    ZeroVector for a (near) zero basis vector, and DegenerateInput when
+    every vector's XY projection is (near) zero, since a Z rotation is then
+    unobservable.
     """
-    d = np.atleast_2d(np.asarray(desired_basis, dtype=float))
-    m = np.atleast_2d(np.asarray(measured_basis, dtype=float))
+    # each row is checked before any conversion to float, which would raise
+    # OverflowError for an int beyond the float range
+    d = np.atleast_2d(np.asarray(desired_basis))
+    m = np.atleast_2d(np.asarray(measured_basis))
     if d.shape != m.shape or d.shape[1] != 3 or d.shape[0] < 1:
         raise ValueError(f"basis shapes must match as (k, 3), got {d.shape} and {m.shape}")
-    for v in (*d, *m):
-        vec3(v, "basis vector")
+    d = np.array([vec3(v, "basis vector") for v in d])
+    m = np.array([vec3(v, "basis vector") for v in m])
     if np.any(np.linalg.norm(d, axis=1) <= 1e-12) or np.any(
         np.linalg.norm(m, axis=1) <= 1e-12
     ):

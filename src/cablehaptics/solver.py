@@ -91,15 +91,14 @@ start, which computed them already, and a solve that ends there answers
 with the box's t_min and the factorization's A t_min, which every such
 answer shares. Where A t_min outweighs the force, as for the workspace
 command's 0.1 N probes, most solves end there: 80% of the README grid's
-probes. Such a solve certifies t_min from the start's own step A^+ (f -
-A t_min), a bound on the certificate's rounding (see _nearest_box_point)
-standing in for its products and its pass, unless the tolerance comes
-near that rounding: a tolerance of about 1e-13 N or below at a few
-newtons, a near-degenerate A with a large residual, or a very wide box.
-A phase-1 iteration that steps makes three passes: the
-nearest-box-point certificate, the release (_release) and the ratio
-step; the first such iteration makes a fourth, which reads the free set
-from the iterate. A phase-2 iteration makes four: the vector of t_min on
+probes. Phase 1's certificate direction is A^+ (f - A t), the start's
+own operator, so at such a start it is the start's step to the bit, which
+the clip bounded by the rounding of t_min: such a solve answers without
+the certificate's product or pass, unless the tolerance comes near the
+rounding (see _nearest_box_point). A phase-1 iteration that steps makes
+three passes: the nearest-box-point certificate, the release (_release)
+and the ratio step; the first such iteration makes a fourth, which reads
+the free set from the iterate. A phase-2 iteration makes four: the vector of t_min on
 free cables and t on held ones, the step, the ratio step and the
 multiplier sign test. The strict test of a working set's optimum
 (_strict_point) is one pass, and both rank counts are a pass each. The
@@ -145,11 +144,13 @@ _MAX_SETS = 8
 
 # Phase 1's thresholds in units of the rounding level of its iterate,
 # eps ||goal|| (max |f_i| + sum t_i): the |A||t| bound on the rounding of
-# f - A t for unit columns and t >= 0 (Higham 2002), as goal carries it into
+# f - A t for unit columns and t >= 0 (Higham 2002), as A^+ carries it into
 # the descent direction d. At 20,000 nearest points of seeded problems
 # (m = 3..8, force and bounds scaled by 1e-2 to 1e12) the |d| of a free
 # cable, 0 but for rounding, reached 8 levels; stationarity is tested at 16
 # levels at least, and a stationary point within 64 levels of f renders it.
+# d = A^+ r and rows^T (goal r), the same direction by another product,
+# differ by at most 1.1 levels at 11,844 such points.
 _STATIONARY_LEVELS = 16.0
 _FEASIBLE_LEVELS = 64.0
 # The spacing of floats just above 1.0, twice the unit roundoff.
@@ -214,15 +215,14 @@ _DEFAULT_CONFIG = SolverConfig()
 
 class _Block(NamedTuple):
     """What the iterations need of one free-column block rows[:, free]:
-    the free mask as an array, its left singular vectors and rank, the
-    shift operator rows^T times the pseudoinverse of its Gram matrix,
-    u_r diag(1/s^2) u_r^T, phase 1's step operator, the shift operator with
-    the held cables' rows zeroed, and drift, the most a newton of force
-    residual can move the optimum of a working set on this block, on any
-    cable or multiplier: ||goal|| times the norm of that pseudoinverse, the
-    largest singular value of goal over the block's smallest one squared."""
+    its left singular vectors and rank, the shift operator rows^T times
+    the pseudoinverse of its Gram matrix, u_r diag(1/s^2) u_r^T, phase 1's
+    step operator, the shift operator with the held cables' rows zeroed,
+    and drift, the most a newton of force residual can move the optimum of
+    a working set on this block, on any cable or multiplier: ||goal||
+    times the norm of that pseudoinverse, the largest singular value of
+    goal over the block's smallest one squared."""
 
-    free: np.ndarray
     u: np.ndarray
     rank: int
     shift_op: np.ndarray
@@ -367,7 +367,6 @@ class _Factorization:
         key = bytes(free)
         found = self._blocks.get(key)
         if found is None:
-            # an array over the bytes of key is read-only
             free = np.frombuffer(key, dtype=bool)
             u, sv, _, values = _svd(self.rows.compress(free, axis=1))
             rank = _rank(values, 1.0)
@@ -378,7 +377,7 @@ class _Factorization:
             for arr in (u, shift_op, step):
                 arr.setflags(write=False)
             drift = self.goal_norm / values[rank - 1] ** 2 if rank else 0.0
-            found = self._blocks[key] = _Block(free, u, rank, shift_op, step, drift)
+            found = self._blocks[key] = _Block(u, rank, shift_op, step, drift)
         return found
 
     def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray]:
@@ -563,7 +562,7 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     rows = fac.rows has orthonormal rows spanning the row space of A and
     goal = fac.goal = S_r^-1 U_r^T, so the residual r = f - A t gives
     ||goal r|| = ||rows t - goal f||, the distance from t to the
-    equilibrium set, and rows^T goal r = P_eq(t) - t, its negative
+    equilibrium set, and A^+ r = rows^T goal r = P_eq(t) - t, its negative
     gradient. Bounded-variable least squares (Stark & Parker 1995), a
     primal active-set method: cables at a bound are held; each iteration
     takes the minimum-norm least-squares step over the free cables, the
@@ -582,7 +581,7 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     from the start: box.lo, a_lo and the start's own f - a_lo, the same
     operands and bits, with no product of its own. x and A x are then
     those shared arrays, and a solve that ends here answers with them,
-    mostly without the certificate's products either (see below).
+    mostly without the certificate's pass either (see below).
 
     Both thresholds follow the magnitudes the iterate holds, so that no
     solve spins where the tolerance lies below the rounding: the
@@ -601,38 +600,16 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     2 (see solve), and scaling the force, the bounds and the tolerance
     together scales the answer.
 
-    Such a start is certified from its step s = A^+ r, r = f - A t_min,
-    without d = rows^T (goal r), the certificate's direction. The clip
-    left every cable on its floor, so fl(t_min,i + s_i) <= t_min,i: s_i is
-    at most half the spacing of the floats above t_min,i, so at most
-    eps/2 t_min,i, and at most 0 on a zero or subnormal floor, where that
-    spacing is 2^-1074, the smallest positive float, and any positive s_i
-    moves the sum up. The products differ from rows^T goal r by the usual
-    dot-product bounds (Higham 2002), with gamma_3 = 3 u / (1 - 3 u),
-    u = eps/2, rows of goal of norm at most ||goal||, columns of rows of
-    norm at most 1, and sqrt(3) for the rank: goal r is within
-    sqrt(3) gamma_3 ||goal|| ||r|| in norm, and rows^T times it adds
-    gamma_3 ||goal|| ||r||, so d is within (1 + sqrt 3) gamma_3 ||goal||
-    ||r||; each entry of A^+ = rows^T goal is within gamma_3 sum_j
-    |rows_ji| |goal_jl|, and A^+ r adds gamma_3 sum_l |A^+_il| |r_l|, both
-    sums at most sqrt(3) ||goal|| ||r||, so s is within 2 sqrt(3) gamma_3
-    ||goal|| ||r||. Together |d_i - s_i| <= (1 + 3 sqrt 3) gamma_3 ||goal||
-    ||r|| < 10 eps ||goal|| ||r||, to first order in eps: LAPACK's factors
-    are orthonormal to rounding, and the rule's margins cover that. So
-    once no iterate's 16 levels can reach tol / 10 (unit is 0) and
-    eps (64 ||goal|| ||r|| + sum t_max) <= tol / 10, every
-    d_i <= eps/2 t_min,i + 10 eps ||goal|| ||r|| lies below half of
-    tol / 10, every cable, on its floor, passes _is_nearest_box_point,
-    and the iteration answers NEAREST_FEASIBLE without computing d: the
-    answer d gives, at the same k. Every other case computes d: a
-    tolerance near the rounding, a near-degenerate A whose ||goal||
-    multiplies a large residual, or a box whose sum t_max approaches
-    tol / (10 eps).
+    The certificate's direction d is A^+ r, the operator of the start's
+    step, so at a start the clip left on t_min d is that step to the bit,
+    and fl(t_min,i + d_i) = t_min,i keeps d_i <= eps/2 t_min,i (<= 0 on a
+    zero or subnormal floor). So once unit is 0 and eps sum t_max <= tol /
+    10, such a start answers NEAREST_FEASIBLE, as the certificate would.
     """
-    M, goal, rows_t = fac.matrix, fac.goal, fac.rows_t
+    M, goal, pinv = fac.matrix, fac.goal, fac.pinv
     lo, hi = box.lo_floats, box.hi_floats
     residual = f - a_lo
-    t = _move(lo, 1.0, fac.pinv.dot(residual).tolist(), lo, hi)
+    t = _move(lo, 1.0, pinv.dot(residual).tolist(), lo, hi)
     # the clip keeps a floor's own float, so this is t_min to the bit
     if tuple(t) == lo:
         x, rendered = box.lo, a_lo
@@ -657,16 +634,15 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
             # max |f_i| <= ||f - A t|| + sum t, and no cable passes t_max
             if _STATIONARY_LEVELS * unit * (root + 2.0 * box.hi_sum) <= stationary:
                 unit = 0.0
-                # a start at t_min certifies from its step (see the docstring)
-                if x is box.lo and _EPS * (64.0 * fac.goal_norm * root + box.hi_sum) <= stationary:
+                # a start at t_min passes the certificate (see the docstring)
+                if x is box.lo and _EPS * box.hi_sum <= stationary:
                     return t, x, rendered, miss, SolveStatus.NEAREST_FEASIBLE, k
             else:
                 f_size = max(map(abs, f.tolist()))
         if unit:
             level = unit * (f_size + sum(t))
             stationary = max(tol * 0.1, _STATIONARY_LEVELS * level)
-        gap = goal.dot(residual)
-        d = rows_t.dot(gap).tolist()
+        d = pinv.dot(residual).tolist()
         if _is_nearest_box_point(t, d, lo, hi, stationary):
             if unit and _FEASIBLE_LEVELS * level >= math.sqrt(miss):
                 # f is reached to rounding: a feasible point for phase 2
@@ -677,7 +653,8 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
         released = _release(free, t, d, lo, stationary)
         if released >= 0:
             free[released] = True
-        t, blocking = _ratio_step(t, fac.block(free).step.dot(gap).tolist(), box)
+        step = fac.block(free).step.dot(goal.dot(residual))
+        t, blocking = _ratio_step(t, step.tolist(), box)
         if blocking >= 0:
             free[blocking] = False
         x = np.array(t)
@@ -737,13 +714,17 @@ def _optimum(fac, ws: _WorkingSet, g, fvec, box: _Box, tol: float):
     t = _strict_point(ws.free, ws.held, _shift(ws.block, g, ws.c), box, margin)
     if t is None:
         return None
+    found = _rendering(fac, t, fvec)
+    return found if found[2] <= tol else None
+
+
+def _rendering(fac, t, fvec):
+    """(x, A x, ||A x - f||) of the tensions t, a list of floats, for the
+    force f = fvec: what a solve answers with, where phase 1 does not."""
     x = np.array(t)
     rendered = fac.matrix.dot(x)
     miss = rendered - fvec
-    residual = math.sqrt(miss.dot(miss))
-    if not residual <= tol:
-        return None
-    return x, rendered, residual
+    return x, rendered, math.sqrt(miss.dot(miss))
 
 
 def _reuse(fac, g, fvec, box: _Box, tol: float):
@@ -764,7 +745,7 @@ def _working_set(fac, blk: _Block, free, t, lo) -> _WorkingSet:
     return _WorkingSet(free, held, blk, fac.rows.dot(np.array(held)))
 
 
-def _min_shift(fac, box, t, x, budget, ws=None):
+def _min_shift(fac, box, t, x, free, budget, ws=None):
     """Phase 2: min ||t - t_min||^2 s.t. rows t = rows t0 and the box,
     by the primal active-set method (Nocedal & Wright, Alg. 16.3) from the
     feasible box point t0 = t, holding the cables it has at a bound.
@@ -785,30 +766,27 @@ def _min_shift(fac, box, t, x, budget, ws=None):
     (_shift), and the trailing columns of its left singular vectors span
     the directions the free cables cannot reach.
 
-    t0 comes in as phase 1's list t and array x, and the iterate is a list
-    of floats: np.where(free, t_min, t), np.where(free, t_min + shift - t,
-    0.0) and the ratio step are passes with the same float operations.
-    ws, when given, is the working set of t0 (_working_set), which the
-    first iteration then takes as it is. Returns (t, working set,
-    iterations), t a list and the working set the _WorkingSet certified,
-    None when the budget ran out first. Every held cable of t sits exactly
-    on its bound, so the held vector of the last iteration is that working
-    set's.
+    t0 comes in as phase 1's list t and array x, with free, the list of
+    the cables t0 has strictly inside the box, which solve read from t0
+    and the iterations update in place. The iterate is a list of floats:
+    np.where(free, t_min, t), np.where(free, t_min + shift - t, 0.0) and
+    the ratio step are passes with the same float operations. ws, when
+    given, is the working set of t0 (_working_set), which the first
+    iteration then takes as it is. Returns (t, working set, iterations), t
+    a list and the working set the _WorkingSet certified, None when the
+    budget ran out first. Every held cable of t sits exactly on its bound,
+    so the held vector of the last iteration is that working set's.
     """
     rows, rank = fac.rows, fac.rank
     lo = box.lo_floats
     target = rows.dot(x)
-    if ws is None:
-        free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, box.hi_floats)]
-    else:
-        free = ws.free
     for k in range(1, budget + 1):
         if ws is None:
             blk = fac.block(free)
             if blk.rank < rank:
                 # release the held cable reaching furthest into the missing span
                 reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
-                free[int(np.where(blk.free, -1.0, reach).argmax())] = True
+                free[int(np.where(free, -1.0, reach).argmax())] = True
                 continue
             ws = _working_set(fac, blk, free, t, lo)
         shift = _shift(ws.block, target, ws.c)
@@ -908,7 +886,7 @@ def solve(
             found = _optimum(fac, ws, g, fvec, box, tol)
         if found is None:
             tried, budget = ws, cfg.max_iterations - iterations + 1
-            t, ws, more = _min_shift(fac, box, t, x, budget, ws)
+            t, ws, more = _min_shift(fac, box, t, x, free, budget, ws)
             iterations += more - 1
             # phase 2 may certify the set just tried, which has no _optimum
             if ws is not None and ws is not tried:
@@ -916,18 +894,13 @@ def solve(
         if found is not None:
             fac.keep(ws)
             return _result(*found, SolveStatus.FEASIBLE_EXACT, iterations)
-        x = np.array(t)
-        rendered = fac.matrix.dot(x)
-        miss = rendered - fvec
-        squared = miss.dot(miss)
-
-    residual = math.sqrt(squared)
-    if status is None:
+        x, rendered, residual = _rendering(fac, t, fvec)
         # the rounding of phase 2's steps can leave a certified point just
         # above a tolerance set near the rounding level of the force
         exact = ws is not None and residual <= tol
         status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
-    return _result(x, rendered, residual, status, iterations)
+        return _result(x, rendered, residual, status, iterations)
+    return _result(x, rendered, math.sqrt(squared), status, iterations)
 
 
 def _result(x, rendered, residual, status, iterations) -> SolveResult:

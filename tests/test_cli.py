@@ -332,14 +332,14 @@ class TestValidateCommand:
         assert not out.exists()
 
     # the noisy plant draws a hold's mean in constant time and memory, so a
-    # hold of 10**12 ticks runs; a count beyond the float range cannot
-    # scale the noise and exits 1 before any file is written
+    # hold of 10**12 ticks runs; a count of 1e100 or more is refused by
+    # name and exits 1 before any file is written
     def test_noisy_hold_length_is_free_up_to_the_float_range(self, tmp_path, capsys):
         argv = ["validate", "--plant", "noisy", "--noise-std", "0.3", "--samples", "4"]
         assert main([*argv, "--ticks", str(10**12), "--out", str(tmp_path / "long")]) == 0
         out = tmp_path / "endless"
         assert main([*argv, "--ticks", str(10**400), "--out", str(out)]) == 1
-        assert "int too large to convert to float" in capsys.readouterr().err
+        assert "samples_per_hold must be below 1e+100 in size" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tensions_stay_in_bounds_under_noise(self, tmp_path):

@@ -60,7 +60,7 @@ FIELDS = [
 # reads yes, no, on and off as bools).
 BAD_VALUES = {
     "real": ["1.5", None, [1.0], np.nan, np.inf, -np.inf, 10**400, True, False, np.True_],
-    "int": ["3", None, 2.5, np.float64(3.0), np.nan, True, False, np.True_],
+    "int": ["3", None, 2.5, np.float64(3.0), np.nan, 10**400, True, False, np.True_],
     "vec3": ["abc", None, 1.0, [1.0, 2.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]],
 }
 

@@ -191,6 +191,32 @@ def test_sizes_just_below_the_limit_are_taken(call):
     call(BELOW)
 
 
+# (id, call with the count, field named): each integer a caller hands the
+# package, which would otherwise reach a float conversion that overflows
+# (a noisy hold's sqrt(ticks)) or a loop of that length
+COUNTS = [
+    ("sample_count", lambda n: ValidationProtocol(sample_count=n), "sample_count"),
+    ("samples_per_hold", lambda n: ValidationProtocol(samples_per_hold=n), "samples_per_hold"),
+    ("max_iterations", lambda n: SolverConfig(max_iterations=n), "max_iterations"),
+    ("seed", lambda n: NoisyPlant(seed=n), "seed"),
+    ("sphere_samples-n", lambda n: sphere_samples(n, 1.0), "n"),
+]
+
+
+# int(1e100) is the limit's own value; 10**100 lies just below that float
+@pytest.mark.parametrize("value", [int(1e100), 10**400], ids=["limit", "401-digits"])
+@pytest.mark.parametrize("call, name", [e[1:] for e in COUNTS], ids=[e[0] for e in COUNTS])
+def test_counts_at_or_above_the_limit_are_refused_naming_the_field(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be below 1e\\+100 in size, got "):
+        call(value)
+
+
+# sphere_samples would allocate its count, so only the stored fields
+@pytest.mark.parametrize("call", [e[1] for e in COUNTS[:4]], ids=[e[0] for e in COUNTS[:4]])
+def test_counts_just_below_the_limit_are_taken(call):
+    call(10**100 - 1)
+
+
 @pytest.mark.parametrize(
     "coefficient, speed",
     [(2.0, 0.5e100), (BELOW, BELOW)],
@@ -220,8 +246,20 @@ GRID = ["--grid-res", "1,1,1", "--out"]
         (["validate", "--ee=1e200,0,0", "--samples", "4", "--ticks", "2", "--out"], "end effector"),
         (["workspace", "--grid-min=1e200,0,0", "--grid-max", "1e200,0,0", *GRID], "--grid-min"),
         (["workspace", "--grid-min=0,0,0", "--grid-max", "0,0,1e200", *GRID], "--grid-max"),
+        (
+            ["validate", "--plant", "noisy", "--ticks", str(10**400), "--samples", "4", "--out"],
+            "samples_per_hold",
+        ),
     ],
-    ids=["solve", "validate", "solve-ee", "validate-ee", "workspace-min", "workspace-max"],
+    ids=[
+        "solve",
+        "validate",
+        "solve-ee",
+        "validate-ee",
+        "workspace-min",
+        "workspace-max",
+        "validate-ticks",
+    ],
 )
 def test_cli_refuses_sizes_above_the_limit_and_writes_nothing(tmp_path, capsys, argv, named):
     # solve writes no file; validate and workspace would write into --out

@@ -323,7 +323,8 @@ def phase_2_iteration(monkeypatch, t, lo, hi, shift):
 
     monkeypatch.setattr(solver, "_ratio_step", ratio_step)
     box = box_of(lo, hi)
-    assert solver._min_shift(fac, box, t.tolist(), t, 1) == (t.tolist(), None, 1)
+    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t.tolist(), lo.tolist(), hi.tolist())]
+    assert solver._min_shift(fac, box, t.tolist(), t, free, 1) == (t.tolist(), None, 1)
     # rows multiplies t0 for the target, then the held vector
     assert len(rows.operands) == 2 and rows.operands[0].tobytes() == t.tobytes()
     return rows.operands[1], steps[0]
@@ -447,7 +448,6 @@ def test_block_rank_matches_reference():
             u, rank, shift_op, step = reference_block(fac.rows, fac.rows_t, free)
             blk = fac.block(free.tolist())
             assert blk.rank == rank
-            assert blk.free.tobytes() == free.tobytes()
             assert blk.u.tobytes() == u.tobytes()
             assert blk.shift_op.tobytes() == shift_op.tobytes()
             assert blk.step.tobytes() == step.tobytes()

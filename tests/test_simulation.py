@@ -181,6 +181,13 @@ class TestAlignZRotation:
         assert angle == pytest.approx(63.43494882292201, abs=1e-12)
 
 
+    @pytest.mark.parametrize("side", ["desired", "measured"])
+    def test_an_int_beyond_the_float_range_is_refused_naming_the_vector(self, side):
+        huge, intact = [[10**400, 0, 0]], [[1, 0, 0]]
+        pair = (huge, intact) if side == "desired" else (intact, huge)
+        with pytest.raises(ValueError, match="^basis vector must be a finite 3-vector"):
+            align_z_rotation(*pair)
+
 class TestDefaultValidationLayout:
     def test_four_modules_rank_three(self):
         layout, ee = default_validation_layout()
