@@ -26,6 +26,27 @@ MAX_MAGNITUDE = 1e100
 
 _FLOAT = np.dtype(float)
 
+# An int of more bits than this, about 120 digits, is shown in an error
+# message by its digit count: Python prints no int of more than 4300
+# digits (sys.get_int_max_str_digits), and a longer one reads no better.
+_SHOWN_BITS = 400
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, bounded: an int of more than
+    _SHOWN_BITS bits shows as its digit count, read from its bit length,
+    a list, tuple or array whose repr Python refuses, for an int it holds,
+    as the list of its entries so shown, and any other such value by its
+    type."""
+    if isinstance(value, int) and value.bit_length() > _SHOWN_BITS:
+        return f"<int of about {int(value.bit_length() * math.log10(2)) + 1} digits>"
+    try:
+        return repr(value)
+    except ValueError:  # it holds an int too long to print
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return f"[{', '.join(map(shown, value))}]"
+        return f"<{type(value).__name__} too long to print>"
+
 
 def _vec3(v, limit: float) -> tuple[np.ndarray, bool]:
     """Validate v as a finite 3-vector and return it as a float array, and
@@ -37,7 +58,7 @@ def _vec3(v, limit: float) -> tuple[np.ndarray, bool]:
     # a float64 array, the usual case, is told by identity alone
     if arr.dtype is not _FLOAT:
         if arr.dtype.kind not in "fiub":
-            raise ValueError(f"expected a finite 3-vector, got {v!r}")
+            raise ValueError(f"expected a finite 3-vector, got {shown(v)}")
         arr = arr.astype(float)
     if arr.shape == (3,):
         x, y, z = arr.tolist()
@@ -45,7 +66,7 @@ def _vec3(v, limit: float) -> tuple[np.ndarray, bool]:
             return arr, True
         if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
             return arr, False
-    raise ValueError(f"expected a finite 3-vector, got {v!r}")
+    raise ValueError(f"expected a finite 3-vector, got {shown(v)}")
 
 
 def as_vec3(v) -> np.ndarray:
@@ -66,7 +87,7 @@ def force3(v, name: str) -> np.ndarray:
 
 def _too_large(name: str, value) -> ValueError:
     """The error refusing name's value, of MAX_MAGNITUDE or more in size."""
-    return ValueError(f"{name} must be below {MAX_MAGNITUDE:g} in size, got {value!r}")
+    return ValueError(f"{name} must be below {MAX_MAGNITUDE:g} in size, got {shown(value)}")
 
 
 def real(value, name: str, minimum: float | None = None, *, strict: bool = False) -> float:
@@ -81,7 +102,7 @@ def real(value, name: str, minimum: float | None = None, *, strict: bool = False
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        raise ValueError(f"{name} must be a finite real number, got {shown(value)}")
     value = float(value)
     if minimum is not None and (value <= minimum if strict else value < minimum):
         raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
@@ -99,9 +120,9 @@ def integer(value, name: str, minimum: int) -> int:
     except TypeError:
         checked = None
     if checked is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if checked < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {checked!r}")
+        raise ValueError(f"{name} must be >= {minimum}, got {shown(checked)}")
     if not -MAX_MAGNITUDE < checked < MAX_MAGNITUDE:
         raise _too_large(name, checked)
     return checked
@@ -114,7 +135,7 @@ def vec3(value, name: str, *, unit: bool = False) -> np.ndarray:
     try:
         arr, within = _vec3(value, MAX_MAGNITUDE)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a finite 3-vector, got {value!r}") from None
+        raise ValueError(f"{name} must be a finite 3-vector, got {shown(value)}") from None
     if not within:
         raise _too_large(name, value)
     arr = arr.copy()

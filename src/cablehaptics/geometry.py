@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import force3, real, set_checked, vec3
+from ._fields import force3, real, set_checked, shown, vec3
 from .errors import DegenerateGeometry
 
 # Anchors closer together than this are rejected as duplicates (meters).
@@ -66,7 +66,7 @@ class ModuleAnchor:
 
     def __post_init__(self):
         if not isinstance(self.id, str):
-            raise ValueError(f"id must be a string, got {self.id!r}")
+            raise ValueError(f"id must be a string, got {shown(self.id)}")
         set_checked(self, vec3, "position")
 
 

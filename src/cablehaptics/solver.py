@@ -23,15 +23,15 @@ point takes one as it is and builds one from anything else.
 
 An exact solve answers with the optimum of a working set (the free
 cables, and a bound for each held one) for rows t = goal f, f itself, when
-that optimum certifies strictly (_optimum): every free cable inside the
-box and every held cable's multiplier of its bound's sign, each by more
-than the rounding level of the tensions plus what a force error of the
-tolerance could move it, and a residual within the tolerance. One helper,
-_shift, gives every working set's optimum, phase 2's steps included. A
-cold solve tries phase 1's working set first, and phase 2 runs only when
-that set does not certify; phase 2 ends on the working set of the force
-phase 1 reached, within the tolerance of f, and that set's optimum for f
-is the answer when it certifies. Otherwise phase 2's point stands.
+that optimum certifies strictly: every free cable inside the box and every
+held cable's multiplier of its bound's sign, each by more than the
+rounding level of the tensions plus what a force error of the tolerance
+could move it, and a residual within the tolerance. _optimum is the one
+definition of an answer; phase 2 steps with _shift. A cold solve tries
+phase 1's working set first, and phase 2 runs only when that set does not
+certify; phase 2 ends on the working set of the force phase 1 reached,
+within the tolerance of f, and that set's optimum for f is the answer
+when it certifies. Otherwise phase 2's point stands.
 
 A strictly certified set is the only one that certifies for its force,
 so each cached factorization keeps the sets its solves certified (at
@@ -75,8 +75,11 @@ Each iteration does two kinds of work. Products with a cached 3 x m or
 m x r operator are one ndarray.dot call each: numpy's fixed cost per call
 is about a microsecond, and at these sizes one call still beats a Python
 sum. A new matrix builds its cached operators (the pseudoinverse, each
-block's shift and step operators, and A times t_min) with ndarray.dot as
-well, which gives the bits of @ at about half its cost.
+block's shift and step operators and its force map, and A times t_min)
+with ndarray.dot as well, which gives the bits of @ at about half its
+cost. The test of a working set's optimum is the exception: it is asked
+of every kept set a solve tries, and needs no array until it certifies,
+so its products are Python sums over float triples (see _optimum).
 
 Everything else is per cable, and numpy would spend a call on each
 comparison, mask or expression over four to eight values, so it is
@@ -98,19 +101,24 @@ the certificate's product or pass, unless the tolerance comes near the
 rounding (see _nearest_box_point). A phase-1 iteration that steps makes
 three passes: the nearest-box-point certificate, the release (_release)
 and the ratio step; the first such iteration makes a fourth, which reads
-the free set from the iterate. A phase-2 iteration makes four: the vector of t_min on
-free cables and t on held ones, the step, the ratio step and the
-multiplier sign test. The strict test of a working set's optimum
-(_strict_point) is one pass, and both rank counts are a pass each. The
-ratio step clips the full step t + step into the box in the pass that
-looks for the blocking cable, which is _move at fraction 1.0 bit for
-bit, so only a blocked step makes a second pass.
+the free set from the iterate. A phase-2 iteration makes four: the
+vector of t_min on free cables and t on held ones, the step, the ratio
+step and the multiplier sign test. The strict test of a working set's
+optimum (_optimum) is one pass, which computes the optimum as it tests
+it, and both rank counts are a pass each. The ratio step clips the full
+step t + step into the box in the pass that looks for the blocking cable,
+which is _move at fraction 1.0 bit for bit, so only a blocked step makes
+a second pass.
 
 Each pass does the same float operations in the same order as the array
 expressions it replaces. Its clip keeps the bound on a tie, as
 np.maximum and np.minimum return their second operand, and its choices
 break ties toward the lowest index, as argmin and argmax do, so the
-results are bit for bit the same.
+results are bit for bit the same. The one exception is _optimum's shift,
+p_i . f - q_i, which groups the same products otherwise than shift_op
+(goal f - c) and so differs from it at the rounding level; every answer
+from a working set takes it, so an answer still depends on nothing but
+the problem.
 """
 
 from __future__ import annotations
@@ -134,12 +142,13 @@ RANK_REL_TOL = 1e-9
 WRENCH_FEASIBLE_RESIDUAL = 1e-7
 
 # The most certified working sets a factorization keeps for its bounds. A
-# lookup that misses evaluates every kept set's _optimum, at about 2 us
-# each, and a 500-force sphere on an 8-cable layout certifies 14 to 42
-# sets. With 8 kept, the oldest making way for a new one, a miss there
-# costs a median 15 us against 30 to 50 us for a solve on that matrix
-# without kept sets, and 75 to 97% of the sphere's forces still find their
-# set on a second pass (in-process, 2-vCPU Xeon, numpy 2.4).
+# lookup that misses evaluates every kept set's _optimum, one float pass
+# at about 1 us each, and a 500-force sphere on an 8-cable layout
+# certifies 14 to 42 sets. With 8 kept, the oldest making way for a new
+# one, a miss there costs a median 6 to 12 us against 30 to 50 us for a
+# solve on that matrix without kept sets, and 75 to 97% of the sphere's
+# forces still find their set on a second pass (in-process, 2-vCPU Xeon,
+# numpy 2.4).
 _MAX_SETS = 8
 
 # Phase 1's thresholds in units of the rounding level of its iterate,
@@ -218,28 +227,35 @@ class _Block(NamedTuple):
     its left singular vectors and rank, the shift operator rows^T times
     the pseudoinverse of its Gram matrix, u_r diag(1/s^2) u_r^T, phase 1's
     step operator, the shift operator with the held cables' rows zeroed,
-    and drift, the most a newton of force residual can move the optimum of
+    drift, the most a newton of force residual can move the optimum of
     a working set on this block, on any cable or multiplier: ||goal||
     times the norm of that pseudoinverse, the largest singular value of
-    goal over the block's smallest one squared."""
+    goal over the block's smallest one squared, and the force map
+    P = shift_op goal, one float triple per cable, which _optimum takes
+    its shifts from."""
 
     u: np.ndarray
     rank: int
     shift_op: np.ndarray
     step: np.ndarray
     drift: float
+    force_map: tuple[tuple[float, float, float], ...]
 
 
 class _WorkingSet(NamedTuple):
     """A working set of phase 2: the free mask and the held vector (t_min
     on each free cable, its bound on each held one), sequences one entry
-    per cable, the _Block of its free cables, and c, rows times the held
-    vector."""
+    per cable, the _Block of its free cables, c, rows times the held
+    vector, which phase 2 steps with, and its offsets q = shift_op c, a
+    tuple of floats, one per cable, which _optimum reads. Phase 2 builds a
+    set at most of its iterations and asks few of them for an answer, so q
+    is None until a set is to answer (_answering)."""
 
     free: Sequence[bool]
     held: Sequence[float]
     block: _Block
     c: np.ndarray
+    offsets: tuple[float, ...] | None = None
 
 
 class _Box(NamedTuple):
@@ -377,7 +393,8 @@ class _Factorization:
             for arr in (u, shift_op, step):
                 arr.setflags(write=False)
             drift = self.goal_norm / values[rank - 1] ** 2 if rank else 0.0
-            found = self._blocks[key] = _Block(u, rank, shift_op, step, drift)
+            force_map = tuple(map(tuple, shift_op.dot(self.goal).tolist()))
+            found = self._blocks[key] = _Block(u, rank, shift_op, step, drift, force_map)
         return found
 
     def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray]:
@@ -668,22 +685,42 @@ def _shift(blk: _Block, target, c) -> list[float]:
     lam = gram_pinv (target - c), for the working set whose free cables
     form blk and whose held vector gives c = rows times it. Its optimum for
     rows t = target is t_min + shift on each free cable, and each held
-    cable's multiplier is t - t_min - shift. This is the one definition of
-    a working set's optimum: phase 2 steps toward it, and a solve answers
-    with it (_optimum)."""
+    cable's multiplier is t - t_min - shift. Phase 2 steps toward it; a
+    solve answers with the same optimum for target = goal f, which
+    _optimum computes from f in floats."""
     return blk.shift_op.dot(target - c).tolist()
 
 
-def _strict_point(free, held, shift, box: _Box, margin: float):
-    """The optimum of a working set (free mask and held vector, sequences
-    one entry per cable) from its shift, as a list of floats, when it
-    certifies strictly: every free cable, t_min + shift, lies inside the
-    box by more than margin, and every held cable's multiplier
-    held - t_min - shift has its bound's sign by more than margin (>= 0 at
-    a floor, <= 0 at a ceiling). Otherwise None, and a cable exactly at a
-    bound with a zero multiplier is neither."""
+def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
+    """The answer of working set ws, which carries its offsets, for the
+    force fvec, f being its three floats: its optimum for rows t = goal f,
+    as (x, A x, ||A x - f||), when that optimum certifies strictly and
+    renders f within tol; None otherwise. This is the one definition of an
+    answer from a working set.
+
+    One pass over the cables computes each shift p_i . f - q_i, p_i the
+    cable's row of the block's force map and q_i its offset, which is
+    shift_op (goal f - c) but for rounding, and tests it as it goes: every
+    free cable, t_min + shift, must lie inside the box by more than the
+    margin, and every held cable's multiplier held - t_min - shift must
+    have its bound's sign by more than the margin (>= 0 at a floor, <= 0
+    at a ceiling); a cable exactly at a bound with a zero multiplier is
+    neither. No numpy call runs before a set certifies.
+
+    The margin is box.rounding, the rounding level of the tensions, plus
+    tol times the block's drift: phase 1 hands phase 2 a box point whose
+    force misses f by up to tol, so phase 2 ends on the working set of a
+    force that close to f. A set that certifies with this margin is
+    optimal for every such force, so a cold solve's phase 2 ends on it as
+    well, and the answer is this one whether or not the set was kept.
+    """
+    f0, f1, f2 = f
+    margin = box.rounding + tol * ws.block.drift
     t = []
-    for is_free, h, s, lo_i, hi_i in zip(free, held, shift, box.lo_floats, box.hi_floats):
+    for is_free, h, (p0, p1, p2), q, lo_i, hi_i in zip(
+        ws.free, ws.held, ws.block.force_map, ws.offsets, box.lo_floats, box.hi_floats
+    ):
+        s = p0 * f0 + p1 * f1 + p2 * f2 - q
         if is_free:
             # h is lo_i on a free cable
             v = h + s
@@ -695,25 +732,6 @@ def _strict_point(free, held, shift, box: _Box, margin: float):
             if (mu if h <= lo_i else -mu) <= margin:
                 return None
             t.append(h)
-    return t
-
-
-def _optimum(fac, ws: _WorkingSet, g, fvec, box: _Box, tol: float):
-    """The answer of working set ws for f = fvec, g = goal f: its optimum
-    for rows t = g, as (x, A x, ||A x - f||), when that optimum certifies
-    strictly (_strict_point) and renders f within tol; None otherwise.
-
-    The margin is box.rounding, the rounding level of the tensions, plus
-    tol times the block's drift: phase 1 hands phase 2 a box point whose
-    force misses f by up to tol, so phase 2 ends on the working set of a
-    force that close to f. A set that certifies with this margin is
-    optimal for every such force, so a cold solve's phase 2 ends on it as
-    well, and the answer is this one whether or not the set was kept.
-    """
-    margin = box.rounding + tol * ws.block.drift
-    t = _strict_point(ws.free, ws.held, _shift(ws.block, g, ws.c), box, margin)
-    if t is None:
-        return None
     found = _rendering(fac, t, fvec)
     return found if found[2] <= tol else None
 
@@ -727,11 +745,11 @@ def _rendering(fac, t, fvec):
     return x, rendered, math.sqrt(miss.dot(miss))
 
 
-def _reuse(fac, g, fvec, box: _Box, tol: float):
+def _reuse(fac, f, fvec, box: _Box, tol: float):
     """_optimum of the first working set fac keeps that gives one, trying
-    them in the order they were certified, or None."""
+    them in the order they were certified, or None; f is fvec's floats."""
     for ws in fac.sets.values():
-        found = _optimum(fac, ws, g, fvec, box, tol)
+        found = _optimum(fac, ws, f, fvec, box, tol)
         if found is not None:
             return found
     return None
@@ -743,6 +761,13 @@ def _working_set(fac, blk: _Block, free, t, lo) -> _WorkingSet:
     every other cable where t has it, on a bound."""
     held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
     return _WorkingSet(free, held, blk, fac.rows.dot(np.array(held)))
+
+
+def _answering(ws: _WorkingSet) -> _WorkingSet:
+    """ws with its offsets q = shift_op c as a tuple of floats, for a set
+    about to be asked for its _optimum."""
+    free, held, blk, c, _ = ws
+    return _WorkingSet(free, held, blk, c, tuple(blk.shift_op.dot(c).tolist()))
 
 
 def _min_shift(fac, box, t, x, free, budget, ws=None):
@@ -861,10 +886,10 @@ def solve(
     fvec = force3(f, "force")
     box, a_lo = fac.box(bounds)
     tol = cfg.tolerance
-    g = None
+    floats = None
     if fac.sets:
-        g = fac.goal.dot(fvec)
-        found = _reuse(fac, g, fvec, box, tol)
+        floats = fvec.tolist()
+        found = _reuse(fac, floats, fvec, box, tol)
         if found is not None:
             return _result(*found, SolveStatus.FEASIBLE_EXACT, 1)
     # phase 1 squares f - A t, which negates A t - f exactly, so a solve it
@@ -873,8 +898,8 @@ def solve(
         fac, fvec, box, a_lo, tol, cfg.max_iterations
     )
     if status is None:
-        if g is None:
-            g = fac.goal.dot(fvec)
+        if floats is None:
+            floats = fvec.tolist()
         # phase 1's working set, tried first: phase 2 would certify it at
         # its first iteration whenever its _optimum exists
         lo, hi = box.lo_floats, box.hi_floats
@@ -882,15 +907,16 @@ def solve(
         blk = fac.block(free)
         found = ws = None
         if blk.rank == fac.rank:
-            ws = _working_set(fac, blk, free, t, lo)
-            found = _optimum(fac, ws, g, fvec, box, tol)
+            ws = _answering(_working_set(fac, blk, free, t, lo))
+            found = _optimum(fac, ws, floats, fvec, box, tol)
         if found is None:
             tried, budget = ws, cfg.max_iterations - iterations + 1
             t, ws, more = _min_shift(fac, box, t, x, free, budget, ws)
             iterations += more - 1
             # phase 2 may certify the set just tried, which has no _optimum
             if ws is not None and ws is not tried:
-                found = _optimum(fac, ws, g, fvec, box, tol)
+                ws = _answering(ws)
+                found = _optimum(fac, ws, floats, fvec, box, tol)
         if found is not None:
             fac.keep(ws)
             return _result(*found, SolveStatus.FEASIBLE_EXACT, iterations)

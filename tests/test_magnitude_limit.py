@@ -37,7 +37,7 @@ from cablehaptics import (
 )
 from cablehaptics.cli import main
 from cablehaptics.geometry import ModuleAnchor, ModuleLayout
-from cablehaptics.simulation import report_summary
+from cablehaptics.simulation import align_z_rotation, report_summary
 
 BELOW = 0.999e100
 # between BELOW and the limit, for bounds that must lie above a field at BELOW
@@ -215,6 +215,40 @@ def test_counts_at_or_above_the_limit_are_refused_naming_the_field(call, name, v
 @pytest.mark.parametrize("call", [e[1] for e in COUNTS[:4]], ids=[e[0] for e in COUNTS[:4]])
 def test_counts_just_below_the_limit_are_taken(call):
     call(10**100 - 1)
+
+
+# (id, call, refusal): a value Python cannot print, an int of more than
+# 4300 digits, is refused by a message that names its field all the same
+UNPRINTABLE = [
+    (
+        "samples_per_hold",
+        lambda: ValidationProtocol(samples_per_hold=10**5000),
+        "samples_per_hold must be below 1e+100 in size, got <int of about 5001 digits>",
+    ),
+    (
+        "t_max",
+        lambda: TensionBounds(0.5, 10**5000),
+        "t_max must be a finite real number, got <int of about 5001 digits>",
+    ),
+    (
+        "basis-vector",
+        lambda: align_z_rotation([[10**5000, 0, 0]], [[1, 0, 0]]),
+        "basis vector must be a finite 3-vector, got [<int of about 5001 digits>, 0, 0]",
+    ),
+]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "warnings-as-errors"])
+@pytest.mark.parametrize(
+    "call, message", [e[1:] for e in UNPRINTABLE], ids=[e[0] for e in UNPRINTABLE]
+)
+def test_an_int_too_long_to_print_is_refused_naming_the_field(call, message, strict):
+    with warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            call()
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(

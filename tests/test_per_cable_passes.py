@@ -9,6 +9,12 @@ to hit ties, steps inside the +-rounding band, no moving cable, no held
 cable and every m from 1 to 8 (case k has 1 + k % 8 cables), and each
 test checks that its cases reach every outcome, ties included.
 
+The test of a working set's optimum is one pass as well, which computes
+each cable's shift from floats, p_i . f - q_i, as it tests it: its
+reference takes shift_op (goal f - c) by the array expressions, so the
+two differ at the rounding level. They must make the same decision on
+every seeded set and force, and agree on the tensions within 1e-12 N.
+
 The per-cable arithmetic is passes too: the move of a point along a step
 clipped into the box (the projection of t_min, fraction 1.0, and a blocked
 ratio step's move), the full ratio step, clipped in the pass that looks
@@ -361,6 +367,90 @@ def test_phase_2_held_vector_and_step_match_reference(monkeypatch):
         zero_steps += np.count_nonzero(free & (expected == 0.0))
     # free cables on a -0.0 floor, and free cables whose step is zero
     assert signed_floors > 20 and zero_steps > 20
+
+
+def reference_optimum(fac, ws, f, box, tol):
+    """The tensions a working set answers f with, by the array expressions
+    over shift_op (goal f - c), or None: every free cable inside the box
+    by more than the margin, every held cable's multiplier of its bound's
+    sign by more than it, and a residual within tol."""
+    blk = ws.block
+    shift = blk.shift_op.dot(fac.goal.dot(f) - ws.c)
+    free, held = np.array(ws.free), np.array(ws.held)
+    lo, hi = box.lo, np.array(box.hi_floats)
+    margin = box.rounding + tol * blk.drift
+    t = np.where(free, held + shift, held)
+    mu = held - lo - shift
+    inside = (lo + margin < t) & (t < hi - margin)
+    signed = np.where(held <= lo, mu, -mu) > margin
+    if not np.where(free, inside, signed).all():
+        return None
+    miss = fac.matrix @ t - f
+    return t if np.sqrt(miss @ miss) <= tol else None
+
+
+def optimum_cases(seed, count):
+    """(fac, working set, force, box, tol) on count seeded matrices: m =
+    3..8, every fourth planar (rank 2), shared or per-cable bounds, a
+    tolerance from 1e-12 to 0.5, and each of eight forces tried on every
+    set the matrix's solves certified and on random sets of its rank."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        m = 3 + k % 6
+        if k % 4 == 0:
+            angles = rng.uniform(0.0, 2 * np.pi, m)
+            M = np.vstack([np.cos(angles), np.sin(angles), np.zeros(m)])
+        else:
+            M = rng.normal(size=(3, m))
+        M = M / np.linalg.norm(M, axis=0)
+        if k % 2:
+            bounds = solver.TensionBounds(float(rng.uniform(0.0, 1.0)), float(rng.uniform(2.0, 8.0)))
+        else:
+            bounds = [
+                solver.TensionBounds(float(lo), float(lo + rng.uniform(0.5, 8.0)))
+                for lo in rng.uniform(0.0, 1.0, m)
+            ]
+        tol = 10.0 ** rng.uniform(-12.0, np.log10(0.5))
+        forces = rng.normal(size=(8, 3)) * 10.0 ** rng.uniform(-1.0, 1.0)
+        if k % 4 == 0:
+            forces[:, 2] = 0.0
+        config = solver.SolverConfig(tolerance=tol)
+        for f in forces:
+            solver.solve(M, f, bounds, config)
+        fac = solver._factorization(M)
+        box, _ = fac.box(bounds)
+        sets = list(fac.sets.values())
+        lo, hi = box.lo_floats, box.hi_floats
+        for free in rng.random((4, m)) < 0.6:
+            blk = fac.block(free.tolist())
+            if blk.rank == fac.rank:
+                t = [h if up else b for b, h, up in zip(lo, hi, rng.random(m) < 0.3)]
+                ws = solver._working_set(fac, blk, free.tolist(), t, lo)
+                sets.append(solver._answering(ws))
+        for ws in sets:
+            for f in forces:
+                yield fac, ws, f, box, tol
+
+
+def test_optimum_matches_reference():
+    accepted = rejected = 0
+    ranks, gap = set(), 0.0
+    for fac, ws, f, box, tol in optimum_cases(27, 600):
+        expected = reference_optimum(fac, ws, f, box, tol)
+        got = solver._optimum(fac, ws, f.tolist(), f, box, tol)
+        assert (got is None) == (expected is None)
+        if got is None:
+            rejected += 1
+            continue
+        x, rendered, residual = got
+        gap = max(gap, float(np.abs(x - expected).max()))
+        assert rendered.tobytes() == fac.matrix.dot(x).tobytes()
+        assert residual <= tol
+        accepted += 1
+        ranks.add(fac.rank)
+    assert gap <= 1e-12
+    # 1,421 accepted and 18,387 rejected on these cases
+    assert accepted > 1000 and rejected > 10000 and ranks == {2, 3}
 
 
 def reference_factorization(M):

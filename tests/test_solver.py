@@ -580,9 +580,9 @@ class TestFactorizationCache:
         solve(M, [0.0, 0.0, 1.5], BOUNDS)
         solve(M, [0.0, 0.0, 1.5], PER_CABLE)
         fac = solver._factorization(M)
-        u, _, shift_op, step, _ = fac.block(np.array([True, False, True, True]))
-        cached = (fac.matrix, fac.rows, u)
-        operators = (fac.goal, fac.pinv, fac.rows_t, shift_op, step)
+        blk = fac.block(np.array([True, False, True, True]))
+        cached = (fac.matrix, fac.rows, blk.u)
+        operators = (fac.goal, fac.pinv, fac.rows_t, blk.shift_op, blk.step)
         boxes = []
         for bounds in (BOUNDS, PER_CABLE):
             box, a_lo = fac.box(bounds)
@@ -595,6 +595,15 @@ class TestFactorizationCache:
         for arr in cached + operators + tuple(boxes) + kept:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+        # the float data _optimum reads: a tuple of float triples per block,
+        # a tuple of floats per kept set, which no later solve can change
+        m = M.shape[1]
+        for found in [blk, *(ws.block for ws in fac.sets.values())]:
+            assert type(found.force_map) is tuple and len(found.force_map) == m
+            for row in found.force_map:
+                assert type(row) is tuple and list(map(type, row)) == [float] * 3
+        for ws in fac.sets.values():
+            assert type(ws.offsets) is tuple and list(map(type, ws.offsets)) == [float] * m
 
     @pytest.mark.parametrize(
         "columns",
