@@ -48,17 +48,21 @@ def shown(value) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
-def _vec3(v, limit: float) -> tuple[np.ndarray, bool]:
-    """Validate v as a finite 3-vector and return it as a float array, and
-    whether every component lies strictly within -limit and limit; only a
-    vector outside that is tested for finiteness. A vector of floats,
-    integers or bools converts; a complex or non-numeric one raises
-    ValueError, so no imaginary part is dropped."""
-    arr = np.asarray(v)
+def _vec3(v, name: str, limit: float) -> tuple[np.ndarray, bool]:
+    """Validate v, the value of the field name, as a finite 3-vector and
+    return it as a float array, and whether every component lies strictly
+    within -limit and limit; only a vector outside that is tested for
+    finiteness. A vector of floats, integers or bools converts; a complex,
+    non-numeric or ragged one raises ValueError naming the field, so no
+    imaginary part is dropped."""
+    try:
+        arr = np.asarray(v)
+    except (TypeError, ValueError):  # a ragged sequence, for one
+        raise _not_vec3(name, v) from None
     # a float64 array, the usual case, is told by identity alone
     if arr.dtype is not _FLOAT:
         if arr.dtype.kind not in "fiub":
-            raise ValueError(f"expected a finite 3-vector, got {shown(v)}")
+            raise _not_vec3(name, v)
         arr = arr.astype(float)
     if arr.shape == (3,):
         x, y, z = arr.tolist()
@@ -66,23 +70,30 @@ def _vec3(v, limit: float) -> tuple[np.ndarray, bool]:
             return arr, True
         if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
             return arr, False
-    raise ValueError(f"expected a finite 3-vector, got {shown(v)}")
+    raise _not_vec3(name, v)
 
 
-def as_vec3(v) -> np.ndarray:
-    """Validate v as a finite 3-vector and return it as a float array. It
-    has no size limit, so it checks only vectors the package derives, such
-    as a plant's measurement: from inputs just below MAX_MAGNITUDE a noisy
-    plant measures about 1.4e100, finite but beyond the limit."""
-    return _vec3(v, math.inf)[0]
+def as_vec3(v, name: str) -> np.ndarray:
+    """Validate v, the value of the field name, as a finite 3-vector and
+    return it as a float array. It has no size limit, so it checks only
+    vectors the package derives, such as a plant's measurement: from inputs
+    just below MAX_MAGNITUDE a noisy plant measures about 1.4e100, finite
+    but beyond the limit."""
+    return _vec3(v, name, math.inf)[0]
 
 
 def force3(v, name: str) -> np.ndarray:
-    """as_vec3(v), if every component lies below MAX_MAGNITUDE in size."""
-    arr, within = _vec3(v, MAX_MAGNITUDE)
+    """as_vec3(v, name), if every component lies below MAX_MAGNITUDE in
+    size."""
+    arr, within = _vec3(v, name, MAX_MAGNITUDE)
     if not within:
         raise _too_large(name, v)
     return arr
+
+
+def _not_vec3(name: str, value) -> ValueError:
+    """The error refusing name's value, which is no finite 3-vector."""
+    return ValueError(f"{name} must be a finite 3-vector, got {shown(value)}")
 
 
 def _too_large(name: str, value) -> ValueError:
@@ -132,10 +143,7 @@ def vec3(value, name: str, *, unit: bool = False) -> np.ndarray:
     """A read-only float copy of value, if it is a finite 3-vector below
     MAX_MAGNITUDE on every axis, and with unit=True one of norm 1 within
     UNIT_NORM_TOL."""
-    try:
-        arr, within = _vec3(value, MAX_MAGNITUDE)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a finite 3-vector, got {shown(value)}") from None
+    arr, within = _vec3(value, name, MAX_MAGNITUDE)
     if not within:
         raise _too_large(name, value)
     arr = arr.copy()

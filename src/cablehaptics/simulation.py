@@ -223,7 +223,9 @@ def magnitude_error(a, b) -> float:
 
 
 def rotation_z(theta: float) -> np.ndarray:
-    """Rotation matrix about the Z axis by theta radians."""
+    """Rotation matrix about the Z axis by theta radians, a real number
+    below _fields.MAX_MAGNITUDE in size, taken as a float."""
+    theta = real(theta, "theta")
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
@@ -313,7 +315,8 @@ def run_validation(
     for index, force in enumerate(commanded):
         result = solve(A, force, layout.bounds, config)
         measured = as_vec3(
-            plant.measure_hold(A, result.tensions, protocol.samples_per_hold, index)
+            plant.measure_hold(A, result.tensions, protocol.samples_per_hold, index),
+            "measured force",
         )
         commanded_norm = _norm(force)
         measured_norm = _norm(measured)

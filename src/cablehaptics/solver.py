@@ -27,11 +27,15 @@ that optimum certifies strictly: every free cable inside the box and every
 held cable's multiplier of its bound's sign, each by more than the
 rounding level of the tensions plus what a force error of the tolerance
 could move it, and a residual within the tolerance. _optimum is the one
-definition of an answer; phase 2 steps with _shift. A cold solve tries
-phase 1's working set first, and phase 2 runs only when that set does not
-certify; phase 2 ends on the working set of the force phase 1 reached,
-within the tolerance of f, and that set's optimum for f is the answer
-when it certifies. Otherwise phase 2's point stands.
+definition of an answer, and a cold solve asks it in one place: phase 2
+asks each working set it builds, before it steps toward that set, and the
+first that answers ends the solve. Its first set is phase 1's own, so a
+solve whose phase 1 ends on its answer's set takes no step. A set that
+does not answer steps as the primal active-set method does (_shift), for
+the force phase 1 reached, within the tolerance of f; a set that
+certifies for f with that margin is one those steps would certify at
+the same iteration, so the answer and its iteration count are the
+method's own. When no set answers, phase 2's point stands.
 
 A strictly certified set is the only one that certifies for its force,
 so each cached factorization keeps the sets its solves certified (at
@@ -78,8 +82,9 @@ sum. A new matrix builds its cached operators (the pseudoinverse, each
 block's shift and step operators and its force map, and A times t_min)
 with ndarray.dot as well, which gives the bits of @ at about half its
 cost. The test of a working set's optimum is the exception: it is asked
-of every kept set a solve tries, and needs no array until it certifies,
-so its products are Python sums over float triples (see _optimum).
+of every kept set a solve tries and of every set phase 2 builds, and
+needs no array until it certifies, so its products are Python sums over
+float triples (see _optimum).
 
 Everything else is per cable, and numpy would spend a call on each
 comparison, mask or expression over four to eight values, so it is
@@ -103,12 +108,12 @@ three passes: the nearest-box-point certificate, the release (_release)
 and the ratio step; the first such iteration makes a fourth, which reads
 the free set from the iterate. A phase-2 iteration makes four: the
 vector of t_min on free cables and t on held ones, the step, the ratio
-step and the multiplier sign test. The strict test of a working set's
-optimum (_optimum) is one pass, which computes the optimum as it tests
-it, and both rank counts are a pass each. The ratio step clips the full
-step t + step into the box in the pass that looks for the blocking cable,
-which is _move at fraction 1.0 bit for bit, so only a blocked step makes
-a second pass.
+step and the multiplier sign test, after the strict test of its working
+set's optimum (_optimum), one pass, which computes the optimum as it
+tests it and ends phase 2 when the set answers; both rank counts are a
+pass each. The ratio step clips the full step t + step into the box in
+the pass that looks for the blocking cable, which is _move at fraction
+1.0 bit for bit, so only a blocked step makes a second pass.
 
 Each pass does the same float operations in the same order as the array
 expressions it replaces. Its clip keeps the bound on a tie, as
@@ -247,15 +252,14 @@ class _WorkingSet(NamedTuple):
     on each free cable, its bound on each held one), sequences one entry
     per cable, the _Block of its free cables, c, rows times the held
     vector, which phase 2 steps with, and its offsets q = shift_op c, a
-    tuple of floats, one per cable, which _optimum reads. Phase 2 builds a
-    set at most of its iterations and asks few of them for an answer, so q
-    is None until a set is to answer (_answering)."""
+    tuple of floats, one per cable, which _optimum reads. Phase 2 asks
+    every set it builds for an answer, so _working_set builds q with it."""
 
     free: Sequence[bool]
     held: Sequence[float]
     block: _Block
     c: np.ndarray
-    offsets: tuple[float, ...] | None = None
+    offsets: tuple[float, ...]
 
 
 class _Box(NamedTuple):
@@ -709,10 +713,10 @@ def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
 
     The margin is box.rounding, the rounding level of the tensions, plus
     tol times the block's drift: phase 1 hands phase 2 a box point whose
-    force misses f by up to tol, so phase 2 ends on the working set of a
-    force that close to f. A set that certifies with this margin is
-    optimal for every such force, so a cold solve's phase 2 ends on it as
-    well, and the answer is this one whether or not the set was kept.
+    force misses f by up to tol, and phase 2 steps toward the optimum of
+    that force. A set that certifies with this margin is optimal for every
+    such force, so phase 2's steps would certify it as well, and the
+    answer is this one whether phase 2 or a kept set asks for it.
     """
     f0, f1, f2 = f
     margin = box.rounding + tol * ws.block.drift
@@ -760,17 +764,11 @@ def _working_set(fac, blk: _Block, free, t, lo) -> _WorkingSet:
     the cables of the list free free, blk being their block, and holds
     every other cable where t has it, on a bound."""
     held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
-    return _WorkingSet(free, held, blk, fac.rows.dot(np.array(held)))
-
-
-def _answering(ws: _WorkingSet) -> _WorkingSet:
-    """ws with its offsets q = shift_op c as a tuple of floats, for a set
-    about to be asked for its _optimum."""
-    free, held, blk, c, _ = ws
+    c = fac.rows.dot(np.array(held))
     return _WorkingSet(free, held, blk, c, tuple(blk.shift_op.dot(c).tolist()))
 
 
-def _min_shift(fac, box, t, x, free, budget, ws=None):
+def _min_shift(fac, box, t, x, free, f, fvec, tol, budget):
     """Phase 2: min ||t - t_min||^2 s.t. rows t = rows t0 and the box,
     by the primal active-set method (Nocedal & Wright, Alg. 16.3) from the
     feasible box point t0 = t, holding the cables it has at a bound.
@@ -791,30 +789,43 @@ def _min_shift(fac, box, t, x, free, budget, ws=None):
     (_shift), and the trailing columns of its left singular vectors span
     the directions the free cables cannot reach.
 
+    Each working set is asked for its _optimum for the force fvec, f being
+    its three floats, before the iteration steps toward it, and the first
+    that gives one ends phase 2 with the answer: a set that certifies
+    strictly for f is one this iteration would certify for t0's force as
+    well (see _optimum), so the answer and its iteration are the ones the
+    steps would reach. The first set is phase 1's own, so a solve whose
+    phase 1 ends on its answer's set pays for no step and no target
+    rows t0, which is formed once a set has failed to answer.
+
     t0 comes in as phase 1's list t and array x, with free, the list of
     the cables t0 has strictly inside the box, which solve read from t0
     and the iterations update in place. The iterate is a list of floats:
     np.where(free, t_min, t), np.where(free, t_min + shift - t, 0.0) and
-    the ratio step are passes with the same float operations. ws, when
-    given, is the working set of t0 (_working_set), which the first
-    iteration then takes as it is. Returns (t, working set, iterations), t
-    a list and the working set the _WorkingSet certified, None when the
-    budget ran out first. Every held cable of t sits exactly on its bound,
-    so the held vector of the last iteration is that working set's.
+    the ratio step are passes with the same float operations. Returns
+    (answer, t, working set, iterations): the answer _optimum gave or None,
+    t a list, and the working set that answered or that the iterations
+    certified, None when the budget ran out first. Every held cable of t
+    sits exactly on its bound, so the held vector of the last iteration is
+    that working set's.
     """
     rows, rank = fac.rows, fac.rank
     lo = box.lo_floats
-    target = rows.dot(x)
+    target = None
     for k in range(1, budget + 1):
-        if ws is None:
-            blk = fac.block(free)
-            if blk.rank < rank:
-                # release the held cable reaching furthest into the missing span
-                reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
-                free[int(np.where(free, -1.0, reach).argmax())] = True
-                continue
-            ws = _working_set(fac, blk, free, t, lo)
-        shift = _shift(ws.block, target, ws.c)
+        blk = fac.block(free)
+        if blk.rank < rank:
+            # release the held cable reaching furthest into the missing span
+            reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
+            free[int(np.where(free, -1.0, reach).argmax())] = True
+            continue
+        ws = _working_set(fac, blk, free, t, lo)
+        found = _optimum(fac, ws, f, fvec, box, tol)
+        if found is not None:
+            return found, t, ws, k
+        if target is None:
+            target = rows.dot(x)
+        shift = _shift(blk, target, ws.c)
         step = [
             lo_i + shift_i - ti if is_free else 0.0
             for is_free, lo_i, shift_i, ti in zip(free, lo, shift, t)
@@ -822,14 +833,12 @@ def _min_shift(fac, box, t, x, free, budget, ws=None):
         t, blocking = _ratio_step(t, step, box)
         if blocking >= 0:
             free[blocking] = False
-            ws = None
             continue
         worst, wrong = _worst_multiplier(free, t, shift, lo)
         if wrong <= box.rounding:
-            return t, ws, k
+            return None, t, ws, k
         free[worst] = True
-        ws = None
-    return t, None, budget
+    return None, t, None, budget
 
 
 def solve(
@@ -877,9 +886,9 @@ def solve(
     The returned tensions are always within bounds, whatever the status.
     A force with a component of _fields.MAX_MAGNITUDE (1e100 N) or more
     raises ValueError naming it, as TensionBounds does for such a t_max.
-    The working sets A's factorization keeps answer first (_reuse), and a
-    certified phase 2 answers with its working set's _optimum when that
-    exists.
+    The working sets A's factorization keeps answer first (_reuse); a cold
+    solve answers with the _optimum of the first working set phase 2 builds
+    that gives one, phase 1's own set first, and keeps that set.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     fac = _factorization(A)
@@ -900,23 +909,11 @@ def solve(
     if status is None:
         if floats is None:
             floats = fvec.tolist()
-        # phase 1's working set, tried first: phase 2 would certify it at
-        # its first iteration whenever its _optimum exists
         lo, hi = box.lo_floats, box.hi_floats
         free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
-        blk = fac.block(free)
-        found = ws = None
-        if blk.rank == fac.rank:
-            ws = _answering(_working_set(fac, blk, free, t, lo))
-            found = _optimum(fac, ws, floats, fvec, box, tol)
-        if found is None:
-            tried, budget = ws, cfg.max_iterations - iterations + 1
-            t, ws, more = _min_shift(fac, box, t, x, free, budget, ws)
-            iterations += more - 1
-            # phase 2 may certify the set just tried, which has no _optimum
-            if ws is not None and ws is not tried:
-                ws = _answering(ws)
-                found = _optimum(fac, ws, floats, fvec, box, tol)
+        budget = cfg.max_iterations - iterations + 1
+        found, t, ws, more = _min_shift(fac, box, t, x, free, floats, fvec, tol, budget)
+        iterations += more - 1
         if found is not None:
             fac.keep(ws)
             return _result(*found, SolveStatus.FEASIBLE_EXACT, iterations)

@@ -206,13 +206,13 @@ AS_VEC3 = [
 @pytest.mark.parametrize("value, accepted", [c[1:] for c in AS_VEC3], ids=[c[0] for c in AS_VEC3])
 def test_as_vec3_accepts_finite_3_vectors_alone(value, accepted):
     if accepted:
-        got = as_vec3(value)
+        got = as_vec3(value, "measured force")
         assert got.dtype == np.float64 and got.shape == (3,)
         assert got.tobytes() == np.asarray(value, dtype=float).tobytes()
     else:
-        message = f"expected a finite 3-vector, got {value!r}"
+        message = f"measured force must be a finite 3-vector, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            as_vec3(value)
+            as_vec3(value, "measured force")
 
 
 COMPLEX_FORCES = [
@@ -227,11 +227,40 @@ def test_complex_vectors_raise_the_documented_value_error(value):
 
     layout, ee = default_validation_layout()
     A = structure_matrix(layout, ee)
-    with pytest.raises(ValueError, match="expected a finite 3-vector"):
+    with pytest.raises(ValueError, match="^force must be a finite 3-vector"):
         solve(A, value, layout.bounds)
-    with pytest.raises(ValueError, match="position must be a finite 3-vector"):
+    with pytest.raises(ValueError, match="^position must be a finite 3-vector"):
         EndEffectorState(position=value, velocity=[0.0, 0.0, 0.0], time=0.0)
-    with pytest.raises(ValueError, match="expected a finite 3-vector"):
+    with pytest.raises(ValueError, match="^a must be a finite 3-vector"):
         angle_error(value, [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="expected a finite 3-vector"):
+    with pytest.raises(ValueError, match="^b must be a finite 3-vector"):
         angle_error([1.0, 0.0, 0.0], value)
+
+
+# vectors no field takes, each refused with the field's name and the value
+NOT_VEC3 = [
+    pytest.param([1.0, 2.0, math.nan], "[1.0, 2.0, nan]", id="nan"),
+    pytest.param([1.0, 2.0], "[1.0, 2.0]", id="two"),
+    pytest.param([1, [2, 3]], "[1, [2, 3]]", id="ragged"),
+]
+
+
+@pytest.mark.parametrize("value, shown", NOT_VEC3)
+def test_a_vector_that_is_not_a_finite_3_vector_is_refused_by_name(value, shown):
+    from cablehaptics import angle_error, magnitude_error, solve, structure_matrix
+
+    layout, ee = default_validation_layout()
+    A = structure_matrix(layout, ee)
+    calls = [
+        ("force", lambda: solve(A, value, layout.bounds)),
+        ("end effector", lambda: structure_matrix(layout, value)),
+        ("a", lambda: angle_error(value, [1.0, 0.0, 0.0])),
+        ("b", lambda: angle_error([1.0, 0.0, 0.0], value)),
+        ("a", lambda: magnitude_error(value, [1.0, 0.0, 0.0])),
+        ("position", lambda: EndEffectorState(position=value, velocity=[0.0] * 3, time=0.0)),
+        ("measured force", lambda: as_vec3(value, "measured force")),
+    ]
+    for name, call in calls:
+        message = f"{name} must be a finite 3-vector, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

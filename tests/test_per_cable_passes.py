@@ -317,8 +317,9 @@ def box_of(lo, hi):
 
 def phase_2_iteration(monkeypatch, t, lo, hi, shift):
     """(held vector, step) of one phase-2 iteration from the box point t,
-    its free set read from t, with rows^T lam stubbed to give shift: the
-    vector phase 2 multiplies by rows and the step it hands the ratio step."""
+    its free set read from t, with rows^T lam stubbed to give shift and the
+    working set giving no answer: the vector phase 2 multiplies by rows and
+    the step it hands the ratio step."""
     rows, steps = Product(np.zeros(1)), []
     blk = SimpleNamespace(rank=1, shift_op=Product(shift))
     fac = SimpleNamespace(rows=rows, rank=1, block=lambda free: blk)
@@ -328,12 +329,15 @@ def phase_2_iteration(monkeypatch, t, lo, hi, shift):
         return t, 0  # blocked, so the one iteration ends there
 
     monkeypatch.setattr(solver, "_ratio_step", ratio_step)
+    monkeypatch.setattr(solver, "_optimum", lambda *args: None)
     box = box_of(lo, hi)
     free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t.tolist(), lo.tolist(), hi.tolist())]
-    assert solver._min_shift(fac, box, t.tolist(), t, free, 1) == (t.tolist(), None, 1)
-    # rows multiplies t0 for the target, then the held vector
-    assert len(rows.operands) == 2 and rows.operands[0].tobytes() == t.tobytes()
-    return rows.operands[1], steps[0]
+    f = [0.0, 0.0, 1.0]
+    got = solver._min_shift(fac, box, t.tolist(), t, free, f, np.array(f), 1e-8, 1)
+    assert got == (None, t.tolist(), None, 1)
+    # rows multiplies the held vector, then t0 for the target
+    assert len(rows.operands) == 2 and rows.operands[1].tobytes() == t.tobytes()
+    return rows.operands[0], steps[0]
 
 
 def test_phase_2_held_vector_and_step_match_reference(monkeypatch):
@@ -425,8 +429,7 @@ def optimum_cases(seed, count):
             blk = fac.block(free.tolist())
             if blk.rank == fac.rank:
                 t = [h if up else b for b, h, up in zip(lo, hi, rng.random(m) < 0.3)]
-                ws = solver._working_set(fac, blk, free.tolist(), t, lo)
-                sets.append(solver._answering(ws))
+                sets.append(solver._working_set(fac, blk, free.tolist(), t, lo))
         for ws in sets:
             for f in forces:
                 yield fac, ws, f, box, tol

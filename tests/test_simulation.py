@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -108,6 +109,40 @@ class TestMagnitudeError:
             warnings.simplefilter("error")
             assert magnitude_error([1e99, 0.0, 0.0], [0.0, 0.0, 2e99]) == pytest.approx(1e99)
             assert magnitude_error([3e99, 4e99, 0.0], [0.0, 0.0, 5e99]) == pytest.approx(0.0)
+
+
+class TestRotationZ:
+    def test_a_float_angle_gives_its_cos_and_sin(self):
+        theta = 0.087
+        expected = np.array(
+            [[np.cos(theta), -np.sin(theta), 0.0], [np.sin(theta), np.cos(theta), 0.0], [0, 0, 1.0]]
+        )
+        assert rotation_z(theta).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "theta",
+        [np.float32(0.1), np.float64(0.1), np.int64(2), 2],
+        ids=["float32", "float64", "int64", "int"],
+    )
+    def test_any_real_angle_is_taken_as_a_float(self, theta):
+        got = rotation_z(theta)
+        assert got.dtype == np.float64
+        assert got.tobytes() == rotation_z(float(theta)).tobytes()
+
+    @pytest.mark.parametrize(
+        "theta, message",
+        [
+            (np.nan, "theta must be a finite real number, got nan"),
+            (-np.inf, "theta must be a finite real number, got -inf"),
+            (True, "theta must be a finite real number, got True"),
+            ("0.5", "theta must be a finite real number, got '0.5'"),
+            (1e100, "theta must be below 1e+100 in size, got 1e+100"),
+        ],
+        ids=["nan", "-inf", "bool", "string", "huge"],
+    )
+    def test_an_angle_that_is_not_a_finite_real_number_is_refused(self, theta, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rotation_z(theta)
 
 
 class TestAlignZRotation:

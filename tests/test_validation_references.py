@@ -279,5 +279,5 @@ def test_a_near_zero_commanded_force_raises():
 def test_a_non_finite_measurement_raises(force):
     layout, ee = default_validation_layout()
     protocol = ValidationProtocol(sample_count=2, samples_per_hold=1)
-    with pytest.raises(ValueError, match="expected a finite 3-vector"):
+    with pytest.raises(ValueError, match="^measured force must be a finite 3-vector"):
         run_validation(layout, ee, protocol, FixedPlant(force))

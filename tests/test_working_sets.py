@@ -206,23 +206,57 @@ def test_huge_forces_meet_the_kept_sets_and_keep_their_results(monkeypatch, orde
 
 
 def test_phase_1_working_set_spares_cold_solves_phase_2(monkeypatch):
-    # a cold exact solve tries phase 1's working set before phase 2, and on
-    # the validation sphere that set certifies for all but one force
-    runs = []
-    min_shift = solver._min_shift
+    # phase 2 asks phase 1's working set for its answer before it steps, and
+    # on the validation sphere that set certifies for all but one force
+    steps = []
+    shift = solver._shift
 
     def spy(*args):
-        runs.append(args)
-        return min_shift(*args)
+        steps.append(args)
+        return shift(*args)
 
-    monkeypatch.setattr(solver, "_min_shift", spy)
+    monkeypatch.setattr(solver, "_shift", spy)
     A = structure_matrix(VALIDATION_LAYOUT, VALIDATION_EE)
     iterations = Counter()
     for f in sphere_samples(182, 1.5):
         clear_caches()
         iterations[solve(A, f, VALIDATION_LAYOUT.bounds).iterations] += 1
-    assert len(runs) <= 1
+    assert len(steps) <= 1
     assert iterations == {2: 32, 3: 120, 4: 30}
+
+
+def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
+    monkeypatch, reuse_log
+):
+    # phase 2 tests each set it builds as it builds it, and nothing else
+    # asks a cold solve's sets for an answer
+    built, asked = [], []
+    working_set, optimum = solver._working_set, solver._optimum
+
+    def build(*args):
+        ws = working_set(*args)
+        built.append(ws)
+        return ws
+
+    def ask(fac, ws, *args):
+        asked.append(ws)
+        return optimum(fac, ws, *args)
+
+    monkeypatch.setattr(solver, "_working_set", build)
+    monkeypatch.setattr(solver, "_optimum", ask)
+    sets_per_solve = Counter()
+    for A, f, bounds in CORPUS:
+        clear_caches()
+        del built[:], asked[:]
+        result = solve(A, f, bounds)
+        assert len(asked) == len(built) and all(map(operator.is_, asked, built))
+        sets_per_solve[len(built)] += 1
+        if result.status is SolveStatus.NEAREST_FEASIBLE:
+            assert not built
+    assert not reuse_log
+    # most exact solves answer from phase 1's set, and some build more
+    assert sets_per_solve[1] > len(CORPUS) // 4
+    assert max(sets_per_solve) > 2
 
 
 def test_a_force_just_off_a_rank_2_plane_is_not_rendered_by_a_kept_set():
