@@ -53,8 +53,8 @@ force, like a tension bound, must lie below _fields.MAX_MAGNITUDE, so no
 square the solve forms overflows.
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
-comes from one cached factorization of A, together with every operator
-that depends on A alone and, for the last bounds, A times t_min and the
+comes from one cached factorization of A, together with the operators
+built from those SVDs and, for the last bounds, A times t_min and the
 kept working sets;
 consecutive solves on the same matrix share it, so a solve computes only
 what depends on the force. The factorization is a solve's one handle on
@@ -72,19 +72,21 @@ np.linalg.svd passes it for a float matrix: the same bits without the
 wrapper, which cost as much as LAPACK on a new matrix (a median 33 against
 16 us on the README grid's 3 x 4 matrices, 2-vCPU Xeon, numpy 2.4). svd_f
 is numpy's private API, under this name since numpy 2.0, the package's
-floor. _svd raises LinAlgError on a NaN singular value, which is what
-LAPACK's failure to converge leaves.
+floor, and pyproject.toml caps numpy below 3 for it. _svd raises
+LinAlgError on a NaN singular value, which is what LAPACK's failure to
+converge leaves.
 
 Each iteration does two kinds of work. Products with a cached 3 x m or
 m x r operator are one ndarray.dot call each: numpy's fixed cost per call
 is about a microsecond, and at these sizes one call still beats a Python
 sum. A new matrix builds its cached operators (the pseudoinverse, each
-block's shift and step operators and its force map, and A times t_min)
-with ndarray.dot as well, which gives the bits of @ at about half its
-cost. The test of a working set's optimum is the exception: it is asked
-of every kept set a solve tries and of every set phase 2 builds, and
-needs no array until it certifies, so its products are Python sums over
-float triples (see _optimum).
+block's one shift operator, and A times t_min) with ndarray.dot as well,
+which gives the bits of @ at about half its cost, and so does each
+working set, for its offsets and force map (see _WorkingSet). The test
+of a working set's optimum is the exception: it is asked of every kept
+set a solve tries and of every set phase 2 builds, and needs no array
+until it certifies, so its products are Python sums over float triples
+(see _optimum).
 
 Everything else is per cable, and numpy would spend a call on each
 comparison, mask or expression over four to eight values, so it is
@@ -104,16 +106,17 @@ own operator, so at such a start it is the start's step to the bit, which
 the clip bounded by the rounding of t_min: such a solve answers without
 the certificate's product or pass, unless the tolerance comes near the
 rounding (see _nearest_box_point). A phase-1 iteration that steps makes
-three passes: the nearest-box-point certificate, the release (_release)
-and the ratio step; the first such iteration makes a fourth, which reads
-the free set from the iterate. A phase-2 iteration makes four: the
-vector of t_min on free cables and t on held ones, the step, the ratio
-step and the multiplier sign test, after the strict test of its working
-set's optimum (_optimum), one pass, which computes the optimum as it
-tests it and ends phase 2 when the set answers; both rank counts are a
-pass each. The ratio step clips the full step t + step into the box in
-the pass that looks for the blocking cable, which is _move at fraction
-1.0 bit for bit, so only a blocked step makes a second pass.
+four passes: the nearest-box-point certificate, the release (_release),
+the step, which sets the held cables' entries of the shift operator's
+product to 0.0, and the ratio step; the first such iteration makes a
+fifth, which reads the free set from the iterate. A phase-2 iteration
+makes four: the vector of t_min on free cables and t on held ones, the
+step, the ratio step and the multiplier sign test, after the strict test
+of its working set's optimum (_optimum), one pass, which computes the
+optimum as it tests it and ends phase 2 when the set answers; both rank
+counts are a pass each. The ratio step clips the full step t + step into
+the box in the pass that looks for the blocking cable, which is _move at
+fraction 1.0 bit for bit, so only a blocked step makes a second pass.
 
 Each pass does the same float operations in the same order as the array
 expressions it replaces. Its clip keeps the bound on a tie, as
@@ -230,36 +233,34 @@ _DEFAULT_CONFIG = SolverConfig()
 class _Block(NamedTuple):
     """What the iterations need of one free-column block rows[:, free]:
     its left singular vectors and rank, the shift operator rows^T times
-    the pseudoinverse of its Gram matrix, u_r diag(1/s^2) u_r^T, phase 1's
-    step operator, the shift operator with the held cables' rows zeroed,
-    drift, the most a newton of force residual can move the optimum of
-    a working set on this block, on any cable or multiplier: ||goal||
-    times the norm of that pseudoinverse, the largest singular value of
-    goal over the block's smallest one squared, and the force map
-    P = shift_op goal, one float triple per cable, which _optimum takes
-    its shifts from."""
+    the pseudoinverse of its Gram matrix, u_r diag(1/s^2) u_r^T, which
+    both phases step with, and drift, the most a newton of force residual
+    can move the optimum of a working set on this block, on any cable or
+    multiplier: ||goal|| times the norm of that pseudoinverse, the largest
+    singular value of goal over the block's smallest one squared."""
 
     u: np.ndarray
     rank: int
     shift_op: np.ndarray
-    step: np.ndarray
     drift: float
-    force_map: tuple[tuple[float, float, float], ...]
 
 
 class _WorkingSet(NamedTuple):
     """A working set of phase 2: the free mask and the held vector (t_min
     on each free cable, its bound on each held one), sequences one entry
     per cable, the _Block of its free cables, c, rows times the held
-    vector, which phase 2 steps with, and its offsets q = shift_op c, a
-    tuple of floats, one per cable, which _optimum reads. Phase 2 asks
-    every set it builds for an answer, so _working_set builds q with it."""
+    vector, which phase 2 steps with, its offsets q = shift_op c, a tuple
+    of floats, one per cable, and its force map P = shift_op goal, one
+    float triple per cable, which _optimum takes its shifts from. Phase 2
+    asks every set it builds for an answer, so _working_set builds q and P
+    with it, and a block that only phase 1 steps through builds neither."""
 
     free: Sequence[bool]
     held: Sequence[float]
     block: _Block
     c: np.ndarray
     offsets: tuple[float, ...]
+    force_map: tuple[tuple[float, float, float], ...]
 
 
 class _Box(NamedTuple):
@@ -392,13 +393,10 @@ class _Factorization:
             rank = _rank(values, 1.0)
             u_r = u[:, :rank]
             shift_op = self.rows_t.dot((u_r / sv[:rank] ** 2).dot(u_r.T))
-            step = shift_op.copy()
-            step[~free] = 0.0
-            for arr in (u, shift_op, step):
+            for arr in (u, shift_op):
                 arr.setflags(write=False)
             drift = self.goal_norm / values[rank - 1] ** 2 if rank else 0.0
-            force_map = tuple(map(tuple, shift_op.dot(self.goal).tolist()))
-            found = self._blocks[key] = _Block(u, rank, shift_op, step, drift, force_map)
+            found = self._blocks[key] = _Block(u, rank, shift_op, drift)
         return found
 
     def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray]:
@@ -587,10 +585,10 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     gradient. Bounded-variable least squares (Stark & Parker 1995), a
     primal active-set method: cables at a bound are held; each iteration
     takes the minimum-norm least-squares step over the free cables, the
-    free set's cached step operator times goal r, and stops at the first
-    bound it reaches, which holds that cable; once the free cables are
-    stationary, the held cable whose descent direction points most into
-    the box is released.
+    free set's cached shift operator times goal r with each held cable's
+    entry set to 0.0, and stops at the first bound it reaches, which
+    holds that cable; once the free cables are stationary, the held cable
+    whose descent direction points most into the box is released.
 
     The iterate t is a list of floats. Returns (t, x, A x, ||f - A x||^2,
     status, iterations), x the array of t: None once t renders f within
@@ -674,8 +672,10 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
         released = _release(free, t, d, lo, stationary)
         if released >= 0:
             free[released] = True
-        step = fac.block(free).step.dot(goal.dot(residual))
-        t, blocking = _ratio_step(t, step.tolist(), box)
+        step = fac.block(free).shift_op.dot(goal.dot(residual)).tolist()
+        # the held cables stay where they are
+        step = [si if is_free else 0.0 for is_free, si in zip(free, step)]
+        t, blocking = _ratio_step(t, step, box)
         if blocking >= 0:
             free[blocking] = False
         x = np.array(t)
@@ -703,7 +703,7 @@ def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
     answer from a working set.
 
     One pass over the cables computes each shift p_i . f - q_i, p_i the
-    cable's row of the block's force map and q_i its offset, which is
+    cable's row of the set's force map and q_i its offset, which is
     shift_op (goal f - c) but for rounding, and tests it as it goes: every
     free cable, t_min + shift, must lie inside the box by more than the
     margin, and every held cable's multiplier held - t_min - shift must
@@ -722,7 +722,7 @@ def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
     margin = box.rounding + tol * ws.block.drift
     t = []
     for is_free, h, (p0, p1, p2), q, lo_i, hi_i in zip(
-        ws.free, ws.held, ws.block.force_map, ws.offsets, box.lo_floats, box.hi_floats
+        ws.free, ws.held, ws.force_map, ws.offsets, box.lo_floats, box.hi_floats
     ):
         s = p0 * f0 + p1 * f1 + p2 * f2 - q
         if is_free:
@@ -762,10 +762,13 @@ def _reuse(fac, f, fvec, box: _Box, tol: float):
 def _working_set(fac, blk: _Block, free, t, lo) -> _WorkingSet:
     """The working set of the box point t, a list of floats, that leaves
     the cables of the list free free, blk being their block, and holds
-    every other cable where t has it, on a bound."""
+    every other cable where t has it, on a bound, with the offsets and
+    force map _optimum reads."""
     held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
     c = fac.rows.dot(np.array(held))
-    return _WorkingSet(free, held, blk, c, tuple(blk.shift_op.dot(c).tolist()))
+    offsets = tuple(blk.shift_op.dot(c).tolist())
+    force_map = tuple(map(tuple, blk.shift_op.dot(fac.goal).tolist()))
+    return _WorkingSet(free, held, blk, c, offsets, force_map)
 
 
 def _min_shift(fac, box, t, x, free, f, fvec, tol, budget):

@@ -28,6 +28,10 @@ The two rank counts, of a structure matrix and of a free-column block,
 are passes too, checked against the numpy expressions they replace on
 seeded matrices of every rank, with singular values on both sides of the
 cutoff, and on singular values exactly at it and one float either side.
+On each of those blocks that has a free cable, phase 1's step, the
+block's shift operator times goal r with the held cables' entries set to
+0.0 in a pass, must give the bytes of the shift operator with its held
+rows zeroed times goal r on every free cable, and +0.0 on every held one.
 
 Both SVDs call LAPACK's gufunc without np.linalg.svd's wrapper, and the
 norms of a new matrix take numpy's ufuncs without np.linalg.norm's. The
@@ -309,6 +313,16 @@ class Product:
         return self.result
 
 
+class ShiftOp(Product):
+    """A stand-in shift operator: a Product for vectors, and a zero force
+    map, one triple per cable, for the goal operator, a matrix."""
+
+    def dot(self, v):
+        if np.ndim(v) == 2:
+            return np.zeros((len(self.result), 3))
+        return super().dot(v)
+
+
 def box_of(lo, hi):
     """The _Box of the bound arrays lo and hi."""
     hi_floats = tuple(hi.tolist())
@@ -321,8 +335,8 @@ def phase_2_iteration(monkeypatch, t, lo, hi, shift):
     working set giving no answer: the vector phase 2 multiplies by rows and
     the step it hands the ratio step."""
     rows, steps = Product(np.zeros(1)), []
-    blk = SimpleNamespace(rank=1, shift_op=Product(shift))
-    fac = SimpleNamespace(rows=rows, rank=1, block=lambda free: blk)
+    blk = SimpleNamespace(rank=1, shift_op=ShiftOp(shift))
+    fac = SimpleNamespace(rows=rows, rank=1, goal=np.zeros((1, 3)), block=lambda free: blk)
 
     def ratio_step(t, step, box):
         steps.append(np.array(step))
@@ -466,12 +480,40 @@ def reference_factorization(M):
 
 
 def reference_block(rows, rows_t, free):
-    """(u, rank, shift_op, step) of rows[:, free] by the array expressions."""
+    """(u, rank, shift_op) of rows[:, free] by the array expressions."""
     u, sv, _ = np.linalg.svd(rows[:, free])
     rank = int((sv > solver.RANK_REL_TOL).sum())
     shift_op = rows_t @ ((u[:, :rank] / sv[:rank] ** 2) @ u[:, :rank].T)
-    step = np.where(free[:, None], shift_op, 0.0)
-    return u, rank, shift_op, step
+    return u, rank, shift_op
+
+
+def phase_1_step(monkeypatch, blk, free, g):
+    """The step one phase-1 iteration hands the ratio step on the block blk
+    of the mask free, which has a free cable, with goal r stubbed to give
+    g: the start leaves each free cable inside the box [0, 1] and each held
+    one on a bound, and its certificate direction moves every free cable,
+    so the iteration releases none and steps."""
+    start = np.where(free, 0.5, np.where(np.arange(len(free)) % 2, 2.0, -1.0))
+    fac = SimpleNamespace(
+        matrix=Product(np.zeros(3)),
+        goal=Product(g),
+        pinv=Product(start),
+        goal_norm=1.0,
+        block=lambda mask: blk,
+    )
+    steps = []
+
+    def ratio_step(t, step, box):
+        steps.append(step)
+        return t, 0  # blocked, so the one iteration ends there
+
+    monkeypatch.setattr(solver, "_ratio_step", ratio_step)
+    box = box_of(np.zeros(len(free)), np.ones(len(free)))
+    f = np.array([0.0, 0.0, 1.0])
+    got = solver._nearest_box_point(fac, f, box, np.zeros(3), TOL, 1)
+    assert got[4] is solver.SolveStatus.ITERATION_CAP and len(steps) == 1
+    assert type(steps[0]) is list and list(map(type, steps[0])) == [float] * len(free)
+    return np.array(steps[0])
 
 
 def rank_case(rng, m):
@@ -526,9 +568,11 @@ def test_factorization_rank_matches_reference():
     assert (near > 20).all(), near
 
 
-def test_block_rank_matches_reference():
+def test_block_rank_matches_reference(monkeypatch):
     rng = np.random.default_rng(6)
     ranks, near = set(), np.zeros(2, dtype=int)
+    # goal r for phase 1's steps, drawn apart so the matrices stay as seeded
+    goals, steps = np.random.default_rng(60), 0
     for k in range(300):
         m = 1 + k % 8
         fac = solver._Factorization(rank_case(rng, m))
@@ -538,16 +582,28 @@ def test_block_rank_matches_reference():
         masks[2] = True
         masks[2, 0] = False  # only the first cable held
         for free in masks:
-            u, rank, shift_op, step = reference_block(fac.rows, fac.rows_t, free)
+            u, rank, shift_op = reference_block(fac.rows, fac.rows_t, free)
             blk = fac.block(free.tolist())
             assert blk.rank == rank
             assert blk.u.tobytes() == u.tobytes()
             assert blk.shift_op.tobytes() == shift_op.tobytes()
-            assert blk.step.tobytes() == step.tobytes()
+            # phase 1 never steps with every cable held: it releases one
+            if free.any():
+                g = goals.normal(size=fac.rank)
+                # the retired step operator: shift_op with the held rows zeroed
+                operator = blk.shift_op.copy()
+                operator[~free] = 0.0
+                expected = operator.dot(g)
+                step = phase_1_step(monkeypatch, blk, free, g)
+                assert step[free].tobytes() == expected[free].tobytes()
+                assert step[~free].tobytes() == np.zeros(np.count_nonzero(~free)).tobytes()
+                steps += 1
             ranks.add(rank)
             near += near_cutoff(np.linalg.svd(fac.rows[:, free])[1], solver.RANK_REL_TOL)
     assert ranks == {0, 1, 2, 3}
     assert (near > 20).all(), near
+    # 2,932 of the 3,600 blocks have a free cable
+    assert steps > 2500
 
 
 def test_all_zero_matrix_has_rank_zero():

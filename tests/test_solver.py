@@ -582,7 +582,7 @@ class TestFactorizationCache:
         fac = solver._factorization(M)
         blk = fac.block(np.array([True, False, True, True]))
         cached = (fac.matrix, fac.rows, blk.u)
-        operators = (fac.goal, fac.pinv, fac.rows_t, blk.shift_op, blk.step)
+        operators = (fac.goal, fac.pinv, fac.rows_t, blk.shift_op)
         boxes = []
         for bounds in (BOUNDS, PER_CABLE):
             box, a_lo = fac.box(bounds)
@@ -595,14 +595,14 @@ class TestFactorizationCache:
         for arr in cached + operators + tuple(boxes) + kept:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        # the float data _optimum reads: a tuple of float triples per block,
-        # a tuple of floats per kept set, which no later solve can change
+        # the float data _optimum reads: a tuple of float triples and a
+        # tuple of floats per kept set, which no later solve can change
         m = M.shape[1]
-        for found in [blk, *(ws.block for ws in fac.sets.values())]:
-            assert type(found.force_map) is tuple and len(found.force_map) == m
-            for row in found.force_map:
-                assert type(row) is tuple and list(map(type, row)) == [float] * 3
         for ws in fac.sets.values():
+            assert type(ws.force_map) is tuple and len(ws.force_map) == m
+            for row in ws.force_map:
+                assert type(row) is tuple and list(map(type, row)) == [float] * 3
+            assert ws.force_map == tuple(map(tuple, ws.block.shift_op.dot(fac.goal).tolist()))
             assert type(ws.offsets) is tuple and list(map(type, ws.offsets)) == [float] * m
 
     @pytest.mark.parametrize(
