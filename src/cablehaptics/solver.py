@@ -92,19 +92,22 @@ Everything else is per cable, and numpy would spend a call on each
 comparison, mask or expression over four to eight values, so it is
 Python passes over floats: the iterate is a list of floats, and each
 iteration builds its array once, for the products. Phase 1 clips the
-projection of t_min into the box, its start, in one pass (_move), and
-one tuple comparison in C tells whether the start left every cable on
-its floor. Such a start is t_min itself, so its first iteration neither
-builds the iterate's array nor computes A t and f - A t: it takes
-t_min, A t_min and f - A t_min from the box, the factorization and the
-start, which computed them already, and a solve that ends there answers
-with the box's t_min and the factorization's A t_min, which every such
-answer shares. Where A t_min outweighs the force, as for the workspace
-command's 0.1 N probes, most solves end there: 80% of the README grid's
-probes. Phase 1's certificate direction is A^+ (f - A t), the start's
-own operator, so at such a start it is the start's step to the bit, which
-the clip bounded by the rounding of t_min: such a solve answers without
-the certificate's product or pass, unless the tolerance comes near the
+projection of t_min into the box, its start, and tells whether that
+left every cable on its floor, in one pass (_start). Such a start is
+t_min itself, so its first iteration neither builds the iterate's array
+nor computes A t and f - A t: it takes t_min, A t_min and f - A t_min
+from the box, the factorization and the start, which computed them
+already, and a solve that ends there answers with the box's t_min and
+the factorization's A t_min, which every such answer shares. Those two
+are frozen once, when the box and the factorization make them; every
+other answer's tensions and rendered force are fresh arrays, which
+_result freezes as it builds the SolveResult through its slots. Where
+A t_min outweighs the force, as for the workspace command's 0.1 N
+probes, most solves end there: 80% of the README grid's probes. Phase
+1's certificate direction is A^+ (f - A t), the start's own operator, so
+at such a start it is the start's step to the bit, which the clip
+bounded by the rounding of t_min: such a solve answers without the
+certificate's product or pass, unless the tolerance comes near the
 rounding (see _nearest_box_point). A phase-1 iteration that steps makes
 four passes: the nearest-box-point certificate, the release (_release),
 the step, which sets the held cables' entries of the shift operator's
@@ -133,7 +136,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple, Sequence, Union
 
@@ -212,12 +215,13 @@ class SolverConfig:
         set_checked(self, real, "tolerance", minimum=0.0, strict=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """Tensions plus the force they actually render and solve diagnostics.
 
     ``tensions`` is always box-feasible, whatever the status. ``force_residual``
-    is ||A t - f_desired|| in newtons, always finite.
+    is ||A t - f_desired|| in newtons, always finite. The fields are slots,
+    so a result has no ``__dict__`` and takes no weak reference.
     """
 
     tensions: np.ndarray
@@ -226,6 +230,14 @@ class SolveResult:
     status: SolveStatus
     iterations: int
 
+
+# The setters of SolveResult's slots, in field order. _result writes each
+# field through its setter: a frozen dataclass refuses assignment, and its
+# generated __init__ sets each field by name through object.__setattr__,
+# at about twice the cost.
+_SET_TENSIONS, _SET_RENDERED, _SET_RESIDUAL, _SET_STATUS, _SET_ITERATIONS = (
+    getattr(SolveResult, field.name).__set__ for field in fields(SolveResult)
+)
 
 _DEFAULT_CONFIG = SolverConfig()
 
@@ -328,10 +340,14 @@ def _svd(M: np.ndarray):
     the singular values again as a list of floats: (u, sv, vt, values).
     LAPACK's failure to converge fills every output with NaN, and a NaN
     singular value raises LinAlgError, as np.linalg.svd does. That failure
-    also sets the invalid flag, so numpy warns first, and under
-    -W error::RuntimeWarning the warning is what the caller gets. Public
-    inputs never reach it: StructureMatrix rejects NaN and inf first."""
-    u, sv, vt = svd_f(M, signature="d->ddd")
+    also sets the invalid flag, so numpy warns first; where warnings are
+    errors, that RuntimeWarning is raised instead, and it becomes the same
+    LinAlgError. Public inputs never reach it: StructureMatrix rejects NaN
+    and inf first."""
+    try:
+        u, sv, vt = svd_f(M, signature="d->ddd")
+    except RuntimeWarning as warning:
+        raise np.linalg.LinAlgError("SVD did not converge") from warning
     values = sv.tolist()
     if any(map(math.isnan, values)):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -573,6 +589,26 @@ def _ratio_step(t, step, box: _Box):
     return moved, blocking
 
 
+def _start(lo, step, hi) -> tuple[list[float], bool]:
+    """Phase 1's start, t_min + step clipped into the box [lo, hi], step
+    being A^+ (f - A t_min), and whether it leaves every cable on its floor,
+    in one pass over sequences of floats, one entry per cable. The start is
+    _move(lo, 1.0, step, lo, hi) bit for bit, since 1.0 * s is s, and a
+    cable is on its floor exactly where the clip keeps the floor's own
+    float, so the flag is tuple(start) == lo: such a start is t_min
+    itself."""
+    t = []
+    on_floor = True
+    for lo_i, si, hi_i in zip(lo, step, hi):
+        v = lo_i + si
+        if v > lo_i:
+            on_floor = False
+            t.append(v if v < hi_i else hi_i)
+        else:
+            t.append(lo_i)
+    return t, on_floor
+
+
 def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     """Phase 1: box least squares min ||rows t - goal f|| from the
     box-clipped projection of t_min, t_min + A^+ (f - A t_min), a_lo
@@ -628,9 +664,8 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     M, goal, pinv = fac.matrix, fac.goal, fac.pinv
     lo, hi = box.lo_floats, box.hi_floats
     residual = f - a_lo
-    t = _move(lo, 1.0, pinv.dot(residual).tolist(), lo, hi)
-    # the clip keeps a floor's own float, so this is t_min to the bit
-    if tuple(t) == lo:
+    t, on_floor = _start(lo, pinv.dot(residual).tolist(), hi)
+    if on_floor:
         x, rendered = box.lo, a_lo
     else:
         x = np.array(t)
@@ -903,7 +938,7 @@ def solve(
         floats = fvec.tolist()
         found = _reuse(fac, floats, fvec, box, tol)
         if found is not None:
-            return _result(*found, SolveStatus.FEASIBLE_EXACT, 1)
+            return _result(box, *found, SolveStatus.FEASIBLE_EXACT, 1)
     # phase 1 squares f - A t, which negates A t - f exactly, so a solve it
     # ends needs no second residual
     t, x, rendered, squared, status, iterations = _nearest_box_point(
@@ -919,24 +954,37 @@ def solve(
         iterations += more - 1
         if found is not None:
             fac.keep(ws)
-            return _result(*found, SolveStatus.FEASIBLE_EXACT, iterations)
+            return _result(box, *found, SolveStatus.FEASIBLE_EXACT, iterations)
         x, rendered, residual = _rendering(fac, t, fvec)
         # the rounding of phase 2's steps can leave a certified point just
         # above a tolerance set near the rounding level of the force
         exact = ws is not None and residual <= tol
         status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
-        return _result(x, rendered, residual, status, iterations)
-    return _result(x, rendered, math.sqrt(squared), status, iterations)
+        return _result(box, x, rendered, residual, status, iterations)
+    return _result(box, x, rendered, math.sqrt(squared), status, iterations)
 
 
-def _result(x, rendered, residual, status, iterations) -> SolveResult:
-    """The SolveResult of tensions x rendering the force rendered, both
-    made read-only. A phase-1 answer at t_min passes box.lo and A t_min,
-    which every such answer shares: arrays over bytes, frozen once per
-    box and per factorization, which no caller can make writeable."""
-    x.setflags(write=False)
-    rendered.setflags(write=False)
-    return SolveResult(x, rendered, residual, status, iterations)
+def _result(box, x, rendered, residual, status, iterations) -> SolveResult:
+    """The SolveResult of tensions x rendering the force rendered, with
+    both arrays read-only, built through its slots' setters: the fields of
+    SolveResult(x, rendered, residual, status, iterations) at about half
+    the cost of its __init__.
+
+    Here every fresh answer's pair of arrays is frozen. A phase-1 answer at
+    t_min passes box.lo and A t_min instead, which every such answer
+    shares and which are frozen already: arrays over bytes, made once per
+    box and per factorization, which no caller can make writeable. Phase 1
+    answers with both of them or with neither."""
+    if x is not box.lo:
+        x.setflags(write=False)
+        rendered.setflags(write=False)
+    result = object.__new__(SolveResult)
+    _SET_TENSIONS(result, x)
+    _SET_RENDERED(result, rendered)
+    _SET_RESIDUAL(result, residual)
+    _SET_STATUS(result, status)
+    _SET_ITERATIONS(result, iterations)
+    return result
 
 
 def is_wrench_feasible(

@@ -15,13 +15,15 @@ reference takes shift_op (goal f - c) by the array expressions, so the
 two differ at the rounding level. They must make the same decision on
 every seeded set and force, and agree on the tensions within 1e-12 N.
 
-The per-cable arithmetic is passes too: the move of a point along a step
-clipped into the box (the projection of t_min, fraction 1.0, and a blocked
-ratio step's move), the full ratio step, clipped in the pass that looks
-for the blocking cable, and phase 2's held vector and step, which phase 2
-builds inline and the tests read off the products it takes. Each must
-give the bytes of the numpy expression it replaces, on values exactly at
-a bound and on signed zeros, and no solve may call np.minimum or
+The per-cable arithmetic is passes too: phase 1's start, the projection
+of t_min clipped into the box, with its decision that every cable is on
+its floor, the move of a point along a step clipped into the box (a
+blocked ratio step's move), the full ratio step, clipped in the pass that
+looks for the blocking cable, and phase 2's held vector and step, which
+phase 2 builds inline and the tests read off the products it takes. Each
+must give the bytes of the numpy expression it replaces, on values
+exactly at a bound and on signed zeros, the start's decision must be the
+tuple comparison with t_min, and no solve may call np.minimum or
 np.maximum.
 
 The two rank counts, of a structure matrix and of a free-column block,
@@ -36,10 +38,12 @@ rows zeroed times goal r on every free cable, and +0.0 on every held one.
 Both SVDs call LAPACK's gufunc without np.linalg.svd's wrapper, and the
 norms of a new matrix take numpy's ufuncs without np.linalg.norm's. The
 SVD must give np.linalg.svd's bytes on matrices and blocks of every rank
-and width, raise its LinAlgError on NaN, and a new matrix must solve with
-both wrappers disabled, to the bits it gives with them.
+and width, raise its LinAlgError on NaN, with RuntimeWarning an error or
+not, and a new matrix must solve with both wrappers disabled, to the bits
+it gives with them.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,16 +278,44 @@ MOVE_OUTCOMES = {
 
 
 def test_projection_clip_matches_reference():
-    """The projection of t_min: _move(lo, 1.0, A^+ (f - A lo))."""
+    """Phase 1's start, the projection of t_min clipped into the box, and
+    whether it leaves every cable on its floor: _start(lo, A^+ (f - A lo),
+    hi), one pass, against the array clip and the tuple comparison."""
     rng = np.random.default_rng(7)
-    outcomes = set()
+    outcomes, floors = set(), set()
     for k in range(CASES):
         lo, hi, _, towards, _ = arithmetic_case(rng, 1 + k % 8)
         expected = np.minimum(np.maximum(lo + towards, lo), hi)
-        got = solver._move(lo.tolist(), 1.0, towards.tolist(), lo.tolist(), hi.tolist())
+        got, on_floor = solver._start(lo.tolist(), towards.tolist(), hi.tolist())
         assert np.array(got).tobytes() == expected.tobytes()
+        assert on_floor is (tuple(got) == tuple(lo.tolist()))
         outcomes |= move_outcomes(lo + towards, lo, hi)
+        floors.add((on_floor, bool((lo == 0.0).any())))
+    # every cable on its floor, zero floors included, and not
     assert outcomes == MOVE_OUTCOMES
+    assert floors == {(True, True), (True, False), (False, True), (False, False)}
+    # the starts of real problems, m = 3..8: forces of t_min, of t_max and
+    # of a point between, whose steps are the rounding or land on t_max,
+    # and random forces; zero floors are among the floors
+    rng = np.random.default_rng(30)
+    ties = on_zero_floors = 0
+    for k in range(600):
+        m = 3 + k % 6
+        M = rng.normal(size=(3, m))
+        M /= np.linalg.norm(M, axis=0)
+        lo = rng.choice([0.0, 0.0, 0.5, 1.0], m)
+        hi = lo + rng.choice([0.5, 2.0, 6.0], m)
+        pinv = np.linalg.pinv(M)
+        for f in (M.dot(rng.choice([lo, hi, lo + 0.5 * (hi - lo)])), rng.normal(size=3)):
+            towards = pinv.dot(f - M.dot(lo))
+            expected = np.minimum(np.maximum(lo + towards, lo), hi)
+            got, on_floor = solver._start(lo.tolist(), towards.tolist(), hi.tolist())
+            assert np.array(got).tobytes() == expected.tobytes()
+            assert on_floor is (tuple(got) == tuple(lo.tolist()))
+            ties += any(v == hi_i for v, hi_i in zip((lo + towards).tolist(), hi.tolist()))
+            on_zero_floors += on_floor and bool((lo == 0.0).any())
+    # 3 starts tie at t_max, and 221 leave every cable, some at 0.0, on its floor
+    assert ties >= 1 and on_zero_floors >= 100
 
 
 def test_ratio_step_move_matches_reference():
@@ -675,15 +707,23 @@ def test_svd_matches_np_linalg_svd():
     assert widths == set(range(9))
 
 
-def test_nan_matrix_raises_linalg_error():
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "warnings-as-errors"])
+def test_nan_matrix_raises_linalg_error(strict):
     M = np.eye(3)
     M[1, 1] = np.nan
-    # LAPACK's failure also sets the invalid flag, which would warn
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if strict else "default", RuntimeWarning)
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
             np.linalg.svd(M)
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            solver._Factorization(M)
+        if strict:
+            # LAPACK's failure sets the invalid flag, whose warning is raised
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge") as raised:
+                solver._Factorization(M)
+            assert isinstance(raised.value.__cause__, RuntimeWarning)
+        else:
+            with pytest.warns(RuntimeWarning, match="invalid value encountered in svd_f"):
+                with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                    solver._Factorization(M)
 
 
 CUBE = ModuleLayout(

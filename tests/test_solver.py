@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -971,6 +974,67 @@ class TestAnswersAtTMin:
         assert result.tensions.tolist() == [0.0, 0.0, 0.0]
         assert result.rendered_force.tolist() == [0.0, 0.0, 0.0]
         assert result.force_residual == math.sqrt(f.dot(f))
+
+
+def _answers_of_every_path():
+    """One result of each way a solve answers, by name: phase 1 at the
+    t_min start, phase 1 nearest-feasible away from it, phase 2's exact
+    answer, a kept working set's answer and phase 2's iteration cap."""
+    A = default_matrix()
+    fac = solver._factorization(A)
+    box, _ = fac.box(BOUNDS)
+    _, _, bounds, at_t_min = _t_min_answers()[0]
+    assert bounds == BOUNDS and at_t_min.tensions is box.lo
+    _clear_caches()
+    nearest = solve(A, [0.0, 0.0, 100.0], BOUNDS)
+    assert nearest.status is SolveStatus.NEAREST_FEASIBLE
+    assert nearest.tensions.tobytes() != box.lo.tobytes()
+    _clear_caches()
+    exact = solve(A, [0.3, -0.4, 1.2], BOUNDS)
+    assert exact.status is SolveStatus.FEASIBLE_EXACT and exact.iterations > 1
+    kept = solve(A, [0.3, -0.4, 1.2], BOUNDS)
+    assert kept.iterations == 1 and _outcome(kept) == _outcome(exact)
+    _clear_caches()
+    capped = solve(A, sphere_samples(182, 1.5)[0], BOUNDS, SolverConfig(max_iterations=3))
+    assert capped.status is SolveStatus.ITERATION_CAP and capped.iterations == 3
+    return dict(zip(PATHS, (at_t_min, nearest, exact, kept, capped)))
+
+
+PATHS = ["t_min", "phase-1 nearest", "phase-2 exact", "kept set", "iteration cap"]
+FIELD_NAMES = ["tensions", "rendered_force", "force_residual", "status", "iterations"]
+
+
+class TestResultConstructor:
+    """A solve builds its SolveResult through the slots, not through the
+    generated __init__; the result must be the one the public constructor
+    builds from the same values, on every path a solve answers by."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_a_solve_builds_the_public_result(self, path):
+        result = _answers_of_every_path()[path]
+        values = [getattr(result, name) for name in FIELD_NAMES]
+        public = solver.SolveResult(*values)
+        assert [field.name for field in dataclasses.fields(result)] == FIELD_NAMES
+        assert dataclasses.fields(result) == dataclasses.fields(public)
+        assert repr(result) == repr(public)
+        assert result == public
+        for name in FIELD_NAMES:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, None)
+        assert not hasattr(result, "__dict__") and not hasattr(public, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(result)
+        for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            assert type(copied) is solver.SolveResult
+            assert _outcome(copied) == _outcome(result)
+            assert copied.iterations == result.iterations
+            assert repr(copied) == repr(result)
+        # the copies' arrays are the caller's own, writeable as numpy makes
+        # them; the result's own are read-only
+        for arr in (result.tensions, result.rendered_force):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 100.0
 
 
 LO, HI, TOL = 0.5, 6.0, 1e-3
