@@ -46,9 +46,8 @@ HARDWARE_REFERENCE = {
 _ZERO_NORM = 1e-12
 
 # Holds per noise table: hold i of a NoisyPlant reads row i % _TABLE_HOLDS
-# of the table of chunk i // _TABLE_HOLDS. A table costs one generator and
-# its draws, about 16 us; a generator per hold cost about 10 of a hold's
-# 15 us, and a hold from a kept table takes 3 us (2-vCPU Xeon, numpy 2.4).
+# of the table of chunk i // _TABLE_HOLDS, so a generator is built once per
+# table, not once per hold.
 _TABLE_HOLDS = 256
 
 VALIDATION_CSV_HEADER = (

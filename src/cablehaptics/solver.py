@@ -21,115 +21,86 @@ optimality conditions check out. The inputs are geometry's types: a
 matrix is checked once, when its StructureMatrix is built, and every entry
 point takes one as it is and builds one from anything else.
 
-An exact solve answers with the optimum of a working set (the free
-cables, and a bound for each held one) for rows t = goal f, f itself, when
-that optimum certifies strictly: every free cable inside the box and every
-held cable's multiplier of its bound's sign, each by more than the
-rounding level of the tensions plus what a force error of the tolerance
-could move it, and a residual within the tolerance. _optimum is the one
-definition of an answer, and a cold solve asks it in one place: phase 2
-asks each working set it builds, before it steps toward that set, and the
-first that answers ends the solve. Its first set is phase 1's own, so a
-solve whose phase 1 ends on its answer's set takes no step. A set that
-does not answer steps as the primal active-set method does (_shift), for
-the force phase 1 reached, within the tolerance of f; a set that
-certifies for f with that margin is one those steps would certify at
-the same iteration, so the answer and its iteration count are the
-method's own. When no set answers, phase 2's point stands.
+Answers come from working sets. A working set holds some cables at a
+bound and leaves the rest free; its optimum holds the held cables there
+and gives the free ones the least-squares solution of rows t = goal f,
+f itself. A set certifies exact when that optimum renders f within the
+tolerance, every free cable lies inside the box and every held cable's
+multiplier has its bound's sign; it certifies nearest when the optimum
+misses f by more than the tolerance, the free cables have full column
+rank and lie inside the box, and every held cable's descent A^+ (f - A t)
+points out of the box. Each test is strict: by the rounding level of the
+tensions plus what a force error of the tolerance could move the optimum,
+and, for a descent, by phase 1's certificate threshold. _optimum and
+_nearest_optimum are the one definition of each kind of answer. A
+strictly certified optimum is the
+problem's unique answer: the KKT conditions of the convex problem hold
+with every inequality strict, so no other box point, and no other working
+set, meets them (for a nearest set, the held cables are fixed by their
+strictly outward descents and the free ones by full column rank). So a
+force certifies exact or nearest, never both, and with one set at most.
 
-A strictly certified set is the only one that certifies for its force,
-so each cached factorization keeps the sets its solves certified (at
-most _MAX_SETS, dropped when the bounds change), and a solve on it tries
-them first, one at a time in the order they were certified (_reuse): the
-first whose _optimum exists is the answer, at 1 iteration and without
-either phase. The answer is the one a cold solve gives, bit for bit, so
-it depends on (A, f, bounds, config) alone and the kept sets change only
-how fast it comes. ``iterations`` then counts 1; in a solve that finds
-none, it counts both phases as before. The one exception is the cap: a
-solve that max_iterations stops before it certifies reports
-ITERATION_CAP when cold, but FEASIBLE_EXACT with the uncapped answer when
-a kept set certifies for its force. Every force takes this one path: a
-force, like a tension bound, must lie below _fields.MAX_MAGNITUDE, so no
-square the solve forms overflows.
+A cold solve asks for an answer in two places. Phase 2 asks each working set
+it builds, phase 1's own first, before it steps toward that set; a set
+that certifies for f with the tolerance's margin is one that phase 2's
+steps, toward the force phase 1 reached within the tolerance of f, would
+certify at the same iteration, so the answer and its iteration count are
+the method's own. When phase 1 certifies a nearest point, it asks the set
+that point holds; a degenerate point, whose free cables lack full column
+rank or whose held descents do not clear the threshold, answers with
+phase 1's iterate, and its set is not kept. The set that holds every
+cable on its floor needs no block: its optimum is t_min, its descent is
+phase 1's start step A^+ (f - A t_min), bit for bit, and a start that the
+clip left on t_min has each component at or below eps/2 t_min (see
+_floor_residual), so such a solve answers at 1 iteration from the start
+it computed anyway, with the box's t_min and the factorization's
+A t_min, which every such answer shares.
+
+Each cached factorization keeps the sets its solves certified, exact and
+nearest apart (at most _MAX_SETS in all, the oldest of a kind making
+way, dropped when the bounds change), and a solve on it tries them in
+the order they were certified (_reuse): the exact ones first, then
+t_min's set, then the nearest ones, so that a force answered at t_min
+pays for no nearest set. The first set that gives an answer is the
+answer, at 1 iteration and without either phase. That answer is the one
+a cold solve gives, bit for bit, since it is the same set's optimum
+computed the same way, so an answer depends on (A, f, bounds, config)
+alone and the kept sets change only how fast it comes. The one exception
+is the cap: a solve that max_iterations stops before it certifies
+reports ITERATION_CAP when cold, but the uncapped answer when a kept set
+certifies for its force. Every force takes this one path: a force, like
+a tension bound, must lie below _fields.MAX_MAGNITUDE, so no square the
+solve forms overflows.
 
 Every SVD, of A and of the free-column blocks the iterations solve on,
 comes from one cached factorization of A, together with the operators
 built from those SVDs and, for the last bounds, A times t_min and the
-kept working sets;
-consecutive solves on the same matrix share it, so a solve computes only
-what depends on the force. The factorization is a solve's one handle on
-its matrix: _factorization(A) finds it by the bytes of A's columns, and it
-holds A itself as a read-only view over those bytes, so no function takes
-the matrix beside it. What depends on the bounds alone (t_min, the
-rounding level and the float tuples of both bounds) is one more cached
-box that every matrix shares, so a new matrix builds its factorization
-and computes A times t_min, and nothing else, before it can solve.
+kept working sets; consecutive solves on the same matrix share it, so a
+solve computes only what depends on the force. _factorization(A) finds it
+by the bytes of A's columns, and it holds A itself as a read-only view
+over those bytes, so no function takes the matrix beside it. What depends
+on the bounds alone (t_min, the rounding level and the float tuples of
+both bounds) is one more cached box that every matrix shares.
 actuation_rank reads its rank from the same factorization, so the rank
-rule lives here alone.
-
-Both SVDs call LAPACK through numpy's gufunc svd_f, with the signature
-np.linalg.svd passes it for a float matrix: the same bits without the
-wrapper, which cost as much as LAPACK on a new matrix (a median 33 against
-16 us on the README grid's 3 x 4 matrices, 2-vCPU Xeon, numpy 2.4). svd_f
-is numpy's private API, under this name since numpy 2.0, the package's
-floor, and pyproject.toml caps numpy below 3 for it. _svd raises
+rule lives here alone. Both SVDs call LAPACK through numpy's gufunc svd_f
+with the signature np.linalg.svd passes it for a float matrix, which
+gives its bits; svd_f is numpy's private API, under this name since numpy
+2.0, and pyproject.toml caps numpy below 3 for it. _svd raises
 LinAlgError on a NaN singular value, which is what LAPACK's failure to
 converge leaves.
 
-Each iteration does two kinds of work. Products with a cached 3 x m or
-m x r operator are one ndarray.dot call each: numpy's fixed cost per call
-is about a microsecond, and at these sizes one call still beats a Python
-sum. A new matrix builds its cached operators (the pseudoinverse, each
-block's one shift operator, and A times t_min) with ndarray.dot as well,
-which gives the bits of @ at about half its cost, and so does each
-working set, for its offsets and force map (see _WorkingSet). The test
-of a working set's optimum is the exception: it is asked of every kept
-set a solve tries and of every set phase 2 builds, and needs no array
-until it certifies, so its products are Python sums over float triples
-(see _optimum).
-
-Everything else is per cable, and numpy would spend a call on each
-comparison, mask or expression over four to eight values, so it is
-Python passes over floats: the iterate is a list of floats, and each
-iteration builds its array once, for the products. Phase 1 clips the
-projection of t_min into the box, its start, and tells whether that
-left every cable on its floor, in one pass (_start). Such a start is
-t_min itself, so its first iteration neither builds the iterate's array
-nor computes A t and f - A t: it takes t_min, A t_min and f - A t_min
-from the box, the factorization and the start, which computed them
-already, and a solve that ends there answers with the box's t_min and
-the factorization's A t_min, which every such answer shares. Those two
-are frozen once, when the box and the factorization make them; every
-other answer's tensions and rendered force are fresh arrays, which
-_result freezes as it builds the SolveResult through its slots. Where
-A t_min outweighs the force, as for the workspace command's 0.1 N
-probes, most solves end there: 80% of the README grid's probes. Phase
-1's certificate direction is A^+ (f - A t), the start's own operator, so
-at such a start it is the start's step to the bit, which the clip
-bounded by the rounding of t_min: such a solve answers without the
-certificate's product or pass, unless the tolerance comes near the
-rounding (see _nearest_box_point). A phase-1 iteration that steps makes
-four passes: the nearest-box-point certificate, the release (_release),
-the step, which sets the held cables' entries of the shift operator's
-product to 0.0, and the ratio step; the first such iteration makes a
-fifth, which reads the free set from the iterate. A phase-2 iteration
-makes four: the vector of t_min on free cables and t on held ones, the
-step, the ratio step and the multiplier sign test, after the strict test
-of its working set's optimum (_optimum), one pass, which computes the
-optimum as it tests it and ends phase 2 when the set answers; both rank
-counts are a pass each. The ratio step clips the full step t + step into
-the box in the pass that looks for the blocking cable, which is _move at
-fraction 1.0 bit for bit, so only a blocked step makes a second pass.
-
-Each pass does the same float operations in the same order as the array
-expressions it replaces. Its clip keeps the bound on a tie, as
-np.maximum and np.minimum return their second operand, and its choices
-break ties toward the lowest index, as argmin and argmax do, so the
-results are bit for bit the same. The one exception is _optimum's shift,
-p_i . f - q_i, which groups the same products otherwise than shift_op
-(goal f - c) and so differs from it at the rounding level; every answer
-from a working set takes it, so an answer still depends on nothing but
-the problem.
+Products with a cached operator are ndarray.dot calls, and per-cable work
+is Python passes over lists of floats. Each pass does the same float
+operations in the same order as the array expression it replaces: its
+clip keeps the bound on a tie, as np.maximum and np.minimum return their
+second operand, and its choices break ties toward the lowest index, as
+argmin and argmax do, so the results are bit for bit the same. The one
+exception is a working set's shift, p_i . f - q_i, which groups the same
+products otherwise than shift_op (goal f - c) and so differs from it at
+the rounding level; every answer from a working set takes it, so an
+answer still depends on nothing but the problem. Every answer's arrays
+are read-only: _result freezes fresh ones, and t_min and A t_min are
+frozen once, when the box and the factorization make them.
 """
 
 from __future__ import annotations
@@ -152,14 +123,8 @@ RANK_REL_TOL = 1e-9
 # Residual (newtons) below which a desired force counts as wrench-feasible.
 WRENCH_FEASIBLE_RESIDUAL = 1e-7
 
-# The most certified working sets a factorization keeps for its bounds. A
-# lookup that misses evaluates every kept set's _optimum, one float pass
-# at about 1 us each, and a 500-force sphere on an 8-cable layout
-# certifies 14 to 42 sets. With 8 kept, the oldest making way for a new
-# one, a miss there costs a median 6 to 12 us against 30 to 50 us for a
-# solve on that matrix without kept sets, and 75 to 97% of the sphere's
-# forces still find their set on a second pass (in-process, 2-vCPU Xeon,
-# numpy 2.4).
+# The most certified working sets, exact and nearest, a factorization keeps
+# for its bounds; a lookup that misses tries every one of its kind.
 _MAX_SETS = 8
 
 # Phase 1's thresholds in units of the rounding level of its iterate,
@@ -258,14 +223,16 @@ class _Block(NamedTuple):
 
 
 class _WorkingSet(NamedTuple):
-    """A working set of phase 2: the free mask and the held vector (t_min
-    on each free cable, its bound on each held one), sequences one entry
-    per cable, the _Block of its free cables, c, rows times the held
-    vector, which phase 2 steps with, its offsets q = shift_op c, a tuple
-    of floats, one per cable, and its force map P = shift_op goal, one
-    float triple per cable, which _optimum takes its shifts from. Phase 2
-    asks every set it builds for an answer, so _working_set builds q and P
-    with it, and a block that only phase 1 steps through builds neither."""
+    """A working set: the free mask and the held vector (t_min on each
+    free cable, its bound on each held one), sequences one entry per
+    cable, the _Block of its free cables, c, rows times the held vector,
+    which phase 2 steps with, its offsets q = O c, a tuple of floats, one
+    per cable, its force map P = O goal, one float triple per cable, which
+    its answer takes each cable's shift or descent from, and whether it is a
+    nearest set. O is the block's shift_op, but on a nearest set's held
+    cables the operator of their descent, rows^T U_perp U_perp^T. Every
+    set built is asked for an answer, so _working_set builds q and P with
+    it, and a block that only phase 1 steps through builds neither."""
 
     free: Sequence[bool]
     held: Sequence[float]
@@ -273,12 +240,13 @@ class _WorkingSet(NamedTuple):
     c: np.ndarray
     offsets: tuple[float, ...]
     force_map: tuple[tuple[float, float, float], ...]
+    nearest: bool
 
 
 class _Box(NamedTuple):
     """What a solve needs of its bounds on m cables: the lower bounds
     t_min, the start of every solve, for A times it and as the answer of a
-    solve that ends there (an array over bytes), the rounding level of
+    force answered there (an array over bytes), the rounding level of
     the tensions and of the steps between them, and the lower and upper
     bounds as tuples of floats for the per-cable passes, and the sum of the
     upper bounds, which no sum of tensions passes. It does not depend on
@@ -359,7 +327,8 @@ class _Factorization:
     it, its rank, the operators built from it alone, a _Block for each
     free-column block of rows = V_r^T asked for so far, and A times t_min
     and the working sets its solves certified (sets, by free mask and held
-    vector) for the last bounds asked for.
+    vector, exact ones in sets and nearest ones in nearest_sets) for the
+    last bounds asked for.
 
     The rank counts singular values above RANK_REL_TOL times the largest;
     this is the package's one rank rule, and actuation_rank reads it. The
@@ -390,8 +359,10 @@ class _Factorization:
         self._blocks: dict[bytes, _Block] = {}
         # (bounds, (_Box, A times its t_min)) of the last bounds asked for
         self._box: tuple[object, tuple[_Box, np.ndarray]] | None = None
-        # the working sets certified under those bounds, by (free, held)
+        # the working sets certified under those bounds, by (free, held):
+        # exact ones in sets, nearest ones in nearest_sets
         self.sets: dict[tuple, _WorkingSet] = {}
+        self.nearest_sets: dict[tuple, _WorkingSet] = {}
 
     def block(self, free) -> _Block:
         """The _Block of rows[:, free], free a list or array of m bools.
@@ -434,19 +405,25 @@ class _Factorization:
         found = box, _frozen(self.matrix.dot(box.lo))
         self._box = (bounds, found)
         # a held vector holds the old bounds' values
-        self.sets = {}
+        self.sets, self.nearest_sets = {}, {}
         return found
 
     def keep(self, ws: _WorkingSet) -> None:
         """Remember ws, a working set certified under the last bounds, for
-        the next solves on this matrix, unless it is known; with _MAX_SETS
-        kept, the oldest goes."""
+        the next solves on this matrix, unless it is known. Exact and
+        nearest sets are kept apart, _MAX_SETS of them in all: with that
+        many kept, the oldest of ws's kind goes, or the oldest of the other
+        kind when ws's has none."""
+        sets, other = self.sets, self.nearest_sets
+        if ws.nearest:
+            sets, other = other, sets
         key = bytes(ws.free), tuple(ws.held)
-        if key not in self.sets:
-            if len(self.sets) == _MAX_SETS:
-                del self.sets[next(iter(self.sets))]
+        if key not in sets:
+            if len(sets) + len(other) == _MAX_SETS:
+                full = sets or other
+                del full[next(iter(full))]
             ws.c.setflags(write=False)
-            self.sets[key] = ws
+            sets[key] = ws
 
 
 @functools.lru_cache(maxsize=1)
@@ -609,10 +586,10 @@ def _start(lo, step, hi) -> tuple[list[float], bool]:
     return t, on_floor
 
 
-def _nearest_box_point(fac, f, box, a_lo, tol, budget):
-    """Phase 1: box least squares min ||rows t - goal f|| from the
-    box-clipped projection of t_min, t_min + A^+ (f - A t_min), a_lo
-    being A t_min.
+def _nearest_box_point(fac, f, box, t, tol, budget):
+    """Phase 1: box least squares min ||rows t - goal f|| from t, the
+    box-clipped projection of t_min, t_min + A^+ (f - A t_min), a list of
+    floats.
 
     rows = fac.rows has orthonormal rows spanning the row space of A and
     goal = fac.goal = S_r^-1 U_r^T, so the residual r = f - A t gives
@@ -626,17 +603,10 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     holds that cable; once the free cables are stationary, the held cable
     whose descent direction points most into the box is released.
 
-    The iterate t is a list of floats. Returns (t, x, A x, ||f - A x||^2,
-    status, iterations), x the array of t: None once t renders f within
-    tol (a feasible point for phase 2), NEAREST_FEASIBLE once
-    _is_nearest_box_point certifies t with a residual above that,
-    ITERATION_CAP when the budget runs out. A start that leaves every
-    cable on its floor, as most of the workspace command's small probes
-    do, is t_min itself, so the first iterate takes x, A x and f - A x
-    from the start: box.lo, a_lo and the start's own f - a_lo, the same
-    operands and bits, with no product of its own. x and A x are then
-    those shared arrays, and a solve that ends here answers with them,
-    mostly without the certificate's pass either (see below).
+    Returns (t, x, A x, ||f - A x||^2, status, iterations), x the array of
+    the iterate t: None once t renders f within tol (a feasible point for
+    phase 2), NEAREST_FEASIBLE once _is_nearest_box_point certifies t with
+    a residual above that, ITERATION_CAP when the budget runs out.
 
     Both thresholds follow the magnitudes the iterate holds, so that no
     solve spins where the tolerance lies below the rounding: the
@@ -644,33 +614,18 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     levels of the iterate, whichever is larger, and a certified point
     within _FEASIBLE_LEVELS levels of f renders f to rounding, so it is
     handed to phase 2 too, never called NEAREST_FEASIBLE. The level is
-    eps ||goal|| (max |f_i| + sum t_i). With forces and tensions of a few
-    newtons, 16 levels come to about 1e-13 N, four orders below a tenth of
-    the default tolerance, so only a tolerance near the rounding already
-    (1e-13 N or below) sees them, and a solve whose 16 levels cannot reach
-    tol / 10 on any iterate takes none: its first residual r bounds the
-    force by ||r|| + sum t and the tensions by t_max. Where the rounding
-    keeps a reachable force above tol, as at the default tolerance once
-    tensions reach about 1e6 N, the solve ends ITERATION_CAP after phase
-    2 (see solve), and scaling the force, the bounds and the tolerance
-    together scales the answer.
-
-    The certificate's direction d is A^+ r, the operator of the start's
-    step, so at a start the clip left on t_min d is that step to the bit,
-    and fl(t_min,i + d_i) = t_min,i keeps d_i <= eps/2 t_min,i (<= 0 on a
-    zero or subnormal floor). So once unit is 0 and eps sum t_max <= tol /
-    10, such a start answers NEAREST_FEASIBLE, as the certificate would.
+    eps ||goal|| (max |f_i| + sum t_i). A solve whose 16 levels cannot
+    reach tol / 10 on any iterate takes none: its first residual r bounds
+    the force by ||r|| + sum t and the tensions by t_max. Where the
+    rounding keeps a reachable force above tol, the solve ends
+    ITERATION_CAP after phase 2 (see solve), and scaling the force, the
+    bounds and the tolerance together scales the answer.
     """
     M, goal, pinv = fac.matrix, fac.goal, fac.pinv
     lo, hi = box.lo_floats, box.hi_floats
-    residual = f - a_lo
-    t, on_floor = _start(lo, pinv.dot(residual).tolist(), hi)
-    if on_floor:
-        x, rendered = box.lo, a_lo
-    else:
-        x = np.array(t)
-        rendered = M.dot(x)
-        residual = f - rendered
+    x = np.array(t)
+    rendered = M.dot(x)
+    residual = f - rendered
     stationary = tol * 0.1
     # the rounding level of an iterate t is unit (max |f_i| + sum t); unit
     # is set at the first iteration that misses f, to 0 when no iterate's
@@ -684,13 +639,9 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
             return t, x, rendered, miss, None, k
         if unit is None:
             unit = _EPS * fac.goal_norm
-            root = math.sqrt(miss)
             # max |f_i| <= ||f - A t|| + sum t, and no cable passes t_max
-            if _STATIONARY_LEVELS * unit * (root + 2.0 * box.hi_sum) <= stationary:
+            if _STATIONARY_LEVELS * unit * (math.sqrt(miss) + 2.0 * box.hi_sum) <= stationary:
                 unit = 0.0
-                # a start at t_min passes the certificate (see the docstring)
-                if x is box.lo and _EPS * box.hi_sum <= stationary:
-                    return t, x, rendered, miss, SolveStatus.NEAREST_FEASIBLE, k
             else:
                 f_size = max(map(abs, f.tolist()))
         if unit:
@@ -719,6 +670,32 @@ def _nearest_box_point(fac, f, box, a_lo, tol, budget):
     return t, x, rendered, residual.dot(residual), SolveStatus.ITERATION_CAP, budget
 
 
+def _floor_residual(fac, box: _Box, residual, tol: float):
+    """||f - A t_min|| when t_min answers f, residual being f - A t_min and
+    the start, t_min + A^+ residual clipped into the box, having left every
+    cable on its floor; None otherwise.
+
+    This is the nearest test of the working set that holds every cable on
+    its floor, which needs no block: its optimum is t_min, and its held
+    descent A^+ (f - A t_min) is the start's step, bit for bit. The clip
+    kept each step component at or below eps/2 t_min,i (at or below 0 on a
+    zero or subnormal floor), since fl(t_min,i + d_i) = t_min,i, so once
+    eps sum t_max lies within phase 1's threshold tol / 10, and 16 rounding
+    levels of any iterate do too, phase 1's certificate passes at its
+    first iteration. The answer is then phase 1's, NEAREST_FEASIBLE at 1
+    iteration, when the residual lies above tol.
+    """
+    miss = residual.dot(residual)
+    stationary = tol * 0.1
+    if miss <= tol * tol or _EPS * box.hi_sum > stationary:
+        return None
+    root = math.sqrt(miss)
+    unit = _EPS * fac.goal_norm
+    if _STATIONARY_LEVELS * unit * (root + 2.0 * box.hi_sum) <= stationary:
+        return root
+    return None
+
+
 def _shift(blk: _Block, target, c) -> list[float]:
     """blk.shift_op (target - c) as a list of floats, rows^T lam with
     lam = gram_pinv (target - c), for the working set whose free cables
@@ -731,11 +708,11 @@ def _shift(blk: _Block, target, c) -> list[float]:
 
 
 def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
-    """The answer of working set ws, which carries its offsets, for the
-    force fvec, f being its three floats: its optimum for rows t = goal f,
-    as (x, A x, ||A x - f||), when that optimum certifies strictly and
-    renders f within tol; None otherwise. This is the one definition of an
-    answer from a working set.
+    """The answer of exact working set ws, which carries its offsets, for
+    the force fvec, f being its three floats: its optimum for rows t =
+    goal f, as (x, A x, ||A x - f||), when that optimum certifies strictly
+    and renders f within tol; None otherwise. This is the one definition
+    of an exact answer from a working set.
 
     One pass over the cables computes each shift p_i . f - q_i, p_i the
     cable's row of the set's force map and q_i its offset, which is
@@ -775,6 +752,61 @@ def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
     return found if found[2] <= tol else None
 
 
+def _nearest_optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
+    """The answer of nearest working set ws for the force fvec, f being its
+    three floats: its optimum, as (x, A x, ||A x - f||), when that optimum
+    certifies strictly and misses f by more than tol; None otherwise. This
+    is the one definition of a nearest answer from a working set.
+
+    The optimum holds each held cable at its bound and gives the free ones
+    the least-squares solution of rows t = goal f, t_min + shift with
+    shift = shift_op (goal f - c), which their block of full column rank
+    makes unique. Each held cable's descent A^+ (f - A t) at the optimum is
+    rows_i^T U_perp U_perp^T (goal f - c), U_perp the trailing columns of
+    the block's u, so it is affine in f as well. One pass computes both as
+    p_i . f - q_i from the set's force map and offsets, and tests them as
+    it goes: every free cable must lie inside the box by more than
+    _optimum's margin, and every held cable's descent must point out of
+    the box by more than phase 1's certificate threshold, tol / 10 or 16
+    rounding levels of the optimum, whichever is larger; a zero descent
+    is not enough. The optimum must then miss f by more than tol and by
+    more than phase 1's 64 rounding levels, where phase 1 would hand the
+    point to phase 2. No numpy call runs before a set certifies.
+
+    A set that certifies is the unique nearest box point's: the nearest
+    point's rendered force is unique, the strictly outward descents fix
+    every held cable and full column rank fixes the free ones. So the
+    answer is this one whether a cold solve or a kept set asks for it, and
+    no exact set certifies for the same force.
+    """
+    f0, f1, f2 = f
+    margin = box.rounding + tol * ws.block.drift
+    stationary = tol * 0.1
+    # the least outward descent of a held cable
+    least = math.inf
+    t = []
+    for is_free, h, (p0, p1, p2), q, lo_i, hi_i in zip(
+        ws.free, ws.held, ws.force_map, ws.offsets, box.lo_floats, box.hi_floats
+    ):
+        s = p0 * f0 + p1 * f1 + p2 * f2 - q
+        if is_free:
+            v = h + s
+            if not lo_i + margin < v < hi_i - margin:
+                return None
+            t.append(v)
+        else:
+            out = -s if h <= lo_i else s
+            if out <= stationary:
+                return None
+            least = out if out < least else least
+            t.append(h)
+    found = _rendering(fac, t, fvec)
+    level = _EPS * fac.goal_norm * (max(map(abs, f)) + sum(t))
+    if found[2] > max(tol, _FEASIBLE_LEVELS * level) and least > _STATIONARY_LEVELS * level:
+        return found
+    return None
+
+
 def _rendering(fac, t, fvec):
     """(x, A x, ||A x - f||) of the tensions t, a list of floats, for the
     force f = fvec: what a solve answers with, where phase 1 does not."""
@@ -784,11 +816,16 @@ def _rendering(fac, t, fvec):
     return x, rendered, math.sqrt(miss.dot(miss))
 
 
-def _reuse(fac, f, fvec, box: _Box, tol: float):
-    """_optimum of the first working set fac keeps that gives one, trying
-    them in the order they were certified, or None; f is fvec's floats."""
-    for ws in fac.sets.values():
-        found = _optimum(fac, ws, f, fvec, box, tol)
+def _reuse(fac, nearest: bool, f, fvec, box: _Box, tol: float):
+    """The answer of the first working set fac keeps, of its nearest sets
+    or its exact ones as nearest says, that gives one, trying them in the
+    order they were certified, or None; f is fvec's floats."""
+    if nearest:
+        sets, optimum = fac.nearest_sets, _nearest_optimum
+    else:
+        sets, optimum = fac.sets, _optimum
+    for ws in sets.values():
+        found = optimum(fac, ws, f, fvec, box, tol)
         if found is not None:
             return found
     return None
@@ -798,12 +835,35 @@ def _working_set(fac, blk: _Block, free, t, lo) -> _WorkingSet:
     """The working set of the box point t, a list of floats, that leaves
     the cables of the list free free, blk being their block, and holds
     every other cable where t has it, on a bound, with the offsets and
-    force map _optimum reads."""
+    force map its answer reads: a nearest set when the free cables' rank is
+    below A's, whose held cables map to their descents, and an exact set
+    otherwise."""
     held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
     c = fac.rows.dot(np.array(held))
-    offsets = tuple(blk.shift_op.dot(c).tolist())
-    force_map = tuple(map(tuple, blk.shift_op.dot(fac.goal).tolist()))
-    return _WorkingSet(free, held, blk, c, offsets, force_map)
+    op = blk.shift_op
+    nearest = blk.rank < fac.rank
+    if nearest:
+        # rows^T U_perp U_perp^T on the held cables, U_perp the directions
+        # of rows t the free cables cannot reach
+        perp = blk.u[:, blk.rank :]
+        op = np.where(np.array(free)[:, None], op, fac.rows_t.dot(perp.dot(perp.T)))
+    offsets = tuple(op.dot(c).tolist())
+    force_map = tuple(map(tuple, op.dot(fac.goal).tolist()))
+    return _WorkingSet(free, held, blk, c, offsets, force_map, nearest)
+
+
+def _nearest_set(fac, box: _Box, t):
+    """The working set of phase 1's nearest point t, a list of floats,
+    which holds the cables t has on a bound: a nearest set, or None when
+    the free cables' block lacks full column rank, where no set's optimum
+    is unique, or reaches A's rank, where the set answers no unreachable
+    force."""
+    lo, hi = box.lo_floats, box.hi_floats
+    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
+    blk = fac.block(free)
+    if blk.rank < fac.rank and blk.rank == sum(free):
+        return _working_set(fac, blk, free, t, lo)
+    return None
 
 
 def _min_shift(fac, box, t, x, free, f, fvec, tol, budget):
@@ -917,16 +977,20 @@ def solve(
     A bad matrix, force or bounds raises ValueError. ``iterations``
     counts the active-set iterations of both phases, including the one
     that certifies the result, so it is at least 1, and it is 1 for an
-    answer from a kept working set. That answer is the cold solve's, bit
-    for bit, except that it lifts an ITERATION_CAP: a kept set that
-    certifies for f answers FEASIBLE_EXACT whatever max_iterations is.
+    answer from a kept working set or at t_min. A kept set's answer is the
+    cold solve's, bit for bit, except that it lifts an ITERATION_CAP: a
+    kept set that certifies for f answers FEASIBLE_EXACT or
+    NEAREST_FEASIBLE whatever max_iterations is.
 
     The returned tensions are always within bounds, whatever the status.
     A force with a component of _fields.MAX_MAGNITUDE (1e100 N) or more
     raises ValueError naming it, as TensionBounds does for such a t_max.
-    The working sets A's factorization keeps answer first (_reuse); a cold
-    solve answers with the _optimum of the first working set phase 2 builds
-    that gives one, phase 1's own set first, and keeps that set.
+    The exact working sets A's factorization keeps answer first, then
+    t_min's, from the start phase 1 would take, then the nearest ones
+    (_reuse). A cold solve answers with the _optimum of the first working
+    set phase 2 builds that gives one, phase 1's own set first, or with the
+    _nearest_optimum of the nearest point's set phase 1 ends on, and keeps
+    that set.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     fac = _factorization(A)
@@ -936,32 +1000,51 @@ def solve(
     floats = None
     if fac.sets:
         floats = fvec.tolist()
-        found = _reuse(fac, floats, fvec, box, tol)
+        found = _reuse(fac, False, floats, fvec, box, tol)
         if found is not None:
             return _result(box, *found, SolveStatus.FEASIBLE_EXACT, 1)
+    residual = fvec - a_lo
+    t, on_floor = _start(box.lo_floats, fac.pinv.dot(residual).tolist(), box.hi_floats)
+    if on_floor:
+        root = _floor_residual(fac, box, residual, tol)
+        if root is not None:
+            return _result(box, box.lo, a_lo, root, SolveStatus.NEAREST_FEASIBLE, 1)
+    if fac.nearest_sets:
+        if floats is None:
+            floats = fvec.tolist()
+        found = _reuse(fac, True, floats, fvec, box, tol)
+        if found is not None:
+            return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, 1)
     # phase 1 squares f - A t, which negates A t - f exactly, so a solve it
     # ends needs no second residual
     t, x, rendered, squared, status, iterations = _nearest_box_point(
-        fac, fvec, box, a_lo, tol, cfg.max_iterations
+        fac, fvec, box, t, tol, cfg.max_iterations
     )
-    if status is None:
-        if floats is None:
-            floats = fvec.tolist()
-        lo, hi = box.lo_floats, box.hi_floats
-        free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
-        budget = cfg.max_iterations - iterations + 1
-        found, t, ws, more = _min_shift(fac, box, t, x, free, floats, fvec, tol, budget)
-        iterations += more - 1
-        if found is not None:
-            fac.keep(ws)
-            return _result(box, *found, SolveStatus.FEASIBLE_EXACT, iterations)
-        x, rendered, residual = _rendering(fac, t, fvec)
-        # the rounding of phase 2's steps can leave a certified point just
-        # above a tolerance set near the rounding level of the force
-        exact = ws is not None and residual <= tol
-        status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
-        return _result(box, x, rendered, residual, status, iterations)
-    return _result(box, x, rendered, math.sqrt(squared), status, iterations)
+    if floats is None:
+        floats = fvec.tolist()
+    if status is not None:
+        if status is SolveStatus.NEAREST_FEASIBLE:
+            ws = _nearest_set(fac, box, t)
+            found = None if ws is None else _nearest_optimum(fac, ws, floats, fvec, box, tol)
+            if found is not None:
+                fac.keep(ws)
+                return _result(box, *found, status, iterations)
+        # the iteration cap, or a degenerate nearest point: phase 1's iterate
+        return _result(box, x, rendered, math.sqrt(squared), status, iterations)
+    lo, hi = box.lo_floats, box.hi_floats
+    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
+    budget = cfg.max_iterations - iterations + 1
+    found, t, ws, more = _min_shift(fac, box, t, x, free, floats, fvec, tol, budget)
+    iterations += more - 1
+    if found is not None:
+        fac.keep(ws)
+        return _result(box, *found, SolveStatus.FEASIBLE_EXACT, iterations)
+    x, rendered, residual = _rendering(fac, t, fvec)
+    # the rounding of phase 2's steps can leave a certified point just
+    # above a tolerance set near the rounding level of the force
+    exact = ws is not None and residual <= tol
+    status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
+    return _result(box, x, rendered, residual, status, iterations)
 
 
 def _result(box, x, rendered, residual, status, iterations) -> SolveResult:
@@ -970,11 +1053,11 @@ def _result(box, x, rendered, residual, status, iterations) -> SolveResult:
     SolveResult(x, rendered, residual, status, iterations) at about half
     the cost of its __init__.
 
-    Here every fresh answer's pair of arrays is frozen. A phase-1 answer at
-    t_min passes box.lo and A t_min instead, which every such answer
-    shares and which are frozen already: arrays over bytes, made once per
-    box and per factorization, which no caller can make writeable. Phase 1
-    answers with both of them or with neither."""
+    Here every fresh answer's pair of arrays is frozen. An answer at t_min
+    from the start passes box.lo and A t_min instead, which every such
+    answer shares and which are frozen already: arrays over bytes, made
+    once per box and per factorization, which no caller can make
+    writeable. A solve answers with both of them or with neither."""
     if x is not box.lo:
         x.setflags(write=False)
         rendered.setflags(write=False)

@@ -11,9 +11,18 @@ all lower/upper assignments of the fixed variables at once, and the
 candidates' box, constraint and objective checks run on the whole batch,
 keeping 3^m enumeration fast through m = 8.
 
+The nearest-point oracle minimizes ||A^+ (A t - f)||, the solver's metric
+for a force it cannot render, over the box by the same enumeration: for
+each free mask it solves the least-squares subproblem of every lower/upper
+assignment of the fixed variables at once, through one pseudoinverse of
+the weighted free block, and keeps the best box-feasible candidate. The
+minimizer's rendered force is unique, and some minimizer has linearly
+independent free columns, at most rank(A) of them, so its pattern's
+least-squares solution is exact and among the candidates.
+
 None of this shares code with the production solver: subproblems go
-through numpy's KKT solves/lstsq, not the solver's SVD-based active-set
-steps.
+through numpy's KKT solves/lstsq/pinv, not the solver's SVD-based
+active-set steps.
 """
 
 from __future__ import annotations
@@ -74,6 +83,48 @@ def min_shift_qp(A, f, lo, hi, start):
         if not np.any(ok):
             continue
         objectives = np.where(ok, np.sum((candidates - start) ** 2, axis=1), np.inf)
+        j = int(np.argmin(objectives))
+        if objectives[j] < best_objective:
+            best_objective = float(objectives[j])
+            best = np.clip(candidates[j], lo_arr, hi_arr)
+    return best
+
+
+def nearest_point_qp(A, f, lo, hi):
+    """A minimizer of ||A^+ (A t - f)|| over the box lo <= t <= hi."""
+    A = np.asarray(A, dtype=float)
+    f = np.asarray(f, dtype=float)
+    m = A.shape[1]
+    lo_arr = np.broadcast_to(np.asarray(lo, dtype=float), (m,))
+    hi_arr = np.broadcast_to(np.asarray(hi, dtype=float), (m,))
+    weight = np.linalg.pinv(A)
+    rank = np.linalg.matrix_rank(A)
+    indices = np.arange(m)
+
+    best = None
+    best_objective = np.inf
+    for free_bits in itertools.product((False, True), repeat=m):
+        free = np.array(free_bits)
+        F = indices[free]
+        N = indices[~free]
+        if len(F) > rank:
+            # no more than rank columns are independent
+            continue
+        at_upper = np.array(
+            list(itertools.product((False, True), repeat=len(N))), dtype=bool
+        ).reshape(2 ** len(N), len(N))
+        candidates = np.empty((len(at_upper), m))
+        candidates[:, N] = np.where(at_upper, hi_arr[N], lo_arr[N])
+        if len(F):
+            # the weighted residual of the fixed cables, one column each
+            rest = weight @ (f[:, None] - A[:, N] @ candidates[:, N].T)
+            candidates[:, F] = (np.linalg.pinv(weight @ A[:, F]) @ rest).T
+        t_free = candidates[:, F]
+        ok = np.all((t_free >= lo_arr[F] - BOX_TOL) & (t_free <= hi_arr[F] + BOX_TOL), axis=1)
+        if not np.any(ok):
+            continue
+        objectives = np.linalg.norm((candidates @ A.T - f) @ weight.T, axis=1)
+        objectives = np.where(ok, objectives, np.inf)
         j = int(np.argmin(objectives))
         if objectives[j] < best_objective:
             best_objective = float(objectives[j])

@@ -5,6 +5,7 @@ import math
 import pickle
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from cablehaptics.cli import WORKSPACE_DIRECTIONS, WORKSPACE_PROBE_FORCE
 from cablehaptics.geometry import ModuleAnchor, ModuleLayout
 from cablehaptics.simulation import default_validation_layout, sphere_samples
 
-from qp_oracle import min_shift_qp, random_rank3_directions
+from qp_oracle import min_shift_qp, nearest_point_qp, random_rank3_directions
 
 BOUNDS = TensionBounds()
 IDENTITY = StructureMatrix(np.eye(3))
@@ -403,6 +404,45 @@ class TestExactFinish:
             assert residual <= min_residual + 1e-9
             checked += 1
         assert checked >= 20
+
+
+class TestNearestOracle:
+    def test_nearest_answers_match_the_oracle(self):
+        # unreachable forces on seeded layouts, m = 3..8, every third planar
+        # (rank 2) with forces in its plane, every other with per-cable
+        # bounds; four forces close to one another per matrix, so kept
+        # nearest sets answer some; the rendered force is unique where the
+        # tensions need not be
+        rng = np.random.default_rng(31)
+        statuses = Counter()
+        for k in range(60):
+            m = 3 + k % 6
+            if k % 3 == 0:
+                angles = rng.uniform(0.0, 2 * np.pi, m)
+                A = np.vstack([np.cos(angles), np.sin(angles), np.zeros(m)])
+            else:
+                A = random_rank3_directions(rng, m).T
+            if k % 2:
+                lo, hi = BOUNDS.t_min, BOUNDS.t_max
+                bounds = BOUNDS
+            else:
+                lo = rng.uniform(0.0, 1.0, m)
+                hi = lo + rng.uniform(0.5, 6.0, m)
+                bounds = [TensionBounds(float(a), float(b)) for a, b in zip(lo, hi)]
+            forces = rng.normal(size=3) * rng.uniform(8.0, 40.0) + rng.normal(size=(4, 3))
+            if k % 3 == 0:
+                forces[:, 2] = 0.0
+            _clear_caches()
+            for f in forces:
+                result = solve(A, f, bounds)
+                statuses[result.status, result.iterations == 1] += 1
+                if result.status is SolveStatus.FEASIBLE_EXACT:
+                    continue
+                assert result.status is SolveStatus.NEAREST_FEASIBLE
+                expected = A @ nearest_point_qp(A, f, lo, hi)
+                np.testing.assert_allclose(result.rendered_force, expected, rtol=0.0, atol=1e-9)
+        assert statuses[SolveStatus.NEAREST_FEASIBLE, True] > 100
+        assert statuses[SolveStatus.NEAREST_FEASIBLE, False] > 20, statuses
 
 
 def _eye_with(row, col, value):
@@ -914,6 +954,8 @@ class TestAnswersAtTMin:
                 unit = 16.0 * _EPS * fac.goal_norm * (root + 2.0 * box.hi_sum) <= stationary
                 rule = unit and _EPS * box.hi_sum <= stationary
                 del calls[:]
+                # cold, so that phase 1 runs and no kept set answers
+                _clear_caches()
                 result = solve(A, f, bounds, SolverConfig(max_iterations=1, tolerance=tol))
                 assert bool(calls) is not rule
                 if rule:

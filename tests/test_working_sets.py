@@ -1,14 +1,15 @@
 """The working sets a cached factorization keeps change only the speed of a
 solve, never its answer.
 
-An exact solve answers with the optimum of its working set for f itself
-(solver._optimum), when that optimum certifies strictly, and a factorization
-keeps each such set for the next solves on its matrix. A solve that finds a
-kept set certifying for its force answers at one iteration, without either
-phase. The answer (tensions, rendered force, residual and status) must not
-depend on which sets were kept, so it must not depend on the order of the
-solves: the corpus below is solved forward, reversed and with every cache
-cleared before each solve, and the three must agree bit for bit.
+A solve answers with the optimum of its working set for f itself, exact
+(solver._optimum) or nearest (solver._nearest_optimum), when that
+optimum certifies strictly, and a factorization keeps each such set for
+the next solves on its matrix. A solve that finds a kept set certifying
+for its force answers at one iteration, without either phase. The answer
+(tensions, rendered force, residual and status) must not depend on which
+sets were kept, so it must not depend on the order of the solves: the
+corpus below is solved forward, reversed and with every cache cleared
+before each solve, and the three must agree bit for bit.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from cablehaptics import solver
 from cablehaptics.cli import WORKSPACE_DIRECTIONS, WORKSPACE_PROBE_FORCE
 from cablehaptics.simulation import default_validation_layout, sphere_samples
 
-from qp_oracle import min_shift_qp
+from qp_oracle import min_shift_qp, nearest_point_qp
 
 VALIDATION_LAYOUT, VALIDATION_EE = default_validation_layout()
 CUBE = ModuleLayout(
@@ -77,20 +78,37 @@ def answer(result):
     )
 
 
+# points of the README workspace grid, (-1, -1, 0.1) to (1, 1, 1.5) at
+# 11 x 11 x 8, whose probes end on nearest sets with free cables
+README_AXES = (np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 11), np.linspace(0.1, 1.5, 8))
+README_POINTS = [(0, 0, 0), (2, 7, 1), (5, 5, 3), (9, 3, 6), (10, 10, 7), (4, 8, 2)]
+# a rank-2 layout, four cables in the horizontal plane
+PLANAR = np.vstack([np.cos([0.3, 1.9, 3.4, 4.8]), np.sin([0.3, 1.9, 3.4, 4.8]), np.zeros(4)])
+
+
 def corpus(seed=19, seeded_matrices=220):
     """(A, f, bounds) solves, several per matrix: the validation sphere, the
     workspace probes of points inside and at the edge of the default
-    layout's reach, seeded matrices with m = 3..8, a quarter of them of
-    rank 2 with forces in their plane and one just off it, half of them
-    with per-cable bounds, -0.0 floors, and for two thirds of them forces
-    close to one another, and last HUGE_FORCES on the validation pose."""
+    layout's reach and of README grid points, a sphere beyond the
+    validation pose's reach, forces beyond a rank-2 layout's reach in its
+    plane, seeded matrices with m = 3..8, a quarter of them of rank 2 with
+    forces in their plane and one just off it, half of them with per-cable
+    bounds, -0.0 floors, and for two thirds of them forces close to one
+    another, and last HUGE_FORCES on the validation pose."""
     cases = []
     A = structure_matrix(VALIDATION_LAYOUT, VALIDATION_EE)
     cases += [(A, f, VALIDATION_LAYOUT.bounds) for f in sphere_samples(182, 1.5)]
-    for point in [(0.0, 0.0, 0.3), (0.2, -0.1, 0.6), (0.0, -0.5, 0.1), (0.5, 0.5, 1.5)]:
+    probes = WORKSPACE_DIRECTIONS * WORKSPACE_PROBE_FORCE
+    points = [(0.0, 0.0, 0.3), (0.2, -0.1, 0.6), (0.0, -0.5, 0.1), (0.5, 0.5, 1.5)]
+    points += [[axis[i] for axis, i in zip(README_AXES, index)] for index in README_POINTS]
+    for point in points:
         A = structure_matrix(VALIDATION_LAYOUT, np.array(point))
-        probes = WORKSPACE_DIRECTIONS * WORKSPACE_PROBE_FORCE
         cases += [(A, f, VALIDATION_LAYOUT.bounds) for f in probes]
+    A = structure_matrix(VALIDATION_LAYOUT, VALIDATION_EE)
+    cases += [(A, f, VALIDATION_LAYOUT.bounds) for f in sphere_samples(60, 20.0)]
+    angles = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+    in_plane = 20.0 * np.vstack([np.cos(angles), np.sin(angles), np.zeros(40)]).T
+    cases += [(PLANAR, f, TensionBounds(0.5, 6.0)) for f in in_plane]
     rng = np.random.default_rng(seed)
     for k in range(seeded_matrices):
         m = 3 + k % 6
@@ -151,13 +169,14 @@ def solve_all(cases, order, config=None):
 
 @pytest.fixture
 def reuse_log(monkeypatch):
-    """The answers solver._reuse gave, None for each lookup that missed."""
+    """(nearest, answer) of each solver._reuse lookup, the answer None for
+    each that missed."""
     log = []
     reuse = solver._reuse
 
-    def spy(*args):
-        found = reuse(*args)
-        log.append(found)
+    def spy(fac, nearest, *args):
+        found = reuse(fac, nearest, *args)
+        log.append((nearest, found))
         return found
 
     monkeypatch.setattr(solver, "_reuse", spy)
@@ -172,10 +191,11 @@ def test_answers_do_not_depend_on_the_order_of_solves(reuse_log):
         results = solve_all(CORPUS, order)
         assert [answer(r) for r in results] == cold_answers, order
         assert all(r.iterations <= c.iterations for r, c in zip(results, cold))
-    # kept sets answered a good share of both passes, and the corpus has
-    # every status, and cables on a zero floor
-    hits = sum(found is not None for found in reuse_log)
-    assert hits > len(CORPUS) // 2
+    # kept sets answered a good share of both passes, exact and nearest
+    # answers both, and the corpus has every status, and cables on a zero
+    # floor
+    hits = Counter(nearest for nearest, found in reuse_log if found is not None)
+    assert hits[False] > len(CORPUS) // 3 and hits[True] > 300, hits
     assert {r.status for r in cold} == set(SolveStatus)
     assert any((r.tensions == 0.0).any() for r in cold)
 
@@ -183,14 +203,17 @@ def test_answers_do_not_depend_on_the_order_of_solves(reuse_log):
 @pytest.mark.parametrize("order", ["cleared", "forward", "reversed"])
 def test_huge_forces_meet_the_kept_sets_and_keep_their_results(monkeypatch, order):
     tried = set()
-    optimum = solver._optimum
 
-    def spy(fac, ws, g, fvec, box, tol):
-        if np.abs(fvec).max() >= 1e90:
-            tried.add(box.hi_floats[0])
-        return optimum(fac, ws, g, fvec, box, tol)
+    def spy(optimum):
+        def asked(fac, ws, g, fvec, box, tol):
+            if np.abs(fvec).max() >= 1e90:
+                tried.add(box.hi_floats[0])
+            return optimum(fac, ws, g, fvec, box, tol)
 
-    monkeypatch.setattr(solver, "_optimum", spy)
+        return asked
+
+    monkeypatch.setattr(solver, "_optimum", spy(solver._optimum))
+    monkeypatch.setattr(solver, "_nearest_optimum", spy(solver._nearest_optimum))
     cases = huge_cases()
     results = solve_all(cases, order)
     got = {
@@ -199,10 +222,10 @@ def test_huge_forces_meet_the_kept_sets_and_keep_their_results(monkeypatch, orde
         if tuple(f.tolist()) in HUGE_FORCES
     }
     assert got == HUGE_RESULTS
-    # a huge force goes through _optimum like any other: from phase 1's
-    # working set on the 1e99 N box, and from the kept sets on the 6 N box
+    # a huge force is asked for like any other: from phase 1's working set
+    # on both boxes, nearest on the 6 N box, and from the kept sets
     # wherever earlier solves kept some
-    assert tried == ({1e99} if order == "cleared" else {6.0, 1e99})
+    assert tried == {6.0, 1e99}
 
 
 def test_phase_1_working_set_spares_cold_solves_phase_2(monkeypatch):
@@ -231,20 +254,25 @@ def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
     # phase 2 tests each set it builds as it builds it, and nothing else
     # asks a cold solve's sets for an answer
     built, asked = [], []
-    working_set, optimum = solver._working_set, solver._optimum
+    working_set = solver._working_set
 
     def build(*args):
         ws = working_set(*args)
         built.append(ws)
         return ws
 
-    def ask(fac, ws, *args):
-        asked.append(ws)
-        return optimum(fac, ws, *args)
+    def spy(optimum):
+        def ask(fac, ws, *args):
+            asked.append(ws)
+            return optimum(fac, ws, *args)
+
+        return ask
 
     monkeypatch.setattr(solver, "_working_set", build)
-    monkeypatch.setattr(solver, "_optimum", ask)
+    monkeypatch.setattr(solver, "_optimum", spy(solver._optimum))
+    monkeypatch.setattr(solver, "_nearest_optimum", spy(solver._nearest_optimum))
     sets_per_solve = Counter()
+    nearest_sets = Counter()
     for A, f, bounds in CORPUS:
         clear_caches()
         del built[:], asked[:]
@@ -252,11 +280,16 @@ def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
         assert len(asked) == len(built) and all(map(operator.is_, asked, built))
         sets_per_solve[len(built)] += 1
         if result.status is SolveStatus.NEAREST_FEASIBLE:
-            assert not built
+            # phase 1's own set, unless the answer is t_min's or degenerate
+            assert len(built) <= 1 and all(ws.nearest for ws in built)
+            nearest_sets[len(built)] += 1
+        else:
+            assert not any(ws.nearest for ws in built)
     assert not reuse_log
     # most exact solves answer from phase 1's set, and some build more
     assert sets_per_solve[1] > len(CORPUS) // 4
     assert max(sets_per_solve) > 2
+    assert nearest_sets[0] > 100 and nearest_sets[1] > 100, nearest_sets
 
 
 def test_a_force_just_off_a_rank_2_plane_is_not_rendered_by_a_kept_set():
@@ -267,7 +300,9 @@ def test_a_force_just_off_a_rank_2_plane_is_not_rendered_by_a_kept_set():
     in_plane = solve(M, [0.4, -0.3, 0.0], bounds)
     assert in_plane.status is SolveStatus.FEASIBLE_EXACT
     assert solver._factorization(M).sets
-    # the kept set's optimum renders the force's projection onto the plane
+    # the kept set's optimum renders the force's projection onto the plane,
+    # but misses the force by more than the tolerance, and the set reaches
+    # the layout's rank, so it cannot answer nearest either
     off = solve(M, [0.4, -0.3, 1e-6], bounds)
     assert off.status is SolveStatus.NEAREST_FEASIBLE
     clear_caches()
@@ -290,19 +325,24 @@ def test_reused_answers_agree_with_the_qp_oracle(monkeypatch):
     reused = []
     reuse = solver._reuse
 
-    def spy(fac, g, fvec, box, tol):
-        found = reuse(fac, g, fvec, box, tol)
+    def spy(fac, nearest, g, fvec, box, tol):
+        found = reuse(fac, nearest, g, fvec, box, tol)
         if found is not None:
-            reused.append((fac.matrix, fvec, box, found[0]))
+            reused.append((nearest, fac.matrix, fvec, box, found))
         return found
 
     monkeypatch.setattr(solver, "_reuse", spy)
     solve_all(CORPUS, "forward")
-    assert len(reused) > 400
-    for M, f, box, tensions in reused:
-        expected = min_shift_qp(M, f, box.lo, box.hi_floats, box.lo)
-        assert expected is not None
-        np.testing.assert_allclose(tensions, expected, rtol=0.0, atol=1e-5)
+    kinds = Counter(nearest for nearest, *_ in reused)
+    assert kinds[False] > 400 and kinds[True] > 300, kinds
+    for nearest, M, f, box, (tensions, rendered, _) in reused:
+        if nearest:
+            expected = nearest_point_qp(M, f, box.lo, box.hi_floats)
+            np.testing.assert_allclose(rendered, M @ expected, rtol=0.0, atol=1e-9)
+        else:
+            expected = min_shift_qp(M, f, box.lo, box.hi_floats, box.lo)
+            assert expected is not None
+            np.testing.assert_allclose(tensions, expected, rtol=0.0, atol=1e-5)
 
 
 def test_a_cable_on_its_floor_with_a_zero_multiplier_solves_cold(reuse_log):
@@ -328,7 +368,8 @@ def test_a_cable_on_its_floor_with_a_zero_multiplier_solves_cold(reuse_log):
     assert len(kept) >= 3
     del reuse_log[:]
     warm = solve(A, f, VALIDATION_LAYOUT.bounds)
-    assert reuse_log == [None]
+    # the exact sets; the sphere kept no nearest set to look up next
+    assert reuse_log == [(False, None)]
     assert answer(warm) == answer(cold) and warm.iterations == cold.iterations
     assert solver._factorization(A).sets == kept
 
@@ -353,14 +394,15 @@ def test_a_kept_set_lifts_only_an_iteration_cap(cap):
         for A, f, bounds in group:
             solve(A, f, bounds)
         warm += [answer(solve(A, f, bounds, config)) for A, f, bounds in group]
-    lifted = 0
+    lifted = Counter()
     for got, cold, full in zip(warm, capped, uncapped):
         if got != cold:
             assert cold[3] is SolveStatus.ITERATION_CAP
-            assert got == full and got[3] is SolveStatus.FEASIBLE_EXACT
-            lifted += 1
-    assert lifted > 0
-    assert sum(cold[3] is SolveStatus.ITERATION_CAP for cold in capped) > lifted
+            assert got == full and got[3] is not SolveStatus.ITERATION_CAP
+            lifted[got[3]] += 1
+    # kept exact and kept nearest sets both lift caps
+    assert lifted[SolveStatus.FEASIBLE_EXACT] > 0 and lifted[SolveStatus.NEAREST_FEASIBLE] > 0
+    assert sum(cold[3] is SolveStatus.ITERATION_CAP for cold in capped) > sum(lifted.values())
 
 
 def test_many_sets_keep_the_lookup_bounded(monkeypatch):
@@ -375,25 +417,28 @@ def test_many_sets_keep_the_lookup_bounded(monkeypatch):
     assert len(certified) > 3 * solver._MAX_SETS
 
     evaluated = []
-    optimum = solver._optimum
 
-    def evaluate(fac, ws, *args):
-        evaluated.append(ws)
-        return optimum(fac, ws, *args)
+    def spy(optimum):
+        def evaluate(fac, ws, *args):
+            evaluated.append(ws)
+            return optimum(fac, ws, *args)
+
+        return evaluate
 
     lookups = []
     reuse = solver._reuse
 
-    def lookup(fac, *args):
+    def lookup(fac, nearest, *args):
         del evaluated[:]
-        kept = list(fac.sets.values())
-        found = reuse(fac, *args)
+        kept = list((fac.nearest_sets if nearest else fac.sets).values())
+        found = reuse(fac, nearest, *args)
         # the sets evaluated are the first of those kept, in their order
         in_order = len(evaluated) <= len(kept) and all(map(operator.is_, evaluated, kept))
         lookups.append((found is not None, in_order, len(evaluated), len(kept)))
         return found
 
-    monkeypatch.setattr(solver, "_optimum", evaluate)
+    monkeypatch.setattr(solver, "_optimum", spy(solver._optimum))
+    monkeypatch.setattr(solver, "_nearest_optimum", spy(solver._nearest_optimum))
     monkeypatch.setattr(solver, "_reuse", lookup)
     clear_caches()
     first = [answer(solve(A, f, CUBE.bounds)) for f in forces]
@@ -408,3 +453,63 @@ def test_many_sets_keep_the_lookup_bounded(monkeypatch):
     # the sets kept, the oldest making way for new ones, still answer most
     # forces of a second pass
     assert sum(hit for hit, *_ in lookups[second_pass:]) > 0.6 * len(forces)
+
+
+# two parallel cables, c1 and c2, beside three that span the rest
+PARALLEL = np.array(
+    [[1.0, 1.0, 0.0, 0.0, -(3**-0.5)], [0, 0, 1, 0, -(3**-0.5)], [0, 0, 0, 1, -(3**-0.5)]]
+)
+# three opposed pairs of cables along the axes
+OPPOSED = np.array([[1.0, -1.0, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]])
+
+
+@pytest.mark.parametrize(
+    "M, f, others",
+    [
+        # the parallel cables end free: their block has rank 1, so no
+        # working set's optimum is unique
+        (PARALLEL, [3.0, 40.0, -30.0], [[2.0, 50.0, 50.0], [1.0, 20.0, 20.0]]),
+        # every cable ends on a bound, and the four cables across the force
+        # have a zero descent: the point is nearest, but not strictly
+        (OPPOSED, [0.0, 0.0, 100.0], [[30.0, 40.0, 100.0], [-20.0, 25.0, 80.0]]),
+    ],
+)
+def test_a_degenerate_nearest_point_is_never_kept(M, f, others):
+    bounds = TensionBounds(0.5, 6.0)
+    clear_caches()
+    cold = solve(M, f, bounds)
+    assert cold.status is SolveStatus.NEAREST_FEASIBLE
+    assert not solver._factorization(M).nearest_sets
+    # the same force after others that keep nearest sets on the matrix
+    for g in others:
+        solve(M, g, bounds)
+    kept = dict(solver._factorization(M).nearest_sets)
+    assert kept
+    warm = solve(M, f, bounds)
+    assert answer(warm) == answer(cold) and warm.iterations == cold.iterations
+    assert solver._factorization(M).nearest_sets == kept
+    np.testing.assert_allclose(warm.rendered_force, M @ nearest_point_qp(M, f, 0.5, 6.0), atol=1e-9)
+
+
+def test_exact_and_nearest_sets_share_the_slots():
+    fac = solver._Factorization(np.eye(3))
+
+    def kept(k, nearest):
+        return solver._WorkingSet([False] * 3, [float(k)] * 3, None, np.zeros(3), (), (), nearest)
+
+    def held(sets):
+        return [key[1][0] for key in sets]
+
+    for k in range(solver._MAX_SETS):
+        fac.keep(kept(k, True))
+    # the slots are full of nearest sets: an exact one displaces the oldest
+    fac.keep(kept(100, False))
+    assert held(fac.sets) == [100.0] and held(fac.nearest_sets) == list(range(1, solver._MAX_SETS))
+    # a set displaces the oldest of its own kind while that kind has one
+    fac.keep(kept(200, True))
+    assert held(fac.sets) == [100.0] and held(fac.nearest_sets)[0] == 2.0
+    fac.keep(kept(300, False))
+    assert held(fac.sets) == [300.0] and len(fac.nearest_sets) == solver._MAX_SETS - 1
+    # a known set is not kept twice
+    fac.keep(kept(300, False))
+    assert held(fac.sets) == [300.0]
