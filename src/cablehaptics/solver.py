@@ -57,8 +57,8 @@ it computed anyway, with the box's t_min and the factorization's
 A t_min, which every such answer shares.
 
 Each cached factorization keeps the sets its solves certified, exact and
-nearest apart (at most _MAX_SETS in all, the oldest of a kind making
-way, dropped when the bounds change), and a solve on it tries them in
+nearest apart (at most _MAX_SETS in all, the oldest of either kind
+making way, dropped when the bounds change), and a solve on it tries them in
 the order they were certified (_reuse): the exact ones first, then
 t_min's set, then the nearest ones, so that a force answered at t_min
 pays for no nearest set. The first set that gives an answer is the
@@ -123,8 +123,9 @@ RANK_REL_TOL = 1e-9
 # Residual (newtons) below which a desired force counts as wrench-feasible.
 WRENCH_FEASIBLE_RESIDUAL = 1e-7
 
-# The most certified working sets, exact and nearest, a factorization keeps
-# for its bounds; a lookup that misses tries every one of its kind.
+# The most certified working sets, exact and nearest together, a
+# factorization keeps for its bounds; a lookup that misses tries every one
+# of its kind.
 _MAX_SETS = 8
 
 # Phase 1's thresholds in units of the rounding level of its iterate,
@@ -227,12 +228,13 @@ class _WorkingSet(NamedTuple):
     free cable, its bound on each held one), sequences one entry per
     cable, the _Block of its free cables, c, rows times the held vector,
     which phase 2 steps with, its offsets q = O c, a tuple of floats, one
-    per cable, its force map P = O goal, one float triple per cable, which
-    its answer takes each cable's shift or descent from, and whether it is a
-    nearest set. O is the block's shift_op, but on a nearest set's held
-    cables the operator of their descent, rows^T U_perp U_perp^T. Every
-    set built is asked for an answer, so _working_set builds q and P with
-    it, and a block that only phase 1 steps through builds neither."""
+    per cable, and its force map P = O goal, one float triple per cable,
+    which its answer takes each cable's shift or descent from. O is the
+    block's shift_op, but on a nearest set's held cables, where the block's
+    rank is below A's, the operator of their descent, rows^T U_perp
+    U_perp^T. Every set built is asked for an answer, so _working_set
+    builds q and P with it, and a block that only phase 1 steps through
+    builds neither."""
 
     free: Sequence[bool]
     held: Sequence[float]
@@ -240,7 +242,6 @@ class _WorkingSet(NamedTuple):
     c: np.ndarray
     offsets: tuple[float, ...]
     force_map: tuple[tuple[float, float, float], ...]
-    nearest: bool
 
 
 class _Box(NamedTuple):
@@ -360,9 +361,11 @@ class _Factorization:
         # (bounds, (_Box, A times its t_min)) of the last bounds asked for
         self._box: tuple[object, tuple[_Box, np.ndarray]] | None = None
         # the working sets certified under those bounds, by (free, held):
-        # exact ones in sets, nearest ones in nearest_sets
+        # exact ones in sets, nearest ones in nearest_sets, and the dict of
+        # each kept set by its key in _kept, in the order they were kept
         self.sets: dict[tuple, _WorkingSet] = {}
         self.nearest_sets: dict[tuple, _WorkingSet] = {}
+        self._kept: dict[tuple, dict] = {}
 
     def block(self, free) -> _Block:
         """The _Block of rows[:, free], free a list or array of m bools.
@@ -405,25 +408,27 @@ class _Factorization:
         found = box, _frozen(self.matrix.dot(box.lo))
         self._box = (bounds, found)
         # a held vector holds the old bounds' values
-        self.sets, self.nearest_sets = {}, {}
+        self.sets, self.nearest_sets, self._kept = {}, {}, {}
         return found
 
-    def keep(self, ws: _WorkingSet) -> None:
-        """Remember ws, a working set certified under the last bounds, for
-        the next solves on this matrix, unless it is known. Exact and
-        nearest sets are kept apart, _MAX_SETS of them in all: with that
-        many kept, the oldest of ws's kind goes, or the oldest of the other
-        kind when ws's has none."""
-        sets, other = self.sets, self.nearest_sets
-        if ws.nearest:
-            sets, other = other, sets
+    def keep(self, sets: dict, ws: _WorkingSet) -> None:
+        """Remember ws, a working set certified under the last bounds, in
+        sets, this factorization's sets or nearest_sets as ws is exact or
+        nearest, for the next solves on this matrix, unless it is known.
+        The two kinds share _MAX_SETS slots: with that many kept, the
+        oldest set goes, of either kind, so a kind keeps the slots its sets
+        were kept in last. A free mask makes a set exact or nearest, so the
+        kinds' keys never meet."""
         key = bytes(ws.free), tuple(ws.held)
         if key not in sets:
-            if len(sets) + len(other) == _MAX_SETS:
-                full = sets or other
-                del full[next(iter(full))]
+            kept = self._kept
+            if len(kept) == _MAX_SETS:
+                oldest = next(iter(kept))
+                kind = kept.pop(oldest)
+                del kind[oldest]
             ws.c.setflags(write=False)
             sets[key] = ws
+            kept[key] = sets
 
 
 @functools.lru_cache(maxsize=1)
@@ -638,11 +643,10 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
         if miss <= tol * tol:
             return t, x, rendered, miss, None, k
         if unit is None:
-            unit = _EPS * fac.goal_norm
-            # max |f_i| <= ||f - A t|| + sum t, and no cable passes t_max
-            if _STATIONARY_LEVELS * unit * (math.sqrt(miss) + 2.0 * box.hi_sum) <= stationary:
+            if _below_threshold(fac, box, math.sqrt(miss), stationary):
                 unit = 0.0
             else:
+                unit = _EPS * fac.goal_norm
                 f_size = max(map(abs, f.tolist()))
         if unit:
             level = unit * (f_size + sum(t))
@@ -670,6 +674,16 @@ def _nearest_box_point(fac, f, box, t, tol, budget):
     return t, x, rendered, residual.dot(residual), SolveStatus.ITERATION_CAP, budget
 
 
+def _below_threshold(fac, box: _Box, root: float, stationary: float) -> bool:
+    """Whether 16 rounding levels of every iterate of a solve lie at or
+    below phase 1's threshold stationary = tol / 10, root being the norm
+    of the solve's first residual r: a level is eps ||goal|| (max |f_i| +
+    sum t), max |f_i| <= ||r|| + sum t, and no cable passes t_max. Phase 1
+    then tests every iterate at tol / 10 and takes no level."""
+    unit = _EPS * fac.goal_norm
+    return _STATIONARY_LEVELS * unit * (root + 2.0 * box.hi_sum) <= stationary
+
+
 def _floor_residual(fac, box: _Box, residual, tol: float):
     """||f - A t_min|| when t_min answers f, residual being f - A t_min and
     the start, t_min + A^+ residual clipped into the box, having left every
@@ -690,10 +704,7 @@ def _floor_residual(fac, box: _Box, residual, tol: float):
     if miss <= tol * tol or _EPS * box.hi_sum > stationary:
         return None
     root = math.sqrt(miss)
-    unit = _EPS * fac.goal_norm
-    if _STATIONARY_LEVELS * unit * (root + 2.0 * box.hi_sum) <= stationary:
-        return root
-    return None
+    return root if _below_threshold(fac, box, root, stationary) else None
 
 
 def _shift(blk: _Block, target, c) -> list[float]:
@@ -816,14 +827,11 @@ def _rendering(fac, t, fvec):
     return x, rendered, math.sqrt(miss.dot(miss))
 
 
-def _reuse(fac, nearest: bool, f, fvec, box: _Box, tol: float):
-    """The answer of the first working set fac keeps, of its nearest sets
-    or its exact ones as nearest says, that gives one, trying them in the
-    order they were certified, or None; f is fvec's floats."""
-    if nearest:
-        sets, optimum = fac.nearest_sets, _nearest_optimum
-    else:
-        sets, optimum = fac.sets, _optimum
+def _reuse(sets, optimum, fac, f, fvec, box: _Box, tol: float):
+    """The first answer that optimum, _optimum or _nearest_optimum, gives
+    for the force fvec from the working sets sets, the exact or nearest
+    ones fac keeps, trying them in the order they were certified, or None;
+    f is fvec's floats."""
     for ws in sets.values():
         found = optimum(fac, ws, f, fvec, box, tol)
         if found is not None:
@@ -841,15 +849,14 @@ def _working_set(fac, blk: _Block, free, t, lo) -> _WorkingSet:
     held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
     c = fac.rows.dot(np.array(held))
     op = blk.shift_op
-    nearest = blk.rank < fac.rank
-    if nearest:
+    if blk.rank < fac.rank:
         # rows^T U_perp U_perp^T on the held cables, U_perp the directions
         # of rows t the free cables cannot reach
         perp = blk.u[:, blk.rank :]
         op = np.where(np.array(free)[:, None], op, fac.rows_t.dot(perp.dot(perp.T)))
     offsets = tuple(op.dot(c).tolist())
     force_map = tuple(map(tuple, op.dot(fac.goal).tolist()))
-    return _WorkingSet(free, held, blk, c, offsets, force_map, nearest)
+    return _WorkingSet(free, held, blk, c, offsets, force_map)
 
 
 def _nearest_set(fac, box: _Box, t):
@@ -1000,7 +1007,7 @@ def solve(
     floats = None
     if fac.sets:
         floats = fvec.tolist()
-        found = _reuse(fac, False, floats, fvec, box, tol)
+        found = _reuse(fac.sets, _optimum, fac, floats, fvec, box, tol)
         if found is not None:
             return _result(box, *found, SolveStatus.FEASIBLE_EXACT, 1)
     residual = fvec - a_lo
@@ -1012,7 +1019,7 @@ def solve(
     if fac.nearest_sets:
         if floats is None:
             floats = fvec.tolist()
-        found = _reuse(fac, True, floats, fvec, box, tol)
+        found = _reuse(fac.nearest_sets, _nearest_optimum, fac, floats, fvec, box, tol)
         if found is not None:
             return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, 1)
     # phase 1 squares f - A t, which negates A t - f exactly, so a solve it
@@ -1027,7 +1034,7 @@ def solve(
             ws = _nearest_set(fac, box, t)
             found = None if ws is None else _nearest_optimum(fac, ws, floats, fvec, box, tol)
             if found is not None:
-                fac.keep(ws)
+                fac.keep(fac.nearest_sets, ws)
                 return _result(box, *found, status, iterations)
         # the iteration cap, or a degenerate nearest point: phase 1's iterate
         return _result(box, x, rendered, math.sqrt(squared), status, iterations)
@@ -1037,7 +1044,7 @@ def solve(
     found, t, ws, more = _min_shift(fac, box, t, x, free, floats, fvec, tol, budget)
     iterations += more - 1
     if found is not None:
-        fac.keep(ws)
+        fac.keep(fac.sets, ws)
         return _result(box, *found, SolveStatus.FEASIBLE_EXACT, iterations)
     x, rendered, residual = _rendering(fac, t, fvec)
     # the rounding of phase 2's steps can leave a certified point just

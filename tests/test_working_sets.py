@@ -174,9 +174,9 @@ def reuse_log(monkeypatch):
     log = []
     reuse = solver._reuse
 
-    def spy(fac, nearest, *args):
-        found = reuse(fac, nearest, *args)
-        log.append((nearest, found))
+    def spy(sets, optimum, fac, *args):
+        found = reuse(sets, optimum, fac, *args)
+        log.append((sets is fac.nearest_sets, found))
         return found
 
     monkeypatch.setattr(solver, "_reuse", spy)
@@ -195,7 +195,7 @@ def test_answers_do_not_depend_on_the_order_of_solves(reuse_log):
     # answers both, and the corpus has every status, and cables on a zero
     # floor
     hits = Counter(nearest for nearest, found in reuse_log if found is not None)
-    assert hits[False] > len(CORPUS) // 3 and hits[True] > 300, hits
+    assert hits[False] > len(CORPUS) // 2 and hits[True] > 300, hits
     assert {r.status for r in cold} == set(SolveStatus)
     assert any((r.tensions == 0.0).any() for r in cold)
 
@@ -256,9 +256,10 @@ def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
     built, asked = [], []
     working_set = solver._working_set
 
-    def build(*args):
-        ws = working_set(*args)
-        built.append(ws)
+    def build(fac, blk, *args):
+        ws = working_set(fac, blk, *args)
+        # a set is nearest where its free block's rank is below A's
+        built.append((ws, blk.rank < fac.rank))
         return ws
 
     def spy(optimum):
@@ -277,14 +278,15 @@ def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
         clear_caches()
         del built[:], asked[:]
         result = solve(A, f, bounds)
-        assert len(asked) == len(built) and all(map(operator.is_, asked, built))
+        assert len(asked) == len(built)
+        assert all(ask is ws for ask, (ws, _) in zip(asked, built))
         sets_per_solve[len(built)] += 1
         if result.status is SolveStatus.NEAREST_FEASIBLE:
             # phase 1's own set, unless the answer is t_min's or degenerate
-            assert len(built) <= 1 and all(ws.nearest for ws in built)
+            assert len(built) <= 1 and all(nearest for _, nearest in built)
             nearest_sets[len(built)] += 1
         else:
-            assert not any(ws.nearest for ws in built)
+            assert not any(nearest for _, nearest in built)
     assert not reuse_log
     # most exact solves answer from phase 1's set, and some build more
     assert sets_per_solve[1] > len(CORPUS) // 4
@@ -325,10 +327,10 @@ def test_reused_answers_agree_with_the_qp_oracle(monkeypatch):
     reused = []
     reuse = solver._reuse
 
-    def spy(fac, nearest, g, fvec, box, tol):
-        found = reuse(fac, nearest, g, fvec, box, tol)
+    def spy(sets, optimum, fac, g, fvec, box, tol):
+        found = reuse(sets, optimum, fac, g, fvec, box, tol)
         if found is not None:
-            reused.append((nearest, fac.matrix, fvec, box, found))
+            reused.append((sets is fac.nearest_sets, fac.matrix, fvec, box, found))
         return found
 
     monkeypatch.setattr(solver, "_reuse", spy)
@@ -428,10 +430,10 @@ def test_many_sets_keep_the_lookup_bounded(monkeypatch):
     lookups = []
     reuse = solver._reuse
 
-    def lookup(fac, nearest, *args):
+    def lookup(sets, optimum, fac, *args):
         del evaluated[:]
-        kept = list((fac.nearest_sets if nearest else fac.sets).values())
-        found = reuse(fac, nearest, *args)
+        kept = list(sets.values())
+        found = reuse(sets, optimum, fac, *args)
         # the sets evaluated are the first of those kept, in their order
         in_order = len(evaluated) <= len(kept) and all(map(operator.is_, evaluated, kept))
         lookups.append((found is not None, in_order, len(evaluated), len(kept)))
@@ -495,21 +497,68 @@ def test_exact_and_nearest_sets_share_the_slots():
     fac = solver._Factorization(np.eye(3))
 
     def kept(k, nearest):
-        return solver._WorkingSet([False] * 3, [float(k)] * 3, None, np.zeros(3), (), (), nearest)
+        # the two kinds' free masks differ, as a block's rank decides them
+        free = [nearest, False, False]
+        return solver._WorkingSet(free, [float(k)] * 3, None, np.zeros(3), (), ())
+
+    def keep(k, nearest):
+        fac.keep(fac.nearest_sets if nearest else fac.sets, kept(k, nearest))
 
     def held(sets):
         return [key[1][0] for key in sets]
 
-    for k in range(solver._MAX_SETS):
-        fac.keep(kept(k, True))
+    n = solver._MAX_SETS
+    for k in range(n):
+        keep(k, True)
     # the slots are full of nearest sets: an exact one displaces the oldest
-    fac.keep(kept(100, False))
-    assert held(fac.sets) == [100.0] and held(fac.nearest_sets) == list(range(1, solver._MAX_SETS))
-    # a set displaces the oldest of its own kind while that kind has one
-    fac.keep(kept(200, True))
-    assert held(fac.sets) == [100.0] and held(fac.nearest_sets)[0] == 2.0
-    fac.keep(kept(300, False))
-    assert held(fac.sets) == [300.0] and len(fac.nearest_sets) == solver._MAX_SETS - 1
-    # a known set is not kept twice
-    fac.keep(kept(300, False))
-    assert held(fac.sets) == [300.0]
+    keep(100, False)
+    assert held(fac.sets) == [100.0] and held(fac.nearest_sets) == list(range(1, n))
+    # the oldest set goes, whatever its kind and the new one's
+    keep(200, True)
+    assert held(fac.sets) == [100.0] and held(fac.nearest_sets) == [*range(2, n), 200.0]
+    for k in range(300, 300 + n - 2):
+        keep(k, False)
+    assert held(fac.sets) == [100.0, *range(300, 300 + n - 2)]
+    assert held(fac.nearest_sets) == [200.0]
+    keep(400, True)
+    assert held(fac.sets) == list(range(300, 300 + n - 2))
+    assert held(fac.nearest_sets) == [200.0, 400.0]
+    # a known set is not kept twice, and keeps its place
+    keep(300, False)
+    assert held(fac.sets) == list(range(300, 300 + n - 2))
+    keep(500, False)
+    assert held(fac.sets) == [*range(300, 300 + n - 2), 500.0]
+    assert held(fac.nearest_sets) == [400.0]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_mixed_sphere_keeps_the_exact_hits_of_exact_sets_alone(monkeypatch, reuse_log, order):
+    # a 7 N sphere about an 8-cable layout off centre: 437 exact and 63
+    # nearest forces certify 52 sets between them, so the kinds contend
+    # for the slots
+    A = structure_matrix(CUBE, np.array([0.3, -0.2, 0.7]))
+    forces = sphere_samples(500, 7.0)[::order]
+    cold = []
+    for f in forces:
+        clear_caches()
+        cold.append(answer(solve(A, f, CUBE.bounds)))
+    assert Counter(status for *_, status in cold)[SolveStatus.NEAREST_FEASIBLE] > 50
+    del reuse_log[:]
+    clear_caches()
+    assert [answer(solve(A, f, CUBE.bounds)) for f in forces] == cold
+    hits = Counter(nearest for nearest, found in reuse_log if found is not None)
+    # the same solves on a factorization that keeps exact sets alone
+    keep = solver._Factorization.keep
+
+    def keep_exact(fac, sets, ws):
+        if sets is fac.sets:
+            keep(fac, sets, ws)
+
+    monkeypatch.setattr(solver._Factorization, "keep", keep_exact)
+    del reuse_log[:]
+    clear_caches()
+    assert [answer(solve(A, f, CUBE.bounds)) for f in forces] == cold
+    alone = sum(found is not None for _, found in reuse_log)
+    # sharing the slots costs the exact sets few hits, and the nearest sets
+    # answer more than that: 253 + 35 and 257 + 36 against 280 alone
+    assert hits[False] > 0.85 * alone and hits[False] + hits[True] > alone, (hits, alone)
