@@ -57,9 +57,9 @@ it computed anyway, with the box's t_min and the factorization's
 A t_min, which every such answer shares.
 
 Each cached factorization keeps the sets its solves certified, exact and
-nearest apart (at most _MAX_SETS in all, the oldest of either kind
-making way, dropped when the bounds change), and a solve on it tries them in
-the order they were certified (_reuse): the exact ones first, then
+nearest apart (at most _MAX_SETS in all, the oldest of either kind making
+way, dropped when the bounds change), and a solve on it tries them in the
+order they were certified (_reuse): the exact ones first, then
 t_min's set, then the nearest ones, so that a force answered at t_min
 pays for no nearest set. The first set that gives an answer is the
 answer, at 1 iteration and without either phase. That answer is the one
@@ -416,9 +416,9 @@ class _Factorization:
         sets, this factorization's sets or nearest_sets as ws is exact or
         nearest, for the next solves on this matrix, unless it is known.
         The two kinds share _MAX_SETS slots: with that many kept, the
-        oldest set goes, of either kind, so a kind keeps the slots its sets
-        were kept in last. A free mask makes a set exact or nearest, so the
-        kinds' keys never meet."""
+        oldest set goes, whatever its kind, so neither kind holds on to
+        slots that the other's newer sets would use. A free mask makes a
+        set exact or nearest, so the kinds' keys never meet."""
         key = bytes(ws.free), tuple(ws.held)
         if key not in sets:
             kept = self._kept
