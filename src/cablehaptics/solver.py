@@ -1,4 +1,4 @@
-"""Bounded tension distribution by a finite two-phase active-set method.
+"""Bounded tension distribution by a finite primal active-set method.
 
 The core problem: find cable tensions t in the box [t_min, t_max]^m whose
 net pull A @ t equals a desired force f, where the columns of A are unit
@@ -10,51 +10,53 @@ rows and box bounds. When the intersection is empty, the answer is the
 box point nearest the equilibrium set, which renders the nearest
 reachable force.
 
-Phase 1 is bounded-variable least squares (Stark & Parker 1995): it finds
-the box point nearest the equilibrium set, which either certifies the
-force unreachable or is a feasible point. Phase 2 is the primal active-set
-method (Nocedal & Wright, Numerical Optimization, Alg. 16.3), warm-started
-from phase 1's bound set, for the feasible point nearest t_min. Each
-iteration of either phase holds or releases at most one cable and solves
-one small least-squares problem, and each phase ends only when its
+One active-set loop solves it (_active_set). Each iteration takes the
+working set of its box point, steps toward a least-squares solution over
+its free cables, holds the cable that blocks the step or else tests the
+set, and so holds or releases at most one cable. Until an iterate
+renders f the loop is bounded-variable least squares (Stark & Parker
+1995), which finds the box point nearest the equilibrium set and so
+either certifies the force unreachable or reaches a feasible point. From
+then on it keeps the force that iterate renders and is the primal
+active-set method (Nocedal & Wright, Numerical Optimization, Alg. 16.3)
+for the feasible point nearest t_min. It ends only when a set's
 optimality conditions check out. The inputs are geometry's types: a
-matrix is checked once, when its StructureMatrix is built, and every entry
-point takes one as it is and builds one from anything else.
+matrix is checked once, when its StructureMatrix is built, and every
+entry point takes one as it is and builds one from anything else.
 
 Answers come from working sets. A working set holds some cables at a
 bound and leaves the rest free; its optimum holds the held cables there
-and gives the free ones the least-squares solution of rows t = goal f,
-f itself. A set certifies exact when that optimum renders f within the
+and gives the free ones the least-squares solution of rows t = goal f, f
+itself. A set certifies exact when that optimum renders f within the
 tolerance, every free cable lies inside the box and every held cable's
 multiplier has its bound's sign; it certifies nearest when the optimum
 misses f by more than the tolerance, the free cables have full column
 rank and lie inside the box, and every held cable's descent A^+ (f - A t)
-points out of the box. Each test is strict: by the rounding level of the
-tensions plus what a force error of the tolerance could move the optimum,
-and, for a descent, by phase 1's certificate threshold. _optimum and
-_nearest_optimum are the one definition of each kind of answer. A
-strictly certified optimum is the
-problem's unique answer: the KKT conditions of the convex problem hold
-with every inequality strict, so no other box point, and no other working
-set, meets them (for a nearest set, the held cables are fixed by their
-strictly outward descents and the free ones by full column rank). So a
-force certifies exact or nearest, never both, and with one set at most.
+points out of the box. Each test is strict: by the rounding level of
+the tensions plus what a force error of the tolerance could move the
+optimum, and, for a descent, by the descent test's threshold. _optimum
+and _nearest_optimum are the one definition of each kind of answer. A
+strictly certified optimum is the problem's unique answer: the KKT
+conditions of the convex problem hold with every inequality strict, so
+no other box point, and no other working set, meets them (for a nearest
+set, the held cables are fixed by their strictly outward descents and
+the free ones by full column rank). So a force certifies exact or
+nearest, never both, and with one set at most.
 
-A cold solve asks for an answer in two places. Phase 2 asks each working set
-it builds, phase 1's own first, before it steps toward that set; a set
-that certifies for f with the tolerance's margin is one that phase 2's
-steps, toward the force phase 1 reached within the tolerance of f, would
-certify at the same iteration, so the answer and its iteration count are
-the method's own. When phase 1 certifies a nearest point, it asks the set
-that point holds; a degenerate point, whose free cables lack full column
-rank or whose held descents do not clear the threshold, answers with
-phase 1's iterate, and its set is not kept. The set that holds every
-cable on its floor needs no block: its optimum is t_min, its descent is
-phase 1's start step A^+ (f - A t_min), bit for bit, and a start that the
-clip left on t_min has each component at or below eps/2 t_min (see
-_floor_residual), so such a solve answers at 1 iteration from the start
-it computed anyway, with the box's t_min and the factorization's
-A t_min, which every such answer shares.
+A cold solve builds a working set and asks it for an answer only where
+the loop's own test certifies the set, so it builds at most one. A set
+that certifies for f with the tolerance's margin is one the loop, which
+steps toward a force within the tolerance of f, certifies at the same
+iteration, so the answer and its iteration count are the method's own. A
+certified nearest point asks the set that point holds; a degenerate
+point, whose free cables lack full column rank or whose held descents do
+not clear the threshold, answers with the iterate, and its set is not
+kept. The set that holds every cable on its floor needs no block: its
+optimum is t_min, its descent is the start step A^+ (f - A t_min), bit
+for bit, and a start that the clip left on t_min has each component at or
+below eps/2 t_min (see _floor_residual), so such a solve answers at 1
+iteration from the start it computed anyway, with the box's t_min and
+the factorization's A t_min, which every such answer shares.
 
 Each cached factorization keeps the sets its solves certified, exact and
 nearest apart (at most _MAX_SETS in all, the oldest of either kind making
@@ -62,7 +64,7 @@ way, dropped when the bounds change), and a solve on it tries them in the
 order they were certified (_reuse): the exact ones first, then
 t_min's set, then the nearest ones, so that a force answered at t_min
 pays for no nearest set. The first set that gives an answer is the
-answer, at 1 iteration and without either phase. That answer is the one
+answer, at 1 iteration and without the loop. That answer is the one
 a cold solve gives, bit for bit, since it is the same set's optimum
 computed the same way, so an answer depends on (A, f, bounds, config)
 alone and the kept sets change only how fast it comes. The one exception
@@ -128,13 +130,14 @@ WRENCH_FEASIBLE_RESIDUAL = 1e-7
 # of its kind.
 _MAX_SETS = 8
 
-# Phase 1's thresholds in units of the rounding level of its iterate,
-# eps ||goal|| (max |f_i| + sum t_i): the |A||t| bound on the rounding of
-# f - A t for unit columns and t >= 0 (Higham 2002), as A^+ carries it into
-# the descent direction d. At 20,000 nearest points of seeded problems
-# (m = 3..8, force and bounds scaled by 1e-2 to 1e12) the |d| of a free
-# cable, 0 but for rounding, reached 8 levels; stationarity is tested at 16
-# levels at least, and a stationary point within 64 levels of f renders it.
+# The descent test's thresholds in units of the rounding level of an
+# iterate, eps ||goal|| (max |f_i| + sum t_i): the |A||t| bound on the
+# rounding of f - A t for unit columns and t >= 0 (Higham 2002), as A^+
+# carries it into the descent direction d. At 20,000 nearest points of
+# seeded problems (m = 3..8, force and bounds scaled by 1e-2 to 1e12) the
+# |d| of a free cable, 0 but for rounding, reached 8 levels; a held descent
+# is tested at 16 levels at least, and a certified point within 64 levels
+# of f renders it.
 # d = A^+ r and rows^T (goal r), the same direction by another product,
 # differ by at most 1.1 levels at 11,844 such points.
 _STATIONARY_LEVELS = 16.0
@@ -160,13 +163,13 @@ class SolverConfig:
 
     Every solve starts from t_min on every cable, so the feasible solution
     returned is the one closest to the lowest allowed tensions, minimizing
-    energy use. ``max_iterations`` caps the active-set iterations of both
-    solve phases together; each iteration holds or releases at most one
-    cable, and most solves certify their result in fewer than ten.
+    energy use. ``max_iterations`` caps the iterations of the solve's one
+    active-set loop; each iteration holds or releases at most one cable,
+    and most solves certify their result in fewer than ten.
     ``tolerance`` bounds the force residual of an exact solution, in
-    newtons; a tenth of it is the stationarity threshold of the
-    nearest-box-point certificate, unless the rounding of the forces and
-    tensions in play lies above that (see _nearest_box_point).
+    newtons; a tenth of it is the threshold of the nearest-box-point
+    certificate, unless the rounding of the forces and tensions in play
+    lies above that (see _active_set).
     """
 
     max_iterations: int = 50000
@@ -212,7 +215,7 @@ class _Block(NamedTuple):
     """What the iterations need of one free-column block rows[:, free]:
     its left singular vectors and rank, the shift operator rows^T times
     the pseudoinverse of its Gram matrix, u_r diag(1/s^2) u_r^T, which
-    both phases step with, and drift, the most a newton of force residual
+    the loop steps with, and drift, the most a newton of force residual
     can move the optimum of a working set on this block, on any cable or
     multiplier: ||goal|| times the norm of that pseudoinverse, the largest
     singular value of goal over the block's smallest one squared."""
@@ -227,14 +230,14 @@ class _WorkingSet(NamedTuple):
     """A working set: the free mask and the held vector (t_min on each
     free cable, its bound on each held one), sequences one entry per
     cable, the _Block of its free cables, c, rows times the held vector,
-    which phase 2 steps with, its offsets q = O c, a tuple of floats, one
+    which the loop steps with, its offsets q = O c, a tuple of floats, one
     per cable, and its force map P = O goal, one float triple per cable,
     which its answer takes each cable's shift or descent from. O is the
     block's shift_op, but on a nearest set's held cables, where the block's
     rank is below A's, the operator of their descent, rows^T U_perp
     U_perp^T. Every set built is asked for an answer, so _working_set
-    builds q and P with it, and a block that only phase 1 steps through
-    builds neither."""
+    builds q and P with it; the loop steps with a block and c alone, and
+    builds a set only for the one it certifies."""
 
     free: Sequence[bool]
     held: Sequence[float]
@@ -459,66 +462,24 @@ def actuation_rank(A: StructureMatrix | np.ndarray) -> int:
     return _factorization(A).rank
 
 
-def _is_nearest_box_point(x, d, lo, hi, tol) -> bool:
-    """First-order optimality of x for: minimize distance(t, equilibrium set)
-    over the box, where d = P_eq(x) - x is the negative gradient direction.
+def _worst(free, t, g, lo) -> tuple[int, float]:
+    """A working set's certificate over its held cables, from sequences of
+    floats, one entry per cable: the held cable whose g points furthest
+    into the box (g at a floor, -g at a ceiling; the lowest index on a
+    tie), with that amount, or (-1, -inf) if none is held.
 
-    The condition is exact for this convex problem: at a lower bound the
-    descent direction must not point back into the box (d <= tol), at an
-    upper bound it must not point below (d >= -tol), and free components
-    must be stationary (|d| <= tol). A point on the way to the minimum, where
-    a held cable still has room to move toward the equilibrium set, fails
-    it, so the solve keeps iterating instead of stopping there.
-
-    Phase 1 passes tol an order below the solve tolerance, or the rounding
-    level of d where that is larger. A point can pass while still
-    rendering f within a few times the solve tolerance, so the residual
-    decides between an exact and a nearest-feasible result. x, d, lo and
-    hi are sequences of floats, one entry per cable.
-    """
-    # lo < hi, so x < hi holds at a lower bound and x > lo at an upper one
-    for xi, di, lo_i, hi_i in zip(x, d, lo, hi):
-        if (di > tol and xi < hi_i) or (di < -tol and xi > lo_i):
-            return False
-    return True
-
-
-def _release(free, x, d, lo, tol) -> int:
-    """Phase 1's choice of cable to release, from the sequences of floats x
-    and d and the free mask, one entry per cable.
-
-    Returns -1 while some free cable still moves (|d| > tol). Otherwise the
-    held cable whose descent direction points most into the box: d at a
-    floor, -d at a ceiling, the lowest index on a tie; -1 if none is held.
-    """
-    pick, most = -1, -math.inf
-    for i, (is_free, xi, di, lo_i) in enumerate(zip(free, x, d, lo)):
-        if is_free:
-            if abs(di) > tol:
-                return -1
-        else:
-            into_box = di if xi <= lo_i else -di
-            if into_box > most:
-                pick, most = i, into_box
-    return pick
-
-
-def _worst_multiplier(free, t, shift, lo) -> tuple[int, float]:
-    """Phase 2's KKT sign test over the held cables, from sequences of
-    floats, one entry per cable.
-
-    The multiplier of a held cable is mu = (t - t_min) - shift; it must be
-    >= 0 at a floor and <= 0 at a ceiling. Returns the held cable whose
-    multiplier is the most wrong (-mu at a floor, mu at a ceiling; the lowest
-    index on a tie) with that amount, or (-1, -inf) if none is held.
+    g is the direction a held cable would move in if it were free: the
+    descent A^+ (f - A t) before f is rendered, and after it the step
+    t_min + shift - t toward the set's optimum, which is minus the cable's
+    multiplier at a floor and the multiplier at a ceiling. Each held cable
+    sits exactly on a bound, so t <= t_min tells a floor from a ceiling.
     """
     worst, most = -1, -math.inf
-    for i, (is_free, ti, shift_i, lo_i) in enumerate(zip(free, t, shift, lo)):
+    for i, (is_free, ti, gi, lo_i) in enumerate(zip(free, t, g, lo)):
         if not is_free:
-            mu = ti - lo_i - shift_i
-            wrong = -mu if ti <= lo_i else mu
-            if wrong > most:
-                worst, most = i, wrong
+            into_box = gi if ti <= lo_i else -gi
+            if into_box > most:
+                worst, most = i, into_box
     return worst, most
 
 
@@ -572,7 +533,7 @@ def _ratio_step(t, step, box: _Box):
 
 
 def _start(lo, step, hi) -> tuple[list[float], bool]:
-    """Phase 1's start, t_min + step clipped into the box [lo, hi], step
+    """The loop's start, t_min + step clipped into the box [lo, hi], step
     being A^+ (f - A t_min), and whether it leaves every cable on its floor,
     in one pass over sequences of floats, one entry per cable. The start is
     _move(lo, 1.0, step, lo, hi) bit for bit, since 1.0 * s is s, and a
@@ -591,95 +552,13 @@ def _start(lo, step, hi) -> tuple[list[float], bool]:
     return t, on_floor
 
 
-def _nearest_box_point(fac, f, box, t, tol, budget):
-    """Phase 1: box least squares min ||rows t - goal f|| from t, the
-    box-clipped projection of t_min, t_min + A^+ (f - A t_min), a list of
-    floats.
-
-    rows = fac.rows has orthonormal rows spanning the row space of A and
-    goal = fac.goal = S_r^-1 U_r^T, so the residual r = f - A t gives
-    ||goal r|| = ||rows t - goal f||, the distance from t to the
-    equilibrium set, and A^+ r = rows^T goal r = P_eq(t) - t, its negative
-    gradient. Bounded-variable least squares (Stark & Parker 1995), a
-    primal active-set method: cables at a bound are held; each iteration
-    takes the minimum-norm least-squares step over the free cables, the
-    free set's cached shift operator times goal r with each held cable's
-    entry set to 0.0, and stops at the first bound it reaches, which
-    holds that cable; once the free cables are stationary, the held cable
-    whose descent direction points most into the box is released.
-
-    Returns (t, x, A x, ||f - A x||^2, status, iterations), x the array of
-    the iterate t: None once t renders f within tol (a feasible point for
-    phase 2), NEAREST_FEASIBLE once _is_nearest_box_point certifies t with
-    a residual above that, ITERATION_CAP when the budget runs out.
-
-    Both thresholds follow the magnitudes the iterate holds, so that no
-    solve spins where the tolerance lies below the rounding: the
-    certificate's threshold is tol / 10 or _STATIONARY_LEVELS rounding
-    levels of the iterate, whichever is larger, and a certified point
-    within _FEASIBLE_LEVELS levels of f renders f to rounding, so it is
-    handed to phase 2 too, never called NEAREST_FEASIBLE. The level is
-    eps ||goal|| (max |f_i| + sum t_i). A solve whose 16 levels cannot
-    reach tol / 10 on any iterate takes none: its first residual r bounds
-    the force by ||r|| + sum t and the tensions by t_max. Where the
-    rounding keeps a reachable force above tol, the solve ends
-    ITERATION_CAP after phase 2 (see solve), and scaling the force, the
-    bounds and the tolerance together scales the answer.
-    """
-    M, goal, pinv = fac.matrix, fac.goal, fac.pinv
-    lo, hi = box.lo_floats, box.hi_floats
-    x = np.array(t)
-    rendered = M.dot(x)
-    residual = f - rendered
-    stationary = tol * 0.1
-    # the rounding level of an iterate t is unit (max |f_i| + sum t); unit
-    # is set at the first iteration that misses f, to 0 when no iterate's
-    # 16 levels can reach tol / 10, the usual case
-    unit = None
-    # most solves return at the first iteration, before the bound set is read
-    free = None
-    for k in range(1, budget + 1):
-        miss = residual.dot(residual)
-        if miss <= tol * tol:
-            return t, x, rendered, miss, None, k
-        if unit is None:
-            if _below_threshold(fac, box, math.sqrt(miss), stationary):
-                unit = 0.0
-            else:
-                unit = _EPS * fac.goal_norm
-                f_size = max(map(abs, f.tolist()))
-        if unit:
-            level = unit * (f_size + sum(t))
-            stationary = max(tol * 0.1, _STATIONARY_LEVELS * level)
-        d = pinv.dot(residual).tolist()
-        if _is_nearest_box_point(t, d, lo, hi, stationary):
-            if unit and _FEASIBLE_LEVELS * level >= math.sqrt(miss):
-                # f is reached to rounding: a feasible point for phase 2
-                return t, x, rendered, miss, None, k
-            return t, x, rendered, miss, SolveStatus.NEAREST_FEASIBLE, k
-        if free is None:
-            free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
-        released = _release(free, t, d, lo, stationary)
-        if released >= 0:
-            free[released] = True
-        step = fac.block(free).shift_op.dot(goal.dot(residual)).tolist()
-        # the held cables stay where they are
-        step = [si if is_free else 0.0 for is_free, si in zip(free, step)]
-        t, blocking = _ratio_step(t, step, box)
-        if blocking >= 0:
-            free[blocking] = False
-        x = np.array(t)
-        rendered = M.dot(x)
-        residual = f - rendered
-    return t, x, rendered, residual.dot(residual), SolveStatus.ITERATION_CAP, budget
-
-
 def _below_threshold(fac, box: _Box, root: float, stationary: float) -> bool:
     """Whether 16 rounding levels of every iterate of a solve lie at or
-    below phase 1's threshold stationary = tol / 10, root being the norm
-    of the solve's first residual r: a level is eps ||goal|| (max |f_i| +
-    sum t), max |f_i| <= ||r|| + sum t, and no cable passes t_max. Phase 1
-    then tests every iterate at tol / 10 and takes no level."""
+    below the descent test's threshold stationary = tol / 10, root being
+    the norm of the residual r of any one iterate: a level is eps ||goal||
+    (max |f_i| + sum t), max |f_i| <= ||r|| + sum t, and no cable passes
+    t_max. The loop then tests every descent at tol / 10 and takes no
+    level."""
     unit = _EPS * fac.goal_norm
     return _STATIONARY_LEVELS * unit * (root + 2.0 * box.hi_sum) <= stationary
 
@@ -694,10 +573,10 @@ def _floor_residual(fac, box: _Box, residual, tol: float):
     descent A^+ (f - A t_min) is the start's step, bit for bit. The clip
     kept each step component at or below eps/2 t_min,i (at or below 0 on a
     zero or subnormal floor), since fl(t_min,i + d_i) = t_min,i, so once
-    eps sum t_max lies within phase 1's threshold tol / 10, and 16 rounding
-    levels of any iterate do too, phase 1's certificate passes at its
-    first iteration. The answer is then phase 1's, NEAREST_FEASIBLE at 1
-    iteration, when the residual lies above tol.
+    eps sum t_max lies within the descent test's threshold tol / 10, and
+    16 rounding levels of any iterate do too, the loop's first iteration,
+    whose step is zero, passes that test. The answer is then the loop's,
+    NEAREST_FEASIBLE at 1 iteration, when the residual lies above tol.
     """
     miss = residual.dot(residual)
     stationary = tol * 0.1
@@ -705,17 +584,6 @@ def _floor_residual(fac, box: _Box, residual, tol: float):
         return None
     root = math.sqrt(miss)
     return root if _below_threshold(fac, box, root, stationary) else None
-
-
-def _shift(blk: _Block, target, c) -> list[float]:
-    """blk.shift_op (target - c) as a list of floats, rows^T lam with
-    lam = gram_pinv (target - c), for the working set whose free cables
-    form blk and whose held vector gives c = rows times it. Its optimum for
-    rows t = target is t_min + shift on each free cable, and each held
-    cable's multiplier is t - t_min - shift. Phase 2 steps toward it; a
-    solve answers with the same optimum for target = goal f, which
-    _optimum computes from f in floats."""
-    return blk.shift_op.dot(target - c).tolist()
 
 
 def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
@@ -735,11 +603,11 @@ def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
     neither. No numpy call runs before a set certifies.
 
     The margin is box.rounding, the rounding level of the tensions, plus
-    tol times the block's drift: phase 1 hands phase 2 a box point whose
-    force misses f by up to tol, and phase 2 steps toward the optimum of
-    that force. A set that certifies with this margin is optimal for every
-    such force, so phase 2's steps would certify it as well, and the
-    answer is this one whether phase 2 or a kept set asks for it.
+    tol times the block's drift: once an iterate renders f within tol,
+    the loop steps toward the optimum of the force that iterate renders.
+    A set that certifies with this margin is optimal for every such force,
+    so the loop's steps would certify it as well, and the answer is this
+    one whether the loop or a kept set asks for it.
     """
     f0, f1, f2 = f
     margin = box.rounding + tol * ws.block.drift
@@ -778,11 +646,11 @@ def _nearest_optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
     p_i . f - q_i from the set's force map and offsets, and tests them as
     it goes: every free cable must lie inside the box by more than
     _optimum's margin, and every held cable's descent must point out of
-    the box by more than phase 1's certificate threshold, tol / 10 or 16
+    the box by more than the descent test's threshold, tol / 10 or 16
     rounding levels of the optimum, whichever is larger; a zero descent
     is not enough. The optimum must then miss f by more than tol and by
-    more than phase 1's 64 rounding levels, where phase 1 would hand the
-    point to phase 2. No numpy call runs before a set certifies.
+    more than 64 rounding levels, within which the loop takes a certified
+    point as rendering f. No numpy call runs before a set certifies.
 
     A set that certifies is the unique nearest box point's: the nearest
     point's rendered force is unique, the strictly outward descents fix
@@ -820,7 +688,7 @@ def _nearest_optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
 
 def _rendering(fac, t, fvec):
     """(x, A x, ||A x - f||) of the tensions t, a list of floats, for the
-    force f = fvec: what a solve answers with, where phase 1 does not."""
+    force f = fvec: what a solve answers with."""
     x = np.array(t)
     rendered = fac.matrix.dot(x)
     miss = rendered - fvec
@@ -839,15 +707,13 @@ def _reuse(sets, optimum, fac, f, fvec, box: _Box, tol: float):
     return None
 
 
-def _working_set(fac, blk: _Block, free, t, lo) -> _WorkingSet:
-    """The working set of the box point t, a list of floats, that leaves
-    the cables of the list free free, blk being their block, and holds
-    every other cable where t has it, on a bound, with the offsets and
-    force map its answer reads: a nearest set when the free cables' rank is
-    below A's, whose held cables map to their descents, and an exact set
-    otherwise."""
-    held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
-    c = fac.rows.dot(np.array(held))
+def _working_set(fac, blk: _Block, free, held, c) -> _WorkingSet:
+    """The working set that leaves the cables of the list free free, blk
+    being their block, and holds every other cable at its entry of held,
+    a list of floats with t_min on each free cable, c being rows times
+    held, with the offsets and force map its answer reads: a nearest set
+    when the free cables' rank is below A's, whose held cables map to
+    their descents, and an exact set otherwise."""
     op = blk.shift_op
     if blk.rank < fac.rank:
         # rows^T U_perp U_perp^T on the held cables, U_perp the directions
@@ -860,90 +726,171 @@ def _working_set(fac, blk: _Block, free, t, lo) -> _WorkingSet:
 
 
 def _nearest_set(fac, box: _Box, t):
-    """The working set of phase 1's nearest point t, a list of floats,
-    which holds the cables t has on a bound: a nearest set, or None when
-    the free cables' block lacks full column rank, where no set's optimum
-    is unique, or reaches A's rank, where the set answers no unreachable
-    force."""
+    """The working set of the nearest point t, a list of floats, which
+    holds the cables t has on a bound: a nearest set, or None when the free
+    cables' block lacks full column rank, where no set's optimum is unique,
+    or reaches A's rank, where the set answers no unreachable force."""
     lo, hi = box.lo_floats, box.hi_floats
     free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
     blk = fac.block(free)
     if blk.rank < fac.rank and blk.rank == sum(free):
-        return _working_set(fac, blk, free, t, lo)
+        held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
+        return _working_set(fac, blk, free, held, fac.rows.dot(np.array(held)))
     return None
 
 
-def _min_shift(fac, box, t, x, free, f, fvec, tol, budget):
-    """Phase 2: min ||t - t_min||^2 s.t. rows t = rows t0 and the box,
-    by the primal active-set method (Nocedal & Wright, Alg. 16.3) from the
-    feasible box point t0 = t, holding the cables it has at a bound.
-    Phase 1 hands over t0 once it renders f within the tolerance; keeping
-    the force t0 renders, rather than f itself, keeps t0 feasible even when
-    f lies just outside the renderable set.
+def _active_set(fac, box: _Box, t, fvec, f, tol: float, budget: int) -> SolveResult:
+    """The cold solve of the force fvec, f being its three floats, from t,
+    the box-clipped projection of t_min, t_min + A^+ (f - A t_min), a list
+    of floats: one primal active-set loop of at most budget iterations.
 
-    Holding cables W at their bounds and leaving F free, the working-set
-    optimum is t_F = t_min_F + rows_F^T lam, where lam solves
-    rows_F rows_F^T lam = rows t0 - rows_W t_W - rows_F t_min_F. Each
-    iteration steps toward it and holds the first cable that meets a bound
-    on the way; once it is reached, the multiplier of each held cable,
-    mu = t - t_min - rows^T lam, must be >= 0 at a floor and <= 0 at a
-    ceiling (the KKT conditions). If one is not, the most wrong is
-    released. The working set always keeps rank(rows_F) = rank(rows): a
-    held cable is released first whenever the free ones lose rank. The
-    free block's cached shift operator gives rows^T lam in one product
-    (_shift), and the trailing columns of its left singular vectors span
-    the directions the free cables cannot reach.
+    rows = fac.rows has orthonormal rows spanning the row space of A and
+    goal = fac.goal = S_r^-1 U_r^T, so for the residual r = f - A t,
+    ||goal r|| is the distance from t to the equilibrium set and
+    A^+ r = rows^T goal r its negative gradient. Cables at a bound are
+    held. Each iteration takes the working set of the box point t, which
+    holds the held cables where t has them, and steps toward a
+    least-squares solution over its free cables, on the free block's
+    shift_op; the ratio step stops at the first bound on the way and holds
+    that cable. Until an iterate renders f within tol the step is
+    shift_op goal r, to the solution of rows t = goal f nearest t, formed
+    from the residual so that it rounds with the step rather than with the
+    tensions. From then on it is t_min + shift - t, shift = shift_op
+    (target - c), c being rows times the held vector and the target rows t
+    of that iterate: to the set's optimum, the solution of rows t = target
+    nearest t_min (_toward). Keeping that iterate's force keeps the
+    iterates rendering a force the box can render, even when f lies just
+    outside the renderable set.
 
-    Each working set is asked for its _optimum for the force fvec, f being
-    its three floats, before the iteration steps toward it, and the first
-    that gives one ends phase 2 with the answer: a set that certifies
-    strictly for f is one this iteration would certify for t0's force as
-    well (see _optimum), so the answer and its iteration are the ones the
-    steps would reach. The first set is phase 1's own, so a solve whose
-    phase 1 ends on its answer's set pays for no step and no target
-    rows t0, which is formed once a set has failed to answer.
+    A step that no cable blocks reaches the set's optimum, and the set's
+    certificate runs on its held cables (_worst). Its free cables sit at
+    the optimum by construction: a test of them could fail only by
+    rounding, and the loop would step to the same point again. Before f
+    is rendered this is bounded-variable least squares (Stark & Parker
+    1995): no held cable's descent A^+ r may point into the box by more
+    than tol / 10 or _STATIONARY_LEVELS rounding levels of the iterate,
+    whichever is larger. After it, it is the primal active-set method
+    (Nocedal & Wright, Alg. 16.3) for min ||t - t_min||: every held
+    cable's multiplier must have its bound's sign, to within box.rounding.
+    The worst cable that fails is released. Once f is rendered the free
+    cables keep A's rank: a held cable is released first whenever they
+    lose it.
 
-    t0 comes in as phase 1's list t and array x, with free, the list of
-    the cables t0 has strictly inside the box, which solve read from t0
-    and the iterations update in place. The iterate is a list of floats:
-    np.where(free, t_min, t), np.where(free, t_min + shift - t, 0.0) and
-    the ratio step are passes with the same float operations. Returns
-    (answer, t, working set, iterations): the answer _optimum gave or None,
-    t a list, and the working set that answered or that the iterations
-    certified, None when the budget ran out first. Every held cable of t
-    sits exactly on its bound, so the held vector of the last iteration is
-    that working set's.
+    A set is built and asked for an answer only when its certificate
+    passes, so a solve builds at most one. A set certified before f is
+    rendered answers with its _nearest_optimum, NEAREST_FEASIBLE; a
+    degenerate point, whose free cables lack full column rank or whose
+    held descents do not clear the threshold, answers with the iterate,
+    and its set is not kept. A certified point within _FEASIBLE_LEVELS
+    rounding levels of f renders f to rounding, and is taken as rendering
+    it. The iteration that first renders f runs the multiplier test at
+    once. A set certified for a target rows t answers with its _optimum,
+    FEASIBLE_EXACT (see _optimum for why that is the method's own answer);
+    where _optimum gives none, the iterate answers, FEASIBLE_EXACT when it
+    renders f within tol and ITERATION_CAP otherwise, as when the budget
+    runs out.
+
+    A rounding level of an iterate t is eps ||goal|| (max |f_i| + sum t),
+    so that no solve spins where the tolerance lies below the rounding; a
+    solve whose 16 levels cannot reach tol / 10 on any iterate takes none
+    (_below_threshold). Where the rounding keeps a reachable force above
+    tol, the solve ends ITERATION_CAP, and scaling the force, the bounds
+    and the tolerance together scales the answer.
     """
-    rows, rank = fac.rows, fac.rank
-    lo = box.lo_floats
-    target = None
+    M, rows, rank = fac.matrix, fac.rows, fac.rank
+    lo, hi = box.lo_floats, box.hi_floats
+    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
+    x = np.array(t)
+    rendered = M.dot(x)
+    residual = fvec - rendered
+    miss = residual.dot(residual)
+    # whether an iterate has rendered f, whose force is then the target
+    rendering = miss <= tol * tol
+    target = rows.dot(x) if rendering else None
+    # a rounding level is unit (max |f_i| + sum t); unit is set at the
+    # first descent test, to 0 when no iterate's 16 levels can reach
+    # tol / 10, the usual case
+    unit = None
     for k in range(1, budget + 1):
         blk = fac.block(free)
-        if blk.rank < rank:
+        if not rendering:
+            # the least-squares step over the free cables, from t
+            toward = blk.shift_op.dot(fac.goal.dot(residual)).tolist()
+        elif blk.rank < rank:
             # release the held cable reaching furthest into the missing span
             reach = _norms(blk.u[:, blk.rank :].T @ rows, 0)
             free[int(np.where(free, -1.0, reach).argmax())] = True
             continue
-        ws = _working_set(fac, blk, free, t, lo)
-        found = _optimum(fac, ws, f, fvec, box, tol)
-        if found is not None:
-            return found, t, ws, k
-        if target is None:
-            target = rows.dot(x)
-        shift = _shift(blk, target, ws.c)
-        step = [
-            lo_i + shift_i - ti if is_free else 0.0
-            for is_free, lo_i, shift_i, ti in zip(free, lo, shift, t)
-        ]
+        else:
+            held, c, toward = _toward(fac, blk, free, target, t, lo)
+        step = [g if is_free else 0.0 for is_free, g in zip(free, toward)]
         t, blocking = _ratio_step(t, step, box)
+        if not rendering:
+            x = np.array(t)
+            rendered = M.dot(x)
+            residual = fvec - rendered
+            miss = residual.dot(residual)
+            if blocking < 0 and miss > tol * tol:
+                if unit is None:
+                    below = _below_threshold(fac, box, math.sqrt(miss), tol * 0.1)
+                    unit = 0.0 if below else _EPS * fac.goal_norm
+                level = unit * (max(map(abs, f)) + sum(t))
+                worst, into_box = _worst(free, t, fac.pinv.dot(residual).tolist(), lo)
+                if into_box > max(tol * 0.1, _STATIONARY_LEVELS * level):
+                    free[worst] = True
+                    continue
+                if _FEASIBLE_LEVELS * level < math.sqrt(miss):
+                    ws = _nearest_set(fac, box, t)
+                    found = None if ws is None else _nearest_optimum(fac, ws, f, fvec, box, tol)
+                    if found is None:
+                        # a degenerate point answers with the iterate
+                        found = x, rendered, math.sqrt(miss)
+                    else:
+                        fac.keep(fac.nearest_sets, ws)
+                    return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, k)
+            if blocking < 0 or miss <= tol * tol:
+                # f is rendered, or reached to rounding: from here on the
+                # target is the force this iterate renders
+                rendering = True
+                target = rows.dot(x)
+                if blocking < 0 and blk.rank == rank:
+                    held, c, toward = _toward(fac, blk, free, target, t, lo)
         if blocking >= 0:
             free[blocking] = False
             continue
-        worst, wrong = _worst_multiplier(free, t, shift, lo)
-        if wrong <= box.rounding:
-            return None, t, ws, k
-        free[worst] = True
-    return None, t, None, budget
+        if blk.rank < rank:
+            continue
+        worst, wrong = _worst(free, t, toward, lo)
+        if wrong > box.rounding:
+            free[worst] = True
+            continue
+        ws = _working_set(fac, blk, free, held, c)
+        found = _optimum(fac, ws, f, fvec, box, tol)
+        if found is not None:
+            fac.keep(fac.sets, ws)
+            return _result(box, *found, SolveStatus.FEASIBLE_EXACT, k)
+        x, rendered, residual = _rendering(fac, t, fvec)
+        # the rounding of the steps can leave a certified point just above
+        # a tolerance set near the rounding level of the force
+        exact = residual <= tol
+        status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
+        return _result(box, x, rendered, residual, status, k)
+    return _result(box, *_rendering(fac, t, fvec), SolveStatus.ITERATION_CAP, budget)
+
+
+def _toward(fac, blk: _Block, free, target, t, lo):
+    """(held, c, toward) of the working set of the box point t whose free
+    cables, of the list free, form blk: its held vector, t_min on each
+    free cable and t on each held one, c = rows times it, and t_min +
+    shift - t on every cable, shift = blk.shift_op (target - c), as lists
+    of floats. On a free cable that is its step to the set's optimum for
+    rows t = target, the least-squares solution nearest t_min, and on a
+    held cable minus its multiplier at a floor, its multiplier at a
+    ceiling."""
+    held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
+    c = fac.rows.dot(np.array(held))
+    shift = blk.shift_op.dot(target - c).tolist()
+    return held, c, [lo_i + s - ti for lo_i, s, ti in zip(lo, shift, t)]
 
 
 def solve(
@@ -954,13 +901,12 @@ def solve(
 ) -> SolveResult:
     """Compute box-feasible cable tensions rendering the desired force f.
 
-    One active-set method in two phases, each holding or releasing at most
-    one cable per iteration. Phase 1 (_nearest_box_point) starts from the
-    box-clipped equilibrium projection of t_min on every cable and
-    minimizes the distance to the equilibrium set {t : A t = f} over the
-    box. Phase 2 (_min_shift) starts from the feasible point phase 1
-    reaches and finds the box point rendering that force that is nearest
-    t_min. The result is:
+    One active-set loop (_active_set), holding or releasing at most one
+    cable per iteration, starts from the box-clipped equilibrium
+    projection of t_min on every cable. It minimizes the distance to the
+    equilibrium set {t : A t = f} over the box until an iterate renders f,
+    and then finds the box point rendering that iterate's force that is
+    nearest t_min. The result is:
 
     * intersection nonempty -> the Euclidean projection of t_min onto the
       intersection, status FEASIBLE_EXACT, with a force residual
@@ -970,7 +916,7 @@ def solve(
     * otherwise ITERATION_CAP: max_iterations ran out, or the tolerance is
       below what the rounding of the steps lets the residual reach.
 
-    Both phases work on the rank-r system rows t = goal f, with
+    The loop works on the rank-r system rows t = goal f, with
     rows = V_r^T and goal = S_r^-1 U_r^T from one SVD A = U S V^T; it holds
     exactly when A t = P_range(A) f, so rank-deficient layouts need no
     special case. Everything that depends on A alone, or on A and the
@@ -982,8 +928,8 @@ def solve(
     taken as it is, checked once when it was built; anything else is
     built into one first, so a plain array gets its checks and its bits.
     A bad matrix, force or bounds raises ValueError. ``iterations``
-    counts the active-set iterations of both phases, including the one
-    that certifies the result, so it is at least 1, and it is 1 for an
+    counts the loop's iterations, including the one that certifies the
+    result, so it is at least 1, and it is 1 for an
     answer from a kept working set or at t_min. A kept set's answer is the
     cold solve's, bit for bit, except that it lifts an ITERATION_CAP: a
     kept set that certifies for f answers FEASIBLE_EXACT or
@@ -993,11 +939,9 @@ def solve(
     A force with a component of _fields.MAX_MAGNITUDE (1e100 N) or more
     raises ValueError naming it, as TensionBounds does for such a t_max.
     The exact working sets A's factorization keeps answer first, then
-    t_min's, from the start phase 1 would take, then the nearest ones
-    (_reuse). A cold solve answers with the _optimum of the first working
-    set phase 2 builds that gives one, phase 1's own set first, or with the
-    _nearest_optimum of the nearest point's set phase 1 ends on, and keeps
-    that set.
+    t_min's, from the start the loop would take, then the nearest ones
+    (_reuse). A cold solve answers with the _optimum or _nearest_optimum
+    of the one working set the loop certifies, and keeps that set.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     fac = _factorization(A)
@@ -1022,36 +966,7 @@ def solve(
         found = _reuse(fac.nearest_sets, _nearest_optimum, fac, floats, fvec, box, tol)
         if found is not None:
             return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, 1)
-    # phase 1 squares f - A t, which negates A t - f exactly, so a solve it
-    # ends needs no second residual
-    t, x, rendered, squared, status, iterations = _nearest_box_point(
-        fac, fvec, box, t, tol, cfg.max_iterations
-    )
-    if floats is None:
-        floats = fvec.tolist()
-    if status is not None:
-        if status is SolveStatus.NEAREST_FEASIBLE:
-            ws = _nearest_set(fac, box, t)
-            found = None if ws is None else _nearest_optimum(fac, ws, floats, fvec, box, tol)
-            if found is not None:
-                fac.keep(fac.nearest_sets, ws)
-                return _result(box, *found, status, iterations)
-        # the iteration cap, or a degenerate nearest point: phase 1's iterate
-        return _result(box, x, rendered, math.sqrt(squared), status, iterations)
-    lo, hi = box.lo_floats, box.hi_floats
-    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
-    budget = cfg.max_iterations - iterations + 1
-    found, t, ws, more = _min_shift(fac, box, t, x, free, floats, fvec, tol, budget)
-    iterations += more - 1
-    if found is not None:
-        fac.keep(fac.sets, ws)
-        return _result(box, *found, SolveStatus.FEASIBLE_EXACT, iterations)
-    x, rendered, residual = _rendering(fac, t, fvec)
-    # the rounding of phase 2's steps can leave a certified point just
-    # above a tolerance set near the rounding level of the force
-    exact = ws is not None and residual <= tol
-    status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
-    return _result(box, x, rendered, residual, status, iterations)
+    return _active_set(fac, box, t, fvec, floats or fvec.tolist(), tol, cfg.max_iterations)
 
 
 def _result(box, x, rendered, residual, status, iterations) -> SolveResult:

@@ -9,7 +9,14 @@ The first form solves the corpus with the cablehaptics on the import path
 and writes DIR; the second does the same with numpy's RuntimeWarnings as
 errors. The third solves nothing: it reads two runs already written, DIR
 and BASE, and reports per part and mode how many solves moved and by how
-much. Digests are per host, since BLAS kernels may group a product
+much, the solves capped below the default max_iterations apart from the
+rest, since a kept set lifts a cap by design, and the largest tension
+move at tolerances below 1e-3 apart from the larger ones, since a
+nearest iterate is certified only to a tenth of the tolerance. Each
+seeded nearest answer that moved at a larger tolerance is checked
+against tests/qp_oracle.py's nearest_point_qp: the report gives the
+largest distance of its rendered force from the oracle's, in BASE and in
+DIR. Digests are per host, since BLAS kernels may group a product
 differently on another CPU: compare two trees on one host.
 
 Parts (112,572 solves):
@@ -29,7 +36,8 @@ Parts (112,572 solves):
 Each part runs in two modes: warm, in order with the caches as the runs
 leave them, and cleared, with solver._factorize and solver._box cleared
 before every solve. DIR gets summary.json and, per part and mode, an .npz
-of every solve's status, iterations, tensions, rendered force and residual.
+of every solve's status, iterations, tensions, rendered force and
+residual, and its tolerance and max_iterations.
 The summary gives per part and mode the status and iteration counts and a
 sha256 over each solve's status, iterations, and tensions, rendered force
 and residual in float hex. The commands run through cablehaptics.cli.main
@@ -53,6 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from cablehaptics import TensionBounds, cli, simulation, solver
+from qp_oracle import nearest_point_qp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import gen_inputs  # noqa: E402
@@ -67,8 +76,8 @@ SOLVES_PER_MATRIX = 8
 
 
 class Recorder:
-    """solver.solve, recording every call's result; in cleared mode the
-    caches are cleared before each call."""
+    """solver.solve, recording every call's result and config; in cleared
+    mode the caches are cleared before each call."""
 
     def __init__(self, cleared: bool):
         self.cleared = cleared
@@ -80,7 +89,7 @@ class Recorder:
             solver._factorize.cache_clear()
             solver._box.cache_clear()
         result = self._solve(A, f, bounds, config)
-        self.results.append(result)
+        self.results.append((result, config or solver.SolverConfig()))
         return result
 
     @contextlib.contextmanager
@@ -161,8 +170,10 @@ def run_parts(cleared: bool) -> dict[str, list]:
     return parts
 
 
-def record(results) -> dict[str, np.ndarray]:
-    """The arrays of a part's results; tensions padded with NaN to 8."""
+def record(solves) -> dict[str, np.ndarray]:
+    """The arrays of a part's (result, config) pairs; tensions padded with
+    NaN to 8."""
+    results = [r for r, _ in solves]
     n = len(results)
     tensions = np.full((n, 8), np.nan)
     for i, r in enumerate(results):
@@ -173,11 +184,14 @@ def record(results) -> dict[str, np.ndarray]:
         "tensions": tensions,
         "rendered": np.array([r.rendered_force for r in results]).reshape(n, 3),
         "residual": np.array([r.force_residual for r in results]),
+        "tolerance": np.array([c.tolerance for _, c in solves]),
+        "max_iterations": np.array([c.max_iterations for _, c in solves], dtype=np.int64),
     }
 
 
-def summary(results) -> dict:
+def summary(solves) -> dict:
     """Status and iteration counts and the sha256 of a part's results."""
+    results = [r for r, _ in solves]
     digest = hashlib.sha256()
     for r in results:
         values = [*r.tensions.tolist(), *r.rendered_force.tolist(), r.force_residual]
@@ -206,31 +220,73 @@ def write(out: Path) -> dict:
     return report
 
 
+def oracle_distance(A, f, bounds, rendered) -> float:
+    """||rendered - A t*||, t* the nearest box point nearest_point_qp gives
+    for (A, f, bounds): the nearest reachable force is unique."""
+    m = A.shape[1]
+    per_cable = [bounds] * m if isinstance(bounds, TensionBounds) else bounds
+    lo = np.array([b.t_min for b in per_cable])
+    hi = np.array([b.t_max for b in per_cable])
+    return float(np.linalg.norm(rendered - A @ nearest_point_qp(A, f, lo, hi)))
+
+
 def compare(base: Path, head: Path) -> list[str]:
-    """Per part and mode: how many solves changed a bit of their answer,
-    by their status in BASE, the largest tension move, how many changed
-    status or iterations, and the mean and max iterations on both sides."""
+    """Per part and mode, and within it for the uncapped and the capped
+    solves apart: how many solves changed a bit of their answer, by their
+    status in BASE, the largest tension move at tolerances below 1e-3 and
+    at larger ones, which statuses changed, how many changed iterations,
+    the mean and max iterations on both sides, and, for the seeded part,
+    the oracle check of the nearest answers that moved at a larger
+    tolerance."""
     lines = []
     base_report = json.loads((base / "summary.json").read_text())
+    cases = None
     for key, got in json.loads((head / "summary.json").read_text()).items():
         was = base_report[key]
         b, h = np.load(base / f"{key}.npz"), np.load(head / f"{key}.npz")
         bits = [np.hstack([r["tensions"], r["rendered"], r["residual"][:, None]]) for r in (b, h)]
         moved = np.any(bits[0].view(np.uint64) != bits[1].view(np.uint64), axis=1)
-        by_status = ", ".join(
-            f"{status.value} {int((moved & (b['status'] == k)).sum())}"
-            for k, status in enumerate(STATUSES)
-        )
-        move = np.nan_to_num(np.abs(b["tensions"] - h["tensions"]))
-        lines.append(
-            f"{key}: {got['solves']} solves, {int(moved.sum())} moved ({by_status}), "
-            f"largest tension move {move.max():.3g} N, "
-            f"{int((b['status'] != h['status']).sum())} changed status, "
-            f"{int((b['iterations'] != h['iterations']).sum())} changed iterations "
-            f"(mean {was['mean_iterations']:.4f} -> {got['mean_iterations']:.4f}, "
-            f"max {was['max_iterations']} -> {got['max_iterations']}), "
-            f"sha256 {'same' if was['sha256'] == got['sha256'] else 'differs'}"
-        )
+        move = np.nan_to_num(np.abs(b["tensions"] - h["tensions"])).max(axis=1)
+        small = h["tolerance"] < 1e-3
+        capped = h["max_iterations"] < solver.SolverConfig.max_iterations
+        same = "same" if was["sha256"] == got["sha256"] else "differs"
+        lines.append(f"{key}: {got['solves']} solves, sha256 {same}")
+        for name, part in (("uncapped", ~capped), ("capped", capped)):
+            if not part.any():
+                continue
+            by_status = ", ".join(
+                f"{status.value} {int((moved & part & (b['status'] == k)).sum())}"
+                for k, status in enumerate(STATUSES)
+            )
+            changed = Counter(
+                f"{STATUSES[x].value} -> {STATUSES[y].value}"
+                for x, y in zip(b["status"][part], h["status"][part])
+                if x != y
+            )
+            iterations = [r["iterations"][part] for r in (b, h)]
+            lines.append(
+                f"  {name}: {int(part.sum())} solves, {int((moved & part).sum())} moved "
+                f"({by_status}), largest tension move {move[part & small].max(initial=0.0):.3g} N "
+                f"at tolerances below 1e-3 and {move[part & ~small].max(initial=0.0):.3g} N "
+                f"above, {sum(changed.values())} changed status {dict(changed)}, "
+                f"{int((iterations[0] != iterations[1]).sum())} changed iterations "
+                f"(mean {iterations[0].mean():.4f} -> {iterations[1].mean():.4f}, "
+                f"max {iterations[0].max()} -> {iterations[1].max()})"
+            )
+        if key.startswith("seeded."):
+            cases = cases or seeded_cases()
+            nearest = STATUSES.index(solver.SolveStatus.NEAREST_FEASIBLE)
+            both = (b["status"] == nearest) & (h["status"] == nearest)
+            check = np.flatnonzero(moved & ~small & both)
+            gaps = [
+                max((oracle_distance(*cases[i][:3], r["rendered"][i]) for i in check), default=0.0)
+                for r in (b, h)
+            ]
+            lines.append(
+                f"  {len(check)} nearest answers moved at tolerances of 1e-3 and above; the "
+                f"largest distance of a rendered force from nearest_point_qp's is "
+                f"{gaps[0]:.3g} N in BASE and {gaps[1]:.3g} N here"
+            )
     return lines
 
 

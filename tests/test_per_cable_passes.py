@@ -1,10 +1,11 @@
 """The solver's per-cable passes against the numpy expressions they replace.
 
 Each reference below is the array form of one decision the active-set
-iterations make: the nearest-box-point certificate, the ratio test, phase
-1's release of a held cable and phase 2's multiplier sign test. The passes
-must agree with them exactly: the same booleans, the same blocking and
-released cables, and bit-identical arrays. The cases are seeded and built
+iterations make: the ratio test, and a working set's certificate, the held
+cable whose descent or step points furthest into the box, which both the
+descent test before f is rendered and the multiplier test after it take.
+The passes must agree with them exactly: the same booleans, the same
+blocking and released cables, and bit-identical arrays. The cases are seeded and built
 to hit ties, steps inside the +-rounding band, no moving cable, no held
 cable and every m from 1 to 8 (case k has 1 + k % 8 cables), and each
 test checks that its cases reach every outcome, ties included.
@@ -21,8 +22,8 @@ The per-cable arithmetic is passes too: phase 1's start, the projection
 of t_min clipped into the box, with its decision that every cable is on
 its floor, the move of a point along a step clipped into the box (a
 blocked ratio step's move), the full ratio step, clipped in the pass that
-looks for the blocking cable, and phase 2's held vector and step, which
-phase 2 builds inline and the tests read off the products it takes. Each
+looks for the blocking cable, and an iteration's held vector and step,
+which the tests read off the products the loop takes. Each
 must give the bytes of the numpy expression it replaces, on values
 exactly at a bound and on signed zeros, the start's decision must be the
 tuple comparison with t_min, and no solve may call np.minimum or
@@ -32,10 +33,11 @@ The two rank counts, of a structure matrix and of a free-column block,
 are passes too, checked against the numpy expressions they replace on
 seeded matrices of every rank, with singular values on both sides of the
 cutoff, and on singular values exactly at it and one float either side.
-On each of those blocks that has a free cable, phase 1's step, the
-block's shift operator times goal r with the held cables' entries set to
-0.0 in a pass, must give the bytes of the shift operator with its held
-rows zeroed times goal r on every free cable, and +0.0 on every held one.
+On each of those blocks that has a free cable, the step before f is
+rendered, the block's shift operator times goal r with the held cables'
+entries set to 0.0 in a pass, must give the bytes of the shift operator
+with its held rows zeroed times goal r on every free cable, and +0.0 on
+every held one.
 
 Both SVDs call LAPACK's gufunc without np.linalg.svd's wrapper, and the
 norms of a new matrix take numpy's ufuncs without np.linalg.norm's. The
@@ -61,10 +63,6 @@ TOL = 1e-9
 CASES = 2000
 
 
-def reference_certificate(x, d, lo, hi, tol):
-    return not np.count_nonzero(((d > tol) & (x < hi)) | ((d < -tol) & (x > lo)))
-
-
 def reference_ratio_step(t, step, lo, hi, rounding):
     moving = np.abs(step) > rounding
     room = np.divide(
@@ -78,21 +76,11 @@ def reference_ratio_step(t, step, lo, hi, rounding):
     return t, blocking
 
 
-def reference_release(held, t, d, lo, tol):
-    """The held mask after phase 1's release test."""
-    held = held.copy()
-    if not np.count_nonzero(np.abs(np.where(held, 0.0, d)) > tol):
-        into_box = np.where(held, np.where(t <= lo, d, -d), -np.inf)
-        held[into_box.argmax()] = False
-    return held
-
-
-def reference_worst_multiplier(held, t, shift, lo, rounding):
-    """(certified, worst cable, its wrong amount) of phase 2's KKT test."""
-    mu = t - lo - shift
-    wrong = np.where(held, np.where(t <= lo, -mu, mu), -np.inf)
-    worst = int(wrong.argmax())
-    return bool(wrong[worst] <= rounding), worst, wrong[worst]
+def reference_worst(held, t, g, lo):
+    """(into-box amounts, worst cable) of a working set's certificate: g at
+    a held cable's floor, -g at its ceiling, -inf on a free cable."""
+    into_box = np.where(held, np.where(t <= lo, g, -g), -np.inf)
+    return into_box, int(into_box.argmax())
 
 
 def random_case(rng, m):
@@ -132,16 +120,6 @@ def cases(seed):
 def is_tie(values, index):
     """More than one entry of values equals values[index]."""
     return np.count_nonzero(values == values[index]) > 1
-
-
-def test_certificate_matches_reference():
-    outcomes = set()
-    for (lo, hi, x, d), _ in cases(1):
-        expected = reference_certificate(x, d, lo, hi, TOL)
-        got = solver._is_nearest_box_point(x.tolist(), d.tolist(), lo.tolist(), hi.tolist(), TOL)
-        assert got is expected
-        outcomes.add(got)
-    assert outcomes == {True, False}
 
 
 def check_ratio_step(lo, hi, t, step):
@@ -187,42 +165,24 @@ def test_ratio_step_matches_reference():
     assert full_clips == MOVE_OUTCOMES
 
 
-def test_release_matches_reference():
-    released, ties = set(), 0
-    for (lo, hi, t, d), rng in cases(3):
+def test_worst_matches_reference():
+    outcomes, ties = set(), 0
+    for (lo, hi, t, g), rng in cases(4):
         held = (t <= lo) | (t >= hi)
         if rng.random() < 0.3:
+            # a released cable may sit on its bound, free
             held = held & rng.integers(0, 2, len(t)).astype(bool)
-        expected = reference_release(held, t, d, lo, TOL)
-        free = (~held).tolist()
-        pick = solver._release(free, t.tolist(), d.tolist(), lo.tolist(), TOL)
-        if pick >= 0:
-            assert not free[pick]
-            free[pick] = True
-            ties += is_tie(np.where(held, np.where(t <= lo, d, -d), -np.inf), pick)
-        np.testing.assert_array_equal(~np.array(free), expected)
-        released.add((pick >= 0, bool(held.any())))
-    assert released == {(True, True), (False, True), (False, False)}
-    assert ties > 20
-
-
-def test_worst_multiplier_matches_reference():
-    outcomes, ties = set(), 0
-    for (lo, hi, t, shift), rng in cases(4):
-        held = (t <= lo) | (t >= hi)
-        certified, worst, amount = reference_worst_multiplier(held, t, shift, lo, ROUNDING)
-        got_worst, got_amount = solver._worst_multiplier(
-            (~held).tolist(), t.tolist(), shift.tolist(), lo.tolist()
-        )
-        assert (got_amount <= ROUNDING) is certified
+        into_box, worst = reference_worst(held, t, g, lo)
+        got_worst, got_amount = solver._worst((~held).tolist(), t.tolist(), g.tolist(), lo.tolist())
         if held.any():
             assert got_worst == worst
-            assert np.float64(got_amount).tobytes() == amount.tobytes()
-            mu = t - lo - shift
-            ties += is_tie(np.where(held, np.where(t <= lo, -mu, mu), -np.inf), worst)
+            assert np.float64(got_amount).tobytes() == into_box[worst].tobytes()
+            ties += is_tie(into_box, worst)
         else:
             assert (got_worst, got_amount) == (-1, -np.inf)
-        outcomes.add((certified, bool(held.any())))
+        # the descent test's threshold and the multiplier test's
+        for threshold in (TOL, ROUNDING):
+            outcomes.add((bool(got_amount <= threshold), bool(held.any())))
     assert outcomes == {(True, True), (False, True), (True, False)}
     assert ties > 20
 
@@ -337,8 +297,8 @@ def test_ratio_step_move_matches_reference():
 
 
 class Product:
-    """A cached operator in phase 2: records each vector it multiplies and
-    returns a fixed result."""
+    """A cached operator of a stand-in factorization: records each vector
+    it multiplies and returns a fixed result."""
 
     def __init__(self, result):
         self.result, self.operands = np.asarray(result), []
@@ -364,29 +324,37 @@ def box_of(lo, hi):
     return solver._Box(lo, ROUNDING, tuple(lo.tolist()), hi_floats, sum(hi_floats))
 
 
-def phase_2_iteration(monkeypatch, t, lo, hi, shift):
-    """(held vector, step) of one phase-2 iteration from the box point t,
-    its free set read from t, with rows^T lam stubbed to give shift and the
-    working set giving no answer: the vector phase 2 multiplies by rows and
-    the step it hands the ratio step."""
-    rows, steps = Product(np.zeros(1)), []
-    blk = SimpleNamespace(rank=1, shift_op=ShiftOp(shift))
-    fac = SimpleNamespace(rows=rows, rank=1, goal=np.zeros((1, 3)), block=lambda free: blk)
+def first_step(monkeypatch, fac, t, box, f):
+    """The step the loop's first iteration hands the ratio step from the
+    box point t, a list, its free set read from t, on the stand-in
+    factorization fac, for the force f, with the ratio step blocked so
+    that the one iteration ends there."""
+    steps = []
 
     def ratio_step(t, step, box):
-        steps.append(np.array(step))
+        steps.append(step)
         return t, 0  # blocked, so the one iteration ends there
 
     monkeypatch.setattr(solver, "_ratio_step", ratio_step)
-    monkeypatch.setattr(solver, "_optimum", lambda *args: None)
-    box = box_of(lo, hi)
-    free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t.tolist(), lo.tolist(), hi.tolist())]
+    result = solver._active_set(fac, box, t, np.array(f), f, 1e-8, 1)
+    assert result.status is solver.SolveStatus.ITERATION_CAP and len(steps) == 1
+    assert type(steps[0]) is list and list(map(type, steps[0])) == [float] * len(t)
+    return np.array(steps[0])
+
+
+def phase_2_iteration(monkeypatch, t, lo, hi, shift):
+    """(held vector, step) of one iteration from the box point t, which
+    renders f, with rows^T lam stubbed to give shift: the vector the
+    iteration multiplies by rows and the step it hands the ratio step."""
     f = [0.0, 0.0, 1.0]
-    got = solver._min_shift(fac, box, t.tolist(), t, free, f, np.array(f), 1e-8, 1)
-    assert got == (None, t.tolist(), None, 1)
-    # rows multiplies the held vector, then t0 for the target
-    assert len(rows.operands) == 2 and rows.operands[1].tobytes() == t.tobytes()
-    return rows.operands[0], steps[0]
+    rows = Product(np.zeros(1))
+    blk = SimpleNamespace(rank=1, shift_op=ShiftOp(shift))
+    # A t renders f exactly, so the target is rows t from the start
+    fac = SimpleNamespace(matrix=Product(f), rows=rows, rank=1, block=lambda free: blk)
+    step = first_step(monkeypatch, fac, t.tolist(), box_of(lo, hi), f)
+    # rows multiplies t for the target, then the held vector
+    assert len(rows.operands) == 2 and rows.operands[0].tobytes() == t.tobytes()
+    return rows.operands[1], step
 
 
 def test_phase_2_held_vector_and_step_match_reference(monkeypatch):
@@ -405,7 +373,7 @@ def test_phase_2_held_vector_and_step_match_reference(monkeypatch):
             lo, hi = rng.choice([0.0, -0.0], m), np.ones(m)
             t = np.where(rng.random(m) < 0.6, 0.5, rng.choice([0.0, -0.0, 1.0], m))
             shift = rng.choice([0.0, -0.0, 0.5, 0.25], m)
-        # phase 2 reads its free set from t
+        # the loop reads its free set from t
         free = (lo < t) & (t < hi)
         if k % 10 == 0:
             # every cable free, or every cable on a bound
@@ -490,7 +458,9 @@ def optimum_cases(seed, count):
             blk = fac.block(free.tolist())
             if blk.rank in (fac.rank, free.sum()):
                 t = [h if up else b for b, h, up in zip(lo, hi, rng.random(m) < 0.3)]
-                sets.append(solver._working_set(fac, blk, free.tolist(), t, lo))
+                held = [b if up else h for b, h, up in zip(lo, t, free)]
+                c = fac.rows.dot(np.array(held))
+                sets.append(solver._working_set(fac, blk, free.tolist(), held, c))
         for ws in sets:
             for f in forces:
                 yield fac, ws, f, box, tol
@@ -541,32 +511,20 @@ def reference_block(rows, rows_t, free):
 
 
 def phase_1_step(monkeypatch, blk, free, g):
-    """The step one phase-1 iteration hands the ratio step on the block blk
-    of the mask free, which has a free cable, with goal r stubbed to give
-    g: the start leaves each free cable inside the box [0, 1] and each held
-    one on a bound, and its certificate direction moves every free cable,
-    so the iteration releases none and steps."""
-    start = np.where(free, 0.5, np.where(np.arange(len(free)) % 2, 2.0, -1.0))
+    """The step one iteration hands the ratio step before f is rendered, on
+    the block blk of the mask free, with goal r stubbed to give g: the
+    start leaves each free cable inside the box [0, 1] and each held one
+    on a bound, and misses f."""
+    start = np.where(free, 0.5, np.where(np.arange(len(free)) % 2, 1.0, 0.0))
     fac = SimpleNamespace(
         matrix=Product(np.zeros(3)),
+        rows=None,
         goal=Product(g),
-        pinv=Product(start),
-        goal_norm=1.0,
+        rank=blk.rank,
         block=lambda mask: blk,
     )
-    steps = []
-
-    def ratio_step(t, step, box):
-        steps.append(step)
-        return t, 0  # blocked, so the one iteration ends there
-
-    monkeypatch.setattr(solver, "_ratio_step", ratio_step)
     box = box_of(np.zeros(len(free)), np.ones(len(free)))
-    f = np.array([0.0, 0.0, 1.0])
-    got = solver._nearest_box_point(fac, f, box, np.clip(start, 0.0, 1.0).tolist(), TOL, 1)
-    assert got[4] is solver.SolveStatus.ITERATION_CAP and len(steps) == 1
-    assert type(steps[0]) is list and list(map(type, steps[0])) == [float] * len(free)
-    return np.array(steps[0])
+    return first_step(monkeypatch, fac, start.tolist(), box, [0.0, 0.0, 1.0])
 
 
 def rank_case(rng, m):
@@ -624,7 +582,7 @@ def test_factorization_rank_matches_reference():
 def test_block_rank_matches_reference(monkeypatch):
     rng = np.random.default_rng(6)
     ranks, near = set(), np.zeros(2, dtype=int)
-    # goal r for phase 1's steps, drawn apart so the matrices stay as seeded
+    # goal r for the steps, drawn apart so the matrices stay as seeded
     goals, steps = np.random.default_rng(60), 0
     for k in range(300):
         m = 1 + k % 8
@@ -640,7 +598,6 @@ def test_block_rank_matches_reference(monkeypatch):
             assert blk.rank == rank
             assert blk.u.tobytes() == u.tobytes()
             assert blk.shift_op.tobytes() == shift_op.tobytes()
-            # phase 1 never steps with every cable held: it releases one
             if free.any():
                 g = goals.normal(size=fac.rank)
                 # the retired step operator: shift_op with the held rows zeroed

@@ -223,8 +223,9 @@ class TestSolve:
         assert result.iterations == 1
 
     def test_phase_2_budget_runs_out(self):
-        # phase 1 reaches a feasible point in two iterations, which leaves
-        # phase 2 one iteration: too few to certify the projection
+        # the second iterate renders f on a free block short of A's rank,
+        # so the third releases a cable for rank and the fourth would
+        # certify the projection: three are too few
         layout, ee = default_validation_layout()
         A = structure_matrix(layout, ee)
         result = solve(A, sphere_samples(182, 1.5)[0], layout.bounds, SolverConfig(max_iterations=3))
@@ -856,15 +857,16 @@ def _starts_at_t_min(seed=24, matrices=600):
 
 
 def _certificate_spy(monkeypatch):
-    """A list that counts the calls of _is_nearest_box_point from now on."""
+    """A list that counts the calls of _worst, a working set's certificate
+    pass, from now on."""
     calls = []
-    real = solver._is_nearest_box_point
+    real = solver._worst
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(solver, "_is_nearest_box_point", spy)
+    monkeypatch.setattr(solver, "_worst", spy)
     return calls
 
 
@@ -929,7 +931,7 @@ class TestAnswersAtTMin:
         assert _outcome(solve(A, f, bounds)) == before
 
     def test_the_first_direction_at_t_min_is_the_start_step(self, monkeypatch):
-        # phase 1's direction d = A+ r is the start's step to the bit, and
+        # the first descent d = A+ r is the start's step to the bit, and
         # the clip kept each t_min,i + s_i on t_min,i, so s_i <= eps/2
         # t_min,i: where the rule fires, the certificate would pass
         calls = _certificate_spy(monkeypatch)
@@ -954,7 +956,7 @@ class TestAnswersAtTMin:
                 unit = 16.0 * _EPS * fac.goal_norm * (root + 2.0 * box.hi_sum) <= stationary
                 rule = unit and _EPS * box.hi_sum <= stationary
                 del calls[:]
-                # cold, so that phase 1 runs and no kept set answers
+                # cold, so that the loop runs and no kept set answers
                 _clear_caches()
                 result = solve(A, f, bounds, SolverConfig(max_iterations=1, tolerance=tol))
                 assert bool(calls) is not rule
@@ -965,11 +967,12 @@ class TestAnswersAtTMin:
                     assert result.tensions.tobytes() == box.lo.tobytes()
                 else:
                     passed += 1
-                    x, d = calls[0][:2]
+                    free, x, d = calls[0][:3]
+                    assert not any(free)
                     assert np.array(x).tobytes() == np.array(lo).tobytes()
                     assert np.array(d).tobytes() == np.array(step).tobytes()
                     # the rule's threshold, eps sum t_max, is one d passes
-                    assert solver._is_nearest_box_point(lo, d, lo, box.hi_floats, _EPS * box.hi_sum)
+                    assert solver._worst(free, lo, d, lo)[1] <= _EPS * box.hi_sum
         # the tolerances leave cases on both sides of the rule
         assert len(cases) >= 500 and fired >= 1000 and passed >= 1000
 
@@ -1082,33 +1085,36 @@ class TestResultConstructor:
 LO, HI, TOL = 0.5, 6.0, 1e-3
 
 
-class TestNearestBoxPointCertificate:
+class TestWorkingSetCertificate:
+    """_worst: the held cable whose descent, or step toward its set's
+    optimum, points furthest into the box; a set certifies when that
+    amount is at most the threshold."""
+
     @pytest.mark.parametrize(
-        "x, d, certified",
+        "x, g, certified",
         [
-            (LO, 0.01, False),  # floor, descent points back into the box
-            (LO, -0.01, True),  # floor, descent points out of the box
+            (LO, 0.01, False),  # floor, g points back into the box
+            (LO, -0.01, True),  # floor, g points out of the box
             (LO, TOL, True),  # floor, exactly tol into the box
-            (HI, -0.01, False),  # ceiling, descent points back into the box
-            (HI, 0.01, True),  # ceiling, descent points out of the box
+            (HI, -0.01, False),  # ceiling, g points back into the box
+            (HI, 0.01, True),  # ceiling, g points out of the box
             (HI, -TOL, True),  # ceiling, exactly tol into the box
-            (3.0, 0.01, False),  # free, not stationary upward
-            (3.0, -0.01, False),  # free, not stationary downward
-            (3.0, TOL, True),  # free, exactly tol
-            (3.0, -TOL, True),
-            (3.0, 0.0, True),
         ],
     )
-    def test_one_cable(self, x, d, certified):
-        args = (np.array([x]), np.array([d]), np.array([LO]), np.array([HI]), TOL)
-        assert solver._is_nearest_box_point(*args) is certified
+    def test_one_held_cable(self, x, g, certified):
+        worst, amount = solver._worst([False], [x], [g], [LO])
+        assert worst == 0 and (amount <= TOL) is certified
 
-    @pytest.mark.parametrize("d_free, certified", [(0.0, True), (0.01, False)])
-    def test_every_cable_counts(self, d_free, certified):
-        x = np.array([LO, HI, 3.0])
-        d = np.array([-1.0, 1.0, d_free])
-        lo, hi = np.full(3, LO), np.full(3, HI)
-        assert solver._is_nearest_box_point(x, d, lo, hi, TOL) is certified
+    @pytest.mark.parametrize("g_free", [0.0, 0.01, -1.0])
+    def test_free_cables_do_not_count(self, g_free):
+        # a free cable sits at its set's optimum, whatever its g
+        x, lo = [LO, HI, 3.0], [LO] * 3
+        assert solver._worst([False, False, True], x, [-1.0, 1.0, g_free], lo) == (0, -1.0)
+        assert solver._worst([True] * 3, x, [1.0, -1.0, g_free], lo) == (-1, -math.inf)
+
+    def test_the_worst_held_cable_is_released_first(self):
+        x, lo = [LO, HI, LO, HI], [LO] * 4
+        assert solver._worst([False] * 4, x, [0.5, -2.0, 2.0, 0.0], lo) == (1, 2.0)
 
 
 class TestRatioStep:

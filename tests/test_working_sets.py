@@ -59,7 +59,7 @@ HUGE_RESULTS = {
     (HUGE_FORCES[0], 6.0): (SolveStatus.NEAREST_FEASIBLE, 1, 1e90),
     (HUGE_FORCES[1], 6.0): (SolveStatus.NEAREST_FEASIBLE, 1, 1.445683229480096e90),
     (HUGE_FORCES[0], 1e99): (SolveStatus.ITERATION_CAP, 4, 1.130782121458166e75),
-    (HUGE_FORCES[1], 1e99): (SolveStatus.ITERATION_CAP, 3, 3.326210554704422e75),
+    (HUGE_FORCES[1], 1e99): (SolveStatus.ITERATION_CAP, 2, 7.436558338274357e74),
 }
 
 
@@ -222,36 +222,40 @@ def test_huge_forces_meet_the_kept_sets_and_keep_their_results(monkeypatch, orde
         if tuple(f.tolist()) in HUGE_FORCES
     }
     assert got == HUGE_RESULTS
-    # a huge force is asked for like any other: from phase 1's working set
-    # on both boxes, nearest on the 6 N box, and from the kept sets
-    # wherever earlier solves kept some
+    # a huge force is asked for like any other: from the set its
+    # certificate passes on both boxes, nearest on the 6 N box, and from
+    # the kept sets wherever earlier solves kept some
     assert tried == {6.0, 1e99}
 
 
 def test_phase_1_working_set_spares_cold_solves_phase_2(monkeypatch):
-    # phase 2 asks phase 1's working set for its answer before it steps, and
-    # on the validation sphere that set certifies for all but one force
-    steps = []
-    shift = solver._shift
+    # the iteration whose iterate first renders f tests that set's
+    # multipliers at once, and on the validation sphere the first set
+    # tested after f is rendered answers every force: no solve steps
+    # toward the force an iterate renders a second time
+    targets = []
+    toward = solver._toward
 
     def spy(*args):
-        steps.append(args)
-        return shift(*args)
+        targets.append(args)
+        return toward(*args)
 
-    monkeypatch.setattr(solver, "_shift", spy)
+    monkeypatch.setattr(solver, "_toward", spy)
     A = structure_matrix(VALIDATION_LAYOUT, VALIDATION_EE)
-    iterations = Counter()
+    iterations, rendered = Counter(), Counter()
     for f in sphere_samples(182, 1.5):
         clear_caches()
+        del targets[:]
         iterations[solve(A, f, VALIDATION_LAYOUT.bounds).iterations] += 1
-    assert len(steps) <= 1
-    assert iterations == {2: 32, 3: 120, 4: 30}
+        rendered[len(targets)] += 1
+    assert rendered == {1: 182}
+    assert iterations == {1: 32, 2: 120, 3: 29, 4: 1}
 
 
 def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
     monkeypatch, reuse_log
 ):
-    # phase 2 tests each set it builds as it builds it, and nothing else
+    # the loop tests each set it builds as it builds it, and nothing else
     # asks a cold solve's sets for an answer
     built, asked = [], []
     working_set = solver._working_set
@@ -282,15 +286,17 @@ def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
         assert all(ask is ws for ask, (ws, _) in zip(asked, built))
         sets_per_solve[len(built)] += 1
         if result.status is SolveStatus.NEAREST_FEASIBLE:
-            # phase 1's own set, unless the answer is t_min's or degenerate
+            # the nearest point's set, unless the answer is t_min's or
+            # degenerate
             assert len(built) <= 1 and all(nearest for _, nearest in built)
             nearest_sets[len(built)] += 1
         else:
             assert not any(nearest for _, nearest in built)
     assert not reuse_log
-    # most exact solves answer from phase 1's set, and some build more
+    # a set is built only once its certificate passes, so a cold solve
+    # builds at most one, and most build one
     assert sets_per_solve[1] > len(CORPUS) // 4
-    assert max(sets_per_solve) > 2
+    assert max(sets_per_solve) == 1
     assert nearest_sets[0] > 100 and nearest_sets[1] > 100, nearest_sets
 
 
@@ -311,9 +317,10 @@ def test_a_force_just_off_a_rank_2_plane_is_not_rendered_by_a_kept_set():
     assert answer(off) == answer(solve(M, [0.4, -0.3, 1e-6], bounds))
 
 
-# phase 1 stops once it renders f within the tolerance, so phase 2 may end
-# on the working set of a force up to the tolerance away; a kept set must
-# then certify with room for that, or it answers where a cold solve does not
+# once an iterate renders f within the tolerance, the loop steps toward the
+# force that iterate renders, so it may end on the working set of a force
+# up to the tolerance away; a kept set must then certify with room for
+# that, or it answers where a cold solve does not
 @pytest.mark.parametrize("tolerance", [1e-8, 1e-3, 0.5])
 def test_answers_do_not_depend_on_the_order_of_solves_at_any_tolerance(tolerance):
     config = SolverConfig(tolerance=tolerance)
