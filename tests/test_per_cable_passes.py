@@ -3,7 +3,8 @@
 Each reference below is the array form of one decision the active-set
 iterations make: the ratio test, and a working set's certificate, the held
 cable whose descent or step points furthest into the box, which both the
-descent test before f is rendered and the multiplier test after it take.
+descent test before f is rendered and the multiplier test after it take,
+each test's decision and the release of that cable when it fails.
 The passes must agree with them exactly: the same booleans, the same
 blocking and released cables, and bit-identical arrays. The cases are seeded and built
 to hit ties, steps inside the +-rounding band, no moving cable, no held
@@ -83,6 +84,31 @@ def reference_worst(held, t, g, lo):
     return into_box, int(into_box.argmax())
 
 
+def reference_certificate(held, x, d, lo, hi, tol):
+    """The descent test before f is rendered: no held cable's descent d
+    points into the box by more than tol."""
+    return not np.count_nonzero(held & (((d > tol) & (x < hi)) | ((d < -tol) & (x > lo))))
+
+
+def reference_release(held, t, d, lo, tol):
+    """The held mask after the descent test: the held cable whose descent
+    points furthest into the box is released if that is more than tol."""
+    held = held.copy()
+    into_box = np.where(held, np.where(t <= lo, d, -d), -np.inf)
+    if into_box.max() > tol:
+        held[into_box.argmax()] = False
+    return held
+
+
+def reference_wrong_multipliers(held, t, shift, lo):
+    """How far each held cable's multiplier has the wrong sign, -inf on a
+    free cable: t_min + shift - t is minus a held cable's multiplier at a
+    floor and its multiplier at a ceiling. The multiplier test fails on
+    the worst of them if that is more than the rounding."""
+    toward = lo + shift - t
+    return np.where(held, np.where(t <= lo, toward, -toward), -np.inf)
+
+
 def random_case(rng, m):
     """Per-cable bounds on a dyadic grid, a box point with cables at a floor,
     at a ceiling and free, and a second vector whose entries include zeros,
@@ -120,6 +146,27 @@ def cases(seed):
 def is_tie(values, index):
     """More than one entry of values equals values[index]."""
     return np.count_nonzero(values == values[index]) > 1
+
+
+def held_mask(t, lo, hi, rng):
+    """The cables of t on a bound, less some released ones in a third of
+    the cases: a released cable may sit on its bound, free."""
+    held = (t <= lo) | (t >= hi)
+    if rng.random() < 0.3:
+        held = held & rng.integers(0, 2, len(t)).astype(bool)
+    return held
+
+
+def test_certificate_matches_reference():
+    outcomes = set()
+    for (lo, hi, x, d), rng in cases(1):
+        held = held_mask(x, lo, hi, rng)
+        expected = reference_certificate(held, x, d, lo, hi, TOL)
+        _, into_box = solver._worst((~held).tolist(), x.tolist(), d.tolist(), lo.tolist())
+        got = into_box <= TOL
+        assert got is expected
+        outcomes.add((got, bool(held.any())))
+    assert outcomes == {(True, True), (False, True), (True, False)}
 
 
 def check_ratio_step(lo, hi, t, step):
@@ -165,13 +212,53 @@ def test_ratio_step_matches_reference():
     assert full_clips == MOVE_OUTCOMES
 
 
+def test_release_matches_reference():
+    released, ties = set(), 0
+    for (lo, hi, t, d), rng in cases(3):
+        held = held_mask(t, lo, hi, rng)
+        expected = reference_release(held, t, d, lo, TOL)
+        free = (~held).tolist()
+        # the loop's release after the descent test
+        pick, into_box = solver._worst(free, t.tolist(), d.tolist(), lo.tolist())
+        if into_box > TOL:
+            assert not free[pick]
+            free[pick] = True
+            ties += is_tie(np.where(held, np.where(t <= lo, d, -d), -np.inf), pick)
+        np.testing.assert_array_equal(~np.array(free), expected)
+        released.add((bool(into_box > TOL), bool(held.any())))
+    assert released == {(True, True), (False, True), (False, False)}
+    assert ties > 20
+
+
+def test_worst_multiplier_matches_reference():
+    outcomes, ties = set(), 0
+    for (lo, hi, t, shift), rng in cases(5):
+        held = held_mask(t, lo, hi, rng)
+        wrong = reference_wrong_multipliers(held, t, shift, lo)
+        worst = int(wrong.argmax())
+        certified = bool(wrong[worst] <= ROUNDING)
+        # the loop's step toward the set's optimum, shift stubbed, then its test
+        fac = SimpleNamespace(rows=Product(np.zeros(1)))
+        blk = SimpleNamespace(shift_op=ShiftOp(shift))
+        free = (~held).tolist()
+        _, _, toward = solver._toward(fac, blk, free, np.zeros(1), t.tolist(), lo.tolist())
+        got_worst, got_amount = solver._worst(free, t.tolist(), toward, lo.tolist())
+        assert (got_amount <= ROUNDING) is certified
+        if held.any():
+            assert got_worst == worst
+            assert np.float64(got_amount).tobytes() == wrong[worst].tobytes()
+            ties += is_tie(wrong, worst)
+        else:
+            assert (got_worst, got_amount) == (-1, -np.inf)
+        outcomes.add((certified, bool(held.any())))
+    assert outcomes == {(True, True), (False, True), (True, False)}
+    assert ties > 20
+
+
 def test_worst_matches_reference():
     outcomes, ties = set(), 0
     for (lo, hi, t, g), rng in cases(4):
-        held = (t <= lo) | (t >= hi)
-        if rng.random() < 0.3:
-            # a released cable may sit on its bound, free
-            held = held & rng.integers(0, 2, len(t)).astype(bool)
+        held = held_mask(t, lo, hi, rng)
         into_box, worst = reference_worst(held, t, g, lo)
         got_worst, got_amount = solver._worst((~held).tolist(), t.tolist(), g.tolist(), lo.tolist())
         if held.any():

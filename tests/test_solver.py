@@ -1112,6 +1112,12 @@ class TestWorkingSetCertificate:
         assert solver._worst([False, False, True], x, [-1.0, 1.0, g_free], lo) == (0, -1.0)
         assert solver._worst([True] * 3, x, [1.0, -1.0, g_free], lo) == (-1, -math.inf)
 
+    @pytest.mark.parametrize("x, lo", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_a_zero_floor_of_either_sign_is_a_floor(self, x, lo):
+        # t <= t_min holds across the signs of zero, so g counts as at a floor
+        assert solver._worst([False], [x], [0.5], [lo]) == (0, 0.5)
+        assert solver._worst([False], [x], [-0.5], [lo]) == (0, -0.5)
+
     def test_the_worst_held_cable_is_released_first(self):
         x, lo = [LO, HI, LO, HI], [LO] * 4
         assert solver._worst([False] * 4, x, [0.5, -2.0, 2.0, 0.0], lo) == (1, 2.0)
