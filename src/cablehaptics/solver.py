@@ -52,11 +52,14 @@ certified nearest point asks the set that point holds; a degenerate
 point, whose free cables lack full column rank or whose held descents do
 not clear the threshold, answers with the iterate, and its set is not
 kept. The set that holds every cable on its floor needs no block: its
-optimum is t_min, its descent is the start step A^+ (f - A t_min), bit
-for bit, and a start that the clip left on t_min has each component at or
-below eps/2 t_min (see _floor_residual), so such a solve answers at 1
-iteration from the start it computed anyway, with the box's t_min and
-the factorization's A t_min, which every such answer shares.
+optimum is t_min and its descent A^+ (f - A t_min), which one float pass
+over A^+'s rows forms from the floats of f and of A t_min, asking on each
+cable whether the start's clip would leave it on its floor. That pass
+rounds otherwise than the loop's BLAS product, by at most
+3 eps ||A^+|| ||f - A t_min||, and the conditions under which t_min
+answers already cover that (see _floor_residual). Such a solve answers
+at 1 iteration with no numpy call, with the box's t_min and the
+factorization's A t_min, which every such answer shares.
 
 Each cached factorization keeps the sets its solves certified, exact and
 nearest apart (at most _MAX_SETS in all, the oldest of either kind making
@@ -96,19 +99,22 @@ is Python passes over lists of floats. Each pass does the same float
 operations in the same order as the array expression it replaces: its
 clip keeps the bound on a tie, as np.maximum and np.minimum return their
 second operand, and its choices break ties toward the lowest index, as
-argmin and argmax do, so the results are bit for bit the same. The one
-exception is a working set's shift, p_i . f - q_i, which groups the same
-products otherwise than shift_op (goal f - c) and so differs from it at
-the rounding level; every answer from a working set takes it, so an
-answer still depends on nothing but the problem. Every answer's arrays
-are read-only: _result freezes fresh ones, and t_min and A t_min are
-frozen once, when the box and the factorization make them.
+argmin and argmax do, so the results are bit for bit the same. The
+exceptions are the three passes that stand for a product: a working
+set's shift, p_i . f - q_i, which groups the same products otherwise than
+shift_op (goal f - c), t_min's descent (above), and the force residual,
+a float sum within 2 ulps of numpy's dot (_residual). Each differs from
+the product at the rounding level, and every answer of its kind takes
+it, so an answer still depends on nothing but the problem. Every
+answer's arrays are read-only: _result freezes fresh ones, and t_min and
+A t_min are frozen once, when the box and the factorization make them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple, Sequence, Union
@@ -189,8 +195,10 @@ class SolveResult:
     """Tensions plus the force they actually render and solve diagnostics.
 
     ``tensions`` is always box-feasible, whatever the status. ``force_residual``
-    is ||A t - f_desired|| in newtons, always finite. The fields are slots,
-    so a result has no ``__dict__`` and takes no weak reference.
+    is ||A t - f_desired|| in newtons, always finite: a float norm of the
+    three components of A t - f_desired, within 2 ulps of numpy's
+    sqrt of their dot. The fields are slots, so a result has no
+    ``__dict__`` and takes no weak reference.
     """
 
     tensions: np.ndarray
@@ -330,19 +338,19 @@ class _Factorization:
     """A checked structure matrix, as matrix, with one SVD A = U S V^T of
     it, its rank, the operators built from it alone, a _Block for each
     free-column block of rows = V_r^T asked for so far, and A times t_min
-    and the working sets its solves certified (sets, by free mask and held
-    vector, exact ones in sets and nearest ones in nearest_sets) for the
-    last bounds asked for.
+    and the _Kept working sets its solves certified for the last bounds
+    asked for.
 
     The rank counts singular values above RANK_REL_TOL times the largest;
     this is the package's one rank rule, and actuation_rank reads it. The
     operators are goal = S_r^-1 U_r^T, which maps a force to the
     right-hand side of rows t = goal f, and its norm goal_norm; the
-    pseudoinverse pinv = A^+ = V_r S_r^-1 U_r^T; and rows_t, a
-    C-contiguous copy of rows^T. Of V^T only its first rank rows are kept,
-    as rows. Every array held here is read-only, since later solves share
-    it, and A times t_min, which a solve may answer with, is an array over
-    bytes, which no caller can make writeable.
+    pseudoinverse pinv = A^+ = V_r S_r^-1 U_r^T, and its rows as float
+    triples, pinv_rows; and rows_t, a C-contiguous copy of rows^T. Of V^T
+    only its first rank rows are kept, as rows. Every array held here is
+    read-only, since later solves share it, and A times t_min, which a
+    solve may answer with, is an array over bytes, which no caller can
+    make writeable.
     """
 
     def __init__(self, M: np.ndarray):
@@ -358,17 +366,16 @@ class _Factorization:
             arr.setflags(write=False)
         self.matrix, self.rank, self.rows = M, rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
+        # A^+'s rows as float triples, which t_min's answer reads
+        self.pinv_rows = pinv.tolist()
         # ||goal||, the inverse of the smallest singular value kept
         self.goal_norm = 1.0 / values[rank - 1] if rank else 0.0
         self._blocks: dict[bytes, _Block] = {}
-        # (bounds, (_Box, A times its t_min)) of the last bounds asked for
-        self._box: tuple[object, tuple[_Box, np.ndarray]] | None = None
-        # the working sets certified under those bounds, by (free, held):
-        # exact ones in sets, nearest ones in nearest_sets, and the dict of
-        # each kept set by its key in _kept, in the order they were kept
-        self.sets: dict[tuple, _WorkingSet] = {}
-        self.nearest_sets: dict[tuple, _WorkingSet] = {}
-        self._kept: dict[tuple, dict] = {}
+        # (bounds, (_Box, A times its t_min, as an array and as three
+        # floats, _Kept)) of the last bounds asked for: one tuple, assigned
+        # at once, so a thread reads all of one bounds' memo or all of
+        # another's
+        self._box: tuple[object, tuple[_Box, np.ndarray, list, _Kept]] | None = None
 
     def block(self, free) -> _Block:
         """The _Block of rows[:, free], free a list or array of m bools.
@@ -392,9 +399,10 @@ class _Factorization:
             found = self._blocks[key] = _Block(u, rank, shift_op, drift)
         return found
 
-    def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray]:
+    def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray, list, _Kept]:
         """The _Box of bounds on this factorization's m cables, from the
-        _box every matrix shares, and the matrix times its t_min, read-only.
+        _box every matrix shares, the matrix times its t_min, read-only and
+        as a list of three floats, and the working sets kept under bounds.
 
         This keeps only the last bounds, keyed as the TensionBounds itself
         or a tuple of them: comparing that key is cheaper than the hash a
@@ -408,30 +416,53 @@ class _Factorization:
         if last is not None and (last[0] is bounds or last[0] == bounds):
             return last[1]
         box = _box(bounds, self.matrix.shape[1])
-        found = box, _frozen(self.matrix.dot(box.lo))
+        a_lo = _frozen(self.matrix.dot(box.lo))
+        # a held vector holds its bounds' values, so new bounds keep anew
+        found = box, a_lo, a_lo.tolist(), _Kept()
         self._box = (bounds, found)
-        # a held vector holds the old bounds' values
-        self.sets, self.nearest_sets, self._kept = {}, {}, {}
         return found
 
-    def keep(self, sets: dict, ws: _WorkingSet) -> None:
-        """Remember ws, a working set certified under the last bounds, in
-        sets, this factorization's sets or nearest_sets as ws is exact or
-        nearest, for the next solves on this matrix, unless it is known.
-        The two kinds share _MAX_SETS slots: with that many kept, the
-        oldest set goes, whatever its kind, so neither kind holds on to
-        slots that the other's newer sets would use. A free mask makes a
-        set exact or nearest, so the kinds' keys never meet."""
+
+class _Kept:
+    """The working sets a factorization's solves certified under one
+    bounds object, by (free, held): exact ones in sets and nearest ones in
+    nearest_sets, each dict in the order its sets were kept.
+
+    Threads may share a factorization. A solve reads this with the box of
+    the bounds it solves under, in one memo, and keeps its set here, so a
+    set certified under other bounds never answers. keep, under a lock,
+    replaces both dicts with changed copies rather than change them, so a
+    solve in another thread iterates the dict it read, whole.
+    """
+
+    _lock = threading.Lock()
+
+    def __init__(self):
+        self.sets: dict[tuple, _WorkingSet] = {}
+        self.nearest_sets: dict[tuple, _WorkingSet] = {}
+        # whether each kept key is nearest, in the order kept
+        self._order: dict[tuple, bool] = {}
+
+    def keep(self, ws: _WorkingSet, nearest: bool) -> None:
+        """Remember ws, in nearest_sets if nearest and in sets otherwise,
+        for the next solves under these bounds, unless it is known. The two
+        kinds share _MAX_SETS slots: with that many kept, the oldest set
+        goes, whatever its kind, so neither kind holds on to slots that the
+        other's newer sets would use. A free mask makes a set exact or
+        nearest, so the kinds' keys never meet."""
         key = bytes(ws.free), tuple(ws.held)
-        if key not in sets:
-            kept = self._kept
-            if len(kept) == _MAX_SETS:
-                oldest = next(iter(kept))
-                kind = kept.pop(oldest)
-                del kind[oldest]
+        with self._lock:
+            if key in self._order:
+                return
             ws.c.setflags(write=False)
-            sets[key] = ws
-            kept[key] = sets
+            order = {**self._order, key: nearest}
+            sets, nearest_sets = dict(self.sets), dict(self.nearest_sets)
+            (nearest_sets if nearest else sets)[key] = ws
+            if len(order) > _MAX_SETS:
+                oldest = next(iter(order))
+                del (nearest_sets if order.pop(oldest) else sets)[oldest]
+            self._order = order
+            self.sets, self.nearest_sets = sets, nearest_sets
 
 
 @functools.lru_cache(maxsize=1)
@@ -532,24 +563,16 @@ def _ratio_step(t, step, box: _Box):
     return moved, blocking
 
 
-def _start(lo, step, hi) -> tuple[list[float], bool]:
+def _start(lo, step, hi) -> list[float]:
     """The loop's start, t_min + step clipped into the box [lo, hi], step
-    being A^+ (f - A t_min), and whether it leaves every cable on its floor,
-    in one pass over sequences of floats, one entry per cable. The start is
-    _move(lo, 1.0, step, lo, hi) bit for bit, since 1.0 * s is s, and a
-    cable is on its floor exactly where the clip keeps the floor's own
-    float, so the flag is tuple(start) == lo: such a start is t_min
-    itself."""
+    being A^+ (f - A t_min), in one pass over sequences of floats, one
+    entry per cable: _move(lo, 1.0, step, lo, hi) bit for bit, since
+    1.0 * s is s."""
     t = []
-    on_floor = True
     for lo_i, si, hi_i in zip(lo, step, hi):
         v = lo_i + si
-        if v > lo_i:
-            on_floor = False
-            t.append(v if v < hi_i else hi_i)
-        else:
-            t.append(lo_i)
-    return t, on_floor
+        t.append((v if v < hi_i else hi_i) if v > lo_i else lo_i)
+    return t
 
 
 def _below_threshold(fac, box: _Box, root: float, stationary: float) -> bool:
@@ -563,35 +586,49 @@ def _below_threshold(fac, box: _Box, root: float, stationary: float) -> bool:
     return _STATIONARY_LEVELS * unit * (root + 2.0 * box.hi_sum) <= stationary
 
 
-def _floor_residual(fac, box: _Box, residual, tol: float):
-    """||f - A t_min|| when t_min answers f, residual being f - A t_min and
-    the start, t_min + A^+ residual clipped into the box, having left every
-    cable on its floor; None otherwise.
+def _floor_residual(fac, box: _Box, f, a_lo, tol: float):
+    """||f - A t_min|| when t_min answers f, f and a_lo = A t_min being
+    three floats each; None otherwise. No numpy call runs.
 
     This is the nearest test of the working set that holds every cable on
     its floor, which needs no block: its optimum is t_min, and its held
-    descent A^+ (f - A t_min) is the start's step, bit for bit. The clip
-    kept each step component at or below eps/2 t_min,i (at or below 0 on a
-    zero or subnormal floor), since fl(t_min,i + d_i) = t_min,i, so once
-    eps sum t_max lies within the descent test's threshold tol / 10, and
-    16 rounding levels of any iterate do too, the loop's first iteration,
-    whose step is zero, passes that test. The answer is then the loop's,
-    NEAREST_FEASIBLE at 1 iteration, when the residual lies above tol.
+    descent is d = A^+ r, r = f - A t_min. One pass over A^+'s rows forms
+    each d_i as a float sum and stops at the first cable that
+    fl(t_min,i + d_i) lifts off its floor, the start's clip; where none
+    does, every d_i lies at or below eps/2 t_min,i (at or below 0 on a
+    zero or subnormal floor). The loop forms d with BLAS, and each of the
+    two lies within gamma_3 |A^+_i| |r| of the exact product (Higham
+    2002, 3.1), so they differ by at most about 3 eps ||A^+|| ||r||, and
+    ||A^+|| = ||goal||. Once eps sum t_max lies within the descent test's
+    threshold tol / 10, and 16 rounding levels of any iterate,
+    16 eps ||goal|| (||r|| + 2 sum t_max), do too, the loop's descent at
+    t_min is at most tol / 20 + 3/16 tol / 10, below tol / 10: t_min
+    passes the test the loop's first iteration would run on it, however
+    the two sums round. The answer is then the loop's, NEAREST_FEASIBLE at
+    1 iteration, when the residual lies above tol. Its residual is the
+    float sum _rendering takes for t_min, bit for bit, since f - A t_min
+    negates A t_min - f exactly.
     """
-    miss = residual.dot(residual)
+    f0, f1, f2 = f
+    a0, a1, a2 = a_lo
+    r0, r1, r2 = f0 - a0, f1 - a1, f2 - a2
+    miss = (r0 * r0 + r1 * r1) + r2 * r2
     stationary = tol * 0.1
     if miss <= tol * tol or _EPS * box.hi_sum > stationary:
         return None
+    for (p0, p1, p2), lo_i in zip(fac.pinv_rows, box.lo_floats):
+        if lo_i + (p0 * r0 + p1 * r1 + p2 * r2) > lo_i:
+            return None
     root = math.sqrt(miss)
     return root if _below_threshold(fac, box, root, stationary) else None
 
 
-def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
+def _optimum(fac, ws: _WorkingSet, f, box: _Box, tol: float):
     """The answer of exact working set ws, which carries its offsets, for
-    the force fvec, f being its three floats: its optimum for rows t =
-    goal f, as (x, A x, ||A x - f||), when that optimum certifies strictly
-    and renders f within tol; None otherwise. This is the one definition
-    of an exact answer from a working set.
+    the force f, three floats: its optimum for rows t = goal f, as
+    (x, A x, ||A x - f||), when that optimum certifies strictly and
+    renders f within tol; None otherwise. This is the one definition of an
+    exact answer from a working set.
 
     One pass over the cables computes each shift p_i . f - q_i, p_i the
     cable's row of the set's force map and q_i its offset, which is
@@ -627,15 +664,15 @@ def _optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
             if (mu if h <= lo_i else -mu) <= margin:
                 return None
             t.append(h)
-    found = _rendering(fac, t, fvec)
+    found = _rendering(fac, t, f)
     return found if found[2] <= tol else None
 
 
-def _nearest_optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
-    """The answer of nearest working set ws for the force fvec, f being its
-    three floats: its optimum, as (x, A x, ||A x - f||), when that optimum
-    certifies strictly and misses f by more than tol; None otherwise. This
-    is the one definition of a nearest answer from a working set.
+def _nearest_optimum(fac, ws: _WorkingSet, f, box: _Box, tol: float):
+    """The answer of nearest working set ws for the force f, three floats:
+    its optimum, as (x, A x, ||A x - f||), when that optimum certifies
+    strictly and misses f by more than tol; None otherwise. This is the
+    one definition of a nearest answer from a working set.
 
     The optimum holds each held cable at its bound and gives the free ones
     the least-squares solution of rows t = goal f, t_min + shift with
@@ -679,29 +716,38 @@ def _nearest_optimum(fac, ws: _WorkingSet, f, fvec, box: _Box, tol: float):
                 return None
             least = out if out < least else least
             t.append(h)
-    found = _rendering(fac, t, fvec)
+    found = _rendering(fac, t, f)
     level = _EPS * fac.goal_norm * (max(map(abs, f)) + sum(t))
     if found[2] > max(tol, _FEASIBLE_LEVELS * level) and least > _STATIONARY_LEVELS * level:
         return found
     return None
 
 
-def _rendering(fac, t, fvec):
+def _rendering(fac, t, f):
     """(x, A x, ||A x - f||) of the tensions t, a list of floats, for the
-    force f = fvec: what a solve answers with."""
+    force f, three floats: what a solve answers with."""
     x = np.array(t)
     rendered = fac.matrix.dot(x)
-    miss = rendered - fvec
-    return x, rendered, math.sqrt(miss.dot(miss))
+    return x, rendered, _residual(rendered, f)
 
 
-def _reuse(sets, optimum, fac, f, fvec, box: _Box, tol: float):
+def _residual(rendered, f) -> float:
+    """||rendered - f||, rendered an array of three floats and f three
+    floats, as one float sum over rendered.tolist(): the force_residual of
+    every answer. It lies within 2 ulps of math.sqrt(miss.dot(miss)),
+    whose BLAS kernel may group or fuse the products otherwise."""
+    (r0, r1, r2), (f0, f1, f2) = rendered.tolist(), f
+    m0, m1, m2 = r0 - f0, r1 - f1, r2 - f2
+    return math.sqrt((m0 * m0 + m1 * m1) + m2 * m2)
+
+
+def _reuse(sets, optimum, fac, f, box: _Box, tol: float):
     """The first answer that optimum, _optimum or _nearest_optimum, gives
-    for the force fvec from the working sets sets, the exact or nearest
-    ones fac keeps, trying them in the order they were certified, or None;
-    f is fvec's floats."""
+    for the force f, three floats, from the working sets sets, the exact
+    or nearest ones kept under the bounds, trying them in the order they
+    were certified, or None."""
     for ws in sets.values():
-        found = optimum(fac, ws, f, fvec, box, tol)
+        found = optimum(fac, ws, f, box, tol)
         if found is not None:
             return found
     return None
@@ -739,10 +785,11 @@ def _nearest_set(fac, box: _Box, t):
     return None
 
 
-def _active_set(fac, box: _Box, t, fvec, f, tol: float, budget: int) -> SolveResult:
+def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> SolveResult:
     """The cold solve of the force fvec, f being its three floats, from t,
     the box-clipped projection of t_min, t_min + A^+ (f - A t_min), a list
-    of floats: one primal active-set loop of at most budget iterations.
+    of floats: one primal active-set loop of at most budget iterations,
+    which keeps the set it certifies in kept, the bounds' _Kept.
 
     rows = fac.rows has orthonormal rows spanning the row space of A and
     goal = fac.goal = S_r^-1 U_r^T, so for the residual r = f - A t,
@@ -841,12 +888,12 @@ def _active_set(fac, box: _Box, t, fvec, f, tol: float, budget: int) -> SolveRes
                     continue
                 if _FEASIBLE_LEVELS * level < math.sqrt(miss):
                     ws = _nearest_set(fac, box, t)
-                    found = None if ws is None else _nearest_optimum(fac, ws, f, fvec, box, tol)
+                    found = None if ws is None else _nearest_optimum(fac, ws, f, box, tol)
                     if found is None:
                         # a degenerate point answers with the iterate
-                        found = x, rendered, math.sqrt(miss)
+                        found = x, rendered, _residual(rendered, f)
                     else:
-                        fac.keep(fac.nearest_sets, ws)
+                        kept.keep(ws, True)
                     return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, k)
             if blocking < 0 or miss <= tol * tol:
                 # f is rendered, or reached to rounding: from here on the
@@ -865,17 +912,17 @@ def _active_set(fac, box: _Box, t, fvec, f, tol: float, budget: int) -> SolveRes
             free[worst] = True
             continue
         ws = _working_set(fac, blk, free, held, c)
-        found = _optimum(fac, ws, f, fvec, box, tol)
+        found = _optimum(fac, ws, f, box, tol)
         if found is not None:
-            fac.keep(fac.sets, ws)
+            kept.keep(ws, False)
             return _result(box, *found, SolveStatus.FEASIBLE_EXACT, k)
-        x, rendered, residual = _rendering(fac, t, fvec)
+        x, rendered, residual = _rendering(fac, t, f)
         # the rounding of the steps can leave a certified point just above
         # a tolerance set near the rounding level of the force
         exact = residual <= tol
         status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
         return _result(box, x, rendered, residual, status, k)
-    return _result(box, *_rendering(fac, t, fvec), SolveStatus.ITERATION_CAP, budget)
+    return _result(box, *_rendering(fac, t, f), SolveStatus.ITERATION_CAP, budget)
 
 
 def _toward(fac, blk: _Block, free, target, t, lo):
@@ -938,35 +985,32 @@ def solve(
     The returned tensions are always within bounds, whatever the status.
     A force with a component of _fields.MAX_MAGNITUDE (1e100 N) or more
     raises ValueError naming it, as TensionBounds does for such a t_max.
-    The exact working sets A's factorization keeps answer first, then
-    t_min's, from the start the loop would take, then the nearest ones
-    (_reuse). A cold solve answers with the _optimum or _nearest_optimum
-    of the one working set the loop certifies, and keeps that set.
+    The exact working sets A's factorization keeps for the bounds answer
+    first, then t_min's, by a float pass over A^+'s rows
+    (_floor_residual), then the nearest ones (_reuse). A cold solve
+    answers with the _optimum or _nearest_optimum of the one working set
+    the loop certifies, and keeps that set.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     fac = _factorization(A)
     fvec = force3(f, "force")
-    box, a_lo = fac.box(bounds)
+    box, a_lo, a_floats, kept = fac.box(bounds)
     tol = cfg.tolerance
-    floats = None
-    if fac.sets:
-        floats = fvec.tolist()
-        found = _reuse(fac.sets, _optimum, fac, floats, fvec, box, tol)
+    floats = fvec.tolist()
+    if kept.sets:
+        found = _reuse(kept.sets, _optimum, fac, floats, box, tol)
         if found is not None:
             return _result(box, *found, SolveStatus.FEASIBLE_EXACT, 1)
-    residual = fvec - a_lo
-    t, on_floor = _start(box.lo_floats, fac.pinv.dot(residual).tolist(), box.hi_floats)
-    if on_floor:
-        root = _floor_residual(fac, box, residual, tol)
-        if root is not None:
-            return _result(box, box.lo, a_lo, root, SolveStatus.NEAREST_FEASIBLE, 1)
-    if fac.nearest_sets:
-        if floats is None:
-            floats = fvec.tolist()
-        found = _reuse(fac.nearest_sets, _nearest_optimum, fac, floats, fvec, box, tol)
+    root = _floor_residual(fac, box, floats, a_floats, tol)
+    if root is not None:
+        return _result(box, box.lo, a_lo, root, SolveStatus.NEAREST_FEASIBLE, 1)
+    if kept.nearest_sets:
+        found = _reuse(kept.nearest_sets, _nearest_optimum, fac, floats, box, tol)
         if found is not None:
             return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, 1)
-    return _active_set(fac, box, t, fvec, floats or fvec.tolist(), tol, cfg.max_iterations)
+    step = fac.pinv.dot(fvec - a_lo).tolist()
+    t = _start(box.lo_floats, step, box.hi_floats)
+    return _active_set(fac, box, kept, t, fvec, floats, tol, cfg.max_iterations)
 
 
 def _result(box, x, rendered, residual, status, iterations) -> SolveResult:

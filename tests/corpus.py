@@ -12,7 +12,9 @@ and BASE, and reports per part and mode how many solves moved and by how
 much, the solves capped below the default max_iterations apart from the
 rest, since a kept set lifts a cap by design, and the largest tension
 move at tolerances below 1e-3 apart from the larger ones, since a
-nearest iterate is certified only to a tenth of the tolerance. Each
+nearest iterate is certified only to a tenth of the tolerance, and the
+solves whose residual alone moved apart from the rest, with the largest
+such move in ulps, since a residual may be summed otherwise. Each
 seeded nearest answer that moved at a larger tolerance is checked
 against tests/qp_oracle.py's nearest_point_qp: the report gives the
 largest distance of its rendered force from the oracle's, in BASE and in
@@ -235,9 +237,11 @@ def compare(base: Path, head: Path) -> list[str]:
     solves apart: how many solves changed a bit of their answer, by their
     status in BASE, the largest tension move at tolerances below 1e-3 and
     at larger ones, which statuses changed, how many changed iterations,
-    the mean and max iterations on both sides, and, for the seeded part,
-    the oracle check of the nearest answers that moved at a larger
-    tolerance."""
+    the mean and max iterations on both sides, how many of the solves that
+    moved kept the bits of their status, iterations, tensions and rendered
+    force and moved their residual alone, and by at most how many ulps,
+    and, for the seeded part, the oracle check of the nearest answers that
+    moved at a larger tolerance."""
     lines = []
     base_report = json.loads((base / "summary.json").read_text())
     cases = None
@@ -246,6 +250,12 @@ def compare(base: Path, head: Path) -> list[str]:
         b, h = np.load(base / f"{key}.npz"), np.load(head / f"{key}.npz")
         bits = [np.hstack([r["tensions"], r["rendered"], r["residual"][:, None]]) for r in (b, h)]
         moved = np.any(bits[0].view(np.uint64) != bits[1].view(np.uint64), axis=1)
+        # the residual alone moved: every other bit of the answer is kept
+        kept = np.all(bits[0][:, :-1].view(np.uint64) == bits[1][:, :-1].view(np.uint64), axis=1)
+        kept &= (b["status"] == h["status"]) & (b["iterations"] == h["iterations"])
+        residual_only = moved & kept
+        # the distance in ulps of two residuals, both finite and >= 0
+        ulps = np.abs(b["residual"].view(np.int64) - h["residual"].view(np.int64))
         move = np.nan_to_num(np.abs(b["tensions"] - h["tensions"])).max(axis=1)
         small = h["tolerance"] < 1e-3
         capped = h["max_iterations"] < solver.SolverConfig.max_iterations
@@ -271,7 +281,9 @@ def compare(base: Path, head: Path) -> list[str]:
                 f"above, {sum(changed.values())} changed status {dict(changed)}, "
                 f"{int((iterations[0] != iterations[1]).sum())} changed iterations "
                 f"(mean {iterations[0].mean():.4f} -> {iterations[1].mean():.4f}, "
-                f"max {iterations[0].max()} -> {iterations[1].max()})"
+                f"max {iterations[0].max()} -> {iterations[1].max()}); "
+                f"{int((residual_only & part).sum())} moved the residual alone, by at most "
+                f"{int(ulps[residual_only & part].max(initial=0))} ulps"
             )
         if key.startswith("seeded."):
             cases = cases or seeded_cases()

@@ -3,6 +3,9 @@ import dataclasses
 import itertools
 import math
 import pickle
+import sys
+import threading
+import time
 import warnings
 import weakref
 from collections import Counter
@@ -629,20 +632,21 @@ class TestFactorizationCache:
         operators = (fac.goal, fac.pinv, fac.rows_t, blk.shift_op)
         boxes = []
         for bounds in (BOUNDS, PER_CABLE):
-            box, a_lo = fac.box(bounds)
+            box, a_lo, _, _ = fac.box(bounds)
             boxes += [box.lo, a_lo]
         # the working sets kept for the last bounds
         for f in ([0.0, 0.0, 1.5], [0.0, -1.0, 0.5]):
             solve(M, f, PER_CABLE)
-        assert len(fac.sets) == 2
-        kept = tuple(ws.c for ws in fac.sets.values())
+        sets = fac.box(PER_CABLE)[3].sets
+        assert len(sets) == 2
+        kept = tuple(ws.c for ws in sets.values())
         for arr in cached + operators + tuple(boxes) + kept:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         # the float data _optimum reads: a tuple of float triples and a
         # tuple of floats per kept set, which no later solve can change
         m = M.shape[1]
-        for ws in fac.sets.values():
+        for ws in sets.values():
             assert type(ws.force_map) is tuple and len(ws.force_map) == m
             for row in ws.force_map:
                 assert type(row) is tuple and list(map(type, row)) == [float] * 3
@@ -705,7 +709,7 @@ class TestFactorizationCache:
         fac = solver._factorization(A)
         # one box is held, keyed by the last bounds, and it is the box every
         # matrix shares, keyed by the cable count too
-        key, (box, _) = fac._box
+        key, (box, *_) = fac._box
         assert key == per_cable
         np.testing.assert_array_equal(box.lo, [b.t_min for b in per_cable])
         assert solver._box.cache_info().currsize == 1
@@ -770,7 +774,7 @@ class TestFactorizationCache:
             for A in (A1, A2):
                 M = A.columns
                 fac = solver._factorization(A)
-                box, a_lo = fac.box(bounds)
+                box, a_lo, _, _ = fac.box(bounds)
                 boxes.append(box)
                 assert a_lo.tobytes() == (M @ box.lo).tobytes()
                 for arr in (box.lo, a_lo):
@@ -795,6 +799,60 @@ class TestFactorizationCache:
         _assert_same_answers([solve(A, [0.0, 0.0, 1.5], BOUNDS)], [before])
         assert solver._factorize.cache_info().hits == hits + 1
         assert solver._factorize.cache_info().currsize == 1
+
+    def test_threads_alternating_bounds_get_single_thread_answers(self):
+        # four threads solve on one matrix, each switching between two
+        # bounds objects at every solve, so that the memo of the last
+        # bounds, A t_min's floats and the kept sets with it, changes under
+        # the others; a short switch interval makes them interleave. Which
+        # sets are kept then depends on the interleaving, so iterations
+        # may vary, but no answer may
+        layout, _ = default_validation_layout()
+        A = structure_matrix(layout, (0.3, 0.2, 1.0))
+        both = (TensionBounds(0.5, 6.0), TensionBounds(0.2, 3.0))
+        forces = [*sphere_samples(16, 1.0), *sphere_samples(16, 2.0)]
+        expected = {}
+        for b, bounds in enumerate(both):
+            for i, f in enumerate(forces):
+                _clear_caches()
+                expected[b, i] = _outcome(solve(A, f, bounds))
+        statuses = Counter(status for _, _, status, _ in expected.values())
+        lows = [np.full(4, bounds.t_min).tobytes() for bounds in both]
+        at_t_min = sum(out[0] == lows[b] for (b, _), out in expected.items())
+        # 19 exact answers and 45 nearest, 3 of those at t_min
+        assert statuses[SolveStatus.FEASIBLE_EXACT] > 10 and statuses[SolveStatus.NEAREST_FEASIBLE] > 10
+        assert at_t_min >= 2
+        errors, solved = [], Counter()
+
+        def work(k):
+            deadline = time.monotonic() + 1.0
+            turn = k
+            while time.monotonic() < deadline:
+                for i, f in enumerate(forces):
+                    b = (i + turn) % 2
+                    try:
+                        got = _outcome(solve(A, f, both[b]))
+                    except Exception as error:  # a thread's exception is lost unless kept
+                        errors.append(repr(error))
+                        return
+                    if got != expected[b, i]:
+                        errors.append((k, b, i))
+                    solved[k] += 1
+                turn += 1
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors, errors[:5]
+        assert len(solved) == 4 and min(solved.values()) >= len(forces)
 
 
 def _seeded_floors(rng, m):
@@ -845,7 +903,7 @@ def _starts_at_t_min(seed=24, matrices=600):
         A = StructureMatrix(M / np.linalg.norm(M, axis=0))
         bounds = _seeded_floors(rng, m)[k % 4]
         fac = solver._factorization(A)
-        box, a_lo = fac.box(bounds)
+        box, a_lo, _, _ = fac.box(bounds)
         lo, hi = box.lo_floats, box.hi_floats
         for f in rng.normal(scale=10.0 ** rng.uniform(-2.0, 1.0), size=(6, 3)):
             if k % 5 == 0:
@@ -871,9 +929,10 @@ def _certificate_spy(monkeypatch):
 
 
 class TestAnswersAtTMin:
-    """A probe whose start leaves every cable on its floor is answered from
-    the start's own t_min, A t_min and f - A t_min; the answer shares the
-    box's t_min and the factorization's A t_min."""
+    """A probe whose descent at t_min, A^+ (f - A t_min), would leave every
+    cable on its floor is answered by one float pass over A^+'s rows from
+    the floats of f and of A t_min; the answer shares the box's t_min and
+    the factorization's A t_min."""
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_a_times_t_min_is_the_product_of_the_floats(self, m):
@@ -882,9 +941,12 @@ class TestAnswersAtTMin:
             A = StructureMatrix(random_rank3_directions(rng, m).T)
             for bounds in _seeded_floors(rng, m):
                 fac = solver._factorization(A)
-                box, a_lo = fac.box(bounds)
+                box, a_lo, a_floats, _ = fac.box(bounds)
                 assert a_lo.tobytes() == fac.matrix.dot(np.array(box.lo_floats)).tobytes()
                 assert box.lo.tobytes() == np.array(box.lo_floats).tobytes()
+                # the floats t_min's answer reads are the arrays' own
+                assert a_floats == a_lo.tolist() and list(map(type, a_floats)) == [float] * 3
+                assert fac.pinv_rows == fac.pinv.tolist()
 
     def test_a_probe_at_t_min_renders_t_min(self):
         answers = _t_min_answers()
@@ -895,8 +957,9 @@ class TestAnswersAtTMin:
             assert result.iterations == 1
             assert result.tensions.tobytes() == t.tobytes()
             assert result.rendered_force.tobytes() == A.columns.dot(t).tobytes()
-            miss = f - result.rendered_force
-            assert result.force_residual == math.sqrt(miss.dot(miss))
+            # the float sum _rendering takes, not numpy's dot
+            m0, m1, m2 = (result.rendered_force - f).tolist()
+            assert result.force_residual == math.sqrt((m0 * m0 + m1 * m1) + m2 * m2)
             # t_min is the box point nearest t_min rendering its own force
             expected = min_shift_qp(A.columns, result.rendered_force, bounds.t_min, bounds.t_max, t)
             np.testing.assert_allclose(result.tensions, expected, atol=1e-5)
@@ -910,7 +973,7 @@ class TestAnswersAtTMin:
         rng = np.random.default_rng(200 + m)
         A = StructureMatrix(random_rank3_directions(rng, m).T)
         for bounds in _seeded_floors(rng, m):
-            box, a_lo = solver._factorization(A).box(bounds)
+            box, a_lo, _, _ = solver._factorization(A).box(bounds)
             for cold in (True, False):
                 if cold:
                     _clear_caches()
@@ -939,7 +1002,7 @@ class TestAnswersAtTMin:
         fired = passed = 0
         for A, f, bounds in cases:
             fac = solver._factorization(A)
-            box, a_lo = fac.box(bounds)
+            box, a_lo, _, _ = fac.box(bounds)
             lo = box.lo_floats
             residual = f - a_lo
             step = fac.pinv.dot(residual).tolist()
@@ -1027,7 +1090,7 @@ def _answers_of_every_path():
     answer, a kept working set's answer and phase 2's iteration cap."""
     A = default_matrix()
     fac = solver._factorization(A)
-    box, _ = fac.box(BOUNDS)
+    box, *_ = fac.box(BOUNDS)
     _, _, bounds, at_t_min = _t_min_answers()[0]
     assert bounds == BOUNDS and at_t_min.tensions is box.lo
     _clear_caches()

@@ -68,6 +68,11 @@ def clear_caches():
     solver._box.cache_clear()
 
 
+def kept_of(A):
+    """The _Kept working sets of A's factorization under its last bounds."""
+    return solver._factorization(A)._box[1][3]
+
+
 def answer(result):
     """Everything a solve returns but its iteration count, as bytes."""
     return (
@@ -176,7 +181,7 @@ def reuse_log(monkeypatch):
 
     def spy(sets, optimum, fac, *args):
         found = reuse(sets, optimum, fac, *args)
-        log.append((sets is fac.nearest_sets, found))
+        log.append((sets is kept_of(fac.matrix).nearest_sets, found))
         return found
 
     monkeypatch.setattr(solver, "_reuse", spy)
@@ -205,10 +210,10 @@ def test_huge_forces_meet_the_kept_sets_and_keep_their_results(monkeypatch, orde
     tried = set()
 
     def spy(optimum):
-        def asked(fac, ws, g, fvec, box, tol):
-            if np.abs(fvec).max() >= 1e90:
+        def asked(fac, ws, g, box, tol):
+            if max(map(abs, g)) >= 1e90:
                 tried.add(box.hi_floats[0])
-            return optimum(fac, ws, g, fvec, box, tol)
+            return optimum(fac, ws, g, box, tol)
 
         return asked
 
@@ -307,7 +312,7 @@ def test_a_force_just_off_a_rank_2_plane_is_not_rendered_by_a_kept_set():
     clear_caches()
     in_plane = solve(M, [0.4, -0.3, 0.0], bounds)
     assert in_plane.status is SolveStatus.FEASIBLE_EXACT
-    assert solver._factorization(M).sets
+    assert kept_of(M).sets
     # the kept set's optimum renders the force's projection onto the plane,
     # but misses the force by more than the tolerance, and the set reaches
     # the layout's rank, so it cannot answer nearest either
@@ -334,10 +339,11 @@ def test_reused_answers_agree_with_the_qp_oracle(monkeypatch):
     reused = []
     reuse = solver._reuse
 
-    def spy(sets, optimum, fac, g, fvec, box, tol):
-        found = reuse(sets, optimum, fac, g, fvec, box, tol)
+    def spy(sets, optimum, fac, g, box, tol):
+        found = reuse(sets, optimum, fac, g, box, tol)
         if found is not None:
-            reused.append((sets is fac.nearest_sets, fac.matrix, fvec, box, found))
+            nearest = sets is kept_of(fac.matrix).nearest_sets
+            reused.append((nearest, fac.matrix, np.array(g), box, found))
         return found
 
     monkeypatch.setattr(solver, "_reuse", spy)
@@ -369,18 +375,18 @@ def test_a_cable_on_its_floor_with_a_zero_multiplier_solves_cold(reuse_log):
     assert cold.status is SolveStatus.FEASIBLE_EXACT
     np.testing.assert_allclose(cold.tensions, t_star, rtol=0.0, atol=1e-12)
     # the cold solve kept nothing, since its set certifies only loosely
-    assert not solver._factorization(A).sets
+    assert not kept_of(A).sets
     clear_caches()
     for g in sphere_samples(182, 1.5):
         solve(A, g, VALIDATION_LAYOUT.bounds)
-    kept = dict(solver._factorization(A).sets)
+    kept = dict(kept_of(A).sets)
     assert len(kept) >= 3
     del reuse_log[:]
     warm = solve(A, f, VALIDATION_LAYOUT.bounds)
     # the exact sets; the sphere kept no nearest set to look up next
     assert reuse_log == [(False, None)]
     assert answer(warm) == answer(cold) and warm.iterations == cold.iterations
-    assert solver._factorization(A).sets == kept
+    assert kept_of(A).sets == kept
 
 
 def matrix_groups(cases):
@@ -422,7 +428,7 @@ def test_many_sets_keep_the_lookup_bounded(monkeypatch):
     for f in forces:
         clear_caches()
         cold.append(answer(solve(A, f, CUBE.bounds)))
-        certified |= set(solver._factorization(A).sets)
+        certified |= set(kept_of(A).sets)
     assert len(certified) > 3 * solver._MAX_SETS
 
     evaluated = []
@@ -488,20 +494,20 @@ def test_a_degenerate_nearest_point_is_never_kept(M, f, others):
     clear_caches()
     cold = solve(M, f, bounds)
     assert cold.status is SolveStatus.NEAREST_FEASIBLE
-    assert not solver._factorization(M).nearest_sets
+    assert not kept_of(M).nearest_sets
     # the same force after others that keep nearest sets on the matrix
     for g in others:
         solve(M, g, bounds)
-    kept = dict(solver._factorization(M).nearest_sets)
+    kept = dict(kept_of(M).nearest_sets)
     assert kept
     warm = solve(M, f, bounds)
     assert answer(warm) == answer(cold) and warm.iterations == cold.iterations
-    assert solver._factorization(M).nearest_sets == kept
+    assert kept_of(M).nearest_sets == kept
     np.testing.assert_allclose(warm.rendered_force, M @ nearest_point_qp(M, f, 0.5, 6.0), atol=1e-9)
 
 
 def test_exact_and_nearest_sets_share_the_slots():
-    fac = solver._Factorization(np.eye(3))
+    slots = solver._Kept()
 
     def kept(k, nearest):
         # the two kinds' free masks differ, as a block's rank decides them
@@ -509,7 +515,7 @@ def test_exact_and_nearest_sets_share_the_slots():
         return solver._WorkingSet(free, [float(k)] * 3, None, np.zeros(3), (), ())
 
     def keep(k, nearest):
-        fac.keep(fac.nearest_sets if nearest else fac.sets, kept(k, nearest))
+        slots.keep(kept(k, nearest), nearest)
 
     def held(sets):
         return [key[1][0] for key in sets]
@@ -519,23 +525,29 @@ def test_exact_and_nearest_sets_share_the_slots():
         keep(k, True)
     # the slots are full of nearest sets: an exact one displaces the oldest
     keep(100, False)
-    assert held(fac.sets) == [100.0] and held(fac.nearest_sets) == list(range(1, n))
+    assert held(slots.sets) == [100.0] and held(slots.nearest_sets) == list(range(1, n))
     # the oldest set goes, whatever its kind and the new one's
     keep(200, True)
-    assert held(fac.sets) == [100.0] and held(fac.nearest_sets) == [*range(2, n), 200.0]
+    assert held(slots.sets) == [100.0] and held(slots.nearest_sets) == [*range(2, n), 200.0]
     for k in range(300, 300 + n - 2):
         keep(k, False)
-    assert held(fac.sets) == [100.0, *range(300, 300 + n - 2)]
-    assert held(fac.nearest_sets) == [200.0]
+    assert held(slots.sets) == [100.0, *range(300, 300 + n - 2)]
+    assert held(slots.nearest_sets) == [200.0]
     keep(400, True)
-    assert held(fac.sets) == list(range(300, 300 + n - 2))
-    assert held(fac.nearest_sets) == [200.0, 400.0]
+    assert held(slots.sets) == list(range(300, 300 + n - 2))
+    assert held(slots.nearest_sets) == [200.0, 400.0]
     # a known set is not kept twice, and keeps its place
     keep(300, False)
-    assert held(fac.sets) == list(range(300, 300 + n - 2))
+    assert held(slots.sets) == list(range(300, 300 + n - 2))
     keep(500, False)
-    assert held(fac.sets) == [*range(300, 300 + n - 2), 500.0]
-    assert held(fac.nearest_sets) == [400.0]
+    assert held(slots.sets) == [*range(300, 300 + n - 2), 500.0]
+    assert held(slots.nearest_sets) == [400.0]
+    # keep replaces a dict rather than changing it, so a lookup in another
+    # thread iterates the one it read, whole
+    read = [slots.sets, slots.nearest_sets]
+    copies = list(map(dict, read))
+    keep(600, True)
+    assert [slots.sets, slots.nearest_sets] != read and list(map(dict, read)) == copies
 
 
 @pytest.mark.parametrize("order", [1, -1])
@@ -555,13 +567,13 @@ def test_a_mixed_sphere_keeps_the_exact_hits_of_exact_sets_alone(monkeypatch, re
     assert [answer(solve(A, f, CUBE.bounds)) for f in forces] == cold
     hits = Counter(nearest for nearest, found in reuse_log if found is not None)
     # the same solves on a factorization that keeps exact sets alone
-    keep = solver._Factorization.keep
+    keep = solver._Kept.keep
 
-    def keep_exact(fac, sets, ws):
-        if sets is fac.sets:
-            keep(fac, sets, ws)
+    def keep_exact(kept, ws, nearest):
+        if not nearest:
+            keep(kept, ws, nearest)
 
-    monkeypatch.setattr(solver._Factorization, "keep", keep_exact)
+    monkeypatch.setattr(solver._Kept, "keep", keep_exact)
     del reuse_log[:]
     clear_caches()
     assert [answer(solve(A, f, CUBE.bounds)) for f in forces] == cold
