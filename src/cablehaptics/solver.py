@@ -102,10 +102,10 @@ second operand, and its choices break ties toward the lowest index, as
 argmin and argmax do, so the results are bit for bit the same. The
 exceptions are the three passes that stand for a product: a working
 set's shift, p_i . f - q_i, which groups the same products otherwise than
-shift_op (goal f - c), t_min's descent (above), and the force residual,
-a float sum within 2 ulps of numpy's dot (_residual). Each differs from
-the product at the rounding level, and every answer of its kind takes
-it, so an answer still depends on nothing but the problem. Every
+shift_op (goal f - c), t_min's descent (above), and the force
+residual, a float sum within a few ulps of numpy's dot (_residual). Each
+differs from the product at the rounding level, and every answer of its
+kind takes it, so an answer still depends on nothing but the problem. Every
 answer's arrays are read-only: _result freezes fresh ones, and t_min and
 A t_min are frozen once, when the box and the factorization make them.
 """
@@ -196,9 +196,11 @@ class SolveResult:
 
     ``tensions`` is always box-feasible, whatever the status. ``force_residual``
     is ||A t - f_desired|| in newtons, always finite: a float norm of the
-    three components of A t - f_desired, within 2 ulps of numpy's
-    sqrt of their dot. The fields are slots, so a result has no
-    ``__dict__`` and takes no weak reference.
+    three components of A t - f_desired, within a few ulps of numpy's
+    sqrt of their dot (2.5 eps relative at most; 2 ulps in every case
+    measured). A NEAREST_FEASIBLE answer's residual lies above the
+    tolerance. The fields are slots, so a result has no ``__dict__`` and
+    takes no weak reference.
     """
 
     tensions: np.ndarray
@@ -367,7 +369,7 @@ class _Factorization:
         self.matrix, self.rank, self.rows = M, rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
         # A^+'s rows as float triples, which t_min's answer reads
-        self.pinv_rows = pinv.tolist()
+        self.pinv_rows = tuple(map(tuple, pinv.tolist()))
         # ||goal||, the inverse of the smallest singular value kept
         self.goal_norm = 1.0 / values[rank - 1] if rank else 0.0
         self._blocks: dict[bytes, _Block] = {}
@@ -375,7 +377,7 @@ class _Factorization:
         # floats, _Kept)) of the last bounds asked for: one tuple, assigned
         # at once, so a thread reads all of one bounds' memo or all of
         # another's
-        self._box: tuple[object, tuple[_Box, np.ndarray, list, _Kept]] | None = None
+        self._box: tuple[object, tuple[_Box, np.ndarray, tuple, _Kept]] | None = None
 
     def block(self, free) -> _Block:
         """The _Block of rows[:, free], free a list or array of m bools.
@@ -399,10 +401,10 @@ class _Factorization:
             found = self._blocks[key] = _Block(u, rank, shift_op, drift)
         return found
 
-    def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray, list, _Kept]:
+    def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray, tuple, _Kept]:
         """The _Box of bounds on this factorization's m cables, from the
         _box every matrix shares, the matrix times its t_min, read-only and
-        as a list of three floats, and the working sets kept under bounds.
+        as a tuple of three floats, and the working sets kept under bounds.
 
         This keeps only the last bounds, keyed as the TensionBounds itself
         or a tuple of them: comparing that key is cheaper than the hash a
@@ -418,7 +420,7 @@ class _Factorization:
         box = _box(bounds, self.matrix.shape[1])
         a_lo = _frozen(self.matrix.dot(box.lo))
         # a held vector holds its bounds' values, so new bounds keep anew
-        found = box, a_lo, a_lo.tolist(), _Kept()
+        found = box, a_lo, tuple(a_lo.tolist()), _Kept()
         self._box = (bounds, found)
         return found
 
@@ -563,18 +565,6 @@ def _ratio_step(t, step, box: _Box):
     return moved, blocking
 
 
-def _start(lo, step, hi) -> list[float]:
-    """The loop's start, t_min + step clipped into the box [lo, hi], step
-    being A^+ (f - A t_min), in one pass over sequences of floats, one
-    entry per cable: _move(lo, 1.0, step, lo, hi) bit for bit, since
-    1.0 * s is s."""
-    t = []
-    for lo_i, si, hi_i in zip(lo, step, hi):
-        v = lo_i + si
-        t.append((v if v < hi_i else hi_i) if v > lo_i else lo_i)
-    return t
-
-
 def _below_threshold(fac, box: _Box, root: float, stationary: float) -> bool:
     """Whether 16 rounding levels of every iterate of a solve lie at or
     below the descent test's threshold stationary = tol / 10, root being
@@ -605,21 +595,20 @@ def _floor_residual(fac, box: _Box, f, a_lo, tol: float):
     t_min is at most tol / 20 + 3/16 tol / 10, below tol / 10: t_min
     passes the test the loop's first iteration would run on it, however
     the two sums round. The answer is then the loop's, NEAREST_FEASIBLE at
-    1 iteration, when the residual lies above tol. Its residual is the
-    float sum _rendering takes for t_min, bit for bit, since f - A t_min
-    negates A t_min - f exactly.
+    1 iteration, when the residual lies above tol, which the loop tests on
+    the same float sum. Its residual is the float sum _rendering takes for
+    t_min, bit for bit, since f - A t_min negates A t_min - f exactly.
     """
     f0, f1, f2 = f
     a0, a1, a2 = a_lo
     r0, r1, r2 = f0 - a0, f1 - a1, f2 - a2
-    miss = (r0 * r0 + r1 * r1) + r2 * r2
+    root = math.sqrt((r0 * r0 + r1 * r1) + r2 * r2)
     stationary = tol * 0.1
-    if miss <= tol * tol or _EPS * box.hi_sum > stationary:
+    if root <= tol or _EPS * box.hi_sum > stationary:
         return None
     for (p0, p1, p2), lo_i in zip(fac.pinv_rows, box.lo_floats):
         if lo_i + (p0 * r0 + p1 * r1 + p2 * r2) > lo_i:
             return None
-    root = math.sqrt(miss)
     return root if _below_threshold(fac, box, root, stationary) else None
 
 
@@ -734,8 +723,14 @@ def _rendering(fac, t, f):
 def _residual(rendered, f) -> float:
     """||rendered - f||, rendered an array of three floats and f three
     floats, as one float sum over rendered.tolist(): the force_residual of
-    every answer. It lies within 2 ulps of math.sqrt(miss.dot(miss)),
-    whose BLAS kernel may group or fuse the products otherwise."""
+    every answer, and the norm every test of a residual against the
+    tolerance reads, so an answer's status and its residual agree.
+    numpy's math.sqrt(miss.dot(miss)) may differ, since its BLAS kernel
+    may group or fuse the products otherwise: each sum of the three
+    squares lies within gamma_3 of the exact one (Higham 2002, 3.1), the
+    root halves that and rounds once, so the two roots differ by at most
+    gamma_3 + eps, about 2.5 eps relative, which is at most 5 ulps. The
+    corpus and the seeded reference test measure 2 ulps at most."""
     (r0, r1, r2), (f0, f1, f2) = rendered.tolist(), f
     m0, m1, m2 = r0 - f0, r1 - f1, r2 - f2
     return math.sqrt((m0 * m0 + m1 * m1) + m2 * m2)
@@ -850,9 +845,10 @@ def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> So
     x = np.array(t)
     rendered = M.dot(x)
     residual = fvec - rendered
-    miss = residual.dot(residual)
+    # ||residual||, the force_residual the iterate would answer with
+    root = _residual(rendered, f)
     # whether an iterate has rendered f, whose force is then the target
-    rendering = miss <= tol * tol
+    rendering = root <= tol
     target = rows.dot(x) if rendering else None
     # a rounding level is unit (max |f_i| + sum t); unit is set at the
     # first descent test, to 0 when no iterate's 16 levels can reach
@@ -876,26 +872,26 @@ def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> So
             x = np.array(t)
             rendered = M.dot(x)
             residual = fvec - rendered
-            miss = residual.dot(residual)
-            if blocking < 0 and miss > tol * tol:
+            root = _residual(rendered, f)
+            if blocking < 0 and root > tol:
                 if unit is None:
-                    below = _below_threshold(fac, box, math.sqrt(miss), tol * 0.1)
+                    below = _below_threshold(fac, box, root, tol * 0.1)
                     unit = 0.0 if below else _EPS * fac.goal_norm
                 level = unit * (max(map(abs, f)) + sum(t))
                 worst, into_box = _worst(free, t, fac.pinv.dot(residual).tolist(), lo)
                 if into_box > max(tol * 0.1, _STATIONARY_LEVELS * level):
                     free[worst] = True
                     continue
-                if _FEASIBLE_LEVELS * level < math.sqrt(miss):
+                if _FEASIBLE_LEVELS * level < root:
                     ws = _nearest_set(fac, box, t)
                     found = None if ws is None else _nearest_optimum(fac, ws, f, box, tol)
                     if found is None:
                         # a degenerate point answers with the iterate
-                        found = x, rendered, _residual(rendered, f)
+                        found = x, rendered, root
                     else:
                         kept.keep(ws, True)
                     return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, k)
-            if blocking < 0 or miss <= tol * tol:
+            if blocking < 0 or root <= tol:
                 # f is rendered, or reached to rounding: from here on the
                 # target is the force this iterate renders
                 rendering = True
@@ -1009,7 +1005,7 @@ def solve(
         if found is not None:
             return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, 1)
     step = fac.pinv.dot(fvec - a_lo).tolist()
-    t = _start(box.lo_floats, step, box.hi_floats)
+    t = _move(box.lo_floats, 1.0, step, box.lo_floats, box.hi_floats)
     return _active_set(fac, box, kept, t, fvec, floats, tol, cfg.max_iterations)
 
 

@@ -33,7 +33,7 @@ answer forms the descent A^+ (f - A t_min) as float sums: its verdict
 must be the clip of the BLAS descent but within 3 eps ||A^+|| ||r|| of
 the clip's edge, and every descent it answers for must pass the loop's
 descent test. A solve's force residual is a float sum over A x - f,
-within 2 ulps of numpy's dot.
+within a few ulps of numpy's dot, and 2 at most on the seeded cases.
 
 The two rank counts, of a structure matrix and of a free-column block,
 are passes too, checked against the numpy expressions they replace on
@@ -335,13 +335,14 @@ MOVE_OUTCOMES = {
 
 def test_projection_clip_matches_reference():
     """The loop's start, the projection of t_min clipped into the box:
-    _start(lo, A^+ (f - A lo), hi), one pass, against the array clip."""
+    _move(lo, 1.0, A^+ (f - A lo), lo, hi), one pass, against the array
+    clip."""
     rng = np.random.default_rng(7)
     outcomes, floors = set(), set()
     for k in range(CASES):
         lo, hi, _, towards, _ = arithmetic_case(rng, 1 + k % 8)
         expected = np.minimum(np.maximum(lo + towards, lo), hi)
-        got = solver._start(lo.tolist(), towards.tolist(), hi.tolist())
+        got = solver._move(lo.tolist(), 1.0, towards.tolist(), lo.tolist(), hi.tolist())
         assert np.array(got).tobytes() == expected.tobytes()
         on_floor = tuple(got) == tuple(lo.tolist())
         outcomes |= move_outcomes(lo + towards, lo, hi)
@@ -364,7 +365,7 @@ def test_projection_clip_matches_reference():
         for f in (M.dot(rng.choice([lo, hi, lo + 0.5 * (hi - lo)])), rng.normal(size=3)):
             towards = pinv.dot(f - M.dot(lo))
             expected = np.minimum(np.maximum(lo + towards, lo), hi)
-            got = solver._start(lo.tolist(), towards.tolist(), hi.tolist())
+            got = solver._move(lo.tolist(), 1.0, towards.tolist(), lo.tolist(), hi.tolist())
             assert np.array(got).tobytes() == expected.tobytes()
             on_floor = tuple(got) == tuple(lo.tolist())
             ties += any(v == hi_i for v, hi_i in zip((lo + towards).tolist(), hi.tolist()))

@@ -443,6 +443,7 @@ class TestNearestOracle:
                 if result.status is SolveStatus.FEASIBLE_EXACT:
                     continue
                 assert result.status is SolveStatus.NEAREST_FEASIBLE
+                assert result.force_residual > SolverConfig().tolerance
                 expected = A @ nearest_point_qp(A, f, lo, hi)
                 np.testing.assert_allclose(result.rendered_force, expected, rtol=0.0, atol=1e-9)
         assert statuses[SolveStatus.NEAREST_FEASIBLE, True] > 100
@@ -652,6 +653,15 @@ class TestFactorizationCache:
                 assert type(row) is tuple and list(map(type, row)) == [float] * 3
             assert ws.force_map == tuple(map(tuple, ws.block.shift_op.dot(fac.goal).tolist()))
             assert type(ws.offsets) is tuple and list(map(type, ws.offsets)) == [float] * m
+        # and the float data t_min's answer reads: A^+'s rows as a tuple of
+        # float triples, and A t_min's floats as a tuple, in each bounds' memo
+        assert type(fac.pinv_rows) is tuple and len(fac.pinv_rows) == m
+        for row in fac.pinv_rows:
+            assert type(row) is tuple and list(map(type, row)) == [float] * 3
+        assert fac.pinv_rows == tuple(map(tuple, fac.pinv.tolist()))
+        for bounds in (BOUNDS, PER_CABLE):
+            _, a_lo, a_floats, _ = fac.box(bounds)
+            assert type(a_floats) is tuple and a_floats == tuple(a_lo.tolist())
 
     @pytest.mark.parametrize(
         "columns",
@@ -945,8 +955,8 @@ class TestAnswersAtTMin:
                 assert a_lo.tobytes() == fac.matrix.dot(np.array(box.lo_floats)).tobytes()
                 assert box.lo.tobytes() == np.array(box.lo_floats).tobytes()
                 # the floats t_min's answer reads are the arrays' own
-                assert a_floats == a_lo.tolist() and list(map(type, a_floats)) == [float] * 3
-                assert fac.pinv_rows == fac.pinv.tolist()
+                assert a_floats == tuple(a_lo.tolist()) and list(map(type, a_floats)) == [float] * 3
+                assert fac.pinv_rows == tuple(map(tuple, fac.pinv.tolist()))
 
     def test_a_probe_at_t_min_renders_t_min(self):
         answers = _t_min_answers()

@@ -494,6 +494,8 @@ def test_a_degenerate_nearest_point_is_never_kept(M, f, others):
     clear_caches()
     cold = solve(M, f, bounds)
     assert cold.status is SolveStatus.NEAREST_FEASIBLE
+    # the iterate answers with the residual its status was decided on
+    assert cold.force_residual > SolverConfig().tolerance
     assert not kept_of(M).nearest_sets
     # the same force after others that keep nearest sets on the matrix
     for g in others:
