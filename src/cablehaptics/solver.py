@@ -1,113 +1,101 @@
 """Bounded tension distribution by a finite primal active-set method.
 
-The core problem: find cable tensions t in the box [t_min, t_max]^m whose
-net pull A @ t equals a desired force f, where the columns of A are unit
-cable directions. Cables only pull, so t is never allowed outside the box.
-The answer is the Euclidean projection of the minimum-tension start,
-t_min on every cable, onto the intersection of the box and the affine
-equilibrium set {t : A t = f}, a quadratic program with three equality
-rows and box bounds. When the intersection is empty, the answer is the
-box point nearest the equilibrium set, which renders the nearest
-reachable force.
+The problem: find cable tensions t in the box [t_min, t_max]^m whose net
+pull A t equals a desired force f, the columns of A being unit cable
+directions. The answer is the Euclidean projection of t_min onto the
+intersection of the box and the equilibrium set {t : A t = f}; when the
+intersection is empty, it is the box point nearest the equilibrium set,
+which renders the nearest reachable force. A force, like a tension bound,
+lies below _fields.MAX_MAGNITUDE, so no square a solve forms overflows.
 
-One active-set loop solves it (_active_set). Each iteration takes the
-working set of its box point, steps toward a least-squares solution over
-its free cables, holds the cable that blocks the step or else tests the
-set, and so holds or releases at most one cable. Until an iterate
-renders f the loop is bounded-variable least squares (Stark & Parker
-1995), which finds the box point nearest the equilibrium set and so
-either certifies the force unreachable or reaches a feasible point. From
-then on it keeps the force that iterate renders and is the primal
+Notation. One SVD A = U S V^T of rank r gives rows = V_r^T, with
+orthonormal rows spanning A's row space, and goal = S_r^-1 U_r^T; rows t
+= goal f holds exactly when A t is f's part in A's range, so a
+rank-deficient A needs no special case. A^+ = rows^T goal. For the
+residual r = f - A t, ||goal r|| is the distance from t to the
+equilibrium set and A^+ r, the descent, its negative gradient. A
+rounding level of a point t is eps ||goal|| (max |f_i| + sum t): the
+|A||t| bound on the rounding of f - A t for unit columns and t >= 0
+(Higham 2002), carried through A^+.
+
+The loop (_active_set). Each iteration takes the working set of its box
+point, steps toward a least-squares solution over its free cables, and
+holds the cable that blocks the step, or else tests the set; so it holds
+or releases at most one cable. Until an iterate renders f within the
+tolerance tol, the loop is bounded-variable least squares (Stark &
+Parker 1995), which finds the box point nearest the equilibrium set.
+From then on it keeps the force that iterate renders and is the primal
 active-set method (Nocedal & Wright, Numerical Optimization, Alg. 16.3)
-for the feasible point nearest t_min. It ends only when a set's
-optimality conditions check out. The inputs are geometry's types: a
-matrix is checked once, when its StructureMatrix is built, and every
-entry point takes one as it is and builds one from anything else.
+for the point nearest t_min.
 
-Answers come from working sets. A working set holds some cables at a
-bound and leaves the rest free; its optimum holds the held cables there
-and gives the free ones the least-squares solution of rows t = goal f, f
-itself. A set certifies exact when that optimum renders f within the
-tolerance, every free cable lies inside the box and every held cable's
-multiplier has its bound's sign; it certifies nearest when the optimum
-misses f by more than the tolerance, the free cables have full column
-rank and lie inside the box, and every held cable's descent A^+ (f - A t)
-points out of the box. Each test is strict: by the rounding level of
-the tensions plus what a force error of the tolerance could move the
-optimum, and, for a descent, by the descent test's threshold. _optimum
-and _nearest_optimum are the one definition of each kind of answer. A
-strictly certified optimum is the problem's unique answer: the KKT
-conditions of the convex problem hold with every inequality strict, so
-no other box point, and no other working set, meets them (for a nearest
-set, the held cables are fixed by their strictly outward descents and
-the free ones by full column rank). So a force certifies exact or
+Working sets. A working set holds some cables at a bound and leaves the
+rest free. Its optimum holds the held cables there and gives the free
+ones the least-squares solution of rows t = goal f nearest t_min. The
+set certifies
+  * exact (_optimum) when its optimum renders f within tol, every free
+    cable lies inside the box by more than the margin, and every held
+    cable's multiplier has its bound's sign by more than the margin;
+  * nearest (_nearest_optimum) when its optimum misses f by more than
+    tol and by more than _FEASIBLE_LEVELS rounding levels, its free
+    cables have full column rank and lie inside the box by more than the
+    margin, and every held cable's descent points out of the box by more
+    than the descent threshold.
+The margin is box.rounding plus tol times the block's drift (_Block).
+The descent threshold is the larger of its tolerance term, tol / 10, and
+_STATIONARY_LEVELS rounding levels of the point tested.
+
+Why a strict certificate has one answer. A strictly certified optimum
+meets the KKT conditions of the convex problem with every inequality
+strict (Nocedal & Wright, ch. 16), so no other box point and no other
+working set meets them. For a nearest set, the nearest point's rendered
+force is unique, the strictly outward descents fix the held cables and
+full column rank fixes the free ones. So a force certifies exact or
 nearest, never both, and with one set at most.
 
-A cold solve builds a working set and asks it for an answer only where
-the loop's own test certifies the set, so it builds at most one. A set
-that certifies for f with the tolerance's margin is one the loop, which
-steps toward a force within the tolerance of f, certifies at the same
-iteration, so the answer and its iteration count are the method's own. A
-certified nearest point asks the set that point holds; a degenerate
-point, whose free cables lack full column rank or whose held descents do
-not clear the threshold, answers with the iterate, and its set is not
-kept. The set that holds every cable on its floor needs no block: its
-optimum is t_min and its descent A^+ (f - A t_min), which one float pass
-over A^+'s rows forms from the floats of f and of A t_min, asking on each
-cable whether the start's clip would leave it on its floor. That pass
-rounds otherwise than the loop's BLAS product, by at most
-3 eps ||A^+|| ||f - A t_min||, and the conditions under which t_min
-answers already cover that (see _floor_residual). Such a solve answers
-at 1 iteration with no numpy call, with the box's t_min and the
-factorization's A t_min, which every such answer shares.
+Why answers do not depend on history. A solve tries, in this order, the
+exact sets its factorization kept for the bounds, t_min's set
+(_floor_residual), the nearest sets kept, and then the loop; the first
+answer is the answer, and a kept set's counts 1 iteration. The loop,
+once an iterate renders f, steps toward the optimum of the force that
+iterate renders, which lies within tol of f; a set that certifies for f
+with the tolerance term of the margin certifies for every such force, so
+the loop certifies it at the same iteration. A cold solve asks only the
+set the loop certifies and keeps it; a kept set answers by the same
+function of the same set. So an answer and its iteration count depend on
+(A, f, bounds, config) alone, and kept sets change only how fast it
+comes. The one exception is the cap: a cold solve that max_iterations
+stops reports ITERATION_CAP, where a kept set that certifies answers as
+an uncapped solve does. A degenerate nearest point, whose free cables
+lack full column rank or whose held descents do not clear the
+threshold, answers with the iterate and keeps no set.
 
-Each cached factorization keeps the sets its solves certified, exact and
-nearest apart (at most _MAX_SETS in all, the oldest of either kind making
-way, dropped when the bounds change), and a solve on it tries them in the
-order they were certified (_reuse): the exact ones first, then
-t_min's set, then the nearest ones, so that a force answered at t_min
-pays for no nearest set. The first set that gives an answer is the
-answer, at 1 iteration and without the loop. That answer is the one
-a cold solve gives, bit for bit, since it is the same set's optimum
-computed the same way, so an answer depends on (A, f, bounds, config)
-alone and the kept sets change only how fast it comes. The one exception
-is the cap: a solve that max_iterations stops before it certifies
-reports ITERATION_CAP when cold, but the uncapped answer when a kept set
-certifies for its force. Every force takes this one path: a force, like
-a tension bound, must lie below _fields.MAX_MAGNITUDE, so no square the
-solve forms overflows.
+Rounding. Products with a cached operator are ndarray.dot calls, and
+per-cable work is Python passes over lists of floats. Each pass does the
+same float operations in the same order as the array expression it
+stands for: a clip keeps the bound on a tie, as np.maximum and
+np.minimum return their second operand, and a choice breaks ties toward
+the lowest index, as argmin and argmax do. Three passes stand for a
+product instead, and each float sum of three products lies within
+gamma_3 = 3 eps / (1 - 3 eps) of the exact one, relative to the sum of
+the products' magnitudes (Higham 2002, 3.1):
+  * a working set's shift p_i . f - q_i groups the products of
+    shift_op (goal f - c) otherwise;
+  * the force residual (_residual) is a float sum, and the roots of it
+    and of numpy's dot differ by at most gamma_3 + eps relative;
+  * t_min's descent (_floor_residual) and the loop's BLAS product A^+ r
+    differ by at most 3 eps ||A^+|| ||r||, and ||A^+|| = ||goal||. Where
+    _floor_residual answers, each float d_i is at most eps/2 t_min,i,
+    and eps sum t_max and _STATIONARY_LEVELS levels of any iterate lie
+    within the threshold's tolerance term, so the loop's descent at t_min
+    is at most 1/2 + 3/16 of that term: the loop would stop at t_min
+    however either sum rounds.
+Every answer of each kind takes the same pass, so an answer still depends
+on nothing but the problem.
 
-Every SVD, of A and of the free-column blocks the iterations solve on,
-comes from one cached factorization of A, together with the operators
-built from those SVDs and, for the last bounds, A times t_min and the
-kept working sets; consecutive solves on the same matrix share it, so a
-solve computes only what depends on the force. _factorization(A) finds it
-by the bytes of A's columns, and it holds A itself as a read-only view
-over those bytes, so no function takes the matrix beside it. What depends
-on the bounds alone (t_min, the rounding level and the float tuples of
-both bounds) is one more cached box that every matrix shares.
-actuation_rank reads its rank from the same factorization, so the rank
-rule lives here alone. Both SVDs call LAPACK through numpy's gufunc svd_f
-with the signature np.linalg.svd passes it for a float matrix, which
-gives its bits; svd_f is numpy's private API, under this name since numpy
-2.0, and pyproject.toml caps numpy below 3 for it. _svd raises
-LinAlgError on a NaN singular value, which is what LAPACK's failure to
-converge leaves.
-
-Products with a cached operator are ndarray.dot calls, and per-cable work
-is Python passes over lists of floats. Each pass does the same float
-operations in the same order as the array expression it replaces: its
-clip keeps the bound on a tie, as np.maximum and np.minimum return their
-second operand, and its choices break ties toward the lowest index, as
-argmin and argmax do, so the results are bit for bit the same. The
-exceptions are the three passes that stand for a product: a working
-set's shift, p_i . f - q_i, which groups the same products otherwise than
-shift_op (goal f - c), t_min's descent (above), and the force
-residual, a float sum within a few ulps of numpy's dot (_residual). Each
-differs from the product at the rounding level, and every answer of its
-kind takes it, so an answer still depends on nothing but the problem. Every
-answer's arrays are read-only: _result freezes fresh ones, and t_min and
-A t_min are frozen once, when the box and the factorization make them.
+Caches. Everything that depends on A alone, or on A and the last bounds,
+lives in A's one _Factorization (_factorization), and what depends on
+the bounds alone in one _Box every matrix shares (_box), so a solve
+computes only what depends on the force.
 """
 
 from __future__ import annotations
@@ -132,20 +120,12 @@ RANK_REL_TOL = 1e-9
 WRENCH_FEASIBLE_RESIDUAL = 1e-7
 
 # The most certified working sets, exact and nearest together, a
-# factorization keeps for its bounds; a lookup that misses tries every one
-# of its kind.
+# factorization keeps for its bounds.
 _MAX_SETS = 8
 
-# The descent test's thresholds in units of the rounding level of an
-# iterate, eps ||goal|| (max |f_i| + sum t_i): the |A||t| bound on the
-# rounding of f - A t for unit columns and t >= 0 (Higham 2002), as A^+
-# carries it into the descent direction d. At 20,000 nearest points of
-# seeded problems (m = 3..8, force and bounds scaled by 1e-2 to 1e12) the
-# |d| of a free cable, 0 but for rounding, reached 8 levels; a held descent
-# is tested at 16 levels at least, and a certified point within 64 levels
-# of f renders it.
-# d = A^+ r and rows^T (goal r), the same direction by another product,
-# differ by at most 1.1 levels at 11,844 such points.
+# In rounding levels (module docstring): a held descent must point out of
+# the box by more than _STATIONARY_LEVELS, and a certified point within
+# _FEASIBLE_LEVELS of f is taken as rendering it.
 _STATIONARY_LEVELS = 16.0
 _FEASIBLE_LEVELS = 64.0
 # The spacing of floats just above 1.0, twice the unit roundoff.
@@ -167,15 +147,12 @@ BoundsLike = Union[TensionBounds, Sequence[TensionBounds]]
 class SolverConfig:
     """Iteration limit and tolerance for the solve.
 
-    Every solve starts from t_min on every cable, so the feasible solution
-    returned is the one closest to the lowest allowed tensions, minimizing
-    energy use. ``max_iterations`` caps the iterations of the solve's one
-    active-set loop; each iteration holds or releases at most one cable,
-    and most solves certify their result in fewer than ten.
-    ``tolerance`` bounds the force residual of an exact solution, in
-    newtons; a tenth of it is the threshold of the nearest-box-point
-    certificate, unless the rounding of the forces and tensions in play
-    lies above that (see _active_set).
+    ``max_iterations`` caps the iterations of the solve's active-set
+    loop, which holds or releases at most one cable per iteration; most
+    solves certify their result in fewer than ten. ``tolerance`` bounds
+    the force residual of an exact solution, in newtons, and sets the
+    descent threshold that certifies a nearest one (see the module
+    docstring).
     """
 
     max_iterations: int = 50000
@@ -194,11 +171,10 @@ class SolverConfig:
 class SolveResult:
     """Tensions plus the force they actually render and solve diagnostics.
 
-    ``tensions`` is always box-feasible, whatever the status. ``force_residual``
-    is ||A t - f_desired|| in newtons, always finite: a float norm of the
-    three components of A t - f_desired, within a few ulps of numpy's
-    sqrt of their dot (2.5 eps relative at most; 2 ulps in every case
-    measured). A NEAREST_FEASIBLE answer's residual lies above the
+    ``tensions`` is always box-feasible, whatever the status.
+    ``force_residual`` is ||A t - f_desired|| in newtons, always finite,
+    as a float norm of the three components (its rounding: the module
+    docstring). A NEAREST_FEASIBLE answer's residual lies above the
     tolerance. The fields are slots, so a result has no ``__dict__`` and
     takes no weak reference.
     """
@@ -210,10 +186,9 @@ class SolveResult:
     iterations: int
 
 
-# The setters of SolveResult's slots, in field order. _result writes each
-# field through its setter: a frozen dataclass refuses assignment, and its
-# generated __init__ sets each field by name through object.__setattr__,
-# at about twice the cost.
+# The setters of SolveResult's slots, in field order: a frozen dataclass
+# refuses assignment, and its __init__ sets each field through
+# object.__setattr__, at about twice the cost.
 _SET_TENSIONS, _SET_RENDERED, _SET_RESIDUAL, _SET_STATUS, _SET_ITERATIONS = (
     getattr(SolveResult, field.name).__set__ for field in fields(SolveResult)
 )
@@ -222,13 +197,11 @@ _DEFAULT_CONFIG = SolverConfig()
 
 
 class _Block(NamedTuple):
-    """What the iterations need of one free-column block rows[:, free]:
-    its left singular vectors and rank, the shift operator rows^T times
-    the pseudoinverse of its Gram matrix, u_r diag(1/s^2) u_r^T, which
-    the loop steps with, and drift, the most a newton of force residual
-    can move the optimum of a working set on this block, on any cable or
-    multiplier: ||goal|| times the norm of that pseudoinverse, the largest
-    singular value of goal over the block's smallest one squared."""
+    """What the loop needs of one free-column block rows[:, free]: its
+    left singular vectors u and rank, shift_op = rows^T times the
+    pseudoinverse of its Gram matrix, u_r diag(1/s^2) u_r^T, and drift =
+    ||goal|| / s_min^2, the most a newton of force error moves the optimum
+    of a working set on this block, on any cable or multiplier."""
 
     u: np.ndarray
     rank: int
@@ -237,17 +210,12 @@ class _Block(NamedTuple):
 
 
 class _WorkingSet(NamedTuple):
-    """A working set: the free mask and the held vector (t_min on each
-    free cable, its bound on each held one), sequences one entry per
-    cable, the _Block of its free cables, c, rows times the held vector,
-    which the loop steps with, its offsets q = O c, a tuple of floats, one
-    per cable, and its force map P = O goal, one float triple per cable,
-    which its answer takes each cable's shift or descent from. O is the
-    block's shift_op, but on a nearest set's held cables, where the block's
-    rank is below A's, the operator of their descent, rows^T U_perp
-    U_perp^T. Every set built is asked for an answer, so _working_set
-    builds q and P with it; the loop steps with a block and c alone, and
-    builds a set only for the one it certifies."""
+    """A certified working set: the free mask and the held vector (t_min
+    on each free cable, its bound on each held one), its _Block, c = rows
+    times the held vector, and what its answer reads, one entry per
+    cable: the offset q_i, a float, and the force-map row p_i, a float
+    triple, so that p_i . f - q_i is the cable's shift, or, on a nearest
+    set's held cable, its descent (_working_set)."""
 
     free: Sequence[bool]
     held: Sequence[float]
@@ -258,13 +226,10 @@ class _WorkingSet(NamedTuple):
 
 
 class _Box(NamedTuple):
-    """What a solve needs of its bounds on m cables: the lower bounds
-    t_min, the start of every solve, for A times it and as the answer of a
-    force answered there (an array over bytes), the rounding level of
-    the tensions and of the steps between them, and the lower and upper
-    bounds as tuples of floats for the per-cable passes, and the sum of the
-    upper bounds, which no sum of tensions passes. It does not depend on
-    the matrix, so every matrix shares it."""
+    """What a solve needs of its bounds on m cables: t_min, a read-only
+    array; rounding, the rounding level of any tension and of any step
+    between tensions, 1e-12 times the largest t_max; both bounds as
+    tuples of floats; and hi_sum, the sum of the upper bounds."""
 
     lo: np.ndarray
     rounding: float
@@ -277,10 +242,9 @@ class _Box(NamedTuple):
 def _box(bounds, m: int) -> _Box:
     """The _Box of bounds, a TensionBounds or a tuple of them, on m cables.
 
-    Only the last box is kept, and a new matrix finds it here, since every
-    caller in the package passes one bounds object per run; equal bounds
-    match whatever object carries them. Bounds of the wrong count raise
-    ValueError, and lru_cache stores no call that raised.
+    Only the last box is kept, and equal bounds match whatever object
+    carries them. Bounds of the wrong count raise ValueError, and
+    lru_cache stores no call that raised.
     """
     if isinstance(bounds, TensionBounds):
         lo, hi = np.full(m, bounds.t_min), np.full(m, bounds.t_max)
@@ -296,17 +260,14 @@ def _box(bounds, m: int) -> _Box:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only copy of the float vector arr, over bytes: a solve may
-    answer with it, and unlike an array it owns, no caller can make it
-    writeable again."""
+    """A read-only copy of the float vector arr over bytes, which, unlike
+    an array that owns its data, no caller can make writeable again."""
     return np.frombuffer(arr.tobytes())
 
 
 def _rank(values, largest: float) -> int:
     """How many of the singular values in values, a list of floats, exceed
-    RANK_REL_TOL times largest; 0 when largest is 0. This is the Python
-    pass for int(np.sum(sv > RANK_REL_TOL * largest)), with the same
-    comparisons."""
+    RANK_REL_TOL times largest; 0 when largest is 0."""
     if not largest > 0:
         return 0
     cutoff = RANK_REL_TOL * largest
@@ -318,14 +279,15 @@ def _rank(values, largest: float) -> int:
 
 
 def _svd(M: np.ndarray):
-    """np.linalg.svd(M) of a float matrix M, by the gufunc it runs, and
-    the singular values again as a list of floats: (u, sv, vt, values).
-    LAPACK's failure to converge fills every output with NaN, and a NaN
-    singular value raises LinAlgError, as np.linalg.svd does. That failure
-    also sets the invalid flag, so numpy warns first; where warnings are
-    errors, that RuntimeWarning is raised instead, and it becomes the same
-    LinAlgError. Public inputs never reach it: StructureMatrix rejects NaN
-    and inf first."""
+    """np.linalg.svd(M) of a float matrix M, with its bits, and the
+    singular values again as a list: (u, sv, vt, values).
+
+    It calls numpy's gufunc svd_f with the signature np.linalg.svd passes
+    for a float matrix; svd_f is numpy's private API, under this name
+    since numpy 2.0, and pyproject.toml caps numpy below 3 for it. A
+    failure to converge, which LAPACK leaves as NaN, raises LinAlgError,
+    also where warnings are errors. StructureMatrix rejects NaN and inf,
+    so public inputs never reach it."""
     try:
         u, sv, vt = svd_f(M, signature="d->ddd")
     except RuntimeWarning as warning:
@@ -337,22 +299,15 @@ def _svd(M: np.ndarray):
 
 
 class _Factorization:
-    """A checked structure matrix, as matrix, with one SVD A = U S V^T of
-    it, its rank, the operators built from it alone, a _Block for each
-    free-column block of rows = V_r^T asked for so far, and A times t_min
-    and the _Kept working sets its solves certified for the last bounds
-    asked for.
+    """A checked structure matrix, as matrix, with everything a solve on
+    it reads that does not depend on the force.
 
-    The rank counts singular values above RANK_REL_TOL times the largest;
-    this is the package's one rank rule, and actuation_rank reads it. The
-    operators are goal = S_r^-1 U_r^T, which maps a force to the
-    right-hand side of rows t = goal f, and its norm goal_norm; the
-    pseudoinverse pinv = A^+ = V_r S_r^-1 U_r^T, and its rows as float
-    triples, pinv_rows; and rows_t, a C-contiguous copy of rows^T. Of V^T
-    only its first rank rows are kept, as rows. Every array held here is
-    read-only, since later solves share it, and A times t_min, which a
-    solve may answer with, is an array over bytes, which no caller can
-    make writeable.
+    From one SVD: rank, the package's one rank rule, which actuation_rank
+    reads; rows, goal and pinv = A^+ (module docstring), pinv_rows, A^+'s
+    rows as float triples, rows_t, a C-contiguous rows^T, and goal_norm =
+    ||goal||. A _Block per free mask asked for (block), and for the last
+    bounds asked for, their _Box, A t_min and the _Kept sets (box). Every
+    array held here is read-only, since later solves share it.
     """
 
     def __init__(self, M: np.ndarray):
@@ -368,15 +323,12 @@ class _Factorization:
             arr.setflags(write=False)
         self.matrix, self.rank, self.rows = M, rank, rows
         self.goal, self.rows_t, self.pinv = goal, rows_t, pinv
-        # A^+'s rows as float triples, which t_min's answer reads
         self.pinv_rows = tuple(map(tuple, pinv.tolist()))
-        # ||goal||, the inverse of the smallest singular value kept
+        # the inverse of the smallest singular value kept
         self.goal_norm = 1.0 / values[rank - 1] if rank else 0.0
         self._blocks: dict[bytes, _Block] = {}
-        # (bounds, (_Box, A times its t_min, as an array and as three
-        # floats, _Kept)) of the last bounds asked for: one tuple, assigned
-        # at once, so a thread reads all of one bounds' memo or all of
-        # another's
+        # (bounds, what box returns): one tuple, assigned at once, so a
+        # thread reads all of one bounds' memo or all of another's
         self._box: tuple[object, tuple[_Box, np.ndarray, tuple, _Kept]] | None = None
 
     def block(self, free) -> _Block:
@@ -402,13 +354,12 @@ class _Factorization:
         return found
 
     def box(self, bounds: BoundsLike) -> tuple[_Box, np.ndarray, tuple, _Kept]:
-        """The _Box of bounds on this factorization's m cables, from the
-        _box every matrix shares, the matrix times its t_min, read-only and
-        as a tuple of three floats, and the working sets kept under bounds.
+        """(the _Box of bounds, A t_min read-only, A t_min as three floats,
+        the working sets kept under bounds), for the last bounds only.
 
-        This keeps only the last bounds, keyed as the TensionBounds itself
-        or a tuple of them: comparing that key is cheaper than the hash a
-        _box lookup takes, so only a new matrix goes to _box.
+        The key is the TensionBounds itself or a tuple of them: comparing
+        it is cheaper than the hash a _box lookup takes, so only a new
+        matrix goes to _box.
         """
         if not isinstance(bounds, TensionBounds):
             bounds = tuple(bounds)
@@ -430,10 +381,9 @@ class _Kept:
     bounds object, by (free, held): exact ones in sets and nearest ones in
     nearest_sets, each dict in the order its sets were kept.
 
-    Threads may share a factorization. A solve reads this with the box of
-    the bounds it solves under, in one memo, and keeps its set here, so a
-    set certified under other bounds never answers. keep, under a lock,
-    replaces both dicts with changed copies rather than change them, so a
+    Threads may share a factorization. A solve reads this from the same
+    memo as its box, so a set certified under other bounds never answers,
+    and keep replaces both dicts with changed copies under a lock, so a
     solve in another thread iterates the dict it read, whole.
     """
 
@@ -447,11 +397,10 @@ class _Kept:
 
     def keep(self, ws: _WorkingSet, nearest: bool) -> None:
         """Remember ws, in nearest_sets if nearest and in sets otherwise,
-        for the next solves under these bounds, unless it is known. The two
-        kinds share _MAX_SETS slots: with that many kept, the oldest set
-        goes, whatever its kind, so neither kind holds on to slots that the
-        other's newer sets would use. A free mask makes a set exact or
-        nearest, so the kinds' keys never meet."""
+        unless it is known. The two kinds share _MAX_SETS slots, and the
+        oldest set of either kind makes way, so neither kind holds slots
+        the other's newer sets would use. A free mask decides the kind, so
+        the kinds' keys never meet."""
         key = bytes(ws.free), tuple(ws.held)
         with self._lock:
             if key in self._order:
@@ -469,43 +418,41 @@ class _Kept:
 
 @functools.lru_cache(maxsize=1)
 def _factorize(key: bytes) -> _Factorization:
-    """The factorization of the 3 x m matrix whose C-order bytes are key,
-    m being their length over 24.
+    """The factorization of the 3 x m matrix whose C-order bytes are key.
 
     Only the most recent matrix is kept, so consecutive solves on one
-    matrix share its factorization, whatever object carries it, and the
-    process holds one factorization however many matrices exist. Its
-    matrix is an array over the bytes of key: read-only, and no copy.
+    matrix share it, whatever object carries it. Its matrix is a
+    read-only array over the bytes of key, not a copy.
     """
     return _Factorization(np.frombuffer(key).reshape(3, len(key) // 24))
 
 
 def _factorization(A) -> _Factorization:
-    """The factorization of A, a StructureMatrix taken as it is, or of the
-    StructureMatrix built from A, which checks it."""
+    """The factorization of A, a StructureMatrix taken as it is, checked
+    when it was built, or of the StructureMatrix built from A, which
+    checks it. Every entry point that takes a matrix comes here."""
     if not isinstance(A, StructureMatrix):
         A = StructureMatrix(A)
     return _factorize(A.columns.tobytes())
 
 
 def actuation_rank(A: StructureMatrix | np.ndarray) -> int:
-    """Numerical rank of the structure matrix (cutoff 1e-9 relative to the
-    largest singular value). Rank 3 with m >= 4 positively spanning columns
-    means the system is redundantly actuated."""
+    """Numerical rank of the structure matrix (cutoff RANK_REL_TOL relative
+    to the largest singular value). Rank 3 with m >= 4 positively spanning
+    columns means the system is redundantly actuated."""
     return _factorization(A).rank
 
 
 def _worst(free, t, g, lo) -> tuple[int, float]:
-    """A working set's certificate over its held cables, from sequences of
-    floats, one entry per cable: the held cable whose g points furthest
-    into the box (g at a floor, -g at a ceiling; the lowest index on a
-    tie), with that amount, or (-1, -inf) if none is held.
+    """The held cable whose g points furthest into the box (g at a floor,
+    -g at a ceiling; the lowest index on a tie) and that amount, or
+    (-1, -inf) when none is held; all four are sequences, one entry per
+    cable.
 
-    g is the direction a held cable would move in if it were free: the
-    descent A^+ (f - A t) before f is rendered, and after it the step
-    t_min + shift - t toward the set's optimum, which is minus the cable's
-    multiplier at a floor and the multiplier at a ceiling. Each held cable
-    sits exactly on a bound, so t <= t_min tells a floor from a ceiling.
+    g is where a held cable would move if it were free: its descent before
+    f is rendered, and after it t_min + shift - t, minus its multiplier at
+    a floor and its multiplier at a ceiling. A held cable sits exactly on
+    a bound, so t <= t_min tells a floor from a ceiling.
     """
     worst, most = -1, -math.inf
     for i, (is_free, ti, gi, lo_i) in enumerate(zip(free, t, g, lo)):
@@ -517,13 +464,9 @@ def _worst(free, t, g, lo) -> tuple[int, float]:
 
 
 def _move(t, fraction: float, step, lo, hi) -> list[float]:
-    """t + fraction * step clipped into the box [lo, hi], from sequences of
-    floats, one entry per cable: np.minimum(np.maximum(t + fraction * step,
-    lo), hi) as one pass, with the same float operations in the same order.
-    On a tie each comparison keeps the bound, the second operand, as
-    np.maximum and np.minimum do, so a signed zero comes out as theirs
-    does. A fraction of 1.0 leaves each step component as it is, so it
-    also stands for t + step."""
+    """The pass for np.minimum(np.maximum(t + fraction * step, lo), hi),
+    from sequences of floats, one entry per cable. A fraction of 1.0
+    leaves each step component as it is, so it also stands for t + step."""
     moved = []
     for ti, si, lo_i, hi_i in zip(t, step, lo, hi):
         v = ti + fraction * si
@@ -533,17 +476,13 @@ def _move(t, fraction: float, step, lo, hi) -> list[float]:
 
 
 def _ratio_step(t, step, box: _Box):
-    """Move t along step, stopping where the first cable meets a bound.
+    """(the new box point, the blocking cable) of t moved along step, both
+    lists of floats, to where the first cable meets a bound; the blocking
+    cable is the lowest index on a tie, set exactly on its bound, or -1
+    when the whole step is taken, which is _move at fraction 1.0.
 
-    t and step are lists of floats, one entry per cable. Step components
-    at or below box.rounding are ignored: a bound that was just released
-    must not block the step at length zero. Returns the new box point, a
-    list, and the blocking cable (the lowest index on a tie), or -1 when
-    the whole step was taken. One pass finds the fraction of the step to
-    take and, on the way, the full step t + step clipped into the box,
-    which is _move at fraction 1.0 bit for bit, since 1.0 * s is s. Only a
-    blocked step makes a second pass (_move at its fraction), and its
-    blocking cable is then set exactly on its bound.
+    Step components at or below box.rounding block nothing, so a bound
+    just released does not block the step at length zero.
     """
     lo, hi, rounding = box.lo_floats, box.hi_floats, box.rounding
     fraction, blocking, bound = 1.0, -1, 0.0
@@ -566,38 +505,26 @@ def _ratio_step(t, step, box: _Box):
 
 
 def _below_threshold(fac, box: _Box, root: float, stationary: float) -> bool:
-    """Whether 16 rounding levels of every iterate of a solve lie at or
-    below the descent test's threshold stationary = tol / 10, root being
-    the norm of the residual r of any one iterate: a level is eps ||goal||
-    (max |f_i| + sum t), max |f_i| <= ||r|| + sum t, and no cable passes
-    t_max. The loop then tests every descent at tol / 10 and takes no
-    level."""
+    """Whether _STATIONARY_LEVELS rounding levels of every iterate lie at
+    or below the threshold stationary, root being the residual norm of
+    any one iterate: max |f_i| <= root + sum t, and sum t <= hi_sum."""
     unit = _EPS * fac.goal_norm
     return _STATIONARY_LEVELS * unit * (root + 2.0 * box.hi_sum) <= stationary
 
 
 def _floor_residual(fac, box: _Box, f, a_lo, tol: float):
-    """||f - A t_min|| when t_min answers f, f and a_lo = A t_min being
-    three floats each; None otherwise. No numpy call runs.
+    """||f - A t_min|| when t_min answers f, NEAREST_FEASIBLE, and None
+    otherwise; f and a_lo = A t_min are three floats each, and no numpy
+    call runs.
 
-    This is the nearest test of the working set that holds every cable on
-    its floor, which needs no block: its optimum is t_min, and its held
-    descent is d = A^+ r, r = f - A t_min. One pass over A^+'s rows forms
-    each d_i as a float sum and stops at the first cable that
-    fl(t_min,i + d_i) lifts off its floor, the start's clip; where none
-    does, every d_i lies at or below eps/2 t_min,i (at or below 0 on a
-    zero or subnormal floor). The loop forms d with BLAS, and each of the
-    two lies within gamma_3 |A^+_i| |r| of the exact product (Higham
-    2002, 3.1), so they differ by at most about 3 eps ||A^+|| ||r||, and
-    ||A^+|| = ||goal||. Once eps sum t_max lies within the descent test's
-    threshold tol / 10, and 16 rounding levels of any iterate,
-    16 eps ||goal|| (||r|| + 2 sum t_max), do too, the loop's descent at
-    t_min is at most tol / 20 + 3/16 tol / 10, below tol / 10: t_min
-    passes the test the loop's first iteration would run on it, however
-    the two sums round. The answer is then the loop's, NEAREST_FEASIBLE at
-    1 iteration, when the residual lies above tol, which the loop tests on
-    the same float sum. Its residual is the float sum _rendering takes for
-    t_min, bit for bit, since f - A t_min negates A t_min - f exactly.
+    This is the nearest test of the set that holds every cable on its
+    floor: its optimum is t_min and its descent A^+ r, r = f - A t_min,
+    formed here by one float pass over A^+'s rows. t_min answers when its
+    residual exceeds tol, no cable's clip fl(t_min,i + d_i) leaves its
+    floor, and the descent threshold is its tolerance term on every
+    iterate; the module docstring shows the loop stops there too. The
+    residual is _residual's for t_min, bit for bit, since f - A t_min
+    negates A t_min - f exactly.
     """
     f0, f1, f2 = f
     a0, a1, a2 = a_lo
@@ -613,28 +540,11 @@ def _floor_residual(fac, box: _Box, f, a_lo, tol: float):
 
 
 def _optimum(fac, ws: _WorkingSet, f, box: _Box, tol: float):
-    """The answer of exact working set ws, which carries its offsets, for
-    the force f, three floats: its optimum for rows t = goal f, as
-    (x, A x, ||A x - f||), when that optimum certifies strictly and
-    renders f within tol; None otherwise. This is the one definition of an
-    exact answer from a working set.
-
-    One pass over the cables computes each shift p_i . f - q_i, p_i the
-    cable's row of the set's force map and q_i its offset, which is
-    shift_op (goal f - c) but for rounding, and tests it as it goes: every
-    free cable, t_min + shift, must lie inside the box by more than the
-    margin, and every held cable's multiplier held - t_min - shift must
-    have its bound's sign by more than the margin (>= 0 at a floor, <= 0
-    at a ceiling); a cable exactly at a bound with a zero multiplier is
-    neither. No numpy call runs before a set certifies.
-
-    The margin is box.rounding, the rounding level of the tensions, plus
-    tol times the block's drift: once an iterate renders f within tol,
-    the loop steps toward the optimum of the force that iterate renders.
-    A set that certifies with this margin is optimal for every such force,
-    so the loop's steps would certify it as well, and the answer is this
-    one whether the loop or a kept set asks for it.
-    """
+    """The exact answer of working set ws for the force f, three floats,
+    as (x, A x, ||A x - f||), when ws certifies exact for f (module
+    docstring); None otherwise. One pass forms each cable's shift
+    p_i . f - q_i and tests it, so no numpy call runs before ws
+    certifies. A cable at a bound with a zero multiplier fails."""
     f0, f1, f2 = f
     margin = box.rounding + tol * ws.block.drift
     t = []
@@ -658,32 +568,11 @@ def _optimum(fac, ws: _WorkingSet, f, box: _Box, tol: float):
 
 
 def _nearest_optimum(fac, ws: _WorkingSet, f, box: _Box, tol: float):
-    """The answer of nearest working set ws for the force f, three floats:
-    its optimum, as (x, A x, ||A x - f||), when that optimum certifies
-    strictly and misses f by more than tol; None otherwise. This is the
-    one definition of a nearest answer from a working set.
-
-    The optimum holds each held cable at its bound and gives the free ones
-    the least-squares solution of rows t = goal f, t_min + shift with
-    shift = shift_op (goal f - c), which their block of full column rank
-    makes unique. Each held cable's descent A^+ (f - A t) at the optimum is
-    rows_i^T U_perp U_perp^T (goal f - c), U_perp the trailing columns of
-    the block's u, so it is affine in f as well. One pass computes both as
-    p_i . f - q_i from the set's force map and offsets, and tests them as
-    it goes: every free cable must lie inside the box by more than
-    _optimum's margin, and every held cable's descent must point out of
-    the box by more than the descent test's threshold, tol / 10 or 16
-    rounding levels of the optimum, whichever is larger; a zero descent
-    is not enough. The optimum must then miss f by more than tol and by
-    more than 64 rounding levels, within which the loop takes a certified
-    point as rendering f. No numpy call runs before a set certifies.
-
-    A set that certifies is the unique nearest box point's: the nearest
-    point's rendered force is unique, the strictly outward descents fix
-    every held cable and full column rank fixes the free ones. So the
-    answer is this one whether a cold solve or a kept set asks for it, and
-    no exact set certifies for the same force.
-    """
+    """The nearest answer of working set ws for the force f, three floats,
+    as (x, A x, ||A x - f||), when ws certifies nearest for f (module
+    docstring); None otherwise. One pass forms each free cable's shift
+    and each held cable's descent as p_i . f - q_i and tests it, so no
+    numpy call runs before ws certifies. A zero descent fails."""
     f0, f1, f2 = f
     margin = box.rounding + tol * ws.block.drift
     stationary = tol * 0.1
@@ -721,16 +610,10 @@ def _rendering(fac, t, f):
 
 
 def _residual(rendered, f) -> float:
-    """||rendered - f||, rendered an array of three floats and f three
-    floats, as one float sum over rendered.tolist(): the force_residual of
-    every answer, and the norm every test of a residual against the
-    tolerance reads, so an answer's status and its residual agree.
-    numpy's math.sqrt(miss.dot(miss)) may differ, since its BLAS kernel
-    may group or fuse the products otherwise: each sum of the three
-    squares lies within gamma_3 of the exact one (Higham 2002, 3.1), the
-    root halves that and rounds once, so the two roots differ by at most
-    gamma_3 + eps, about 2.5 eps relative, which is at most 5 ulps. The
-    corpus and the seeded reference test measure 2 ulps at most."""
+    """||rendered - f|| as one float sum over rendered.tolist(), rendered
+    an array of three floats and f three floats: every answer's
+    force_residual, and the norm every test of a residual against tol
+    reads, so an answer's status and its residual agree."""
     (r0, r1, r2), (f0, f1, f2) = rendered.tolist(), f
     m0, m1, m2 = r0 - f0, r1 - f1, r2 - f2
     return math.sqrt((m0 * m0 + m1 * m1) + m2 * m2)
@@ -738,9 +621,8 @@ def _residual(rendered, f) -> float:
 
 def _reuse(sets, optimum, fac, f, box: _Box, tol: float):
     """The first answer that optimum, _optimum or _nearest_optimum, gives
-    for the force f, three floats, from the working sets sets, the exact
-    or nearest ones kept under the bounds, trying them in the order they
-    were certified, or None."""
+    for the force f, three floats, from the dict of kept sets sets, in the
+    order they were kept; None if none gives one."""
     for ws in sets.values():
         found = optimum(fac, ws, f, box, tol)
         if found is not None:
@@ -749,16 +631,16 @@ def _reuse(sets, optimum, fac, f, box: _Box, tol: float):
 
 
 def _working_set(fac, blk: _Block, free, held, c) -> _WorkingSet:
-    """The working set that leaves the cables of the list free free, blk
-    being their block, and holds every other cable at its entry of held,
-    a list of floats with t_min on each free cable, c being rows times
-    held, with the offsets and force map its answer reads: a nearest set
-    when the free cables' rank is below A's, whose held cables map to
-    their descents, and an exact set otherwise."""
+    """The working set with the list of bools free, whose block is blk,
+    and the held vector held, a list of floats, c being rows times held.
+
+    Its offsets are O c and its force map O goal, where O is blk.shift_op
+    but, on a nearest set's held cables (blk.rank below A's), the
+    operator of their descent, rows^T U_perp U_perp^T, U_perp the
+    trailing columns of blk.u."""
     op = blk.shift_op
     if blk.rank < fac.rank:
-        # rows^T U_perp U_perp^T on the held cables, U_perp the directions
-        # of rows t the free cables cannot reach
+        # U_perp spans the directions of rows t the free cables cannot reach
         perp = blk.u[:, blk.rank :]
         op = np.where(np.array(free)[:, None], op, fac.rows_t.dot(perp.dot(perp.T)))
     offsets = tuple(op.dot(c).tolist())
@@ -767,10 +649,9 @@ def _working_set(fac, blk: _Block, free, held, c) -> _WorkingSet:
 
 
 def _nearest_set(fac, box: _Box, t):
-    """The working set of the nearest point t, a list of floats, which
-    holds the cables t has on a bound: a nearest set, or None when the free
-    cables' block lacks full column rank, where no set's optimum is unique,
-    or reaches A's rank, where the set answers no unreachable force."""
+    """The nearest working set of the box point t, a list of floats, which
+    holds the cables t has on a bound; None when the free cables lack full
+    column rank, where no optimum is unique, or reach A's rank."""
     lo, hi = box.lo_floats, box.hi_floats
     free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
     blk = fac.block(free)
@@ -781,63 +662,25 @@ def _nearest_set(fac, box: _Box, t):
 
 
 def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> SolveResult:
-    """The cold solve of the force fvec, f being its three floats, from t,
-    the box-clipped projection of t_min, t_min + A^+ (f - A t_min), a list
-    of floats: one primal active-set loop of at most budget iterations,
-    which keeps the set it certifies in kept, the bounds' _Kept.
+    """The cold solve of the force fvec, f being its three floats, by the
+    active-set loop (module docstring) from t, a list of floats, the
+    box-clipped t_min + A^+ (f - A t_min), in at most budget iterations.
+    It keeps the set it certifies in kept, the bounds' _Kept.
 
-    rows = fac.rows has orthonormal rows spanning the row space of A and
-    goal = fac.goal = S_r^-1 U_r^T, so for the residual r = f - A t,
-    ||goal r|| is the distance from t to the equilibrium set and
-    A^+ r = rows^T goal r its negative gradient. Cables at a bound are
-    held. Each iteration takes the working set of the box point t, which
-    holds the held cables where t has them, and steps toward a
-    least-squares solution over its free cables, on the free block's
-    shift_op; the ratio step stops at the first bound on the way and holds
-    that cable. Until an iterate renders f within tol the step is
-    shift_op goal r, to the solution of rows t = goal f nearest t, formed
-    from the residual so that it rounds with the step rather than with the
-    tensions. From then on it is t_min + shift - t, shift = shift_op
-    (target - c), c being rows times the held vector and the target rows t
-    of that iterate: to the set's optimum, the solution of rows t = target
-    nearest t_min (_toward). Keeping that iterate's force keeps the
-    iterates rendering a force the box can render, even when f lies just
-    outside the renderable set.
+    Each iteration holds the cables t has at a bound. Until an iterate
+    renders f, the step over the free cables is shift_op goal r, formed
+    from the residual so that it rounds with the step rather than with
+    the tensions; an unblocked step is tested by the descents of the held
+    cables. From then on the step is _toward's, to the optimum for rows t
+    = target, the target being rows t of the first iterate that rendered
+    f; an unblocked step is tested by the multipliers of the held cables,
+    to within box.rounding, and the free cables keep A's rank, a held
+    cable being released first whenever they lose it. The worst failing
+    cable is released. A set that passes is built and asked for its
+    answer, so a solve builds at most one.
 
-    A step that no cable blocks reaches the set's optimum, and the set's
-    certificate runs on its held cables (_worst). Its free cables sit at
-    the optimum by construction: a test of them could fail only by
-    rounding, and the loop would step to the same point again. Before f
-    is rendered this is bounded-variable least squares (Stark & Parker
-    1995): no held cable's descent A^+ r may point into the box by more
-    than tol / 10 or _STATIONARY_LEVELS rounding levels of the iterate,
-    whichever is larger. After it, it is the primal active-set method
-    (Nocedal & Wright, Alg. 16.3) for min ||t - t_min||: every held
-    cable's multiplier must have its bound's sign, to within box.rounding.
-    The worst cable that fails is released. Once f is rendered the free
-    cables keep A's rank: a held cable is released first whenever they
-    lose it.
-
-    A set is built and asked for an answer only when its certificate
-    passes, so a solve builds at most one. A set certified before f is
-    rendered answers with its _nearest_optimum, NEAREST_FEASIBLE; a
-    degenerate point, whose free cables lack full column rank or whose
-    held descents do not clear the threshold, answers with the iterate,
-    and its set is not kept. A certified point within _FEASIBLE_LEVELS
-    rounding levels of f renders f to rounding, and is taken as rendering
-    it. The iteration that first renders f runs the multiplier test at
-    once. A set certified for a target rows t answers with its _optimum,
-    FEASIBLE_EXACT (see _optimum for why that is the method's own answer);
-    where _optimum gives none, the iterate answers, FEASIBLE_EXACT when it
-    renders f within tol and ITERATION_CAP otherwise, as when the budget
-    runs out.
-
-    A rounding level of an iterate t is eps ||goal|| (max |f_i| + sum t),
-    so that no solve spins where the tolerance lies below the rounding; a
-    solve whose 16 levels cannot reach tol / 10 on any iterate takes none
-    (_below_threshold). Where the rounding keeps a reachable force above
-    tol, the solve ends ITERATION_CAP, and scaling the force, the bounds
-    and the tolerance together scales the answer.
+    Where no set answers, the iterate does: FEASIBLE_EXACT when it renders
+    f within tol and ITERATION_CAP otherwise, as when the budget runs out.
     """
     M, rows, rank = fac.matrix, fac.rows, fac.rank
     lo, hi = box.lo_floats, box.hi_floats
@@ -845,14 +688,13 @@ def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> So
     x = np.array(t)
     rendered = M.dot(x)
     residual = fvec - rendered
-    # ||residual||, the force_residual the iterate would answer with
+    # the force_residual the iterate would answer with
     root = _residual(rendered, f)
     # whether an iterate has rendered f, whose force is then the target
     rendering = root <= tol
     target = rows.dot(x) if rendering else None
-    # a rounding level is unit (max |f_i| + sum t); unit is set at the
-    # first descent test, to 0 when no iterate's 16 levels can reach
-    # tol / 10, the usual case
+    # a rounding level is unit (max |f_i| + sum t), unit being set at the
+    # first descent test, to 0 where _below_threshold holds
     unit = None
     for k in range(1, budget + 1):
         blk = fac.block(free)
@@ -922,14 +764,12 @@ def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> So
 
 
 def _toward(fac, blk: _Block, free, target, t, lo):
-    """(held, c, toward) of the working set of the box point t whose free
-    cables, of the list free, form blk: its held vector, t_min on each
-    free cable and t on each held one, c = rows times it, and t_min +
-    shift - t on every cable, shift = blk.shift_op (target - c), as lists
-    of floats. On a free cable that is its step to the set's optimum for
-    rows t = target, the least-squares solution nearest t_min, and on a
-    held cable minus its multiplier at a floor, its multiplier at a
-    ceiling."""
+    """(held, c, toward), lists of floats but c, for the box point t whose
+    free cables, of the list free, form blk: the held vector, c = rows
+    times it, and t_min + shift - t on every cable, shift = blk.shift_op
+    (target - c). On a free cable that is its step to the optimum for
+    rows t = target; on a held cable, what _worst reads as its
+    multiplier."""
     held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
     c = fac.rows.dot(np.array(held))
     shift = blk.shift_op.dot(target - c).tolist()
@@ -944,48 +784,31 @@ def solve(
 ) -> SolveResult:
     """Compute box-feasible cable tensions rendering the desired force f.
 
-    One active-set loop (_active_set), holding or releasing at most one
-    cable per iteration, starts from the box-clipped equilibrium
-    projection of t_min on every cable. It minimizes the distance to the
-    equilibrium set {t : A t = f} over the box until an iterate renders f,
-    and then finds the box point rendering that iterate's force that is
-    nearest t_min. The result is:
+    The result is:
 
-    * intersection nonempty -> the Euclidean projection of t_min onto the
-      intersection, status FEASIBLE_EXACT, with a force residual
-      within the tolerance;
+    * intersection of the box and {t : A t = f} nonempty -> the Euclidean
+      projection of t_min onto it, status FEASIBLE_EXACT, with a force
+      residual within the tolerance;
     * intersection empty -> the box point nearest the equilibrium set,
       status NEAREST_FEASIBLE, so the nearest reachable force is rendered;
     * otherwise ITERATION_CAP: max_iterations ran out, or the tolerance is
       below what the rounding of the steps lets the residual reach.
-
-    The loop works on the rank-r system rows t = goal f, with
-    rows = V_r^T and goal = S_r^-1 U_r^T from one SVD A = U S V^T; it holds
-    exactly when A t = P_range(A) f, so rank-deficient layouts need no
-    special case. Everything that depends on A alone, or on A and the
-    last bounds, is cached in A's one factorization (see the module
-    docstring), so the next solves on the same matrix compute only what
-    depends on the force, and the working sets its solves certified
-    answer the next forces that share them at 1 iteration: build A once
-    and pass it to every solve at that position. A StructureMatrix is
-    taken as it is, checked once when it was built; anything else is
-    built into one first, so a plain array gets its checks and its bits.
-    A bad matrix, force or bounds raises ValueError. ``iterations``
-    counts the loop's iterations, including the one that certifies the
-    result, so it is at least 1, and it is 1 for an
-    answer from a kept working set or at t_min. A kept set's answer is the
-    cold solve's, bit for bit, except that it lifts an ITERATION_CAP: a
-    kept set that certifies for f answers FEASIBLE_EXACT or
-    NEAREST_FEASIBLE whatever max_iterations is.
+      Scaling the force, the bounds and the tolerance together scales the
+      answer.
 
     The returned tensions are always within bounds, whatever the status.
-    A force with a component of _fields.MAX_MAGNITUDE (1e100 N) or more
-    raises ValueError naming it, as TensionBounds does for such a t_max.
-    The exact working sets A's factorization keeps for the bounds answer
-    first, then t_min's, by a float pass over A^+'s rows
-    (_floor_residual), then the nearest ones (_reuse). A cold solve
-    answers with the _optimum or _nearest_optimum of the one working set
-    the loop certifies, and keeps that set.
+    ``iterations`` counts the active-set loop's iterations, including the
+    one that certifies the result, so it is at least 1; it is 1 for an
+    answer from a kept working set or at t_min. An answer is the same,
+    bit for bit, whatever was solved before, except that a kept set
+    lifts an ITERATION_CAP (module docstring).
+
+    Everything that depends on A alone, or on A and the last bounds, is
+    cached, so build A once and pass it to every solve at that position.
+    A StructureMatrix is taken as it is; anything else is built into one
+    first, which checks it. A bad matrix, force or bounds raises
+    ValueError, as does a force with a component of
+    _fields.MAX_MAGNITUDE or more.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     fac = _factorization(A)
@@ -1010,16 +833,11 @@ def solve(
 
 
 def _result(box, x, rendered, residual, status, iterations) -> SolveResult:
-    """The SolveResult of tensions x rendering the force rendered, with
-    both arrays read-only, built through its slots' setters: the fields of
-    SolveResult(x, rendered, residual, status, iterations) at about half
-    the cost of its __init__.
-
-    Here every fresh answer's pair of arrays is frozen. An answer at t_min
-    from the start passes box.lo and A t_min instead, which every such
-    answer shares and which are frozen already: arrays over bytes, made
-    once per box and per factorization, which no caller can make
-    writeable. A solve answers with both of them or with neither."""
+    """SolveResult(x, rendered, residual, status, iterations), built
+    through its slots' setters, with both arrays read-only. An answer at
+    t_min passes box.lo and A t_min, which every such answer shares and
+    which are frozen already; every other answer's arrays are fresh and
+    are frozen here."""
     if x is not box.lo:
         x.setflags(write=False)
         rendered.setflags(write=False)
@@ -1038,5 +856,6 @@ def is_wrench_feasible(
     bounds: BoundsLike,
     config: SolverConfig | None = None,
 ) -> bool:
-    """True when some box-feasible tension vector renders f within 1e-7 N."""
+    """True when some box-feasible tension vector renders f within
+    WRENCH_FEASIBLE_RESIDUAL newtons."""
     return solve(A, f, bounds, config).force_residual <= WRENCH_FEASIBLE_RESIDUAL
