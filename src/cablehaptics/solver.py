@@ -211,16 +211,15 @@ class _Block(NamedTuple):
 
 class _WorkingSet(NamedTuple):
     """A certified working set: the free mask and the held vector (t_min
-    on each free cable, its bound on each held one), its _Block, c = rows
-    times the held vector, and what its answer reads, one entry per
-    cable: the offset q_i, a float, and the force-map row p_i, a float
-    triple, so that p_i . f - q_i is the cable's shift, or, on a nearest
-    set's held cable, its descent (_working_set)."""
+    on each free cable, its bound on each held one), its block's drift
+    (_Block), and what its answer reads, one entry per cable: the offset
+    q_i, a float, and the force-map row p_i, a float triple, so that
+    p_i . f - q_i is the cable's shift, or, on a nearest set's held
+    cable, its descent (_working_set)."""
 
     free: Sequence[bool]
     held: Sequence[float]
-    block: _Block
-    c: np.ndarray
+    drift: float
     offsets: tuple[float, ...]
     force_map: tuple[tuple[float, float, float], ...]
 
@@ -405,7 +404,6 @@ class _Kept:
         with self._lock:
             if key in self._order:
                 return
-            ws.c.setflags(write=False)
             order = {**self._order, key: nearest}
             sets, nearest_sets = dict(self.sets), dict(self.nearest_sets)
             (nearest_sets if nearest else sets)[key] = ws
@@ -546,7 +544,7 @@ def _optimum(fac, ws: _WorkingSet, f, box: _Box, tol: float):
     p_i . f - q_i and tests it, so no numpy call runs before ws
     certifies. A cable at a bound with a zero multiplier fails."""
     f0, f1, f2 = f
-    margin = box.rounding + tol * ws.block.drift
+    margin = box.rounding + tol * ws.drift
     t = []
     for is_free, h, (p0, p1, p2), q, lo_i, hi_i in zip(
         ws.free, ws.held, ws.force_map, ws.offsets, box.lo_floats, box.hi_floats
@@ -574,7 +572,7 @@ def _nearest_optimum(fac, ws: _WorkingSet, f, box: _Box, tol: float):
     and each held cable's descent as p_i . f - q_i and tests it, so no
     numpy call runs before ws certifies. A zero descent fails."""
     f0, f1, f2 = f
-    margin = box.rounding + tol * ws.block.drift
+    margin = box.rounding + tol * ws.drift
     stationary = tol * 0.1
     # the least outward descent of a held cable
     least = math.inf
@@ -645,7 +643,7 @@ def _working_set(fac, blk: _Block, free, held, c) -> _WorkingSet:
         op = np.where(np.array(free)[:, None], op, fac.rows_t.dot(perp.dot(perp.T)))
     offsets = tuple(op.dot(c).tolist())
     force_map = tuple(map(tuple, op.dot(fac.goal).tolist()))
-    return _WorkingSet(free, held, blk, c, offsets, force_map)
+    return _WorkingSet(free, held, blk.drift, offsets, force_map)
 
 
 def _nearest_set(fac, box: _Box, t):
@@ -682,14 +680,12 @@ def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> So
     Where no set answers, the iterate does: FEASIBLE_EXACT when it renders
     f within tol and ITERATION_CAP otherwise, as when the budget runs out.
     """
-    M, rows, rank = fac.matrix, fac.rows, fac.rank
+    rows, rank = fac.rows, fac.rank
     lo, hi = box.lo_floats, box.hi_floats
     free = [lo_i < ti < hi_i for ti, lo_i, hi_i in zip(t, lo, hi)]
-    x = np.array(t)
-    rendered = M.dot(x)
+    # root is the force_residual the iterate would answer with
+    x, rendered, root = _rendering(fac, t, f)
     residual = fvec - rendered
-    # the force_residual the iterate would answer with
-    root = _residual(rendered, f)
     # whether an iterate has rendered f, whose force is then the target
     rendering = root <= tol
     target = rows.dot(x) if rendering else None
@@ -711,10 +707,8 @@ def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> So
         step = [g if is_free else 0.0 for is_free, g in zip(free, toward)]
         t, blocking = _ratio_step(t, step, box)
         if not rendering:
-            x = np.array(t)
-            rendered = M.dot(x)
+            x, rendered, root = _rendering(fac, t, f)
             residual = fvec - rendered
-            root = _residual(rendered, f)
             if blocking < 0 and root > tol:
                 if unit is None:
                     below = _below_threshold(fac, box, root, tol * 0.1)
@@ -754,12 +748,12 @@ def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> So
         if found is not None:
             kept.keep(ws, False)
             return _result(box, *found, SolveStatus.FEASIBLE_EXACT, k)
-        x, rendered, residual = _rendering(fac, t, f)
+        x, rendered, root = _rendering(fac, t, f)
         # the rounding of the steps can leave a certified point just above
         # a tolerance set near the rounding level of the force
-        exact = residual <= tol
+        exact = root <= tol
         status = SolveStatus.FEASIBLE_EXACT if exact else SolveStatus.ITERATION_CAP
-        return _result(box, x, rendered, residual, status, k)
+        return _result(box, x, rendered, root, status, k)
     return _result(box, *_rendering(fac, t, f), SolveStatus.ITERATION_CAP, budget)
 
 

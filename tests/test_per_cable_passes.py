@@ -591,9 +591,9 @@ def reference_optimum(fac, ws, f, box, tol):
     tol; for a nearest set, a free block of full column rank, every held
     cable's descent A^+ (f - A t) pointing out of the box by more than
     phase 1's threshold and a residual above tol and 64 rounding levels."""
-    blk = ws.block
-    shift = blk.shift_op.dot(fac.goal.dot(f) - ws.c)
+    blk = fac.block(ws.free)
     free, held = np.array(ws.free), np.array(ws.held)
+    shift = blk.shift_op.dot(fac.goal.dot(f) - fac.rows.dot(held))
     lo, hi = box.lo, np.array(box.hi_floats)
     margin = box.rounding + tol * blk.drift
     t = np.where(free, held + shift, held)
@@ -665,7 +665,7 @@ def test_optimum_matches_reference():
     for fac, ws, f, box, tol in optimum_cases(27, 600):
         expected = reference_optimum(fac, ws, f, box, tol)
         # a set is nearest where its free block's rank is below A's
-        nearest = ws.block.rank < fac.rank
+        nearest = fac.block(ws.free).rank < fac.rank
         optimum = solver._nearest_optimum if nearest else solver._optimum
         got = optimum(fac, ws, f.tolist(), box, tol)
         assert (got is None) == (expected is None)

@@ -514,7 +514,7 @@ def test_exact_and_nearest_sets_share_the_slots():
     def kept(k, nearest):
         # the two kinds' free masks differ, as a block's rank decides them
         free = [nearest, False, False]
-        return solver._WorkingSet(free, [float(k)] * 3, None, np.zeros(3), (), ())
+        return solver._WorkingSet(free, [float(k)] * 3, 0.0, (), ())
 
     def keep(k, nearest):
         slots.keep(kept(k, nearest), nearest)
