@@ -87,8 +87,8 @@ the products' magnitudes (Higham 2002, 3.1):
     _floor_residual answers, each float d_i is at most eps/2 t_min,i,
     and eps sum t_max and _STATIONARY_LEVELS levels of any iterate lie
     within the threshold's tolerance term, so the loop's descent at t_min
-    is at most 1/2 + 3/16 of that term: the loop would stop at t_min
-    however either sum rounds.
+    is at most 1/2 + 3/_STATIONARY_LEVELS of that term: the loop would
+    stop at t_min however either sum rounds.
 Every answer of each kind takes the same pass, so an answer still depends
 on nothing but the problem.
 
