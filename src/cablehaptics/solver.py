@@ -30,16 +30,15 @@ for the point nearest t_min.
 
 Working sets. A working set holds some cables at a bound and leaves the
 rest free. Its optimum holds the held cables there and gives the free
-ones the least-squares solution of rows t = goal f nearest t_min. The
-set certifies
-  * exact (_optimum) when its optimum renders f within tol, every free
-    cable lies inside the box by more than the margin, and every held
-    cable's multiplier has its bound's sign by more than the margin;
-  * nearest (_nearest_optimum) when its optimum misses f by more than
-    tol and by more than _FEASIBLE_LEVELS rounding levels, its free
-    cables have full column rank and lie inside the box by more than the
-    margin, and every held cable's descent points out of the box by more
-    than the descent threshold.
+ones the least-squares solution of rows t = goal f nearest t_min. A set
+is nearest when its free cables fall short of A's rank, and exact
+otherwise. It certifies (_optimum) when every free cable lies inside the
+box by more than the margin, every held cable's g (_worst) points out of
+the box by more than the threshold, and
+  * exact: its optimum renders f within tol; the threshold is the margin;
+  * nearest: its optimum misses f by more than tol and by more than
+    _FEASIBLE_LEVELS rounding levels, and its free cables have full
+    column rank; the threshold is the descent threshold.
 The margin is box.rounding plus tol times the block's drift (_Block).
 The descent threshold is the larger of its tolerance term, tol / 10, and
 _STATIONARY_LEVELS rounding levels of the point tested.
@@ -211,14 +210,15 @@ class _Block(NamedTuple):
 
 class _WorkingSet(NamedTuple):
     """A certified working set: the free mask and the held vector (t_min
-    on each free cable, its bound on each held one), its block's drift
-    (_Block), and what its answer reads, one entry per cable: the offset
-    q_i, a float, and the force-map row p_i, a float triple, so that
-    p_i . f - q_i is the cable's shift, or, on a nearest set's held
-    cable, its descent (_working_set)."""
+    on each free cable, its bound on each held one), whether it is
+    nearest, its block's drift (_Block), and what its answer reads, one
+    entry per cable: the offset q_i, a float, and the force-map row p_i,
+    a float triple, so that p_i . f - q_i is a free cable's shift and a
+    held cable's g (_worst)."""
 
     free: Sequence[bool]
     held: Sequence[float]
+    nearest: bool
     drift: float
     offsets: tuple[float, ...]
     force_map: tuple[tuple[float, float, float], ...]
@@ -394,13 +394,13 @@ class _Kept:
         # whether each kept key is nearest, in the order kept
         self._order: dict[tuple, bool] = {}
 
-    def keep(self, ws: _WorkingSet, nearest: bool) -> None:
-        """Remember ws, in nearest_sets if nearest and in sets otherwise,
-        unless it is known. The two kinds share _MAX_SETS slots, and the
-        oldest set of either kind makes way, so neither kind holds slots
-        the other's newer sets would use. A free mask decides the kind, so
-        the kinds' keys never meet."""
-        key = bytes(ws.free), tuple(ws.held)
+    def keep(self, ws: _WorkingSet) -> None:
+        """Remember ws, in nearest_sets if it is nearest and in sets
+        otherwise, unless it is known. The two kinds share _MAX_SETS
+        slots, and the oldest set of either kind makes way, so neither kind
+        holds slots the other's newer sets would use. A free mask decides
+        the kind, so the kinds' keys never meet."""
+        key, nearest = (bytes(ws.free), tuple(ws.held)), ws.nearest
         with self._lock:
             if key in self._order:
                 return
@@ -450,7 +450,8 @@ def _worst(free, t, g, lo) -> tuple[int, float]:
     g is where a held cable would move if it were free: its descent before
     f is rendered, and after it t_min + shift - t, minus its multiplier at
     a floor and its multiplier at a ceiling. A held cable sits exactly on
-    a bound, so t <= t_min tells a floor from a ceiling.
+    a bound, so t <= t_min tells a floor from a ceiling. A working set's
+    answer (_optimum) reads the same g of its held cables.
     """
     worst, most = -1, -math.inf
     for i, (is_free, ti, gi, lo_i) in enumerate(zip(free, t, g, lo)):
@@ -538,61 +539,38 @@ def _floor_residual(fac, box: _Box, f, a_lo, tol: float):
 
 
 def _optimum(fac, ws: _WorkingSet, f, box: _Box, tol: float):
-    """The exact answer of working set ws for the force f, three floats,
-    as (x, A x, ||A x - f||), when ws certifies exact for f (module
-    docstring); None otherwise. One pass forms each cable's shift
-    p_i . f - q_i and tests it, so no numpy call runs before ws
-    certifies. A cable at a bound with a zero multiplier fails."""
+    """The answer of working set ws for the force f, three floats, as (x,
+    A x, ||A x - f||), when ws certifies for f, exact or, if ws.nearest,
+    nearest (module docstring); None otherwise. One pass forms each
+    cable's p_i . f - q_i, a free cable's shift or a held cable's g, and
+    tests it, so no numpy call runs before ws certifies. A held cable
+    whose g is zero fails."""
     f0, f1, f2 = f
+    nearest = ws.nearest
     margin = box.rounding + tol * ws.drift
-    t = []
-    for is_free, h, (p0, p1, p2), q, lo_i, hi_i in zip(
-        ws.free, ws.held, ws.force_map, ws.offsets, box.lo_floats, box.hi_floats
-    ):
-        s = p0 * f0 + p1 * f1 + p2 * f2 - q
-        if is_free:
-            # h is lo_i on a free cable
-            v = h + s
-            if not lo_i + margin < v < hi_i - margin:
-                return None
-            t.append(v)
-        else:
-            mu = h - lo_i - s
-            if (mu if h <= lo_i else -mu) <= margin:
-                return None
-            t.append(h)
-    found = _rendering(fac, t, f)
-    return found if found[2] <= tol else None
-
-
-def _nearest_optimum(fac, ws: _WorkingSet, f, box: _Box, tol: float):
-    """The nearest answer of working set ws for the force f, three floats,
-    as (x, A x, ||A x - f||), when ws certifies nearest for f (module
-    docstring); None otherwise. One pass forms each free cable's shift
-    and each held cable's descent as p_i . f - q_i and tests it, so no
-    numpy call runs before ws certifies. A zero descent fails."""
-    f0, f1, f2 = f
-    margin = box.rounding + tol * ws.drift
-    stationary = tol * 0.1
-    # the least outward descent of a held cable
+    threshold = tol * 0.1 if nearest else margin
+    # the least outward g of a held cable
     least = math.inf
     t = []
     for is_free, h, (p0, p1, p2), q, lo_i, hi_i in zip(
         ws.free, ws.held, ws.force_map, ws.offsets, box.lo_floats, box.hi_floats
     ):
-        s = p0 * f0 + p1 * f1 + p2 * f2 - q
+        g = p0 * f0 + p1 * f1 + p2 * f2 - q
         if is_free:
-            v = h + s
+            # h is lo_i on a free cable
+            v = h + g
             if not lo_i + margin < v < hi_i - margin:
                 return None
             t.append(v)
         else:
-            out = -s if h <= lo_i else s
-            if out <= stationary:
+            out = -g if h <= lo_i else g
+            if out <= threshold:
                 return None
             least = out if out < least else least
             t.append(h)
     found = _rendering(fac, t, f)
+    if not nearest:
+        return found if found[2] <= tol else None
     level = _EPS * fac.goal_norm * (max(map(abs, f)) + sum(t))
     if found[2] > max(tol, _FEASIBLE_LEVELS * level) and least > _STATIONARY_LEVELS * level:
         return found
@@ -617,33 +595,41 @@ def _residual(rendered, f) -> float:
     return math.sqrt((m0 * m0 + m1 * m1) + m2 * m2)
 
 
-def _reuse(sets, optimum, fac, f, box: _Box, tol: float):
-    """The first answer that optimum, _optimum or _nearest_optimum, gives
-    for the force f, three floats, from the dict of kept sets sets, in the
-    order they were kept; None if none gives one."""
+def _reuse(sets, fac, f, box: _Box, tol: float):
+    """The first answer _optimum gives for the force f, three floats, from
+    the dict of kept sets sets, in the order they were kept; None if none
+    gives one."""
     for ws in sets.values():
-        found = optimum(fac, ws, f, box, tol)
+        found = _optimum(fac, ws, f, box, tol)
         if found is not None:
             return found
     return None
 
 
-def _working_set(fac, blk: _Block, free, held, c) -> _WorkingSet:
+def _working_set(fac, box: _Box, blk: _Block, free, held, c) -> _WorkingSet:
     """The working set with the list of bools free, whose block is blk,
-    and the held vector held, a list of floats, c being rows times held.
+    and the held vector held, a list of floats, c being rows times held,
+    under the bounds of box.
 
     Its offsets are O c and its force map O goal, where O is blk.shift_op
     but, on a nearest set's held cables (blk.rank below A's), the
     operator of their descent, rows^T U_perp U_perp^T, U_perp the
-    trailing columns of blk.u."""
+    trailing columns of blk.u. An exact set's offsets add held - t_min,
+    0 on a free cable, so a held cable's p_i . f - q_i is t_min + shift -
+    held, its g."""
     op = blk.shift_op
-    if blk.rank < fac.rank:
+    nearest = blk.rank < fac.rank
+    if nearest:
         # U_perp spans the directions of rows t the free cables cannot reach
         perp = blk.u[:, blk.rank :]
         op = np.where(np.array(free)[:, None], op, fac.rows_t.dot(perp.dot(perp.T)))
-    offsets = tuple(op.dot(c).tolist())
+        offsets = tuple(op.dot(c).tolist())
+    else:
+        offsets = tuple(
+            q + (h - lo_i) for q, h, lo_i in zip(op.dot(c).tolist(), held, box.lo_floats)
+        )
     force_map = tuple(map(tuple, op.dot(fac.goal).tolist()))
-    return _WorkingSet(free, held, blk.drift, offsets, force_map)
+    return _WorkingSet(free, held, nearest, blk.drift, offsets, force_map)
 
 
 def _nearest_set(fac, box: _Box, t):
@@ -655,7 +641,7 @@ def _nearest_set(fac, box: _Box, t):
     blk = fac.block(free)
     if blk.rank < fac.rank and blk.rank == sum(free):
         held = [lo_i if is_free else ti for is_free, lo_i, ti in zip(free, lo, t)]
-        return _working_set(fac, blk, free, held, fac.rows.dot(np.array(held)))
+        return _working_set(fac, box, blk, free, held, fac.rows.dot(np.array(held)))
     return None
 
 
@@ -720,12 +706,12 @@ def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> So
                     continue
                 if _FEASIBLE_LEVELS * level < root:
                     ws = _nearest_set(fac, box, t)
-                    found = None if ws is None else _nearest_optimum(fac, ws, f, box, tol)
+                    found = None if ws is None else _optimum(fac, ws, f, box, tol)
                     if found is None:
                         # a degenerate point answers with the iterate
                         found = x, rendered, root
                     else:
-                        kept.keep(ws, True)
+                        kept.keep(ws)
                     return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, k)
             if blocking < 0 or root <= tol:
                 # f is rendered, or reached to rounding: from here on the
@@ -743,10 +729,10 @@ def _active_set(fac, box: _Box, kept, t, fvec, f, tol: float, budget: int) -> So
         if wrong > box.rounding:
             free[worst] = True
             continue
-        ws = _working_set(fac, blk, free, held, c)
+        ws = _working_set(fac, box, blk, free, held, c)
         found = _optimum(fac, ws, f, box, tol)
         if found is not None:
-            kept.keep(ws, False)
+            kept.keep(ws)
             return _result(box, *found, SolveStatus.FEASIBLE_EXACT, k)
         x, rendered, root = _rendering(fac, t, f)
         # the rounding of the steps can leave a certified point just above
@@ -811,14 +797,14 @@ def solve(
     tol = cfg.tolerance
     floats = fvec.tolist()
     if kept.sets:
-        found = _reuse(kept.sets, _optimum, fac, floats, box, tol)
+        found = _reuse(kept.sets, fac, floats, box, tol)
         if found is not None:
             return _result(box, *found, SolveStatus.FEASIBLE_EXACT, 1)
     root = _floor_residual(fac, box, floats, a_floats, tol)
     if root is not None:
         return _result(box, box.lo, a_lo, root, SolveStatus.NEAREST_FEASIBLE, 1)
     if kept.nearest_sets:
-        found = _reuse(kept.nearest_sets, _nearest_optimum, fac, floats, box, tol)
+        found = _reuse(kept.nearest_sets, fac, floats, box, tol)
         if found is not None:
             return _result(box, *found, SolveStatus.NEAREST_FEASIBLE, 1)
     step = fac.pinv.dot(fvec - a_lo).tolist()

@@ -242,6 +242,7 @@ NOT_VEC3 = [
     pytest.param([1.0, 2.0, math.nan], "[1.0, 2.0, nan]", id="nan"),
     pytest.param([1.0, 2.0], "[1.0, 2.0]", id="two"),
     pytest.param([1, [2, 3]], "[1, [2, 3]]", id="ragged"),
+    pytest.param({"x": 10**5000}, "<dict too long to print>", id="unprintable"),
 ]
 
 

@@ -653,7 +653,7 @@ def optimum_cases(seed, count):
                 t = [h if up else b for b, h, up in zip(lo, hi, rng.random(m) < 0.3)]
                 held = [b if up else h for b, h, up in zip(lo, t, free)]
                 c = fac.rows.dot(np.array(held))
-                sets.append(solver._working_set(fac, blk, free.tolist(), held, c))
+                sets.append(solver._working_set(fac, box, blk, free.tolist(), held, c))
         for ws in sets:
             for f in forces:
                 yield fac, ws, f, box, tol
@@ -666,8 +666,8 @@ def test_optimum_matches_reference():
         expected = reference_optimum(fac, ws, f, box, tol)
         # a set is nearest where its free block's rank is below A's
         nearest = fac.block(ws.free).rank < fac.rank
-        optimum = solver._nearest_optimum if nearest else solver._optimum
-        got = optimum(fac, ws, f.tolist(), box, tol)
+        assert ws.nearest is nearest
+        got = solver._optimum(fac, ws, f.tolist(), box, tol)
         assert (got is None) == (expected is None)
         if got is None:
             rejected[nearest] += 1

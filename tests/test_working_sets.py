@@ -2,8 +2,7 @@
 solve, never its answer.
 
 A solve answers with the optimum of its working set for f itself, exact
-(solver._optimum) or nearest (solver._nearest_optimum), when that
-optimum certifies strictly, and a factorization keeps each such set for
+or nearest (solver._optimum), when that optimum certifies strictly, and a factorization keeps each such set for
 the next solves on its matrix. A solve that finds a kept set certifying
 for its force answers at one iteration, without either phase. The answer
 (tensions, rendered force, residual and status) must not depend on which
@@ -179,8 +178,8 @@ def reuse_log(monkeypatch):
     log = []
     reuse = solver._reuse
 
-    def spy(sets, optimum, fac, *args):
-        found = reuse(sets, optimum, fac, *args)
+    def spy(sets, fac, *args):
+        found = reuse(sets, fac, *args)
         log.append((sets is kept_of(fac.matrix).nearest_sets, found))
         return found
 
@@ -218,7 +217,6 @@ def test_huge_forces_meet_the_kept_sets_and_keep_their_results(monkeypatch, orde
         return asked
 
     monkeypatch.setattr(solver, "_optimum", spy(solver._optimum))
-    monkeypatch.setattr(solver, "_nearest_optimum", spy(solver._nearest_optimum))
     cases = huge_cases()
     results = solve_all(cases, order)
     got = {
@@ -265,10 +263,11 @@ def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
     built, asked = [], []
     working_set = solver._working_set
 
-    def build(fac, blk, *args):
-        ws = working_set(fac, blk, *args)
+    def build(fac, box, blk, *args):
+        ws = working_set(fac, box, blk, *args)
         # a set is nearest where its free block's rank is below A's
-        built.append((ws, blk.rank < fac.rank))
+        assert ws.nearest is (blk.rank < fac.rank)
+        built.append((ws, ws.nearest))
         return ws
 
     def spy(optimum):
@@ -280,7 +279,6 @@ def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
 
     monkeypatch.setattr(solver, "_working_set", build)
     monkeypatch.setattr(solver, "_optimum", spy(solver._optimum))
-    monkeypatch.setattr(solver, "_nearest_optimum", spy(solver._nearest_optimum))
     sets_per_solve = Counter()
     nearest_sets = Counter()
     for A, f, bounds in CORPUS:
@@ -339,8 +337,8 @@ def test_reused_answers_agree_with_the_qp_oracle(monkeypatch):
     reused = []
     reuse = solver._reuse
 
-    def spy(sets, optimum, fac, g, box, tol):
-        found = reuse(sets, optimum, fac, g, box, tol)
+    def spy(sets, fac, g, box, tol):
+        found = reuse(sets, fac, g, box, tol)
         if found is not None:
             nearest = sets is kept_of(fac.matrix).nearest_sets
             reused.append((nearest, fac.matrix, np.array(g), box, found))
@@ -443,17 +441,16 @@ def test_many_sets_keep_the_lookup_bounded(monkeypatch):
     lookups = []
     reuse = solver._reuse
 
-    def lookup(sets, optimum, fac, *args):
+    def lookup(sets, fac, *args):
         del evaluated[:]
         kept = list(sets.values())
-        found = reuse(sets, optimum, fac, *args)
+        found = reuse(sets, fac, *args)
         # the sets evaluated are the first of those kept, in their order
         in_order = len(evaluated) <= len(kept) and all(map(operator.is_, evaluated, kept))
         lookups.append((found is not None, in_order, len(evaluated), len(kept)))
         return found
 
     monkeypatch.setattr(solver, "_optimum", spy(solver._optimum))
-    monkeypatch.setattr(solver, "_nearest_optimum", spy(solver._nearest_optimum))
     monkeypatch.setattr(solver, "_reuse", lookup)
     clear_caches()
     first = [answer(solve(A, f, CUBE.bounds)) for f in forces]
@@ -514,10 +511,10 @@ def test_exact_and_nearest_sets_share_the_slots():
     def kept(k, nearest):
         # the two kinds' free masks differ, as a block's rank decides them
         free = [nearest, False, False]
-        return solver._WorkingSet(free, [float(k)] * 3, 0.0, (), ())
+        return solver._WorkingSet(free, [float(k)] * 3, nearest, 0.0, (), ())
 
     def keep(k, nearest):
-        slots.keep(kept(k, nearest), nearest)
+        slots.keep(kept(k, nearest))
 
     def held(sets):
         return [key[1][0] for key in sets]
@@ -571,9 +568,9 @@ def test_a_mixed_sphere_keeps_the_exact_hits_of_exact_sets_alone(monkeypatch, re
     # the same solves on a factorization that keeps exact sets alone
     keep = solver._Kept.keep
 
-    def keep_exact(kept, ws, nearest):
-        if not nearest:
-            keep(kept, ws, nearest)
+    def keep_exact(kept, ws):
+        if not ws.nearest:
+            keep(kept, ws)
 
     monkeypatch.setattr(solver._Kept, "keep", keep_exact)
     del reuse_log[:]
