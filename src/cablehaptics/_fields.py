@@ -48,13 +48,14 @@ def shown(value) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
-def _vec3(v, name: str, limit: float) -> tuple[np.ndarray, bool]:
+def _vec3(v, name: str, limit: float) -> tuple[np.ndarray, list[float] | None]:
     """Validate v, the value of the field name, as a finite 3-vector and
-    return it as a float array, and whether every component lies strictly
-    within -limit and limit; only a vector outside that is tested for
-    finiteness. A vector of floats, integers or bools converts; a complex,
-    non-numeric or ragged one raises ValueError naming the field, so no
-    imaginary part is dropped."""
+    return it as a float array, with its three components as a list of
+    floats when every one lies strictly within -limit and limit and None
+    otherwise; only a vector outside that is tested for finiteness. A
+    vector of floats, integers or bools converts; a complex, non-numeric
+    or ragged one raises ValueError naming the field, so no imaginary part
+    is dropped."""
     try:
         arr = np.asarray(v)
     except (TypeError, ValueError):  # a ragged sequence, for one
@@ -65,11 +66,12 @@ def _vec3(v, name: str, limit: float) -> tuple[np.ndarray, bool]:
             raise _not_vec3(name, v)
         arr = arr.astype(float)
     if arr.shape == (3,):
-        x, y, z = arr.tolist()
+        floats = arr.tolist()
+        x, y, z = floats
         if -limit < x < limit and -limit < y < limit and -limit < z < limit:
-            return arr, True
+            return arr, floats
         if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
-            return arr, False
+            return arr, None
     raise _not_vec3(name, v)
 
 
@@ -85,10 +87,16 @@ def as_vec3(v, name: str) -> np.ndarray:
 def force3(v, name: str) -> np.ndarray:
     """as_vec3(v, name), if every component lies below MAX_MAGNITUDE in
     size."""
-    arr, within = _vec3(v, name, MAX_MAGNITUDE)
-    if not within:
+    return force3_floats(v, name)[0]
+
+
+def force3_floats(v, name: str) -> tuple[np.ndarray, list[float]]:
+    """force3(v, name) and its three components as a list of floats, read
+    by the same check."""
+    arr, floats = _vec3(v, name, MAX_MAGNITUDE)
+    if floats is None:
         raise _too_large(name, v)
-    return arr
+    return arr, floats
 
 
 def _not_vec3(name: str, value) -> ValueError:
@@ -143,8 +151,8 @@ def vec3(value, name: str, *, unit: bool = False) -> np.ndarray:
     """A read-only float copy of value, if it is a finite 3-vector below
     MAX_MAGNITUDE on every axis, and with unit=True one of norm 1 within
     UNIT_NORM_TOL."""
-    arr, within = _vec3(value, name, MAX_MAGNITUDE)
-    if not within:
+    arr, floats = _vec3(value, name, MAX_MAGNITUDE)
+    if floats is None:
         raise _too_large(name, value)
     arr = arr.copy()
     if unit and abs(np.linalg.norm(arr) - 1.0) > UNIT_NORM_TOL:

@@ -32,6 +32,13 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered copy of the float array arr over bytes,
+    which, unlike an array that owns its data, no caller can make
+    writeable again."""
+    return np.frombuffer(arr.tobytes()).reshape(arr.shape)
+
+
 @dataclass(frozen=True)
 class TensionBounds:
     """Allowable tension range for a cable, in newtons.
@@ -125,8 +132,9 @@ class ModuleLayout:
 class StructureMatrix:
     """3 x m matrix whose columns are unit vectors from the end effector
     toward each anchor; A @ t is the net force the tensions t exert. The
-    one place a matrix is checked (shape, NaN and inf, unit columns); the
-    columns are kept as a read-only C-ordered copy."""
+    one place a matrix is checked (shape, NaN and inf, unit columns). The
+    columns are kept as a C-ordered copy that no caller can make writeable
+    (_frozen), so a StructureMatrix never changes."""
 
     columns: np.ndarray
 
@@ -142,9 +150,12 @@ class StructureMatrix:
                 if not np.isfinite(cols).all():
                     raise ValueError("structure matrix has non-finite entries")
                 raise ValueError(f"columns must be unit vectors, norms {norms}")
-        cols = cols.copy()
-        cols.setflags(write=False)
-        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "columns", _frozen(cols))
+
+    def __reduce__(self):
+        # a copy or an unpickled matrix is built again, so its columns are
+        # checked and frozen too, not an owning array numpy would rebuild
+        return StructureMatrix, (self.columns,)
 
 
 def cable_directions(layout: ModuleLayout, ee) -> np.ndarray:

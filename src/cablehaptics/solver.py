@@ -60,13 +60,15 @@ iterate renders, which lies within tol of f; a set that certifies for f
 with the tolerance term of the margin certifies for every such force, so
 the loop certifies it at the same iteration. A cold solve asks only the
 set the loop certifies and keeps it; a kept set answers by the same
-function of the same set. So an answer and its iteration count depend on
-(A, f, bounds, config) alone, and kept sets change only how fast it
-comes. The one exception is the cap: a cold solve that max_iterations
-stops reports ITERATION_CAP, where a kept set that certifies answers as
-an uncapped solve does. A degenerate nearest point, whose free cables
-lack full column rank or whose held descents do not clear the
-threshold, answers with the iterate and keeps no set.
+function of the same set. So an answer depends on (A, f, bounds, config)
+alone, and kept sets change only how fast it comes. Its iteration count
+does not: an answer from a kept set or at t_min counts 1, and one from
+the loop counts the loop's iterations. The one exception is the cap: a
+cold solve that max_iterations stops reports ITERATION_CAP, where a kept
+set that certifies answers as an uncapped solve does. A degenerate
+nearest point, whose free cables lack full column rank or whose held
+descents do not clear the threshold, answers with the iterate and keeps
+no set.
 
 Rounding. Products with a cached operator are ndarray.dot calls, and
 per-cable work is Python passes over lists of floats. Each pass does the
@@ -92,9 +94,13 @@ Every answer of each kind takes the same pass, so an answer still depends
 on nothing but the problem.
 
 Caches. Everything that depends on A alone, or on A and the last bounds,
-lives in A's one _Factorization (_factorization), and what depends on
-the bounds alone in one _Box every matrix shares (_box), so a solve
-computes only what depends on the force.
+lives in A's one _Factorization, and what depends on the bounds alone in
+one _Box every matrix shares (_box), so a solve computes only what
+depends on the force. One module slot holds the last matrix and its
+factorization (_factorization), and a new matrix replaces it. A
+StructureMatrix's columns never change, so the same object again is
+found by identity alone; a matrix of equal bytes from another object
+finds the slot by comparing them.
 """
 
 from __future__ import annotations
@@ -109,8 +115,8 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 from numpy.linalg._umath_linalg import svd_f
 
-from ._fields import force3, integer, real, set_checked
-from .geometry import StructureMatrix, TensionBounds, _norms
+from ._fields import force3_floats, integer, real, set_checked
+from .geometry import StructureMatrix, TensionBounds, _frozen, _norms
 
 # Relative singular-value cutoff shared by the pseudoinverse and rank checks.
 RANK_REL_TOL = 1e-9
@@ -256,12 +262,6 @@ def _box(bounds, m: int) -> _Box:
     rounding = float(1e-12 * hi.max())
     hi_floats = tuple(hi.tolist())
     return _Box(_frozen(lo), rounding, tuple(lo.tolist()), hi_floats, sum(hi_floats))
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only copy of the float vector arr over bytes, which, unlike
-    an array that owns its data, no caller can make writeable again."""
-    return np.frombuffer(arr.tobytes())
 
 
 def _rank(values, largest: float) -> int:
@@ -414,24 +414,35 @@ class _Kept:
             self.sets, self.nearest_sets = sets, nearest_sets
 
 
-@functools.lru_cache(maxsize=1)
-def _factorize(key: bytes) -> _Factorization:
-    """The factorization of the 3 x m matrix whose C-order bytes are key.
-
-    Only the most recent matrix is kept, so consecutive solves on one
-    matrix share it, whatever object carries it. Its matrix is a
-    read-only array over the bytes of key, not a copy.
-    """
-    return _Factorization(np.frombuffer(key).reshape(3, len(key) // 24))
+# The last matrix factorized, as (the StructureMatrix, its columns'
+# bytes, its _Factorization): one tuple, assigned at once, so a thread
+# reads all of one matrix's slot or all of another's.
+_last_factorization: tuple[StructureMatrix, bytes, _Factorization] | None = None
 
 
 def _factorization(A) -> _Factorization:
     """The factorization of A, a StructureMatrix taken as it is, checked
     when it was built, or of the StructureMatrix built from A, which
-    checks it. Every entry point that takes a matrix comes here."""
+    checks it, found in or put in the one slot of the last matrix (module
+    docstring). Every entry point that takes a matrix comes here."""
+    global _last_factorization
     if not isinstance(A, StructureMatrix):
         A = StructureMatrix(A)
-    return _factorize(A.columns.tobytes())
+    last = _last_factorization
+    if last is not None and last[0] is A:
+        return last[2]
+    key = A.columns.tobytes()
+    fac = last[2] if last is not None and last[1] == key else _Factorization(A.columns)
+    _last_factorization = (A, key, fac)
+    return fac
+
+
+def _clear_caches() -> None:
+    """Forget the last factorization and the shared box, so that the next
+    solve runs cold, as the first solve of a process does."""
+    global _last_factorization
+    _last_factorization = None
+    _box.cache_clear()
 
 
 def actuation_rank(A: StructureMatrix | np.ndarray) -> int:
@@ -792,10 +803,9 @@ def solve(
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     fac = _factorization(A)
-    fvec = force3(f, "force")
+    fvec, floats = force3_floats(f, "force")
     box, a_lo, a_floats, kept = fac.box(bounds)
     tol = cfg.tolerance
-    floats = fvec.tolist()
     if kept.sets:
         found = _reuse(kept.sets, fac, floats, box, tol)
         if found is not None:

@@ -36,10 +36,10 @@ Parts (112,572 solves):
   with forces close to one another, as a haptic hold asks for.
 
 Each part runs in two modes: warm, in order with the caches as the runs
-leave them, and cleared, with solver._factorize and solver._box cleared
-before every solve. DIR gets summary.json and, per part and mode, an .npz
-of every solve's status, iterations, tensions, rendered force and
-residual, and its tolerance and max_iterations.
+leave them, and cleared, with solver._clear_caches run before every
+solve. DIR gets summary.json and, per part and mode, an .npz of every
+solve's status, iterations, tensions, rendered force and residual, and
+its tolerance and max_iterations.
 The summary gives per part and mode the status and iteration counts and a
 sha256 over each solve's status, iterations, and tensions, rendered force
 and residual in float hex. The commands run through cablehaptics.cli.main
@@ -88,8 +88,7 @@ class Recorder:
 
     def __call__(self, A, f, bounds, config=None):
         if self.cleared:
-            solver._factorize.cache_clear()
-            solver._box.cache_clear()
+            solver._clear_caches()
         result = self._solve(A, f, bounds, config)
         self.results.append((result, config or solver.SolverConfig()))
         return result

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from cablehaptics import (
     TensionBounds,
     actuation_rank,
     cable_directions,
+    solve,
     structure_matrix,
 )
 from cablehaptics.simulation import default_validation_layout
@@ -119,6 +123,31 @@ class TestStructureMatrix:
         cols = np.array([[bad, 0.0], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
             StructureMatrix(cols)
+
+    def test_columns_can_never_change(self):
+        layout, ee = default_validation_layout()
+        source = np.array(cable_directions(layout, ee).T)
+        A = StructureMatrix(source)
+        kept = A.columns.tobytes()
+        f = [0.3, -0.4, 1.2]
+        before = solve(A, f, layout.bounds)
+        with pytest.raises(ValueError):
+            A.columns.setflags(write=True)
+        with pytest.raises(ValueError):
+            A.columns[0, 0] = 0.0
+        # the source's writes, with unit columns still, reach neither A
+        # nor a solve on it: the solver knows A by identity
+        source[:] = source[:, ::-1]
+        assert A.columns.tobytes() == kept
+        after = solve(A, f, layout.bounds)
+        assert after.tensions.tobytes() == before.tensions.tobytes()
+        assert after.rendered_force.tobytes() == before.rendered_force.tobytes()
+        assert solve(source, f, layout.bounds).tensions.tobytes() != before.tensions.tobytes()
+        # nor can a copy's or an unpickled matrix's
+        for copied in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+            assert copied.columns.tobytes() == kept
+            with pytest.raises(ValueError):
+                copied.columns.setflags(write=True)
 
 
 def planar_columns(*angles):

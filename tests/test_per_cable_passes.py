@@ -920,7 +920,7 @@ FRESH_SOLVES = [
 
 
 def fresh_solve(layout, ee, force):
-    solver._factorize.cache_clear()
+    solver._clear_caches()
     A = structure_matrix(layout, ee)
     result = solver.solve(A, force, layout.bounds)
     return (

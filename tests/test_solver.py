@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import math
 import pickle
@@ -61,13 +62,13 @@ class TestTensionBounds:
         # a -0.0 floor must solve as a 0.0 floor does, with or without them
         A = default_matrix()
         forces = sphere_samples(51, 1.5)
-        _clear_caches()
+        solver._clear_caches()
         for f in forces:
             solve(A, f, TensionBounds(0.0, 6.0))
         warm = [solve(A, f, TensionBounds(-0.0, 6.0)) for f in forces]
         cold = []
         for f in forces:
-            _clear_caches()
+            solver._clear_caches()
             cold.append(solve(A, f, TensionBounds(-0.0, 6.0)))
         _assert_same_answers(warm, cold)
         # some cable sits on the zero floor, where its sign would show
@@ -436,7 +437,7 @@ class TestNearestOracle:
             forces = rng.normal(size=3) * rng.uniform(8.0, 40.0) + rng.normal(size=(4, 3))
             if k % 3 == 0:
                 forces[:, 2] = 0.0
-            _clear_caches()
+            solver._clear_caches()
             for f in forces:
                 result = solve(A, f, bounds)
                 statuses[result.status, result.iterations == 1] += 1
@@ -470,14 +471,15 @@ class TestNonFiniteMatrix:
         ],
     )
     def test_bad_plain_array_rejected_by_every_entry_point(self, A, message):
-        solver._factorize.cache_clear()
+        solver._clear_caches()
         with pytest.raises(ValueError, match=message):
             solve(A, [1.0, 1.0, 1.0], BOUNDS)
         with pytest.raises(ValueError, match=message):
             is_wrench_feasible(A, [1.0, 1.0, 1.0], BOUNDS)
         with pytest.raises(ValueError, match=message):
             actuation_rank(A)
-        assert solver._factorize.cache_info().currsize == 0
+        # a rejected matrix leaves no factorization behind
+        assert solver._last_factorization is None
 
 
 def _plain_array_cases():
@@ -527,12 +529,6 @@ def _assert_same_answers(results, cold):
     most as many iterations: a working set the matrix kept answers in one."""
     assert [_outcome(r) for r in results] == [_outcome(r) for r in cold]
     assert all(r.iterations <= c.iterations for r, c in zip(results, cold))
-
-
-def _clear_caches():
-    """Forget the cached factorization and the shared box, for a cold solve."""
-    solver._factorize.cache_clear()
-    solver._box.cache_clear()
 
 
 def _holds_box(bounds, m):
@@ -600,7 +596,7 @@ class TestFactorizationCache:
         results = []
         for A, f, bounds in cases:
             if cold:
-                _clear_caches()
+                solver._clear_caches()
             results.append(solve(A, f, bounds))
         return results
 
@@ -680,8 +676,31 @@ class TestFactorizationCache:
     def test_one_factorization_held_after_many_matrices(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):
-            solve(random_rank3_directions(rng, 4).T, [0.0, 0.0, 1.0], BOUNDS)
-        assert solver._factorize.cache_info().currsize == 1
+            columns = random_rank3_directions(rng, 4).T
+            solve(columns, [0.0, 0.0, 1.0], BOUNDS)
+        gc.collect()
+        held = [obj for obj in gc.get_objects() if isinstance(obj, solver._Factorization)]
+        assert held == [solver._factorization(columns)]
+
+    def test_clearing_forgets_the_same_matrix_object(self):
+        A = default_matrix()
+        solve(A, [0.0, 0.0, 1.5], BOUNDS)
+        fac = solver._factorization(A)
+        # the same object again is found by identity
+        assert solver._factorization(A) is fac
+        solver._clear_caches()
+        solve(A, [0.0, 0.0, 1.5], BOUNDS)
+        assert solver._factorization(A) is not fac
+
+    def test_equal_matrices_share_one_factorization(self):
+        A = default_matrix()
+        fac = solver._factorization(A)
+        again = default_matrix()
+        assert again is not A
+        assert solver._factorization(again) is fac
+        # the slot now holds the newer object, which identity finds
+        assert solver._last_factorization[0] is again
+        assert solver._factorization(A) is fac
 
     @pytest.mark.parametrize(
         "bounds",
@@ -691,7 +710,7 @@ class TestFactorizationCache:
     def test_bounds_and_start_cache_equals_cold_solves(self, bounds):
         A = default_matrix()
         forces = list(sphere_samples(30, 1.5)) + [np.array([0.0, 0.0, 40.0])]
-        _clear_caches()
+        solver._clear_caches()
         # fill the box cache with other shared and per-cable bounds on the
         # same matrix, and with BOUNDS itself, which an equal TensionBounds
         # must share
@@ -701,7 +720,7 @@ class TestFactorizationCache:
         warm = [solve(A, f, bounds) for f in forces]
         cold = []
         for f in forces:
-            _clear_caches()
+            solver._clear_caches()
             cold.append(solve(A, f, bounds))
         _assert_same_answers(warm, cold)
         assert {result.status for result in warm} == {
@@ -711,7 +730,7 @@ class TestFactorizationCache:
 
     def test_bounds_and_start_cache_stays_small(self):
         A = default_matrix()
-        _clear_caches()
+        solver._clear_caches()
         for k in range(100):
             per_cable = tuple(TensionBounds(b.t_min + k / 100, b.t_max) for b in PER_CABLE)
             solve(A, [0.0, 0.0, 1.5], per_cable)
@@ -744,12 +763,12 @@ class TestFactorizationCache:
     def test_alternating_matrices_equal_cold_solves(self, matrices, bounds):
         A1, A2 = matrices()
         forces = list(sphere_samples(20, 1.5)) + [np.array([0.0, 0.0, 40.0])]
-        _clear_caches()
+        solver._clear_caches()
         warm = [solve(A, f, bounds) for f in forces for A in (A1, A2)]
         cold = []
         for f in forces:
             for A in (A1, A2):
-                _clear_caches()
+                solver._clear_caches()
                 cold.append(solve(A, f, bounds))
         _assert_same_answers(warm, cold)
         assert {result.status for result in warm} == {
@@ -765,20 +784,21 @@ class TestFactorizationCache:
     def test_bad_box_after_a_matrix_switch_leaves_the_cache_usable(self, bounds, message):
         A1, A2 = _two_matrices()
         f = [0.0, 0.0, 1.5]
-        _clear_caches()
+        solver._clear_caches()
         before = [solve(A, f, BOUNDS) for A in (A1, A2)]
         for A in (A1, A2, A1):
             with pytest.raises(ValueError, match=message):
                 solve(A, f, bounds)
             # the call that raised stored nothing: the last good box is held
             assert _holds_box(BOUNDS, 4)
-        assert solver._factorize.cache_info().currsize == 1
+        # and the last matrix's factorization, which the bad box left in place
+        assert solver._last_factorization[0] is A1
         _assert_same_answers([solve(A, f, BOUNDS) for A in (A1, A2)], before)
 
     def test_shared_box_and_each_a_start_are_read_only(self):
         A1, A2 = _two_matrices()
         for bounds in (BOUNDS, PER_CABLE, CUSTOM_START):
-            _clear_caches()
+            solver._clear_caches()
             boxes = []
             for A in (A1, A2):
                 M = A.columns
@@ -800,14 +820,15 @@ class TestFactorizationCache:
         A = default_matrix().columns
         bad = A.copy()
         bad[0, 1] = np.nan
-        _clear_caches()
+        solver._clear_caches()
         before = solve(A, [0.0, 0.0, 1.5], BOUNDS)
+        fac = solver._last_factorization[2]
         with pytest.raises(ValueError, match="non-finite"):
             solve(bad, [0.0, 0.0, 1.5], BOUNDS)
-        hits = solver._factorize.cache_info().hits
+        # the rejected matrix left the slot as it was, and A's bytes find it
+        assert solver._last_factorization[2] is fac
         _assert_same_answers([solve(A, [0.0, 0.0, 1.5], BOUNDS)], [before])
-        assert solver._factorize.cache_info().hits == hits + 1
-        assert solver._factorize.cache_info().currsize == 1
+        assert solver._last_factorization[2] is fac
 
     def test_threads_alternating_bounds_get_single_thread_answers(self):
         # four threads solve on one matrix, each switching between two
@@ -815,15 +836,18 @@ class TestFactorizationCache:
         # bounds, A t_min's floats and the kept sets with it, changes under
         # the others; a short switch interval makes them interleave. Which
         # sets are kept then depends on the interleaving, so iterations
-        # may vary, but no answer may
+        # may vary, but no answer may. They also switch between A and an
+        # equal matrix of another object, so that the matrix slot changes
+        # under them too, between a find by identity and one by bytes
         layout, _ = default_validation_layout()
         A = structure_matrix(layout, (0.3, 0.2, 1.0))
+        twins = (A, StructureMatrix(np.array(A.columns)))
         both = (TensionBounds(0.5, 6.0), TensionBounds(0.2, 3.0))
         forces = [*sphere_samples(16, 1.0), *sphere_samples(16, 2.0)]
         expected = {}
         for b, bounds in enumerate(both):
             for i, f in enumerate(forces):
-                _clear_caches()
+                solver._clear_caches()
                 expected[b, i] = _outcome(solve(A, f, bounds))
         statuses = Counter(status for _, _, status, _ in expected.values())
         lows = [np.full(4, bounds.t_min).tobytes() for bounds in both]
@@ -840,7 +864,7 @@ class TestFactorizationCache:
                 for i, f in enumerate(forces):
                     b = (i + turn) % 2
                     try:
-                        got = _outcome(solve(A, f, both[b]))
+                        got = _outcome(solve(twins[(i // 3 + k) % 2], f, both[b]))
                     except Exception as error:  # a thread's exception is lost unless kept
                         errors.append(repr(error))
                         return
@@ -985,7 +1009,7 @@ class TestAnswersAtTMin:
             box, a_lo, _, _ = solver._factorization(A).box(bounds)
             for cold in (True, False):
                 if cold:
-                    _clear_caches()
+                    solver._clear_caches()
                 result = solve(A, a_lo.copy(), bounds)
                 assert result.status is SolveStatus.FEASIBLE_EXACT
                 assert result.tensions.tobytes() == box.lo.tobytes()
@@ -1029,7 +1053,7 @@ class TestAnswersAtTMin:
                 rule = unit and _EPS * box.hi_sum <= stationary
                 del calls[:]
                 # cold, so that the loop runs and no kept set answers
-                _clear_caches()
+                solver._clear_caches()
                 result = solve(A, f, bounds, SolverConfig(max_iterations=1, tolerance=tol))
                 assert bool(calls) is not rule
                 if rule:
@@ -1069,7 +1093,7 @@ class TestAnswersAtTMin:
         answers = _t_min_answers()
         calls = _certificate_spy(monkeypatch)
         for A, f, bounds, default in answers:
-            _clear_caches()
+            solver._clear_caches()
             del calls[:]
             result = solve(A, f, bounds, SolverConfig(tolerance=1e-14))
             assert len(calls) == 1
@@ -1102,16 +1126,16 @@ def _answers_of_every_path():
     box, *_ = fac.box(BOUNDS)
     _, _, bounds, at_t_min = _t_min_answers()[0]
     assert bounds == BOUNDS and at_t_min.tensions is box.lo
-    _clear_caches()
+    solver._clear_caches()
     nearest = solve(A, [0.0, 0.0, 100.0], BOUNDS)
     assert nearest.status is SolveStatus.NEAREST_FEASIBLE
     assert nearest.tensions.tobytes() != box.lo.tobytes()
-    _clear_caches()
+    solver._clear_caches()
     exact = solve(A, [0.3, -0.4, 1.2], BOUNDS)
     assert exact.status is SolveStatus.FEASIBLE_EXACT and exact.iterations > 1
     kept = solve(A, [0.3, -0.4, 1.2], BOUNDS)
     assert kept.iterations == 1 and _outcome(kept) == _outcome(exact)
-    _clear_caches()
+    solver._clear_caches()
     capped = solve(A, sphere_samples(182, 1.5)[0], BOUNDS, SolverConfig(max_iterations=3))
     assert capped.status is SolveStatus.ITERATION_CAP and capped.iterations == 3
     return dict(zip(PATHS, (at_t_min, nearest, exact, kept, capped)))

@@ -62,11 +62,6 @@ HUGE_RESULTS = {
 }
 
 
-def clear_caches():
-    solver._factorize.cache_clear()
-    solver._box.cache_clear()
-
-
 def kept_of(A):
     """The _Kept working sets of A's factorization under its last bounds."""
     return solver._factorization(A)._box[1][3]
@@ -158,14 +153,14 @@ CORPUS = corpus()
 def solve_all(cases, order, config=None):
     """The results of cases solved in order ('forward', 'reversed' or
     'cleared', forward with every cache cleared first), in case order."""
-    clear_caches()
+    solver._clear_caches()
     indices = range(len(cases))
     if order == "reversed":
         indices = reversed(indices)
     results = [None] * len(cases)
     for i in indices:
         if order == "cleared":
-            clear_caches()
+            solver._clear_caches()
         A, f, bounds = cases[i]
         results[i] = solve(A, f, bounds, config)
     return results
@@ -247,7 +242,7 @@ def test_phase_1_working_set_spares_cold_solves_phase_2(monkeypatch):
     A = structure_matrix(VALIDATION_LAYOUT, VALIDATION_EE)
     iterations, rendered = Counter(), Counter()
     for f in sphere_samples(182, 1.5):
-        clear_caches()
+        solver._clear_caches()
         del targets[:]
         iterations[solve(A, f, VALIDATION_LAYOUT.bounds).iterations] += 1
         rendered[len(targets)] += 1
@@ -282,7 +277,7 @@ def test_each_working_set_a_cold_solve_builds_is_asked_for_its_answer_once(
     sets_per_solve = Counter()
     nearest_sets = Counter()
     for A, f, bounds in CORPUS:
-        clear_caches()
+        solver._clear_caches()
         del built[:], asked[:]
         result = solve(A, f, bounds)
         assert len(asked) == len(built)
@@ -307,7 +302,7 @@ def test_a_force_just_off_a_rank_2_plane_is_not_rendered_by_a_kept_set():
     angles = [0.3, 1.9, 3.4, 4.8]
     M = np.vstack([np.cos(angles), np.sin(angles), np.zeros(4)])
     bounds = TensionBounds(0.5, 6.0)
-    clear_caches()
+    solver._clear_caches()
     in_plane = solve(M, [0.4, -0.3, 0.0], bounds)
     assert in_plane.status is SolveStatus.FEASIBLE_EXACT
     assert kept_of(M).sets
@@ -316,7 +311,7 @@ def test_a_force_just_off_a_rank_2_plane_is_not_rendered_by_a_kept_set():
     # the layout's rank, so it cannot answer nearest either
     off = solve(M, [0.4, -0.3, 1e-6], bounds)
     assert off.status is SolveStatus.NEAREST_FEASIBLE
-    clear_caches()
+    solver._clear_caches()
     assert answer(off) == answer(solve(M, [0.4, -0.3, 1e-6], bounds))
 
 
@@ -368,13 +363,13 @@ def test_a_cable_on_its_floor_with_a_zero_multiplier_solves_cold(reuse_log):
     assert M[0, 3] == M[1, 3] == 0.0
     t_star = np.array([0.5 + 2.0 * M[0, 0], 0.5, 0.5, 0.5])
     f = M @ t_star
-    clear_caches()
+    solver._clear_caches()
     cold = solve(A, f, VALIDATION_LAYOUT.bounds)
     assert cold.status is SolveStatus.FEASIBLE_EXACT
     np.testing.assert_allclose(cold.tensions, t_star, rtol=0.0, atol=1e-12)
     # the cold solve kept nothing, since its set certifies only loosely
     assert not kept_of(A).sets
-    clear_caches()
+    solver._clear_caches()
     for g in sphere_samples(182, 1.5):
         solve(A, g, VALIDATION_LAYOUT.bounds)
     kept = dict(kept_of(A).sets)
@@ -402,7 +397,7 @@ def test_a_kept_set_lifts_only_an_iteration_cap(cap):
     # each capped solve again, after the uncapped solves of every force on
     # its matrix have kept their sets
     warm = []
-    clear_caches()
+    solver._clear_caches()
     for group in matrix_groups(cases):
         for A, f, bounds in group:
             solve(A, f, bounds)
@@ -424,7 +419,7 @@ def test_many_sets_keep_the_lookup_bounded(monkeypatch):
     forces = sphere_samples(500, 1.5)
     cold, certified = [], set()
     for f in forces:
-        clear_caches()
+        solver._clear_caches()
         cold.append(answer(solve(A, f, CUBE.bounds)))
         certified |= set(kept_of(A).sets)
     assert len(certified) > 3 * solver._MAX_SETS
@@ -452,7 +447,7 @@ def test_many_sets_keep_the_lookup_bounded(monkeypatch):
 
     monkeypatch.setattr(solver, "_optimum", spy(solver._optimum))
     monkeypatch.setattr(solver, "_reuse", lookup)
-    clear_caches()
+    solver._clear_caches()
     first = [answer(solve(A, f, CUBE.bounds)) for f in forces]
     second_pass = len(lookups)
     second = [answer(solve(A, f, CUBE.bounds)) for f in forces]
@@ -488,7 +483,7 @@ OPPOSED = np.array([[1.0, -1.0, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1
 )
 def test_a_degenerate_nearest_point_is_never_kept(M, f, others):
     bounds = TensionBounds(0.5, 6.0)
-    clear_caches()
+    solver._clear_caches()
     cold = solve(M, f, bounds)
     assert cold.status is SolveStatus.NEAREST_FEASIBLE
     # the iterate answers with the residual its status was decided on
@@ -558,11 +553,11 @@ def test_a_mixed_sphere_keeps_the_exact_hits_of_exact_sets_alone(monkeypatch, re
     forces = sphere_samples(500, 7.0)[::order]
     cold = []
     for f in forces:
-        clear_caches()
+        solver._clear_caches()
         cold.append(answer(solve(A, f, CUBE.bounds)))
     assert Counter(status for *_, status in cold)[SolveStatus.NEAREST_FEASIBLE] > 50
     del reuse_log[:]
-    clear_caches()
+    solver._clear_caches()
     assert [answer(solve(A, f, CUBE.bounds)) for f in forces] == cold
     hits = Counter(nearest for nearest, found in reuse_log if found is not None)
     # the same solves on a factorization that keeps exact sets alone
@@ -574,7 +569,7 @@ def test_a_mixed_sphere_keeps_the_exact_hits_of_exact_sets_alone(monkeypatch, re
 
     monkeypatch.setattr(solver._Kept, "keep", keep_exact)
     del reuse_log[:]
-    clear_caches()
+    solver._clear_caches()
     assert [answer(solve(A, f, CUBE.bounds)) for f in forces] == cold
     alone = sum(found is not None for _, found in reuse_log)
     # sharing the slots costs the exact sets few hits, and the nearest sets
